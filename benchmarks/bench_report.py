@@ -5,8 +5,9 @@ skeleton-warm / fully-warm — plus the annotation microbench pair of
 ``bench_x5_annotation``, the cold-path trio of ``bench_x7_cold_path``
 (legacy per-pattern build / batched array-swept build / snapshot
 restore), the corpus-sharding pair of ``bench_x8_sharding`` (single
-executor vs 4 shard executors over the cache-thrashing corpus, with
-the streaming merge's early-termination counters), the update pair
+executor vs 4 shard executors over a corpus larger than one
+executor's tiers, with each side's skeleton hit rate and the streaming
+merge's early-termination counters), the update pair
 of ``bench_x9_updates`` (post-edit query under delta maintenance vs the
 invalidation-storm cold rebuild), the memory pair of
 ``bench_x10_memory`` (DAG-compressed vs eager skeleton tier, plus the
@@ -168,6 +169,12 @@ def _sharding_ms(rounds: int) -> dict[str, float]:
         "single_ms": round(numbers["single_ms"], 3),
         "sharded_ms": round(numbers["sharded_ms"], 3),
         "speedup": round(numbers["speedup"], 2),
+        "single_skeleton_hit_rate": round(
+            numbers["single_skeleton_hit_rate"], 3
+        ),
+        "sharded_skeleton_hit_rate": round(
+            numbers["sharded_skeleton_hit_rate"], 3
+        ),
         "merge_consumed": numbers["merge_consumed"],
         "merge_candidates": numbers["merge_candidates"],
         "merge_pruned": numbers["merge_pruned"],

@@ -41,6 +41,10 @@ by their ``(doc, view)`` coordinates across independent shards, each
 with its own lock and LRU chain, so concurrent workers contend only
 when they touch the same shard and capacity scales with the shard
 count.  Statistics are kept per shard and aggregated on demand.
+Eviction is LRU across queries and scan-resistant within one: a query
+sweeping more ``(view, doc)`` keys than a tier holds keeps what it has
+already used and drops its own newcomers (``bypassed``) instead of
+flooding the tier — see :class:`LRUCache`.
 
 All tiers are invalidated per document through the hooks
 :class:`repro.storage.database.XMLDatabase` fires on ``load_document`` /
@@ -55,6 +59,7 @@ structures).
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -76,6 +81,10 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
+    #: Puts dropped instead of admitted because admitting them would
+    #: have evicted an entry used since the putting query began (see
+    #: :meth:`LRUCache.put`).  The caller still used the value it built.
+    bypassed: int = 0
     memory_bytes: int = 0
 
     @property
@@ -91,6 +100,7 @@ class CacheStats:
         self.misses += other.misses
         self.evictions += other.evictions
         self.invalidations += other.invalidations
+        self.bypassed += other.bypassed
         self.memory_bytes += other.memory_bytes
 
     def as_dict(self) -> dict[str, float]:
@@ -99,6 +109,7 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "bypassed": self.bypassed,
             "memory_bytes": self.memory_bytes,
             "hit_rate": self.hit_rate,
         }
@@ -114,6 +125,10 @@ def default_sizer(value: Any) -> int:
     """
     size = getattr(value, "memory_bytes", 0)
     return size if isinstance(size, int) else 0
+
+
+#: "No such key" for lookups whose values may legitimately be ``None``.
+_ABSENT = object()
 
 
 def close_value(value: Any) -> None:
@@ -147,6 +162,18 @@ class LRUCache:
     immediately — a hard budget, not advisory.  The running total is
     exposed as :attr:`memory_bytes`.
 
+    Eviction is **scan-resistant**: every entry records when it was last
+    used (hit or insert), and a ``put`` that names the moment its query
+    began (``scan_started``, a ``time.perf_counter`` reading) never
+    displaces an entry used since then — the newcomer is dropped
+    instead and counted as ``bypassed``.  A query sweeping more keys
+    than the cache holds would otherwise evict every entry just before
+    its own next sweep reaches it (sequential flooding: zero hits at any
+    capacity below the sweep); a victim used inside the sweep has a
+    shorter reuse distance than the newcomer can have, so keeping it is
+    the better bet.  Across queries the order is plain LRU, and a
+    ``put`` without ``scan_started`` always evicts the LRU tail.
+
     When the cache drops a value it *owns* — LRU/byte-budget eviction,
     replacement by a different value under the same key, or
     displacement by a :meth:`rekey_where` overwrite — it runs
@@ -172,7 +199,12 @@ class LRUCache:
         self._sizer = sizer or default_sizer
         self._on_evict = on_evict
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._sizes: dict[Hashable, int] = {}
+        #: Per resident entry: ``[accounted bytes, perf_counter reading
+        #: of its last use]``.  One side table, so a ``get`` hashes the
+        #: key no more often than before entries carried a stamp (keys
+        #: can be expensive to hash — the evaluated tier's embed a view
+        #: expression).
+        self._meta: dict[Hashable, list] = {}
         self.memory_bytes = 0
         self.stats = CacheStats()
 
@@ -184,28 +216,62 @@ class LRUCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value (refreshed as most recent), or ``None``."""
-        if key not in self._data:
+        value = self._data.get(key, _ABSENT)
+        if value is _ABSENT:
             self.stats.misses += 1
             return None
         self._data.move_to_end(key)
+        self._meta[key][1] = time.perf_counter()
         self.stats.hits += 1
-        return self._data[key]
+        return value
 
-    def _forget_size(self, key: Hashable) -> None:
-        self.memory_bytes -= self._sizes.pop(key, 0)
+    def _forget(self, key: Hashable) -> None:
+        """Drop a departed entry's byte accounting and use stamp."""
+        self.memory_bytes -= self._meta.pop(key)[0]
 
     def _release(self, value: Any) -> None:
         """Run the on-evict hook on a value the cache just dropped."""
         if self._on_evict is not None:
             self._on_evict(value)
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def _victim_in_use(self, scan_started: Optional[float]) -> bool:
+        """Whether the LRU victim was used since ``scan_started``."""
+        if scan_started is None:
+            return False
+        return self._meta[next(iter(self._data))][1] >= scan_started
+
+    def admits(
+        self, key: Hashable, scan_started: Optional[float] = None
+    ) -> bool:
+        """Whether ``put(key, ..., scan_started)`` would keep the entry.
+
+        Lets a caller skip preparing a value (compressing, measuring)
+        that the entry-count bound is about to turn away; a refusal is
+        counted as ``bypassed`` here, standing in for the ``put`` the
+        caller then omits.  The byte budget cannot be judged before the
+        value is measured — ``put`` applies the same rule to it.
+        """
+        if self.capacity <= 0:
+            return False
+        if key in self._data or len(self._data) < self.capacity:
+            return True
+        if self._victim_in_use(scan_started):
+            self.stats.bypassed += 1
+            return False
+        return True
+
+    def put(
+        self,
+        key: Hashable,
+        value: Any,
+        scan_started: Optional[float] = None,
+    ) -> None:
         if self.capacity <= 0:
             return
         if key in self._data:
             replaced = self._data[key]
             self._data.move_to_end(key)
-            self._forget_size(key)
+            self._forget(key)
             if replaced is not value:
                 # Entry replacement drops the old value just as finally
                 # as eviction does — same release discipline (the old
@@ -213,15 +279,24 @@ class LRUCache:
                 self._release(replaced)
         self._data[key] = value
         size = self._sizer(value)
-        self._sizes[key] = size
+        self._meta[key] = [size, time.perf_counter()]
         self.memory_bytes += size
         budget = self.byte_budget
         data = self._data
         while len(data) > self.capacity or (
             budget is not None and self.memory_bytes > budget and data
         ):
+            if len(data) > 1 and self._victim_in_use(scan_started):
+                # The victim was used since the putting query began, so
+                # its next use is nearer than the newcomer's can be:
+                # turn the newcomer away.  The caller holds (and is
+                # about to use) it — dropped, never released.
+                del data[key]
+                self._forget(key)
+                self.stats.bypassed += 1
+                break
             evicted_key, evicted_value = data.popitem(last=False)
-            self._forget_size(evicted_key)
+            self._forget(evicted_key)
             self.stats.evictions += 1
             if evicted_value is not value:
                 # An over-budget value can evict *itself* on insertion;
@@ -235,7 +310,7 @@ class LRUCache:
         doomed = [key for key in self._data if predicate(key)]
         for key in doomed:
             del self._data[key]
-            self._forget_size(key)
+            self._forget(key)
         self.stats.invalidations += len(doomed)
         return len(doomed)
 
@@ -251,27 +326,28 @@ class LRUCache:
         generation) instead of being dropped and rebuilt.  Moved entries
         become most-recently-used; returns ``(new_key, value)`` pairs so
         the caller can patch the values in place afterwards.  Byte
-        accounting follows the entry (the value is not re-measured).
+        accounting and the use stamp follow the entry (the value is not
+        re-measured, and re-addressing it is not a use).
         """
         moved: list[tuple[Hashable, Any]] = []
         for key in [k for k in self._data if predicate(k)]:
             value = self._data.pop(key)
-            size = self._sizes.pop(key, 0)
+            meta = self._meta.pop(key)
             new_key = transform(key)
-            if new_key in self._sizes:  # overwrite: drop the old accounting
-                self._forget_size(new_key)
+            if new_key in self._meta:  # overwrite: drop the old accounting
+                self._forget(new_key)
                 displaced = self._data.get(new_key)
                 if displaced is not None and displaced is not value:
                     self._release(displaced)
             self._data[new_key] = value
-            self._sizes[new_key] = size
+            self._meta[new_key] = meta
             moved.append((new_key, value))
         return moved
 
     def clear(self) -> int:
         count = len(self._data)
         self._data.clear()
-        self._sizes.clear()
+        self._meta.clear()
         self.memory_bytes = 0
         self.stats.invalidations += count
         return count
@@ -392,10 +468,22 @@ class ShardedLRUCache:
         with self._locks[index]:
             return self._shards[index].get(key)
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def admits(
+        self, key: Hashable, scan_started: Optional[float] = None
+    ) -> bool:
         index = self.shard_index(key)
         with self._locks[index]:
-            self._shards[index].put(key, value)
+            return self._shards[index].admits(key, scan_started)
+
+    def put(
+        self,
+        key: Hashable,
+        value: Any,
+        scan_started: Optional[float] = None,
+    ) -> None:
+        index = self.shard_index(key)
+        with self._locks[index]:
+            self._shards[index].put(key, value, scan_started)
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         dropped = 0
@@ -458,6 +546,7 @@ class ShardedLRUCache:
                     misses=shard.stats.misses,
                     evictions=shard.stats.evictions,
                     invalidations=shard.stats.invalidations,
+                    bypassed=shard.stats.bypassed,
                     memory_bytes=shard.memory_bytes,
                 )
                 for shard in self._shards

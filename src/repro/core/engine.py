@@ -578,7 +578,11 @@ class KeywordSearchEngine:
         except KeyError:
             raise ViewDefinitionError(f"no view named {name!r}") from None
 
-    def warm_view(self, view: Union[View, str]) -> dict[str, str]:
+    def warm_view(
+        self,
+        view: Union[View, str],
+        scan_started: Optional[float] = None,
+    ) -> dict[str, str]:
         """Pre-build the view's keyword-independent cached state.
 
         Runs one ``build_skeleton`` per ``(view, document)`` pair plus
@@ -596,7 +600,12 @@ class KeywordSearchEngine:
         Returns the per-document cache outcome the warming pass itself
         saw (``"miss"`` = skeleton built now, ``"snapshot"`` = restored
         from the persistent store, ``"skeleton"``/``"pdt"`` = already
-        warm), keyed by document name.
+        warm), keyed by document name.  A view with more documents
+        than the skeleton tier holds warms the first ones in document
+        order and builds the rest for nothing (see
+        :meth:`resident_documents`); ``scan_started`` lets a caller
+        warming several views as one sweep (a shard executor's
+        fragments) share one start, and defaults to now.
         """
         if self.cache is None:
             raise ValueError(
@@ -614,9 +623,34 @@ class KeywordSearchEngine:
                 "get_view, or warm by name)"
             )
         self._reject_stale(view)
-        pdts, cache_hits, doc_coordinates = self._build_pdts(view, ())
+        pdts, cache_hits, doc_coordinates = self._build_pdts(
+            view, (), scan_started=scan_started
+        )
         self._evaluate_view_results(view, pdts, doc_coordinates)
         return cache_hits
+
+    def resident_documents(self, view: Union[View, str]) -> list[str]:
+        """The view's documents whose skeleton is in the skeleton tier
+        right now — what the next query will not rebuild.  Counts no
+        hit or miss and refreshes nothing."""
+        if isinstance(view, str):
+            view = self.get_view(view)
+        cache = self.cache
+        if cache is None or self._views.get(view.name) is not view:
+            return []
+        resident = []
+        for doc_name in view.document_names:
+            if doc_name not in self.database:
+                continue
+            key = cache.skeleton_key(
+                view.name,
+                doc_name,
+                self.database.get(doc_name).generation,
+                view.qpts[doc_name].content_hash,
+            )
+            if key in cache.skeletons:
+                resident.append(doc_name)
+        return resident
 
     # -- search -------------------------------------------------------------------
 
@@ -647,7 +681,7 @@ class KeywordSearchEngine:
         materialize: bool = False,
     ) -> SearchOutcome:
         timings = PhaseTimings()
-        start = time.perf_counter()
+        start = scan_started = time.perf_counter()
         if isinstance(view, str):
             view = self.get_view(view)
         self._reject_stale(view)
@@ -658,7 +692,9 @@ class KeywordSearchEngine:
         # collect_view_statistics).  This is the same phase-1 routine a
         # shard executor runs: the single engine *is* the 1-shard
         # degenerate case of the scatter-gather protocol.
-        stats = self.collect_view_statistics(view, normalized, timings)
+        stats = self.collect_view_statistics(
+            view, normalized, timings, scan_started
+        )
 
         # Phase 3b continued: idf from the (here: single-shard) counts,
         # scores, keyword semantics, and the bounded top-k heap.  No
@@ -706,6 +742,7 @@ class KeywordSearchEngine:
         view: Union[View, str],
         normalized: Sequence[str],
         timings: Optional[PhaseTimings] = None,
+        scan_started: Optional[float] = None,
     ) -> ViewStatistics:
         """Phase 1 of the scatter-gather protocol: statistics, no scores.
 
@@ -719,7 +756,12 @@ class KeywordSearchEngine:
         ``normalized`` must already be keyword-normalized.  When a
         timings ledger is passed, spans are *added* to the same phases
         ``search_detailed`` reports (pdt, evaluator; the statistics walk
-        lands in post_processing).
+        lands in post_processing).  ``scan_started`` is the
+        ``time.perf_counter`` reading at which the *query* began — one
+        value shared by every view (fragment) the query sweeps: cache
+        entries used since then are not evicted on its behalf (see
+        :meth:`repro.core.cache.LRUCache.put`).  Defaults to now — a
+        lone call is its own query.
         """
         if isinstance(view, str):
             view = self.get_view(view)
@@ -728,7 +770,7 @@ class KeywordSearchEngine:
 
         start = time.perf_counter()
         pdts, cache_hits, doc_coordinates = self._build_pdts(
-            view, normalized, timings
+            view, normalized, timings, scan_started
         )
         if timings is not None:
             timings.pdt += time.perf_counter() - start
@@ -765,6 +807,7 @@ class KeywordSearchEngine:
         view: View,
         normalized: tuple[str, ...],
         timings: Optional[PhaseTimings] = None,
+        scan_started: Optional[float] = None,
     ) -> tuple[
         dict[str, PDTResult],
         dict[str, str],
@@ -796,7 +839,16 @@ class KeywordSearchEngine:
         inline views from :meth:`execute` share the ``<inline>`` name
         and build throwaway QPTs per call, so caching them could alias
         across definitions.
+
+        A view with more documents than a tier holds sweeps it in the
+        same order every query; every put carries ``scan_started`` so
+        the sweep keeps what it already used instead of flooding the
+        tier, and a skeleton the tier turns away is used for this query
+        uncompressed and unmeasured, then dropped.  Without a
+        ``scan_started`` the sweep starts here.
         """
+        if scan_started is None:
+            scan_started = time.perf_counter()
         cache = self.cache
         cacheable = cache is not None and self._views.get(view.name) is view
         store = self.snapshot_store
@@ -855,9 +907,8 @@ class KeywordSearchEngine:
                         # collision or a store shared across
                         # differently-named loads of the same content —
                         # never served blind.)
-                        skeleton = self._intern_skeleton(restored)
+                        skeleton = restored
                         hit = "snapshot"
-                        cache.skeletons.put(skeleton_key, skeleton)
                 if skeleton is None:
                     if lists is None:
                         hit = "miss"
@@ -889,12 +940,15 @@ class KeywordSearchEngine:
                                 )
                             except (OSError, InjectedFaultError):
                                 pass
-                        # Interning seeds the compressed skeleton's weak
-                        # tree reference from the tree just built, so the
-                        # annotation below reuses it instead of
-                        # re-materializing.
-                        skeleton = self._intern_skeleton(skeleton)
-                        cache.skeletons.put(skeleton_key, skeleton)
+                if cacheable and cache.skeletons.admits(
+                    skeleton_key, scan_started
+                ):
+                    # Interning seeds the compressed skeleton's weak tree
+                    # reference from the tree just built, so the
+                    # annotation below reuses it instead of
+                    # re-materializing.
+                    skeleton = self._intern_skeleton(skeleton)
+                    cache.skeletons.put(skeleton_key, skeleton, scan_started)
             if timings is not None:
                 timings.pdt_skeleton += time.perf_counter() - start
 
@@ -915,6 +969,7 @@ class KeywordSearchEngine:
                             inv_lists=inv_lists,
                             probed=probed,
                         ),
+                        scan_started,
                     )
             else:
                 inv_lists = lists.inv_lists
@@ -923,7 +978,7 @@ class KeywordSearchEngine:
                 timings.pdt_postings += time.perf_counter() - start
 
             if cacheable:
-                cache.pdts.put(pdt_key, pdt)
+                cache.pdts.put(pdt_key, pdt, scan_started)
             pdts[doc_name] = pdt
             cache_hits[doc_name] = hit
         return pdts, cache_hits, tuple(doc_coordinates)

@@ -71,7 +71,6 @@ from repro.core.qpt import QPT, QPTNode
 from repro.dewey import (
     DeweyID,
     pack_component,
-    packed_child_bound,
     packed_prefix_ends,
     unpack,
 )
@@ -815,6 +814,13 @@ class _PDTBuilder:
         return item.qnode.tag
 
 
+# What one element of a skeleton column costs beyond its slot (CPython).
+_SIZEOF_BYTES = sys.getsizeof(b"")
+_SIZEOF_STR = sys.getsizeof("")
+_SIZEOF_INT = sys.getsizeof(1 << 20)
+_SIZEOF_PAIR = sys.getsizeof((0, 0))
+
+
 def _deep_sizeof(roots: tuple) -> int:
     """Estimate the resident bytes of an object graph (id-deduplicated).
 
@@ -1127,9 +1133,9 @@ class CompressedSkeleton:
     ``entry_count``), so the merge-join sweep runs over the DAG
     unchanged and ``PDTResult`` / ranking stay bit-identical:
 
-    * ``bounds`` / ``slot_bounds`` are derived lazily from the shapes'
-      cached content positions plus the per-instance keys (memoized
-      strongly — they are small and every annotation needs them);
+    * ``bounds`` / ``slot_bounds`` are the source skeleton's own arrays,
+      handed over at compression time (small, and every annotation
+      needs them);
     * ``tree`` is memoized **weakly**: the shared tree is derived data,
       rebuilt on demand and kept alive exactly as long as some cached
       ``PDTResult`` / evaluated-tier entry references its nodes.  Slots
@@ -1149,8 +1155,8 @@ class CompressedSkeleton:
         "byte_lengths",
         "values",
         "content_count",
-        "_bounds",
-        "_slot_bounds",
+        "bounds",
+        "slot_bounds",
         "_tree_ref",
         "_memory_bytes",
     )
@@ -1163,6 +1169,8 @@ class CompressedSkeleton:
         keys: tuple[bytes, ...],
         byte_lengths: list[int],
         values: tuple[Optional[str], ...],
+        bounds: tuple[bytes, ...],
+        slot_bounds: tuple[tuple[int, int], ...],
     ):
         self.doc_name = doc_name
         self.entry_count = entry_count
@@ -1171,8 +1179,8 @@ class CompressedSkeleton:
         self.byte_lengths = byte_lengths
         self.values = values
         self.content_count = sum(root.content_count for root in roots)
-        self._bounds: Optional[tuple[bytes, ...]] = None
-        self._slot_bounds: Optional[tuple[tuple[int, int], ...]] = None
+        self.bounds = bounds
+        self.slot_bounds = slot_bounds
         self._tree_ref: Optional[weakref.ref] = None
         self._memory_bytes: Optional[int] = None
 
@@ -1196,54 +1204,6 @@ class CompressedSkeleton:
         serialization) are themselves memoized or cold-path.
         """
         return forest_columns(self.roots)
-
-    def content_positions(self) -> tuple[int, ...]:
-        """Preorder record positions of the content ('c') nodes."""
-        positions: list[int] = []
-        base = 0
-        for root in self.roots:
-            for relative in root.columns()[3]:
-                positions.append(base + relative)
-            base += root.size
-        return tuple(positions)
-
-    @property
-    def bounds(self) -> tuple[bytes, ...]:
-        if self._bounds is None:
-            self._compute_bounds()
-        return self._bounds
-
-    @property
-    def slot_bounds(self) -> tuple[tuple[int, int], ...]:
-        if self._slot_bounds is None:
-            self._compute_bounds()
-        return self._slot_bounds
-
-    def _compute_bounds(self) -> None:
-        """Derive the annotation sweep's bound arrays from the DAG.
-
-        Content *positions* come from the shapes (computed once per
-        distinct structure); the subtree boundary *keys* are then two
-        reads per content node off the per-instance key array — the
-        exact same ``[key, packed_child_bound(key))`` ranges
-        :meth:`PDTSkeleton.from_records` precomputes eagerly.
-        """
-        keys = self.keys
-        bound_keys: set[bytes] = set()
-        content_ranges: list[tuple[bytes, bytes]] = []
-        for position in self.content_positions():
-            key = keys[position]
-            upper = packed_child_bound(key)
-            content_ranges.append((key, upper))
-            bound_keys.add(key)
-            bound_keys.add(upper)
-        bounds = tuple(sorted(bound_keys))
-        bound_index = {bound: i for i, bound in enumerate(bounds)}
-        self._slot_bounds = tuple(
-            (bound_index[low], bound_index[high])
-            for low, high in content_ranges
-        )
-        self._bounds = bounds
 
     @property
     def tree(self) -> XMLNode:
@@ -1331,28 +1291,47 @@ class CompressedSkeleton:
         """Per-instance resident footprint (memoized).
 
         Counts only what this instance *owns*: keys, byte lengths,
-        values and the (forced) bound arrays.  The interned shapes are
-        shared corpus-wide and accounted once by
+        values and the bound arrays.  The interned shapes are shared
+        corpus-wide and accounted once by
         :meth:`ShapeTable.memory_bytes`; the weakly-held tree is
         evictable derived data and excluded by design — it exists only
         while query results pin it.
+
+        Arithmetic over the column lengths — container sizes plus a
+        per-element constant for what each slot points at — because
+        every cache ``put`` reads this, so it must not walk the object
+        graph.  It tracks :func:`_deep_sizeof` over the same columns to
+        within a few percent.  Lower bound keys are the key objects
+        themselves; only each content node's upper bound is an extra
+        ``bytes``.
         """
         cached = self._memory_bytes
         if cached is None:
-            if self._bounds is None:
-                self._compute_bounds()
+            getsizeof = sys.getsizeof
+            keys = self.keys
+            count = len(keys)
+            key_bytes = sum(map(len, keys))
+            present = [value for value in self.values if value is not None]
+            content_count = self.content_count
+            # Byte lengths and bound indices, shared where equal.
+            distinct_ints = len(
+                set(self.byte_lengths).union(range(len(self.bounds)))
+            )
             cached = (
                 64  # object header + slot storage
                 + 8 * len(self.roots)
-                + _deep_sizeof(
-                    (
-                        self.keys,
-                        self.byte_lengths,
-                        self.values,
-                        self._bounds,
-                        self._slot_bounds,
-                    )
-                )
+                + getsizeof(keys)
+                + count * _SIZEOF_BYTES
+                + key_bytes
+                + getsizeof(self.byte_lengths)
+                + distinct_ints * _SIZEOF_INT
+                + getsizeof(self.values)
+                + len(present) * _SIZEOF_STR
+                + sum(map(len, present))
+                + getsizeof(self.bounds)
+                + content_count * (_SIZEOF_BYTES + key_bytes // max(count, 1))
+                + getsizeof(self.slot_bounds)
+                + content_count * _SIZEOF_PAIR
             )
             self._memory_bytes = cached
         return cached
@@ -1408,6 +1387,8 @@ def compress_skeleton(
         keys=tuple(ordered),
         byte_lengths=byte_lengths,
         values=tuple(values),
+        bounds=skeleton.bounds,
+        slot_bounds=skeleton.slot_bounds,
     )
     tree = getattr(skeleton, "tree", None)
     if tree is not None:

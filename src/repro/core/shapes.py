@@ -148,12 +148,18 @@ class ShapeTable:
     Shareable across every skeleton of an engine — and, via the sharding
     layer, across all shard executors of a corpus — so repetitive
     structure is stored once per *process*, not once per ``(view, doc)``
-    pair.  Interning is keyed by the canonical blake2b digest, making
-    placement stable across processes and hash seeds.
+    pair.  Identity is the canonical blake2b digest, stable across
+    processes and hash seeds; a structure-keyed front index keeps the
+    digest off the path of every intern after a shape's first.
     """
 
     def __init__(self) -> None:
         self._shapes: dict[bytes, Shape] = {}
+        #: ``(tag, wants_value, wants_content, children) -> shape``: the
+        #: front index.  Children are already-interned objects, so an
+        #: equal tuple *is* the same structure and a repeat intern —
+        #: nearly all of them — is one dict probe, no digest.
+        self._by_structure: dict[tuple, Shape] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.interned = 0
@@ -171,19 +177,29 @@ class ShapeTable:
     ) -> Shape:
         """The canonical shape for this structure (created on first use).
 
-        ``children`` must already be interned in document order; the
-        digest is computed outside the lock, so contention is one dict
-        probe per node.
+        ``children`` must already be interned in document order.  The
+        digest is computed only for a structure the front index has not
+        seen, outside the lock; identity stays the digest's, so two
+        threads racing to create one structure settle on one shape.
         """
+        structure = (tag, wants_value, wants_content, children)
+        with self._lock:
+            shape = self._by_structure.get(structure)
+            if shape is not None:
+                self.hits += 1
+                return shape
         digest = _shape_digest(tag, wants_value, wants_content, children)
         with self._lock:
             shape = self._shapes.get(digest)
             if shape is not None:
                 self.hits += 1
-                return shape
-            shape = Shape(digest, tag, wants_value, wants_content, children)
-            self._shapes[digest] = shape
-            self.interned += 1
+            else:
+                shape = Shape(
+                    digest, tag, wants_value, wants_content, children
+                )
+                self._shapes[digest] = shape
+                self.interned += 1
+            self._by_structure[structure] = shape
             return shape
 
     def intern_forest(
@@ -235,9 +251,10 @@ class ShapeTable:
         seen: set[int] = set()
         with self._lock:
             shapes = list(self._shapes.values())
-            total += getsizeof(self._shapes)
+            total += getsizeof(self._shapes) + getsizeof(self._by_structure)
         for shape in shapes:
             total += 64  # object header + slot storage (no __dict__)
+            total += 72  # the front index's key tuple
             total += getsizeof(shape.digest)
             total += getsizeof(shape.children)
             if id(shape.tag) not in seen:

@@ -395,13 +395,26 @@ class ShardExecutor:
     def warm_view(self, view_name: str) -> dict[str, str]:
         """Warm every fragment's skeleton/evaluated tiers on this shard."""
         merged: dict[str, str] = {}
+        # One start for the whole shard: the fragments are one sweep.
+        scan_started = time.perf_counter()
         for fragment in self.fragments_for(view_name):
             merged.update(
                 self.engine.warm_view(
-                    _fragment_view_name(view_name, fragment.position)
+                    _fragment_view_name(view_name, fragment.position),
+                    scan_started,
                 )
             )
         return merged
+
+    def resident_documents(self, view_name: str) -> list[str]:
+        """Documents of this shard's fragments with a resident skeleton."""
+        return [
+            doc_name
+            for fragment in self.fragments_for(view_name)
+            for doc_name in self.engine.resident_documents(
+                _fragment_view_name(view_name, fragment.position)
+            )
+        ]
 
     # -- the two scatter phases --------------------------------------------------
 
@@ -415,11 +428,15 @@ class ShardExecutor:
         fragments: list[FragmentStatistics] = []
         cache_hits: dict[str, str] = {}
         evaluated_hit = True
+        # One start per shard per query: to the cache tiers the shard's
+        # fragment views are a single sweep, not one query each.
+        scan_started = time.perf_counter()
         for fragment in self.fragments_for(view_name):
             stats = self.engine.collect_view_statistics(
                 _fragment_view_name(view_name, fragment.position),
                 normalized,
                 timings,
+                scan_started,
             )
             fragments.append(
                 FragmentStatistics(position=fragment.position, stats=stats)
@@ -937,6 +954,21 @@ class CorpusCoordinator:
         for shard in view.shards:
             merged.update(hits[shard])
         return merged
+
+    def resident_documents(
+        self, view: Union[CoordinatorView, str]
+    ) -> list[str]:
+        """The view's documents whose skeleton some shard holds resident
+        (same reading as the engine method, summed over the fleet)."""
+        if isinstance(view, str):
+            view = self.get_view(view)
+        return sorted(
+            doc_name
+            for shard in view.shards
+            for doc_name in self.executors[shard].resident_documents(
+                view.name
+            )
+        )
 
     # -- search ------------------------------------------------------------------
 

@@ -7,8 +7,10 @@ Three layers, all dependency-free:
   =====================  ======================================================
   ``POST /search``       Ranked keyword search with cursor pagination.
   ``GET /health``        Liveness: 200 while accepting traffic, 503 stopped.
-  ``GET /warmth``        The startup :class:`WarmupReport` (what is pre-warm).
-  ``GET /stats``         The server's consistent counter snapshot.
+  ``GET /warmth``        The startup :class:`WarmupReport` (what is pre-warm,
+                         and per view how much of it stayed resident).
+  ``GET /stats``         The server's consistent counter snapshot (per cache
+                         tier: hits, misses, evictions, ``bypassed``).
   ``GET /snapshots/<e>`` One skeleton snapshot's v2 wire bytes, verbatim —
                          the serving side of the fleet peer protocol
                          (:mod:`repro.core.snapshot_net`).

@@ -54,6 +54,11 @@ class WarmupReport:
     results: dict[tuple[str, str], str] = field(default_factory=dict)
     #: ``view -> error string`` for every view that failed to warm.
     errors: dict[str, str] = field(default_factory=dict)
+    #: ``view -> {"warmed": n, "resident": m}``: targets the pass warmed
+    #: against targets whose skeleton is in the skeleton tier once it
+    #: finished.  ``m < n`` reads "the tier is smaller than the view"
+    #: (the rest are rebuilt by every query), not "cold".
+    views: dict[str, dict[str, int]] = field(default_factory=dict)
     duration: float = 0.0
     #: Stale snapshot files reclaimed after warming (snapshots no live
     #: ``(document, view)`` coordinate can restore any more).
@@ -101,6 +106,9 @@ class WarmupReport:
             "already_warm": self.warm_count,
             "failed": self.failed_count,
             "errors": dict(self.errors),
+            "views": {
+                name: dict(counts) for name, counts in self.views.items()
+            },
             "duration": self.duration,
             "pruned": self.pruned,
             "fetched": self.fetched,
@@ -192,6 +200,10 @@ def execute_warmup(
             else:
                 state = "warm"
             report.results[(view_name, doc_name)] = state
+        report.views[view_name] = {
+            "warmed": len(cache_hits),
+            "resident": len(engine.resident_documents(view_name)),
+        }
     if net_before is not None:
         net_after = net_stats()
         report.fetched = net_after["fetched"] - net_before["fetched"]

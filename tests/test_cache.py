@@ -2,6 +2,7 @@
 integration, the skeleton tier, and randomized invalidation properties."""
 
 import random
+import time
 
 import pytest
 
@@ -217,6 +218,169 @@ class TestByteBudgets:
         for i in range(20):
             qc.skeletons.put(("v", f"d{i}", 1, "h"), _Sized(10))
         assert qc.skeletons.memory_bytes <= 80
+
+
+def _stepped_scanner(
+    cache, keys, cycles, hits_per_cycle, value=lambda key: key
+):
+    """``cycles`` queries each sweeping ``keys`` in order — get, build
+    and put on a miss, every put carrying its sweep's start — yielding
+    after every key so two scanners can be interleaved step by step
+    without threads.  Appends each cycle's hit count."""
+    for _ in range(cycles):
+        started = time.perf_counter()
+        hits_per_cycle.append(0)
+        for key in keys:
+            if cache.get(key) is None:
+                cache.put(key, value(key), started)
+            else:
+                hits_per_cycle[-1] += 1
+            yield
+
+
+def _scan(cache, keys, value=lambda key: key):
+    """One uninterrupted sweep; returns its hits."""
+    hits = []
+    for _ in _stepped_scanner(cache, keys, 1, hits, value):
+        pass
+    return hits[0]
+
+
+class TestScanResistance:
+    """A put never evicts an entry used since its query began."""
+
+    def test_cyclic_scan_keeps_capacity_hits_per_cycle(self):
+        # Plain LRU serves zero hits here at any capacity below the
+        # sweep (sequential flooding).
+        keys = [("k", i) for i in range(12)]
+        cache = LRUCache(8)
+        assert _scan(cache, keys) == 0
+        for _ in range(4):
+            assert _scan(cache, keys) == 8
+        assert cache.stats.evictions == 0
+        assert cache.stats.bypassed == 5 * 4
+        assert [key for key in keys if key in cache] == keys[:8]
+
+    def test_two_interleaved_scanners_keep_capacity_hits_each(self):
+        # The second scanner starts later and trails the first by five
+        # keys, so each one's start stamp lies in the middle of the
+        # other's sweep; a per-query *token* stamp collapses here.
+        keys = [("k", i) for i in range(12)]
+        cache = LRUCache(8)
+        first_hits, second_hits = [], []
+        first = _stepped_scanner(cache, keys, 5, first_hits)
+        for _ in range(5):
+            next(first)
+        second = _stepped_scanner(cache, keys, 5, second_hits)
+        live = [first, second]
+        while live:
+            for scanner in list(live):
+                if next(scanner, "done") == "done":
+                    live.remove(scanner)
+        assert first_hits[1:] == [8] * 4
+        assert second_hits[1:] == [8] * 4
+        assert cache.stats.evictions == 0
+
+    def test_arbitrary_residents_converge_to_the_prefix_in_one_cycle(self):
+        keys = [("k", i) for i in range(12)]
+        rng = random.Random(3)
+        for _ in range(20):
+            cache = LRUCache(8)
+            for key in rng.sample(keys, 8):
+                cache.put(key, key)
+            _scan(cache, keys)
+            assert [key for key in keys if key in cache] == keys[:8]
+            assert _scan(cache, keys) == 8
+
+    def test_a_later_scan_still_evicts_idle_entries(self):
+        # Recency survives: protection lasts one query, not forever.
+        cache = LRUCache(4)
+        first = [("a", i) for i in range(4)]
+        second = [("b", i) for i in range(4)]
+        _scan(cache, first)
+        _scan(cache, second)
+        assert all(key in cache for key in second)
+        assert not any(key in cache for key in first)
+        assert cache.stats.evictions == 4
+        assert cache.stats.bypassed == 0
+
+    def test_never_seen_key_evicts_the_lru_tail(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("c", 3, time.perf_counter())
+        assert "a" not in cache and "b" in cache and "c" in cache
+
+    def test_byte_budget_obeys_the_same_rule(self):
+        keys = [("k", i) for i in range(6)]
+        cache = LRUCache(100, byte_budget=40)
+        sized = lambda key: _Sized(10)
+        assert _scan(cache, keys, sized) == 0
+        for _ in range(3):
+            assert _scan(cache, keys, sized) == 4
+        assert cache.memory_bytes == 40
+        assert cache.stats.evictions == 0
+        assert cache.stats.bypassed == 2 * 4
+
+    def test_bypassed_value_is_dropped_not_released(self):
+        # The caller still holds (and is about to use) the newcomer.
+        released = []
+        cache = LRUCache(1, on_evict=released.append)
+        started = time.perf_counter()
+        cache.put("a", "kept", started)
+        cache.put("b", "turned away", started)
+        assert "a" in cache and "b" not in cache
+        assert released == []
+
+    def test_admits_predicts_put_and_counts_the_refusal(self):
+        cache = LRUCache(2)
+        started = time.perf_counter()
+        assert cache.admits("a", started)
+        cache.put("a", 1, started)
+        cache.put("b", 2, started)
+        assert cache.admits("a", started)  # resident: a replacement
+        assert not cache.admits("c", started)
+        assert cache.stats.bypassed == 1
+        assert cache.admits("c")  # no scan start: plain LRU
+        assert cache.admits("c", time.perf_counter())  # a later query
+        assert not LRUCache(0).admits("a")
+
+    def test_use_stamps_live_and_die_with_their_entries(self):
+        cache = LRUCache(3)
+        for i in range(5):  # two evictions
+            cache.put(("doc", 1, i), i)
+        assert set(cache._meta) == set(cache._data)
+        before = dict(cache._meta)
+        moved = cache.rekey_where(
+            lambda k: k[2] == 4, lambda k: (k[0], 2, k[2])
+        )
+        assert [key for key, _ in moved] == [("doc", 2, 4)]
+        assert cache._meta[("doc", 2, 4)] == before[("doc", 1, 4)]
+        assert set(cache._meta) == set(cache._data)
+        cache.invalidate_where(lambda k: k[2] == 3)
+        assert set(cache._meta) == set(cache._data)
+        cache.clear()
+        assert cache._meta == {}
+
+    def test_rekeyed_entry_stays_protected_within_its_scan(self):
+        cache = LRUCache(2)
+        started = time.perf_counter()
+        cache.put(("doc", 1), "a", started)
+        cache.put(("other", 1), "b", started)
+        cache.rekey_where(lambda k: k[0] == "doc", lambda k: (k[0], 2))
+        cache.get(("other", 1))  # the moved entry is now the LRU victim
+        cache.put(("new", 1), "c", started)
+        assert ("doc", 2) in cache and ("new", 1) not in cache
+
+    def test_sharded_stats_report_bypassed_per_slice(self):
+        cache = ShardedLRUCache(8, shards=2, shard_key=lambda k: k[0])
+        keys = [("k", i) for i in range(6)]  # one slice, four slots
+        _scan(cache, keys)
+        _scan(cache, keys)
+        stats = cache.stats_dict()
+        assert stats["bypassed"] == 4
+        assert sorted(s["bypassed"] for s in stats["shards"]) == [0, 4]
+        assert cache.stats.bypassed == 4
 
 
 class TestQueryCache:
@@ -771,3 +935,108 @@ class TestEvictionRelease:
         assert mapped._buffer.closed
         assert not displacing._buffer.closed
         displacing.close()
+
+
+def _library_engine(doc_count, **cache_options):
+    """A view of ``doc_count`` one-document fragments, swept in document
+    order by every query, over a one-slice cache."""
+    from repro.storage.database import XMLDatabase
+
+    database = XMLDatabase()
+    fragments = []
+    for number in range(doc_count):
+        name = f"doc{number}"
+        database.load_document(
+            name,
+            f"<lib><book><title>xml {number}</title>"
+            f"<body>query index {'xml ' * number}</body></book></lib>",
+        )
+        fragments.append(
+            f"(for $b in fn:doc({name})//book "
+            "return <hit>{$b/title}{$b/body}</hit>)"
+        )
+    engine = KeywordSearchEngine(
+        database, cache=QueryCache(shard_count=1, **cache_options)
+    )
+    engine.define_view("lib", "(" + ",\n".join(fragments) + ")")
+    return engine
+
+
+class TestSweepLargerThanTier:
+    """A view with more documents than the skeleton tier holds."""
+
+    KEYWORD_SETS = [("xml",), ("query",), ("index", "xml"), ("query", "xml")]
+
+    def test_every_query_hits_a_full_tier(self):
+        engine = _library_engine(6, skeleton_capacity=4)
+        engine.warm_view("lib")
+        for keywords in self.KEYWORD_SETS:
+            outcome = engine.search_detailed("lib", keywords)
+            hits = list(outcome.cache_hits.values())
+            assert hits.count("skeleton") == 4
+            assert hits.count("miss") == 2
+        stats = engine.cache.stats()["skeleton"]
+        assert stats["evictions"] == 0
+        assert stats["hits"] == 4 * len(self.KEYWORD_SETS)
+        assert stats["bypassed"] == 2 * (1 + len(self.KEYWORD_SETS))
+        assert engine.resident_documents("lib") == [
+            "doc0", "doc1", "doc2", "doc3"
+        ]
+
+    def test_bypassed_skeletons_are_never_compressed_and_rank_the_same(self):
+        from repro.core.pdt import CompressedSkeleton
+
+        engine = _library_engine(6, skeleton_capacity=4)
+        ample = _library_engine(6)
+        interned = []
+        intern = engine._intern_skeleton
+        engine._intern_skeleton = lambda skeleton: (
+            interned.append(skeleton.doc_name) or intern(skeleton)
+        )
+        for keywords in self.KEYWORD_SETS:
+            ranked = [
+                (r.rank, r.score, r.scored.index)
+                for r in engine.search("lib", keywords)
+            ]
+            assert ranked == [
+                (r.rank, r.score, r.scored.index)
+                for r in ample.search("lib", keywords)
+            ]
+        assert interned == ["doc0", "doc1", "doc2", "doc3"]
+        assert all(
+            isinstance(shard_value, CompressedSkeleton)
+            for shard in engine.cache.skeletons._shards
+            for shard_value in shard._data.values()
+        )
+
+    def test_shard_fragments_share_one_scan_start(self):
+        # 24 one-document fragment views on one executor are one sweep:
+        # stamped per fragment, each put would evict the previous
+        # fragment's skeleton and the tier would serve nothing.
+        from repro.core.sharding import ShardExecutor, view_fragments
+        from repro.xquery.functions import inline_functions
+        from repro.xquery.parser import parse_query
+
+        source = _library_engine(6)
+        executor = ShardExecutor(
+            0, cache=QueryCache(shard_count=1, skeleton_capacity=4)
+        )
+        for name in source.database.document_names():
+            executor.adopt_document(source.database.get(name))
+        expr = inline_functions(parse_query(source.get_view("lib").text))
+        executor.register_view("lib", view_fragments(expr))
+        executor.warm_view("lib")
+        assert len(executor.resident_documents("lib")) == 4
+        for keywords in self.KEYWORD_SETS:
+            harvest = executor.collect("lib", keywords)
+            assert list(harvest.cache_hits.values()).count("skeleton") == 4
+        assert executor.engine.cache.stats()["skeleton"]["evictions"] == 0
+
+    def test_warmup_report_tells_small_tier_from_cold(self):
+        from repro.serving.warmup import execute_warmup, plan_warmup
+
+        engine = _library_engine(6, skeleton_capacity=4)
+        report = execute_warmup(engine, plan_warmup(engine, ["lib"]))
+        assert report.built_count == 6
+        assert report.views == {"lib": {"warmed": 6, "resident": 4}}
+        assert report.as_dict()["views"]["lib"]["resident"] == 4

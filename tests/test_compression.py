@@ -224,6 +224,66 @@ def test_repetitive_corpus_compresses():
     assert compressed_total * 2 < eager_total
 
 
+def test_memory_gauge_tracks_the_deep_walk_on_every_difftest_shape():
+    # The gauge is arithmetic over column lengths (every cache put
+    # reads it); the id-deduplicated object-graph walk it replaced
+    # stays the reference.
+    from repro.core.pdt import _deep_sizeof, build_skeleton
+    from tests.difftest.generators import VIEW_SHAPES, generate_case
+
+    for shape in VIEW_SHAPES:
+        for seed in (1, 2, 3):
+            case = generate_case(seed, shape)
+            engine = KeywordSearchEngine(case.database, enable_cache=False)
+            view = engine.define_view("v", case.view_text)
+            for doc_name, qpt in view.qpts.items():
+                eager = build_skeleton(
+                    qpt, case.database.get(doc_name).path_index
+                )
+                comp = compress_skeleton(eager, ShapeTable())
+                assert comp.bounds is eager.bounds  # handed over
+                assert comp.slot_bounds is eager.slot_bounds
+                walked = 64 + 8 * len(comp.roots) + _deep_sizeof(
+                    (
+                        comp.keys,
+                        comp.byte_lengths,
+                        comp.values,
+                        comp.bounds,
+                        comp.slot_bounds,
+                    )
+                )
+                assert 0.9 * walked <= comp.memory_bytes <= 1.1 * walked, (
+                    shape, seed, doc_name, comp.memory_bytes, walked
+                )
+
+
+def test_digest_is_computed_once_per_new_shape(monkeypatch):
+    from repro.core import shapes
+
+    digested = []
+    real_digest = shapes._shape_digest
+    monkeypatch.setattr(
+        shapes,
+        "_shape_digest",
+        lambda *structure: digested.append(structure[0])
+        or real_digest(*structure),
+    )
+    table = ShapeTable()
+    columns = (
+        ["r", "a", "b", "a", "b"],
+        [False, True, False, True, False],
+        [True, False, True, False, True],
+        [-1, 0, 1, 0, 3],
+    )
+    first = table.intern_forest(*columns)
+    assert sorted(digested) == ["a", "b", "r"]  # 5 nodes, 3 structures
+    second = table.intern_forest(*columns)
+    assert len(digested) == 3
+    assert [s.digest for s in second] == [s.digest for s in first]
+    assert second[0] is first[0]
+    assert table.stats() == {"shapes": 3, "interned": 3, "hits": 7}
+
+
 def test_shape_digests_stable_across_hash_seeds():
     script = (
         "from repro.core.shapes import ShapeTable\n"

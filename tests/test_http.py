@@ -225,6 +225,21 @@ class TestRequestValidation:
         status, body = asgi_request(api, "GET", "/health")
         assert (status, body["running"]) == (200, True)
 
+    def test_stats_and_warmth_show_the_eviction_policy(self):
+        from repro.serving.warmup import execute_warmup, plan_warmup
+
+        server = stub_server()
+        api = SearchAPI(server)
+        status, body = asgi_request(api, "GET", "/stats")
+        assert status == 200
+        assert body["cache"]["skeleton"]["bypassed"] == 0
+        assert "bypassed" in body["cache"]["skeleton"]["shards"][0]
+        server.startup_warmup = execute_warmup(
+            server.engine, plan_warmup(server.engine, ["v"])
+        )
+        status, body = asgi_request(api, "GET", "/warmth")
+        assert body["report"]["views"] == {"v": {"warmed": 2, "resident": 2}}
+
     def test_snapshot_route_rejects_non_key_names(self, tmp_path):
         server = stub_server()
         server.engine.snapshot_store = SkeletonStore(tmp_path / "snap")
