@@ -7,9 +7,9 @@ skeleton-warm / fully-warm — plus the annotation microbench pair of
 restore), the corpus-sharding pair of ``bench_x8_sharding`` (single
 executor vs 4 shard executors over a corpus larger than one
 executor's tiers, with each side's skeleton hit rate and the streaming
-merge's early-termination counters), the update pair
-of ``bench_x9_updates`` (post-edit query under delta maintenance vs the
-invalidation-storm cold rebuild), the memory pair of
+merge's early-termination counters), the update numbers
+of ``bench_x9_updates`` (the edit itself, then the post-edit query under
+delta maintenance vs the invalidation-storm cold rebuild), the memory pair of
 ``bench_x10_memory`` (DAG-compressed vs eager skeleton tier, plus the
 mmap-vs-parse restore race), the fleet pair of ``bench_x11_fleet``
 (peer-warmed first contact over HTTP vs the local cold build) and the
@@ -182,7 +182,8 @@ def _sharding_ms(rounds: int) -> dict[str, float]:
 
 
 def _updates_ms(rounds: int) -> dict[str, float]:
-    """The bench_x9 pair: post-edit query, delta-maintained vs storm.
+    """The bench_x9 numbers: the edit itself, then the post-edit query,
+    delta-maintained vs storm.
 
     Delegates to :func:`repro.bench.experiments.measure_updates` — one
     measurement protocol shared with the X9 experiment table and the
@@ -194,12 +195,15 @@ def _updates_ms(rounds: int) -> dict[str, float]:
 
     numbers = measure_updates(rounds=max(4, rounds // 6))
     return {
+        "edit_ms": round(numbers["edit_ms"], 3),
         "delta_ms": round(numbers["delta_ms"], 3),
         "storm_ms": round(numbers["storm_ms"], 3),
         "speedup": round(numbers["speedup"], 2),
         "delta_warm_rounds": numbers["delta_warm_rounds"],
         "delta_path_probes": numbers["delta_path_probes"],
         "storm_path_probes": numbers["storm_path_probes"],
+        "delta_evaluated_misses": numbers["delta_evaluated_misses"],
+        "delta_serialized_rounds": numbers["delta_serialized_rounds"],
     }
 
 

@@ -225,6 +225,11 @@ class LRUCache:
         self.stats.hits += 1
         return value
 
+    def items(self) -> list[tuple[Hashable, Any]]:
+        """The resident ``(key, value)`` pairs, LRU first — counts no
+        hit or miss and refreshes nothing."""
+        return list(self._data.items())
+
     def _forget(self, key: Hashable) -> None:
         """Drop a departed entry's byte accounting and use stamp."""
         self.memory_bytes -= self._meta.pop(key)[0]
@@ -485,6 +490,11 @@ class ShardedLRUCache:
         with self._locks[index]:
             self._shards[index].put(key, value, scan_started)
 
+    def items(self) -> list[tuple[Hashable, Any]]:
+        """Every shard's :meth:`LRUCache.items`, as of one instant."""
+        with self._hold_all_locks():
+            return [item for shard in self._shards for item in shard.items()]
+
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         dropped = 0
         for shard, lock in zip(self._shards, self._locks):
@@ -591,7 +601,8 @@ class QueryCache:
     * pdt:       ``(view_name, doc_name, generation, qpt_hash,
       keywords)`` — sharded by ``(view_name, doc_name)``
     * evaluated: ``(view_name, view_expr, ((doc_name, generation,
-      qpt_hash), ...))`` — sharded by ``view_name`` (one entry spans
+      qpt_hash), ...))`` → ``(result nodes, {doc_name: PDT root})`` —
+      sharded by ``view_name`` (one entry spans
       every document the view reads, so it cannot partition finer);
       ``view_expr`` participates by *identity*: the cached result nodes
       depend on the whole expression (not just the QPT) and are
@@ -767,12 +778,19 @@ class QueryCache:
         Skeleton entries of ``patched_views`` (the views the engine
         classified as skeleton-patchable for this edit) are *migrated* to
         the new generation instead of dropped — the caller then patches
-        the skeleton objects in place.  Everything else derived from the
-        document dies: prepared lists (they hold pre-edit index arrays),
-        skeletons of non-patchable views or older generations, all PDTs
-        (their tf annotations embed pre-edit postings), and evaluated
-        results spanning the document.  Returns the moved ``(new_key,
-        skeleton)`` pairs and the number of entries dropped.
+        the skeleton objects in place.  An evaluated entry of such a view
+        is migrated with it, **iff the tree its result nodes point into
+        is, by identity, the live tree of the skeleton just migrated**:
+        result nodes reference that shared tree, so the caller's patch
+        corrects every byte length scoring will read.  An entry
+        evaluated over any other tree (the skeleton was evicted or
+        bypassed and rebuilt since) holds lengths nobody patches and is
+        dropped.  Everything else derived from the document dies:
+        prepared lists (they hold pre-edit index arrays), skeletons of
+        non-patchable views or older generations, all PDTs (their tf
+        annotations embed pre-edit postings), and the remaining
+        evaluated results spanning the document.  Returns the moved
+        ``(new_key, skeleton)`` pairs and the number of entries dropped.
         """
         moved = self.skeletons.rekey_where(
             lambda k: (
@@ -782,13 +800,40 @@ class QueryCache:
             ),
             lambda k: (k[0], k[1], new_generation, k[3]),
         )
+        migrated = {(key[0], key[3]): skeleton for key, skeleton in moved}
+        surviving = set()
+        if migrated:
+            for key, (_, roots) in self.evaluated.items():
+                for name, generation, qpt_hash in key[2]:
+                    if name == doc_name and generation == old_generation:
+                        skeleton = migrated.get((key[0], qpt_hash))
+                        if (
+                            skeleton is not None
+                            and skeleton.tree is roots[doc_name]
+                        ):
+                            surviving.add(key)
+        if surviving:
+            self.evaluated.rekey_where(
+                surviving.__contains__,
+                lambda k: (
+                    k[0],
+                    k[1],
+                    tuple(
+                        (name, new_generation if name == doc_name else gen, h)
+                        for name, gen, h in k[2]
+                    ),
+                ),
+            )
         dropped = self.prepared.invalidate_where(lambda k: k[0] == doc_name)
         dropped += self.skeletons.invalidate_where(
             lambda k: k[1] == doc_name and k[2] != new_generation
         )
         dropped += self.pdts.invalidate_where(lambda k: k[1] == doc_name)
         dropped += self.evaluated.invalidate_where(
-            lambda k: any(coord[0] == doc_name for coord in k[2])
+            lambda k: any(
+                name == doc_name and generation != new_generation
+                for name, generation, _ in k[2]
+            )
         )
         return moved, dropped
 

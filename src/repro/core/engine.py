@@ -284,7 +284,6 @@ class KeywordSearchEngine:
         enable_cache: bool = True,
         snapshot_store: Optional["SkeletonStore"] = None,
         delta_maintenance: bool = True,
-        rewarm_on_update: bool = True,
         dag_compression: bool = True,
         shape_table: Optional[ShapeTable] = None,
     ):
@@ -322,14 +321,14 @@ class KeywordSearchEngine:
         #: load structural work instead of rebuilding it.
         self.snapshot_store = snapshot_store
         #: Delta-aware write path: when on (the default), sub-document
-        #: updates migrate patchable skeleton-tier entries to the new
-        #: generation instead of orphaning them, forward snapshots to the
-        #: new fingerprint, and (with ``rewarm_on_update``) eagerly
-        #: re-warm the affected views so the next query lands warm.  Off,
-        #: an update behaves like the old invalidation storm: the bumped
-        #: generation orphans every tier and the next query is cold.
+        #: updates migrate patchable skeleton-tier entries (and the
+        #: evaluated entries over them) to the new generation instead of
+        #: orphaning them, forward snapshots to the new
+        #: fingerprint, and re-warm the affected views so the next query
+        #: lands warm.  Off, an update behaves like the old invalidation
+        #: storm: the bumped generation orphans every tier and the next
+        #: query is cold.
         self.delta_maintenance = delta_maintenance
-        self.rewarm_on_update = rewarm_on_update
         if cache is not None:
             database.add_invalidation_hook(self._on_document_change)
             if delta_maintenance:
@@ -401,10 +400,12 @@ class KeywordSearchEngine:
         The write path that replaces the invalidation storm: classify
         each registered view reading the document as patchable or not,
         migrate + patch the patchable skeleton-tier entries (and forward
-        their snapshots to the new fingerprint), drop everything else
-        derived from the document, and — unless ``rewarm_on_update`` is
-        off — eagerly re-warm the affected views so the next query finds
-        the skeleton and evaluated tiers hot.
+        their snapshots to the new fingerprint), keep the evaluated
+        entries whose result nodes point into those patched trees, drop
+        everything else derived from the document, and re-warm the
+        affected views so the next query finds the skeleton and
+        evaluated tiers hot — a lookup for a view that kept its entries,
+        a rebuild only for one whose structure the edit changed.
         """
         cache = self.cache
         if cache is None:
@@ -435,10 +436,9 @@ class KeywordSearchEngine:
                 )
             patched_by_hash[key[3]] = skeleton
         self._forward_snapshots(delta, affected, patched_views, patched_by_hash)
-        if self.rewarm_on_update:
-            for view in affected:
-                if all(name in self.database for name in view.qpts):
-                    self.warm_view(view)
+        for view in affected:
+            if all(name in self.database for name in view.qpts):
+                self.warm_view(view)
 
     def _forward_snapshots(
         self,
@@ -1007,7 +1007,7 @@ class KeywordSearchEngine:
             key = cache.evaluated_key(view.name, view.expr, doc_coordinates)
             cached = cache.evaluated.get(key)
             if cached is not None:
-                return cached, True
+                return cached[0], True
         evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(pdts)))
         items = evaluator.evaluate(view.expr)
         # A tuple, not a list: the same object is cached and handed to
@@ -1016,7 +1016,11 @@ class KeywordSearchEngine:
             item for item in items if isinstance(item, XMLNode)
         )
         if cacheable:
-            cache.evaluated.put(key, view_results)
+            # The roots say which trees the result nodes point into —
+            # what decides whether the entry survives a patchable edit
+            # (see QueryCache.apply_document_delta).
+            roots = {name: pdt.root for name, pdt in pdts.items()}
+            cache.evaluated.put(key, (view_results, roots))
         return view_results, False
 
     # -- diagnostics ------------------------------------------------------------

@@ -5,10 +5,11 @@ this store makes them cheap across processes and restarts.  A skeleton
 is a pure function of ``(document content, QPT structure)``, so the
 store keys each snapshot by two content digests:
 
-* the **document fingerprint** — SHA-256 of the canonical serialized
-  document (:attr:`repro.storage.database.IndexedDocument.fingerprint`),
-  stable across loads of identical content and different across any
-  content change; and
+* the **document fingerprint** — a sum of per-element digests over the
+  labelled document
+  (:attr:`repro.storage.database.IndexedDocument.fingerprint`), stable
+  across loads of identical labelled content and different across any
+  change of content or Dewey numbering; and
 * the **QPT content hash**
   (:attr:`repro.core.qpt.QPT.content_hash`) — structure + axes +
   annotations, stable across processes.

@@ -44,7 +44,6 @@ class IndexedDocument:
     generation: int = 0
     _tag_index: Optional[TagIndex] = None
     _serialized: Optional[str] = None
-    _fingerprint: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -77,23 +76,20 @@ class IndexedDocument:
 
     @property
     def fingerprint(self) -> str:
-        """Content digest of the document (SHA-256 of :attr:`serialized`).
+        """Content digest of the labelled document (see
+        :meth:`~repro.storage.document_store.DocumentStore.fingerprint`,
+        which owns the sum because it owns the records).
 
         Unlike ``generation`` — a process-local counter — the
         fingerprint is stable across processes and across reloads of
-        identical content, and changes with *any* content change.  The
-        persistent skeleton store keys on it, which is the whole
-        invalidation story: a regenerated document can never address a
-        stale snapshot.  Computed lazily and cached; only snapshot
-        paths pay the serialization.
+        identical labelled content, and changes with *any* change of a
+        tag, a text or a Dewey label.  The persistent skeleton store
+        keys on it, which is the whole invalidation story: a regenerated
+        document can never address a stale snapshot.  Computed lazily;
+        only snapshot paths pay the first pass, and a sub-document edit
+        then maintains it from the records it touched.
         """
-        if self._fingerprint is None:
-            import hashlib
-
-            self._fingerprint = hashlib.sha256(
-                self.serialized.encode("utf-8")
-            ).hexdigest()
-        return self._fingerprint
+        return self.store.fingerprint()
 
 
 def index_document(
@@ -278,7 +274,6 @@ class XMLDatabase:
             generation=next(self._generations),
             _tag_index=indexed._tag_index,
             _serialized=indexed._serialized,
-            _fingerprint=indexed._fingerprint,
         )
         self._documents[name] = adopted
         self._notify_invalidation(name)
@@ -327,10 +322,14 @@ class XMLDatabase:
         target_id = target if isinstance(target, DeweyID) else DeweyID.parse(target)
         new_root = self._payload_root(payload) if payload is not None else None
         old_generation = indexed.generation
-        # The pre-edit digest is read from the cache only: forcing the
-        # serialization here would make every edit pay it, and a snapshot
-        # of the old content can only exist if something already did.
-        old_fingerprint = indexed._fingerprint
+        # The pre-edit digest is read from the cache only: a snapshot of
+        # the old content can only exist if something already forced it,
+        # and a document nobody fingerprinted is never hashed by an edit.
+        old_fingerprint = (
+            indexed.fingerprint
+            if indexed.store.content_sum is not None
+            else None
+        )
         key, bound, ancestor_keys, removed_paths, added_paths, length_delta = (
             execute_subtree_update(
                 indexed,
@@ -341,7 +340,6 @@ class XMLDatabase:
             )
         )
         indexed._serialized = None
-        indexed._fingerprint = None
         indexed._tag_index = None
         indexed.generation = next(self._generations)
         delta = DocumentDelta(

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from hashlib import blake2b
+from typing import Iterator, Optional, Sequence
 
 from repro.dewey import DeweyID, pack, unpack
 from repro.errors import StorageError
@@ -29,6 +30,7 @@ from repro.xmlmodel.serializer import serialized_length
 
 _FIELD_SEP = "\x1f"
 _NONE_MARK = "\x1e"
+_CONTENT_SUM_MODULUS = 1 << 256
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,24 @@ def _unpack(key: bytes, packed: str) -> ElementRecord:
     )
 
 
+def _digest_sum(keys: Sequence[bytes], packed: Sequence[str]) -> int:
+    """Σ blake2b-256(packed Dewey key ‖ NUL ‖ tag ‖ US ‖ value) over records.
+
+    The stored byte length stays out of the digest: an edit shifts the
+    length of every ancestor, and the sum must move only by what the
+    edit removed and added.  A packed key has no zero length byte, so
+    the NUL ends it.  One hash per record, nothing kept per record.
+    """
+    total = 0
+    from_bytes = int.from_bytes
+    for key, record in zip(keys, packed):
+        content = record[: record.rindex(_FIELD_SEP)].encode("utf-8")
+        total += from_bytes(
+            blake2b(key + b"\0" + content, digest_size=32).digest(), "big"
+        )
+    return total
+
+
 class DocumentStore:
     """Stores one document's elements in document (Dewey) order.
 
@@ -74,6 +94,10 @@ class DocumentStore:
         self._keys = keys
         self._packed = packed
         self.access_count = 0
+        #: Σ of the per-record digests mod 2²⁵⁶, ``None`` until
+        #: :meth:`fingerprint` first asks; kept current by
+        #: :meth:`apply_subtree_edit` from then on.
+        self.content_sum: Optional[int] = None
 
     @classmethod
     def from_tree(cls, root: XMLNode) -> "DocumentStore":
@@ -96,6 +120,21 @@ class DocumentStore:
     def __len__(self) -> int:
         return len(self._keys)
 
+    def fingerprint(self) -> str:
+        """Content digest of the labelled document: the hex of the sum of
+        one digest per record (see :func:`_digest_sum`), mod 2²⁵⁶.
+
+        A sum commutes, so the first call is the only whole-document
+        pass (not charged to ``access_count`` — nothing is decoded); an
+        edit then moves it by the records it touched.  Equal for equal
+        labelled content in any process; a cache address, not a MAC.
+        """
+        if self.content_sum is None:
+            self.content_sum = (
+                _digest_sum(self._keys, self._packed) % _CONTENT_SUM_MODULUS
+            )
+        return f"{self.content_sum:064x}"
+
     # -- delta maintenance -----------------------------------------------------
 
     def apply_subtree_edit(
@@ -117,10 +156,18 @@ class DocumentStore:
         """
         low = bisect_left(self._keys, low_key)
         high = bisect_left(self._keys, high_key)
-        self._keys[low:high] = [key for key, _, _, _ in added]
-        self._packed[low:high] = [
+        new_keys = [key for key, _, _, _ in added]
+        new_packed = [
             _pack(tag, value, byte_length) for _, tag, value, byte_length in added
         ]
+        if self.content_sum is not None:
+            self.content_sum = (
+                self.content_sum
+                - _digest_sum(self._keys[low:high], self._packed[low:high])
+                + _digest_sum(new_keys, new_packed)
+            ) % _CONTENT_SUM_MODULUS
+        self._keys[low:high] = new_keys
+        self._packed[low:high] = new_packed
         if length_delta == 0:
             return
         for key in ancestor_keys:

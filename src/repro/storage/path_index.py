@@ -19,7 +19,7 @@ Definition 3 attaches byte lengths to PDT nodes).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -247,6 +247,8 @@ class PathIndex:
 
     def apply_subtree_edit(
         self,
+        key: bytes,
+        bound: bytes,
         removed: list[tuple[tuple[str, ...], Optional[str], bytes]],
         added: list[tuple[tuple[str, ...], Optional[str], bytes, int]],
         ancestors: list[tuple[tuple[str, ...], Optional[str], bytes]],
@@ -254,24 +256,29 @@ class PathIndex:
     ) -> None:
         """Patch the Path-Values table for one subtree edit.
 
+        ``[key, bound)`` is the edited packed-key range;
         ``removed``/``added`` carry one ``(path, value, packed key[, byte
-        length])`` row per removed/added element; ``ancestors`` are the
-        edit point's proper ancestors, whose stored byte lengths shift by
-        ``length_delta`` (skipped entirely when the delta is zero).  Rows
-        are patched in place via :meth:`BPlusTree.update`; a row left
-        empty is kept (the tree has no delete — empty rows contribute
-        nothing to any probe), and the affected paths' column/ancestor
-        arrays are rebuilt as *new* lists, because the old ones may be
-        shared read-only with live path lists and skeletons.
+        length])`` row per removed/added element, in document order;
+        ``ancestors`` are the edit point's proper ancestors (root
+        first), whose stored byte lengths shift by ``length_delta``
+        (skipped entirely when the delta is zero).  Rows are patched in
+        place via :meth:`BPlusTree.update`; a row left empty is kept
+        (the tree has no delete — empty rows contribute nothing to any
+        probe).  The column and ancestor arrays are spliced, never
+        rebuilt: the edited range is one contiguous slice of every
+        touched path's document-ordered columns, so each new column is
+        ``old[:i] + added + old[j:]`` — always a *new* list, because the
+        old ones may be shared read-only with live path lists and
+        skeletons.
         """
         paths_before = len(self._paths)
-        affected: set[int] = set()
+        touched: dict[int, list[tuple[bytes, Optional[str], int]]] = {}
 
         drops: dict[tuple, set[bytes]] = {}
         for path, value, packed in removed:
             path_id = self._path_ids[path]
             drops.setdefault((path_id, atom_key(value)), set()).add(packed)
-            affected.add(path_id)
+            touched.setdefault(path_id, [])
         for rowkey, dropped in drops.items():
             self._table.update(
                 rowkey,
@@ -286,7 +293,7 @@ class PathIndex:
             adds.setdefault((path_id, atom_key(value)), []).append(
                 (packed, length)
             )
-            affected.add(path_id)
+            touched.setdefault(path_id, []).append((packed, value, length))
         for rowkey, pairs in adds.items():
             if rowkey in self._table:
 
@@ -300,62 +307,94 @@ class PathIndex:
             else:
                 self._table.insert(rowkey, sorted(pairs))
 
+        ancestor_keys = [packed for _, _, packed in ancestors]
+        for path_id, triples in touched.items():
+            self._splice_path_columns(path_id, key, bound, triples, ancestor_keys)
+
         if length_delta:
             for path, value, packed in ancestors:
                 path_id = self._path_ids[path]
                 self._table.update(
                     (path_id, atom_key(value)),
                     lambda row, target=packed: [
-                        (key, length + length_delta if key == target else length)
-                        for key, length in row
+                        (k, length + length_delta if k == target else length)
+                        for k, length in row
                     ],
                 )
-                affected.add(path_id)
+                # Same keys, one length moved: copy-patch that one cell.
+                keys, values, lengths, id_column, none_column = (
+                    self._path_arrays[path_id]
+                )
+                lengths = list(lengths)
+                lengths[bisect_left(keys, packed)] += length_delta
+                self._path_arrays[path_id] = (
+                    keys, values, lengths, id_column, none_column
+                )
 
-        self._rebuild_path_columns(affected)
         if len(self._paths) > paths_before:
             # The DataGuide grew: memoized pattern expansions may now be
             # incomplete.  Shrinking never happens (paths stay interned).
             self._expansion_cache.clear()
 
-    def _rebuild_path_columns(self, path_ids: Iterable[int]) -> None:
-        """Recompute the column and ancestor arrays for the given paths.
+    def _splice_path_columns(
+        self,
+        path_id: int,
+        key: bytes,
+        bound: bytes,
+        triples: list[tuple[bytes, Optional[str], int]],
+        ancestor_keys: list[bytes],
+    ) -> None:
+        """Replace the ``[key, bound)`` slice of one path's columns and
+        per-depth ancestor arrays with the added ``(key, value, length)``
+        triples (document order; possibly none).
 
-        Mirrors the load-time construction in :meth:`from_tree`; always
-        allocates fresh lists so consumers holding the previous arrays
-        (whole-path handoffs are shared read-only) are unaffected.
+        Equals what :meth:`from_tree` would build over the edited
+        document, at the cost of the slices: below the edit point's
+        depth every element in the range shares one ancestor, which
+        leaves an ancestor array only when no key on this path is left
+        under it; from the edit point's depth down, the range of the
+        ancestor array is replaced by the added keys' own prefixes.
         """
-        for path_id in sorted(path_ids):
-            triples: list[tuple[bytes, Optional[str], int]] = []
-            for composite, row in self._table.prefix_range((path_id,)):
-                kind = composite[1][0]
-                value = None if kind == 0 else composite[1][-1]
-                triples.extend((packed, value, length) for packed, length in row)
-            depth = len(self._paths[path_id])
-            if not triples:
-                self._path_arrays.pop(path_id, None)
-                for d in range(1, depth + 1):
-                    self._ancestors.pop((path_id, d), None)
-                continue
-            triples.sort()
-            keys = [triple[0] for triple in triples]
-            self._path_arrays[path_id] = (
-                keys,
-                [triple[1] for triple in triples],
-                [triple[2] for triple in triples],
-                [path_id] * len(keys),
-                [None] * len(keys),
-            )
-            self._ancestors[(path_id, depth)] = keys
-            if depth <= 1:
-                continue
-            per_depth: list[set[bytes]] = [set() for _ in range(depth - 1)]
-            for key in keys:
-                ends = packed_prefix_ends(key)
-                for d in range(depth - 1):
-                    per_depth[d].add(key[: ends[d]])
-            for d, prefixes in enumerate(per_depth, start=1):
-                self._ancestors[(path_id, d)] = sorted(prefixes)
+        depth = len(self._paths[path_id])
+        keys, values, lengths = self._path_arrays.get(path_id, ([], [], []))[:3]
+        low, high = bisect_left(keys, key), bisect_left(keys, bound)
+        added_keys = [triple[0] for triple in triples]
+        keys = keys[:low] + added_keys + keys[high:]
+        if not keys:
+            self._path_arrays.pop(path_id, None)
+            for d in range(1, depth + 1):
+                self._ancestors.pop((path_id, d), None)
+            return
+        self._path_arrays[path_id] = (
+            keys,
+            values[:low] + [triple[1] for triple in triples] + values[high:],
+            lengths[:low] + [triple[2] for triple in triples] + lengths[high:],
+            [path_id] * len(keys),
+            [None] * len(keys),
+        )
+        self._ancestors[(path_id, depth)] = keys
+        added_ends = [packed_prefix_ends(added) for added in added_keys]
+        for d in range(1, depth):
+            column = self._ancestors.get((path_id, d), [])
+            if d <= len(ancestor_keys):
+                prefix = ancestor_keys[d - 1]
+                at = bisect_left(keys, prefix)
+                wanted = at < len(keys) and keys[at].startswith(prefix)
+                low = bisect_left(column, prefix)
+                high = low + (low < len(column) and column[low] == prefix)
+                prefixes = [prefix] if wanted else []
+            else:
+                low, high = bisect_left(column, key), bisect_left(column, bound)
+                prefixes = sorted(
+                    {
+                        added[: ends[d - 1]]
+                        for added, ends in zip(added_keys, added_ends)
+                    }
+                )
+            if column[low:high] != prefixes:
+                self._ancestors[(path_id, d)] = (
+                    column[:low] + prefixes + column[high:]
+                )
 
     # -- path dictionary (DataGuide) --------------------------------------------
 

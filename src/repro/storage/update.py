@@ -233,7 +233,6 @@ def execute_subtree_update(
         parent.children[slot] = new_root
         new_root.parent = parent
         removed_node.parent = None
-    document._by_dewey = None
 
     added_pairs = (
         subtree_with_paths(new_root, parent_path + (new_root.tag,))
@@ -270,6 +269,8 @@ def execute_subtree_update(
 
     # -- path index ----------------------------------------------------------
     indexed.path_index.apply_subtree_edit(
+        key,
+        bound,
         [(path, node.value, node.dewey.packed) for node, path in removed_pairs],
         [(path, value, packed, length) for _, path, packed, value, length in added_info],
         [

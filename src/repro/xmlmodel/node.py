@@ -207,15 +207,33 @@ class Document:
         self.root = root
         if assign_ids:
             assign_dewey_ids(root)
-        self._by_dewey: Optional[dict[DeweyID, XMLNode]] = None
 
     def node_by_dewey(self, dewey: DeweyID) -> Optional[XMLNode]:
-        """Look up an element by its Dewey ID (lazy index, O(1) after build)."""
-        if self._by_dewey is None:
-            self._by_dewey = {
-                node.dewey: node for node in self.root.iter() if node.dewey is not None
-            }
-        return self._by_dewey.get(dewey)
+        """Look up an element by its Dewey ID: a root-to-node descent.
+
+        O(depth) and stateless, so sub-document edits have nothing to
+        invalidate.  Siblings keep increasing ordinals (a delete leaves a
+        hole, an insert appends one past the last), so the child with
+        ordinal ``n`` sits at index ``n - 1`` while the ordinals before
+        it are dense and is found by a scan once a hole shifted it left.
+        """
+        node = self.root
+        if node.dewey is None:
+            return None
+        components = dewey.components
+        depth = len(node.dewey.components)
+        if components[:depth] != node.dewey.components:
+            return None
+        for ordinal in components[depth:]:
+            children = node.children
+            node = children[ordinal - 1] if ordinal <= len(children) else None
+            if node is None or node.dewey.components[-1] != ordinal:
+                for node in children:
+                    if node.dewey.components[-1] == ordinal:
+                        break
+                else:
+                    return None
+        return node
 
     def nodes_in_document_order(self) -> Iterator[XMLNode]:
         return self.root.iter()

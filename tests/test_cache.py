@@ -1040,3 +1040,188 @@ class TestSweepLargerThanTier:
         assert report.built_count == 6
         assert report.views == {"lib": {"warmed": 6, "resident": 4}}
         assert report.as_dict()["views"]["lib"]["resident"] == 4
+
+
+def _ranking(engine, view, keywords):
+    return [
+        (r.rank, r.score, r.scored.statistics.byte_length)
+        for r in engine.search(view, keywords, top_k=10)
+    ]
+
+
+class TestEvaluatedTierAcrossEdits:
+    """A patchable edit migrates the evaluated entry with its skeleton —
+    iff the entry's result nodes point into that skeleton's live tree."""
+
+    # Under a <content>, a content node: no QPT node matches the new
+    # element's path, yet the lengths scoring reads all shift.
+    PATCHABLE = ("reviews.xml", "1.1.3", "<zaux>an aside on xml search</zaux>")
+
+    def test_patchable_edit_keeps_the_cached_tuple(
+        self, engine, view, bookrev_db, bookrev_view_text
+    ):
+        engine.search(view, ["xml"], top_k=10)
+        [(old_key, (cached, old_roots))] = engine.cache.evaluated.items()
+        misses = engine.cache.stats()["evaluated"]["misses"]
+
+        delta = bookrev_db.insert_subtree(*self.PATCHABLE)
+        assert delta.length_delta > 0
+
+        [(new_key, (kept, roots))] = engine.cache.evaluated.items()
+        assert kept is cached
+        assert roots is old_roots
+        # A two-document view: only the edited coordinate moved on.
+        assert new_key[:2] == old_key[:2]
+        old_coords = {name: (gen, h) for name, gen, h in old_key[2]}
+        new_coords = {name: (gen, h) for name, gen, h in new_key[2]}
+        assert new_coords["books.xml"] == old_coords["books.xml"]
+        assert new_coords["reviews.xml"] == (
+            delta.new_generation, old_coords["reviews.xml"][1]
+        )
+        # The re-warm and the next query are hits: nothing re-evaluated.
+        outcome = engine.search_detailed(view, ["search"], top_k=10)
+        assert outcome.evaluated_hit is True
+        assert engine.cache.stats()["evaluated"]["misses"] == misses
+
+        cold = KeywordSearchEngine(bookrev_db, enable_cache=False)
+        cold_view = cold.define_view("bookrevs", bookrev_view_text)
+        for keywords in (["search"], ["xml"], ["xml", "search"]):
+            assert _ranking(engine, view, keywords) == _ranking(
+                cold, cold_view, keywords
+            )
+        # Every byte length a cached result node carries is the cold one.
+        cold_nodes = cold.evaluate_view(cold_view, materialize=False)
+        assert len(cold_nodes) == len(kept)
+        for kept_node, cold_node in zip(kept, cold_nodes):
+            assert [
+                (n.tag, n.anno.byte_length) for n in kept_node.iter() if n.anno
+            ] == [
+                (n.tag, n.anno.byte_length) for n in cold_node.iter() if n.anno
+            ]
+
+    def test_edit_then_undo_keeps_the_same_tuple_throughout(
+        self, engine, view, bookrev_db
+    ):
+        before = _ranking(engine, view, ["xml"])
+        [(_, (cached, _))] = engine.cache.evaluated.items()
+        delta = bookrev_db.insert_subtree(*self.PATCHABLE)
+        assert _ranking(engine, view, ["xml"]) != before
+        bookrev_db.delete_subtree("reviews.xml", delta.edit_id)
+        assert _ranking(engine, view, ["xml"]) == before
+        [(_, (kept, _))] = engine.cache.evaluated.items()
+        assert kept is cached
+        assert engine.cache.stats()["evaluated"]["misses"] == 1
+
+    def test_structural_edit_still_drops_and_re_evaluates(
+        self, engine, view, bookrev_db, bookrev_view_text
+    ):
+        engine.search(view, ["xml"], top_k=10)
+        [(_, (cached, _))] = engine.cache.evaluated.items()
+        misses = engine.cache.stats()["evaluated"]["misses"]
+        bookrev_db.insert_subtree(
+            "reviews.xml",
+            "1",
+            "<review><isbn>111-11-1111</isbn><content>more xml</content></review>",
+        )
+        # Re-warmed already, by one fresh evaluation.
+        [(_, (fresh, _))] = engine.cache.evaluated.items()
+        assert fresh is not cached
+        assert engine.cache.stats()["evaluated"]["misses"] == misses + 1
+        cold = KeywordSearchEngine(bookrev_db, enable_cache=False)
+        cold_view = cold.define_view("bookrevs", bookrev_view_text)
+        assert _ranking(engine, view, ["xml"]) == _ranking(
+            cold, cold_view, ["xml"]
+        )
+
+    def test_entry_over_a_rebuilt_skeletons_old_tree_is_dropped(self):
+        """The trap a plain rekey falls into: the skeleton was evicted and
+        rebuilt *after* the evaluation, so the entry's result nodes point
+        into a tree the edit's patch never reaches."""
+        from repro.storage.database import XMLDatabase
+
+        database = XMLDatabase()
+        for number in range(3):
+            database.load_document(
+                f"doc{number}",
+                f"<lib><book><title>xml {number}</title>"
+                f"<body>query index {'xml ' * number}</body></book>"
+                f"<book><title>query {number}</title><body>xml</body></book>"
+                "</lib>",
+            )
+        engine = KeywordSearchEngine(
+            database, cache=QueryCache(shard_count=1, skeleton_capacity=2)
+        )
+        for number in range(3):
+            engine.define_view(
+                f"v{number}",
+                f"for $b in fn:doc(doc{number})//book "
+                "return <hit>{$b/title}{$b/body}</hit>",
+            )
+        engine.search("v0", ["xml"])  # evaluate v0 over skeleton tree T
+        [(_, (cached, roots))] = engine.cache.evaluated.items()
+        engine.search("v1", ["xml"])
+        engine.search("v2", ["xml"])  # two slots: v0's skeleton is evicted
+        assert engine.resident_documents("v0") == []
+        outcome = engine.search_detailed("v0", ["query"])  # rebuilt: tree T'
+        assert outcome.cache_hits == {"doc0": "miss"}
+        assert outcome.evaluated_hit is True  # still the nodes over T
+        key = next(
+            key for key, _ in engine.cache.skeletons.items() if key[0] == "v0"
+        )
+        assert engine.cache.skeletons.get(key).tree is not roots["doc0"]
+
+        misses = engine.cache.stats()["evaluated"]["misses"]
+        database.insert_subtree("doc0", "1.1.2", "<zaux>xml xml aside</zaux>")
+        survivors = [
+            value for key, value in engine.cache.evaluated.items()
+            if key[0] == "v0"
+        ]
+        assert len(survivors) == 1 and survivors[0][0] is not cached
+        assert engine.cache.stats()["evaluated"]["misses"] == misses + 1
+
+        cold = KeywordSearchEngine(database, enable_cache=False)
+        cold.define_view(
+            "v0",
+            "for $b in fn:doc(doc0)//book return <hit>{$b/title}{$b/body}</hit>",
+        )
+        for keywords in (["xml"], ["query"]):
+            assert _ranking(engine, "v0", keywords) == _ranking(
+                cold, "v0", keywords
+            )
+
+    def test_apply_document_delta_compares_trees_by_identity(self):
+        class Skeleton:
+            def __init__(self, tree):
+                self.tree = tree
+
+        cache = QueryCache()
+        tree, other_tree, expr = object(), object(), object()
+        cache.skeletons.put(cache.skeleton_key("v", "d.xml", 1, "qh"), Skeleton(tree))
+        cache.skeletons.put(cache.skeleton_key("w", "d.xml", 1, "qh"), Skeleton(tree))
+        cache.skeletons.put(cache.skeleton_key("x", "d.xml", 1, "qh"), Skeleton(tree))
+        coords = (("d.xml", 1, "qh"), ("e.xml", 7, "qe"))
+        same = cache.evaluated_key("v", expr, coords)
+        stale_tree = cache.evaluated_key("w", expr, coords)
+        unpatchable = cache.evaluated_key("x", expr, coords)
+        no_skeleton = cache.evaluated_key("y", expr, coords)
+        old_generation = cache.evaluated_key(
+            "v", expr, (("d.xml", 0, "qh"), ("e.xml", 7, "qe"))
+        )
+        elsewhere = cache.evaluated_key("v", expr, (("e.xml", 7, "qe"),))
+        results = ("nodes",)
+        for key, root in (
+            (same, tree),
+            (stale_tree, other_tree),
+            (unpatchable, tree),
+            (no_skeleton, tree),
+            (old_generation, tree),
+            (elsewhere, tree),
+        ):
+            cache.evaluated.put(key, (results, {"d.xml": root, "e.xml": root}))
+        cache.apply_document_delta("d.xml", 1, 2, {"v", "w", "y"})
+        assert {key for key, _ in cache.evaluated.items()} == {
+            cache.evaluated_key(
+                "v", expr, (("d.xml", 2, "qh"), ("e.xml", 7, "qe"))
+            ),
+            elsewhere,
+        }

@@ -299,6 +299,64 @@ class TestWarmView:
             engine.warm_view("bookrevs")
 
 
+class TestUpdateRewarm:
+    """Every sub-document update re-warms the views it touches — there is
+    no switch: for a view that kept its entries it is two lookups."""
+
+    def _probes(self, db):
+        return sum(
+            db.get(n).path_index.probe_count for n in db.document_names()
+        )
+
+    def test_structural_edit_leaves_the_next_query_warm(
+        self, engine, view, bookrev_db
+    ):
+        engine.search(view, ["xml"], top_k=5)
+        bookrev_db.insert_subtree(
+            "books.xml",
+            "1",
+            "<book><isbn>555-55-5555</isbn><title>New XML Search</title>"
+            "<year>2006</year></book>",
+        )
+        bookrev_db.reset_access_counters()
+        outcome = engine.search_detailed(view, ["search"], top_k=5)
+        assert set(outcome.cache_hits.values()) == {"skeleton"}
+        assert outcome.evaluated_hit
+        assert self._probes(bookrev_db) == 0
+        assert any("New XML Search" in r.to_xml() for r in outcome.results)
+
+    def test_patchable_edit_rewarm_builds_and_evaluates_nothing(
+        self, engine, view, bookrev_db
+    ):
+        engine.search(view, ["xml"], top_k=5)
+        before = engine.cache.stats()
+        bookrev_db.reset_access_counters()
+        bookrev_db.insert_subtree("books.xml", "1.1.2", "<zaux>aside</zaux>")
+        after = engine.cache.stats()
+        assert self._probes(bookrev_db) == 0
+        for tier in ("skeleton", "evaluated"):
+            assert after[tier]["misses"] == before[tier]["misses"]
+            assert after[tier]["hits"] == before[tier]["hits"] + (
+                2 if tier == "skeleton" else 1
+            )
+
+    def test_engine_without_a_snapshot_store_never_fingerprints(
+        self, engine, view, bookrev_db
+    ):
+        engine.search(view, ["xml"], top_k=5)
+        delta = bookrev_db.insert_subtree("books.xml", "1.1.2", "<zaux>x</zaux>")
+        engine.search(view, ["xml"], top_k=5)
+        assert delta.old_fingerprint is None
+        assert all(
+            bookrev_db.get(n).store.content_sum is None
+            for n in bookrev_db.document_names()
+        )
+
+    def test_rewarm_is_not_an_option(self, bookrev_db):
+        with pytest.raises(TypeError):
+            KeywordSearchEngine(bookrev_db, rewarm_on_update=False)
+
+
 class TestThreadSafetyHooks:
     def test_last_timings_is_thread_local(self, engine, view):
         import threading

@@ -105,3 +105,77 @@ class TestDeweyAssignment:
         doc = Document("d.xml", tree)
         assert "d.xml" in repr(doc)
         assert "a" in repr(tree)
+
+
+class TestNodeByDewey:
+    """The lookup is a stateless root-to-node descent, so it must stay
+    right across everything an edit does to sibling ordinals."""
+
+    @staticmethod
+    def _database():
+        from repro.storage.database import XMLDatabase
+
+        db = XMLDatabase()
+        db.load_document(
+            "d.xml", "<r><a><x/><y/><z/></a><b/><c><k/></c><d/></r>"
+        )
+        return db, db.get("d.xml").document
+
+    def test_every_element_is_found_by_its_own_id(self, tree):
+        doc = Document("d.xml", tree)
+        for node in tree.iter():
+            assert doc.node_by_dewey(node.dewey) is node
+
+    def test_lookup_through_ordinal_holes(self):
+        db, doc = self._database()
+        db.delete_subtree("d.xml", "1.2")  # <b/>: shifts c, d left
+        db.delete_subtree("d.xml", "1.1.1")  # <x/>: shifts y, z left
+        assert doc.node_by_dewey(DeweyID.parse("1.2")) is None
+        assert doc.node_by_dewey(DeweyID.parse("1.1.1")) is None
+        assert doc.node_by_dewey(DeweyID.parse("1.3")).tag == "c"
+        assert doc.node_by_dewey(DeweyID.parse("1.3.1")).tag == "k"
+        assert doc.node_by_dewey(DeweyID.parse("1.4")).tag == "d"
+        assert doc.node_by_dewey(DeweyID.parse("1.1.3")).tag == "z"
+        for node in doc.root.iter():
+            assert doc.node_by_dewey(node.dewey) is node
+
+    def test_reused_ordinal_resolves_to_the_new_element(self):
+        db, doc = self._database()
+        db.delete_subtree("d.xml", "1.4")  # the last child frees ordinal 4
+        delta = db.insert_subtree("d.xml", "1", "<e><f/></e>")
+        assert str(delta.edit_id) == "1.4"
+        assert doc.node_by_dewey(DeweyID.parse("1.4")).tag == "e"
+        assert doc.node_by_dewey(DeweyID.parse("1.4.1")).tag == "f"
+
+    def test_replace_is_visible_at_the_same_id(self):
+        db, doc = self._database()
+        db.replace_subtree("d.xml", "1.3", "<n><m/></n>")
+        assert doc.node_by_dewey(DeweyID.parse("1.3")).tag == "n"
+        assert doc.node_by_dewey(DeweyID.parse("1.3.1")).tag == "m"
+
+    def test_missing_ids(self, tree):
+        doc = Document("d.xml", tree)
+        for text in ("1.3", "1.1.1", "1.2.3", "1.2.1.1", "1.99"):
+            assert doc.node_by_dewey(DeweyID.parse(text)) is None
+
+    def test_foreign_root(self, tree):
+        doc = Document("d.xml", tree)
+        assert doc.node_by_dewey(DeweyID.parse("2")) is None
+        assert doc.node_by_dewey(DeweyID.parse("2.1")) is None
+
+    def test_custom_root_id(self, tree):
+        assign_dewey_ids(tree, DeweyID.parse("5.7"))
+        doc = Document("d.xml", tree, assign_ids=False)
+        assert doc.node_by_dewey(DeweyID.parse("5.7")) is tree
+        assert doc.node_by_dewey(DeweyID.parse("5.7.2.1")).tag == "d"
+        assert doc.node_by_dewey(DeweyID.parse("5")) is None
+        assert doc.node_by_dewey(DeweyID.parse("5.8.1")) is None
+
+    def test_unlabelled_document(self, tree):
+        doc = Document("d.xml", tree, assign_ids=False)
+        assert doc.node_by_dewey(DeweyID.parse("1")) is None
+
+    def test_no_whole_document_index_is_kept(self, tree):
+        doc = Document("d.xml", tree)
+        doc.node_by_dewey(DeweyID.parse("1.2.1"))
+        assert not hasattr(doc, "_by_dewey")

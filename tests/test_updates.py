@@ -9,11 +9,16 @@ migration, and skeleton byte-length patching.
 
 from __future__ import annotations
 
-import pytest
+from hashlib import blake2b
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines.naive import BaselineEngine
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import patch_skeleton_byte_lengths
+from repro.core.snapshot import SkeletonStore
 from repro.dewey import DeweyID
 from repro.errors import StorageError
 from repro.storage.btree import BPlusTree
@@ -21,6 +26,13 @@ from repro.storage.database import XMLDatabase
 from repro.storage.update import UPDATE_KINDS
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize, serialized_length
+
+from difftest.generators import (
+    apply_mutation,
+    generate_case,
+    generate_mutation_stream,
+)
+from difftest.test_differential import _seed_matrix
 
 DOC = """<items>
   <item><id>id-1</id><name>alpha widget</name>
@@ -59,12 +71,41 @@ def _store_rows(indexed):
     ]
 
 
+def _path_columns(index):
+    """The path index's column and per-depth ancestor arrays, keyed by
+    path *tuple* (interned ids differ between a patched and a rebuilt
+    index)."""
+    columns = {}
+    for path_id, path in enumerate(index.data_paths):
+        arrays = index._path_arrays.get(path_id)
+        if arrays is None:
+            # An emptied path keeps its interned id and nothing else.
+            assert not any(key[0] == path_id for key in index._ancestors)
+            continue
+        keys, values, lengths, id_column, none_column = arrays
+        assert id_column == [path_id] * len(keys)
+        assert none_column == [None] * len(keys)
+        assert index._ancestors[(path_id, len(path))] is keys
+        columns[path] = (
+            keys,
+            values,
+            lengths,
+            [
+                index.ancestors_on_path(path_id, depth)
+                for depth in range(1, len(path) + 1)
+            ],
+        )
+    return columns
+
+
 def _assert_parity(db: XMLDatabase) -> None:
     """Every derived structure matches a rebuild from the mutated tree."""
     rebuilt = _rebuild(db)
     for name in db.document_names():
         live, fresh = db.get(name), rebuilt.get(name)
         assert _store_rows(live) == _store_rows(fresh)
+        assert _path_columns(live.path_index) == _path_columns(fresh.path_index)
+        assert live.fingerprint == fresh.fingerprint
         live_postings = {
             kw: [(p.dewey, p.tf, p.positions) for p in pl.postings]
             for kw, pl in live.inverted_index._lists.items()
@@ -333,3 +374,199 @@ class TestSkeletonPatch:
 
     def test_zero_delta_is_a_noop(self):
         assert patch_skeleton_byte_lengths(None, (), 0) == 0
+
+
+def _reference_fingerprint(root) -> str:
+    """The fingerprint definition, recomputed from the labelled tree with
+    nothing shared with the implementation: the hex of Σ blake2b-256(
+    packed Dewey key ‖ NUL ‖ tag ‖ US ‖ direct text or RS) mod 2²⁵⁶."""
+    total = 0
+    for node in root.iter():
+        content = node.tag + "\x1f" + ("\x1e" if node.value is None else node.value)
+        message = node.dewey.packed + b"\0" + content.encode("utf-8")
+        total += int.from_bytes(blake2b(message, digest_size=32).digest(), "big")
+    return f"{total % (1 << 256):064x}"
+
+
+class TestIncrementalFingerprint:
+    def test_definition_is_content_addressed(self):
+        db = _database()
+        indexed = db.get("items.xml")
+        assert indexed.fingerprint == _reference_fingerprint(indexed.root)
+        # Equal labelled content in another database: equal address.
+        assert _database().get("items.xml").fingerprint == indexed.fingerprint
+        assert len(indexed.fingerprint) == 64
+
+    def test_each_edit_kind_maintains_the_sum(self):
+        db = _database()
+        indexed = db.get("items.xml")
+        seen = {indexed.fingerprint}
+        delta = db.insert_subtree("items.xml", "1.1", "<zaux>one <b>two</b></zaux>")
+        for step in (
+            lambda: db.replace_subtree("items.xml", delta.edit_id, "<zaux>three</zaux>"),
+            lambda: db.delete_subtree("items.xml", "1.2.3"),
+            lambda: db.insert_subtree("items.xml", "1.3", "<note>first child</note>"),
+        ):
+            assert indexed.fingerprint == _reference_fingerprint(indexed.root)
+            assert indexed.fingerprint not in seen
+            seen.add(indexed.fingerprint)
+            step()
+        assert indexed.fingerprint == _reference_fingerprint(indexed.root)
+        assert indexed.fingerprint not in seen
+
+    def test_label_change_alone_changes_the_fingerprint(self):
+        # Same serialized text, different numbering: 1.1, 1.3 vs 1.1, 1.2.
+        db = XMLDatabase()
+        db.load_document("d.xml", "<r><a>x</a><b>y</b><c>z</c></r>")
+        db.delete_subtree("d.xml", "1.2")
+        holed = db.get("d.xml")
+        dense = XMLDatabase()
+        dense.load_document("d.xml", holed.serialized)
+        assert dense.get("d.xml").serialized == holed.serialized
+        assert dense.get("d.xml").fingerprint != holed.fingerprint
+
+    def test_an_edit_never_hashes_a_document_nobody_fingerprinted(self):
+        db = _database()
+        engine = KeywordSearchEngine(db)  # no snapshot store
+        view = engine.define_view("v", VIEW)
+        engine.search(view, ["widget"], top_k=5)
+        db.insert_subtree("items.xml", "1", "<zaux>quiet</zaux>")
+        engine.search(view, ["widget"], top_k=5)
+        assert db.get("items.xml").store.content_sum is None
+
+    def test_an_edit_never_serializes_the_document(self, monkeypatch, tmp_path):
+        import repro.xmlmodel.serializer as serializer
+
+        db = _database()
+        engine = KeywordSearchEngine(
+            db, cache=QueryCache(), snapshot_store=SkeletonStore(tmp_path)
+        )
+        view = engine.define_view("v", VIEW)
+        engine.search(view, ["widget"], top_k=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edit serialized the document")
+
+        monkeypatch.setattr(serializer, "serialize", refuse)
+        before = db.get("items.xml").fingerprint
+        delta = db.insert_subtree("items.xml", "1", "<zaux>cheap</zaux>")
+        assert delta.old_fingerprint == before
+        assert db.get("items.xml").fingerprint != before
+
+    def test_attached_document_shares_the_maintained_sum(self):
+        db = _database()
+        indexed = db.get("items.xml")
+        indexed.fingerprint
+        other = XMLDatabase()
+        adopted = other.attach_document(indexed)
+        assert adopted.store.content_sum is not None
+        db.insert_subtree("items.xml", "1", "<zaux>shared</zaux>")
+        assert adopted.fingerprint == indexed.fingerprint
+        assert adopted.fingerprint == _reference_fingerprint(indexed.root)
+
+    @pytest.mark.parametrize("seed", _seed_matrix())
+    def test_maintained_equals_recomputed_on_every_mutations_step(self, seed):
+        """The ``mutations`` difftest streams, fingerprint forced first:
+        after every step the maintained sum is the recomputed one."""
+        db = generate_case(seed).database
+        for name in db.document_names():
+            db.get(name).fingerprint
+        ops = generate_mutation_stream(seed, generate_case(seed).database)
+        for op in ops:
+            delta = apply_mutation(db, op)
+            assert delta.old_fingerprint is not None
+            for name in db.document_names():
+                indexed = db.get(name)
+                assert indexed.fingerprint == _reference_fingerprint(
+                    indexed.root
+                ), f"seed={seed} op={op.describe()} doc={name}"
+            assert db.get(op.doc).fingerprint != delta.old_fingerprint
+        _assert_parity(db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fingerprint_property_over_generated_edit_streams(data):
+    """After every prefix of a generated insert/delete/replace stream the
+    maintained fingerprint equals the from-scratch fingerprint of a
+    rebuild of the live tree and differs from the pre-edit one; undoing
+    an insert by its delete returns to the fingerprint before it."""
+    db = _database()
+    indexed = db.get("items.xml")
+    indexed.fingerprint  # force: from here on the edits maintain it
+    tags = st.sampled_from(["zaux", "para", "item", "name", "note"])
+    words = st.text(alphabet="abc xyz", max_size=12)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        nodes = list(indexed.root.iter())
+        removable = [node for node in nodes if node.parent is not None]
+        kind = data.draw(
+            st.sampled_from(UPDATE_KINDS if removable else ("insert",))
+        )
+        before = indexed.fingerprint
+        if kind == "delete":
+            target = data.draw(st.sampled_from(removable))
+            db.delete_subtree("items.xml", target.dewey)
+        else:
+            tag, text, child = data.draw(tags), data.draw(words), data.draw(tags)
+            payload = f"<{tag}>{text}<{child}>{data.draw(words)}</{child}></{tag}>"
+            if kind == "insert":
+                target = data.draw(st.sampled_from(nodes))
+                delta = db.insert_subtree("items.xml", target.dewey, payload)
+                if data.draw(st.booleans()):
+                    inserted = indexed.fingerprint
+                    assert inserted != before
+                    db.delete_subtree("items.xml", delta.edit_id)
+                    assert indexed.fingerprint == before
+                    db.insert_subtree("items.xml", target.dewey, payload)
+                    assert indexed.fingerprint == inserted
+            else:
+                target = data.draw(st.sampled_from(removable))
+                db.replace_subtree("items.xml", target.dewey, payload)
+        assert indexed.fingerprint != before
+        assert indexed.fingerprint == _rebuild(db).get("items.xml").fingerprint
+        assert indexed.fingerprint == _reference_fingerprint(indexed.root)
+    _assert_parity(db)
+
+
+def test_delete_hole_does_not_alias_a_restarted_documents_snapshot(tmp_path):
+    """Regression: a delete leaves an ordinal hole (``1.1, 1.3``) that the
+    serialized text does not show, so a process restarted from that text
+    numbers the siblings ``1.1, 1.2``.  The fingerprint used to digest
+    the text alone: the restart computed the same digest, restored the
+    forwarded snapshot with the other numbering, ranked with the wrong
+    byte lengths and could not materialize its results."""
+    text = (
+        "<items><zaux>first aside</zaux><zaux>middle aside</zaux>"
+        + "".join(
+            f"<item><id>id-{n}</id><name>widget {'gadget ' * n}</name>"
+            f"<body><para>{'widget ' * (n % 3 + 1)}text</para></body></item>"
+            for n in range(1, 7)
+        )
+        + "</items>"
+    )
+    db = XMLDatabase()
+    db.load_document("items.xml", text)
+    store = SkeletonStore(tmp_path)
+    engine = KeywordSearchEngine(db, cache=QueryCache(), snapshot_store=store)
+    view = engine.define_view("v", VIEW)
+    engine.search(view, ["widget"], top_k=10)
+    db.delete_subtree("items.xml", "1.2")  # the middle <zaux>: a hole
+    qpt_hash = view.qpts["items.xml"].content_hash
+    assert (db.get("items.xml").fingerprint, qpt_hash) in store  # forwarded
+
+    restarted_db = XMLDatabase()
+    restarted_db.load_document("items.xml", db.get("items.xml").serialized)
+    restarted = KeywordSearchEngine(
+        restarted_db, cache=QueryCache(), snapshot_store=store
+    )
+    rview = restarted.define_view("v", VIEW)
+    outcome = restarted.search_detailed(rview, ["widget"], top_k=10)
+
+    baseline = BaselineEngine(restarted_db)
+    bview = baseline.define_view("truth", VIEW)
+    truth = baseline.search_detailed(bview, ["widget"], top_k=10)
+    assert [r.score for r in outcome.results] == [r.score for r in truth.results]
+    assert len(outcome.results) == 6
+    for result in outcome.results:
+        assert "<item>" in result.to_xml()
+    assert outcome.cache_hits["items.xml"] != "snapshot"
