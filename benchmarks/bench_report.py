@@ -10,8 +10,8 @@ executor's tiers, with each side's skeleton hit rate and the streaming
 merge's early-termination counters), the update numbers
 of ``bench_x9_updates`` (the edit itself, then the post-edit query under
 delta maintenance vs the invalidation-storm cold rebuild), the memory pair of
-``bench_x10_memory`` (DAG-compressed vs eager skeleton tier, plus the
-mmap-vs-parse restore race), the fleet pair of ``bench_x11_fleet``
+``bench_x10_memory`` (the skeleton tier's columns vs the object graph they
+replace, plus the mmap-vs-decode restore race), the fleet pair of ``bench_x11_fleet``
 (peer-warmed first contact over HTTP vs the local cold build) and the
 chaos numbers of ``bench_x12_chaos`` (degraded-mode p50 under a
 one-shard outage, with the availability and recovery evidence), at one
@@ -208,7 +208,8 @@ def _updates_ms(rounds: int) -> dict[str, float]:
 
 
 def _memory_numbers(rounds: int) -> dict[str, float]:
-    """The bench_x10 pair: compressed vs eager skeleton tier + restores.
+    """The bench_x10 pair: skeleton-tier columns vs the materialized
+    object graph, and the mmap-vs-eager restore.
 
     Delegates to :func:`repro.bench.experiments.measure_memory` — one
     measurement protocol shared with the X10 experiment table and the
@@ -220,17 +221,12 @@ def _memory_numbers(rounds: int) -> dict[str, float]:
 
     numbers = measure_memory(rounds=max(4, rounds // 6))
     return {
-        "compressed_kib": round(numbers["compressed_kib"], 1),
-        "eager_kib": round(numbers["eager_kib"], 1),
+        "column_bytes": numbers["column_bytes"],
+        "graph_bytes": numbers["graph_bytes"],
         "memory_reduction": round(numbers["memory_reduction"], 2),
-        "warm_compressed_ms": round(numbers["warm_compressed_ms"], 3),
-        "warm_eager_ms": round(numbers["warm_eager_ms"], 3),
-        "warm_ratio": round(numbers["warm_ratio"], 3),
         "eager_restore_ms": round(numbers["eager_restore_ms"], 3),
         "mmap_restore_ms": round(numbers["mmap_restore_ms"], 3),
         "restore_speedup": round(numbers["restore_speedup"], 2),
-        "shapes": numbers["shapes"],
-        "shape_hits": numbers["shape_hits"],
     }
 
 

@@ -24,6 +24,7 @@ import time
 from conftest import make_engine_and_view
 from repro.core.pdt import annotate_skeleton, build_skeleton
 from repro.core.prepare import prepare_inv_lists
+from repro.dewey import DeweyID
 from repro.workloads.params import ExperimentParams
 
 PARAMS = ExperimentParams(data_scale=1)
@@ -49,9 +50,9 @@ def _per_node_bisect(skeleton, lists):
     for keyword in KEYWORDS:
         posting_list = lists[keyword]
         arrays[keyword] = [
-            posting_list.subtree_tf(skeleton.dewey_ids[position])
-            for position, slot in enumerate(skeleton.slots)
-            if slot is not None
+            posting_list.subtree_tf(DeweyID.from_packed(key))
+            for key, flag in zip(skeleton.keys, skeleton.flags)
+            if flag & 2  # a content node
         ]
     return arrays
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from conftest import make_engine_and_view
 from repro.core.engine import KeywordSearchEngine
-from repro.core.pdt import annotate_skeleton, build_skeleton
+from repro.core.pdt import PDTSkeleton, annotate_skeleton, build_skeleton
 from repro.core.pdt_legacy import legacy_build_skeleton
 from repro.core.prepare import prepare_inv_lists
 from repro.core.snapshot import SkeletonStore
@@ -64,8 +64,11 @@ def _fresh_database():
 
 
 def _cold_builds(engine, view, build):
+    # Up to and including the shared tree the first query needs.
     for doc_name in view.document_names:
-        build(view.qpts[doc_name], engine.database.get(doc_name).path_index)
+        build(
+            view.qpts[doc_name], engine.database.get(doc_name).path_index
+        ).tree
 
 
 def measure_cold_builds(rounds: int = 60) -> tuple[float, float]:
@@ -111,7 +114,10 @@ def test_snapshot_restore(benchmark, tmp_path):
         )
         pairs.append((indexed.fingerprint, qpt.content_hash))
     benchmark(
-        lambda: [store.load(fingerprint, qpt_hash) for fingerprint, qpt_hash in pairs]
+        lambda: [
+            store.load(fingerprint, qpt_hash).tree
+            for fingerprint, qpt_hash in pairs
+        ]
     )
 
 
@@ -128,27 +134,13 @@ def test_batched_and_legacy_builds_are_equivalent():
         qpt = view.qpts[doc_name]
         batched = build_skeleton(qpt, indexed.path_index)
         legacy = legacy_build_skeleton(qpt, indexed.path_index)
-        assert batched.ordered == legacy.ordered
-        assert batched.parents == legacy.parents
-        assert batched.slots == legacy.slots
+        assert batched.keys == legacy.ordered
         assert batched.bounds == legacy.bounds
         assert batched.slot_bounds == legacy.slot_bounds
         assert batched.entry_count == legacy.entry_count
-        for key, record in batched.records.items():
-            other = legacy.records[key]
-            assert (
-                record.tag,
-                record.value,
-                record.byte_length,
-                record.wants_value,
-                record.wants_content,
-            ) == (
-                other.tag,
-                other.value,
-                other.byte_length,
-                other.wants_value,
-                other.wants_content,
-            )
+        assert batched.to_bytes() == PDTSkeleton.from_records(
+            legacy.doc_name, legacy.records, legacy.entry_count
+        ).to_bytes()
         inv_lists = prepare_inv_lists(indexed.inverted_index, keywords)
         assert (
             annotate_skeleton(batched, inv_lists, keywords).tf_arrays

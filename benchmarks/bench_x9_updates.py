@@ -8,7 +8,7 @@ database (see ``repro.bench.experiments.measure_updates``):
   :class:`~repro.storage.update.DocumentDelta`, patchable skeletons are
   migrated across the generation bump and patched in place, and the view
   is re-warmed — the next query runs off surviving cache tiers;
-* **storm** — ``delta_maintenance=False``: the same edit silently
+* **storm** — the update hook detached: the same edit silently
   strands every generation-keyed cache entry, so the next query pays the
   full cold build (probe + skeleton + merge), which is what every write
   used to cost.
@@ -84,7 +84,8 @@ def test_post_edit_query_delta(benchmark):
 
 def test_post_edit_query_storm(benchmark):
     database, view_text, keywords, engine_cls = _shared_setup()
-    engine = engine_cls(database, delta_maintenance=False)
+    engine = engine_cls(database)
+    database.remove_update_hook(engine._on_document_update)
     view = engine.define_view("v", view_text)
     engine.search(view, keywords, top_k=5)
     root_id = database.get("articles.xml").document.root.dewey

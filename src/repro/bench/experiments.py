@@ -458,8 +458,10 @@ def measure_cold_path(
     view = engine.define_view("bench", view_for_params(params))
 
     def cold(build):
+        # Both sides end with the shared tree the first query needs (the
+        # legacy finalization builds it eagerly, the columns on demand).
         for doc_name in view.document_names:
-            build(view.qpts[doc_name], database.get(doc_name).path_index)
+            build(view.qpts[doc_name], database.get(doc_name).path_index).tree
 
     for _ in range(3):
         cold(build_skeleton)
@@ -492,7 +494,7 @@ def measure_cold_path(
             for _ in range(rounds):
                 start = _time.perf_counter()
                 for fingerprint, qpt_hash in pairs:
-                    store.load(fingerprint, qpt_hash)
+                    store.load(fingerprint, qpt_hash).tree
                 restore_samples.append(_time.perf_counter() - start)
     finally:
         if gc_was_enabled:
@@ -749,10 +751,10 @@ def measure_updates(
 
     * **delta** — the default engine: the update hook migrates patchable
       skeletons across the generation bump and re-warms the view;
-    * **storm** — ``delta_maintenance=False``: correctness comes from the
-      generation-keyed self-invalidation alone, so every edit strands the
-      entire cached state and the next query pays the full cold build
-      (the pre-delta write-path behavior).
+    * **storm** — the same engine with its update hook detached:
+      correctness comes from the generation-keyed self-invalidation
+      alone, so every edit strands the entire cached state and the next
+      query pays the full cold build (the pre-delta write-path behavior).
 
     Each round applies one patchable edit (alternating insert/delete of a
     ``<zaux>`` aside under the articles root — a tag no view references),
@@ -786,7 +788,8 @@ def measure_updates(
         database, snapshot_store=SkeletonStore(snapshot_dir.name)
     )
     delta_view = delta_engine.define_view("v", view_text)
-    storm_engine = KeywordSearchEngine(database, delta_maintenance=False)
+    storm_engine = KeywordSearchEngine(database)
+    database.remove_update_hook(storm_engine._on_document_update)
     storm_view = storm_engine.define_view("v", view_text)
 
     delta_engine.search(delta_view, keywords, top_k=top_k)
@@ -914,8 +917,9 @@ def _repetitive_corpus(
 
     Every document carries the same ``<feed><entry>...`` element tree —
     only the text values differ per document — which is the shape a
-    syndicated corpus's per-source mirrors have and the workload DAG
-    compression exists for.  Every document contains every keyword of
+    syndicated corpus's per-source mirrors have (and the one sharing
+    structure across skeletons would gain most on: see README,
+    *Memory*).  Every document contains every keyword of
     ``pool``, so rotating the probe keyword never short-circuits the
     annotation path.
     """
@@ -943,112 +947,134 @@ def _feed_view(name: str) -> str:
     )
 
 
+def deep_sizeof(roots: tuple) -> int:
+    """Estimate the resident bytes of an object graph (id-deduplicated).
+
+    Walks the containers and model objects a materialized skeleton owns
+    — record table, decoded ids, tree; shared sub-objects (interned
+    strings, shared tuples) are counted once.  The reference the
+    skeleton tier's arithmetic ``memory_bytes`` gauge is held to, and
+    the size of the eager object graph its columns replaced.
+    """
+    import sys
+
+    from repro.core.pdt import PDTRecord
+    from repro.dewey import DeweyID
+    from repro.xmlmodel.node import NodeAnnotations, XMLNode
+
+    getsizeof = sys.getsizeof
+    seen: set[int] = set()
+    total = 0
+    stack: list = list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += getsizeof(obj)
+        if type(obj) is dict:
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif type(obj) in (tuple, list, set, frozenset):
+            stack.extend(obj)
+        elif type(obj) is PDTRecord:
+            stack += (obj.key, obj.tag, obj.value)
+        elif type(obj) is XMLNode:
+            stack += (obj.tag, obj.text, obj.children, obj.anno)
+        elif type(obj) is NodeAnnotations:
+            stack += (obj.dewey, obj.term_frequencies, obj.doc)
+        elif type(obj) is DeweyID:
+            stack += (obj.components, obj._packed)
+    return total
+
+
+def eager_graph_bytes(graph) -> int:
+    """:func:`deep_sizeof` of everything a
+    :class:`repro.core.pdt_legacy.LegacySkeleton` holds — what a
+    skeleton-tier entry was before it was columns."""
+    return deep_sizeof(
+        (
+            graph.records,
+            graph.ordered,
+            graph.dewey_ids,
+            graph.parents,
+            graph.slots,
+            graph.bounds,
+            graph.slot_bounds,
+            graph.tree,
+        )
+    )
+
+
 def measure_memory(
     doc_count: int = 12,
     items: int = 48,
     rounds: int = 6,
     top_k: int = 5,
 ) -> dict[str, float]:
-    """DAG compression + mmap snapshots vs the eager representation.
+    """The columnar skeleton tier and mmap snapshots, on one repetitive
+    corpus (:func:`_repetitive_corpus`).
 
-    Three claims, one repetitive corpus (:func:`_repetitive_corpus`):
-
-    * **memory** — summed skeleton-tier ``memory_bytes`` of a
-      ``dag_compression=True`` engine (shared shape table included)
-      against the same tier holding eager :class:`PDTSkeleton` objects;
-    * **warm latency** — skeleton-warm queries (a fresh keyword every
-      round, so the PDT tier never serves and the annotation merge-join
-      actually runs over each representation), interleaved minimums with
-      the garbage collector paused;
+    * **memory** — the skeleton tier's ``memory_bytes`` (every column of
+      every skeleton; nothing is shared, so nothing is left out)
+      against :func:`deep_sizeof` of the materialized object graph the
+      columns replace: per skeleton the record table, decoded ids,
+      parent/slot arrays, bounds and the assembled tree, as
+      :mod:`repro.core.pdt_legacy`'s finalization still builds them;
     * **restore** — loading every snapshot of the corpus through
       ``SkeletonStore(mmap_mode=True)`` (header-validated page mapping)
-      against the eager parse-everything load.
+      against the eager decode-everything load.
 
-    Alongside the wall times the dict carries the deterministic
-    evidence: shape-table sharing counters, exact ranked-outcome
-    equality between the two engines, and byte equality between the
-    mapped and eager restore payloads — the self-enforcing bench
-    asserts these on every attempt.
+    Alongside, the deterministic evidence: exact ranked-outcome equality
+    between the tier-backed engine and a cache-free one, and byte
+    equality between the mapped and eager restore payloads — the
+    self-enforcing bench asserts these on every attempt.
     """
     import gc
     import tempfile
     import time as _time
     from pathlib import Path
 
+    from repro.core.pdt_legacy import legacy_build_skeleton
     from repro.core.snapshot import SkeletonStore
 
     pool = [f"mem{i:02d}" for i in range(max(rounds + 3, 8))]
     docs = _repetitive_corpus(doc_count, items, pool)
     names = sorted(docs)
-
-    def build(dag: bool, store: Optional[SkeletonStore] = None):
-        database = XMLDatabase()
-        for name in names:
-            database.load_document(name, docs[name])
-        engine = KeywordSearchEngine(
-            database, dag_compression=dag, snapshot_store=store
-        )
-        views = [
-            engine.define_view(f"v{i}", _feed_view(name))
-            for i, name in enumerate(names)
-        ]
-        for view in views:
-            engine.warm_view(view)
-        return engine, views
-
-    compressed_engine, compressed_views = build(True)
-    eager_engine, eager_views = build(False)
-
-    compressed_bytes = (
-        compressed_engine.cache.skeletons.memory_bytes
-        + compressed_engine.shape_table.memory_bytes()
-    )
-    eager_bytes = eager_engine.cache.skeletons.memory_bytes
-    shape_stats = compressed_engine.shape_table.stats()
-
-    # Exact ranked-outcome equality — timing a wrong answer means nothing.
-    identical = 1.0
-    probe = [pool[0], pool[1]]
-    for cview, eview in zip(compressed_views, eager_views):
-        cout = compressed_engine.search_detailed(cview, probe, top_k=top_k)
-        eout = eager_engine.search_detailed(eview, probe, top_k=top_k)
-        if [(r.rank, r.score, r.scored.index) for r in cout.results] != [
-            (r.rank, r.score, r.scored.index) for r in eout.results
-        ]:
-            identical = 0.0
-
-    compressed_samples: list[float] = []
-    eager_samples: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for r in range(rounds):
-            keywords = [pool[(r + 3) % len(pool)]]
-            start = _time.perf_counter()
-            for view in compressed_views:
-                compressed_engine.search(view, keywords, top_k=top_k)
-            compressed_samples.append(_time.perf_counter() - start)
-            start = _time.perf_counter()
-            for view in eager_views:
-                eager_engine.search(view, keywords, top_k=top_k)
-            eager_samples.append(_time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect()
+    database = XMLDatabase()
+    for name in names:
+        database.load_document(name, docs[name])
 
     with tempfile.TemporaryDirectory() as raw:
         store_root = Path(raw) / "snapshots"
-        builder, _ = build(False, store=SkeletonStore(store_root))
+        engine = KeywordSearchEngine(
+            database, snapshot_store=SkeletonStore(store_root)
+        )
+        rebuilding = KeywordSearchEngine(database, enable_cache=False)
+        identical = 1.0
+        graph_bytes = 0
         entries = []
-        for view in builder._views.values():
-            for doc_name, qpt in view.qpts.items():
-                entries.append(
-                    (
-                        builder.database.get(doc_name).fingerprint,
-                        qpt.content_hash,
-                    )
-                )
+        for i, name in enumerate(names):
+            view = engine.define_view(f"v{i}", _feed_view(name))
+            engine.warm_view(view)
+            reference = rebuilding.define_view(f"v{i}", _feed_view(name))
+            # Exact ranked-outcome equality — sizing a wrong answer
+            # means nothing.
+            if [
+                (r.rank, r.score, r.scored.index)
+                for r in engine.search(view, pool[:2], top_k=top_k)
+            ] != [
+                (r.rank, r.score, r.scored.index)
+                for r in rebuilding.search(reference, pool[:2], top_k=top_k)
+            ]:
+                identical = 0.0
+            indexed = database.get(name)
+            graph_bytes += eager_graph_bytes(
+                legacy_build_skeleton(view.qpts[name], indexed.path_index)
+            )
+            entries.append((indexed.fingerprint, view.qpts[name].content_hash))
+        column_bytes = engine.cache.skeletons.memory_bytes
+
         eager_store = SkeletonStore(store_root)
         mapped_store = SkeletonStore(store_root, mmap_mode=True)
         bit_identical = 1.0
@@ -1063,6 +1089,7 @@ def measure_memory(
                 bit_identical = 0.0
         eager_restore: list[float] = []
         mapped_restore: list[float] = []
+        gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             for _ in range(rounds):
@@ -1072,29 +1099,20 @@ def measure_memory(
                 eager_restore.append(_time.perf_counter() - start)
                 start = _time.perf_counter()
                 for fingerprint, qpt_hash in entries:
-                    mapped_store.load(fingerprint, qpt_hash)
+                    mapped_store.load(fingerprint, qpt_hash).close()
                 mapped_restore.append(_time.perf_counter() - start)
         finally:
             if gc_was_enabled:
                 gc.enable()
                 gc.collect()
 
-    warm_compressed_ms = min(compressed_samples) * 1000.0
-    warm_eager_ms = min(eager_samples) * 1000.0
     eager_restore_ms = min(eager_restore) * 1000.0
     mapped_restore_ms = min(mapped_restore) * 1000.0
     return {
-        "compressed_kib": compressed_bytes / 1024.0,
-        "eager_kib": eager_bytes / 1024.0,
+        "column_bytes": float(column_bytes),
+        "graph_bytes": float(graph_bytes),
         "memory_reduction": (
-            eager_bytes / compressed_bytes if compressed_bytes else float("inf")
-        ),
-        "warm_compressed_ms": warm_compressed_ms,
-        "warm_eager_ms": warm_eager_ms,
-        "warm_ratio": (
-            warm_compressed_ms / warm_eager_ms
-            if warm_eager_ms
-            else float("inf")
+            graph_bytes / column_bytes if column_bytes else float("inf")
         ),
         "eager_restore_ms": eager_restore_ms,
         "mmap_restore_ms": mapped_restore_ms,
@@ -1103,8 +1121,6 @@ def measure_memory(
             if mapped_restore_ms
             else float("inf")
         ),
-        "shapes": float(shape_stats["shapes"]),
-        "shape_hits": float(shape_stats["hits"]),
         "skeletons": float(len(entries)),
         "identical_results": identical,
         "snapshot_bit_identical": bit_identical,
@@ -1112,30 +1128,26 @@ def measure_memory(
 
 
 def run_x10_memory(repeats: int = 1) -> ExperimentTable:
-    """X10: memory at scale — DAG compression and zero-copy restores.
+    """X10: memory at scale — columnar skeletons and zero-copy restores.
 
-    The self-enforcing floors (≥3x skeleton-tier reduction, warm ratio
-    ≤1.25x, mmap restore ≥2x) live in
+    The self-enforcing floors (≥3x fewer bytes than the object graph the
+    columns replace, tier bytes within 5% of the last DAG-compressed
+    figure, mmap restore ≥2x) live in
     ``benchmarks/bench_x10_memory.py``; this table records the gap at
     two corpus widths.
     """
     rounds = max(5, 5 * repeats)
     table = ExperimentTable(
         experiment_id="X10",
-        title="Memory at scale (skeleton tier KiB, warm ms, restore ms)",
+        title="Memory at scale (skeleton tier bytes, restore ms)",
         parameter="doc_count",
         columns=[
-            "compressed_kib",
-            "eager_kib",
+            "column_bytes",
+            "graph_bytes",
             "memory_reduction",
-            "warm_compressed_ms",
-            "warm_eager_ms",
-            "warm_ratio",
             "eager_restore_ms",
             "mmap_restore_ms",
             "restore_speedup",
-            "shapes",
-            "shape_hits",
             "skeletons",
             "identical_results",
             "snapshot_bit_identical",
@@ -1145,10 +1157,10 @@ def run_x10_memory(repeats: int = 1) -> ExperimentTable:
         numbers = measure_memory(doc_count=doc_count, rounds=rounds)
         table.add_row(doc_count, **numbers)
     table.note(
-        "acceptance floors: >= 3x skeleton-tier byte reduction on the "
-        "repetitive corpus, skeleton-warm latency <= 1.25x of the "
-        "uncompressed engine, mmap restore >= 2x faster than the eager "
-        "parse (self-enforced by benchmarks/bench_x10_memory.py)"
+        "acceptance floors: the skeleton tier's columns take >= 3x fewer "
+        "bytes than the materialized object graph on the repetitive "
+        "corpus, mmap restore >= 2x faster than the eager decode "
+        "(self-enforced by benchmarks/bench_x10_memory.py)"
     )
     return table
 

@@ -118,10 +118,9 @@ class CacheStats:
 def default_sizer(value: Any) -> int:
     """Bytes a cached value reports for budget accounting.
 
-    Values expose a ``memory_bytes`` attribute (skeletons — compressed
-    or eager — and mapped snapshots all do); anything without one is
-    accounted as free, so byte budgets constrain exactly the tiers
-    whose values opted into accounting.
+    Values expose a ``memory_bytes`` attribute (skeletons do);
+    anything without one is accounted as free, so byte budgets
+    constrain exactly the tiers whose values opted into accounting.
     """
     size = getattr(value, "memory_bytes", 0)
     return size if isinstance(size, int) else 0
@@ -135,11 +134,12 @@ def close_value(value: Any) -> None:
     """The default on-evict hook: release a value that holds resources.
 
     Values that own something beyond heap memory expose ``close()`` —
-    :class:`repro.core.snapshot.MappedSkeleton` holds an open mmap whose
-    pages and file handle survive until garbage collection otherwise, a
-    real leak on a long-running server whose byte budget keeps churning
-    the skeleton tier.  Everything else (prepared lists, PDTs, result
-    tuples) has no ``close`` and is left to the collector.
+    a skeleton an ``mmap_mode`` store loaded holds an open mapping until
+    its columns are decoded, whose pages and file handle survive until
+    garbage collection otherwise, a real leak on a long-running server
+    whose byte budget keeps churning the skeleton tier.  Everything else
+    (prepared lists, PDTs, result tuples) has no ``close`` and is left
+    to the collector.
     """
     close = getattr(value, "close", None)
     if callable(close):
@@ -250,7 +250,7 @@ class LRUCache:
     ) -> bool:
         """Whether ``put(key, ..., scan_started)`` would keep the entry.
 
-        Lets a caller skip preparing a value (compressing, measuring)
+        Lets a caller skip a ``put`` (which measures the value first)
         that the entry-count bound is about to turn away; a refusal is
         counted as ``bypassed`` here, standing in for the ``put`` the
         caller then omits.  The byte budget cannot be judged before the
@@ -637,9 +637,8 @@ class QueryCache:
     #: Optional per-tier byte budgets (``None`` = unbounded bytes, the
     #: entry-count capacity still applies).  Values report their own
     #: footprint through ``memory_bytes`` (see
-    #: :func:`default_sizer`) — DAG-compressed skeletons report the
-    #: compressed per-instance footprint, so a budget buys
-    #: correspondingly more resident views on repetitive corpora.
+    #: :func:`default_sizer`) — skeletons report their columns, not
+    #: the object graph of the tree built from them.
     prepared_byte_budget: Optional[int] = None
     pdt_byte_budget: Optional[int] = None
     skeleton_byte_budget: Optional[int] = None

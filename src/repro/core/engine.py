@@ -31,16 +31,13 @@ from typing import Callable, Optional, Sequence, Union
 from repro.core.cache import QueryCache
 from repro.core.materialize import materialize_result
 from repro.core.pdt import (
-    CompressedSkeleton,
     PDTResult,
     PDTSkeleton,
     annotate_skeleton,
     build_skeleton,
-    compress_skeleton,
     generate_pdt,
     patch_skeleton_byte_lengths,
 )
-from repro.core.shapes import ShapeTable
 from repro.core.prepare import (
     PreparedLists,
     prepare_inv_lists,
@@ -283,9 +280,6 @@ class KeywordSearchEngine:
         cache: Optional[QueryCache] = None,
         enable_cache: bool = True,
         snapshot_store: Optional["SkeletonStore"] = None,
-        delta_maintenance: bool = True,
-        dag_compression: bool = True,
-        shape_table: Optional[ShapeTable] = None,
     ):
         self.database = database
         self.normalize_scores = normalize_scores
@@ -294,17 +288,6 @@ class KeywordSearchEngine:
         self._timing_hooks: list[Callable[[str, "SearchOutcome"], None]] = []
         self._views: dict[str, View] = {}
         self._closed = False
-        #: DAG-compress every skeleton entering the skeleton tier (and
-        #: every snapshot restore) against ``shape_table`` — isomorphic
-        #: subtree structures are stored once across all of this
-        #: engine's skeletons.  ``dag_compression=False`` keeps the
-        #: eager uncompressed path (ablation / difftest cross-checks).
-        #: Pass a shared :class:`~repro.core.shapes.ShapeTable` to pool
-        #: structure across engines (the sharded executors do).
-        self.dag_compression = dag_compression
-        if shape_table is None and dag_compression:
-            shape_table = ShapeTable()
-        self.shape_table = shape_table
         if cache is None and enable_cache:
             cache = QueryCache()
         self.cache = cache
@@ -320,19 +303,14 @@ class KeywordSearchEngine:
         #: engine restarts and sibling processes sharing the directory
         #: load structural work instead of rebuilding it.
         self.snapshot_store = snapshot_store
-        #: Delta-aware write path: when on (the default), sub-document
-        #: updates migrate patchable skeleton-tier entries (and the
-        #: evaluated entries over them) to the new generation instead of
-        #: orphaning them, forward snapshots to the new
-        #: fingerprint, and re-warm the affected views so the next query
-        #: lands warm.  Off, an update behaves like the old invalidation
-        #: storm: the bumped generation orphans every tier and the next
-        #: query is cold.
-        self.delta_maintenance = delta_maintenance
         if cache is not None:
             database.add_invalidation_hook(self._on_document_change)
-            if delta_maintenance:
-                database.add_update_hook(self._on_document_update)
+            # The delta-aware write path: sub-document updates migrate
+            # patchable skeleton-tier entries (and the evaluated entries
+            # over them) to the new generation instead of orphaning
+            # them, forward snapshots to the new fingerprint, and
+            # re-warm the affected views so the next query lands warm.
+            database.add_update_hook(self._on_document_update)
 
     @property
     def last_timings(self) -> Optional[PhaseTimings]:
@@ -471,29 +449,42 @@ class KeywordSearchEngine:
             if view.name in patched_views:
                 skeleton = patched_by_hash.get(qpt_hash)
                 if skeleton is None:
-                    restored = store.load(delta.old_fingerprint, qpt_hash)
-                    if restored is not None and restored.doc_name == delta.doc_name:
+                    skeleton = self._restore(
+                        store, delta.old_fingerprint, qpt_hash, delta.doc_name
+                    )
+                    if skeleton is not None:
                         patch_skeleton_byte_lengths(
-                            restored, delta.ancestor_keys, delta.length_delta
+                            skeleton, delta.ancestor_keys, delta.length_delta
                         )
-                        skeleton = restored
                 if skeleton is not None:
                     store.save(new_fingerprint, qpt_hash, skeleton)
             store.discard(delta.old_fingerprint, qpt_hash)
 
-    # -- skeleton interning / lifecycle -----------------------------------------
+    # -- snapshot tier / lifecycle --------------------------------------------
 
-    def _intern_skeleton(
-        self, skeleton: Union[PDTSkeleton, CompressedSkeleton]
-    ) -> Union[PDTSkeleton, CompressedSkeleton]:
-        """DAG-compress ``skeleton`` against the engine's shape table.
+    @staticmethod
+    def _restore(
+        store: SkeletonStore, fingerprint: str, qpt_hash: str, doc_name: str
+    ) -> Optional[PDTSkeleton]:
+        """A stored skeleton this engine may serve, columns decoded —
+        or ``None``: build it.
 
-        Identity when ``dag_compression`` is off — the uncompressed (or
-        mmap-backed) skeleton then enters the cache tier as-is.
+        An ``mmap_mode`` store admits a payload on its header alone, so
+        the columns are decoded (and validated) here; when they are
+        corrupt the store has counted the miss and reclaimed the file by
+        the time ``decode`` raises, exactly as its eager load would
+        have.  A mismatched ``doc_name`` would mean a digest collision
+        or a store shared across differently-named loads of the same
+        content — never served blind.
         """
-        if not self.dag_compression or self.shape_table is None:
-            return skeleton
-        return compress_skeleton(skeleton, self.shape_table)
+        restored = store.load(fingerprint, qpt_hash)
+        if restored is None or restored.doc_name != doc_name:
+            return None
+        try:
+            restored.decode()
+        except ValueError:
+            return None
+        return restored
 
     def prune_snapshots(self) -> int:
         """Drop persistent snapshots no live ``(document, view)`` pair can
@@ -532,8 +523,7 @@ class KeywordSearchEngine:
         self._closed = True
         if self.cache is not None:
             self.database.remove_invalidation_hook(self._on_document_change)
-            if self.delta_maintenance:
-                self.database.remove_update_hook(self._on_document_update)
+            self.database.remove_update_hook(self._on_document_update)
         self.prune_snapshots()
 
     def __enter__(self) -> "KeywordSearchEngine":
@@ -843,9 +833,8 @@ class KeywordSearchEngine:
         A view with more documents than a tier holds sweeps it in the
         same order every query; every put carries ``scan_started`` so
         the sweep keeps what it already used instead of flooding the
-        tier, and a skeleton the tier turns away is used for this query
-        uncompressed and unmeasured, then dropped.  Without a
-        ``scan_started`` the sweep starts here.
+        tier, and a skeleton the tier turns away is used for this query,
+        then dropped.  Without a ``scan_started`` the sweep starts here.
         """
         if scan_started is None:
             scan_started = time.perf_counter()
@@ -901,13 +890,10 @@ class KeywordSearchEngine:
                     # prepared tier warm, rebuilding from the cached
                     # lists (no probes) is strictly cheaper than a file
                     # read + deserialize + finalization round trip.
-                    restored = store.load(indexed.fingerprint, qpt_hash)
-                    if restored is not None and restored.doc_name == doc_name:
-                        # (A mismatched doc_name would mean a digest
-                        # collision or a store shared across
-                        # differently-named loads of the same content —
-                        # never served blind.)
-                        skeleton = restored
+                    skeleton = self._restore(
+                        store, indexed.fingerprint, qpt_hash, doc_name
+                    )
+                    if skeleton is not None:
                         hit = "snapshot"
                 if skeleton is None:
                     if lists is None:
@@ -928,9 +914,6 @@ class KeywordSearchEngine:
                     )
                     if cacheable:
                         if store is not None:
-                            # Serialize from the eager form *before*
-                            # interning (identical bytes either way; the
-                            # eager skeleton still has its columns hot).
                             # A failed snapshot write costs the *next*
                             # process a rebuild; it must never fail the
                             # query that already has its skeleton.
@@ -943,11 +926,6 @@ class KeywordSearchEngine:
                 if cacheable and cache.skeletons.admits(
                     skeleton_key, scan_started
                 ):
-                    # Interning seeds the compressed skeleton's weak tree
-                    # reference from the tree just built, so the
-                    # annotation below reuses it instead of
-                    # re-materializing.
-                    skeleton = self._intern_skeleton(skeleton)
                     cache.skeletons.put(skeleton_key, skeleton, scan_started)
             if timings is not None:
                 timings.pdt_skeleton += time.perf_counter() - start

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.routing import ShardRouter
-from repro.core.shapes import ShapeTable
 from repro.core.sharding import (
     CorpusCoordinator,
     ShardExecutor,
@@ -81,7 +80,6 @@ def ingest_corpus(
     workers: Optional[int] = None,
     parallel: bool = True,
     router: Optional[ShardRouter] = None,
-    dag_compression: bool = True,
     mmap_snapshots: bool = False,
 ) -> tuple[CorpusCoordinator, IngestReport]:
     """Build a warm sharded corpus in one call.
@@ -89,11 +87,9 @@ def ingest_corpus(
     ``documents`` maps document names to XML text; ``views`` maps view
     names to view definition text.  Returns the ready coordinator and
     the ingest manifest.  ``workers`` bounds the parse/index pool
-    (default: one per document, capped at 8).  ``dag_compression``
-    shares one shape table across *all* shard engines, so isomorphic
-    skeleton structure is stored once corpus-wide, not once per shard.
-    ``mmap_snapshots`` makes each shard's snapshot slice memory-map
-    payloads on restore instead of parsing them eagerly.
+    (default: one per document, capped at 8).  ``mmap_snapshots``
+    makes each shard's snapshot slice memory-map payloads on restore
+    instead of decoding them at load.
     """
     timings: dict[str, float] = {}
 
@@ -142,7 +138,6 @@ def ingest_corpus(
     # Step 3: attach to home shards, define views, warm everything.
     start = time.perf_counter()
     executors = []
-    shape_table = ShapeTable() if dag_compression else None
     for shard_id in range(shard_count):
         store = None
         if snapshot_dir is not None:
@@ -150,14 +145,7 @@ def ingest_corpus(
                 Path(snapshot_dir) / f"shard-{shard_id:02d}",
                 mmap_mode=mmap_snapshots,
             )
-        executors.append(
-            ShardExecutor(
-                shard_id,
-                snapshot_store=store,
-                dag_compression=dag_compression,
-                shape_table=shape_table,
-            )
-        )
+        executors.append(ShardExecutor(shard_id, snapshot_store=store))
     for record in indexed:
         executors[plan.shard_of(record.name)].adopt_document(record)
     coordinator = CorpusCoordinator(executors, plan, parallel=parallel)

@@ -38,7 +38,7 @@ bytes with no per-element tuple allocation.
 
 The keyword-independent half of the work is captured by
 :class:`PDTSkeleton` (cached per ``(view, document)`` by the engine): the
-surviving records, their nesting (precomputed parent indices), the shared
+surviving records as flat columns (the v2 wire format's own), the shared
 assembled tree, and — for every content node — its subtree boundary keys
 resolved to indices into one sorted bounds array.  The per-query half,
 :func:`annotate_skeleton`, is then a single merge-join sweep per keyword
@@ -55,9 +55,11 @@ from __future__ import annotations
 import struct
 import sys
 import weakref
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import accumulate, compress, islice
+from typing import Callable, Optional
 
 from repro.core.prepare import (
     PreparedLists,
@@ -65,12 +67,11 @@ from repro.core.prepare import (
     prepare_lists,
     prepare_path_lists,
 )
-from repro.core.shapes import Shape, ShapeTable, forest_columns
 from repro.storage.inverted_index import PostingList
 from repro.core.qpt import QPT, QPTNode
 from repro.dewey import (
     DeweyID,
-    pack_component,
+    packed_child_bound,
     packed_prefix_ends,
     unpack,
 )
@@ -820,57 +821,20 @@ _SIZEOF_STR = sys.getsizeof("")
 _SIZEOF_INT = sys.getsizeof(1 << 20)
 _SIZEOF_PAIR = sys.getsizeof((0, 0))
 
-
-def _deep_sizeof(roots: tuple) -> int:
-    """Estimate the resident bytes of an object graph (id-deduplicated).
-
-    Walks the containers and model objects a skeleton owns; shared
-    sub-objects (interned strings, shared tuples) are counted once.  An
-    estimate, not an audit — it feeds cache byte budgets and the memory
-    benchmarks, where relative footprint is what matters.
-    """
-    getsizeof = sys.getsizeof
-    seen: set[int] = set()
-    add_seen = seen.add
-    total = 0
-    stack: list = list(roots)
-    while stack:
-        obj = stack.pop()
-        if obj is None:
-            continue
-        oid = id(obj)
-        if oid in seen:
-            continue
-        add_seen(oid)
-        try:
-            total += getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects
-            total += 64
-        if type(obj) is dict:
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif type(obj) in (tuple, list, set, frozenset):
-            stack.extend(obj)
-        elif type(obj) is PDTRecord:
-            stack.append(obj.key)
-            stack.append(obj.tag)
-            stack.append(obj.value)
-        elif type(obj) is XMLNode:
-            stack.append(obj.tag)
-            stack.append(obj.text)
-            stack.append(obj.children)
-            stack.append(obj.anno)
-        elif type(obj) is NodeAnnotations:
-            stack.append(obj.dewey)
-            stack.append(obj.term_frequencies)
-            stack.append(obj.doc)
-        elif type(obj) is DeweyID:
-            stack.append(obj.components)
-            stack.append(obj._packed)
-    return total
+#: ``flags`` bits of one record (the wire's, and the in-memory column's).
+_WANTS_VALUE, _WANTS_CONTENT, _HAS_VALUE = 1, 2, 4
+_ALL_FLAGS = bytes(range(8))
+#: ``flags.translate(_IS_CONTENT)`` is 1 at content records, 0 elsewhere.
+_IS_CONTENT = bytes(1 if flag & _WANTS_CONTENT else 0 for flag in range(256))
+_VALUELESS_FLAGS = bytes(range(_HAS_VALUE))
+_NEXT_BYTE = [bytes((byte + 1,)) for byte in range(0xFF)]
+#: The columns a skeleton over an ``mmap`` decodes on first access.
+_COLUMNS = frozenset(
+    ("keys", "tag_ids", "tags", "flags", "values", "byte_lengths",
+     "bounds", "slot_bounds")
+)
 
 
-@dataclass
 class PDTSkeleton:
     """The keyword-independent structural part of a PDT.
 
@@ -884,84 +848,80 @@ class PDTSkeleton:
     document; :func:`annotate_skeleton` merges a query's posting lists
     onto it in one sweep per keyword with zero path-index work.
 
-    Beyond the records, a skeleton precomputes — once, at build time —
-    every structure the annotation pass would otherwise redo per query:
+    Its state *is* the v2 wire format's record columns (see the header
+    map below), in record (= document) order — one form whether the
+    skeleton was built, restored or patched, cached or not:
 
-    * ``tree``: the assembled PDT tree itself.  Values, byte lengths and
-      nesting are all keyword-independent, so one shared tree serves
-      every keyword set; content nodes carry their ``slot`` index and the
-      per-query tfs live in :attr:`PDTResult.tf_arrays`.
-    * ``bounds`` / ``slot_bounds``: the sorted, de-duplicated subtree
-      boundary keys of all content nodes, and per content slot the
-      ``(low, high)`` indices into ``bounds``.  One
-      ``PostingList.cumulative_below(bounds)`` sweep per keyword then
-      yields every content node's subtree tf by two array reads.
-    * ``dewey_ids`` / ``parents``: decoded ids (shared by all annotation
-      annotations) and parent positions, kept for diagnostics and for
-      rebuilding trees in tests.
+    * ``keys`` — the packed Dewey keys (sorted; bytes order = document
+      order, a byte prefix = an ancestor);
+    * ``tag_ids`` / ``tags`` — per record, an index into the distinct
+      tags in first-appearance order;
+    * ``flags`` — per record, bit 0 wants_value, bit 1 wants_content,
+      bit 2 value present;
+    * ``values`` — materialized atomic values (``None`` where absent);
+    * ``byte_lengths`` — signed and mutable, so delta maintenance can
+      patch them in place.
 
-    Skeletons are immutable in practice: everything is finalized when the
-    build ends and annotation passes only read, so one skeleton may be
-    annotated concurrently from many threads.
+    Derived from the columns once, because every annotation needs them:
+    ``bounds`` / ``slot_bounds`` — the sorted, de-duplicated subtree
+    boundary keys of all content nodes and, per content slot, the
+    ``(low, high)`` indices into ``bounds``; one
+    ``PostingList.cumulative_below(bounds)`` sweep per keyword then
+    yields every content node's subtree tf by two array reads.
+
+    ``tree``, the assembled PDT tree (values, byte lengths and nesting
+    are all keyword-independent, so one shared tree serves every keyword
+    set; content nodes carry their ``slot`` and the per-query tfs live
+    in :attr:`PDTResult.tf_arrays`), is memoized **weakly**: it is built
+    from the columns on demand and kept alive exactly as long as some
+    cached ``PDTResult`` / evaluated-tier entry references its nodes.
+    Slots are positional, so re-built trees are interchangeable.
+
+    Three ways in, and no conversion between them: :meth:`from_records`
+    (the sweep's output), :meth:`from_bytes` (decode and validate a
+    payload now) and :meth:`from_mapping` (validate an ``mmap``-ed
+    payload's header, decode its columns on first access).  Skeletons
+    are immutable in practice apart from the byte-length patches; the
+    lazy decode and the tree memo are idempotent and published by atomic
+    attribute writes, so a benign compute race between annotating
+    threads settles on equivalent state — the skeleton tier's
+    concurrent-read contract.
     """
 
-    doc_name: str
-    records: dict[bytes, PDTRecord]
-    ordered: tuple[bytes, ...]
-    entry_count: int
-    dewey_ids: tuple[DeweyID, ...]
-    parents: tuple[int, ...]
-    slots: tuple[Optional[int], ...]
-    content_count: int
-    bounds: tuple[bytes, ...]
-    slot_bounds: tuple[tuple[int, int], ...]
-    tree: XMLNode
+    __slots__ = (
+        "doc_name",
+        "entry_count",
+        "node_count",
+        "content_count",
+        "keys",
+        "tag_ids",
+        "tags",
+        "flags",
+        "values",
+        "byte_lengths",
+        "bounds",
+        "slot_bounds",
+        "_tree_ref",
+        "_memory_bytes",
+        "_pending",
+    )
 
-    @property
-    def node_count(self) -> int:
-        return len(self.records)
+    def __init__(self, doc_name: str, entry_count: int, node_count: int):
+        self.doc_name = doc_name
+        self.entry_count = entry_count
+        self.node_count = node_count
+        self._tree_ref: Optional[weakref.ref] = None
+        self._memory_bytes: Optional[int] = None
+        #: ``(layout, on_corrupt)`` of a payload not decoded yet.
+        self._pending: Optional[tuple] = None
 
     def stats(self) -> dict[str, int]:
         return {"nodes": self.node_count, "entries": self.entry_count}
 
-    @property
-    def memory_bytes(self) -> int:
-        """Estimated resident footprint (memoized deep object-graph size).
+    def __repr__(self) -> str:
+        return f"<PDTSkeleton {self.doc_name!r} nodes={self.node_count}>"
 
-        Counts everything the skeleton owns: the record table, decoded
-        ids, bounds and the fully-materialized shared tree.  Cache tiers
-        use this as the byte-budget sizer; the DAG-compressed form
-        (:class:`CompressedSkeleton`) reports a much smaller figure for
-        repetitive structure.
-        """
-        cached = self.__dict__.get("_memory_bytes")
-        if cached is None:
-            cached = _deep_sizeof(
-                (
-                    self.records,
-                    self.ordered,
-                    self.dewey_ids,
-                    self.parents,
-                    self.slots,
-                    self.bounds,
-                    self.slot_bounds,
-                    self.tree,
-                )
-            )
-            self.__dict__["_memory_bytes"] = cached
-        return cached
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Self-contained byte form (see :func:`serialize_skeleton`)."""
-        return serialize_skeleton(self)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "PDTSkeleton":
-        """Inverse of :meth:`to_bytes`; raises ``ValueError`` on corrupt
-        payloads (see :func:`deserialize_skeleton`)."""
-        return deserialize_skeleton(payload)
+    # -- the three ways in ---------------------------------------------------
 
     @classmethod
     def from_records(
@@ -970,49 +930,178 @@ class PDTSkeleton:
         records: dict[bytes, PDTRecord],
         entry_count: int,
     ) -> "PDTSkeleton":
-        """Finalize merge-pass records into an annotated-query-ready form.
+        """Finalize merge-pass records: sort them and lay out the columns."""
+        keys = tuple(sorted(records))
+        ordered = [records[key] for key in keys]
+        tag_index: dict[str, int] = {}
+        tag_ids = [
+            tag_index.setdefault(record.tag, len(tag_index))
+            for record in ordered
+        ]
+        skeleton = cls(doc_name, entry_count, len(keys))
+        skeleton._publish(
+            keys,
+            # Unlike the wire's u16, memory takes any number of tags.
+            array("H" if len(tag_index) <= 0xFFFF else "I", tag_ids),
+            tuple(tag_index),
+            bytes(
+                [
+                    (_WANTS_VALUE if record.wants_value else 0)
+                    | (_WANTS_CONTENT if record.wants_content else 0)
+                    | (_HAS_VALUE if record.value is not None else 0)
+                    for record in ordered
+                ]
+            ),
+            tuple([record.value for record in ordered]),
+            array("q", [record.byte_length for record in ordered]),
+        )
+        return skeleton
 
-        One fused pass over the sorted records builds the parent
-        positions, the decoded ids, the content-slot bounds *and* the
-        shared tree (Definition 3's edge set: parent = nearest emitted
-        ancestor).  Ids are decoded incrementally — a record's components
-        extend its parent's already-decoded tuple by the unpacked key
-        suffix — so the pass never re-decodes an ancestor prefix.
+    @classmethod
+    def from_bytes(cls, payload: bytes) -> "PDTSkeleton":
+        """Inverse of :meth:`to_bytes`; raises ``ValueError`` on corrupt
+        payloads (see :func:`deserialize_skeleton`)."""
+        return deserialize_skeleton(payload)
+
+    @classmethod
+    def from_mapping(
+        cls, mapping, on_corrupt: Optional[Callable[[], None]] = None
+    ) -> "PDTSkeleton":
+        """A skeleton over an ``mmap``-ed payload, decoded on first access.
+
+        Validates the offset-table header in O(1) (``ValueError`` as for
+        :meth:`from_bytes`); ``doc_name``, ``entry_count``,
+        ``node_count`` and ``content_count`` — what an engine checks
+        before admitting a snapshot — never touch the columns, which
+        stay on disk until something reads one.  Column corruption
+        therefore surfaces at :meth:`decode`, not here.  The skeleton
+        owns ``mapping`` and closes it once decoded (or on
+        :meth:`close`).
         """
-        if not records:
-            return cls(
-                doc_name=doc_name,
-                records=records,
-                ordered=(),
-                entry_count=entry_count,
-                dewey_ids=(),
-                parents=(),
-                slots=(),
-                content_count=0,
-                bounds=(),
-                slot_bounds=(),
-                tree=XMLNode(EMPTY_TAG),
-            )
-        ordered_items = sorted(records.items())
-        ordered = tuple(key for key, _ in ordered_items)
+        layout = SkeletonLayout(mapping)
+        skeleton = cls(
+            layout.doc_name, layout.entry_count, layout.record_count
+        )
+        skeleton.content_count = layout.content_count
+        skeleton._pending = (layout, on_corrupt)
+        return skeleton
+
+    def decode(self) -> None:
+        """Decode and validate a :meth:`from_mapping` skeleton's columns now.
+
+        Raises ``ValueError`` when they are corrupt, after calling
+        ``on_corrupt`` (once) so whoever served the payload can take it
+        back.  A no-op on a skeleton that has its columns.
+        """
+        pending = self._pending
+        if pending is None:
+            return
+        layout, on_corrupt = pending
+        try:
+            columns = layout.columns()
+        except ValueError:
+            if self._pending is None:
+                # A racing decode() published the columns and released
+                # the mapping under this one (or close() did).
+                return
+            if on_corrupt is not None:
+                self._pending = (layout, None)
+                on_corrupt()
+            raise
+        self._publish(*columns)
+        self._pending = None
+        layout.payload.close()
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a column, before decode() — or
+        # while a racing decode() publishes, which makes this one a no-op.
+        if name in _COLUMNS:
+            self.decode()
+            return object.__getattribute__(self, name)
+        raise AttributeError(name)
+
+    def close(self) -> None:
+        """Release the mapping of a skeleton never decoded (idempotent)."""
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            pending[0].payload.close()
+
+    def _publish(
+        self,
+        keys: tuple[bytes, ...],
+        tag_ids: array,
+        tags: tuple[str, ...],
+        flags: bytes,
+        values: tuple[Optional[str], ...],
+        byte_lengths: array,
+    ) -> None:
+        """Set the columns and what is derived from them (the one
+        finalization every way in shares)."""
+        content_keys = list(compress(keys, flags.translate(_IS_CONTENT)))
+        # packed_child_bound, minus the scan for the last component when
+        # adding one to it carries nowhere: then only the last byte moves.
+        uppers = [
+            key[:-1] + _NEXT_BYTE[key[-1]]
+            if key[-1] != 0xFF
+            else packed_child_bound(key)
+            for key in content_keys
+        ]
+        bounds = tuple(sorted(set(content_keys).union(uppers)))
+        index_of = {bound: at for at, bound in enumerate(bounds)}.__getitem__
+        slot_bounds = tuple(
+            zip(map(index_of, content_keys), map(index_of, uppers))
+        )
+        self.keys = keys
+        self.tag_ids = tag_ids
+        self.tags = tags
+        self.flags = flags
+        self.values = values
+        self.byte_lengths = byte_lengths
+        self.content_count = len(content_keys)
+        self.bounds = bounds
+        self.slot_bounds = slot_bounds
+
+    # -- the shared tree -----------------------------------------------------
+
+    @property
+    def tree(self) -> XMLNode:
+        ref = self._tree_ref
+        tree = ref() if ref is not None else None
+        if tree is None:
+            tree = self._build_tree()
+            self._tree_ref = weakref.ref(tree)
+        return tree
+
+    def _build_tree(self) -> XMLNode:
+        """Nest the records into the shared tree (Definition 3's edge
+        set: parent = nearest emitted ancestor).
+
+        Ids are decoded incrementally — a record's components extend its
+        parent's already-decoded tuple by the unpacked key suffix — so
+        the pass never re-decodes an ancestor prefix.
+        """
+        keys = self.keys
+        if not keys:
+            return XMLNode(EMPTY_TAG)
+        tags = self.tags
+        tag_ids = self.tag_ids
+        flags = self.flags
+        values = self.values
+        byte_lengths = self.byte_lengths
+        doc_name = self.doc_name
         dewey_ids: list[DeweyID] = []
-        parents: list[int] = []
-        slots: list[Optional[int]] = []
-        bound_keys: set[bytes] = set()
-        content_ranges: list[tuple[bytes, bytes]] = []
         stack: list[int] = []
         nodes: list[XMLNode] = []
         top_level: list[XMLNode] = []
+        slot_count = 0
         append_dewey = dewey_ids.append
-        append_parent = parents.append
-        append_slot = slots.append
         append_node = nodes.append
-        add_bound = bound_keys.add
         new_dewey = DeweyID.__new__
         new_node = XMLNode.__new__
         new_anno = NodeAnnotations.__new__
-        for position, (key, record) in enumerate(ordered_items):
-            while stack and not key.startswith(ordered[stack[-1]]):
+        for position, key in enumerate(keys):
+            while stack and not key.startswith(keys[stack[-1]]):
                 stack.pop()
             if stack:
                 parent = stack[-1]
@@ -1029,49 +1118,32 @@ class PDTSkeleton:
             else:
                 parent = -1
                 components = unpack(key)
-            # dewey_from_parts, inlined for the hot loop.
+            # dewey_from_parts, XMLNode/NodeAnnotations construction and
+            # child attachment, unrolled: this loop allocates the whole
+            # tree, three objects per record.
             dewey = new_dewey(DeweyID)
             dewey.components = components
             dewey._packed = key
             append_dewey(dewey)
-            append_parent(parent)
             stack.append(position)
-            wants_content = record.wants_content
-            if wants_content:
-                slot: Optional[int] = len(content_ranges)
-                # packed_child_bound, inlined: the last component's start
-                # falls out of the just-decoded components, so no rescan.
-                last = components[-1]
-                last_length = (last.bit_length() + 7) // 8
-                upper = (
-                    key[: len(key) - 1 - last_length]
-                    + pack_component(last + 1)
-                )
-                content_ranges.append((key, upper))
-                add_bound(key)
-                add_bound(upper)
-            else:
-                slot = None
-            append_slot(slot)
-            # XMLNode/NodeAnnotations construction and child attachment,
-            # unrolled: this loop builds the whole shared tree and is the
-            # other per-record allocation loop of the cold path.
+            flag = flags[position]
             node = new_node(XMLNode)
-            node.tag = record.tag
-            node.text = (
-                record.value
-                if record.wants_value and record.value is not None
-                else None
-            )
+            node.tag = tags[tag_ids[position]]
+            node.text = values[position] if flag & _WANTS_VALUE else None
             node.children = []
             node.dewey = None
             anno = new_anno(NodeAnnotations)
             anno.dewey = dewey
-            anno.byte_length = record.byte_length
+            anno.byte_length = byte_lengths[position]
             anno.term_frequencies = {}
-            anno.pruned = wants_content
             anno.doc = doc_name
-            anno.slot = slot
+            if flag & _WANTS_CONTENT:
+                anno.pruned = True
+                anno.slot = slot_count
+                slot_count += 1
+            else:
+                anno.pruned = False
+                anno.slot = None
             node.anno = anno
             append_node(node)
             if parent >= 0:
@@ -1081,229 +1153,36 @@ class PDTSkeleton:
             else:
                 node.parent = None
                 top_level.append(node)
-        bounds = tuple(sorted(bound_keys))
-        bound_index = {bound: i for i, bound in enumerate(bounds)}
-        slot_bounds = tuple(
-            (bound_index[low], bound_index[high])
-            for low, high in content_ranges
-        )
         if len(top_level) == 1 and len(dewey_ids[0].components) == 1:
             # The document root element itself is in the PDT: it is the tree.
-            tree = top_level[0]
-        else:
-            tree = XMLNode(FRAGMENT_TAG)
-            for node in top_level:
-                tree.append(node)
-        return cls(
-            doc_name=doc_name,
-            records=records,
-            ordered=ordered,
-            entry_count=entry_count,
-            dewey_ids=tuple(dewey_ids),
-            parents=tuple(parents),
-            slots=tuple(slots),
-            content_count=len(content_ranges),
-            bounds=bounds,
-            slot_bounds=slot_bounds,
-            tree=tree,
-        )
-
-
-class CompressedSkeleton:
-    """A DAG-compressed :class:`PDTSkeleton`: shared structure, flat state.
-
-    The structural part of a skeleton — tags, nesting and annotation
-    flags — is hash-consed into :class:`~repro.core.shapes.Shape`
-    objects interned in a per-engine (or per-corpus)
-    :class:`~repro.core.shapes.ShapeTable`, so each distinct subtree
-    structure is stored **once** within and across skeletons.  What
-    remains per instance is exactly the per-record state that actually
-    differs between documents, kept in flat parallel arrays in record
-    (preorder) order:
-
-    * ``keys`` — the packed Dewey keys (sorted; bytes order = document
-      order);
-    * ``byte_lengths`` — mutable, so delta maintenance can patch them in
-      place;
-    * ``values`` — materialized atomic values (``None`` where absent).
-
-    Everything :func:`annotate_skeleton` consumes is exposed with the
-    same names and semantics as on ``PDTSkeleton`` (``bounds``,
-    ``slot_bounds``, ``tree``, ``doc_name``, ``node_count``,
-    ``entry_count``), so the merge-join sweep runs over the DAG
-    unchanged and ``PDTResult`` / ranking stay bit-identical:
-
-    * ``bounds`` / ``slot_bounds`` are the source skeleton's own arrays,
-      handed over at compression time (small, and every annotation
-      needs them);
-    * ``tree`` is memoized **weakly**: the shared tree is derived data,
-      rebuilt on demand and kept alive exactly as long as some cached
-      ``PDTResult`` / evaluated-tier entry references its nodes.  Slots
-      are positional, so re-materialized trees are interchangeable.
-
-    Lazy computations are idempotent and the memo writes are atomic, so
-    a benign compute race between annotating threads settles on
-    equivalent state — matching the skeleton tier's concurrent-read
-    contract.
-    """
-
-    __slots__ = (
-        "doc_name",
-        "entry_count",
-        "roots",
-        "keys",
-        "byte_lengths",
-        "values",
-        "content_count",
-        "bounds",
-        "slot_bounds",
-        "_tree_ref",
-        "_memory_bytes",
-    )
-
-    def __init__(
-        self,
-        doc_name: str,
-        entry_count: int,
-        roots: tuple[Shape, ...],
-        keys: tuple[bytes, ...],
-        byte_lengths: list[int],
-        values: tuple[Optional[str], ...],
-        bounds: tuple[bytes, ...],
-        slot_bounds: tuple[tuple[int, int], ...],
-    ):
-        self.doc_name = doc_name
-        self.entry_count = entry_count
-        self.roots = roots
-        self.keys = keys
-        self.byte_lengths = byte_lengths
-        self.values = values
-        self.content_count = sum(root.content_count for root in roots)
-        self.bounds = bounds
-        self.slot_bounds = slot_bounds
-        self._tree_ref: Optional[weakref.ref] = None
-        self._memory_bytes: Optional[int] = None
-
-    # -- PDTSkeleton-compatible surface --------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return len(self.keys)
-
-    def stats(self) -> dict[str, int]:
-        return {"nodes": self.node_count, "entries": self.entry_count}
-
-    def columns(
-        self,
-    ) -> tuple[tuple[str, ...], tuple[bool, ...], tuple[bool, ...]]:
-        """Full preorder ``(tags, wants_value, wants_content)`` columns.
-
-        Pure concatenation of the top-level shapes' cached columns —
-        the per-shape work is done once per distinct structure, here we
-        only splice.  Not memoized: the callers (tree materialization,
-        serialization) are themselves memoized or cold-path.
-        """
-        return forest_columns(self.roots)
-
-    @property
-    def tree(self) -> XMLNode:
-        ref = self._tree_ref
-        if ref is not None:
-            tree = ref()
-            if tree is not None:
-                return tree
-        tree = self._materialize().tree
-        self._tree_ref = weakref.ref(tree)
+            return top_level[0]
+        tree = XMLNode(FRAGMENT_TAG)
+        for node in top_level:
+            tree.append(node)
         return tree
-
-    def _materialize(self) -> PDTSkeleton:
-        """Decompress into a transient eager :class:`PDTSkeleton`.
-
-        Reuses :meth:`PDTSkeleton.from_records` wholesale so the
-        materialized tree (slot assignment, fragment wrapping, value
-        placement) is the uncompressed build, by construction, not a
-        reimplementation that could drift.
-        """
-        tags, wants_value, wants_content = self.columns()
-        records: dict[bytes, PDTRecord] = {}
-        new_record = PDTRecord.__new__
-        byte_lengths = self.byte_lengths
-        values = self.values
-        for position, key in enumerate(self.keys):
-            record = new_record(PDTRecord)
-            record.key = key
-            record.tag = tags[position]
-            record.value = values[position]
-            record.byte_length = byte_lengths[position]
-            record.wants_value = wants_value[position]
-            record.wants_content = wants_content[position]
-            records[key] = record
-        return PDTSkeleton.from_records(
-            doc_name=self.doc_name,
-            records=records,
-            entry_count=self.entry_count,
-        )
 
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Identical bytes to the uncompressed skeleton's ``to_bytes``."""
+        """Self-contained byte form (see :func:`serialize_skeleton`)."""
         return serialize_skeleton(self)
-
-    # -- delta maintenance ---------------------------------------------------
-
-    def patch_byte_lengths(
-        self, ancestor_keys: tuple[bytes, ...], delta: int
-    ) -> int:
-        """DAG-side :func:`patch_skeleton_byte_lengths`.
-
-        Bisects each ancestor key into the sorted per-instance key array
-        and shifts its byte length; the shared structure is untouched
-        (byte lengths are instance state, never part of a shape).  A
-        live materialized tree, if any, is patched through the same
-        bounded ancestor-chain walk as the eager path.
-        """
-        if delta == 0 or not ancestor_keys:
-            return 0
-        keys = self.keys
-        byte_lengths = self.byte_lengths
-        count = len(keys)
-        patched: set[bytes] = set()
-        for key in ancestor_keys:
-            position = bisect_left(keys, key)
-            if position < count and keys[position] == key:
-                byte_lengths[position] += delta
-                patched.add(key)
-        if not patched:
-            return 0
-        ref = self._tree_ref
-        tree = ref() if ref is not None else None
-        if tree is not None:
-            _patch_tree_annotations(
-                tree, set(patched), ancestor_keys[-1], delta
-            )
-        return len(patched)
 
     # -- accounting ----------------------------------------------------------
 
     @property
     def memory_bytes(self) -> int:
-        """Per-instance resident footprint (memoized).
+        """Estimated resident footprint (memoized; patches do not move it).
 
-        Counts only what this instance *owns*: keys, byte lengths,
-        values and the bound arrays.  The interned shapes are shared
-        corpus-wide and accounted once by
-        :meth:`ShapeTable.memory_bytes`; the weakly-held tree is
-        evictable derived data and excluded by design — it exists only
-        while query results pin it.
+        Counts everything the skeleton owns — every column and both
+        bound arrays; the weakly-held tree is evictable derived data and
+        excluded by design, it exists only while query results pin it.
 
         Arithmetic over the column lengths — container sizes plus a
         per-element constant for what each slot points at — because
         every cache ``put`` reads this, so it must not walk the object
-        graph.  It tracks :func:`_deep_sizeof` over the same columns to
-        within a few percent.  Lower bound keys are the key objects
-        themselves; only each content node's upper bound is an extra
-        ``bytes``.
+        graph; the tests hold it to within 10% of such a walk.  Lower
+        bound keys are the key objects themselves; only an upper bound
+        that is no content node's key is an extra ``bytes``.
         """
         cached = self._memory_bytes
         if cached is None:
@@ -1311,93 +1190,36 @@ class CompressedSkeleton:
             keys = self.keys
             count = len(keys)
             key_bytes = sum(map(len, keys))
+            tags = self.tags
             present = [value for value in self.values if value is not None]
+            bounds = self.bounds
             content_count = self.content_count
-            # Byte lengths and bound indices, shared where equal.
-            distinct_ints = len(
-                set(self.byte_lengths).union(range(len(self.bounds)))
-            )
             cached = (
-                64  # object header + slot storage
-                + 8 * len(self.roots)
+                getsizeof(self)
                 + getsizeof(keys)
                 + count * _SIZEOF_BYTES
                 + key_bytes
-                + getsizeof(self.byte_lengths)
-                + distinct_ints * _SIZEOF_INT
+                + getsizeof(self.tag_ids)
+                + getsizeof(tags)
+                + len(tags) * _SIZEOF_STR
+                + sum(map(len, tags))
+                + getsizeof(self.flags)
                 + getsizeof(self.values)
                 + len(present) * _SIZEOF_STR
                 + sum(map(len, present))
-                + getsizeof(self.bounds)
-                + content_count * (_SIZEOF_BYTES + key_bytes // max(count, 1))
+                + getsizeof(self.byte_lengths)
+                + getsizeof(bounds)
+                + (len(bounds) - content_count)
+                * (_SIZEOF_BYTES + key_bytes // max(count, 1))
                 + getsizeof(self.slot_bounds)
                 + content_count * _SIZEOF_PAIR
+                + len(bounds) * _SIZEOF_INT
             )
             self._memory_bytes = cached
         return cached
 
-    def __repr__(self) -> str:
-        return (
-            f"<CompressedSkeleton {self.doc_name!r} nodes={self.node_count} "
-            f"roots={len(self.roots)}>"
-        )
-
-
-def compress_skeleton(
-    skeleton: Union[PDTSkeleton, "CompressedSkeleton"],
-    table: ShapeTable,
-) -> CompressedSkeleton:
-    """DAG-compress a skeleton against a shared shape table.
-
-    Bottom-up hash-consing over the record columns: every isomorphic
-    subtree structure collapses to one interned
-    :class:`~repro.core.shapes.Shape`, within this skeleton and across
-    every other skeleton interned in the same ``table``.  Accepts any
-    skeleton exposing the eager attribute surface (``ordered`` /
-    ``records`` / ``parents``), so mmap-restored skeletons compress the
-    same way; an already-compressed skeleton passes through unchanged.
-
-    The source's already-built shared tree (when present) seeds the weak
-    tree memo, so compressing a freshly built skeleton does not discard
-    and rebuild the tree the cold path just paid for.
-    """
-    if isinstance(skeleton, CompressedSkeleton):
-        return skeleton
-    ordered = skeleton.ordered
-    records = skeleton.records
-    tags: list[str] = []
-    wants_value: list[bool] = []
-    wants_content: list[bool] = []
-    values: list[Optional[str]] = []
-    byte_lengths: list[int] = []
-    for key in ordered:
-        record = records[key]
-        tags.append(record.tag)
-        wants_value.append(record.wants_value)
-        wants_content.append(record.wants_content)
-        values.append(record.value)
-        byte_lengths.append(record.byte_length)
-    roots = table.intern_forest(
-        tags, wants_value, wants_content, skeleton.parents
-    )
-    compressed = CompressedSkeleton(
-        doc_name=skeleton.doc_name,
-        entry_count=skeleton.entry_count,
-        roots=roots,
-        keys=tuple(ordered),
-        byte_lengths=byte_lengths,
-        values=tuple(values),
-        bounds=skeleton.bounds,
-        slot_bounds=skeleton.slot_bounds,
-    )
-    tree = getattr(skeleton, "tree", None)
-    if tree is not None:
-        compressed._tree_ref = weakref.ref(tree)
-    return compressed
-
 
 _SKELETON_MAGIC = b"PDTS"
-_SKELETON_VERSION_V1 = 1
 _SKELETON_VERSION = 2
 
 # v2 fixed header (big-endian):
@@ -1426,216 +1248,85 @@ _SKELETON_VERSION = 2
 #                             pruned record's running length negative)
 #   value_offsets u32[m+1]   (relative, over value-bearing records in order)
 #   values blob   (concatenated utf-8 values)
-_V2_HEADER_SIZE = 46
+_V2_HEADER = struct.Struct(">4sHQ8I")
+_V2_HEADER_SIZE = _V2_HEADER.size  # 46
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return len(raw).to_bytes(4, "big") + raw
+def _wire_column(typecode: str, values) -> bytes:
+    """``values`` as one big-endian wire column."""
+    column = array(typecode, values)
+    if _LITTLE_ENDIAN:
+        column.byteswap()
+    return column.tobytes()
 
 
-class _SkeletonReader:
-    """Cursor over a serialized skeleton payload with bounds checking."""
-
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
-            raise ValueError("truncated PDT skeleton payload")
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
-
-    def take_int(self, width: int) -> int:
-        return int.from_bytes(self.take(width), "big")
-
-    def take_str(self) -> str:
-        return self.take(self.take_int(4)).decode("utf-8")
+def _host_column(typecode: str, raw: bytes) -> array:
+    """Inverse of :func:`_wire_column`."""
+    column = array(typecode, raw)
+    if _LITTLE_ENDIAN:
+        column.byteswap()
+    return column
 
 
-def _skeleton_columns(
-    skeleton: Union[PDTSkeleton, CompressedSkeleton],
-) -> tuple:
-    """Preorder wire columns, identical for eager and compressed forms.
-
-    Returns ``(doc_name, entry_count, keys, tags, wants_value,
-    wants_content, values, byte_lengths)``.  The compressed form splices
-    its shapes' cached columns; the eager form walks its record table in
-    key order — both yield the same sequences, which is what makes
-    ``to_bytes`` byte-identical across representations (and lets the
-    difftests compare skeleton state by payload digest).
-    """
-    if isinstance(skeleton, CompressedSkeleton):
-        tags, wants_value, wants_content = skeleton.columns()
-        return (
-            skeleton.doc_name,
-            skeleton.entry_count,
-            skeleton.keys,
-            tags,
-            wants_value,
-            wants_content,
-            skeleton.values,
-            skeleton.byte_lengths,
-        )
-    ordered = skeleton.ordered
-    records = skeleton.records
-    tags_list: list[str] = []
-    wants_value_list: list[bool] = []
-    wants_content_list: list[bool] = []
-    values: list[Optional[str]] = []
-    byte_lengths: list[int] = []
-    for key in ordered:
-        record = records[key]
-        tags_list.append(record.tag)
-        wants_value_list.append(record.wants_value)
-        wants_content_list.append(record.wants_content)
-        values.append(record.value)
-        byte_lengths.append(record.byte_length)
-    return (
-        skeleton.doc_name,
-        skeleton.entry_count,
-        ordered,
-        tags_list,
-        wants_value_list,
-        wants_content_list,
-        values,
-        byte_lengths,
-    )
-
-
-def serialize_skeleton(
-    skeleton: Union[PDTSkeleton, CompressedSkeleton],
-) -> bytes:
+def serialize_skeleton(skeleton: PDTSkeleton) -> bytes:
     """Encode a skeleton as self-contained v2 bytes (see the header map).
 
-    Only the *record columns* travel: everything else a skeleton
-    carries (parent positions, decoded ids, subtree bounds, the shared
-    tree, the shape DAG) is a pure function of the columns and is
-    rebuilt on the way in — so the wire format cannot drift from the
-    in-memory derivations, and a payload is host-independent (no
-    pickled code, no interpreter state).
+    Only the *record columns* travel — the skeleton's own state, joined;
+    what else it carries (subtree bounds, the shared tree) is a pure
+    function of the columns and is derived again on the way in, so the
+    wire format cannot drift from the in-memory derivations, and a
+    payload is host-independent (no pickled code, no interpreter state).
 
-    Unlike v1's per-record framing, v2 is a struct/array layout: a
-    fixed offset-table header plus packed column arrays, so a reader
-    can address any column in O(1) and :class:`repro.core.snapshot
-    .MappedSkeleton` can expose a payload through ``mmap`` without
-    parsing it.  The encoding is deterministic (tag table in
-    first-appearance order), so serializing the same skeleton from its
-    eager or DAG-compressed form yields identical bytes.
+    A fixed offset-table header plus packed column arrays: a reader can
+    address any column in O(1) and :meth:`PDTSkeleton.from_mapping` can
+    admit a payload through ``mmap`` without parsing it.  The encoding
+    is deterministic (tag table in first-appearance order), and the
+    decoder accepts nothing else, so a payload that decodes re-encodes
+    to itself.
     """
-    (
-        doc_name,
-        entry_count,
-        keys,
-        tags,
-        wants_value,
-        wants_content,
-        values,
-        byte_lengths,
-    ) = _skeleton_columns(skeleton)
-    count = len(keys)
-    doc_raw = doc_name.encode("utf-8")
-    key_offsets = [0] * (count + 1)
-    running = 0
-    for position, key in enumerate(keys):
-        running += len(key)
-        key_offsets[position + 1] = running
-    keys_blob = b"".join(keys)
-    tag_index: dict[str, int] = {}
-    tag_ids = [0] * count
-    tag_entries: list[bytes] = []
-    for position, tag in enumerate(tags):
-        tag_id = tag_index.get(tag)
-        if tag_id is None:
-            tag_id = len(tag_index)
-            tag_index[tag] = tag_id
-            raw = tag.encode("utf-8")
-            tag_entries.append(len(raw).to_bytes(4, "big") + raw)
-        tag_ids[position] = tag_id
-    if len(tag_index) > 0xFFFF:
+    keys = skeleton.keys
+    tags = skeleton.tags
+    if len(tags) > 0xFFFF:
         raise ValueError("too many distinct tags for skeleton payload")
-    tag_table = b"".join(tag_entries)
-    flags = bytes(
-        (1 if wants_value[i] else 0)
-        | (2 if wants_content[i] else 0)
-        | (4 if values[i] is not None else 0)
-        for i in range(count)
+    doc_raw = skeleton.doc_name.encode("utf-8")
+    keys_blob = b"".join(keys)
+    tag_table = b"".join(
+        len(raw).to_bytes(4, "big") + raw
+        for raw in [tag.encode("utf-8") for tag in tags]
     )
     value_parts = [
-        value.encode("utf-8") for value in values if value is not None
+        value.encode("utf-8")
+        for value in skeleton.values
+        if value is not None
     ]
-    value_count = len(value_parts)
-    value_offsets = [0] * (value_count + 1)
-    running = 0
-    for position, part in enumerate(value_parts):
-        running += len(part)
-        value_offsets[position + 1] = running
     values_blob = b"".join(value_parts)
-    content_count = sum(1 for flag in wants_content if flag)
-    header = b"".join(
-        (
-            _SKELETON_MAGIC,
-            _SKELETON_VERSION.to_bytes(2, "big"),
-            entry_count.to_bytes(8, "big"),
-            count.to_bytes(4, "big"),
-            content_count.to_bytes(4, "big"),
-            value_count.to_bytes(4, "big"),
-            len(tag_index).to_bytes(4, "big"),
-            len(doc_raw).to_bytes(4, "big"),
-            len(keys_blob).to_bytes(4, "big"),
-            len(tag_table).to_bytes(4, "big"),
-            len(values_blob).to_bytes(4, "big"),
-        )
-    )
     return b"".join(
         (
-            header,
+            _V2_HEADER.pack(
+                _SKELETON_MAGIC,
+                _SKELETON_VERSION,
+                skeleton.entry_count,
+                len(keys),
+                skeleton.content_count,
+                len(value_parts),
+                len(tags),
+                len(doc_raw),
+                len(keys_blob),
+                len(tag_table),
+                len(values_blob),
+            ),
             doc_raw,
-            struct.pack(f">{count + 1}I", *key_offsets),
+            _wire_column("I", accumulate(map(len, keys), initial=0)),
             keys_blob,
-            struct.pack(f">{count}H", *tag_ids),
+            _wire_column("H", skeleton.tag_ids),
             tag_table,
-            flags,
-            struct.pack(f">{count}q", *byte_lengths),
-            struct.pack(f">{value_count + 1}I", *value_offsets),
+            skeleton.flags,
+            _wire_column("q", skeleton.byte_lengths),
+            _wire_column("I", accumulate(map(len, value_parts), initial=0)),
             values_blob,
         )
     )
-
-
-def _serialize_skeleton_v1(skeleton: PDTSkeleton) -> bytes:
-    """The v1 per-record framing, kept for compatibility tests.
-
-    Production writes v2; old stores' v1 payloads remain readable
-    through :func:`deserialize_skeleton`'s version dispatch.
-    """
-    parts: list[bytes] = [
-        _SKELETON_MAGIC,
-        _SKELETON_VERSION_V1.to_bytes(2, "big"),
-        _pack_str(skeleton.doc_name),
-        skeleton.entry_count.to_bytes(8, "big"),
-        len(skeleton.records).to_bytes(4, "big"),
-    ]
-    for key in skeleton.ordered:
-        record = skeleton.records[key]
-        flags = (
-            (1 if record.wants_value else 0)
-            | (2 if record.wants_content else 0)
-            | (4 if record.value is not None else 0)
-        )
-        parts.append(len(key).to_bytes(2, "big"))
-        parts.append(key)
-        parts.append(_pack_str(record.tag))
-        parts.append(bytes((flags,)))
-        parts.append(record.byte_length.to_bytes(8, "big"))
-        if record.value is not None:
-            parts.append(_pack_str(record.value))
-    return b"".join(parts)
 
 
 def skeleton_payload_version(payload) -> int:
@@ -1643,8 +1334,7 @@ def skeleton_payload_version(payload) -> int:
 
     Accepts any bytes-like buffer.  Raises ``ValueError`` when the
     payload is too short or carries the wrong magic — the same contract
-    as full deserialization, so store code can branch on version
-    without first risking a parse.
+    as full deserialization.
     """
     if len(payload) < 6 or bytes(payload[0:4]) != _SKELETON_MAGIC:
         raise ValueError("not a PDT skeleton payload")
@@ -1657,9 +1347,9 @@ class SkeletonLayout:
     Parsing is O(1) in the payload size: the fixed header names every
     section length, so all offsets are arithmetic and the single
     total-length equation rejects truncated or trailing-byte payloads
-    up front.  Column *content* is validated when (and only when) a
-    column is decoded — that is the contract that lets an mmap reader
-    admit a payload without paging it in.
+    up front.  Column *content* is validated when (and only when)
+    :meth:`columns` decodes it — that is the contract that lets an mmap
+    reader admit a payload without paging it in.
     """
 
     __slots__ = (
@@ -1691,8 +1381,9 @@ class SkeletonLayout:
         version = skeleton_payload_version(payload)
         if version != _SKELETON_VERSION:
             raise ValueError(f"unsupported PDT skeleton version {version}")
-        header = bytes(payload[:_V2_HEADER_SIZE])
         (
+            _,
+            _,
             entry_count,
             record_count,
             content_count,
@@ -1702,7 +1393,7 @@ class SkeletonLayout:
             keys_size,
             tag_table_size,
             values_size,
-        ) = struct.unpack(">Q8I", header[6:])
+        ) = _V2_HEADER.unpack(bytes(payload[:_V2_HEADER_SIZE]))
         self.payload = payload
         self.entry_count = entry_count
         self.record_count = record_count
@@ -1732,213 +1423,127 @@ class SkeletonLayout:
         except UnicodeDecodeError as exc:
             raise ValueError("corrupt PDT skeleton doc name") from exc
 
+    def _section(self, start: int, end: int) -> bytes:
+        return bytes(self.payload[start:end])
+
     # -- column decoders (each validates what it touches) --------------------
 
+    def columns(self) -> tuple:
+        """``(keys, tag_ids, tags, flags, values, byte_lengths)`` — a
+        :class:`PDTSkeleton`'s columns, or ``ValueError``.
+
+        Accepts exactly what :func:`serialize_skeleton` writes: sorted,
+        well-formed keys, a tag table in first-appearance order with
+        every entry referenced, no unknown flag bit, header counts that
+        match the flags — so whatever decodes re-encodes to the payload
+        it came from, byte for byte.
+        """
+        flags = self.flags()
+        byte_lengths = _host_column(
+            "q", self._section(self.lengths_offset, self.value_index_offset)
+        )
+        return (
+            self.keys(), *self.tags(), flags, self.values(flags), byte_lengths
+        )
+
     def keys(self) -> tuple[bytes, ...]:
-        payload = self.payload
-        count = self.record_count
-        offsets = struct.unpack_from(
-            f">{count + 1}I", payload, self.key_index_offset
+        offsets = _host_column(
+            "I", self._section(self.key_index_offset, self.keys_offset)
         )
         if offsets[0] != 0 or offsets[-1] != self.keys_size:
             raise ValueError("corrupt PDT skeleton key index")
-        base = self.keys_offset
+        blob = self._section(self.keys_offset, self.tag_ids_offset)
         keys: list[bytes] = []
-        previous: Optional[bytes] = None
-        for position in range(count):
-            low, high = offsets[position], offsets[position + 1]
-            if high <= low:
+        previous = b""
+        low = 0
+        for high in islice(offsets, 1, None):
+            if high <= low or high > len(blob):
                 raise ValueError("corrupt PDT skeleton key index")
-            key = bytes(payload[base + low:base + high])
-            unpack(key)  # validates the packed form (and rejects empty)
-            if previous is not None and key <= previous:
+            key = blob[low:high]
+            # The packed form, as pack() writes it: per component a
+            # length byte and that many bytes, the first one non-zero
+            # (pack(unpack(key)) == key, at a quarter of the cost).
+            cursor, size = 0, high - low
+            while cursor < size:
+                end = cursor + 1 + key[cursor]
+                if end == cursor + 1 or end > size or key[cursor + 1] == 0:
+                    raise ValueError("corrupt PDT skeleton key")
+                cursor = end
+            if key <= previous:
                 raise ValueError("PDT skeleton keys out of order")
-            previous = key
             keys.append(key)
+            previous = key
+            low = high
         return tuple(keys)
 
-    def tags(self) -> tuple[str, ...]:
-        payload = self.payload
-        table_offset = self.tag_table_offset
-        cursor = table_offset
-        end = cursor + self.tag_table_size
+    def tags(self) -> tuple[array, tuple[str, ...]]:
+        """Per-record tag ids and the tag table they index."""
+        table = self._section(self.tag_table_offset, self.flags_offset)
         names: list[str] = []
-        from_bytes = int.from_bytes
+        cursor = 0
         for _ in range(self.tag_count):
             size_end = cursor + 4
-            if size_end > end:
+            tag_end = size_end + int.from_bytes(table[cursor:size_end], "big")
+            if size_end > len(table) or tag_end > len(table):
                 raise ValueError("corrupt PDT skeleton tag table")
-            tag_end = size_end + from_bytes(
-                bytes(payload[cursor:size_end]), "big"
-            )
-            if tag_end > end:
-                raise ValueError("corrupt PDT skeleton tag table")
-            try:
-                names.append(bytes(payload[size_end:tag_end]).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ValueError("corrupt PDT skeleton tag table") from exc
+            names.append(table[size_end:tag_end].decode("utf-8"))
             cursor = tag_end
-        if cursor != end:
+        if cursor != len(table) or len(set(names)) != len(names):
             raise ValueError("corrupt PDT skeleton tag table")
-        count = self.record_count
-        tag_ids = struct.unpack_from(f">{count}H", payload, self.tag_ids_offset)
-        resolved: list[str] = []
-        for tag_id in tag_ids:
-            if tag_id >= len(names):
-                raise ValueError("corrupt PDT skeleton tag ids")
-            resolved.append(names[tag_id])
-        return tuple(resolved)
+        tag_ids = _host_column(
+            "H", self._section(self.tag_ids_offset, self.tag_table_offset)
+        )
+        # First appearances must read 0, 1, 2, … and reach every entry.
+        if list(dict.fromkeys(tag_ids)) != list(range(len(names))):
+            raise ValueError("corrupt PDT skeleton tag ids")
+        return tag_ids, tuple(names)
 
     def flags(self) -> bytes:
-        return bytes(
-            self.payload[self.flags_offset:self.flags_offset
-                         + self.record_count]
-        )
-
-    def byte_lengths(self) -> tuple[int, ...]:
-        return struct.unpack_from(
-            f">{self.record_count}q", self.payload, self.lengths_offset
-        )
+        flags = self._section(self.flags_offset, self.lengths_offset)
+        if flags.translate(None, _ALL_FLAGS):
+            raise ValueError("corrupt PDT skeleton flags")
+        if sum(flags.translate(_IS_CONTENT)) != self.content_count:
+            raise ValueError("corrupt PDT skeleton content count")
+        return flags
 
     def values(self, flags: bytes) -> tuple[Optional[str], ...]:
-        payload = self.payload
-        count = self.value_count
-        offsets = struct.unpack_from(
-            f">{count + 1}I", payload, self.value_index_offset
+        offsets = _host_column(
+            "I", self._section(self.value_index_offset, self.values_offset)
         )
-        if offsets[0] != 0 or offsets[-1] != self.values_size:
+        if (
+            offsets[0] != 0
+            or offsets[-1] != self.values_size
+            or len(flags.translate(None, _VALUELESS_FLAGS)) != self.value_count
+        ):
             raise ValueError("corrupt PDT skeleton value index")
-        base = self.values_offset
+        blob = self._section(self.values_offset, self.total)
         values: list[Optional[str]] = []
         position = 0
-        try:
-            for flag in flags:
-                if flag & 4:
-                    low, high = offsets[position], offsets[position + 1]
-                    if high < low:
-                        raise ValueError(
-                            "corrupt PDT skeleton value index"
-                        )
-                    values.append(
-                        bytes(payload[base + low:base + high]).decode("utf-8")
-                    )
-                    position += 1
-                else:
-                    values.append(None)
-        except IndexError as exc:
-            raise ValueError("corrupt PDT skeleton value index") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError("corrupt PDT skeleton values") from exc
-        if position != count:
-            raise ValueError("corrupt PDT skeleton value index")
+        for flag in flags:
+            if flag & _HAS_VALUE:
+                low, high = offsets[position], offsets[position + 1]
+                if high < low or high > len(blob):
+                    raise ValueError("corrupt PDT skeleton value index")
+                values.append(blob[low:high].decode("utf-8"))
+                position += 1
+            else:
+                values.append(None)
         return tuple(values)
 
 
-def _deserialize_skeleton_v2(payload) -> PDTSkeleton:
-    layout = SkeletonLayout(payload)
-    keys = layout.keys()
-    tags = layout.tags()
-    flags = layout.flags()
-    byte_lengths = layout.byte_lengths()
-    values = layout.values(flags)
-    if sum(1 for flag in flags if flag & 2) != layout.content_count:
-        raise ValueError("corrupt PDT skeleton content count")
-    records: dict[bytes, PDTRecord] = {}
-    new_record = PDTRecord.__new__
-    for position, key in enumerate(keys):
-        flag = flags[position]
-        record = new_record(PDTRecord)
-        record.key = key
-        record.tag = tags[position]
-        record.value = values[position]
-        record.byte_length = byte_lengths[position]
-        record.wants_value = bool(flag & 1)
-        record.wants_content = bool(flag & 2)
-        records[key] = record
-    return PDTSkeleton.from_records(
-        doc_name=layout.doc_name,
-        records=records,
-        entry_count=layout.entry_count,
-    )
-
-
-def deserialize_skeleton(payload: bytes) -> PDTSkeleton:
+def deserialize_skeleton(payload) -> PDTSkeleton:
     """Decode :func:`serialize_skeleton` output back into a skeleton.
 
-    Dispatches on the header version — current v2 column payloads and
-    legacy v1 per-record payloads both decode to the same eager
-    skeleton.  Raises ``ValueError`` on any malformed, truncated or
+    Raises ``ValueError`` on any malformed, truncated, non-canonical or
     version-mismatched payload — callers (the snapshot store) treat
     that as a miss, never as corrupt state to serve.
     """
-    version = skeleton_payload_version(payload)
-    if version == _SKELETON_VERSION:
-        return _deserialize_skeleton_v2(payload)
-    if version == _SKELETON_VERSION_V1:
-        return _deserialize_skeleton_v1(payload)
-    raise ValueError(f"unsupported PDT skeleton version {version}")
-
-
-def _deserialize_skeleton_v1(payload: bytes) -> PDTSkeleton:
-    reader = _SkeletonReader(payload)
-    if reader.take(len(_SKELETON_MAGIC)) != _SKELETON_MAGIC:
-        raise ValueError("not a PDT skeleton payload")
-    version = reader.take_int(2)
-    if version != _SKELETON_VERSION_V1:
-        raise ValueError(f"unsupported PDT skeleton version {version}")
-    doc_name = reader.take_str()
-    entry_count = reader.take_int(8)
-    record_count = reader.take_int(4)
-    records: dict[bytes, PDTRecord] = {}
-    # The record loop parses with inline offset arithmetic — restoring a
-    # snapshot competes with rebuilding the skeleton, so per-field
-    # reader calls would eat the win.  One final bounds check suffices:
-    # every slice below is length-prefixed, and a lying prefix either
-    # trips the running ``end > total`` checks or the trailing-bytes
-    # check.
-    data = payload
-    offset = reader.offset
-    total = len(data)
-    new_record = PDTRecord.__new__
-    from_bytes = int.from_bytes
-    try:
-        for _ in range(record_count):
-            end = offset + 2
-            key_end = end + from_bytes(data[offset:end], "big")
-            key = data[end:key_end]
-            unpack(key)  # validates the packed form (and rejects empty)
-            end = key_end + 4
-            tag_end = end + from_bytes(data[key_end:end], "big")
-            if tag_end > total:
-                raise ValueError("truncated PDT skeleton payload")
-            tag = data[end:tag_end].decode("utf-8")
-            flags = data[tag_end]
-            end = tag_end + 9
-            byte_length = from_bytes(data[tag_end + 1:end], "big")
-            if flags & 4:
-                value_end = end + 4
-                end = value_end + from_bytes(data[end:value_end], "big")
-                if end > total:
-                    raise ValueError("truncated PDT skeleton payload")
-                value = data[value_end:end].decode("utf-8")
-            else:
-                value = None
-            record = new_record(PDTRecord)
-            record.key = key
-            record.tag = tag
-            record.value = value
-            record.byte_length = byte_length
-            record.wants_value = bool(flags & 1)
-            record.wants_content = bool(flags & 2)
-            records[key] = record
-            offset = end
-    except IndexError as exc:
-        raise ValueError("truncated PDT skeleton payload") from exc
-    if offset != total:
-        raise ValueError("trailing bytes in PDT skeleton payload")
-    return PDTSkeleton.from_records(
-        doc_name=doc_name, records=records, entry_count=entry_count
+    layout = SkeletonLayout(payload)
+    skeleton = PDTSkeleton(
+        layout.doc_name, layout.entry_count, layout.record_count
     )
+    skeleton._publish(*layout.columns())
+    return skeleton
 
 
 def _patch_tree_annotations(
@@ -1967,7 +1572,7 @@ def _patch_tree_annotations(
 
 
 def patch_skeleton_byte_lengths(
-    skeleton: Union[PDTSkeleton, CompressedSkeleton],
+    skeleton: PDTSkeleton,
     ancestor_keys: tuple[bytes, ...],
     delta: int,
 ) -> int:
@@ -1978,32 +1583,30 @@ def patch_skeleton_byte_lengths(
     QPT anywhere along its path, so the record set, the shared tree and
     the content-slot bounds are all unchanged — only the serialized
     lengths of the edit point's proper ancestors moved, by the same
-    ``delta`` each.  Patches both the record table and the matching
-    ``anno.byte_length`` annotations on the shared tree (the annotation
-    pass reads lengths from the tree).  Returns the number of skeleton
-    nodes patched; ancestors the skeleton does not materialize are
-    skipped — their lengths are simply not part of this view.
-
-    Skeleton representations other than the eager one (DAG-compressed,
-    mmap-restored) carry their own ``patch_byte_lengths`` and are
-    dispatched to it — same contract, same return value.
+    ``delta`` each.  Bisects each ancestor key into the sorted key
+    column and shifts its ``byte_lengths`` cell; a live shared tree, if
+    any, gets the matching ``anno.byte_length`` annotations patched (the
+    annotation pass reads lengths from the tree).  Returns the number of
+    skeleton nodes patched; ancestors the skeleton does not materialize
+    are skipped — their lengths are simply not part of this view.
     """
-    patcher = getattr(skeleton, "patch_byte_lengths", None)
-    if patcher is not None:
-        return patcher(ancestor_keys, delta)
     if delta == 0 or not ancestor_keys:
         return 0
-    records = skeleton.records
-    remaining = {key for key in ancestor_keys if key in records}
-    if not remaining:
-        return 0
-    for key in remaining:
-        records[key].byte_length += delta
-    patched = len(remaining)
-    _patch_tree_annotations(
-        skeleton.tree, remaining, ancestor_keys[-1], delta
-    )
-    return patched
+    keys = skeleton.keys
+    byte_lengths = skeleton.byte_lengths
+    count = len(keys)
+    patched: set[bytes] = set()
+    for key in ancestor_keys:
+        position = bisect_left(keys, key)
+        if position < count and keys[position] == key:
+            byte_lengths[position] += delta
+            patched.add(key)
+    ref = skeleton._tree_ref
+    tree = ref() if ref is not None else None
+    patched_count = len(patched)
+    if tree is not None and patched:
+        _patch_tree_annotations(tree, patched, ancestor_keys[-1], delta)
+    return patched_count
 
 
 def build_skeleton(

@@ -18,9 +18,13 @@ It exists for two reasons and must not be used by the serving pipeline:
 1. ``benchmarks/bench_x7_cold_path.py`` self-enforces the overhaul's
    acceptance criterion (batched cold build ≥ 3x this path at scale 1) —
    a floor that only means something against a faithful baseline;
-2. ``tests/test_pdt_legacy_equivalence.py`` proves the rewritten cold
-   path emits byte-identical skeletons, so the speedup cannot hide a
-   semantic drift.
+2. ``tests/test_pdt_legacy_equivalence.py`` holds the columnar
+   :class:`~repro.core.pdt.PDTSkeleton` to it — keys, per-record
+   columns, bounds, tree and tf arrays.  It is the one implementation
+   of records, bounds and tree that shares no code with that class
+   (:class:`LegacySkeleton` is the eager record graph the columns
+   replaced), so neither a speedup nor a change of representation can
+   hide a semantic drift.
 
 The reference deliberately does **not** bump ``PathIndex.probe_count``:
 it is a pure function over the index contents, safe to run next to the
@@ -33,7 +37,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.pdt import EMPTY_TAG, FRAGMENT_TAG, PDTRecord, PDTSkeleton
+from repro.core.pdt import EMPTY_TAG, FRAGMENT_TAG, PDTRecord
 from repro.core.qpt import QPT, QPTNode
 from repro.dewey import DeweyID, packed_child_bound, packed_prefix_ends, unpack
 from repro.storage.path_index import PathIndex
@@ -303,9 +307,30 @@ class _LegacyPDTBuilder:
 # -- the old finalization ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LegacySkeleton:
+    """What the old finalization computed: the eager record graph."""
+
+    doc_name: str
+    records: dict[bytes, PDTRecord]
+    ordered: tuple[bytes, ...]
+    entry_count: int
+    dewey_ids: tuple[DeweyID, ...]
+    parents: tuple[int, ...]
+    slots: tuple[Optional[int], ...]
+    content_count: int
+    bounds: tuple[bytes, ...]
+    slot_bounds: tuple[tuple[int, int], ...]
+    tree: XMLNode
+
+    @property
+    def node_count(self) -> int:
+        return len(self.records)
+
+
 def legacy_from_records(
     doc_name: str, records: dict[bytes, PDTRecord], entry_count: int
-) -> PDTSkeleton:
+) -> LegacySkeleton:
     """The pre-overhaul ``PDTSkeleton.from_records``: validated DeweyID
     construction per record, per-record dict lookups, and the original
     tree-assembly loop."""
@@ -336,7 +361,7 @@ def legacy_from_records(
         (bound_index[low], bound_index[high]) for low, high in content_ranges
     )
     tree = _legacy_build_tree(doc_name, records, ordered, dewey_ids, parents, slots)
-    return PDTSkeleton(
+    return LegacySkeleton(
         doc_name=doc_name,
         records=records,
         ordered=ordered,
@@ -389,7 +414,7 @@ def _legacy_build_tree(
     return root
 
 
-def legacy_build_skeleton(qpt: QPT, path_index: PathIndex) -> PDTSkeleton:
+def legacy_build_skeleton(qpt: QPT, path_index: PathIndex) -> LegacySkeleton:
     """The complete pre-overhaul cold build: per-pattern probes, the
     tuple-stream heap merge, and the original finalization."""
     path_lists = legacy_prepare_path_lists(qpt, path_index)

@@ -62,7 +62,6 @@ from repro.core.engine import (
     ViewStatistics,
 )
 from repro.core.routing import ShardRouter
-from repro.core.shapes import ShapeTable
 from repro.core.scoring import (
     ScoredResult,
     apply_scores,
@@ -291,8 +290,6 @@ class ShardExecutor:
         enable_cache: bool = True,
         snapshot_store: Optional[SkeletonStore] = None,
         database: Optional[XMLDatabase] = None,
-        dag_compression: bool = True,
-        shape_table: Optional[ShapeTable] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
         self.shard_id = shard_id
@@ -304,8 +301,6 @@ class ShardExecutor:
             cache=cache,
             enable_cache=enable_cache,
             snapshot_store=snapshot_store,
-            dag_compression=dag_compression,
-            shape_table=shape_table,
         )
         self._fragments: dict[str, tuple[Fragment, ...]] = {}
 

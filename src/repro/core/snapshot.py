@@ -28,14 +28,15 @@ Writes are atomic (temp file + ``os.replace``) so concurrent readers
 never observe a torn snapshot; corrupt or truncated payloads read back
 as misses, never as data.
 
-Two load paths exist.  The default **eager** path parses the payload
-back into a full :class:`PDTSkeleton` on the spot.  With
-``mmap_mode=True`` the store instead memory-maps v2 payloads and
-returns a :class:`MappedSkeleton`: load time is an O(1) header
-validation plus a page table entry, the column arrays stay on disk
-until something actually dereferences them, and the first deep access
-(annotation, compression) materializes the eager skeleton lazily.
-Legacy v1 payloads fall back to the eager parse transparently.
+Two load paths exist, one skeleton class.  The default **eager** path
+decodes and validates the payload on the spot.  With ``mmap_mode=True``
+the store instead memory-maps the payload and returns a skeleton over
+the mapping (:meth:`PDTSkeleton.from_mapping`): load time is an O(1)
+header validation plus a page table entry, and the columns stay on disk
+until the first deep access decodes them and releases the mapping.  A
+payload whose columns turn out corrupt at that point is taken back: the
+hit becomes a counted miss and the file is reclaimed, as the eager path
+would have done at load.
 """
 
 from __future__ import annotations
@@ -48,149 +49,10 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
-from repro.core.pdt import (
-    PDTSkeleton,
-    SkeletonLayout,
-    _SKELETON_VERSION,
-    patch_skeleton_byte_lengths,
-    serialize_skeleton,
-    skeleton_payload_version,
-)
+from repro.core.pdt import PDTSkeleton
 from repro.errors import InjectedFaultError
 
 _SUFFIX = ".pdts"
-
-
-class MappedSkeleton:
-    """A zero-copy skeleton view over an mmap-ed v2 snapshot payload.
-
-    Construction validates the offset-table header in O(1) — magic,
-    version and the total-length equation over the section sizes — and
-    decodes only the document name; the packed column arrays are left
-    on disk for the OS to page in on demand.  The cheap identity facts
-    an engine checks before admitting a snapshot (``doc_name``,
-    ``entry_count``, ``node_count``) never touch the columns at all.
-
-    Deep access (``tree``, ``bounds``, ``records``, annotation) routes
-    through a lazily-materialized inner eager skeleton; column
-    corruption beyond the header is therefore surfaced at first deep
-    access (as ``ValueError``), not at load — the documented trade for
-    page-in restores.  Delta patches materialize too, and flip the
-    instance to re-encode on ``to_bytes`` so patched state round-trips.
-    """
-
-    __slots__ = ("_buffer", "_close", "_layout", "_inner", "_patched")
-
-    def __init__(self, buffer, close=None):
-        self._layout = SkeletonLayout(buffer)  # O(1) header validation
-        self._buffer = buffer
-        self._close = close
-        self._inner: Optional[PDTSkeleton] = None
-        self._patched = False
-
-    # -- O(1) facts ----------------------------------------------------------
-
-    @property
-    def doc_name(self) -> str:
-        return self._layout.doc_name
-
-    @property
-    def entry_count(self) -> int:
-        return self._layout.entry_count
-
-    @property
-    def node_count(self) -> int:
-        return self._layout.record_count
-
-    @property
-    def content_count(self) -> int:
-        return self._layout.content_count
-
-    def stats(self) -> dict[str, int]:
-        return {"nodes": self.node_count, "entries": self.entry_count}
-
-    @property
-    def memory_bytes(self) -> int:
-        """Mapped pages until materialized, the eager estimate after."""
-        inner = self._inner
-        if inner is not None:
-            return inner.memory_bytes
-        return len(self._buffer)
-
-    # -- lazy deep surface ---------------------------------------------------
-
-    def _skeleton(self) -> PDTSkeleton:
-        inner = self._inner
-        if inner is None:
-            inner = PDTSkeleton.from_bytes(self._buffer)
-            self._inner = inner
-        return inner
-
-    @property
-    def records(self):
-        return self._skeleton().records
-
-    @property
-    def ordered(self):
-        return self._skeleton().ordered
-
-    @property
-    def parents(self):
-        return self._skeleton().parents
-
-    @property
-    def slots(self):
-        return self._skeleton().slots
-
-    @property
-    def dewey_ids(self):
-        return self._skeleton().dewey_ids
-
-    @property
-    def bounds(self):
-        return self._skeleton().bounds
-
-    @property
-    def slot_bounds(self):
-        return self._skeleton().slot_bounds
-
-    @property
-    def tree(self):
-        return self._skeleton().tree
-
-    # -- serialization / maintenance -----------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """The payload itself — byte-identical until patched."""
-        if self._patched:
-            return serialize_skeleton(self._skeleton())
-        return bytes(self._buffer)
-
-    def patch_byte_lengths(
-        self, ancestor_keys: tuple[bytes, ...], delta: int
-    ) -> int:
-        """Apply a delta patch (materializes; marks for re-encode)."""
-        inner = self._skeleton()
-        patched = patch_skeleton_byte_lengths(inner, ancestor_keys, delta)
-        if patched:
-            self._patched = True
-        return patched
-
-    def close(self) -> None:
-        """Release the underlying mapping (idempotent)."""
-        close = self._close
-        self._close = None
-        if close is not None:
-            try:
-                close()
-            except OSError:  # pragma: no cover - platform-specific
-                pass
-
-    def __repr__(self) -> str:
-        return (
-            f"<MappedSkeleton {self.doc_name!r} nodes={self.node_count} "
-            f"bytes={len(self._buffer)}>"
-        )
 
 
 class SkeletonStore:
@@ -204,12 +66,12 @@ class SkeletonStore:
     by a lock.
 
     ``mmap_mode=True`` switches :meth:`load` to the zero-copy path:
-    v2 payloads come back as :class:`MappedSkeleton` (header-validated,
-    columns paged in on demand); v1 payloads and platforms where
-    mapping fails fall back to the eager parse.  The default stays
-    eager — a fully-decoded skeleton with no open file mappings —
-    which is also the strictest validation point for store hygiene
-    (corrupt payloads are detected and reclaimed at load, not later).
+    payloads come back header-validated, their columns paged in and
+    decoded on first access; platforms where mapping fails read as a
+    miss.  The default stays eager — a fully-decoded skeleton with no
+    open file mapping — which is also the strictest validation point
+    for store hygiene (corrupt payloads are detected and reclaimed at
+    load, not at first use).
 
     ``fault_injector`` arms the chaos sites ``store.load`` and
     ``store.save``: an injected *error* on a load behaves exactly like
@@ -339,17 +201,22 @@ class SkeletonStore:
         except OSError:
             pass
 
+    def _reject(self, target: Path, before: os.stat_result) -> None:
+        """Count a miss for a corrupt payload and reclaim its file."""
+        self._count("misses")
+        self._unlink_if_unchanged(target, before)
+
     def load(
         self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
+    ) -> Optional[PDTSkeleton]:
         """The stored skeleton, or ``None`` (missing *or* unreadable).
 
-        A corrupt file counts as a miss and is removed so the next
-        build re-snapshots cleanly (see :meth:`_unlink_if_unchanged`
-        for why the cleanup is stat-guarded).  In ``mmap_mode`` a valid
-        v2 payload comes back as a :class:`MappedSkeleton` without
-        reading the columns; anything else falls back to the eager
-        parse below.
+        A corrupt file — any version but the current one included —
+        counts as a miss and is removed so the next build re-snapshots
+        cleanly (see :meth:`_unlink_if_unchanged` for why the cleanup is
+        stat-guarded).  In ``mmap_mode`` a payload with a valid header
+        comes back without its columns having been read; see
+        :meth:`_load_mapped` for what happens if they are corrupt.
         """
         corrupt = None
         if self._faults is not None:
@@ -379,16 +246,18 @@ class SkeletonStore:
         try:
             skeleton = PDTSkeleton.from_bytes(payload)
         except ValueError:
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
+            self._reject(target, before)
             return None
         self._count("hits")
         return skeleton
 
-    def _load_mapped(
-        self, target: Path
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
-        """The zero-copy load path: map pages, validate the header only."""
+    def _load_mapped(self, target: Path) -> Optional[PDTSkeleton]:
+        """The zero-copy load path: map pages, validate the header only.
+
+        The hit is counted here; should the columns fail to decode
+        later, the skeleton reports back and the hit is re-counted as
+        the miss (and reclaim) the eager path would have made of it.
+        """
         try:
             before = target.stat()
             handle = open(target, "rb")
@@ -404,37 +273,22 @@ class SkeletonStore:
                 handle.close()
         except (OSError, ValueError):
             # Unmappable (e.g. an empty file): nothing valid to serve.
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
+            self._reject(target, before)
             return None
+
+        def columns_corrupt() -> None:
+            with self._stats_lock:
+                self.hits -= 1
+            self._reject(target, before)
+
         try:
-            version = skeleton_payload_version(mapping)
+            skeleton = PDTSkeleton.from_mapping(mapping, columns_corrupt)
         except ValueError:
             mapping.close()
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
-            return None
-        if version != _SKELETON_VERSION:
-            # Legacy payload: decode eagerly, release the mapping.
-            payload = bytes(mapping)
-            mapping.close()
-            try:
-                skeleton = PDTSkeleton.from_bytes(payload)
-            except ValueError:
-                self._count("misses")
-                self._unlink_if_unchanged(target, before)
-                return None
-            self._count("hits")
-            return skeleton
-        try:
-            mapped = MappedSkeleton(mapping, close=mapping.close)
-        except ValueError:
-            mapping.close()
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
+            self._reject(target, before)
             return None
         self._count("hits")
-        return mapped
+        return skeleton
 
     def discard(self, doc_fingerprint: str, qpt_hash: str) -> bool:
         """Remove one snapshot if present; missing is not an error.

@@ -54,12 +54,12 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Protocol, Union
+from typing import Callable, Iterator, Optional, Protocol
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
 from repro.core.health import CircuitBreaker
 from repro.core.pdt import PDTSkeleton, SkeletonLayout
-from repro.core.snapshot import MappedSkeleton, SkeletonStore
+from repro.core.snapshot import SkeletonStore
 from repro.errors import InjectedFaultError, SnapshotFetchError
 
 __all__ = [
@@ -200,7 +200,7 @@ class NetworkedSkeletonStore:
 
     def load(
         self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
+    ) -> Optional[PDTSkeleton]:
         found = self.local.load(doc_fingerprint, qpt_hash)
         if found is not None:
             return found
@@ -239,7 +239,7 @@ class NetworkedSkeletonStore:
 
     def _fetch_through(
         self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
+    ) -> Optional[PDTSkeleton]:
         if not self.breaker.allow():
             self._count("fell_back")
             return None

@@ -57,8 +57,8 @@ class XMLNode:
     ``None`` for freshly constructed (query-output) nodes.
     """
 
-    # ``__weakref__`` lets DAG-compressed skeletons memoize their lazily
-    # materialized shared tree *weakly*: the tree stays alive exactly as
+    # ``__weakref__`` lets skeletons memoize the shared tree they build
+    # from their columns *weakly*: the tree stays alive exactly as
     # long as some cached PDT or evaluated result references it, and is
     # reclaimable the moment nothing does.
     __slots__ = ("tag", "text", "children", "parent", "dewey", "anno",

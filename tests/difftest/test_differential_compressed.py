@@ -1,307 +1,272 @@
-"""Differential DAG-compression configuration (the ``compressed`` config).
+"""Differential checks on the skeleton's one form (the ``compressed`` config).
 
-Compression is a pure representation change, so the checks here demand
-**bit identity**, not mere equivalence: for every generated scenario the
-``dag_compression=True`` engine must produce ranked outcomes exactly
-equal (``==`` on floats, ranks, document-order indexes and serialized
-XML) to the uncompressed engine, with both also matching the naive
-materialize-then-search baseline, and the skeleton-tier state must
-serialize to byte-identical payloads.  The matrix covers:
+A skeleton is its v2 wire columns, whichever way it came to be, and the
+routes must be indistinguishable — **bit identity**, not mere
+equivalence: ranked outcomes exactly equal (``==`` on floats, ranks,
+document-order indexes and serialized XML), skeleton-tier state
+serializing to identical payloads, every engine also matching the naive
+materialize-then-search baseline:
 
-* plain engines (compressed vs uncompressed vs baseline);
-* snapshot restores, eager and ``mmap_mode`` — four restore
-  configurations (mmap × compression) all serving first contact at
-  ``snapshot`` depth with identical results;
-* sharded scatter-gather at shard counts 1 and 2 with compressed
-  executors sharing one shape table;
-* ``mutations``-style subtree edit streams replayed against both
-  engines, checking outcome and skeleton-state identity after every
-  edit.
+* built vs a cache-free engine (every query rebuilds, nothing is kept);
+* restored from a snapshot store, eager and ``mmap_mode``, both serving
+  first contact at ``snapshot`` depth;
+* sharded scatter-gather at shard counts 1 and 2 vs one engine;
+* ``mutations``-style edit streams: patched in place vs rebuilt.
+
+``golden_skeletons.json`` pins the payloads themselves: the sha256 of
+``to_bytes()`` for every skeleton of every ``VIEW_SHAPES`` x
+``DIFFTEST_SEEDS`` case and of every seed's tier before and after each
+step of its edit stream, recorded at the last commit that had three
+skeleton classes — what they agreed on is what stores on disk hold.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.baselines.naive import BaselineEngine
 from repro.core.engine import KeywordSearchEngine
 from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
-from repro.core.shapes import ShapeTable
 from repro.core.snapshot import SkeletonStore
 
 from difftest.generators import (
+    VIEW_SHAPES,
     apply_mutation,
     generate_case,
     generate_mutation_stream,
 )
 from difftest.harness import assert_outcomes_equivalent
+from difftest.test_differential import _seed_matrix
+from difftest.test_differential_sharded import _assert_bit_identical
 
-DEFAULT_SEEDS = (101, 404, 606)
 TOP_K = 10
 STREAM_LENGTH = 6
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_skeletons.json").read_text()
+)
 
 
-def _seed_matrix() -> tuple[int, ...]:
-    raw = os.environ.get("DIFFTEST_SEEDS", "")
-    if not raw.strip():
-        return DEFAULT_SEEDS
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-def _assert_bit_identical(out, ref, context: str) -> None:
-    """Exact equality — floats compared with ``==``, not ``isclose``."""
-    assert out.view_size == ref.view_size, context
-    assert out.matching_count == ref.matching_count, context
-    assert out.idf == ref.idf, context
-    assert [
-        (r.rank, r.score, r.scored.index) for r in out.results
-    ] == [(r.rank, r.score, r.scored.index) for r in ref.results], context
-    assert [r.to_xml() for r in out.results] == [
-        r.to_xml() for r in ref.results
-    ], context
-
-
-def _skeleton_digests(engine) -> dict[str, str]:
-    """Per-document sha256 of every skeleton-tier entry's wire bytes.
-
-    The serialization is representation-independent (compressed, eager
-    and mapped skeletons of the same state emit identical payloads), so
-    two engines over identical corpora must digest identically whatever
-    their cache tiers hold.
-    """
-    tier = engine.cache.skeletons
+def _skeleton_digests(*engines) -> dict[str, str]:
+    """Per-document sha256 of every skeleton-tier entry's wire bytes."""
     digests: dict[str, str] = {}
-    with tier._hold_all_locks():
-        for shard in tier._shards:
-            for key, skeleton in shard._data.items():
-                digests[key[1]] = hashlib.sha256(
-                    skeleton.to_bytes()
-                ).hexdigest()
+    for engine in engines:
+        tier = engine.cache.skeletons
+        with tier._hold_all_locks():
+            for shard in tier._shards:
+                for key, skeleton in shard._data.items():
+                    digests[key[1]] = hashlib.sha256(
+                        skeleton.to_bytes()
+                    ).hexdigest()
     return digests
 
 
-# -- plain engines ---------------------------------------------------------------
+def _warm(case, store=None):
+    """An engine over ``case`` with the view's skeletons in its tier."""
+    engine = KeywordSearchEngine(case.database, snapshot_store=store)
+    view = engine.define_view("v", case.view_text)
+    return engine, view, engine.warm_view(view)
+
+
+def _restored(case, root: Path, mmap_mode: bool):
+    engine, view, hits = _warm(
+        case, SkeletonStore(root / "snapshots", mmap_mode=mmap_mode)
+    )
+    assert set(hits.values()) == {"snapshot"}, (mmap_mode, hits)
+    return engine, view
+
+
+# -- the recorded payloads, on every route -----------------------------------------
+
+
+@pytest.mark.parametrize("shape", VIEW_SHAPES)
+def test_golden_payload_digests_on_every_route(shape, tmp_path):
+    for seed in GOLDEN["seeds"]:
+        golden = GOLDEN["cases"][f"{shape}-{seed}"]
+        root = tmp_path / str(seed)
+        built, _, _ = _warm(
+            generate_case(seed, shape), SkeletonStore(root / "snapshots")
+        )
+        assert _skeleton_digests(built) == golden, f"{shape}-{seed} built"
+        for mmap_mode in (False, True):
+            engine, _ = _restored(generate_case(seed, shape), root, mmap_mode)
+            assert _skeleton_digests(engine) == golden, (
+                f"{shape}-{seed} restored mmap={mmap_mode}"
+            )
+
+
+# -- built: tier-backed vs cache-free ----------------------------------------------
 
 
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_compressed_engine_is_bit_identical(seed):
-    baseline_case = generate_case(seed)
-    baseline = BaselineEngine(baseline_case.database)
-    bview = baseline.define_view("truth", baseline_case.view_text)
+    case = generate_case(seed)
+    baseline = BaselineEngine(case.database)
+    bview = baseline.define_view("truth", case.view_text)
+    engine, view, _ = _warm(generate_case(seed))
+    rebuilding = KeywordSearchEngine(
+        generate_case(seed).database, enable_cache=False
+    )
+    rview = rebuilding.define_view("v", case.view_text)
 
-    engines = {}
-    views = {}
-    for dag in (False, True):
-        case = generate_case(seed)
-        engines[dag] = KeywordSearchEngine(
-            case.database, dag_compression=dag
-        )
-        views[dag] = engines[dag].define_view("v", case.view_text)
-        engines[dag].warm_view(views[dag])
-
-    context = f"seed={seed} [warm-state]"
-    assert _skeleton_digests(engines[True]) == _skeleton_digests(
-        engines[False]
-    ), f"{context}: skeleton tiers diverged"
-
-    for keywords in baseline_case.keyword_sets:
+    for keywords in case.keyword_sets:
         for conjunctive in (True, False):
             context = f"seed={seed} kw={keywords} conj={conjunctive}"
-            compressed = engines[True].search_detailed(
-                views[True], keywords, TOP_K, conjunctive
-            )
-            eager = engines[False].search_detailed(
-                views[False], keywords, TOP_K, conjunctive
-            )
+            cached = engine.search_detailed(view, keywords, TOP_K, conjunctive)
             _assert_bit_identical(
-                compressed, eager, f"{context} [compressed-vs-eager]"
-            )
-            bout = baseline.search_detailed(
-                bview, keywords, TOP_K, conjunctive
+                cached,
+                rebuilding.search_detailed(rview, keywords, TOP_K, conjunctive),
+                f"{context} [cached-vs-rebuilt]",
             )
             assert_outcomes_equivalent(
-                compressed, bout, keywords, f"{context} [vs-baseline]"
+                cached,
+                baseline.search_detailed(bview, keywords, TOP_K, conjunctive),
+                keywords,
+                f"{context} [vs-baseline]",
             )
 
 
-# -- snapshot restores -----------------------------------------------------------
+# -- snapshot restores -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", _seed_matrix())
-def test_restore_matrix_is_bit_identical(seed):
-    """mmap × compression: four restore paths, one answer."""
-    store_dir_name = "snapshots"
-
-    def run(tmp_root, mmap_mode: bool, dag: bool):
-        case = generate_case(seed)
-        engine = KeywordSearchEngine(
-            case.database,
-            snapshot_store=SkeletonStore(
-                tmp_root / store_dir_name, mmap_mode=mmap_mode
-            ),
-            dag_compression=dag,
+def test_restore_matrix_is_bit_identical(seed, tmp_path):
+    """Built, eager-restored, mmap-restored: one payload, one answer."""
+    case = generate_case(seed)
+    baseline = BaselineEngine(case.database)
+    bview = baseline.define_view("truth", case.view_text)
+    builder, builder_view, _ = _warm(
+        generate_case(seed), SkeletonStore(tmp_path / "snapshots")
+    )
+    keywords = case.keyword_sets[0]
+    reference = builder.search_detailed(builder_view, keywords, TOP_K, True)
+    for mmap_mode in (False, True):
+        context = f"seed={seed} mmap={mmap_mode} kw={keywords}"
+        engine, view = _restored(generate_case(seed), tmp_path, mmap_mode)
+        assert _skeleton_digests(engine) == _skeleton_digests(builder), (
+            f"{context}: restored skeleton state diverged"
         )
-        view = engine.define_view("v", case.view_text)
-        return engine, view, case
-
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as raw:
-        tmp_root = Path(raw)
-        builder, builder_view, case = run(tmp_root, False, False)
-        builder.warm_view(builder_view)
-
-        baseline = BaselineEngine(generate_case(seed).database)
-        bview = baseline.define_view("truth", case.view_text)
-
-        outcomes = {}
-        for mmap_mode in (False, True):
-            for dag in (False, True):
-                engine, view, _ = run(tmp_root, mmap_mode, dag)
-                keywords = case.keyword_sets[0]
-                context = (
-                    f"seed={seed} mmap={mmap_mode} dag={dag} kw={keywords}"
-                )
-                out = engine.search_detailed(view, keywords, TOP_K, True)
-                assert set(out.cache_hits.values()) == {"snapshot"}, (
-                    f"{context}: expected snapshot restores, got "
-                    f"{out.cache_hits}"
-                )
-                assert_outcomes_equivalent(
-                    out,
-                    baseline.search_detailed(bview, keywords, TOP_K, True),
-                    keywords,
-                    f"{context} [vs-baseline]",
-                )
-                outcomes[(mmap_mode, dag)] = out
-                digests = _skeleton_digests(engine)
-                if "reference" not in outcomes:
-                    outcomes["reference"] = digests
-                else:
-                    assert digests == outcomes["reference"], (
-                        f"{context}: restored skeleton state diverged"
-                    )
-        reference = outcomes[(False, False)]
-        for key, out in outcomes.items():
-            if key == "reference" or key == (False, False):
-                continue
-            _assert_bit_identical(
-                out, reference, f"seed={seed} restore={key}"
-            )
+        out = engine.search_detailed(view, keywords, TOP_K, True)
+        _assert_bit_identical(out, reference, f"{context} [vs-built]")
+        assert_outcomes_equivalent(
+            out,
+            baseline.search_detailed(bview, keywords, TOP_K, True),
+            keywords,
+            f"{context} [vs-baseline]",
+        )
 
 
-# -- sharded ---------------------------------------------------------------------
+# -- sharded -----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("shard_count", (1, 2))
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_sharded_compressed_matches_uncompressed(seed, shard_count):
+    """Scatter-gather vs one engine: same payloads, same answer."""
     case = generate_case(seed)
     doc_names = sorted(case.database.document_names())
+    # One fragment, so its documents share a shard (a join cannot span two).
     plan = ShardPlan.from_assignments(
-        {name: i % shard_count for i, name in enumerate(doc_names)},
-        shard_count,
+        {name: seed % shard_count for name in doc_names}, shard_count
     )
-
-    def coordinator(dag: bool) -> CorpusCoordinator:
-        source = generate_case(seed).database
-        table = ShapeTable() if dag else None
-        executors = [
-            ShardExecutor(i, dag_compression=dag, shape_table=table)
-            for i in range(shard_count)
-        ]
-        for name in doc_names:
-            executors[plan.shard_of(name)].load_document(
-                name, source.get(name).document
-            )
-        coord = CorpusCoordinator(executors, plan, parallel=False)
-        coord.define_view("v", case.view_text)
-        return coord
-
+    source = generate_case(seed).database
+    executors = [ShardExecutor(i) for i in range(shard_count)]
+    for name in doc_names:
+        executors[plan.shard_of(name)].load_document(
+            name, source.get(name).document
+        )
     baseline = BaselineEngine(case.database)
     bview = baseline.define_view("truth", case.view_text)
+    single, view, _ = _warm(generate_case(seed))
 
-    with coordinator(True) as compressed, coordinator(False) as eager:
+    with CorpusCoordinator(executors, plan, parallel=False) as sharded:
+        sharded.define_view("v", case.view_text)
         for keywords in case.keyword_sets:
             for conjunctive in (True, False):
                 context = (
                     f"seed={seed} shards={shard_count} kw={keywords} "
                     f"conj={conjunctive}"
                 )
-                cout = compressed.search_detailed(
-                    "v", keywords, TOP_K, conjunctive
-                )
-                eout = eager.search_detailed(
+                out = sharded.search_detailed(
                     "v", keywords, TOP_K, conjunctive
                 )
                 _assert_bit_identical(
-                    cout, eout, f"{context} [compressed-vs-eager]"
+                    out,
+                    single.search_detailed(view, keywords, TOP_K, conjunctive),
+                    f"{context} [sharded-vs-single]",
                 )
                 assert_outcomes_equivalent(
-                    cout,
+                    out,
                     baseline.search_detailed(
                         bview, keywords, TOP_K, conjunctive
                     ),
                     keywords,
                     f"{context} [vs-baseline]",
                 )
+        assert _skeleton_digests(
+            *(executor.engine for executor in executors)
+        ) == _skeleton_digests(single), f"seed={seed} shards={shard_count}"
 
 
-# -- mutation streams ------------------------------------------------------------
+# -- mutation streams --------------------------------------------------------------
+
+
+def _mutation_stream_digests(seed, check) -> list[dict[str, str]]:
+    """The default engine's skeleton-tier digests: warm, then after each
+    edit of the seed's stream and the queries ``check(engine, view, op,
+    keywords, context)`` runs after it (what was patchable was patched
+    in place, the rest rebuilt)."""
+    case = generate_case(seed)
+    engine = KeywordSearchEngine(case.database)
+    view = engine.define_view("v", case.view_text)
+    ops = generate_mutation_stream(
+        seed, generate_case(seed).database, count=STREAM_LENGTH
+    )
+    engine.search(view, case.priming_keywords, top_k=TOP_K)
+    digests = [_skeleton_digests(engine)]
+    for step, op in enumerate(ops):
+        apply_mutation(engine.database, op)
+        keywords = case.keyword_sets[step % len(case.keyword_sets)]
+        check(
+            engine, view, op, keywords,
+            f"seed={seed} step={step} op={op.describe()}",
+        )
+        digests.append(_skeleton_digests(engine))
+    return digests
 
 
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_mutations_preserve_bit_identity_under_compression(seed):
-    cases = {dag: generate_case(seed) for dag in (False, True)}
-    engines = {
-        dag: KeywordSearchEngine(case.database, dag_compression=dag)
-        for dag, case in cases.items()
-    }
-    views = {
-        dag: engines[dag].define_view("v", cases[dag].view_text)
-        for dag in engines
-    }
+    """Patched in place vs rebuilt from the edited document."""
+    view_text = generate_case(seed).view_text
+    rebuilt_db = generate_case(seed).database
+    rebuilding = KeywordSearchEngine(rebuilt_db, enable_cache=False)
+    rview = rebuilding.define_view("v", view_text)
     baseline_db = generate_case(seed).database
     baseline = BaselineEngine(baseline_db)
-    bview = baseline.define_view("truth", cases[True].view_text)
+    bview = baseline.define_view("truth", view_text)
 
-    ops = generate_mutation_stream(
-        seed, generate_case(seed).database, count=STREAM_LENGTH
-    )
-    priming = cases[True].priming_keywords
-    for dag in engines:
-        engines[dag].search(views[dag], priming, top_k=TOP_K)
-
-    for step, op in enumerate(ops):
-        for dag in engines:
-            apply_mutation(engines[dag].database, op)
+    def check(engine, view, op, keywords, context):
+        apply_mutation(rebuilt_db, op)
         apply_mutation(baseline_db, op)
-        keywords = cases[True].keyword_sets[
-            step % len(cases[True].keyword_sets)
-        ]
-        context = f"seed={seed} step={step} op={op.describe()}"
         for conjunctive in (True, False):
-            cout = engines[True].search_detailed(
-                views[True], keywords, TOP_K, conjunctive
-            )
-            eout = engines[False].search_detailed(
-                views[False], keywords, TOP_K, conjunctive
-            )
+            out = engine.search_detailed(view, keywords, TOP_K, conjunctive)
             _assert_bit_identical(
-                cout,
-                eout,
-                f"{context} conj={conjunctive} [compressed-vs-eager]",
+                out,
+                rebuilding.search_detailed(rview, keywords, TOP_K, conjunctive),
+                f"{context} conj={conjunctive} [patched-vs-rebuilt]",
             )
             assert_outcomes_equivalent(
-                cout,
+                out,
                 baseline.search_detailed(bview, keywords, TOP_K, conjunctive),
                 keywords,
                 f"{context} conj={conjunctive} [vs-baseline]",
             )
-        assert _skeleton_digests(engines[True]) == _skeleton_digests(
-            engines[False]
-        ), f"{context}: skeleton tiers diverged after edit"
+
+    digests = _mutation_stream_digests(seed, check)
+    golden = GOLDEN["mutations"].get(str(seed))
+    if golden is not None:
+        assert digests == golden, f"seed={seed}: payloads left the record"

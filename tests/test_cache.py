@@ -820,7 +820,8 @@ class TestEvaluatedTier:
 
 
 class _Closable:
-    """A value owning a releasable resource (stand-in for MappedSkeleton)."""
+    """A value owning a releasable resource (stand-in for a skeleton
+    over an mmap that nothing has decoded yet)."""
 
     def __init__(self):
         self.closed = False
@@ -913,9 +914,10 @@ class TestEvictionRelease:
     def test_evicted_mapped_skeleton_buffer_is_closed(
         self, tmp_path, bookrev_db, bookrev_view_text
     ):
-        # The regression scenario itself: a real MappedSkeleton cycled
-        # out of a byte-budgeted tier must release its mmap buffer.
-        from repro.core.snapshot import MappedSkeleton, SkeletonStore
+        # The regression scenario itself: a real mmap-loaded skeleton
+        # cycled out of a tier before anything decoded it (this tier's
+        # sizer reads no column) must release its mapping.
+        from repro.core.snapshot import SkeletonStore
 
         store = SkeletonStore(tmp_path / "snap")
         engine = KeywordSearchEngine(bookrev_db, snapshot_store=store)
@@ -925,16 +927,18 @@ class TestEvictionRelease:
         fingerprint = bookrev_db.get("books.xml").fingerprint
         qpt_hash = view.qpts["books.xml"].content_hash
         mapped = mapped_store.load(fingerprint, qpt_hash)
-        assert isinstance(mapped, MappedSkeleton)
-        cache = LRUCache(8, byte_budget=mapped.memory_bytes)
+        mapping = mapped._pending[0].payload
+        cache = LRUCache(1, sizer=lambda value: 1)
         cache.put("snap", mapped)
-        cache.put("other", object())  # no memory_bytes: sized as free
         displacing = mapped_store.load(fingerprint, qpt_hash)
-        cache.put("snap2", displacing)  # budget exceeded: evicts "snap"
+        cache.put("snap2", displacing)  # capacity exceeded: evicts "snap"
         assert "snap" not in cache
-        assert mapped._buffer.closed
-        assert not displacing._buffer.closed
-        displacing.close()
+        assert mapping.closed and mapped._pending is None
+        assert not displacing._pending[0].payload.closed
+        # The default sizer measures the columns, which decodes them —
+        # and a decoded skeleton holds no mapping to leak.
+        LRUCache(1).put("snap2", displacing)
+        assert displacing._pending is None
 
 
 def _library_engine(doc_count, **cache_options):
@@ -984,14 +988,15 @@ class TestSweepLargerThanTier:
         ]
 
     def test_bypassed_skeletons_are_never_compressed_and_rank_the_same(self):
-        from repro.core.pdt import CompressedSkeleton
-
+        # A skeleton the tier turns away is built, used and dropped: it
+        # is never put, so never measured (the one per-entry cost left
+        # now that nothing is compressed on the way in).
         engine = _library_engine(6, skeleton_capacity=4)
         ample = _library_engine(6)
-        interned = []
-        intern = engine._intern_skeleton
-        engine._intern_skeleton = lambda skeleton: (
-            interned.append(skeleton.doc_name) or intern(skeleton)
+        put = engine.cache.skeletons.put
+        kept = []
+        engine.cache.skeletons.put = lambda key, skeleton, scan_started: (
+            kept.append(skeleton.doc_name) or put(key, skeleton, scan_started)
         )
         for keywords in self.KEYWORD_SETS:
             ranked = [
@@ -1002,12 +1007,8 @@ class TestSweepLargerThanTier:
                 (r.rank, r.score, r.scored.index)
                 for r in ample.search("lib", keywords)
             ]
-        assert interned == ["doc0", "doc1", "doc2", "doc3"]
-        assert all(
-            isinstance(shard_value, CompressedSkeleton)
-            for shard in engine.cache.skeletons._shards
-            for shard_value in shard._data.values()
-        )
+        assert kept == ["doc0", "doc1", "doc2", "doc3"]
+        assert engine.resident_documents("lib") == kept
 
     def test_shard_fragments_share_one_scan_start(self):
         # 24 one-document fragment views on one executor are one sweep:

@@ -1,112 +1,61 @@
-"""DAG-compressed skeleton tests.
+"""The columnar skeleton vs the object graph it replaced.
 
-Three property families lock down the compressed representation:
+A skeleton holds the v2 wire columns and nothing else strongly — the
+shared tree only while a query result pins it.  Three property families:
 
-* **equivalence** — for random record sets, ``compress_skeleton``
-  preserves every derived structure the annotation sweep consumes
-  (bounds, slot bounds, counts), serializes byte-identically to the
-  eager skeleton, annotates to identical tf arrays, and patches
-  byte lengths identically to the eager patch path;
-* **sharing** — isomorphic structures are interned once per shape
-  table, within and across skeletons (and across engines handed the
-  same table), and the compressed footprint of a repetitive corpus is
-  a fraction of the eager one;
-* **wiring** — the engine's skeleton tier holds compressed entries
-  when ``dag_compression`` is on, search results are identical either
-  way, and ``close``/``prune_snapshots`` reclaim hooks and stale
-  snapshot files.
+* **equivalence** — for random record sets the columns carry exactly
+  what ``pdt_legacy``'s eager record graph does (keys, per-record
+  state, bounds, tree, tf arrays), and a byte-length patch in place
+  equals a rebuild from patched records;
+* **footprint** — the tree is memoized weakly, the arithmetic
+  ``memory_bytes`` gauge tracks a deep walk of the columns, and a
+  repetitive corpus takes a fraction of the record graph's bytes;
+* **wiring** — the engine's skeleton tier holds such entries, results
+  are identical with and without the tier, across updates too, and
+  ``close``/``prune_snapshots`` reclaim hooks and stale snapshot files.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
+from repro.bench.experiments import deep_sizeof, eager_graph_bytes
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import (
-    CompressedSkeleton,
     PDTRecord,
     PDTSkeleton,
     annotate_skeleton,
-    compress_skeleton,
+    build_skeleton,
     patch_skeleton_byte_lengths,
 )
-from repro.core.shapes import ShapeTable, forest_columns
+from repro.core.pdt_legacy import legacy_from_records
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import pack
 from repro.storage.database import XMLDatabase
-from repro.storage.inverted_index import Posting, PostingList
+from repro.storage.inverted_index import PostingList
 from tests.conftest import BOOKS_XML, BOOKREV_VIEW, REVIEWS_XML
-
-_TAGS = ["a", "b", "item", "Ünïcode-tag"]
-_VALUES = [None, "", "x", "multi word value", "0"]
-
-
-def _random_records(
-    rng: random.Random, count_hint: int = 25
-) -> dict[bytes, PDTRecord]:
-    records: dict[bytes, PDTRecord] = {}
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(rng.randint(0, count_hint)):
-        dewey = tuple(
-            rng.randint(1, 300) for _ in range(rng.randint(1, 5))
-        )
-        if dewey in seen:
-            continue
-        seen.add(dewey)
-        key = pack(dewey)
-        wants_value = rng.random() < 0.5
-        records[key] = PDTRecord(
-            key=key,
-            tag=rng.choice(_TAGS),
-            value=rng.choice(_VALUES) if wants_value else None,
-            byte_length=rng.randint(0, 1 << 40),
-            wants_value=wants_value,
-            wants_content=rng.random() < 0.5,
-        )
-    return records
-
-
-def _posting_list(rng: random.Random, keyword: str) -> PostingList:
-    deweys = sorted(
-        {
-            tuple(rng.randint(1, 300) for _ in range(rng.randint(1, 5)))
-            for _ in range(rng.randint(0, 20))
-        }
-    )
-    return PostingList(
-        keyword,
-        [Posting(dewey=dewey, tf=rng.randint(1, 9)) for dewey in deweys],
-    )
+from tests.test_pdt_legacy_equivalence import _tree_form, assert_matches_legacy
+from tests.test_snapshot import _random_posting_list as _posting_list
+from tests.test_snapshot import _random_records
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the eager representation
+# Equivalence with the eager record graph
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_compressed_matches_eager(seed):
     rng = random.Random(seed)
-    eager = PDTSkeleton.from_records(
-        "doc-ü.xml", _random_records(rng), 37
-    )
-    comp = compress_skeleton(eager, ShapeTable())
-
-    assert isinstance(comp, CompressedSkeleton)
-    assert comp.doc_name == eager.doc_name
-    assert comp.entry_count == eager.entry_count
-    assert comp.node_count == eager.node_count
-    assert comp.content_count == eager.content_count
-    assert comp.keys == tuple(eager.ordered)
-    assert comp.bounds == eager.bounds
-    assert comp.slot_bounds == eager.slot_bounds
-    assert comp.to_bytes() == eager.to_bytes()
+    records = _random_records(rng)
+    for dewey in ((301, 255), (301, 255, 65535)):  # bounds that carry
+        records[pack(dewey)] = PDTRecord(pack(dewey), "a", None, 1, False, True)
+    columnar = PDTSkeleton.from_records("doc-ü.xml", records, 37)
+    eager = legacy_from_records("doc-ü.xml", records, 37)
+    assert_matches_legacy(columnar, eager)
 
     keywords = ("alpha", "beta", "nowhere")
     inv_lists = {
@@ -115,7 +64,7 @@ def test_compressed_matches_eager(seed):
         "nowhere": PostingList("nowhere", []),
     }
     first = annotate_skeleton(eager, inv_lists, keywords)
-    second = annotate_skeleton(comp, inv_lists, keywords)
+    second = annotate_skeleton(columnar, inv_lists, keywords)
     assert first.tf_arrays == second.tf_arrays
     assert first.node_count == second.node_count
 
@@ -126,43 +75,41 @@ def test_compressed_patch_matches_eager(seed):
     records = _random_records(rng, count_hint=20)
     if not records:
         pytest.skip("empty record set has nothing to patch")
-    eager = PDTSkeleton.from_records("d.xml", records, 5)
-    comp = compress_skeleton(eager, ShapeTable())
+    columnar = PDTSkeleton.from_records("d.xml", records, 5)
+    live_tree = columnar.tree if seed % 2 else None
 
-    # Patch along the ancestor chain of a random present key.
+    # Patch along the ancestor chain of a random present key (plus one
+    # ancestor the skeleton does not materialize).
     target = rng.choice(sorted(records))
-    chain = [
-        key for key in sorted(records) if target.startswith(key)
-    ]
+    chain = [key for key in sorted(records) if target.startswith(key)]
     delta = rng.randint(-100, 100)
-    patch_skeleton_byte_lengths(eager, chain, delta)
-    patch_skeleton_byte_lengths(comp, chain, delta)
-    for index, key in enumerate(comp.keys):
-        assert comp.byte_lengths[index] == eager.records[key].byte_length
-    assert comp.to_bytes() == eager.to_bytes()
+    patched = patch_skeleton_byte_lengths(
+        columnar, [pack((999,))] + chain, delta
+    )
+    assert patched == (len(chain) if delta else 0)
+    for key in chain:
+        records[key].byte_length += delta
+    rebuilt = legacy_from_records("d.xml", records, 5)
+    assert_matches_legacy(columnar, rebuilt)
+    if live_tree is not None:  # patched in place, not re-built
+        assert columnar.tree is live_tree
 
 
 def test_compressed_tree_is_weakly_memoized():
-    rng = random.Random(3)
-    records = _random_records(rng, count_hint=20)
-    eager = PDTSkeleton.from_records("d.xml", records, 5)
-    comp = compress_skeleton(eager, ShapeTable())
-    # Seeded from the source skeleton's tree: same object, no rebuild.
-    assert comp.tree is eager.tree
-    del eager
+    records = _random_records(random.Random(3), count_hint=20)
+    skeleton = PDTSkeleton.from_records("d.xml", records, 5)
+    tree = skeleton.tree
+    assert skeleton.tree is tree  # memoized while something holds it
+    form = _tree_form(tree)
+    del tree
     gc.collect()
-    # The weak reference died with the eager skeleton; a fresh access
-    # re-materializes an equivalent tree.
-    rebuilt = comp.tree
-    assert rebuilt is comp.tree  # memoized again while referenced
-    assert [n.tag for n in rebuilt.iter()] == [
-        n.tag
-        for n in PDTSkeleton.from_records("d.xml", records, 5).tree.iter()
-    ]
+    # The only reference was weak; a fresh access builds an equal tree.
+    assert skeleton._tree_ref() is None
+    assert _tree_form(skeleton.tree) == form
 
 
 # ---------------------------------------------------------------------------
-# Structure sharing
+# Footprint
 # ---------------------------------------------------------------------------
 
 
@@ -183,52 +130,28 @@ def _shifted(records: dict[bytes, PDTRecord], offset: int):
     return shifted
 
 
-def test_isomorphic_skeletons_share_shapes():
-    rng = random.Random(11)
-    records = _random_records(rng, count_hint=25)
-    table = ShapeTable()
-    first = compress_skeleton(
-        PDTSkeleton.from_records("a.xml", records, 5), table
-    )
-    shapes_after_first = table.stats()["shapes"]
-    second = compress_skeleton(
-        PDTSkeleton.from_records("b.xml", _shifted(records, 1000), 5), table
-    )
-    # The second skeleton introduced zero new shapes — every subtree
-    # structure was already interned — yet keeps its own keys/values.
-    assert table.stats()["shapes"] == shapes_after_first
-    assert [s.digest for s in second.roots] == [
-        s.digest for s in first.roots
-    ]
-    assert second.keys != first.keys
-    tags, wants_value, wants_content = first.columns()
-    assert tags == second.columns()[0]
-    assert forest_columns(first.roots)[0] == tags
-
-
 def test_repetitive_corpus_compresses():
     rng = random.Random(13)
     base = _random_records(rng, count_hint=40)
     if len(base) < 10:  # pragma: no cover - seed guard
         pytest.skip("degenerate base structure")
-    table = ShapeTable()
-    eager_total = 0
-    compressed_total = 0
+    graph_total = 0
+    columns_total = 0
     for i in range(12):
-        eager = PDTSkeleton.from_records(
-            f"doc-{i}.xml", _shifted(base, i * 1000), 5
+        records = _shifted(base, i * 1000)
+        graph_total += eager_graph_bytes(
+            legacy_from_records(f"doc-{i}.xml", records, 5)
         )
-        eager_total += eager.memory_bytes
-        compressed_total += compress_skeleton(eager, table).memory_bytes
-    compressed_total += table.memory_bytes()
-    assert compressed_total * 2 < eager_total
+        columns_total += PDTSkeleton.from_records(
+            f"doc-{i}.xml", records, 5
+        ).memory_bytes
+    assert columns_total * 3 < graph_total
 
 
 def test_memory_gauge_tracks_the_deep_walk_on_every_difftest_shape():
     # The gauge is arithmetic over column lengths (every cache put
-    # reads it); the id-deduplicated object-graph walk it replaced
-    # stays the reference.
-    from repro.core.pdt import _deep_sizeof, build_skeleton
+    # reads it); an id-deduplicated walk of everything the skeleton
+    # holds strongly is the reference.
     from tests.difftest.generators import VIEW_SHAPES, generate_case
 
     for shape in VIEW_SHAPES:
@@ -237,77 +160,21 @@ def test_memory_gauge_tracks_the_deep_walk_on_every_difftest_shape():
             engine = KeywordSearchEngine(case.database, enable_cache=False)
             view = engine.define_view("v", case.view_text)
             for doc_name, qpt in view.qpts.items():
-                eager = build_skeleton(
+                skeleton = build_skeleton(
                     qpt, case.database.get(doc_name).path_index
                 )
-                comp = compress_skeleton(eager, ShapeTable())
-                assert comp.bounds is eager.bounds  # handed over
-                assert comp.slot_bounds is eager.slot_bounds
-                walked = 64 + 8 * len(comp.roots) + _deep_sizeof(
-                    (
-                        comp.keys,
-                        comp.byte_lengths,
-                        comp.values,
-                        comp.bounds,
-                        comp.slot_bounds,
+                walked = deep_sizeof(
+                    (skeleton,)
+                    + tuple(
+                        getattr(skeleton, column)
+                        for column in ("doc_name", "keys", "tag_ids", "tags",
+                                       "flags", "values", "byte_lengths",
+                                       "bounds", "slot_bounds")
                     )
                 )
-                assert 0.9 * walked <= comp.memory_bytes <= 1.1 * walked, (
-                    shape, seed, doc_name, comp.memory_bytes, walked
+                assert 0.9 * walked <= skeleton.memory_bytes <= 1.1 * walked, (
+                    shape, seed, doc_name, skeleton.memory_bytes, walked
                 )
-
-
-def test_digest_is_computed_once_per_new_shape(monkeypatch):
-    from repro.core import shapes
-
-    digested = []
-    real_digest = shapes._shape_digest
-    monkeypatch.setattr(
-        shapes,
-        "_shape_digest",
-        lambda *structure: digested.append(structure[0])
-        or real_digest(*structure),
-    )
-    table = ShapeTable()
-    columns = (
-        ["r", "a", "b", "a", "b"],
-        [False, True, False, True, False],
-        [True, False, True, False, True],
-        [-1, 0, 1, 0, 3],
-    )
-    first = table.intern_forest(*columns)
-    assert sorted(digested) == ["a", "b", "r"]  # 5 nodes, 3 structures
-    second = table.intern_forest(*columns)
-    assert len(digested) == 3
-    assert [s.digest for s in second] == [s.digest for s in first]
-    assert second[0] is first[0]
-    assert table.stats() == {"shapes": 3, "interned": 3, "hits": 7}
-
-
-def test_shape_digests_stable_across_hash_seeds():
-    script = (
-        "from repro.core.shapes import ShapeTable\n"
-        "table = ShapeTable()\n"
-        "roots = table.intern_forest(\n"
-        "    ['r', 'a', 'b', 'a'], [False, True, False, True],\n"
-        "    [True, False, True, False], [-1, 0, 0, 2])\n"
-        "print(' '.join(s.digest.hex() for s in roots))\n"
-    )
-    outputs = set()
-    for seed in ("0", "1", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        outputs.add(result.stdout.strip())
-    assert len(outputs) == 1 and outputs != {""}
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +194,12 @@ def _ranked(results):
 
 
 def test_engine_results_identical_with_and_without_compression():
+    # With the columnar tier (first contact, then warm) and without any
+    # tier at all (every query builds and drops its skeletons).
     keywords = ["xml", "search"]
     outcomes = []
-    for dag in (False, True):
-        engine = KeywordSearchEngine(_bookrev_db(), dag_compression=dag)
+    for enable_cache in (True, False):
+        engine = KeywordSearchEngine(_bookrev_db(), enable_cache=enable_cache)
         view = engine.define_view("bookrevs", BOOKREV_VIEW)
         first = _ranked(engine.search(view, keywords, top_k=10))
         warm = _ranked(engine.search(view, keywords, top_k=10))
@@ -339,47 +208,27 @@ def test_engine_results_identical_with_and_without_compression():
     assert outcomes[0] == outcomes[1]
 
 
-def _skeleton_tier_entries(engine):
-    tier = engine.cache.skeletons
-    entries = []
-    with tier._hold_all_locks():  # test-only peek
-        for shard in tier._shards:
-            entries.extend(shard._data.values())
-    return entries
-
-
 def test_engine_skeleton_tier_holds_compressed_entries():
     engine = KeywordSearchEngine(_bookrev_db())
     view = engine.define_view("bookrevs", BOOKREV_VIEW)
     engine.warm_view(view)
-    entries = _skeleton_tier_entries(engine)
-    assert entries
-    assert all(isinstance(s, CompressedSkeleton) for s in entries)
-    assert engine.shape_table.stats()["shapes"] > 0
-
-
-def test_engine_dag_off_keeps_eager_entries():
-    engine = KeywordSearchEngine(_bookrev_db(), dag_compression=False)
-    view = engine.define_view("bookrevs", BOOKREV_VIEW)
-    engine.warm_view(view)
-    entries = _skeleton_tier_entries(engine)
-    assert entries
-    assert all(isinstance(s, PDTSkeleton) for s in entries)
-    assert engine.shape_table is None
-
-
-def test_engines_can_share_a_shape_table():
-    table = ShapeTable()
-    for _ in range(2):
-        engine = KeywordSearchEngine(_bookrev_db(), shape_table=table)
-        engine.warm_view(engine.define_view("bookrevs", BOOKREV_VIEW))
-    # The second engine's skeletons re-used the first engine's shapes.
-    assert table.stats()["hits"] > 0
+    entries = [skeleton for _, skeleton in engine.cache.skeletons.items()]
+    assert len(entries) == 2
+    assert engine.cache.skeletons.memory_bytes == sum(
+        skeleton.memory_bytes for skeleton in entries
+    )
+    # The tier pins columns only: once no PDT or evaluated result
+    # references a tree, it is gone.
+    assert all(skeleton._tree_ref() is not None for skeleton in entries)
+    engine.cache.pdts.clear()
+    engine.cache.evaluated.clear()
+    gc.collect()
+    assert all(skeleton._tree_ref() is None for skeleton in entries)
 
 
 def test_updates_preserve_results_under_compression():
     db = _bookrev_db()
-    engine = KeywordSearchEngine(db, dag_compression=True)
+    engine = KeywordSearchEngine(db)
     view = engine.define_view("bookrevs", BOOKREV_VIEW)
     engine.warm_view(view)
     db.insert_subtree(
@@ -388,7 +237,7 @@ def test_updates_preserve_results_under_compression():
         "<review><isbn>222-22-2222</isbn><content>new xml search "
         "notes</content></review>",
     )
-    fresh = KeywordSearchEngine(_bookrev_db(), dag_compression=False)
+    fresh = KeywordSearchEngine(_bookrev_db(), enable_cache=False)
     fresh.database.insert_subtree(
         "reviews.xml",
         "1",

@@ -5,6 +5,7 @@ import pytest
 from repro.core.pdt import generate_pdt
 from repro.core.qpt import QPT, QPTNode, generate_qpts
 from repro.core.reference import reference_pdt
+from repro.dewey import DeweyID
 from repro.storage.database import XMLDatabase
 from repro.values import Predicate
 from repro.xmlmodel.serializer import serialize
@@ -312,6 +313,11 @@ class TestAnnotationShapeStability:
         assert all(hit.tf("zzznever") == 0 for hit in hits)
 
 
+def _content_keys(skeleton):
+    """The keys of the content records, in slot order."""
+    return [key for key, flag in zip(skeleton.keys, skeleton.flags) if flag & 2]
+
+
 class TestMergeJoinAnnotation:
     """The one-sweep annotation equals the per-node range-sum baseline."""
 
@@ -328,11 +334,8 @@ class TestMergeJoinAnnotation:
             skeleton = build_skeleton(qpt, indexed.path_index)
             inv_lists = prepare_inv_lists(indexed.inverted_index, keywords)
             result = annotate_skeleton(skeleton, inv_lists, keywords)
-            for position, key in enumerate(skeleton.ordered):
-                slot = skeleton.slots[position]
-                if slot is None:
-                    continue
-                dewey_id = skeleton.dewey_ids[position]
+            for slot, key in enumerate(_content_keys(skeleton)):
+                dewey_id = DeweyID.from_packed(key)
                 for keyword in keywords:
                     assert result.tf_at(slot, keyword) == inv_lists[
                         keyword
@@ -370,10 +373,7 @@ class TestSkeletonPrecompute:
         skeleton = build_skeleton(qpt, bookrev_db.get("reviews.xml").path_index)
         assert list(skeleton.bounds) == sorted(set(skeleton.bounds))
         assert len(skeleton.slot_bounds) == skeleton.content_count
-        for position, key in enumerate(skeleton.ordered):
-            slot = skeleton.slots[position]
-            if slot is None:
-                continue
+        for slot, key in enumerate(_content_keys(skeleton)):
             low, high = skeleton.slot_bounds[slot]
             assert skeleton.bounds[low] == key
             assert skeleton.bounds[high] == packed_child_bound(key)
@@ -385,9 +385,12 @@ class TestSkeletonPrecompute:
 
         qpt = qpts_for(bookrev_view_text)["books.xml"]
         skeleton = build_skeleton(qpt, bookrev_db.get("books.xml").path_index)
-        for position, key in enumerate(skeleton.ordered):
-            parent = skeleton.parents[position]
-            if parent < 0:
+        for node in skeleton.tree.iter():
+            if node.parent is None or node.parent.anno is None:
                 continue
-            assert key.startswith(skeleton.ordered[parent])
-            assert key != skeleton.ordered[parent]
+            key = node.anno.dewey.packed
+            # Nested under the nearest emitted proper ancestor.
+            assert node.parent.anno.dewey.packed == max(
+                (k for k in skeleton.keys if key.startswith(k) and k != key),
+                key=len,
+            )

@@ -1,12 +1,15 @@
-"""The rewritten cold path must be *byte-identical* to the frozen one.
+"""The shipped skeleton must be *identical* to the frozen reference.
 
 ``repro.core.pdt_legacy`` snapshots the pre-overhaul per-pattern build
-(probes, tuple-stream heap merge, original finalization).  These tests
-sweep every difftest view shape plus seeded random scenarios and assert
-the shipped batched/array-swept ``build_skeleton`` emits exactly the
-same skeletons — records, nesting, slots, tf bounds, shared tree — and
-identical annotation results.  The benchmark's 3x speedup claim means
-nothing unless this holds.
+(probes, tuple-stream heap merge, original finalization into an eager
+record graph) — the one implementation of records, bounds and tree
+that shares no code with the columnar :class:`PDTSkeleton`.  These
+tests sweep every difftest view shape plus seeded random scenarios and
+assert the shipped batched/array-swept ``build_skeleton`` emits exactly
+the same skeletons — keys, per-record columns, tf bounds, shared tree
+down to every annotation — and identical annotation results.  The
+benchmark's 3x speedup claim, and the columns standing in for the
+record graph, mean nothing unless this holds.
 """
 
 from __future__ import annotations
@@ -19,36 +22,57 @@ from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import annotate_skeleton, build_skeleton
 from repro.core.pdt_legacy import legacy_build_skeleton
 from repro.core.prepare import prepare_inv_lists
-from repro.xmlmodel.serializer import serialize
 
 
-def _assert_skeletons_identical(batched, legacy, keywords, inv_lists):
-    assert batched.doc_name == legacy.doc_name
-    assert batched.ordered == legacy.ordered
-    assert batched.parents == legacy.parents
-    assert batched.slots == legacy.slots
-    assert batched.bounds == legacy.bounds
-    assert batched.slot_bounds == legacy.slot_bounds
-    assert batched.entry_count == legacy.entry_count
-    assert [d.components for d in batched.dewey_ids] == [
-        d.components for d in legacy.dewey_ids
+def _tree_form(tree):
+    return [
+        (node.tag, node.text, len(node.children))
+        + (
+            ()
+            if node.anno is None
+            else (
+                node.anno.dewey.components,
+                node.anno.dewey.packed,
+                node.anno.byte_length,
+                node.anno.pruned,
+                node.anno.doc,
+                node.anno.slot,
+            )
+        )
+        for node in tree.iter()
     ]
-    for key, record in batched.records.items():
-        other = legacy.records[key]
+
+
+def assert_matches_legacy(skeleton, legacy):
+    """The columnar ``skeleton`` vs a ``LegacySkeleton`` record graph."""
+    assert skeleton.doc_name == legacy.doc_name
+    assert skeleton.entry_count == legacy.entry_count
+    assert skeleton.node_count == legacy.node_count
+    assert skeleton.content_count == legacy.content_count
+    assert skeleton.keys == legacy.ordered
+    assert skeleton.bounds == legacy.bounds
+    assert skeleton.slot_bounds == legacy.slot_bounds
+    for position, key in enumerate(skeleton.keys):
+        record = legacy.records[key]
+        flag = skeleton.flags[position]
         assert (
+            skeleton.tags[skeleton.tag_ids[position]],
+            skeleton.values[position],
+            skeleton.byte_lengths[position],
+            flag,
+        ) == (
             record.tag,
             record.value,
             record.byte_length,
-            record.wants_value,
-            record.wants_content,
-        ) == (
-            other.tag,
-            other.value,
-            other.byte_length,
-            other.wants_value,
-            other.wants_content,
+            record.wants_value
+            | record.wants_content << 1
+            | (record.value is not None) << 2,
         )
-    assert serialize(batched.tree) == serialize(legacy.tree)
+    assert _tree_form(skeleton.tree) == _tree_form(legacy.tree)
+
+
+def _assert_skeletons_identical(batched, legacy, keywords, inv_lists):
+    assert_matches_legacy(batched, legacy)
     assert (
         annotate_skeleton(batched, inv_lists, keywords).tf_arrays
         == annotate_skeleton(legacy, inv_lists, keywords).tf_arrays
@@ -74,8 +98,7 @@ def _sweep_case(case):
         ablation = build_skeleton(
             qpt, indexed.path_index, inpdt_fast_path=False
         )
-        assert ablation.ordered == batched.ordered
-        assert ablation.slots == batched.slots
+        assert ablation.to_bytes() == batched.to_bytes()
 
 
 @pytest.mark.parametrize("shape", VIEW_SHAPES)

@@ -639,17 +639,6 @@ class TestIngest:
                 for r in second.search("v", ("alpha",), top_k=5)
             ] == expected
 
-    def test_ingest_shares_one_shape_table_across_shards(self):
-        coordinator, _ = ingest_corpus(
-            DOCS, {"v": _view_text(sorted(DOCS))}, shard_count=3
-        )
-        with coordinator:
-            tables = {
-                id(executor.engine.shape_table)
-                for executor in coordinator.executors
-            }
-            assert len(tables) == 1
-
     def test_ingest_colocates_join_fragments(self):
         # d0 and d3 carry identical titles (i % 3 == 0), so the value
         # join genuinely produces results.

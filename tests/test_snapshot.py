@@ -3,9 +3,8 @@
 Three property families lock down the cross-process tier:
 
 * **round trip** — for random record sets, ``PDTSkeleton.to_bytes`` →
-  ``from_bytes`` reproduces every derived structure (ids, parents,
-  slots, tf bounds) and yields identical annotation results for random
-  posting lists;
+  ``from_bytes`` reproduces every column and derived structure and
+  yields identical annotation results for random posting lists;
 * **hash stability** — structurally equal QPTs hash equal (including in
   a subprocess with a different ``PYTHONHASHSEED``, the cross-process
   case object identity can never survive); any single axis, flag,
@@ -50,10 +49,12 @@ _TAGS = ["a", "b", "c", "item", "Ünïcode-tag"]
 _VALUES = [None, "", "x", "multi word value", "ناص", "0", "v" * 300]
 
 
-def _random_records(rng: random.Random) -> dict[bytes, PDTRecord]:
+def _random_records(
+    rng: random.Random, count_hint: int = 25
+) -> dict[bytes, PDTRecord]:
     """A random, structurally plausible PDT record set."""
     records: dict[bytes, PDTRecord] = {}
-    count = rng.randint(0, 25)
+    count = rng.randint(0, count_hint)
     seen: set[tuple[int, ...]] = set()
     for _ in range(count):
         depth = rng.randint(1, 5)
@@ -103,31 +104,23 @@ def test_skeleton_serialization_round_trip(seed):
 
     assert restored.doc_name == original.doc_name
     assert restored.entry_count == original.entry_count
-    assert restored.ordered == original.ordered
-    assert restored.parents == original.parents
-    assert restored.slots == original.slots
+    assert restored.node_count == original.node_count
     assert restored.content_count == original.content_count
+    for column in ("keys", "tag_ids", "tags", "flags", "values",
+                   "byte_lengths"):
+        assert getattr(restored, column) == getattr(original, column), column
     # tf bounds: identical subtree ranges and slot mappings.
     assert restored.bounds == original.bounds
     assert restored.slot_bounds == original.slot_bounds
-    assert [d.components for d in restored.dewey_ids] == [
-        d.components for d in original.dewey_ids
+    assert [
+        (node.anno.dewey.components, node.anno.slot)
+        for node in restored.tree.iter()
+        if node.anno is not None
+    ] == [
+        (node.anno.dewey.components, node.anno.slot)
+        for node in original.tree.iter()
+        if node.anno is not None
     ]
-    for key, record in original.records.items():
-        other = restored.records[key]
-        assert (
-            record.tag,
-            record.value,
-            record.byte_length,
-            record.wants_value,
-            record.wants_content,
-        ) == (
-            other.tag,
-            other.value,
-            other.byte_length,
-            other.wants_value,
-            other.wants_content,
-        )
 
     # Identical annotation results for random keyword posting lists —
     # including a keyword with zero postings.
@@ -315,7 +308,7 @@ def test_store_save_load_round_trip(tmp_path):
     assert ("f" * 64, "a" * 64) in store
     restored = store.load("f" * 64, "a" * 64)
     assert restored is not None
-    assert restored.ordered == skeleton.ordered
+    assert restored.keys == skeleton.keys
     assert len(store) == 1
     assert store.stats()["saves"] == 1
     assert store.stats()["hits"] == 1
@@ -415,6 +408,63 @@ def test_store_prune(tmp_path):
     assert len(store) == 1
     assert store.prune() == 1
     assert len(store) == 0
+
+
+def corrupt_a_key(payload: bytes) -> bytes:
+    """Flip one byte inside the keys blob — the header stays valid, so
+    an O(1) admission (mmap load, peer fetch) lets the payload in."""
+    from repro.core.pdt import SkeletonLayout
+
+    offset = SkeletonLayout(payload).keys_offset + 1
+    return payload[:offset] + bytes((payload[offset] ^ 0xFF,)) + payload[offset + 1:]
+
+
+@pytest.mark.parametrize("site", ("query", "edit"))
+def test_corrupt_columns_under_mmap_mode_are_a_miss_not_an_error(
+    tmp_path, bookrev_db, bookrev_view_text, site
+):
+    """Such a payload used to pass the mmap load's header check, then
+    raise out of every query (or edit) touching it, forever: counted a
+    hit, never reclaimed.  Both restore sites make of it what the eager
+    store does — a counted miss, a reclaim, a rebuild, a re-save."""
+    from repro.core.engine import KeywordSearchEngine
+
+    root = tmp_path / "snap"
+    warm = KeywordSearchEngine(
+        bookrev_db, snapshot_store=SkeletonStore(root, mmap_mode=True)
+    )
+    warm.define_view("v", bookrev_view_text)
+    warm.warm_view("v")
+    warm.close()
+    files = sorted(root.glob("*.pdts"))
+    assert len(files) == 2
+    for path in files:
+        path.write_bytes(corrupt_a_key(path.read_bytes()))
+
+    store = SkeletonStore(root, mmap_mode=True)
+    engine = KeywordSearchEngine(bookrev_db, snapshot_store=store)
+    engine.define_view("v", bookrev_view_text)
+    reference = KeywordSearchEngine(bookrev_db, enable_cache=False)
+    reference.define_view("v", bookrev_view_text)
+    if site == "edit":
+        # Patchable for the view, so the hook restores the old snapshot
+        # to forward it; the re-warm that follows then builds.
+        bookrev_db.insert_subtree("books.xml", "1", "<zaux>aside</zaux>")
+        assert store.stats()["misses"] >= 1
+    for _ in range(3):
+        outcome = engine.search_detailed("v", ["xml", "search"])
+        expected = reference.search_detailed("v", ["xml", "search"])
+        assert [(r.rank, r.score, r.to_xml()) for r in outcome.results] == [
+            (r.rank, r.score, r.to_xml()) for r in expected.results
+        ]
+    stats = store.stats()
+    assert stats["hits"] == 0 and stats["saves"] == 2, stats
+    assert stats["entries"] == 2
+    restored = KeywordSearchEngine(
+        bookrev_db, snapshot_store=SkeletonStore(root, mmap_mode=True)
+    )
+    restored.define_view("v", bookrev_view_text)
+    assert set(restored.warm_view("v").values()) == {"snapshot"}
 
 
 def test_engine_requires_cache_for_snapshot_store(tmp_path):

@@ -231,16 +231,45 @@ class TestNetworkedSkeletonStore:
     def test_fetched_payload_served_mmap_mode_like_a_local_save(
         self, tmp_path, snapshot_payload
     ):
-        from repro.core.snapshot import MappedSkeleton
-
         (fingerprint, qpt_hash), payload = snapshot_payload
         local = SkeletonStore(tmp_path / "s", mmap_mode=True)
         net = NetworkedSkeletonStore(
             local, StaticPeer({(fingerprint, qpt_hash): payload})
         )
         restored = net.load(fingerprint, qpt_hash)
-        assert isinstance(restored, MappedSkeleton)
+        assert restored._pending is not None  # mapped, not decoded yet
         restored.close()
+
+    def test_peer_payload_with_corrupt_columns_is_rebuilt_not_raised(
+        self, tmp_path, bookrev_db, snapshot_payload
+    ):
+        # The O(1) admission lets it in and writes it through; under
+        # mmap_mode nothing decodes it until the engine does — which
+        # used to raise out of every local query.
+        from tests.test_snapshot import corrupt_a_key
+
+        (fingerprint, qpt_hash), payload = snapshot_payload
+        local = SkeletonStore(tmp_path / "s", mmap_mode=True)
+        net = NetworkedSkeletonStore(
+            local,
+            StaticPeer({(fingerprint, qpt_hash): corrupt_a_key(payload)}),
+        )
+        engine = KeywordSearchEngine(bookrev_db, snapshot_store=net)
+        engine.define_view("v", BOOKREV_VIEW)
+        reference = KeywordSearchEngine(bookrev_db, enable_cache=False)
+        reference.define_view("v", BOOKREV_VIEW)
+        for _ in range(2):
+            assert [
+                (r.rank, r.score, r.to_xml())
+                for r in engine.search("v", ["xml", "search"])
+            ] == [
+                (r.rank, r.score, r.to_xml())
+                for r in reference.search("v", ["xml", "search"])
+            ]
+        stats = net.stats()
+        assert stats["fetched"] == 1 and stats["hits"] == 0, stats
+        # Reclaimed, rebuilt, re-saved: the local tier holds good bytes.
+        assert local.read_payload(fingerprint, qpt_hash) == payload
 
     def test_peer_miss_falls_back_without_tripping_breaker(
         self, tmp_path, snapshot_payload

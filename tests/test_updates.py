@@ -361,16 +361,14 @@ class TestSkeletonPatch:
         )
         # Ancestors of an edit under the first item: root, then the item.
         ancestor_keys = (DeweyID((1,)).packed, first_item.dewey.packed)
-        present = [key for key in ancestor_keys if key in skeleton.records]
+        present = [key for key in ancestor_keys if key in skeleton.keys]
         assert present, "expected at least one ancestor in the skeleton"
-        before = {
-            key: record.byte_length for key, record in skeleton.records.items()
-        }
+        before = dict(zip(skeleton.keys, skeleton.byte_lengths))
         patched = patch_skeleton_byte_lengths(skeleton, ancestor_keys, 30)
         assert patched == len(present)
-        for key, record in skeleton.records.items():
+        for key, byte_length in zip(skeleton.keys, skeleton.byte_lengths):
             expected = before[key] + (30 if key in present else 0)
-            assert record.byte_length == expected
+            assert byte_length == expected
 
     def test_zero_delta_is_a_noop(self):
         assert patch_skeleton_byte_lengths(None, (), 0) == 0
@@ -496,7 +494,7 @@ def test_fingerprint_property_over_generated_edit_streams(data):
     indexed.fingerprint  # force: from here on the edits maintain it
     tags = st.sampled_from(["zaux", "para", "item", "name", "note"])
     words = st.text(alphabet="abc xyz", max_size=12)
-    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+    for step in range(data.draw(st.integers(min_value=1, max_value=8))):
         nodes = list(indexed.root.iter())
         removable = [node for node in nodes if node.parent is not None]
         kind = data.draw(
@@ -508,7 +506,11 @@ def test_fingerprint_property_over_generated_edit_streams(data):
             db.delete_subtree("items.xml", target.dewey)
         else:
             tag, text, child = data.draw(tags), data.draw(words), data.draw(tags)
-            payload = f"<{tag}>{text}<{child}>{data.draw(words)}</{child}></{tag}>"
+            # The step number keeps a replace from reproducing the very
+            # subtree it replaces (same fingerprint, rightly).
+            payload = (
+                f"<{tag}>{text}{step}<{child}>{data.draw(words)}</{child}></{tag}>"
+            )
             if kind == "insert":
                 target = data.draw(st.sampled_from(nodes))
                 delta = db.insert_subtree("items.xml", target.dewey, payload)

@@ -4,69 +4,63 @@ The v2 layout is an offset-table header plus packed column arrays, so
 a reader can validate a payload and answer identity questions in O(1)
 without parsing the columns.  These tests pin down:
 
-* **round trips** — ``to_bytes``/``from_bytes`` through the eager
-  parser and through :class:`~repro.core.snapshot.MappedSkeleton`
-  agree on every derived structure and re-serialize byte-identically;
-* **rejection** — truncation, trailing bytes, bad magic, bad version
-  and corrupt offset tables all raise, never mis-parse;
-* **compatibility** — v1 payloads remain readable, and
-  ``skeleton_payload_version`` distinguishes the generations in O(1);
-* **the mmap store** — ``mmap_mode=True`` returns mapped skeletons,
-  treats corrupt payloads as misses, and round-trips patched state.
+* **round trips** — ``from_bytes`` (decode now) and ``from_mapping``
+  (decode on first access) agree on every column and derived structure
+  and re-serialize byte-identically;
+* **rejection** — truncation, trailing bytes, bad magic, bad version,
+  corrupt offset tables and non-canonical columns all raise, never
+  mis-parse: whatever decodes re-encodes to itself;
+* **retired versions** — a v1 payload is a counted miss and is reclaimed;
+* **the mmap store** — ``mmap_mode=True`` defers the columns, treats
+  corrupt payloads as misses, and round-trips patched state.
 """
 
 from __future__ import annotations
 
+import mmap
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.pdt import (
     PDTRecord,
     PDTSkeleton,
     SkeletonLayout,
-    _serialize_skeleton_v1,
     annotate_skeleton,
     deserialize_skeleton,
+    patch_skeleton_byte_lengths,
     serialize_skeleton,
     skeleton_payload_version,
 )
-from repro.core.snapshot import MappedSkeleton, SkeletonStore
+from repro.core.snapshot import SkeletonStore
 from repro.dewey import pack
 from repro.storage.inverted_index import Posting, PostingList
-
-_TAGS = ["a", "b", "item", "Ünïcode-tag"]
-_VALUES = [None, "", "x", "multi word value", "ناص", "v" * 300]
-
-
-def _random_records(rng: random.Random) -> dict[bytes, PDTRecord]:
-    records: dict[bytes, PDTRecord] = {}
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(rng.randint(0, 25)):
-        dewey = tuple(
-            rng.randint(1, 300) for _ in range(rng.randint(1, 5))
-        )
-        if dewey in seen:
-            continue
-        seen.add(dewey)
-        key = pack(dewey)
-        wants_value = rng.random() < 0.5
-        records[key] = PDTRecord(
-            key=key,
-            tag=rng.choice(_TAGS),
-            value=rng.choice(_VALUES) if wants_value else None,
-            byte_length=rng.randint(0, 1 << 40),
-            wants_value=wants_value,
-            wants_content=rng.random() < 0.5,
-        )
-    return records
-
+from repro.xmlmodel.serializer import serialize
+from tests.test_snapshot import _random_records
 
 def _skeleton(seed: int = 11) -> PDTSkeleton:
     rng = random.Random(seed)
     return PDTSkeleton.from_records(
         "doc-ü.xml", _random_records(rng), 37
     )
+
+
+def _mapping(payload: bytes) -> mmap.mmap:
+    mapping = mmap.mmap(-1, len(payload))
+    mapping.write(payload)
+    return mapping
+
+
+def _decoded_from_mapping(payload: bytes) -> PDTSkeleton:
+    mapping = _mapping(payload)
+    try:
+        skeleton = PDTSkeleton.from_mapping(mapping)
+        skeleton.decode()
+    except ValueError:
+        mapping.close()
+        raise
+    return skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +84,29 @@ def test_mapped_skeleton_matches_eager(seed):
     skeleton = _skeleton(seed)
     payload = skeleton.to_bytes()
     eager = PDTSkeleton.from_bytes(payload)
-    mapped = MappedSkeleton(payload)
+    mapping = _mapping(payload)
+    mapped = PDTSkeleton.from_mapping(mapping)
 
-    # O(1) facts, straight from the header.
+    # O(1) facts, straight from the header: nothing decoded yet.
     assert mapped.doc_name == skeleton.doc_name
     assert mapped.entry_count == skeleton.entry_count
     assert mapped.node_count == skeleton.node_count
     assert mapped.content_count == skeleton.content_count
-    assert mapped.memory_bytes == len(payload)
+    assert not mapping.closed
 
-    # Deep structures, through the lazily materialized inner skeleton.
-    assert mapped.ordered == eager.ordered
-    assert mapped.parents == eager.parents
-    assert mapped.slots == eager.slots
-    assert mapped.bounds == eager.bounds
-    assert mapped.slot_bounds == eager.slot_bounds
+    # The first deep access decodes every column and lets the mapping go.
+    assert mapped.bounds == eager.bounds == skeleton.bounds
+    assert mapping.closed
+    for column in ("keys", "tag_ids", "tags", "flags", "values",
+                   "byte_lengths", "slot_bounds"):
+        assert (
+            getattr(mapped, column)
+            == getattr(eager, column)
+            == getattr(skeleton, column)
+        ), column
     assert mapped.to_bytes() == payload
+    assert mapped.memory_bytes == eager.memory_bytes
+    assert serialize(mapped.tree) == serialize(skeleton.tree)
 
     rng = random.Random(seed + 1)
     deweys = sorted(
@@ -125,18 +126,67 @@ def test_mapped_skeleton_matches_eager(seed):
     )
 
 
+def test_concurrent_first_access_decodes_to_one_state():
+    # The lazy decode is idempotent: threads racing on the first deep
+    # access all see the same columns, none a half-published skeleton or
+    # the mapping the winner released.
+    import sys
+    import threading
+
+    payload = _skeleton(4).to_bytes()
+    eager = PDTSkeleton.from_bytes(payload)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            mapped = PDTSkeleton.from_mapping(_mapping(payload))
+            seen, start = [], threading.Barrier(8)
+
+            def read():
+                start.wait(5)
+                seen.append((mapped.bounds, mapped.slot_bounds, mapped.keys))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [(eager.bounds, eager.slot_bounds, eager.keys)] * 8
+            assert mapped.to_bytes() == payload
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_mapped_patch_flips_to_reencode():
-    skeleton = _skeleton(5)
-    if not skeleton.ordered:
-        pytest.skip("degenerate seed")
-    payload = skeleton.to_bytes()
-    mapped = MappedSkeleton(payload)
-    chain = [skeleton.ordered[0]]
-    mapped.patch_byte_lengths(chain, 7)
-    patched = PDTSkeleton.from_bytes(payload)
-    patched.records[chain[0]].byte_length += 7
+    records = _random_records(random.Random(5))
+    payload = PDTSkeleton.from_records("d.xml", records, 3).to_bytes()
+    mapped = PDTSkeleton.from_mapping(_mapping(payload))
+    first = min(records)
+    assert patch_skeleton_byte_lengths(mapped, (first,), 7) == 1
+    records[first].byte_length += 7
     assert mapped.to_bytes() != payload
-    assert mapped.to_bytes() == patched.to_bytes()
+    assert (
+        mapped.to_bytes()
+        == PDTSkeleton.from_records("d.xml", records, 3).to_bytes()
+    )
+
+
+def test_more_tags_than_the_wire_holds_still_build_and_annotate():
+    # The in-memory tag-id column is not the wire's u16: only to_bytes
+    # (a configured store) has the limit.
+    records = {}
+    for number in range(1, 0x10000 + 2):
+        key = pack((1, number))
+        records[key] = PDTRecord(key, f"t{number}", None, 1, False, True)
+    skeleton = PDTSkeleton.from_records("wide.xml", records, len(records))
+    assert len(skeleton.tags) == 0x10001
+    assert skeleton.tree.children[-1].tag == "t65537"
+    postings = PostingList("kw", [Posting(dewey=(1, 0x10001), tf=3)])
+    pdt = annotate_skeleton(skeleton, {"kw": postings}, ("kw",))
+    assert pdt.tf_arrays["kw"][-1] == 3 and sum(pdt.tf_arrays["kw"]) == 3
+    with pytest.raises(ValueError, match="too many distinct tags"):
+        skeleton.to_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +226,66 @@ def test_column_corruption_rejected():
         deserialize_skeleton(bytes(payload))
 
 
-# ---------------------------------------------------------------------------
-# Compatibility
-# ---------------------------------------------------------------------------
+def test_non_canonical_columns_rejected():
+    """Accepted means canonical: what ``from_records`` would not have
+    written does not decode, even where it would parse."""
+    records = {
+        pack((1, n)): PDTRecord(pack((1, n)), tag, None, 5, False, n == 2)
+        for n, tag in ((1, "a"), (2, "b"), (3, "a"))
+    }
+    payload = PDTSkeleton.from_records("d", records, 3).to_bytes()
+    layout = SkeletonLayout(payload)
+    assert PDTSkeleton.from_bytes(payload).to_bytes() == payload
+    for offset, replacement in (
+        (layout.flags_offset, b"\x08"),  # an unknown flag bit
+        (layout.flags_offset, b"\x02"),  # more content than the header says
+        (layout.tag_ids_offset, b"\x00\x01\x00\x00"),  # b before a
+        (layout.tag_ids_offset + 2, b"\x00\x00"),  # b never referenced
+        (layout.keys_offset + 2, b"\x01\x00"),  # a component 0 / 0-padded
+    ):
+        mutant = (
+            payload[:offset] + replacement + payload[offset + len(replacement):]
+        )
+        for decode in (PDTSkeleton.from_bytes, _decoded_from_mapping):
+            with pytest.raises(ValueError):
+                decode(mutant)
 
 
-def test_v1_payloads_remain_readable():
-    skeleton = _skeleton(9)
-    payload = _serialize_skeleton_v1(skeleton)
-    assert skeleton_payload_version(payload) == 1
-    restored = deserialize_skeleton(payload)
-    assert restored.ordered == skeleton.ordered
-    assert restored.bounds == skeleton.bounds
-    # Re-serializing a v1 restore emits the current format.
-    assert skeleton_payload_version(restored.to_bytes()) == 2
+_MUTATION = st.tuples(
+    st.sampled_from(("flip", "set", "splice", "swap")),
+    st.integers(0, 1 << 30),
+    st.binary(min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 14), st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_payload_is_rejected_or_canonical(seed, mutations):
+    """Hostile bytes on both decode routes: ``ValueError``, or a
+    skeleton that is the payload — never another exception, never a
+    skeleton that serializes to something else."""
+    payload = bytearray(_skeleton(seed).to_bytes())
+    for kind, where, data in mutations:
+        at = where % len(payload)
+        if kind == "flip":
+            payload[at] ^= 1 << (data[0] % 8)
+        elif kind == "set":
+            payload[at] = data[0]
+        elif kind == "splice":
+            payload[at:at + len(data)] = data
+        else:
+            other = (where >> 8) % len(payload)
+            payload[at:at + 4], payload[other:other + 4] = (
+                payload[other:other + 4], payload[at:at + 4]
+            )
+    payload = bytes(payload)
+    for decode in (PDTSkeleton.from_bytes, _decoded_from_mapping):
+        try:
+            skeleton = decode(payload)
+        except ValueError:
+            continue
+        assert skeleton.to_bytes() == payload
+        assert sum(1 for _ in skeleton.tree.iter()) >= skeleton.node_count
 
 
 def test_serialize_matches_across_entry_points():
@@ -207,12 +303,16 @@ def test_store_mmap_mode_returns_mapped_skeletons(tmp_path):
     skeleton = _skeleton()
     store.save("f" * 64, "a" * 64, skeleton)
     restored = store.load("f" * 64, "a" * 64)
-    assert isinstance(restored, MappedSkeleton)
     assert restored.doc_name == skeleton.doc_name
+    assert restored._pending is not None  # header only, so far
     assert restored.to_bytes() == skeleton.to_bytes()
+    assert restored._pending is None
     assert store.stats()["hits"] == 1
     restored.close()
     restored.close()  # idempotent
+    unread = store.load("f" * 64, "a" * 64)
+    unread.close()  # releases the mapping of a skeleton never decoded
+    assert unread._pending is None
 
 
 def test_store_mmap_mode_corrupt_payload_is_a_miss(tmp_path):
@@ -225,15 +325,17 @@ def test_store_mmap_mode_corrupt_payload_is_a_miss(tmp_path):
     assert not path.exists()  # corrupt snapshot reclaimed
 
 
-def test_store_mmap_mode_reads_v1_payloads_eagerly(tmp_path):
-    store = SkeletonStore(tmp_path / "snap", mmap_mode=True)
-    skeleton = _skeleton()
+@pytest.mark.parametrize("mmap_mode", (False, True))
+def test_v1_payload_is_a_counted_miss_and_reclaimed(tmp_path, mmap_mode):
+    # v1 (per-record framing) is no longer read: a store still holding
+    # one goes cold for that key once.
+    store = SkeletonStore(tmp_path / "snap", mmap_mode=mmap_mode)
     path = store.path_for("f" * 64, "a" * 64)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(_serialize_skeleton_v1(skeleton))
-    restored = store.load("f" * 64, "a" * 64)
-    assert isinstance(restored, PDTSkeleton)
-    assert restored.ordered == skeleton.ordered
+    path.write_bytes(b"PDTS\x00\x01" + _skeleton().to_bytes()[6:])
+    assert skeleton_payload_version(path.read_bytes()) == 1
+    assert store.load("f" * 64, "a" * 64) is None
+    assert store.stats()["misses"] == 1 and store.stats()["hits"] == 0
+    assert not path.exists()
 
 
 def test_store_prune_counter(tmp_path):
