@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.cache import QueryCache
 from repro.core.materialize import materialize_result
@@ -45,6 +45,7 @@ from repro.core.prepare import (
 )
 from repro.core.qpt import QPT, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
+from repro.core.routing import ShardRouter
 from repro.core.snapshot import SkeletonStore
 from repro.core.scoring import (
     ScoredResult,
@@ -54,7 +55,7 @@ from repro.core.scoring import (
     filter_matching,
     idf_from_counts,
 )
-from repro.core.topk import TopKSelector
+from repro.core.topk import MergeStats, TopKSelector
 from repro.errors import (
     InjectedFaultError,
     StaleViewError,
@@ -78,6 +79,9 @@ from repro.xquery.ast import (
 from repro.xquery.evaluator import EvalContext, Evaluator
 from repro.xquery.functions import inline_functions
 from repro.xquery.parser import parse_query
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core.sharding import ShardFailure
 
 
 @dataclass
@@ -194,7 +198,17 @@ class SearchResult:
 
 @dataclass
 class SearchOutcome:
-    """Everything a search produced (results + diagnostics)."""
+    """Everything a search produced (results + diagnostics).
+
+    The fields from ``shards`` down describe a scatter-gather and keep
+    their empty defaults on a lone engine.  ``degraded`` is ``True``
+    only under the coordinator's ``partial_results`` policy when one or
+    more shards failed: ``missing_shards`` names them, ``failures``
+    carries the typed records, and the global top-k guarantee is
+    forfeited — the results are exactly the healthy shards' contribution
+    (:meth:`repro.core.sharding.CorpusCoordinator.search_detailed` has
+    the precise semantics per phase).
+    """
 
     results: list[SearchResult]
     view_size: int
@@ -212,20 +226,28 @@ class SearchOutcome:
     """Whether the view's result nodes came from the evaluated tier
     (keyword-independent evaluation skipped entirely)."""
 
-    _cache: Optional[QueryCache] = field(default=None, repr=False)
+    shards: tuple[int, ...] = ()
+    merge_stats: Optional[MergeStats] = None
+    shard_timings: dict[int, PhaseTimings] = field(default_factory=dict)
+    degraded: bool = False
+    missing_shards: tuple[int, ...] = ()
+    failures: tuple["ShardFailure", ...] = ()
+
+    _stats: Optional[Callable[[], dict]] = field(default=None, repr=False)
     _cache_stats: Optional[dict] = field(default=None, repr=False)
 
     @property
     def cache_stats(self) -> dict[str, dict]:
-        """Aggregate + per-shard cache counters (empty when the cache is
-        disabled).  Lets benchmarks and the differential harness assert
-        *where* time went — e.g. that a skeleton-warm query hit the
-        skeleton tier.  Snapshotted lazily on first access (visiting
-        every shard lock is too expensive for the per-query hot path)
-        and memoized so repeated reads stay consistent."""
+        """Per-tier cache counters of whatever answered (a coordinator's
+        are summed over its shards; empty when the cache is disabled).
+        Lets benchmarks and the differential harness assert *where* time
+        went — e.g. that a skeleton-warm query hit the skeleton tier.
+        Snapshotted lazily on first access (visiting every shard lock is
+        too expensive for the per-query hot path) and memoized so
+        repeated reads stay consistent."""
         if self._cache_stats is None:
             self._cache_stats = (
-                self._cache.stats() if self._cache is not None else {}
+                self._stats()["cache"] if self._stats is not None else {}
             )
         return self._cache_stats
 
@@ -251,6 +273,56 @@ class ViewStatistics:
     pdts: dict[str, PDTResult]
     cache_hits: dict[str, str]
     evaluated_hit: bool
+
+
+def rank_statistics(
+    parts: Sequence[ViewStatistics],
+    idf: Mapping[str, float],
+    normalized: tuple[str, ...],
+    conjunctive: bool,
+    top_k: Optional[int],
+    normalize: bool,
+) -> tuple[list[ScoredResult], int]:
+    """Phase 2 of the protocol: the view-wide idf → scores → keyword
+    semantics → one bounded top-k heap over ``parts`` (the lone engine's
+    one harvest, or the fragments one shard holds).  Returns the ranked
+    survivors and how many results matched.  Result indexes must already
+    be view-global (the coordinator's gather rebases a shard's) so the
+    heap's tie-break — and any later merge — agrees with one engine over
+    the whole view.
+    """
+    selector = TopKSelector(top_k)
+    matching = 0
+    for stats in parts:
+        apply_scores(stats.scored, idf, normalized, normalize)
+        kept = filter_matching(stats.scored, normalized, conjunctive)
+        matching += len(kept)
+        selector.extend(kept)
+    return selector.results(), matching
+
+
+def wrap_results(
+    winners: Sequence[ScoredResult],
+    database_of: Callable[[ScoredResult], XMLDatabase],
+    materialize: bool,
+) -> list[SearchResult]:
+    """Ranked statistics become :class:`SearchResult`\\ s here and only
+    here, each attached to the database that can materialize it.  No
+    result touches the document store unless the caller opted into
+    eager materialization."""
+    results = [
+        SearchResult(
+            rank=rank,
+            score=scored.score,
+            scored=scored,
+            _database=database_of(scored),
+        )
+        for rank, scored in enumerate(winners, start=1)
+    ]
+    if materialize:
+        for result in results:
+            result.materialize()
+    return results
 
 
 class KeywordSearchEngine:
@@ -284,13 +356,18 @@ class KeywordSearchEngine:
         self.database = database
         self.normalize_scores = normalize_scores
         self._thread_state = threading.local()
-        self._hooks_lock = threading.Lock()
-        self._timing_hooks: list[Callable[[str, "SearchOutcome"], None]] = []
         self._views: dict[str, View] = {}
         self._closed = False
         if cache is None and enable_cache:
             cache = QueryCache()
         self.cache = cache
+        # Serving lanes partition exactly like the cache tiers; a
+        # cache-less engine routes as a default-sized cache would.
+        self._router = (
+            cache.router
+            if cache is not None
+            else ShardRouter(QueryCache.shard_count)
+        )
         if snapshot_store is not None and cache is None:
             raise ValueError(
                 "a snapshot store requires the query cache (the persistent "
@@ -321,30 +398,39 @@ class KeywordSearchEngine:
     def last_timings(self, timings: Optional[PhaseTimings]) -> None:
         self._thread_state.timings = timings
 
-    # -- timing hooks -----------------------------------------------------------
+    # -- what the serving layer reads (CorpusCoordinator answers the same) ------
 
-    def add_timing_hook(
-        self, hook: Callable[[str, "SearchOutcome"], None]
-    ) -> None:
-        """Register ``hook(view_name, outcome)`` to fire after every
-        ``search_detailed`` completes (successful searches only).
+    @property
+    def shard_count(self) -> int:
+        """How many ways :meth:`shard_for` partitions (serving lanes)."""
+        return self._router.shard_count
 
-        Hooks run on the searching thread, after the outcome is fully
-        built; the serving layer and benchmarks use them to observe
-        per-request phase timings and cache hits without wrapping every
-        call site.  Hooks must be thread-safe and must not raise — an
-        exception would surface as a search failure to that caller.
-        Registration itself is thread-safe too (searches iterate over an
-        immutable snapshot, so they never observe a half-applied edit).
-        """
-        with self._hooks_lock:
-            self._timing_hooks = self._timing_hooks + [hook]
+    def shard_for(self, view_name: str, doc_name: str) -> int:
+        """The cache shard a ``(view, document)`` pair's entries live on."""
+        return self._router.route(view_name, doc_name)
 
-    def remove_timing_hook(
-        self, hook: Callable[[str, "SearchOutcome"], None]
-    ) -> None:
-        with self._hooks_lock:
-            self._timing_hooks = [h for h in self._timing_hooks if h != hook]
+    def stats(self) -> dict[str, dict]:
+        """Cache-tier and snapshot-store counters, each ``{}`` when the
+        engine runs without that tier."""
+        cache, store = self.cache, self.snapshot_store
+        return {
+            "cache": cache.stats() if cache is not None else {},
+            "snapshot_store": store.stats() if store is not None else {},
+        }
+
+    def health_snapshot(self) -> dict:
+        """A lone engine has no shard that could be quarantined."""
+        return {}
+
+    def snapshot_payload(
+        self, doc_fingerprint: str, qpt_hash: str
+    ) -> Optional[bytes]:
+        """One stored skeleton's wire bytes, verbatim, or ``None`` —
+        what ``GET /snapshots/<key>`` serves to a warming peer."""
+        store = self.snapshot_store
+        if store is None:
+            return None
+        return store.read_payload(doc_fingerprint, qpt_hash)
 
     def _on_document_change(self, doc_name: str) -> None:
         """Database hook: a document was loaded or dropped."""
@@ -679,53 +765,35 @@ class KeywordSearchEngine:
         timings.qpt = time.perf_counter() - start
 
         # Phases 2–3a plus the statistics walk (see
-        # collect_view_statistics).  This is the same phase-1 routine a
-        # shard executor runs: the single engine *is* the 1-shard
-        # degenerate case of the scatter-gather protocol.
+        # collect_view_statistics) — the same phase-1 routine a shard
+        # executor runs.
         stats = self.collect_view_statistics(
             view, normalized, timings, scan_started
         )
 
-        # Phase 3b continued: idf from the (here: single-shard) counts,
-        # scores, keyword semantics, and the bounded top-k heap.  No
-        # result touches the document store here unless the caller opted
-        # into eager materialization.
+        # The one-part case of the protocol: the counts are already the
+        # whole view's, and one ranked list is already the answer — no
+        # scatter, no merge.
         start = time.perf_counter()
         idf = idf_from_counts(stats.view_size, stats.containing)
-        apply_scores(stats.scored, idf, normalized, self.normalize_scores)
-        kept = filter_matching(stats.scored, normalized, conjunctive)
-        selector = TopKSelector(top_k)
-        selector.extend(kept)
-        winners = selector.results()
-        results = [
-            SearchResult(
-                rank=rank,
-                score=scored.score,
-                scored=scored,
-                _database=self.database,
-            )
-            for rank, scored in enumerate(winners, start=1)
-        ]
-        if materialize:
-            for result in results:
-                result.materialize()
+        ranked, matching = rank_statistics(
+            (stats,), idf, normalized, conjunctive, top_k, self.normalize_scores
+        )
+        results = wrap_results(ranked, lambda _: self.database, materialize)
         timings.post_processing += time.perf_counter() - start
 
         self.last_timings = timings
-        search_outcome = SearchOutcome(
+        return SearchOutcome(
             results=results,
             view_size=stats.view_size,
-            matching_count=len(kept),
+            matching_count=matching,
             idf=idf,
             pdts=stats.pdts,
             timings=timings,
             cache_hits=stats.cache_hits,
             evaluated_hit=stats.evaluated_hit,
-            _cache=self.cache,
+            _stats=self.stats,
         )
-        for hook in tuple(self._timing_hooks):
-            hook(view.name, search_outcome)
-        return search_outcome
 
     def collect_view_statistics(
         self,

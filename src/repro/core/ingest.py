@@ -78,7 +78,6 @@ def ingest_corpus(
     shard_count: int = 4,
     snapshot_dir: Optional[Union[str, Path]] = None,
     workers: Optional[int] = None,
-    parallel: bool = True,
     router: Optional[ShardRouter] = None,
     mmap_snapshots: bool = False,
 ) -> tuple[CorpusCoordinator, IngestReport]:
@@ -87,7 +86,8 @@ def ingest_corpus(
     ``documents`` maps document names to XML text; ``views`` maps view
     names to view definition text.  Returns the ready coordinator and
     the ingest manifest.  ``workers`` bounds the parse/index pool
-    (default: one per document, capped at 8).  ``mmap_snapshots``
+    (default: one per document, capped at 8; 1 indexes in this
+    thread).  ``mmap_snapshots``
     makes each shard's snapshot slice memory-map payloads on restore
     instead of decoding them at load.
     """
@@ -122,7 +122,7 @@ def ingest_corpus(
     names = sorted(documents)
     if workers is None:
         workers = min(len(names), 8) or 1
-    if parallel and workers > 1 and len(names) > 1:
+    if workers > 1 and len(names) > 1:
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="ingest"
         ) as pool:
@@ -148,9 +148,9 @@ def ingest_corpus(
         executors.append(ShardExecutor(shard_id, snapshot_store=store))
     for record in indexed:
         executors[plan.shard_of(record.name)].adopt_document(record)
-    coordinator = CorpusCoordinator(executors, plan, parallel=parallel)
+    coordinator = CorpusCoordinator(executors, plan)
     for name, text in sorted(views.items()):
-        coordinator.define_view(name, text)
+        coordinator.register_view(name, parsed[name], text)
     timings["attach"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -38,8 +38,10 @@ fragment-by-fragment, the statistics are integer-summed, the scores are
 the same floats, and the merge provably returns the same top-k (the
 difftest suite asserts this bit-for-bit across randomized plans).
 
-The single-engine API is the 1-shard degenerate case: one executor, one
-fragment set, a merge over one stream.
+Both phases exist once, in :mod:`repro.core.engine`
+(``collect_view_statistics``, ``rank_statistics``): the lone engine is
+their one-part caller, the coordinator their N-part caller through
+``_scatter``, and both return the same ``SearchOutcome``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from repro.core.cache import QueryCache
+from repro.core.cache import CacheStats, QueryCache
 from repro.core.faults import FaultInjector
 from repro.core.health import FleetHealth
 from repro.core.engine import (
@@ -60,21 +63,13 @@ from repro.core.engine import (
     SearchOutcome,
     SearchResult,
     ViewStatistics,
+    rank_statistics,
+    wrap_results,
 )
 from repro.core.routing import ShardRouter
-from repro.core.scoring import (
-    ScoredResult,
-    apply_scores,
-    filter_matching,
-    idf_from_counts,
-)
+from repro.core.scoring import ScoredResult, idf_from_counts
 from repro.core.snapshot import SkeletonStore
-from repro.core.topk import (
-    MergeStats,
-    ShardStream,
-    TopKSelector,
-    merge_shard_streams,
-)
+from repro.core.topk import ShardStream, merge_shard_streams
 from repro.dewey import DeweyID
 from repro.errors import (
     CoordinatorClosedError,
@@ -263,15 +258,6 @@ class ShardHarvest:
         return merged
 
 
-@dataclass
-class ShardRanking:
-    """Phase-2 output: the shard's ranked survivors."""
-
-    shard_id: int
-    ranked: list[ScoredResult]
-    matching_count: int
-
-
 class ShardExecutor:
     """One shard: its own database, cache, snapshot slice, and engine.
 
@@ -308,10 +294,6 @@ class ShardExecutor:
         """Release the shard engine's hooks and prune its snapshot slice."""
         self.engine.close()
 
-    def prune_snapshots(self) -> int:
-        """Prune this shard's snapshot slice (see the engine method)."""
-        return self.engine.prune_snapshots()
-
     def __repr__(self) -> str:
         return (
             f"ShardExecutor(shard_id={self.shard_id}, "
@@ -329,34 +311,6 @@ class ShardExecutor:
         """Attach a document indexed elsewhere (ingestion workers, or a
         single-engine database being re-partitioned for comparison)."""
         return self.database.attach_document(indexed)
-
-    # -- sub-document updates ----------------------------------------------------
-    #
-    # Updates apply to this shard's own database, so the delta flows
-    # through the shard's engine hook exactly as in the single-engine
-    # case — patchable skeletons survive, structural rebuilds stay
-    # scoped to this shard's fragments.
-
-    def insert_subtree(
-        self,
-        name: str,
-        parent: Union[str, DeweyID],
-        payload: Union[str, XMLNode],
-    ) -> DocumentDelta:
-        return self.database.insert_subtree(name, parent, payload)
-
-    def delete_subtree(
-        self, name: str, target: Union[str, DeweyID]
-    ) -> DocumentDelta:
-        return self.database.delete_subtree(name, target)
-
-    def replace_subtree(
-        self,
-        name: str,
-        target: Union[str, DeweyID],
-        payload: Union[str, XMLNode],
-    ) -> DocumentDelta:
-        return self.database.replace_subtree(name, target, payload)
 
     # -- views -------------------------------------------------------------------
 
@@ -454,31 +408,20 @@ class ShardExecutor:
         conjunctive: bool,
         k: Optional[int],
         normalize: bool,
-    ) -> ShardRanking:
-        """Ranking scatter: apply the global idf, filter, bounded top-k.
-
-        The harvest's result indexes must already be rebased to global
-        view positions (the coordinator does this in the gather step) so
-        the heap's tie-break — and therefore the merged ranking — is
-        identical to the single-engine path.
-        """
+    ) -> tuple[list[ScoredResult], int]:
+        """Ranking scatter: phase 2 (:func:`~repro.core.engine.
+        rank_statistics`, whose pair this returns) over this shard's
+        fragments under the global idf, with the harvest's indexes
+        already rebased by the gather."""
         if self._faults is not None:
             self._faults.act(f"shard{self.shard_id}.rank")
         start = time.perf_counter()
-        selector = TopKSelector(k)
-        matching = 0
-        for fragment in harvest.fragments:
-            apply_scores(fragment.stats.scored, idf, normalized, normalize)
-            kept = filter_matching(
-                fragment.stats.scored, normalized, conjunctive
-            )
-            matching += len(kept)
-            selector.extend(kept)
-        ranked = selector.results()
-        harvest.timings.post_processing += time.perf_counter() - start
-        return ShardRanking(
-            shard_id=self.shard_id, ranked=ranked, matching_count=matching
+        parts = [fragment.stats for fragment in harvest.fragments]
+        ranking = rank_statistics(
+            parts, idf, normalized, conjunctive, k, normalize
         )
+        harvest.timings.post_processing += time.perf_counter() - start
+        return ranking
 
 
 def _fragment_view_name(view_name: str, position: int) -> str:
@@ -551,50 +494,28 @@ class CoordinatorView:
     text: str
     expr: Expr
     fragments: tuple[Fragment, ...]
-    fragment_shards: dict[int, int]  # fragment position -> shard id
     shards: tuple[int, ...]  # distinct shards, ascending
-
-    @property
-    def document_names(self) -> list[str]:
-        return sorted(
-            {doc for fragment in self.fragments for doc in fragment.documents}
-        )
-
-
-@dataclass
-class ShardedSearchOutcome(SearchOutcome):
-    """A :class:`SearchOutcome` plus the scatter-gather diagnostics.
-
-    ``degraded`` is ``True`` only under the ``partial_results`` policy
-    when one or more shards failed: ``missing_shards`` names them,
-    ``failures`` carries the typed records, and the global top-k
-    guarantee is forfeited — the results are exactly the healthy
-    shards' contribution (see :meth:`CorpusCoordinator.search_detailed`
-    for the precise semantics per phase).
-    """
-
-    shards: tuple[int, ...] = ()
-    merge_stats: Optional[MergeStats] = None
-    shard_timings: dict[int, PhaseTimings] = field(default_factory=dict)
-    degraded: bool = False
-    missing_shards: tuple[int, ...] = ()
-    failures: tuple[ShardFailure, ...] = ()
+    document_names: list[str]  # every fragment's documents, sorted
 
 
 class CorpusCoordinator:
     """Scatter-gather keyword search over a fleet of shard executors.
 
-    Speaks the same ``define_view`` / ``warm_view`` / ``search`` /
-    ``search_detailed`` surface as :class:`KeywordSearchEngine`, so the
-    serving layer can sit on either.  With ``parallel=True`` (default)
-    the scatter phases run on a thread pool sized to the fleet; pass
-    ``False`` for deterministic serial execution (the difftest harness
-    covers both).  The coordinator owns the pool — ``close()`` it, or
-    use the coordinator as a context manager.
+    Answers every method :class:`KeywordSearchEngine` does and returns
+    the same :class:`~repro.core.engine.SearchOutcome`, so the serving
+    layer sits on either without asking which.  A shard holds
+    precomputed view state (its cache tiers, its snapshot slice) and is
+    a failure domain; it is not a unit of CPU — under one GIL shard
+    threads buy no parallel Python — so the scatter phases are plain
+    calls in the querying thread.  A thread pool exists iff a
+    ``shard_deadline`` is configured: abandoning a hung shard takes a
+    second thread to wait from, and that is the pool's one job.  The
+    coordinator owns it — ``close()`` it, or use the coordinator as a
+    context manager.
 
-    **Failure domains.**  Each scatter call is bounded by
-    ``shard_deadline`` seconds (``None`` = wait forever, the historical
-    behavior) and retried up to ``shard_retries`` times; a shard that
+    **Failure domains.**  Each scatter wave is bounded by
+    ``shard_deadline`` seconds (``None`` = wait forever, in-thread) and
+    a failing shard retried up to ``shard_retries`` times; a shard that
     still fails yields a typed :class:`ShardFailure` instead of killing
     the query.  Per-shard health (:class:`~repro.core.health.FleetHealth`)
     quarantines a shard after consecutive failing queries — the scatter
@@ -605,7 +526,7 @@ class CorpusCoordinator:
     * ``False`` (default, fail-closed): a typed
       :class:`~repro.errors.ShardUnavailableError` — bit-identical
       semantics or nothing, exactly as before this knob existed.
-    * ``True``: a ``degraded`` :class:`ShardedSearchOutcome` over the
+    * ``True``: a ``degraded`` :class:`SearchOutcome` over the
       healthy shards.  A shard lost in the *statistics* phase is absent
       from the gather too, so the outcome equals evaluating only the
       surviving fragments (healthy-only idf — verifiable against a
@@ -625,8 +546,6 @@ class CorpusCoordinator:
         executors: Sequence[ShardExecutor],
         plan: ShardPlan,
         normalize_scores: bool = True,
-        parallel: bool = True,
-        merge_batch_size: int = 4,
         shard_deadline: Optional[float] = None,
         shard_retries: int = 0,
         partial_results: bool = False,
@@ -647,8 +566,6 @@ class CorpusCoordinator:
         self.executors = list(executors)
         self.plan = plan
         self.normalize_scores = normalize_scores
-        self.parallel = parallel
-        self.merge_batch_size = merge_batch_size
         self.shard_deadline = shard_deadline
         self.shard_retries = max(0, int(shard_retries))
         self.partial_results = partial_results
@@ -678,7 +595,7 @@ class CorpusCoordinator:
     def prune_snapshots(self) -> int:
         """Prune every shard's snapshot slice; total files removed."""
         return sum(
-            executor.prune_snapshots() for executor in self.executors
+            executor.engine.prune_snapshots() for executor in self.executors
         )
 
     def __enter__(self) -> "CorpusCoordinator":
@@ -724,14 +641,17 @@ class CorpusCoordinator:
         """Run ``fn(shard)`` over the shards inside the failure domain.
 
         Returns ``(results, failures)``.  Quarantined shards are never
-        submitted; the rest run in parallel (one shared wave deadline —
-        the shards execute concurrently, so per-shard budgets overlap)
-        or serially (per-shard deadline; with no deadline, direct calls
-        preserve the historical zero-thread path bit for bit).  Failed
-        shards are re-scattered up to ``shard_retries`` times.  Exactly
-        one health verdict is recorded per shard — quarantine counts
-        failing *queries*, not retry churn.  Semantic errors propagate.
+        called; the rest are called directly, in this thread and in
+        shard order, unless there is a ``shard_deadline`` to enforce —
+        then the wave goes to the pool under one shared deadline (the
+        shards execute concurrently, so per-shard budgets overlap).
+        Failed shards are re-scattered up to ``shard_retries`` times.
+        Exactly one health verdict is recorded per shard — quarantine
+        counts failing *queries*, not retry churn.  Semantic errors
+        propagate.
         """
+        if self._closed:
+            raise CoordinatorClosedError()
         deadline = self.shard_deadline
         results: dict = {}
         failures: dict[int, ShardFailure] = {}
@@ -747,53 +667,31 @@ class CorpusCoordinator:
         while pending and attempt <= self.shard_retries:
             wave, pending = pending, []
             wave_errors: dict[int, tuple[str, str]] = {}
-            if self.parallel and len(wave) > 1:
+            if deadline is not None:
                 futures = {
-                    shard: self._submit(lambda s=shard: fn(s))
-                    for shard in wave
+                    shard: self._submit(partial(fn, shard)) for shard in wave
                 }
-                wave_deadline = (
-                    None if deadline is None else time.monotonic() + deadline
-                )
-                for shard in wave:
-                    remaining = (
-                        None
-                        if wave_deadline is None
-                        else max(0.0, wave_deadline - time.monotonic())
-                    )
-                    try:
+                expires = time.monotonic() + deadline
+            for shard in wave:
+                try:
+                    if deadline is None:
+                        results[shard] = fn(shard)
+                    else:
                         results[shard] = futures[shard].result(
-                            timeout=remaining
+                            timeout=max(0.0, expires - time.monotonic())
                         )
-                    except FuturesTimeoutError:
+                except Exception as exc:
+                    if _is_semantic(exc):
+                        raise
+                    if deadline is not None and isinstance(
+                        exc, FuturesTimeoutError
+                    ):
                         futures[shard].cancel()
                         wave_errors[shard] = (
                             FAILURE_TIMEOUT,
                             f"no result within {deadline}s",
                         )
-                    except Exception as exc:
-                        if _is_semantic(exc):
-                            raise
-                        wave_errors[shard] = (
-                            FAILURE_ERROR,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-            else:
-                for shard in wave:
-                    try:
-                        if deadline is None:
-                            results[shard] = fn(shard)
-                        else:
-                            future = self._submit(lambda s=shard: fn(s))
-                            results[shard] = future.result(timeout=deadline)
-                    except FuturesTimeoutError:
-                        wave_errors[shard] = (
-                            FAILURE_TIMEOUT,
-                            f"no result within {deadline}s",
-                        )
-                    except Exception as exc:
-                        if _is_semantic(exc):
-                            raise
+                    else:
                         wave_errors[shard] = (
                             FAILURE_ERROR,
                             f"{type(exc).__name__}: {exc}",
@@ -833,26 +731,69 @@ class CorpusCoordinator:
                 view_name, [failures[s] for s in sorted(failures)]
             )
 
+    # -- the surface the serving layer reads -------------------------------------
+
+    def shard_for(self, view_name: str, doc_name: str) -> int:
+        """The shard executor holding the document, whatever the view."""
+        return self.plan.shard_of(doc_name)
+
+    def stats(self) -> dict[str, dict]:
+        """Every shard engine's ``stats()``, summed count by count (what
+        is not a count — a per-cache-shard breakdown, a breaker state —
+        describes one slice and is left out); hit rates recomputed."""
+        cache: dict[str, dict] = {}
+        store: dict[str, int] = {}
+        for executor in self.executors:
+            slice_stats = executor.engine.stats()
+            for tier, counters in slice_stats["cache"].items():
+                _add_counts(cache.setdefault(tier, {}), counters)
+            _add_counts(store, slice_stats["snapshot_store"])
+        for counters in cache.values():
+            counters["hit_rate"] = CacheStats(
+                hits=counters["hits"], misses=counters["misses"]
+            ).hit_rate
+        return {"cache": cache, "snapshot_store": store}
+
     def health_snapshot(self) -> dict:
         """Per-shard breaker states and quarantine counters (for
         coordinator stats, ``/health`` and ``/stats``)."""
         return self.health.snapshot()
 
+    def snapshot_payload(
+        self, doc_fingerprint: str, qpt_hash: str
+    ) -> Optional[bytes]:
+        """One stored skeleton's wire bytes from whichever shard's slice
+        holds it, or ``None`` — keys are content-addressed, so the bytes
+        are what a lone engine would have stored and can seed any peer."""
+        for executor in self.executors:
+            payload = executor.engine.snapshot_payload(
+                doc_fingerprint, qpt_hash
+            )
+            if payload is not None:
+                return payload
+        return None
+
     # -- views -------------------------------------------------------------------
 
     def define_view(self, name: str, text: str) -> CoordinatorView:
-        """Parse a view, fragment it, and register each fragment on the
-        shard that owns its documents.
+        """Parse a view definition and :meth:`register_view` it."""
+        return self.register_view(
+            name, inline_functions(parse_query(text)), text
+        )
+
+    def register_view(
+        self, name: str, expr: Expr, text: str = ""
+    ) -> CoordinatorView:
+        """Fragment an already-parsed, function-free view expression and
+        register each fragment on the shard that owns its documents
+        (``define_view`` minus the parse step, as on the engine).
 
         A fragment whose documents span shards is rejected: fragments
         are the evaluation unit (a join cannot execute across two
         databases), so the plan must have colocated them — ``build``'s
         ``colocate`` groups exist exactly for this.
         """
-        program = parse_query(text)
-        expr = inline_functions(program)
         fragments = view_fragments(expr)
-        fragment_shards: dict[int, int] = {}
         per_shard: dict[int, list[Fragment]] = {}
         for fragment in fragments:
             homes = {self.plan.shard_of(doc) for doc in fragment.documents}
@@ -863,9 +804,7 @@ class CorpusCoordinator:
                     f"shards {sorted(homes)}; a fragment must live on one "
                     "shard (colocate its documents in the plan)"
                 )
-            home = homes.pop()
-            fragment_shards[fragment.position] = home
-            per_shard.setdefault(home, []).append(fragment)
+            per_shard.setdefault(homes.pop(), []).append(fragment)
         for shard, shard_fragments in per_shard.items():
             self.executors[shard].register_view(name, shard_fragments)
         view = CoordinatorView(
@@ -873,8 +812,10 @@ class CorpusCoordinator:
             text=text,
             expr=expr,
             fragments=fragments,
-            fragment_shards=fragment_shards,
             shards=tuple(sorted(per_shard)),
+            document_names=sorted(
+                {doc for fragment in fragments for doc in fragment.documents}
+            ),
         )
         self._views[name] = view
         return view
@@ -889,17 +830,17 @@ class CorpusCoordinator:
         """The shards a query against this view scatters to."""
         return self.get_view(name).shards
 
-    def shard_of_document(self, doc_name: str) -> int:
-        return self.plan.shard_of(doc_name)
-
     # -- sub-document updates ----------------------------------------------------
     #
-    # The coordinator routes each update to the document's owning shard
+    # The coordinator routes each update to the owning shard's database
     # (the plan is content-addressed, so ownership never moves on an
-    # update) and lets that shard's delta machinery do the rest.  No
+    # update) and lets that shard engine's delta hook do the rest.  No
     # cross-shard re-sync step is needed: idf is recomputed from integer
     # sums on *every* query's statistics scatter, so the next search
     # automatically sees the post-update global statistics.
+
+    def _home(self, doc_name: str) -> XMLDatabase:
+        return self.executors[self.plan.shard_of(doc_name)].database
 
     def insert_subtree(
         self,
@@ -907,14 +848,12 @@ class CorpusCoordinator:
         parent: Union[str, DeweyID],
         payload: Union[str, XMLNode],
     ) -> DocumentDelta:
-        shard = self.plan.shard_of(doc_name)
-        return self.executors[shard].insert_subtree(doc_name, parent, payload)
+        return self._home(doc_name).insert_subtree(doc_name, parent, payload)
 
     def delete_subtree(
         self, doc_name: str, target: Union[str, DeweyID]
     ) -> DocumentDelta:
-        shard = self.plan.shard_of(doc_name)
-        return self.executors[shard].delete_subtree(doc_name, target)
+        return self._home(doc_name).delete_subtree(doc_name, target)
 
     def replace_subtree(
         self,
@@ -922,8 +861,7 @@ class CorpusCoordinator:
         target: Union[str, DeweyID],
         payload: Union[str, XMLNode],
     ) -> DocumentDelta:
-        shard = self.plan.shard_of(doc_name)
-        return self.executors[shard].replace_subtree(doc_name, target, payload)
+        return self._home(doc_name).replace_subtree(doc_name, target, payload)
 
     def warm_view(self, view: Union[CoordinatorView, str]) -> dict[str, str]:
         """Warm every owning shard's fragment tiers; merged per-doc hits.
@@ -986,13 +924,16 @@ class CorpusCoordinator:
         top_k: Optional[int] = 10,
         conjunctive: bool = True,
         materialize: bool = False,
-    ) -> ShardedSearchOutcome:
-        """The full scatter-gather protocol (see the module docstring).
+    ) -> SearchOutcome:
+        """The N-part case of the protocol (see the module docstring):
+        the engine's two phases, each behind :meth:`_scatter`, with a
+        gather between them and a merge after.
 
-        The outcome's ``timings`` merge the per-shard ledgers by max
-        (they ran concurrently) — or by sum under ``parallel=False`` —
-        and stack the coordinator's own gather/merge spans serially on
-        top, so ``timings.total`` tracks coordinator wall clock.
+        The outcome's ``timings`` merge the per-shard ledgers by sum
+        (they ran one after another) — or by max under a
+        ``shard_deadline``, where they ran side by side — and stack the
+        coordinator's own gather/merge spans serially on top, so
+        ``timings.total`` tracks coordinator wall clock.
         """
         coordinator_timings = PhaseTimings()
         start = time.perf_counter()
@@ -1060,9 +1001,11 @@ class CorpusCoordinator:
         )
         failures.update(rank_failures)
         self._enforce_policy(name, failures, healthy_count=len(rankings))
-        ranked_shards = tuple(
-            shard for shard in healthy if shard in rankings
-        )
+        ranked = {
+            shard: rankings[shard][0]
+            for shard in healthy
+            if shard in rankings
+        }
 
         # Streaming k-way merge with early termination.  A shard lost
         # in phase 2 simply contributes no stream: its results vanish
@@ -1070,37 +1013,25 @@ class CorpusCoordinator:
         # survivors' scores — and their relative order — are exactly
         # the full ranking's, restricted to the healthy shards.
         start = time.perf_counter()
-        streams = [
-            ShardStream(
-                shard, rankings[shard].ranked, batch_size=self.merge_batch_size
-            )
-            for shard in ranked_shards
-        ]
-        winners, merge_stats = merge_shard_streams(streams, top_k)
-        merge_stats.missing = len(shards) - len(ranked_shards)
-        owner = {
-            id(scored): shard
-            for shard in ranked_shards
-            for scored in rankings[shard].ranked
+        winners, merge_stats = merge_shard_streams(
+            [ShardStream(shard, results) for shard, results in ranked.items()],
+            top_k,
+        )
+        merge_stats.missing = len(shards) - len(ranked)
+        home = {
+            id(scored): self.executors[shard].database
+            for shard, results in ranked.items()
+            for scored in results
         }
-        results = [
-            SearchResult(
-                rank=rank,
-                score=scored.score,
-                scored=scored,
-                _database=self.executors[owner[id(scored)]].database,
-            )
-            for rank, scored in enumerate(winners, start=1)
-        ]
-        if materialize:
-            for result in results:
-                result.materialize()
+        results = wrap_results(
+            winners, lambda scored: home[id(scored)], materialize
+        )
         coordinator_timings.post_processing += time.perf_counter() - start
 
         shard_timings = {shard: harvests[shard].timings for shard in healthy}
         merged_shard_timings = PhaseTimings.merge(
             list(shard_timings.values()),
-            concurrent=self.parallel and len(healthy) > 1,
+            concurrent=self.shard_deadline is not None,
         )
         timings = PhaseTimings.merge(
             [coordinator_timings, merged_shard_timings], concurrent=False
@@ -1112,12 +1043,10 @@ class CorpusCoordinator:
             pdts.update(harvests[shard].pdts)
             cache_hits.update(harvests[shard].cache_hits)
         missing = tuple(sorted(failures))
-        return ShardedSearchOutcome(
+        return SearchOutcome(
             results=results,
             view_size=view_size,
-            matching_count=sum(
-                rankings[shard].matching_count for shard in ranked_shards
-            ),
+            matching_count=sum(rankings[shard][1] for shard in ranked),
             idf=idf,
             pdts=pdts,
             timings=timings,
@@ -1131,4 +1060,11 @@ class CorpusCoordinator:
             degraded=bool(failures),
             missing_shards=missing,
             failures=tuple(failures[shard] for shard in missing),
+            _stats=self.stats,
         )
+
+
+def _add_counts(total: dict, counters: Mapping) -> None:
+    for key, value in counters.items():
+        if isinstance(value, int):
+            total[key] = total.get(key, 0) + value

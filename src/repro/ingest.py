@@ -66,12 +66,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="parse/index worker threads (default: min(#docs, 8))",
-    )
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="disable all parallelism (deterministic debugging runs)",
+        help="parse/index worker threads (default: min(#docs, 8); "
+        "1 indexes in the calling thread)",
     )
     parser.add_argument(
         "--manifest",
@@ -88,7 +84,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shard_count=args.shards,
             snapshot_dir=args.snapshot_dir,
             workers=args.workers,
-            parallel=not args.serial,
         )
     except (ReproError, OSError) as exc:
         print(f"ingest failed: {exc}", file=sys.stderr)

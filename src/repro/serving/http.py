@@ -264,22 +264,22 @@ class SearchAPI:
     def _health(self) -> _HTTPReply:
         """Liveness plus fleet health.
 
-        A plain engine keeps the historical ``{"status", "running"}``
-        shape.  A coordinator-backed server adds a ``shards`` section
-        from :class:`~repro.core.health.FleetHealth`: 200 with status
-        ``"ok"`` while every shard serves, 200 ``"degraded"`` while some
-        are quarantined but at least one still serves (the replica can
-        answer, possibly partially), 503 ``"unavailable"`` when no
-        shard can serve at all — indistinguishable from down, so load
-        balancers should fail over.
+        An engine with no shard health to report (a lone engine's
+        ``health_snapshot()`` is empty) keeps the historical
+        ``{"status", "running"}`` shape.  Otherwise a ``shards`` section
+        from :class:`~repro.core.health.FleetHealth` is added: 200 with
+        status ``"ok"`` while every shard serves, 200 ``"degraded"``
+        while some are quarantined but at least one still serves (the
+        replica can answer, possibly partially), 503 ``"unavailable"``
+        when no shard can serve at all — indistinguishable from down,
+        so load balancers should fail over.
         """
         running = self.server.running
         if not running:
             return _HTTPReply(503, {"status": "stopped", "running": False})
-        health = getattr(self.server.engine, "health_snapshot", None)
-        if not callable(health):
+        snapshot = self.server.engine.health_snapshot()
+        if not snapshot:
             return _HTTPReply(200, {"status": "ok", "running": True})
-        snapshot = health()
         quarantined = sorted(int(s) for s in snapshot["quarantined"])
         serving = snapshot["serving"]
         total = len(snapshot["shards"])
@@ -317,11 +317,12 @@ class SearchAPI:
         steered at arbitrary paths.
         """
         match = _SNAPSHOT_NAME.match(name)
-        store = getattr(self.server.engine, "snapshot_store", None)
-        if match is None or store is None:
-            raise _error_reply(404, "snapshot_not_found", f"no snapshot {name!r}")
-        qpt_hash, doc_fingerprint = match.group(1), match.group(2)
-        payload = store.read_payload(doc_fingerprint, qpt_hash)
+        payload = None
+        if match is not None:
+            qpt_hash, doc_fingerprint = match.group(1), match.group(2)
+            payload = self.server.engine.snapshot_payload(
+                doc_fingerprint, qpt_hash
+            )
         if payload is None:
             raise _error_reply(404, "snapshot_not_found", f"no snapshot {name!r}")
         return _HTTPReply(200, payload)
@@ -425,7 +426,7 @@ class SearchAPI:
                 "cache_hits": dict(sorted(outcome.cache_hits.items())),
             },
         }
-        if getattr(outcome, "degraded", False):
+        if outcome.degraded:
             # Deterministic (phase and reason only — no timing-dependent
             # diagnostic strings), so two replicas dropping the same
             # shards produce byte-identical degraded sections.

@@ -9,11 +9,13 @@ shaping*, not more query machinery:
 * **per-view inflight limits** — one hot view cannot occupy the whole
   queue (see :mod:`repro.serving.admission`);
 * **shard-affine execution lanes** — each request is routed to the
-  cache shards its ``(view, doc)`` pairs hash to (the same partitioning
-  :class:`~repro.core.cache.QueryCache` uses), and a per-lane semaphore
-  bounds concurrent execution per shard.  Requests that would contend
-  on a shard's lock serialize in front of the cache, where they cost an
-  ``await``, instead of inside it, where they cost a blocked thread;
+  shards its ``(view, doc)`` pairs live on, as the engine itself
+  reports them (``engine.shard_for``: cache shards under a lone engine,
+  shard executors under a coordinator — the server never asks which),
+  and a per-lane semaphore bounds concurrent execution per shard.
+  Requests that would contend on a shard's lock serialize in front of
+  the cache, where they cost an ``await``, instead of inside it, where
+  they cost a blocked thread;
 * **startup pre-warming** — configured hot views get one
   ``build_skeleton`` per ``(view, doc)`` before traffic arrives, so
   first-contact keyword queries run the warm array-sweep path
@@ -42,7 +44,6 @@ from functools import partial
 from typing import Any, Optional, Sequence, Union
 
 from repro.core.engine import KeywordSearchEngine, SearchOutcome, SearchResult, View
-from repro.core.routing import ShardRouter
 from repro.core.sharding import CorpusCoordinator
 from repro.serving.admission import (
     AdmissionController,
@@ -76,9 +77,6 @@ class ServerConfig:
     shed_cold_views: bool = False
     shed_queue_fraction: float = 0.5
     shed_miss_threshold: float = 0.75
-    #: Lane count when the engine runs without a cache (no shards to
-    #: mirror); with a cache, the cache's ``shard_count`` wins.
-    fallback_shards: int = 8
     #: Sliding-window size for the latency recorders.
     latency_window: int = 2048
 
@@ -165,19 +163,9 @@ class SearchServer:
         self.config = config or ServerConfig()
         self.stats = stats or ServingStats(window=self.config.latency_window)
         self.admission = AdmissionController(self.config.admission_limits())
-        # Lanes mirror whatever partitions the engine's own execution:
-        # shard executors under a coordinator, cache shards under a
-        # single cached engine, and the shared router's keyspace when
-        # neither exists (so the cacheless fallback still agrees with
-        # every other layer about where a (view, doc) pair lives).
-        cache = getattr(engine, "cache", None)
-        if isinstance(engine, CorpusCoordinator):
-            self.lane_count = engine.shard_count
-        elif cache is not None:
-            self.lane_count = cache.shard_count
-        else:
-            self.lane_count = self.config.fallback_shards
-        self._fallback_router = ShardRouter(self.lane_count)
+        # Lanes mirror whatever partitions the engine's own execution
+        # (shard executors, or cache shards), as the engine reports it.
+        self.lane_count = engine.shard_count
         self.startup_warmup: Optional[WarmupReport] = None
         self._running = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -343,34 +331,22 @@ class SearchServer:
     # -- routing -------------------------------------------------------------
 
     def route(self, view: Union[View, str]) -> tuple[int, ...]:
-        """The sorted lanes a view's requests execute under.
-
-        Under a :class:`CorpusCoordinator` the lanes *are* the shard
-        executors holding the view's fragments — a request serializes in
-        front of exactly the shards its scatter will touch.  Under a
-        single cached engine they mirror ``QueryCache.shard_for`` per
-        ``(view, doc)`` pair, so execution concurrency is partitioned
-        exactly like the cache.  The cacheless fallback hashes the same
-        pairs through the shared :class:`ShardRouter` — the same
-        placement a cache of ``lane_count`` shards would compute, never
-        a third opinion.
+        """The sorted lanes a view's requests execute under: the shards
+        its ``(view, doc)`` pairs live on, by the engine's own account
+        (``shard_for``) — so a request serializes in front of exactly
+        the cache shards, or shard executors, it will touch, and no
+        layer holds a second opinion about placement.
         """
         if isinstance(view, str):
             view = self.engine.get_view(view)
-        if isinstance(self.engine, CorpusCoordinator):
-            return self.engine.shards_for_view(view.name)
-        cache = self.engine.cache
-        if cache is not None:
-            lanes = {
-                cache.shard_for(view.name, doc_name)
-                for doc_name in view.document_names
-            }
-        else:
-            lanes = {
-                self._fallback_router.route(view.name, doc_name)
-                for doc_name in view.document_names
-            }
-        return tuple(sorted(lanes))
+        return tuple(
+            sorted(
+                {
+                    self.engine.shard_for(view.name, doc_name)
+                    for doc_name in view.document_names
+                }
+            )
+        )
 
     # -- internals -----------------------------------------------------------
 
@@ -440,7 +416,7 @@ class SearchServer:
             service_time,
             latency,
             outcome.cache_hits,
-            degraded=getattr(outcome, "degraded", False),
+            degraded=outcome.degraded,
         )
         if not request.future.done():
             request.future.set_result(
@@ -459,25 +435,14 @@ class SearchServer:
 
     def snapshot(self) -> dict[str, Any]:
         """Server + admission + engine-cache state, one consistent read."""
+        engine_stats = self.engine.stats()
         return {
             "running": self._running,
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "lane_count": self.lane_count,
             "requests": self.stats.snapshot(),
             "admission": self.admission.snapshot(),
-            "cache": (
-                self.engine.cache.stats()
-                if getattr(self.engine, "cache", None) is not None
-                else {}
-            ),
-            "snapshot_store": (
-                self.engine.snapshot_store.stats()
-                if getattr(self.engine, "snapshot_store", None) is not None
-                else {}
-            ),
-            "health": (
-                self.engine.health_snapshot()
-                if callable(getattr(self.engine, "health_snapshot", None))
-                else {}
-            ),
+            "cache": engine_stats["cache"],
+            "snapshot_store": engine_stats["snapshot_store"],
+            "health": self.engine.health_snapshot(),
         }

@@ -8,10 +8,12 @@ the server starts accepting traffic: one ``build_skeleton`` per
 means every first-contact keyword query runs the warm array-sweep path.
 
 ``plan_warmup`` turns view names into explicit per-``(view, doc)``
-targets — annotated with the cache shard each lands on, so operators
-can see how warm state distributes over the cache partitioning — and
-``execute_warmup`` runs the plan through the engine and reports what
-was actually built versus restored versus already warm.
+targets — annotated with the shard each lands on (cache shard or shard
+executor: whatever ``engine.shard_for`` says), so operators can see how
+warm state distributes — and ``execute_warmup`` runs the plan through
+the engine and reports what was actually built versus restored versus
+already warm.  The engine may be a lone ``KeywordSearchEngine`` or a
+``CorpusCoordinator``; both answer every method used here.
 
 When the engine carries a persistent skeleton store
 (:class:`repro.core.snapshot.SkeletonStore`), warming restores
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.engine import KeywordSearchEngine
@@ -33,11 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 @dataclass(frozen=True)
 class WarmupTarget:
-    """One ``(view, document)`` pair to pre-warm, with its cache shard."""
+    """One ``(view, document)`` pair to pre-warm, with the shard the
+    engine places it on (``engine.shard_for``)."""
 
     view: str
     doc: str
-    shard: Optional[int]
+    shard: int
 
 
 @dataclass
@@ -73,8 +76,8 @@ class WarmupReport:
     #: Concurrent same-key misses coalesced into one fetch (the
     #: networked store's single-flight guard) during this pass.
     coalesced: int = 0
-    #: Shards quarantined (breaker open) when the pass finished — only
-    #: populated when the engine is a coordinator with fleet health.
+    #: Shards quarantined (breaker open) when the pass finished, by the
+    #: engine's ``health_snapshot`` (a lone engine has none).
     quarantined_shards: tuple[int, ...] = ()
 
     @property
@@ -129,15 +132,9 @@ def plan_warmup(
     its purpose.  Targets keep the caller's view order (then document
     order within a view), matching the order ``execute_warmup`` warms.
 
-    ``engine`` may also be a :class:`~repro.core.sharding.
-    CorpusCoordinator` (same ``get_view``/``warm_view`` surface): then
-    each target's ``shard`` is the shard *executor* holding the
-    document — the plan shows how warm-up work distributes over the
-    fleet, and warming runs per shard.  A plain engine annotates the
-    cache shard instead, or ``None`` without a cache.
+    Each target's ``shard`` is ``engine.shard_for(view, doc)``: a cache
+    shard of a lone engine, the shard executor under a coordinator.
     """
-    shard_of = getattr(engine, "shard_of_document", None)
-    cache = getattr(engine, "cache", None)
     targets: list[WarmupTarget] = []
     seen: set[str] = set()
     for name in view_names:
@@ -146,12 +143,7 @@ def plan_warmup(
         seen.add(name)
         view = engine.get_view(name)
         for doc_name in view.document_names:
-            if shard_of is not None:
-                shard = shard_of(doc_name)
-            elif cache is not None:
-                shard = cache.shard_for(name, doc_name)
-            else:
-                shard = None
+            shard = engine.shard_for(name, doc_name)
             targets.append(WarmupTarget(view=name, doc=doc_name, shard=shard))
     return targets
 
@@ -170,17 +162,15 @@ def execute_warmup(
     with the remaining views — a stale plan entry must not keep the
     whole server from starting.  When the engine's snapshot store has a
     networked tier, the pass also records how many snapshots it fetched
-    from the peer versus failed or fell back (delta of the store's
-    ``net_stats`` across the pass).
+    from the peer versus failed or fell back (delta of the network
+    counters in ``engine.stats()`` across the pass; a local store has
+    none, so they read zero).
     """
     from repro.errors import ReproError
 
     report = WarmupReport(targets=list(targets))
     start = time.perf_counter()
-    net_stats = getattr(
-        getattr(engine, "snapshot_store", None), "net_stats", None
-    )
-    net_before = net_stats() if callable(net_stats) else None
+    store_before = engine.stats()["snapshot_store"]
     docs_of: dict[str, list[str]] = {}
     for target in targets:
         docs_of.setdefault(target.view, []).append(target.doc)
@@ -204,26 +194,21 @@ def execute_warmup(
             "warmed": len(cache_hits),
             "resident": len(engine.resident_documents(view_name)),
         }
-    if net_before is not None:
-        net_after = net_stats()
-        report.fetched = net_after["fetched"] - net_before["fetched"]
-        report.fetch_failed = (
-            net_after["fetch_failed"] - net_before["fetch_failed"]
+    store_after = engine.stats()["snapshot_store"]
+    for counter in ("fetched", "fetch_failed", "fell_back", "coalesced"):
+        setattr(
+            report,
+            counter,
+            store_after.get(counter, 0) - store_before.get(counter, 0),
         )
-        report.fell_back = net_after["fell_back"] - net_before["fell_back"]
-        report.coalesced = net_after.get("coalesced", 0) - net_before.get(
-            "coalesced", 0
-        )
-    health = getattr(engine, "health_snapshot", None)
-    if callable(health):
-        # A coordinator-backed server surfaces which shards sat out the
-        # pass in quarantine — their views warmed fail-soft above.
-        report.quarantined_shards = tuple(health()["quarantined"])
+    # Which shards sat out the pass in quarantine — their views warmed
+    # fail-soft above.
+    report.quarantined_shards = tuple(
+        engine.health_snapshot().get("quarantined", ())
+    )
     # Every warm view just re-saved its snapshots under the current
     # fingerprints, so anything unreachable in the store is stale —
     # reclaim it while we hold the startup window.
-    prune = getattr(engine, "prune_snapshots", None)
-    if prune is not None:
-        report.pruned = prune()
+    report.pruned = engine.prune_snapshots()
     report.duration = time.perf_counter() - start
     return report

@@ -152,7 +152,7 @@ def test_equal_seeds_fire_equal_schedules_and_equal_responses(seed_pair):
             plan,
             view_text,
             injector,
-            parallel=False,  # serial keeps per-site call sequences equal
+            # no deadline: in-thread keeps per-site call sequences equal
             partial_results=True,
         )
         with coordinator:
@@ -189,9 +189,7 @@ def test_fail_closed_default_never_serves_partial_data(seed_pair):
     injector = FaultInjector(
         FaultPlan.single(7, "shard0.collect", FAULT_ERROR)
     )
-    coordinator = _coordinator(
-        documents, plan, view_text, injector, parallel=False
-    )
+    coordinator = _coordinator(documents, plan, view_text, injector)
     with coordinator:
         for keywords in keyword_sets:
             with pytest.raises(ShardUnavailableError) as excinfo:
@@ -217,7 +215,7 @@ def test_statistics_phase_loss_equals_healthy_fragments_engine(seed_pair):
 
     coordinator = _coordinator(
         documents, plan, view_text, injector,
-        parallel=False, partial_results=True,
+        partial_results=True,
     )
     with coordinator:
         for keywords in keyword_sets:
@@ -248,7 +246,7 @@ def test_ranking_phase_loss_is_an_ordered_subset_with_true_idf(seed_pair):
 
     coordinator = _coordinator(
         documents, plan, view_text, injector,
-        parallel=False, partial_results=True,
+        partial_results=True,
     )
     with coordinator:
         for keywords in keyword_sets:
@@ -283,7 +281,7 @@ def test_hang_is_bounded_by_the_deadline(seed_pair):
     )
     coordinator = _coordinator(
         documents, plan, view_text, injector,
-        parallel=True, shard_deadline=0.25, partial_results=True,
+        shard_deadline=0.25, partial_results=True,
     )
     try:
         start = time.monotonic()
@@ -318,10 +316,10 @@ def test_quarantine_heals_and_outcomes_converge(seed_pair):
     injector = FaultInjector(
         FaultPlan.single(7, "shard0.collect", FAULT_ERROR)
     )
-    pristine = _coordinator(documents, plan, view_text, parallel=False)
+    pristine = _coordinator(documents, plan, view_text)
     coordinator = _coordinator(
         documents, plan, view_text, injector,
-        parallel=False, partial_results=True, health=health,
+        partial_results=True, health=health,
     )
     with pristine, coordinator:
         # Outage: first query fails the shard, second skips it outright.

@@ -182,7 +182,7 @@ def test_sharded_compressed_matches_uncompressed(seed, shard_count):
     bview = baseline.define_view("truth", case.view_text)
     single, view, _ = _warm(generate_case(seed))
 
-    with CorpusCoordinator(executors, plan, parallel=False) as sharded:
+    with CorpusCoordinator(executors, plan) as sharded:
         sharded.define_view("v", case.view_text)
         for keywords in case.keyword_sets:
             for conjunctive in (True, False):

@@ -244,7 +244,7 @@ def test_mutations_sharded_matches_single_engine(seed, shard_count):
     replica = generate_case(seed).database
     for name in docs:
         executors[home].load_document(name, replica.get(name).document)
-    coordinator = CorpusCoordinator(executors, plan, parallel=False)
+    coordinator = CorpusCoordinator(executors, plan)
     coordinator.define_view("v", case.view_text)
 
     single = KeywordSearchEngine(case.database)

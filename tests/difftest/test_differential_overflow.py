@@ -170,7 +170,7 @@ def test_overflow_sharded_matches_baseline_and_ample(seed, shard_count):
     ]
     for name in sorted(documents):
         executors[plan.shard_of(name)].load_document(name, documents[name])
-    coordinator = CorpusCoordinator(executors, plan, parallel=False)
+    coordinator = CorpusCoordinator(executors, plan)
     coordinator.define_view("v", view_text)
 
     reference_db, ample, baseline, bview = _reference(seeds, view_text)

@@ -75,11 +75,13 @@ def _random_plan(rng, doc_groups, shard_count) -> ShardPlan:
     return ShardPlan.from_assignments(assignments, shard_count)
 
 
-def _coordinator_from_docs(documents, plan, view_text, parallel):
+def _coordinator_from_docs(documents, plan, view_text, shard_deadline=None):
     executors = [ShardExecutor(i) for i in range(plan.shard_count)]
     for name in sorted(documents):
         executors[plan.shard_of(name)].load_document(name, documents[name])
-    coordinator = CorpusCoordinator(executors, plan, parallel=parallel)
+    coordinator = CorpusCoordinator(
+        executors, plan, shard_deadline=shard_deadline
+    )
     coordinator.define_view("v", view_text)
     return coordinator
 
@@ -118,9 +120,7 @@ def test_sharded_single_case_matches_baseline_and_engine(seed, shard_count):
     documents = {
         name: shard_source.get(name).document for name in doc_names
     }
-    coordinator = _coordinator_from_docs(
-        documents, plan, case.view_text, parallel=False
-    )
+    coordinator = _coordinator_from_docs(documents, plan, case.view_text)
     with coordinator:
         for keywords in case.keyword_sets:
             for conjunctive in (True, False):
@@ -191,7 +191,7 @@ def test_sharded_multi_fragment_matches_baseline_and_engine(
 
     plan = _random_plan(rng, groups, shard_count)
     coordinator = _coordinator_from_docs(
-        documents, plan, view_text, parallel=True
+        documents, plan, view_text, shard_deadline=30.0
     )
     with coordinator:
         # With more shards than colocation groups the fragments usually
@@ -231,9 +231,7 @@ def test_one_shard_is_the_single_engine_degenerate_case():
     doc_names = sorted(shard_source.document_names())
     documents = {name: shard_source.get(name).document for name in doc_names}
     plan = ShardPlan.from_assignments({n: 0 for n in doc_names}, 1)
-    coordinator = _coordinator_from_docs(
-        documents, plan, case.view_text, parallel=False
-    )
+    coordinator = _coordinator_from_docs(documents, plan, case.view_text)
     with coordinator:
         for keywords in case.keyword_sets:
             out = coordinator.search_detailed("v", keywords, top_k=TOP_K)

@@ -381,16 +381,6 @@ class TestThreadSafetyHooks:
         # The main thread still sees its own timings, untouched.
         assert engine.last_timings is main_timings
 
-    def test_timing_hooks_fire_per_search(self, engine, view):
-        calls = []
-        hook = lambda name, outcome: calls.append((name, outcome))  # noqa: E731
-        engine.add_timing_hook(hook)
-        outcome = engine.search_detailed(view, ("xml",), top_k=3)
-        assert calls == [("bookrevs", outcome)]
-        engine.remove_timing_hook(hook)
-        engine.search_detailed(view, ("xml",), top_k=3)
-        assert len(calls) == 1
-
     def test_warm_view_rejects_stale_view_object(self, engine, view):
         engine.define_view("bookrevs", view.text)  # redefinition
         with pytest.raises(ViewDefinitionError):

@@ -393,6 +393,39 @@ class TestPaginationOverTheWire:
         finally:
             serving.stop()
 
+    def test_shard_slice_snapshot_served_verbatim(self, tmp_path):
+        """A sharded member can seed a peer: an entry in any shard's
+        slice is served under the name a plain engine would give it."""
+        from repro.core.ingest import ingest_corpus
+
+        docs = {
+            f"s{i}": f"<lib><book><title>alpha {i}</title></book></lib>"
+            for i in range(4)
+        }
+        view = "(" + ",".join(
+            f"(for $b in fn:doc({name})//book return <hit>{{$b/title}}</hit>)"
+            for name in sorted(docs)
+        ) + ")"
+        coordinator, _ = ingest_corpus(
+            docs, {"v": view}, shard_count=3, snapshot_dir=tmp_path
+        )
+        with coordinator:
+            api = SearchAPI(SearchServer(coordinator))
+            served = 0
+            for executor in coordinator.executors:
+                store = executor.engine.snapshot_store
+                for entry in store.entries():
+                    status, body = asgi_request(
+                        api, "GET", f"/snapshots/{entry.name}"
+                    )
+                    assert (status, body) == (200, entry.read_bytes())
+                    served += 1
+            assert served == len(docs)
+            missing = SkeletonStore.entry_name("0" * 32, "1" * 32)
+            status, body = asgi_request(api, "GET", f"/snapshots/{missing}")
+            assert status == 404
+            assert body["error"]["code"] == "snapshot_not_found"
+
 
 # -- failure-domain serving: /health, degraded pages, endpoint limits --------
 
@@ -463,11 +496,10 @@ class TestFleetHealthRoute:
 
 class TestDegradedPage:
     def _served(self, **outcome_kwargs):
-        from repro.core.engine import PhaseTimings
-        from repro.core.sharding import ShardedSearchOutcome
+        from repro.core.engine import PhaseTimings, SearchOutcome
         from repro.serving.server import ServeResult
 
-        outcome = ShardedSearchOutcome(
+        outcome = SearchOutcome(
             results=[],
             view_size=3,
             matching_count=0,

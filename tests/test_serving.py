@@ -664,15 +664,41 @@ class TestShardedServing:
 
             run_async(scenario())
 
+    def test_sharded_member_reports_its_shards_counters(self, tmp_path):
+        """``/stats`` and ``ServeResult.cache_stats`` under a coordinator
+        are the shards' own counters summed, not ``{}``."""
+        from repro.core.ingest import ingest_corpus
+
+        coordinator, _ = ingest_corpus(
+            self.DOCS, {"v": self.VIEW}, shard_count=3, snapshot_dir=tmp_path
+        )
+        with coordinator:
+            slices = [e.engine.stats() for e in coordinator.executors]
+
+            async def scenario():
+                async with SearchServer(coordinator) as server:
+                    response = await server.search("v", ("alpha",))
+                    assert isinstance(response, ServeResult)
+                    return response.cache_stats, server.snapshot()
+
+            cache_stats, snapshot = run_async(scenario())
+            # Ingest warmed every skeleton, so the served query hit all six.
+            assert cache_stats["skeleton"]["hits"] == sum(
+                s["cache"]["skeleton"]["hits"] for s in slices
+            ) + len(self.DOCS)
+            assert cache_stats["skeleton"]["hit_rate"] > 0
+            assert snapshot["cache"]["skeleton"]["hits"] >= len(self.DOCS)
+            assert snapshot["snapshot_store"]["saves"] == len(self.DOCS)
+            assert snapshot["snapshot_store"]["entries"] == len(self.DOCS)
+            assert snapshot["health"]["serving"] == 3
+
     def test_warmup_plan_annotates_executor_shards(self):
         coordinator = self._coordinator()
         with coordinator:
             targets = plan_warmup(coordinator, ["v"])
             assert {t.doc for t in targets} == set(self.DOCS)
             for target in targets:
-                assert target.shard == coordinator.shard_of_document(
-                    target.doc
-                )
+                assert target.shard == coordinator.plan.shard_of(target.doc)
 
     def test_shard_saturated_rejection_through_server(self, monkeypatch):
         coordinator = self._coordinator()

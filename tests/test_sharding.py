@@ -1,11 +1,12 @@
 """The corpus-sharding layer: router, plan, executors, coordinator, ingest."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.core.cache import QueryCache, ShardedLRUCache
-from repro.core.engine import KeywordSearchEngine, PhaseTimings
+from repro.core.engine import KeywordSearchEngine, PhaseTimings, SearchOutcome
 from repro.core.faults import (
     FAULT_DELAY,
     FAULT_ERROR,
@@ -66,14 +67,20 @@ def _single_engine(view_text, docs=DOCS):
     return engine
 
 
-def _coordinator(shard_count, view_text, docs=DOCS, parallel=False):
+def _coordinator(shard_count, view_text, docs=DOCS, **kwargs):
     plan = ShardPlan.build(sorted(docs), shard_count)
     executors = [ShardExecutor(i) for i in range(shard_count)]
     for name in sorted(docs):
         executors[plan.shard_of(name)].load_document(name, docs[name])
-    coordinator = CorpusCoordinator(executors, plan, parallel=parallel)
+    coordinator = CorpusCoordinator(executors, plan, **kwargs)
     coordinator.define_view("v", view_text)
     return coordinator
+
+
+def _deadline(pooled):
+    """The scatter's two routes: in-thread without a ``shard_deadline``,
+    the thread pool with one (30 s — never reached)."""
+    return 30.0 if pooled else None
 
 
 class TestShardRouter:
@@ -257,11 +264,13 @@ class TestAttachDocument:
 
 class TestCoordinator:
     @pytest.mark.parametrize("shard_count", [1, 2, 4])
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_matches_single_engine_bit_for_bit(self, shard_count, parallel):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_matches_single_engine_bit_for_bit(self, shard_count, pooled):
         view_text = _view_text(sorted(DOCS))
         single = _single_engine(view_text)
-        with _coordinator(shard_count, view_text, parallel=parallel) as coord:
+        with _coordinator(
+            shard_count, view_text, shard_deadline=_deadline(pooled)
+        ) as coord:
             for keywords in (("alpha",), ("alpha", "gamma"), ("ghostword",)):
                 for conjunctive in (True, False):
                     ref = single.search_detailed(
@@ -281,6 +290,46 @@ class TestCoordinator:
                     assert [r.to_xml() for r in out.results] == [
                         r.to_xml() for r in ref.results
                     ]
+            # The pool exists iff there is a deadline for it to enforce.
+            assert (coord._pool is not None) == pooled
+
+    def test_lone_engine_is_the_one_part_case(self):
+        """One outcome type: a lone engine and a 1-shard coordinator over
+        the same documents agree field for field, apart from the three
+        fields that describe the scatter itself."""
+        view_text = _view_text(sorted(DOCS))
+        single = _single_engine(view_text)
+        scatter_only = {"shards", "merge_stats", "shard_timings"}
+        projections = {
+            "results": lambda results: [
+                (r.rank, r.score, r.scored.index, r.scored.statistics, r.to_xml())
+                for r in results
+            ],
+            "pdts": lambda pdts: {
+                name: pdt.node_count for name, pdt in pdts.items()
+            },
+            # Wall clock: only the ledger's shape can agree.
+            "timings": lambda timings: sorted(timings.as_dict()),
+        }
+        with _coordinator(1, view_text) as coord:
+            for keywords in (("alpha",), ("alpha", "gamma"), ("ghostword",)):
+                ref = single.search_detailed("v", keywords, top_k=5)
+                out = coord.search_detailed("v", keywords, top_k=5)
+                assert type(out) is type(ref) is SearchOutcome
+                for spec in fields(SearchOutcome):
+                    if spec.name in scatter_only or spec.name.startswith("_"):
+                        continue
+                    project = projections.get(spec.name, lambda value: value)
+                    assert project(getattr(out, spec.name)) == project(
+                        getattr(ref, spec.name)
+                    ), spec.name
+                assert out.cache_stats.keys() == ref.cache_stats.keys()
+                # One part: nothing scattered, merged or missing.
+                assert ref.shards == () and ref.shard_timings == {}
+                assert ref.merge_stats is None
+                assert ref.degraded is False
+                assert ref.missing_shards == () and ref.failures == ()
+                assert out.shards == (0,) and out.merge_stats.shard_count == 1
 
     def test_outcome_carries_shard_diagnostics(self):
         view_text = _view_text(sorted(DOCS))
@@ -302,7 +351,7 @@ class TestCoordinator:
         executors = [ShardExecutor(0), ShardExecutor(1)]
         executors[0].load_document("d0", DOCS["d0"])
         executors[1].load_document("d1", DOCS["d1"])
-        coordinator = CorpusCoordinator(executors, plan, parallel=False)
+        coordinator = CorpusCoordinator(executors, plan)
         join = (
             "for $a in fn:doc(d0)//book "
             "for $b in fn:doc(d1)//book "
@@ -341,7 +390,7 @@ class TestCoordinator:
     def test_shard_of_document(self):
         with _coordinator(4, _view_text(sorted(DOCS))) as coord:
             for name in DOCS:
-                assert coord.shard_of_document(name) == coord.plan.shard_of(name)
+                assert coord.shard_for("v", name) == coord.plan.shard_of(name)
 
 
 def _faulty_coordinator(
@@ -370,17 +419,24 @@ class _FakeClock:
 class TestFailureDomains:
     VIEW = _view_text(sorted(DOCS))
 
-    def test_close_then_search_is_typed(self):
-        coord = _coordinator(2, self.VIEW, parallel=True)
-        assert coord.search("v", ("alpha",), top_k=3)  # pool exists now
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_close_then_search_is_typed(self, pooled):
+        coord = _coordinator(2, self.VIEW, shard_deadline=_deadline(pooled))
+        assert coord.search("v", ("alpha",), top_k=3)
+        assert (coord._pool is not None) == pooled
         coord.close()
+        # Closed is closed on either route, not only when a pool would
+        # have been used.
         with pytest.raises(CoordinatorClosedError):
             coord.search("v", ("alpha",), top_k=3)
+        with pytest.raises(CoordinatorClosedError):
+            coord.warm_view("v")
 
-    def test_close_is_idempotent_and_safe_under_races(self):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_close_is_idempotent_and_safe_under_races(self, pooled):
         import threading
 
-        coord = _coordinator(2, self.VIEW, parallel=True)
+        coord = _coordinator(2, self.VIEW, shard_deadline=_deadline(pooled))
         outcomes = []
 
         def query():
@@ -396,19 +452,18 @@ class TestFailureDomains:
         coord.close()
         coord.close()
         for thread in threads:
-            thread.join()
+            thread.join(30)
         # Every racer got a real answer or the typed error — never the
         # pool's raw RuntimeError, never a resurrected pool.
         assert set(outcomes) <= {"ok", "closed"}
         assert len(outcomes) == 8
+        assert coord._pool is None
 
     def test_fail_closed_is_the_default(self):
         injector = FaultInjector(
             FaultPlan.single(11, "shard0.collect", FAULT_ERROR)
         )
-        with _faulty_coordinator(
-            2, self.VIEW, injector, parallel=False
-        ) as coord:
+        with _faulty_coordinator(2, self.VIEW, injector) as coord:
             with pytest.raises(ShardUnavailableError) as excinfo:
                 coord.search("v", ("alpha",), top_k=3)
         failure = excinfo.value.failures[0]
@@ -423,9 +478,9 @@ class TestFailureDomains:
                 11, "shard0.collect", FAULT_ERROR, at_calls=(1,)
             )
         )
-        reference = _coordinator(2, self.VIEW, parallel=False)
+        reference = _coordinator(2, self.VIEW)
         with reference, _faulty_coordinator(
-            2, self.VIEW, injector, parallel=False, shard_retries=1
+            2, self.VIEW, injector, shard_retries=1
         ) as coord:
             out = coord.search_detailed("v", ("alpha",), top_k=5)
             ref = reference.search_detailed("v", ("alpha",), top_k=5)
@@ -440,7 +495,7 @@ class TestFailureDomains:
             FaultPlan.single(11, "shard1.collect", FAULT_ERROR)
         )
         with _faulty_coordinator(
-            2, self.VIEW, injector, parallel=False, partial_results=True
+            2, self.VIEW, injector, partial_results=True
         ) as coord:
             out = coord.search_detailed("v", ("alpha",), top_k=5)
         assert out.degraded
@@ -462,13 +517,12 @@ class TestFailureDomains:
             FaultPlan.single(11, "shard*.collect", FAULT_ERROR)
         )
         with _faulty_coordinator(
-            2, self.VIEW, injector, parallel=False, partial_results=True
+            2, self.VIEW, injector, partial_results=True
         ) as coord:
             with pytest.raises(ShardUnavailableError):
                 coord.search("v", ("alpha",), top_k=3)
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_deadline_converts_slowness_into_timeout(self, parallel):
+    def test_deadline_converts_slowness_into_timeout(self):
         injector = FaultInjector(
             FaultPlan.single(
                 11, "shard0.collect", FAULT_DELAY, delay=0.5
@@ -478,7 +532,6 @@ class TestFailureDomains:
             2,
             self.VIEW,
             injector,
-            parallel=parallel,
             shard_deadline=0.05,
             partial_results=True,
         ) as coord:
@@ -492,9 +545,7 @@ class TestFailureDomains:
         executors = [ShardExecutor(i) for i in range(2)]
         for name in sorted(DOCS):
             executors[plan.shard_of(name)].load_document(name, DOCS[name])
-        coord = CorpusCoordinator(
-            executors, plan, parallel=False, partial_results=True
-        )
+        coord = CorpusCoordinator(executors, plan, partial_results=True)
         coord.define_view("v", self.VIEW)
 
         def broken_collect(view_name, normalized):
@@ -513,12 +564,11 @@ class TestFailureDomains:
         injector = FaultInjector(
             FaultPlan.single(11, "shard0.collect", FAULT_ERROR)
         )
-        reference = _coordinator(2, self.VIEW, parallel=False)
+        reference = _coordinator(2, self.VIEW)
         with reference, _faulty_coordinator(
             2,
             self.VIEW,
             injector,
-            parallel=False,
             partial_results=True,
             health=health,
         ) as coord:
@@ -554,9 +604,7 @@ class TestFailureDomains:
         executors = [ShardExecutor(i) for i in range(2)]
         for name in sorted(DOCS):
             executors[plan.shard_of(name)].load_document(name, DOCS[name])
-        coord = CorpusCoordinator(
-            executors, plan, parallel=False, partial_results=True
-        )
+        coord = CorpusCoordinator(executors, plan, partial_results=True)
         coord.define_view("v", self.VIEW)
 
         def broken_warm(view_name):
@@ -665,10 +713,11 @@ class TestIngest:
         view_text = _view_text(sorted(DOCS))
         single = _single_engine(view_text)
         ref = single.search_detailed("v", ("alpha", "delta"), top_k=5)
-        for parallel in (False, True):
+        for pooled in (False, True):
             coordinator, _ = ingest_corpus(
-                DOCS, {"v": view_text}, shard_count=4, parallel=parallel
+                DOCS, {"v": view_text}, shard_count=4
             )
+            coordinator.shard_deadline = _deadline(pooled)
             with coordinator:
                 out = coordinator.search_detailed(
                     "v", ("alpha", "delta"), top_k=5
@@ -697,7 +746,8 @@ class TestIngest:
                 f"v={view_path}",
                 "--manifest",
                 str(manifest),
-                "--serial",
+                "--workers",
+                "1",
                 *doc_paths,
             ]
         )
