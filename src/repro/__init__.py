@@ -39,6 +39,7 @@ from repro.core.topk import TopKSelector
 from repro.dewey import DeweyID, pack, packed_child_bound, unpack
 from repro.errors import (
     DocumentNotFoundError,
+    InvalidKeywordError,
     ReproError,
     StaleViewError,
     StorageError,
@@ -87,6 +88,7 @@ __all__ = [
     "UnsupportedQueryError",
     "StorageError",
     "DocumentNotFoundError",
+    "InvalidKeywordError",
     "ViewDefinitionError",
     "StaleViewError",
     "__version__",

@@ -47,15 +47,22 @@ def _stable_bytes(key: Hashable) -> bytes:
     return repr(key).encode("utf-8", "backslashreplace")
 
 
+#: Placements a router remembers before it forgets them all and starts
+#: over (a serving process routes the same few coordinates forever; the
+#: bound only keeps a pathological key stream from growing the dict).
+_MEMO_ENTRIES = 4096
+
+
 class ShardRouter:
     """Stable hash routing of keys onto ``shard_count`` shards."""
 
-    __slots__ = ("shard_count",)
+    __slots__ = ("shard_count", "_memo")
 
     def __init__(self, shard_count: int):
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         self.shard_count = shard_count
+        self._memo: dict[Hashable, int] = {}
 
     def __repr__(self) -> str:
         return f"ShardRouter(shard_count={self.shard_count})"
@@ -67,9 +74,26 @@ class ShardRouter:
         )
 
     def index(self, key: Hashable) -> int:
-        """The shard a (cache) key's coordinates route to."""
-        digest = hashlib.blake2b(_stable_bytes(key), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.shard_count
+        """The shard a (cache) key's coordinates route to.
+
+        A pure function of ``key``, so it is memoised: the ``repr`` +
+        BLAKE2b is paid once per distinct key, not once per call (the
+        cache tiers and the serving lanes ask about the same few
+        ``(view, doc)`` coordinates on every request).  The memo is a
+        plain dict — ``get`` and item assignment are atomic under the
+        GIL, and two threads racing on a miss store the same value.
+        It looks keys up by ``==``, which for the documented key types
+        (strings, ints, tuples of them) implies an equal ``repr``.
+        """
+        memo = self._memo
+        shard = memo.get(key)
+        if shard is None:
+            digest = hashlib.blake2b(_stable_bytes(key), digest_size=8).digest()
+            shard = int.from_bytes(digest, "big") % self.shard_count
+            if len(memo) >= _MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = shard
+        return shard
 
     def route(self, *coordinates: Hashable) -> int:
         """The shard for explicit coordinates (``route(view, doc)``).

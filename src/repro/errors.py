@@ -52,6 +52,14 @@ class UnsupportedQueryError(XQuerySyntaxError):
     """
 
 
+class InvalidKeywordError(ReproError, ValueError):
+    """Raised for a query keyword that is not exactly one token.
+
+    Also a ``ValueError`` — what ``normalize_keyword`` raised before the
+    error was typed — so callers that caught that keep working.
+    """
+
+
 class StorageError(ReproError):
     """Raised on index/document-store misuse (unknown document, bad range)."""
 

@@ -18,15 +18,16 @@ Three layers, all dependency-free:
 
   Every error is typed: each :class:`Overloaded` admission reason and
   each engine error class maps to a documented status code and a JSON
-  body ``{"error": {"code", "message", ...}}`` (see
-  :data:`OVERLOAD_STATUS` / :data:`ENGINE_ERROR_STATUS`), so clients
-  branch on machine-readable codes, never on message strings.
+  body ``{"error": {"code", "message", ...}}`` (:data:`OVERLOAD_STATUS`,
+  :data:`ENGINE_ERROR_STATUS`), and any other exception is a 500
+  ``internal_error`` naming only its class — clients branch on
+  machine-readable codes, never on message strings or dropped sockets.
 
-* :class:`HTTPServingEndpoint` — a minimal asyncio HTTP/1.1 bridge that
-  serves any ASGI app on a local socket (``asyncio.start_server``; one
-  request per connection, ``Connection: close``).  The container has no
-  ASGI server installed, and the fleet path must not grow a dependency
-  for what is a few dozen lines of framing.
+* :class:`HTTPServingEndpoint` — a minimal HTTP/1.1 bridge serving any
+  ASGI app on a listening socket it owns: per connection one coroutine
+  on ``loop.sock_recv`` / ``sock_sendall`` — one buffered read, the app,
+  one write, close.  The container has no ASGI server installed, and the
+  fleet path must not grow a dependency for a few dozen lines of framing.
 
 * :class:`BackgroundHTTPServing` — a thread that owns an event loop
   running engine → server → API → endpoint, for synchronous callers
@@ -49,6 +50,7 @@ import binascii
 import hashlib
 import json
 import re
+import socket
 import threading
 from http.client import responses as _REASON_PHRASES
 from typing import Any, Awaitable, Callable, Optional
@@ -58,6 +60,7 @@ from repro.errors import (
     CoordinatorClosedError,
     DocumentNotFoundError,
     InjectedFaultError,
+    InvalidKeywordError,
     ReproError,
     ShardUnavailableError,
     ShardingError,
@@ -97,6 +100,7 @@ ENGINE_ERROR_STATUS: tuple[tuple[type, int, str], ...] = (
     (ViewDefinitionError, 404, "unknown_view"),
     (UnsupportedQueryError, 400, "unsupported_query"),
     (XQuerySyntaxError, 400, "query_syntax"),
+    (InvalidKeywordError, 400, "invalid_keyword"),
     (DocumentNotFoundError, 404, "document_not_found"),
     (StorageError, 500, "storage_error"),
     (ShardUnavailableError, 503, "shards_unavailable"),
@@ -109,13 +113,13 @@ ENGINE_ERROR_STATUS: tuple[tuple[type, int, str], ...] = (
 _SNAPSHOT_NAME = re.compile(r"^([0-9a-f]{1,32})-([0-9a-f]{1,32})\.pdts$")
 
 _MAX_BODY_BYTES = 1 << 20  # requests are small JSON; 1 MiB is generous
-
-_JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
+_RECV_BYTES = 1 << 16  # one recv holds any request the fleet sends
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _dump(payload: Any) -> bytes:
     """Deterministic JSON bytes — the fleet difftest compares these."""
-    return json.dumps(payload, **_JSON_COMPACT).encode("utf-8")
+    return _ENCODE(payload).encode("utf-8")
 
 
 class _RequestTooLarge(ValueError):
@@ -137,7 +141,7 @@ def _error_reply(status: int, code: str, message: str, **extra) -> _HTTPReply:
     return _HTTPReply(status, {"error": error})
 
 
-def _query_tag(view: str, keywords: tuple, conjunctive: bool, size: int) -> str:
+def _query_tag(view: str, keywords, conjunctive: bool, size: int) -> str:
     """Digest binding a cursor to the query that minted it."""
     identity = _dump(
         {"c": conjunctive, "k": list(keywords), "s": size, "v": view}
@@ -160,7 +164,7 @@ def decode_cursor(cursor: str, tag: str) -> int:
     bad = _error_reply(400, "bad_cursor", "cursor is not valid for this query")
     try:
         token = json.loads(base64.urlsafe_b64decode(cursor.encode("ascii")))
-    except (ValueError, binascii.Error, UnicodeDecodeError):
+    except (ValueError, binascii.Error, RecursionError):
         raise bad from None
     if not isinstance(token, dict):
         raise bad
@@ -198,6 +202,13 @@ class SearchAPI:
             reply = await self._dispatch(scope, receive)
         except _HTTPReply as early:
             reply = early
+        except Exception as exc:
+            # A bug we have not found yet: a typed 500 naming the class (a
+            # message may quote internals); the loop's handler logs the rest.
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "SearchAPI: unhandled exception", "exception": exc}
+            )
+            reply = _error_reply(500, "internal_error", type(exc).__name__)
         headers = [(b"content-type", b"application/json")]
         if reply.status in (429, 503):
             headers.append((b"retry-after", b"1"))
@@ -253,7 +264,7 @@ class SearchAPI:
                 break
         try:
             request = json.loads(b"".join(chunks) or b"null")
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: b"[" * 200000
             raise _error_reply(400, "bad_request", "body is not valid JSON")
         if not isinstance(request, dict):
             raise _error_reply(400, "bad_request", "body must be a JSON object")
@@ -354,12 +365,13 @@ class SearchAPI:
                 "bad_request",
                 f"'page_size' must be an int in [1, {self.max_page_size}]",
             )
-        tag = _query_tag(view, tuple(keywords), conjunctive, page_size)
+        tag = None  # the query's digest: paid for only when a cursor needs it
         cursor = request.get("cursor")
         offset = 0
         if cursor is not None:
             if not isinstance(cursor, str):
                 raise _error_reply(400, "bad_cursor", "'cursor' must be a string")
+            tag = _query_tag(view, keywords, conjunctive, page_size)
             offset = decode_cursor(cursor, tag)
         try:
             served = await self.server.search(
@@ -384,10 +396,12 @@ class SearchAPI:
                 limit=served.limit,
                 shard=served.shard,
             )
+        if tag is None and offset + page_size < served.outcome.matching_count:
+            tag = _query_tag(view, keywords, conjunctive, page_size)
         return _HTTPReply(200, self._page(served, tag, offset, page_size))
 
     def _page(
-        self, served: ServeResult, tag: str, offset: int, page_size: int
+        self, served: ServeResult, tag: Optional[str], offset: int, page_size: int
     ) -> dict:
         """One deterministic page of an outcome ranked to offset+size."""
         outcome = served.outcome
@@ -471,19 +485,22 @@ ASGIApp = Callable[[dict, Callable, Callable], Awaitable[None]]
 
 
 class HTTPServingEndpoint:
-    """Serve an ASGI app over HTTP/1.1 on an asyncio socket.
+    """Serve an ASGI app over HTTP/1.1 on a socket this object owns.
 
-    Deliberately minimal — enough protocol for JSON APIs and snapshot
-    byte streams: one request per connection (``Connection: close``),
-    bodies framed by ``Content-Length``, no chunked uploads, no TLS.
-    ``port=0`` binds an ephemeral port (read :attr:`port` after
-    :meth:`start`), which is what tests and same-host fleets want.
+    Deliberately minimal: one request per connection (``Connection:
+    close``), bodies framed by ``Content-Length``, no chunked uploads,
+    no TLS.  ``port=0`` binds an ephemeral port (read :attr:`port` after
+    :meth:`start`).  A connection is one coroutine on ``loop.sock_*``:
+    one buffered read (head and body usually arrive in the first
+    ``recv``), the app, one write of head + payload, close.
 
     Two client-side failure domains are bounded here, before the ASGI
     app ever runs: a client that trickles its request slower than
-    ``read_timeout`` gets a typed 408 (a reader coroutine must not be
-    pinned open forever by a slowloris), and one that frames more than
+    ``read_timeout`` gets a typed 408 (a slowloris must not pin a
+    coroutine open forever), and one that frames more than
     ``max_request_bytes`` gets a typed 413 without the body being read.
+    Anything malformed — no request line, a head or body cut short, a
+    ``content-length`` that is not one plain number — is a bare close.
     ``fault_injector`` (site ``"http.request"``) lets chaos tests crash
     or stall the bridge itself, deterministically.
     """
@@ -503,180 +520,161 @@ class HTTPServingEndpoint:
         self.read_timeout = read_timeout
         self.max_request_bytes = max_request_bytes
         self._faults = fault_injector
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._connections: set["asyncio.Task[None]"] = set()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     async def start(self) -> "HTTPServingEndpoint":
-        if self._server is not None:
+        if self._listener is not None:
             raise RuntimeError("endpoint already started")
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server((self.host, self.port), family=family)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._loop = asyncio.get_running_loop()
+        self._listen()
         return self
 
     async def stop(self) -> None:
-        if self._server is None:
+        """Close the listener, then wait for the connections in flight."""
+        if self._listener is None:
             return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        self._loop.remove_reader(self._listener.fileno())
+        self._listener.close()
+        self._listener = None
+        await asyncio.gather(*self._connections, return_exceptions=True)
+
+    def _listen(self) -> None:
+        if self._listener is not None:
+            self._loop.add_reader(self._listener.fileno(), self._accept)
+
+    def _accept(self) -> None:
+        """The listener is readable: one connection, one coroutine (more
+        pending ones keep it readable; no accepting Task to cancel)."""
+        try:
+            connection, _peer = self._listener.accept()
+        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+            return
+        except OSError:
+            # Out of descriptors: polling a listener we cannot accept
+            # from would spin the loop; look again in a second.
+            self._loop.remove_reader(self._listener.fileno())
+            self._loop.call_later(1.0, self._listen)
+            return
+        connection.setblocking(False)
+        task = self._loop.create_task(self._serve(self._loop, connection))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     @staticmethod
-    def _canned_reply(status: int, code: str, message: str) -> bytes:
-        """A complete typed JSON response, framed for one write."""
-        payload = _dump({"error": {"code": code, "message": message}})
+    def _frame(status: int, headers, payload: bytes) -> bytes:
+        """A complete response, head + payload, framed for one write."""
         phrase = _REASON_PHRASES.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {phrase}\r\n"
-            "content-type: application/json\r\n"
-            f"content-length: {len(payload)}\r\n"
-            "connection: close\r\n\r\n"
-        )
-        return head.encode("latin-1") + payload
+        head = [f"HTTP/1.1 {status} {phrase}".encode("latin-1")]
+        head += [name + b": " + value for name, value in headers]
+        head += [b"content-length: %d" % len(payload), b"connection: close"]
+        return b"\r\n".join(head) + b"\r\n\r\n" + payload
 
-    async def _reject(self, writer: asyncio.StreamWriter, raw: bytes) -> None:
-        try:
-            writer.write(raw)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+    @classmethod
+    def _canned_reply(cls, status: int, code: str, message: str) -> bytes:
+        """A complete typed JSON error response."""
+        body = _dump({"error": {"code": code, "message": message}})
+        return cls._frame(status, [(b"content-type", b"application/json")], body)
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._faults is not None:
-            # Run the fault site off the event loop: an injected delay
-            # or hang must stall *this* connection, not every one.
-            try:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._faults.act, "http.request"
-                )
-            except InjectedFaultError:
-                # An injected bridge crash: the connection just drops,
-                # exactly what a killed process looks like to clients.
-                writer.close()
-                return
+    async def _serve(self, loop, connection: socket.socket) -> None:
+        """One connection: read one request, run the app, write, close."""
         try:
-            scope, body = await asyncio.wait_for(
-                self._read_request(reader, self.max_request_bytes),
-                timeout=self.read_timeout,
-            )
-        except asyncio.TimeoutError:
-            await self._reject(
-                writer,
-                self._canned_reply(
+            if self._faults is not None:
+                # Off the loop: an injected delay or hang must stall
+                # *this* connection only.  An injected error is a bridge
+                # crash: the connection drops, as a killed process's would.
+                await loop.run_in_executor(None, self._faults.act, "http.request")
+            try:
+                async with asyncio.timeout(self.read_timeout):
+                    scope, body = await self._read_request(loop, connection)
+            except TimeoutError:
+                reply = self._canned_reply(
                     408,
                     "request_timeout",
                     f"request not received within {self.read_timeout}s",
-                ),
-            )
-            return
-        except _RequestTooLarge:
-            await self._reject(
-                writer,
-                self._canned_reply(
+                )
+            except _RequestTooLarge:
+                reply = self._canned_reply(
                     413,
                     "payload_too_large",
                     f"request exceeds {self.max_request_bytes} bytes",
-                ),
-            )
-            return
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ValueError,
-        ):
-            writer.close()
-            return
-        messages = [
-            {"type": "http.request", "body": body, "more_body": False},
-            {"type": "http.disconnect"},
-        ]
-        position = 0
+                )
+            except ValueError:
+                return  # malformed: bare close
+            else:
+                reply = await self._respond(scope, body)
+            await loop.sock_sendall(connection, reply)
+        except (InjectedFaultError, OSError):
+            pass  # injected bridge crash, or the peer is gone: bare close
+        finally:
+            connection.close()
+
+    async def _respond(self, scope: dict, body: bytes) -> bytes:
+        """Run the ASGI app on one request; the framed response bytes."""
+        incoming = [{"type": "http.request", "body": body, "more_body": False}]
 
         async def receive():
-            nonlocal position
-            message = messages[min(position, len(messages) - 1)]
-            position += 1
-            return message
+            return incoming.pop() if incoming else {"type": "http.disconnect"}
 
         started: dict[str, Any] = {}
         chunks: list[bytes] = []
 
         async def send(message):
             if message["type"] == "http.response.start":
-                started["status"] = message["status"]
-                started["headers"] = message.get("headers", [])
+                started.update(message)
             elif message["type"] == "http.response.body":
                 chunks.append(message.get("body", b""))
 
-        try:
-            await self.app(scope, receive, send)
-            payload = b"".join(chunks)
-            status = started.get("status", 500)
-            phrase = _REASON_PHRASES.get(status, "Unknown")
-            head = [f"HTTP/1.1 {status} {phrase}".encode("latin-1")]
-            for name, value in started.get("headers", []):
-                head.append(name + b": " + value)
-            head.append(b"content-length: " + str(len(payload)).encode())
-            head.append(b"connection: close")
-            writer.write(b"\r\n".join(head) + b"\r\n\r\n" + payload)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        await self.app(scope, receive, send)
+        status, headers = started.get("status", 500), started.get("headers", ())
+        return self._frame(status, headers, b"".join(chunks))
 
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader, limit: int = _MAX_BODY_BYTES
-    ) -> tuple[dict, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            raise ValueError("empty request")
-        try:
-            method, target, _version = request_line.split(" ", 2)
-        except ValueError:
-            raise ValueError(f"malformed request line {request_line!r}")
-        path, _, query = target.partition("?")
-        headers: list[tuple[bytes, bytes]] = []
-        content_length = 0
-        header_bytes = len(request_line)
-        while True:
-            raw_line = await reader.readline()
-            header_bytes += len(raw_line)
-            if header_bytes > limit:
+    async def _read_request(self, loop, connection) -> tuple[dict, bytes]:
+        """One request, ``(ASGI scope, body)``, through one buffer: ``recv``
+        until the blank line is in it, split the head, take the body from
+        what is already there (a further ``recv`` only while it is short).
+        ``ValueError`` on anything malformed, an early EOF included."""
+        limit = self.max_request_bytes
+        buffer = bytearray()
+
+        async def fill() -> None:
+            chunk = await loop.sock_recv(connection, _RECV_BYTES)
+            if not chunk:
+                raise ValueError("connection closed mid-request")
+            buffer.extend(chunk)
+
+        scanned = 0  # a byte-at-a-time trickle is scanned once, not n times
+        while not 0 <= (head_end := buffer.find(b"\r\n\r\n", scanned)) <= limit:
+            if len(buffer) > limit:  # whether or not a blank line is in it
                 # Unbounded header streams are the other way a client
                 # can feed us forever; same limit, same typed reply.
                 raise _RequestTooLarge("headers too large")
-            line = raw_line.strip()
-            if not line:
-                break
-            name, _, value = line.partition(b":")
-            name = name.lower().strip()
-            value = value.strip()
-            headers.append((name, value))
-            if name == b"content-length":
-                content_length = int(value)
-        if content_length > limit:
+            scanned = max(0, len(buffer) - 3)
+            await fill()
+        request_line, *lines = bytes(buffer[:head_end]).split(b"\r\n")
+        method, target, _version = request_line.decode("latin-1").split(" ", 2)
+        path, _, query = target.partition("?")
+        headers = [
+            (name.strip().lower(), value.strip())
+            for name, _, value in (line.partition(b":") for line in lines)
+        ]
+        lengths = {v for n, v in headers if n == b"content-length"} or {b"0"}
+        if len(lengths) > 1 or not (length := lengths.pop()).isdigit():
+            raise ValueError("content-length is not one plain number")
+        if (length := int(length)) > limit:
             raise _RequestTooLarge("body too large")
-        body = (
-            await reader.readexactly(content_length) if content_length else b""
-        )
+        body_end = head_end + 4 + length
+        while len(buffer) < body_end:
+            await fill()
         scope = {
             "type": "http",
             "asgi": {"version": "3.0", "spec_version": "2.3"},
@@ -688,7 +686,7 @@ class HTTPServingEndpoint:
             "headers": headers,
             "scheme": "http",
         }
-        return scope, body
+        return scope, bytes(buffer[head_end + 4 : body_end])
 
 
 class BackgroundHTTPServing:

@@ -12,10 +12,10 @@ shaping*, not more query machinery:
   shards its ``(view, doc)`` pairs live on, as the engine itself
   reports them (``engine.shard_for``: cache shards under a lone engine,
   shard executors under a coordinator — the server never asks which),
-  and a per-lane semaphore bounds concurrent execution per shard.
-  Requests that would contend on a shard's lock serialize in front of
-  the cache, where they cost an ``await``, instead of inside it, where
-  they cost a blocked thread;
+  and a per-lane counter bounds concurrent execution per shard.
+  Requests that would contend on a shard's lock wait in the backlog,
+  where they cost a list slot, instead of inside the cache, where they
+  cost a blocked thread;
 * **startup pre-warming** — configured hot views get one
   ``build_skeleton`` per ``(view, doc)`` before traffic arrives, so
   first-contact keyword queries run the warm array-sweep path
@@ -26,11 +26,18 @@ shaping*, not more query machinery:
   served request's cache outcome feeds the admission controller's
   cold-view shedding signal.
 
-Engine calls run in a thread pool (``run_in_executor``); the engine's
-entry points are thread-safe (sharded cache locks, thread-local
-timings), which PR 2's stress tests and the concurrent differential
-suite lock down.  All server methods must be called from the event loop
-that ``start()`` ran on.
+A request is **one thread hop**: ``search`` admits, queues and calls a
+synchronous dispatcher, which hands every queued request whose worker
+slot and lanes are free to the pool (``executor.submit``); the pool
+thread wakes the loop once (``call_soon_threadsafe``), and that
+callback releases, records, resolves the caller's future and dispatches
+again — no server-owned Task, and uncontended is just the general path
+with nothing to wait for.  The hop stays: an engine call may fetch from
+a peer, read a store file or sit in an injected hang, which must stall
+one request, never the loop.  The engine's entry points are thread-safe
+(sharded cache locks, thread-local timings; PR 2's stress tests and the
+concurrent difftest lock that down).  All server methods must be called
+from the event loop that ``start()`` ran on.
 """
 
 from __future__ import annotations
@@ -38,10 +45,9 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AsyncExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.engine import KeywordSearchEngine, SearchOutcome, SearchResult, View
 from repro.core.sharding import CorpusCoordinator
@@ -69,7 +75,7 @@ class ServerConfig:
     max_inflight_per_shard: Optional[int] = None
     #: Concurrent requests per cache-shard lane (1 = serialize a shard).
     shard_lane_width: int = 2
-    #: Worker coroutines == executor threads executing engine calls.
+    #: Executor threads == engine calls executing at once.
     workers: int = 8
     #: Views pre-warmed during ``start()``, before traffic is accepted.
     warm_views: tuple[str, ...] = ()
@@ -123,18 +129,17 @@ class ServeResult:
         return self.outcome.cache_stats
 
 
-@dataclass
+@dataclass(eq=False)
 class _Request:
-    """A queued unit of work (internal)."""
+    """An admitted unit of work (internal): queued, then executing."""
 
     view_name: str
     keywords: tuple[str, ...]
-    top_k: Optional[int]
-    conjunctive: bool
-    materialize: bool
     lanes: tuple[int, ...]
-    future: "asyncio.Future[ServeResult]"
+    call: Callable[[], SearchOutcome]  # the bound engine call
+    future: "asyncio.Future[Union[ServeResult, Overloaded]]"
     admitted_at: float = field(default_factory=time.perf_counter)
+    started_at: float = 0.0  # handed to the executor (loop clock)
 
 
 class SearchServer:
@@ -170,9 +175,13 @@ class SearchServer:
         self._running = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._queue: Optional["asyncio.Queue[_Request]"] = None
-        self._lanes: list[asyncio.Semaphore] = []
-        self._workers: list["asyncio.Task[None]"] = []
+        # Admitted requests wait in `_backlog` (FIFO, max_queue_depth
+        # long) until the dispatcher moves them to `_executing` (at most
+        # `workers`), taking one of each of their lanes' free widths.
+        self._backlog: list[_Request] = []
+        self._executing: set[_Request] = set()
+        self._lane_free: list[int] = []
+        self._idle: Optional[asyncio.Event] = None  # set: both are empty
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -198,22 +207,14 @@ class SearchServer:
             max_workers=self.config.workers,
             thread_name_prefix="repro-serving",
         )
-        self._queue = asyncio.Queue(maxsize=self.config.max_queue_depth)
-        self._lanes = [
-            asyncio.Semaphore(self.config.shard_lane_width)
-            for _ in range(self.lane_count)
-        ]
+        self._lane_free = [self.config.shard_lane_width] * self.lane_count
+        self._idle = asyncio.Event()
+        self._idle.set()
         try:
             if self.config.warm_views:
                 self.startup_warmup = await self.warm_up(
                     *self.config.warm_views
                 )
-            self._workers = [
-                self._loop.create_task(
-                    self._worker_loop(), name=f"repro-serving-worker-{index}"
-                )
-                for index in range(self.config.workers)
-            ]
         except BaseException:
             # A failed warm-up (typo'd hot view, view gone stale before
             # startup) must not leak the executor's non-daemon threads
@@ -221,41 +222,35 @@ class SearchServer:
             # `_running` guard on retry.
             self._executor.shutdown(wait=True)
             self._executor = None
-            self._queue = None
-            self._lanes = []
             raise
         self._running = True
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop accepting; with ``drain``, finish everything queued first."""
-        if self._queue is None:
+        """Stop accepting; with ``drain``, finish everything admitted first."""
+        if self._executor is None:
             return
         self._running = False
         if drain:
-            await self._queue.join()
-        for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-        # drain=False (or a worker dying mid-cancel) can leave queued
-        # requests behind: shed them so no caller awaits forever.
-        while not self._queue.empty():
-            request = self._queue.get_nowait()
+            await self._idle.wait()
+        # drain=False leaves requests behind: shed them, queued or
+        # executing alike, so no caller awaits forever (an engine call
+        # runs on; `_complete` finds it gone and drops the result).
+        for request in (*self._backlog, *self._executing):
             self.admission.release(request.view_name, request.lanes)
-            self.stats.record_rejected(REASON_SERVER_STOPPED)
+            stopped = self._stopped_response(request.view_name)
             if not request.future.done():
-                request.future.set_result(
-                    self._stopped_response(request.view_name)
-                )
-            self._queue.task_done()
-        if self._executor is not None:
-            # Waiting synchronously would freeze the event loop until
-            # every in-flight engine call returns (with drain=False
-            # those are exactly the calls nobody is waiting for); park
-            # the blocking join on the loop's default executor instead.
-            await asyncio.get_running_loop().run_in_executor(
-                None, partial(self._executor.shutdown, wait=True)
-            )
+                request.future.set_result(stopped)
+        self._backlog = []
+        self._executing = set()
+        self._idle.set()
+        executor, self._executor = self._executor, None
+        # Waiting synchronously would freeze the event loop until every
+        # in-flight engine call returns (with drain=False those are
+        # exactly the calls nobody is waiting for); park the blocking
+        # join on the loop's default executor instead.
+        await asyncio.get_running_loop().run_in_executor(
+            None, partial(executor.shutdown, wait=True)
+        )
 
     # -- serving -------------------------------------------------------------
 
@@ -278,31 +273,35 @@ class SearchServer:
         view_name = view if isinstance(view, str) else view.name
         resolved = self.engine.get_view(view_name)  # raises on unknown
         self.stats.record_submitted()
-        if not self._running or self._queue is None:
-            self.stats.record_rejected(REASON_SERVER_STOPPED)
+        if not self._running:
             return self._stopped_response(view_name)
         # Lanes are resolved *before* admission so the per-shard inflight
         # bound can see which shards this request would occupy.
         lanes = self.route(resolved)
         decision = self.admission.try_admit(
-            view_name, self._queue.qsize(), shards=lanes
+            view_name, len(self._backlog), shards=lanes
         )
         if decision is not None:
             self.stats.record_rejected(decision.reason)
             return decision
-        assert self._loop is not None
+        keywords = tuple(keywords)
         request = _Request(
-            view_name=view_name,
-            keywords=tuple(keywords),
-            top_k=top_k,
-            conjunctive=conjunctive,
-            materialize=materialize,
-            lanes=lanes,
-            future=self._loop.create_future(),
+            view_name,
+            keywords,
+            lanes,
+            partial(
+                self.engine.search_detailed,
+                view_name,
+                keywords,
+                top_k=top_k,
+                conjunctive=conjunctive,
+                materialize=materialize,
+            ),
+            self._loop.create_future(),
         )
-        # Cannot overflow: admission just saw qsize() < max_queue_depth
-        # and nothing awaited since (single-threaded loop).
-        self._queue.put_nowait(request)
+        self._backlog.append(request)
+        self._idle.clear()
+        self._dispatch()
         return await request.future
 
     async def warm_up(self, *view_names: str) -> WarmupReport:
@@ -339,97 +338,99 @@ class SearchServer:
         """
         if isinstance(view, str):
             view = self.engine.get_view(view)
-        return tuple(
-            sorted(
-                {
-                    self.engine.shard_for(view.name, doc_name)
-                    for doc_name in view.document_names
-                }
-            )
-        )
+        shard_for = self.engine.shard_for
+        return tuple(sorted({shard_for(view.name, doc) for doc in view.document_names}))
 
     # -- internals -----------------------------------------------------------
 
     def _stopped_response(self, view_name: str) -> Overloaded:
+        self.stats.record_rejected(REASON_SERVER_STOPPED)
         return Overloaded(
             reason=REASON_SERVER_STOPPED,
             view=view_name,
-            queue_depth=self._queue.qsize() if self._queue is not None else 0,
+            queue_depth=len(self._backlog),
             inflight=self.admission.inflight(view_name),
             limit=0,
         )
 
-    async def _worker_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            request = await self._queue.get()
-            try:
-                await self._serve(request)
-            finally:
-                self._queue.task_done()
+    def _dispatch(self) -> None:
+        """Start every queued request whose worker slot and lanes are free.
 
-    async def _serve(self, request: _Request) -> None:
-        assert self._loop is not None and self._executor is not None
-        try:
-            async with AsyncExitStack() as lanes_held:
-                # Sorted acquisition order (route() sorts): two multi-doc
-                # requests can never deadlock on overlapping lane sets.
+        One pass in arrival order.  A request that must wait *claims* its
+        lanes for the rest of the pass: nothing behind it sharing a lane
+        overtakes it (FIFO per lane; a two-lane request cannot be starved
+        by one-lane streams), yet a request for idle lanes is not held up
+        behind it.  Lanes are taken all at once or not at all: no deadlock.
+        """
+        free = self._lane_free
+        workers = self.config.workers
+        claimed: set[int] = set()
+        waiting: list[_Request] = []
+        for request in self._backlog:
+            if len(self._executing) < workers and not any(
+                lane in claimed or not free[lane] for lane in request.lanes
+            ):
                 for lane in request.lanes:
-                    await lanes_held.enter_async_context(self._lanes[lane])
-                queue_wait = time.perf_counter() - request.admitted_at
-                started = time.perf_counter()
-                outcome = await self._loop.run_in_executor(
-                    self._executor,
-                    partial(
-                        self.engine.search_detailed,
-                        request.view_name,
-                        request.keywords,
-                        top_k=request.top_k,
-                        conjunctive=request.conjunctive,
-                        materialize=request.materialize,
-                    ),
-                )
-                service_time = time.perf_counter() - started
-        except BaseException as exc:
-            self.admission.release(request.view_name, request.lanes)
-            if isinstance(exc, asyncio.CancelledError):
-                # The worker was cancelled (stop(drain=False)), not the
-                # request: the caller gets the same typed stopped
-                # response a still-queued request would, never a raw
-                # CancelledError it cannot tell apart from its own
-                # cancellation.
-                self.stats.record_rejected(REASON_SERVER_STOPPED)
-                if not request.future.done():
-                    request.future.set_result(
-                        self._stopped_response(request.view_name)
-                    )
-                raise
-            self.stats.record_failed()
-            if not request.future.done():
-                request.future.set_exception(exc)
-            return
-        latency = time.perf_counter() - request.admitted_at
+                    free[lane] -= 1
+                self._executing.add(request)
+                request.started_at = time.perf_counter()
+                self._executor.submit(self._execute, request)
+            else:
+                claimed.update(request.lanes)
+                waiting.append(request)
+        self._backlog = waiting
+
+    def _execute(self, request: _Request) -> None:
+        """On a pool thread: the engine call, then one wake-up of the loop."""
+        outcome = error = None
+        try:
+            outcome = request.call()
+        except BaseException as exc:  # re-raised at the caller's await
+            error = exc
+        try:
+            self._loop.call_soon_threadsafe(self._complete, request, outcome, error)
+        except RuntimeError:
+            pass  # the loop is closed: nobody is left to tell
+
+    def _complete(self, request: _Request, outcome, error) -> None:
+        """On the loop, with the call's ``SearchOutcome`` or the exception
+        it raised: release, record, resolve — then dispatch again."""
+        finished = time.perf_counter()
+        for lane in request.lanes:
+            self._lane_free[lane] += 1
+        if request not in self._executing:
+            return  # shed by stop(drain=False); already answered
+        self._executing.remove(request)
         self.admission.release(request.view_name, request.lanes)
-        self.admission.observe(request.view_name, outcome.cache_hits)
-        self.stats.record_completed(
-            queue_wait,
-            service_time,
-            latency,
-            outcome.cache_hits,
-            degraded=outcome.degraded,
-        )
-        if not request.future.done():
-            request.future.set_result(
-                ServeResult(
-                    outcome=outcome,
-                    view=request.view_name,
-                    keywords=request.keywords,
-                    lanes=request.lanes,
-                    queue_wait=queue_wait,
-                    service_time=service_time,
-                    latency=latency,
-                )
+        future = request.future
+        if error is not None:
+            self.stats.record_failed()
+            if not future.done():
+                future.set_exception(error)
+        else:
+            served = ServeResult(
+                outcome=outcome,
+                view=request.view_name,
+                keywords=request.keywords,
+                lanes=request.lanes,
+                queue_wait=request.started_at - request.admitted_at,
+                service_time=finished - request.started_at,
+                latency=finished - request.admitted_at,
             )
+            self.admission.observe(served.view, outcome.cache_hits)
+            self.stats.record_completed(
+                served.queue_wait,
+                served.service_time,
+                served.latency,
+                outcome.cache_hits,
+                degraded=outcome.degraded,
+            )
+            if not future.done():
+                future.set_result(served)
+        if self._backlog:
+            self._dispatch()
+        elif not self._executing:
+            self._idle.set()
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -438,7 +439,7 @@ class SearchServer:
         engine_stats = self.engine.stats()
         return {
             "running": self._running,
-            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "queue_depth": len(self._backlog),
             "lane_count": self.lane_count,
             "requests": self.stats.snapshot(),
             "admission": self.admission.snapshot(),

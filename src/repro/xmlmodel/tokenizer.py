@@ -16,6 +16,8 @@ import re
 from collections import Counter
 from typing import Iterator
 
+from repro.errors import InvalidKeywordError
+
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
@@ -38,7 +40,7 @@ def normalize_keyword(keyword: str) -> str:
     """
     tokens = list(tokenize(keyword))
     if len(tokens) != 1:
-        raise ValueError(
+        raise InvalidKeywordError(
             f"keyword must normalize to exactly one token, got {keyword!r} -> {tokens}"
         )
     return tokens[0]

@@ -17,10 +17,12 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.snapshot import SkeletonStore
@@ -28,6 +30,7 @@ from repro.errors import (
     CoordinatorClosedError,
     DocumentNotFoundError,
     InjectedFaultError,
+    InvalidKeywordError,
     ReproError,
     ShardUnavailableError,
     ShardingError,
@@ -150,6 +153,7 @@ ENGINE_ERROR_CASES = [
     (ViewDefinitionError("no such view"), 404, "unknown_view"),
     (UnsupportedQueryError("outside the subset"), 400, "unsupported_query"),
     (XQuerySyntaxError("parse failed"), 400, "query_syntax"),
+    (InvalidKeywordError("not one token"), 400, "invalid_keyword"),
     (DocumentNotFoundError("gone.xml"), 404, "document_not_found"),
     (StorageError("bad range"), 500, "storage_error"),
     (ShardUnavailableError("v"), 503, "shards_unavailable"),
@@ -265,10 +269,10 @@ def fleet_serving():
     serving.stop()
 
 
-def http_post(url: str, payload: dict):
+def http_post_raw(url: str, data: bytes):
     request = urllib.request.Request(
         url + "/search",
-        data=json.dumps(payload).encode(),
+        data=data,
         headers={"content-type": "application/json"},
     )
     try:
@@ -276,6 +280,10 @@ def http_post(url: str, payload: dict):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def http_post(url: str, payload: dict):
+    return http_post_raw(url, json.dumps(payload).encode())
 
 
 MATCHING = {"view": "v", "keywords": ["xml", "search"]}
@@ -690,3 +698,354 @@ class TestEndpointHardening:
         # A bridge crash looks like a dropped connection, not a reply.
         assert self._run(scenario, fault_injector=injector) == b""
         assert injector.call_count("http.request") == 1
+
+
+# -- typed error, never a dropped connection ---------------------------------
+
+
+class TestTypedNeverDropped:
+    """Requests that used to escape ``SearchAPI`` as a plain exception —
+    the client saw ``RemoteDisconnected``, stderr a traceback."""
+
+    @pytest.mark.parametrize("keyword", ["", "a b", "\ud800"])
+    def test_bad_keyword_is_a_typed_400_over_the_wire(
+        self, fleet_serving, keyword
+    ):
+        # Each passes request validation (a list of strings) and is
+        # refused by normalize_keyword inside the executor.
+        status, body = http_post(
+            fleet_serving.url, {"view": "v", "keywords": ["xml", keyword]}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_keyword"
+        # The member keeps serving.
+        assert http_post(fleet_serving.url, MATCHING)[0] == 200
+
+    def test_direct_engine_callers_get_the_typed_error_too(self):
+        engine = stub_server().engine
+        with pytest.raises(InvalidKeywordError):
+            engine.search("v", ("a b",))
+        with pytest.raises(ValueError):  # what it was before it was typed
+            engine.search("v", ("",))
+
+    def test_deeply_nested_json_is_a_typed_400_over_the_wire(
+        self, fleet_serving
+    ):
+        # Inside the 1 MiB limit; json.loads raises RecursionError.
+        status, body = http_post_raw(fleet_serving.url, b"[" * 200000)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+
+    def test_deeply_nested_cursor_is_a_typed_400(self, fleet_serving):
+        cursor = base64.urlsafe_b64encode(b"[" * 200000).decode()
+        status, body = http_post(
+            fleet_serving.url, {**MATCHING, "cursor": cursor}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad_cursor"
+
+    def test_unmapped_exception_is_a_typed_500_without_its_message(self):
+        api = SearchAPI(stub_server(error=RuntimeError("secret internals")))
+        status, body = asgi_request(
+            api, "POST", "/search", {"view": "v", "keywords": ["xml"]}
+        )
+        assert status == 500
+        assert body["error"] == {
+            "code": "internal_error",
+            "message": "RuntimeError",
+        }
+
+
+# -- the framing we own, fuzzed ----------------------------------------------
+
+
+async def _echo_app(scope, receive, send):
+    """Replies with exactly what the framing handed the app."""
+    message = await receive()
+    payload = json.dumps(
+        {
+            "method": scope["method"],
+            "path": scope["path"],
+            "query": scope["query_string"].decode("latin-1"),
+            "headers": [
+                [n.decode("latin-1"), v.decode("latin-1")]
+                for n, v in scope["headers"]
+            ],
+            "body": message["body"].hex(),
+        }
+    ).encode()
+    await send(
+        {
+            "type": "http.response.start",
+            "status": 200,
+            "headers": [(b"content-type", b"application/json")],
+        }
+    )
+    await send({"type": "http.response.body", "body": payload})
+
+
+async def _open_client(loop, port: int) -> socket.socket:
+    client = socket.socket()
+    client.setblocking(False)
+    await loop.sock_connect(client, ("127.0.0.1", port))
+    client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return client
+
+
+async def _read_to_eof(loop, client: socket.socket) -> bytes:
+    received = b""
+    try:
+        while data := await loop.sock_recv(client, 65536):
+            received += data
+    except ConnectionError:
+        pass  # reset: the endpoint closed on bytes it had not read
+    return received
+
+
+async def _settle():
+    # Single-threaded loop: a few turns let the endpoint's coroutine
+    # consume what was just sent before the next chunk goes out, so a
+    # chunking really is the sequence of recv()s the server sees.
+    for _ in range(4):
+        await asyncio.sleep(0)
+
+
+def exchange(app, chunks, half_close=False, **endpoint_kwargs):
+    """Send ``chunks`` one by one to a fresh live endpoint; returns
+    ``(response bytes, contexts the loop's exception handler saw)``."""
+    from repro.serving.http import HTTPServingEndpoint
+
+    async def runner():
+        loop = asyncio.get_running_loop()
+        recorded = []
+        loop.set_exception_handler(lambda _loop, ctx: recorded.append(ctx))
+        endpoint = await HTTPServingEndpoint(app, **endpoint_kwargs).start()
+        client = await _open_client(loop, endpoint.port)
+        try:
+            try:
+                for chunk in chunks:
+                    await loop.sock_sendall(client, chunk)
+                    await _settle()
+                if half_close:
+                    client.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the endpoint had already answered and closed
+            received = await _read_to_eof(loop, client)
+        finally:
+            client.close()
+            await endpoint.stop()
+        return received, recorded
+
+    return asyncio.run(asyncio.wait_for(runner(), timeout=30))
+
+
+_TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=12)
+
+
+@st.composite
+def valid_requests(draw):
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "get"]))
+    target = "/" + "/".join(draw(st.lists(_TOKEN, max_size=3)))
+    if draw(st.booleans()):
+        target += "?" + draw(_TOKEN) + "=" + draw(_TOKEN)
+    body = draw(st.binary(max_size=300))
+    lines = [f"{method} {target} HTTP/1.1"]
+    for name, value in draw(st.lists(st.tuples(_TOKEN, _TOKEN), max_size=4)):
+        lines.append(f"x-{name}: {value}")
+    if body or draw(st.booleans()):
+        lines.insert(
+            draw(st.integers(1, len(lines))), f"Content-Length: {len(body)}"
+        )
+    return "\r\n".join(lines).encode() + b"\r\n\r\n", body
+
+
+def _content_length_abuse(draw):
+    body = b"{}"
+    framing = draw(
+        st.sampled_from(
+            [
+                [b"content-length: -2"],
+                [b"content-length: two"],
+                [b"content-length: +2"],
+                [b"content-length: 2", b"content-length: 2"],
+                [b"content-length: 2", b"content-length: 3"],
+                [b"content-length: 2000"],  # more than is ever sent
+                [b"content-length: 99999999"],  # more than the limit
+                [b"transfer-encoding: chunked"],
+                [b"transfer-encoding: chunked", b"content-length: 2"],
+            ]
+        )
+    )
+    if framing[0].startswith(b"transfer-encoding"):
+        body = b"2\r\n{}\r\n0\r\n\r\n"
+    head = b"\r\n".join([b"POST /search HTTP/1.1", *framing])
+    return head + b"\r\n\r\n" + body
+
+
+@st.composite
+def hostile_bytes(draw):
+    kind = draw(st.sampled_from(["noise", "truncated", "content-length"]))
+    if kind == "noise":
+        return draw(st.binary(max_size=400))
+    if kind == "content-length":
+        return _content_length_abuse(draw)
+    head, body = draw(valid_requests())
+    whole = head + body
+    return whole[: draw(st.integers(0, len(whole) - 1))]
+
+
+class TestFramingFuzz:
+    """ROADMAP 7(b): the HTTP framing is ours now, so it gets fuzzed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(request=valid_requests(), data=st.data())
+    def test_any_chunking_yields_the_same_response_bytes(self, request, data):
+        head, body = request
+        whole = head + body
+        expected, recorded = exchange(_echo_app, [whole])
+        assert expected.startswith(b"HTTP/1.1 200 OK\r\n") and not recorded
+        echoed = json.loads(expected.partition(b"\r\n\r\n")[2])
+        assert bytes.fromhex(echoed["body"]) == body
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(1, len(whole) - 1), max_size=6, unique=True)
+            )
+        )
+        chunkings = {
+            "byte at a time": [whole[i : i + 1] for i in range(len(whole))],
+            "head, then body (http.client)": [head, body] if body else [head],
+            "drawn cuts": [
+                whole[a:b] for a, b in zip([0, *cuts], [*cuts, len(whole)])
+            ],
+        }
+        for name, chunks in chunkings.items():
+            got, recorded = exchange(_echo_app, chunks)
+            assert got == expected, name
+            assert not recorded, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        payload=hostile_bytes(),
+        half_close=st.booleans(),
+        split=st.integers(0, 400),
+    )
+    def test_hostile_bytes_get_a_typed_reply_or_a_bare_close(
+        self, payload, half_close, split
+    ):
+        api = SearchAPI(stub_server())
+        chunks = [c for c in (payload[:split], payload[split:]) if c]
+        # A reply that needed the timeout arrives within it (the
+        # exchange itself is bounded by a 30 s wait_for: never a hang).
+        raw, recorded = exchange(
+            api,
+            chunks,
+            half_close=half_close,
+            read_timeout=0.05,
+            max_request_bytes=4096,
+        )
+        assert not recorded
+        if not raw:
+            return  # bare close
+        head, separator, body = raw.partition(b"\r\n\r\n")
+        assert separator
+        status_line, *header_lines = head.split(b"\r\n")
+        version, status, _phrase = status_line.split(b" ", 2)
+        assert version == b"HTTP/1.1"
+        headers = dict(line.split(b": ", 1) for line in header_lines)
+        assert headers[b"connection"] == b"close"
+        assert int(headers[b"content-length"]) == len(body)
+        # Nothing here can reach the engine, so every reply is an error
+        # with a machine-readable code.
+        assert int(status) in (400, 404, 405, 408, 413)
+        assert json.loads(body)["error"]["code"]
+
+
+class TestEndpointLifecycle:
+    """The listening socket is the endpoint's own: what ``stop`` waits
+    for, and what it does when ``accept`` itself fails."""
+
+    REQUEST = b"GET /x HTTP/1.1\r\n\r\n"
+
+    @classmethod
+    async def _client(cls, loop, port):
+        client = await _open_client(loop, port)
+        await loop.sock_sendall(client, cls.REQUEST)
+        return client
+
+    @staticmethod
+    async def _read_all(loop, client):
+        try:
+            return await _read_to_eof(loop, client)
+        finally:
+            client.close()
+
+    def test_stop_closes_the_listener_then_waits_for_requests_in_flight(self):
+        from repro.serving.http import HTTPServingEndpoint
+
+        async def runner():
+            loop = asyncio.get_running_loop()
+            release = asyncio.Event()
+
+            async def slow_app(scope, receive, send):
+                await release.wait()
+                await _echo_app(scope, receive, send)
+
+            endpoint = await HTTPServingEndpoint(slow_app).start()
+            client = await self._client(loop, endpoint.port)
+            await _settle()  # the app is now parked on the event
+            stopper = asyncio.ensure_future(endpoint.stop())
+            await _settle()
+            assert not stopper.done()
+            late = socket.socket()
+            late.setblocking(False)
+            with pytest.raises(ConnectionRefusedError):
+                await loop.sock_connect(late, ("127.0.0.1", endpoint.port))
+            late.close()
+            release.set()
+            await asyncio.wait_for(stopper, timeout=10)
+            return await self._read_all(loop, client)
+
+        raw = asyncio.run(asyncio.wait_for(runner(), timeout=30))
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_accept_failure_pauses_the_listener_instead_of_spinning(self):
+        import errno
+
+        from repro.serving.http import HTTPServingEndpoint
+
+        class OutOfDescriptors:
+            """The listener, with an ``accept`` that fails once."""
+
+            def __init__(self, listener):
+                self.listener = listener
+                self.accepts = 0
+
+            def accept(self):
+                self.accepts += 1
+                if self.accepts == 1:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return self.listener.accept()
+
+            def __getattr__(self, name):
+                return getattr(self.listener, name)
+
+        async def runner():
+            loop = asyncio.get_running_loop()
+            endpoint = await HTTPServingEndpoint(_echo_app).start()
+            flaky = endpoint._listener = OutOfDescriptors(endpoint._listener)
+            try:
+                client = await self._client(loop, endpoint.port)
+                await asyncio.sleep(0.1)
+                # The pending connection keeps the listener readable; a
+                # listener still polled would have failed again by now.
+                assert flaky.accepts == 1
+                raw = await asyncio.wait_for(
+                    self._read_all(loop, client), timeout=10
+                )
+                assert flaky.accepts == 2
+                return raw
+            finally:
+                await endpoint.stop()
+
+        raw = asyncio.run(asyncio.wait_for(runner(), timeout=30))
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n")

@@ -284,6 +284,162 @@ class TestOverload:
         run_async(scenario())
 
 
+class TestDispatcherInvariants:
+    """The backlog dispatcher under generated arrival sequences: lane
+    and worker bounds, FIFO among requests sharing a lane, completion,
+    the backlog as ``queue_depth`` — and no Task of the server's own."""
+
+    #: View name -> the lanes its requests execute under (overlapping
+    #: sets: a two-lane view contends with both of its neighbours).
+    LANES = {"a": (0,), "b": (1,), "c": (2,), "ab": (0, 1), "bc": (1, 2)}
+    LANE_IDS = (0, 1, 2)
+
+    def _engine(self):
+        db = generate_bookrev_database(book_count=2, reviews_per_book=1)
+        engine = KeywordSearchEngine(db)
+        for name in self.LANES:
+            engine.define_view(name, BOOKREV_VIEW)
+        return engine
+
+    def _track(self, monkeypatch, engine):
+        """Record, at engine entry and exit, what runs beside what.  A
+        request is identified by its ``top_k``.  Wraps ``gate_engine``'s
+        patch (call it after), so entry is recorded before the gate."""
+        log = {"order": [], "active": {}, "peak_lane": 0, "peak_total": 0}
+        lock = threading.Lock()
+        inner = engine.search_detailed
+
+        def tracked(view_name, keywords, top_k, **kwargs):
+            with lock:
+                log["order"].append(top_k)
+                log["active"][top_k] = view_name
+                active = list(log["active"].values())
+                log["peak_total"] = max(log["peak_total"], len(active))
+                for lane in self.LANE_IDS:
+                    busy = sum(lane in self.LANES[view] for view in active)
+                    log["peak_lane"] = max(log["peak_lane"], busy)
+            try:
+                return inner(view_name, keywords, top_k=top_k, **kwargs)
+            finally:
+                with lock:
+                    del log["active"][top_k]
+
+        monkeypatch.setattr(engine, "search_detailed", tracked)
+        return log
+
+    async def _arrive(self, server, arrivals, depth):
+        """Submit ``arrivals`` in order against a gated engine; returns
+        ``(client tasks, views)`` of the admitted ones, by request id."""
+        server.route = lambda view: self.LANES[view.name]
+        clients, admitted = {}, {}
+        for index, view in enumerate(arrivals):
+            client = asyncio.ensure_future(
+                server.search(view, ("xml",), top_k=index)
+            )
+            await asyncio.sleep(0)  # runs it up to its await
+            if client.done():
+                shed = client.result()
+                assert isinstance(shed, Overloaded)
+                assert shed.reason == REASON_QUEUE_FULL
+                backlog = server.snapshot()["queue_depth"]
+                assert shed.queue_depth == backlog == depth
+            else:
+                clients[index], admitted[index] = client, view
+        return clients, admitted
+
+    async def _executing(self, server, admitted, log):
+        """How many admitted requests are past the dispatcher (the rest
+        are the backlog), once their threads have all reached the gate."""
+        executing = len(admitted) - server.snapshot()["queue_depth"]
+        for _ in range(5000):
+            if len(log["order"]) == executing:
+                break
+            await asyncio.sleep(0.001)
+        assert len(log["order"]) == executing
+        return executing
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.sampled_from(sorted(LANES)), min_size=1, max_size=14
+        ),
+        workers=st.integers(1, 4),
+        width=st.integers(1, 2),
+        depth=st.integers(2, 14),
+    )
+    def test_generated_arrivals_respect_every_bound(
+        self, arrivals, workers, width, depth
+    ):
+        engine = self._engine()
+
+        async def scenario(log, gate):
+            config = ServerConfig(
+                workers=workers,
+                shard_lane_width=width,
+                max_queue_depth=depth,
+                max_inflight_per_view=64,
+            )
+            not_the_servers = asyncio.all_tasks()
+            async with SearchServer(engine, config) as server:
+                clients, admitted = await self._arrive(server, arrivals, depth)
+                assert await self._executing(server, admitted, log) >= 1
+                # Gated mid-request, and the server owns no Task at all:
+                # no worker coroutines, no per-request timeout Task.
+                assert asyncio.all_tasks() - not_the_servers == set(
+                    clients.values()
+                )
+                gate.set()
+                # Every admitted request completes, as itself.
+                for index, client in clients.items():
+                    response = await client
+                    assert isinstance(response, ServeResult)
+                    assert response.view == admitted[index]
+                    assert response.lanes == self.LANES[admitted[index]]
+                assert server.snapshot()["queue_depth"] == 0
+            return admitted
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _started, gate = gate_engine(monkeypatch, engine)
+            log = self._track(monkeypatch, engine)
+            admitted = run_async(scenario(log, gate))
+        assert sorted(log["order"]) == sorted(admitted)
+        assert log["peak_total"] <= workers
+        assert log["peak_lane"] <= width
+        if width == 1:
+            # Requests sharing a lane ran one after another, so engine
+            # entry order is start order: FIFO per lane.
+            for lane in self.LANE_IDS:
+                assert [
+                    i for i in log["order"] if lane in self.LANES[admitted[i]]
+                ] == [i for i in admitted if lane in self.LANES[admitted[i]]]
+
+    def test_two_lane_request_is_neither_starved_nor_a_roadblock(self):
+        engine = self._engine()
+        arrivals = ["a", "b", "ab", "a", "b", "a", "b", "c"]
+
+        async def scenario(log, gate):
+            config = ServerConfig(workers=4, shard_lane_width=1)
+            async with SearchServer(engine, config) as server:
+                clients, admitted = await self._arrive(server, arrivals, 64)
+                # "ab" waits for both lanes and claims them: the later
+                # one-lane requests queue behind it although a worker is
+                # idle — while "c", on a lane nobody claims, is not held
+                # up by the waiting head of the backlog.
+                assert await self._executing(server, admitted, log) == 3
+                assert sorted(log["order"]) == [0, 1, 7]
+                gate.set()
+                await asyncio.gather(*clients.values())
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _started, gate = gate_engine(monkeypatch, engine)
+            log = self._track(monkeypatch, engine)
+            run_async(scenario(log, gate))
+        on_ab = [i for i in log["order"] if i != 7]
+        assert on_ab.index(2) == 2  # right after the two it arrived behind
+        assert [i for i in on_ab if arrivals[i] == "a"] == [0, 3, 5]
+        assert [i for i in on_ab if arrivals[i] == "b"] == [1, 4, 6]
+
+
 class TestAdmissionController:
     def test_queue_bound_precedes_view_bound(self):
         controller = AdmissionController(

@@ -102,6 +102,17 @@ class TestShardRouter:
         shards = {router.place_document(f"doc{i}.xml") for i in range(64)}
         assert shards == {0, 1, 2, 3}
 
+    def test_memo_is_bounded_and_never_changes_a_placement(self):
+        from repro.core.routing import _MEMO_ENTRIES
+
+        router = ShardRouter(5)
+        keys = [("v", f"doc{i}.xml") for i in range(_MEMO_ENTRIES + 50)]
+        first = [router.index(key) for key in keys]  # overflows the memo once
+        assert 0 < len(router._memo) <= _MEMO_ENTRIES
+        # Remembered, forgotten or never seen: one answer per key.
+        assert [router.index(key) for key in keys] == first
+        assert [ShardRouter(5).index(key) for key in keys[:64]] == first[:64]
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
