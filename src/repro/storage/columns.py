@@ -1,0 +1,154 @@
+"""The one walk: a subtree as parallel document-order columns.
+
+Loading a document and editing one are the same pass over different
+roots: :func:`document_columns` visits every element of a subtree once,
+in pre-order (= packed-key order), and emits what the document store,
+the path index and the inverted index are made of — tag, packed Dewey
+key, atomic value, interned root-to-element path, subtree byte length
+and postings.  ``index_document`` runs it over the document root,
+``execute_subtree_update`` over the payload and the removed subtree; the
+``from_columns`` constructors and the ``apply_subtree_edit`` methods
+consume the same columns, so a built index and a patched one share one
+definition of a record, a row and a posting.
+
+Who owns which key objects: ``keys`` holds each element's
+``DeweyID.packed`` object, and the document store, which only bisects,
+keeps those.  Every *swept* column — a path's key column, a posting
+list — takes :func:`own_keys` copies allocated in one run, so a sweep
+reads neighbouring heap objects instead of striding the document-order
+heap (sharing measured ``keyword_sweep`` ``pdt_postings_ms`` 0.28 -> 0.49).
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional
+
+from repro.dewey import DeweyID
+from repro.errors import StorageError
+from repro.xmlmodel.node import XMLNode, label_children
+from repro.xmlmodel.serializer import own_length
+from repro.xmlmodel.tokenizer import tokenize
+
+
+class DocumentColumns(NamedTuple):
+    """One subtree, element ``i`` of every column being the ``i``-th
+    element in document order (``0`` is the walked root)."""
+
+    tags: list[str]
+    keys: list[bytes]
+    values: list[Optional[str]]
+    #: Canonical serialized length of each element's whole subtree.
+    lengths: list[int]
+    #: Index into ``paths``, which lists every distinct root-to-element
+    #: tag path once, in order of first appearance.
+    path_ids: list[int]
+    paths: list[tuple[str, ...]]
+    #: keyword -> (column indices, tfs, node-local positions or ``None``)
+    #: of the elements directly containing it, in document order.
+    postings: dict[str, tuple[list[int], list[int], Optional[list[tuple[int, ...]]]]]
+
+    @property
+    def byte_length(self) -> int:
+        """Serialized length of the whole walked subtree (0 for none)."""
+        return self.lengths[0] if self.lengths else 0
+
+
+def own_keys(keys: list[bytes], rows: Iterable[int]) -> list[bytes]:
+    """Fresh copies of ``keys[row]`` for each row, allocated in one run
+    (see the module docstring for why a swept column owns its keys)."""
+    return list(map(bytes, map(memoryview, map(keys.__getitem__, rows))))
+
+
+def document_columns(
+    root: Optional[XMLNode],
+    *,
+    label: bool,
+    root_id: Optional[DeweyID] = None,
+    base_path: tuple[str, ...] = (),
+    index_tag_names: bool = False,
+    store_positions: bool = False,
+) -> DocumentColumns:
+    """Walk the subtree at ``root`` once and return its columns (empty
+    ones for ``None``: the payload of a delete, the removal of an insert).
+
+    With ``label`` the walk assigns Dewey ids on the way down (``root``
+    gets ``root_id``, default ``1``; children extend their parent's
+    parts, see :func:`~repro.xmlmodel.node.label_children`); without it
+    the tree keeps the labels it has — ordinal holes included — and an
+    unlabelled element is a :class:`StorageError`.  ``base_path`` is the
+    tag path of ``root``'s parent, for a subtree below the document root.
+    ``index_tag_names`` also posts each element's tag-name tokens (ahead
+    of its text's); ``store_positions`` keeps node-local token positions.
+    """
+    if root is None:
+        return DocumentColumns([], [], [], [], [], [], {})
+    if label:
+        root.dewey = root_id if root_id is not None else DeweyID.root()
+    tags: list[str] = []
+    keys: list[bytes] = []
+    values: list[Optional[str]] = []
+    lengths: list[int] = []
+    parents: list[int] = []
+    path_ids: list[int] = []
+    paths: list[tuple[str, ...]] = []
+    # Interned per (parent path, tag): one dict of child tags per path.
+    child_paths: list[dict[str, int]] = []
+    postings: dict[str, tuple] = {}
+    stack: list[tuple[XMLNode, int]] = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        if node.dewey is None:
+            raise StorageError("indexing requires Dewey-labelled trees")
+        index = len(tags)
+        tag, value, children = node.tag, node.value, node.children
+        if parent < 0:
+            path_id = 0
+            paths.append(base_path + (tag,))
+            child_paths.append({})
+        else:
+            parent_path = path_ids[parent]
+            path_id = child_paths[parent_path].get(tag)
+            if path_id is None:
+                path_id = child_paths[parent_path][tag] = len(paths)
+                paths.append(paths[parent_path] + (tag,))
+                child_paths.append({})
+        tags.append(tag)
+        keys.append(node.dewey.packed)
+        values.append(value)
+        # Own length on the way down; summed into the parents below.
+        lengths.append(own_length(tag, value, bool(children)))
+        parents.append(parent)
+        path_ids.append(path_id)
+
+        tokens = list(tokenize(node.text)) if node.text else []
+        if index_tag_names:
+            tokens[:0] = tokenize(tag)
+        if store_positions:
+            where: dict[str, list[int]] = {}
+            for position, token in enumerate(tokens):
+                where.setdefault(token, []).append(position)
+            for token, positions in where.items():
+                rows, tfs, all_positions = postings.get(token) or postings.setdefault(
+                    token, ([], [], [])
+                )
+                rows.append(index)
+                tfs.append(len(positions))
+                all_positions.append(tuple(positions))
+        elif tokens:
+            counts: dict[str, int] = {}
+            for token in tokens:
+                counts[token] = counts.get(token, 0) + 1
+            for token, tf in counts.items():
+                rows, tfs, _ = postings.get(token) or postings.setdefault(
+                    token, ([], [], None)
+                )
+                rows.append(index)
+                tfs.append(tf)
+        if children:
+            if label:
+                label_children(node)
+            stack.extend(zip(reversed(children), repeat(index)))
+    for index in range(len(tags) - 1, 0, -1):
+        lengths[parents[index]] += lengths[index]
+    return DocumentColumns(tags, keys, values, lengths, path_ids, paths, postings)

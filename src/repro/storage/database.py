@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from repro.dewey import DeweyID
 from repro.errors import DocumentNotFoundError, StorageError
+from repro.storage.columns import document_columns
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.path_index import PathIndex
@@ -108,22 +109,24 @@ def index_document(
     results under each target shard's own generation counter.
     """
     if isinstance(source, Document):
-        document = Document(
-            name, source.root, assign_ids=source.root.dewey is None
-        )
+        root, label = source.root, source.root.dewey is None
     elif isinstance(source, XMLNode):
-        document = Document(name, source)
+        root, label = source, True
     else:
-        document = Document(name, parse_xml(source))
+        root, label = parse_xml(source), True
+    # One walk labels the tree (unless it arrives labelled: a reloaded
+    # document keeps its ordinal holes) and yields every index's columns.
+    columns = document_columns(
+        root,
+        label=label,
+        index_tag_names=index_tag_names,
+        store_positions=store_positions,
+    )
     return IndexedDocument(
-        document=document,
-        store=DocumentStore.from_tree(document.root),
-        path_index=PathIndex.from_tree(document.root),
-        inverted_index=InvertedIndex.from_tree(
-            document.root,
-            store_positions=store_positions,
-            index_tag_names=index_tag_names,
-        ),
+        document=Document(name, root, assign_ids=False),
+        store=DocumentStore.from_columns(columns),
+        path_index=PathIndex.from_columns(columns),
+        inverted_index=InvertedIndex.from_columns(columns, store_positions),
         generation=generation,
     )
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Iterator, Optional, Sequence
 
-from repro.dewey import DeweyID, pack, unpack
+from repro.dewey import DeweyID, unpack
 from repro.errors import StorageError
+from repro.storage.columns import DocumentColumns, document_columns
 from repro.xmlmodel.node import XMLNode
-from repro.xmlmodel.serializer import serialized_length
 
 _FIELD_SEP = "\x1f"
 _NONE_MARK = "\x1e"
@@ -51,6 +51,11 @@ def _pack(tag: str, value: Optional[str], byte_length: int) -> str:
     return _FIELD_SEP.join(
         (tag, _NONE_MARK if value is None else value, str(byte_length))
     )
+
+
+def _pack_columns(columns: DocumentColumns) -> list[str]:
+    """The stored record of every element of a walked subtree."""
+    return list(map(_pack, columns.tags, columns.values, columns.lengths))
 
 
 def _unpack(key: bytes, packed: str) -> ElementRecord:
@@ -100,22 +105,17 @@ class DocumentStore:
         self.content_sum: Optional[int] = None
 
     @classmethod
-    def from_tree(cls, root: XMLNode) -> "DocumentStore":
-        """Build the store from a Dewey-labelled tree.
+    def from_columns(cls, columns: DocumentColumns) -> "DocumentStore":
+        """Build the store from a walked document: pre-order columns are
+        already in Dewey order (tuple and packed order coincide), and
+        the length column is the canonical serialized subtree length
+        used for score normalization.  Takes ownership of ``keys``."""
+        return cls(columns.keys, _pack_columns(columns))
 
-        Pre-order traversal yields records already in Dewey order (tuple
-        and packed order coincide); the subtree byte length stored per
-        element is the canonical serialized length used for score
-        normalization.
-        """
-        keys: list[bytes] = []
-        packed: list[str] = []
-        for node in root.iter():
-            if node.dewey is None:
-                raise StorageError("document store requires Dewey-labelled trees")
-            keys.append(pack(node.dewey.components))
-            packed.append(_pack(node.tag, node.value, serialized_length(node)))
-        return cls(keys, packed)
+    @classmethod
+    def from_tree(cls, root: XMLNode) -> "DocumentStore":
+        """Build the store from a Dewey-labelled tree."""
+        return cls.from_columns(document_columns(root, label=False))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -141,25 +141,22 @@ class DocumentStore:
         self,
         low_key: bytes,
         high_key: bytes,
-        added: list[tuple[bytes, str, Optional[str], int]],
+        added: DocumentColumns,
         ancestor_keys: tuple[bytes, ...],
         length_delta: int,
     ) -> None:
         """Splice a subtree edit into the record arrays.
 
-        Replaces the record range ``[low_key, high_key)`` with ``added``
-        (pre-sorted ``(packed key, tag, value, byte_length)`` tuples), then
-        shifts the stored byte length of every ancestor in
+        Replaces the record range ``[low_key, high_key)`` with the
+        records of the walked payload ``added`` (empty: a delete),
+        then shifts the stored byte length of every ancestor in
         ``ancestor_keys`` by ``length_delta``.  Ancestors are proper
         prefixes of ``low_key`` and therefore sort strictly before the
         spliced range, so their indices are unaffected by the splice.
         """
         low = bisect_left(self._keys, low_key)
         high = bisect_left(self._keys, high_key)
-        new_keys = [key for key, _, _, _ in added]
-        new_packed = [
-            _pack(tag, value, byte_length) for _, tag, value, byte_length in added
-        ]
+        new_keys, new_packed = added.keys, _pack_columns(added)
         if self.content_sum is not None:
             self.content_sum = (
                 self.content_sum

@@ -12,7 +12,10 @@ Storage layout: each posting list keeps exactly three parallel arrays —
 packed Dewey byte keys (see :mod:`repro.dewey`), per-element tfs and the
 tf prefix sums — plus an optional positions array when the index stores
 positions.  :class:`Posting` objects are synthesized views, decoded on
-demand; nothing stores the int-tuple form.  Besides the memory win, the
+demand; nothing stores the int-tuple form.  The arrays are filled
+straight from the ingest walk's columns (:mod:`repro.storage.columns`), at
+load and on every edit, each list owning a run of fresh key objects: no
+``Posting`` is allocated and no key re-packed.  Besides the memory win, the
 packed keys make ``cumulative_below`` a single co-sorted sweep: given the
 sorted subtree boundary keys of a PDT skeleton, every content node's
 subtree tf falls out of one merge-join pass over the list (the array-sweep
@@ -23,11 +26,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.dewey import DeweyID, pack, unpack
+from repro.storage.columns import DocumentColumns, document_columns, own_keys
 from repro.xmlmodel.node import XMLNode
-from repro.xmlmodel.tokenizer import tokenize
 
 
 @dataclass(frozen=True)
@@ -56,28 +60,34 @@ class PostingList:
     __slots__ = ("keyword", "_keys", "_tfs", "_cumulative", "_positions")
 
     def __init__(self, keyword: str, postings: Iterable[Posting]):
-        keys: list[bytes] = []
-        tfs: list[int] = []
-        positions: Optional[list[tuple[int, ...]]] = None
-        for posting in postings:
-            keys.append(pack(posting.dewey))
-            tfs.append(posting.tf)
-            if posting.positions:
-                if positions is None:
-                    positions = [()] * (len(keys) - 1)
-                positions.append(tuple(posting.positions))
-            elif positions is not None:
-                positions.append(())
+        postings = list(postings)
+        self._fill(
+            keyword,
+            [pack(posting.dewey) for posting in postings],
+            [posting.tf for posting in postings],
+            [tuple(posting.positions) for posting in postings],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        keyword: str,
+        keys: list[bytes],
+        tfs: list[int],
+        positions: Optional[list[tuple[int, ...]]] = None,
+    ) -> "PostingList":
+        """A list over ready-made storage arrays (document order), which
+        it takes ownership of — no :class:`Posting`, no key re-packed."""
+        plist = cls.__new__(cls)
+        plist._fill(keyword, keys, tfs, positions)
+        return plist
+
+    def _fill(self, keyword, keys, tfs, positions) -> None:
         self.keyword = keyword
         self._keys = keys
         self._tfs = tfs
-        self._positions = positions
-        cumulative = [0]
-        total = 0
-        for tf in tfs:
-            total += tf
-            cumulative.append(total)
-        self._cumulative = cumulative
+        self._positions = positions if positions and any(positions) else None
+        self._cumulative = list(accumulate(tfs, initial=0))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -154,11 +164,13 @@ class PostingList:
         self,
         low: bytes,
         high: bytes,
-        added: list[tuple[bytes, int, tuple[int, ...]]],
+        keys: Sequence[bytes],
+        tfs: Sequence[int],
+        positions: Optional[Sequence[tuple[int, ...]]],
     ) -> None:
-        """Replace the postings in ``[low, high)`` with ``added``.
+        """Replace the postings in ``[low, high)`` with the given storage
+        arrays (document order; empty: a pure removal).
 
-        ``added`` is pre-sorted ``(packed key, tf, positions)`` tuples.
         Array surgery on the storage form: keys/tfs/positions are spliced
         and the tf prefix sums rebuilt (one linear pass — the arrays were
         rewritten anyway).  ``_positions`` collapses back to ``None`` when
@@ -167,21 +179,16 @@ class PostingList:
         """
         lo = bisect_left(self._keys, low)
         hi = bisect_left(self._keys, high)
-        added_positions = [tuple(pos) for _, _, pos in added]
-        if self._positions is None and any(added_positions):
-            self._positions = [()] * len(self._keys)
-        self._keys[lo:hi] = [key for key, _, _ in added]
-        self._tfs[lo:hi] = [tf for _, tf, _ in added]
-        if self._positions is not None:
-            self._positions[lo:hi] = added_positions
-            if not any(self._positions):
-                self._positions = None
-        cumulative = [0]
-        total = 0
-        for tf in self._tfs:
-            total += tf
-            cumulative.append(total)
-        self._cumulative = cumulative
+        all_positions = self._positions
+        if positions and any(positions):
+            if all_positions is None:
+                all_positions = [()] * len(self._keys)
+            all_positions[lo:hi] = positions
+        elif all_positions is not None:
+            all_positions[lo:hi] = [()] * len(keys)
+        self._keys[lo:hi] = keys
+        self._tfs[lo:hi] = tfs
+        self._fill(self.keyword, self._keys, self._tfs, all_positions)
 
     def storage_nbytes(self) -> int:
         """Approximate payload bytes held by the packed key array.
@@ -201,6 +208,22 @@ class InvertedIndex:
         self.probe_count = 0
 
     @classmethod
+    def from_columns(
+        cls, columns: DocumentColumns, store_positions: bool = False
+    ) -> "InvertedIndex":
+        """Build the lists from a walked document (which must have been
+        walked with the same ``store_positions``).  The walk is pre-order,
+        i.e. document order, so each keyword's postings arrive sorted;
+        every list owns a run of fresh key objects."""
+        lists = {
+            keyword: PostingList.from_columns(
+                keyword, own_keys(columns.keys, rows), tfs, positions
+            )
+            for keyword, (rows, tfs, positions) in columns.postings.items()
+        }
+        return cls(lists, store_positions)
+
+    @classmethod
     def from_tree(
         cls,
         root: XMLNode,
@@ -212,75 +235,43 @@ class InvertedIndex:
         ``index_tag_names`` additionally indexes each element's tag name as
         a token (the paper notes a keyword "can appear in the tag name");
         it defaults off and must match the scorer's configuration.
-
-        ``root.iter()`` is pre-order, i.e. document order, so per-token
-        postings accumulate already sorted — both in tuple and in packed
-        order (the encoding is order-preserving).
         """
-        accumulator: dict[str, list[Posting]] = {}
-        for node in root.iter():
-            tokens: list[str] = []
-            if index_tag_names:
-                tokens.extend(tokenize(node.tag))
-            if node.text:
-                tokens.extend(tokenize(node.text))
-            if not tokens:
-                continue
-            counts: dict[str, int] = {}
-            positions: dict[str, list[int]] = {}
-            for position, token in enumerate(tokens):
-                counts[token] = counts.get(token, 0) + 1
-                if store_positions:
-                    positions.setdefault(token, []).append(position)
-            for token, tf in counts.items():
-                accumulator.setdefault(token, []).append(
-                    Posting(
-                        dewey=node.dewey.components,
-                        tf=tf,
-                        positions=tuple(positions.get(token, ())),
-                    )
-                )
-        lists = {
-            token: PostingList(token, postings)
-            for token, postings in accumulator.items()
-        }
-        return cls(lists, store_positions)
+        columns = document_columns(
+            root,
+            label=False,
+            index_tag_names=index_tag_names,
+            store_positions=store_positions,
+        )
+        return cls.from_columns(columns, store_positions)
 
     def apply_subtree_edit(
         self,
         low: bytes,
         high: bytes,
-        removed_keywords: set[str],
-        added_postings: dict[str, list[Posting]],
+        removed: DocumentColumns,
+        added: DocumentColumns,
     ) -> None:
         """Patch the lists for one subtree edit over ``[low, high)``.
 
-        ``removed_keywords`` are the tokens of the removed subtree (derived
-        by tokenizing its nodes — exactly the lists holding postings inside
-        the range); ``added_postings`` holds the pre-order (hence sorted)
-        postings of the inserted subtree per keyword.  Only the union of
-        the two keyword sets is touched; every other list is byte-for-byte
+        ``removed`` / ``added`` are the walked removed subtree and payload
+        (empty when there is none): the keywords of the first are exactly
+        the lists holding postings inside the range, the postings of the
+        second arrive in document order.  Only the union of the
+        two keyword sets is touched; every other list is byte-for-byte
         untouched.  A list left empty is dropped, so vocabulary and
         document frequencies match a from-scratch rebuild.
         """
-        affected = removed_keywords | set(added_postings)
-        for keyword in affected:
-            added = [
-                (pack(p.dewey), p.tf, tuple(p.positions))
-                for p in added_postings.get(keyword, ())
-            ]
+        for keyword in removed.postings.keys() | added.postings.keys():
+            rows, tfs, positions = added.postings.get(keyword, ((), (), None))
+            keys = own_keys(added.keys, rows)
             existing = self._lists.get(keyword)
             if existing is None:
-                if added:
-                    self._lists[keyword] = PostingList(
-                        keyword,
-                        [
-                            Posting(dewey=unpack(key), tf=tf, positions=pos)
-                            for key, tf, pos in added
-                        ],
+                if keys:
+                    self._lists[keyword] = PostingList.from_columns(
+                        keyword, keys, tfs, positions
                     )
                 continue
-            existing.splice_range(low, high, added)
+            existing.splice_range(low, high, keys, tfs, positions)
             if not len(existing):
                 del self._lists[keyword]
 

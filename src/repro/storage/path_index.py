@@ -23,11 +23,11 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.dewey import DeweyID, pack, packed_prefix_ends, unpack
+from repro.dewey import DeweyID, unpack
 from repro.storage.btree import BPlusTree
+from repro.storage.columns import DocumentColumns, document_columns, own_keys
 from repro.values import Predicate, atom_key
 from repro.xmlmodel.node import XMLNode
-from repro.xmlmodel.serializer import serialized_length
 
 # One step of a path pattern: (axis, tag); axis is '/' or '//'.
 PathPattern = tuple[tuple[str, str], ...]
@@ -94,19 +94,6 @@ class PathList:
         #: with_values=False case); True means "may carry values".
         self.has_values = has_values
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[PathListEntry]) -> "PathList":
-        keys: list[bytes] = []
-        path_ids: list[int] = []
-        values: list[Optional[str]] = []
-        byte_lengths: list[int] = []
-        for entry in entries:
-            keys.append(entry.key)
-            path_ids.append(entry.path_id)
-            values.append(entry.value)
-            byte_lengths.append(entry.byte_length)
-        return cls(keys, path_ids, values, byte_lengths)
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -153,7 +140,12 @@ class PathIndex:
         self._paths: list[tuple[str, ...]] = []
         self._path_ids: dict[tuple[str, ...], int] = {}
         self._expansion_cache: dict[PathPattern, list[int]] = {}
+        # (path id, own depth) -> the path's key column; (path id,
+        # shallower depth) -> (key column derived from, ancestor array).
         self._ancestors: dict[tuple[int, int], list[bytes]] = {}
+        self._derived_ancestors: dict[
+            tuple[int, int], tuple[list[bytes], list[bytes]]
+        ] = {}
         self._path_arrays: dict[
             int, tuple[list[bytes], list[Optional[str]], list[int]]
         ] = {}
@@ -162,78 +154,25 @@ class PathIndex:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_tree(cls, root: XMLNode) -> "PathIndex":
+    def from_columns(cls, columns: DocumentColumns) -> "PathIndex":
+        """Build the index from a walked document: the Path-Values table
+        plus ``_path_arrays`` — per path, the document-ordered (keys,
+        values, lengths) columns, laid out at load time like the byte
+        lengths, so an unpredicated path probe is an array handoff, not
+        a B+-tree row scan (predicates still push into the tree)."""
         index = cls()
-        rows: dict[tuple[int, tuple], list[tuple[bytes, int]]] = {}
-        triples_by_path: dict[
-            int, list[tuple[bytes, Optional[str], int]]
-        ] = {}
-        stack: list[tuple[XMLNode, tuple[str, ...]]] = [(root, (root.tag,))]
-        while stack:
-            node, path = stack.pop()
-            path_id = index._intern_path(path)
-            packed = pack(node.dewey.components)
-            value = node.value
-            length = serialized_length(node)
-            key = (path_id, atom_key(value))
-            rows.setdefault(key, []).append((packed, length))
-            triples_by_path.setdefault(path_id, []).append(
-                (packed, value, length)
-            )
-            for child in node.children:
-                stack.append((child, path + (child.tag,)))
-        # Row payload: [(packed dewey, byte_length), ...] — sorting the
-        # packed keys sorts in document order.
-        items = [(key, sorted(rows[key])) for key in sorted(rows)]
-        index._table = BPlusTree.from_sorted_items(items)
-        # Load-time column arrays and ancestor-prefix arrays, both static
-        # document structure precomputed like the index-resident byte
-        # lengths:
-        #
-        # * ``_path_arrays``: per path, the document-ordered (keys,
-        #   values, lengths) columns — an unpredicated path probe is an
-        #   array handoff instead of a B+-tree row scan (predicated
-        #   probes still push their predicates into the tree);
-        # * ``_ancestors``: per (path, depth), the sorted distinct packed
-        #   keys of the depth-d ancestors of the path's elements — what
-        #   lets the PDT sweep skip all per-entry prefix derivation (see
-        #   ``repro.core.pdt._collect_records_swept``).
-        path_arrays: dict[
-            int,
-            tuple[
-                list[bytes],
-                list[Optional[str]],
-                list[int],
-                list[int],
-                list[None],
-            ],
-        ] = {}
-        ancestors: dict[tuple[int, int], list[bytes]] = {}
-        for path_id, triples in triples_by_path.items():
-            triples.sort()
-            keys = [triple[0] for triple in triples]
-            path_arrays[path_id] = (
-                keys,
-                [triple[1] for triple in triples],
-                [triple[2] for triple in triples],
-                # Constant columns, shared by every whole-path handoff.
-                [path_id] * len(keys),
-                [None] * len(keys),
-            )
-            depth = len(index._paths[path_id])
-            ancestors[(path_id, depth)] = keys
-            if depth <= 1:
-                continue
-            per_depth: list[set[bytes]] = [set() for _ in range(depth - 1)]
-            for key in keys:
-                ends = packed_prefix_ends(key)
-                for d in range(depth - 1):
-                    per_depth[d].add(key[: ends[d]])
-            for d, prefixes in enumerate(per_depth, start=1):
-                ancestors[(path_id, d)] = sorted(prefixes)
-        index._path_arrays = path_arrays
-        index._ancestors = ancestors
+        by_path = index._by_path(columns)
+        rows = _rows(by_path)
+        index._table = BPlusTree.from_sorted_items(
+            [(rowkey, rows[rowkey]) for rowkey in sorted(rows)]
+        )
+        for path_id, (keys, values, lengths) in by_path.items():
+            index._set_path_columns(path_id, keys, values, lengths)
         return index
+
+    @classmethod
+    def from_tree(cls, root: XMLNode) -> "PathIndex":
+        return cls.from_columns(document_columns(root, label=False))
 
     def _intern_path(self, path: tuple[str, ...]) -> int:
         path_id = self._path_ids.get(path)
@@ -243,58 +182,77 @@ class PathIndex:
             self._path_ids[path] = path_id
         return path_id
 
+    def _by_path(self, columns: DocumentColumns) -> dict[
+        int, tuple[list[bytes], list[Optional[str]], list[int]]
+    ]:
+        """A walked subtree laid out by interned path id: the (keys,
+        values, lengths) of the path's elements in document order, the
+        keys a run of fresh objects."""
+        ids = [self._intern_path(path) for path in columns.paths]
+        members: dict[int, list[int]] = {path_id: [] for path_id in ids}
+        for row, local in enumerate(columns.path_ids):
+            members[ids[local]].append(row)
+        return {
+            path_id: (
+                own_keys(columns.keys, rows),
+                list(map(columns.values.__getitem__, rows)),
+                list(map(columns.lengths.__getitem__, rows)),
+            )
+            for path_id, rows in members.items()
+        }
+
+    def _set_path_columns(self, path_id, keys, values, lengths) -> None:
+        self._path_arrays[path_id] = (
+            keys,
+            values,
+            lengths,
+            # Constant columns, shared by every whole-path handoff.
+            [path_id] * len(keys),
+            [None] * len(keys),
+        )
+        self._ancestors[(path_id, len(self._paths[path_id]))] = keys
+
     # -- delta maintenance -------------------------------------------------------
 
     def apply_subtree_edit(
         self,
         key: bytes,
         bound: bytes,
-        removed: list[tuple[tuple[str, ...], Optional[str], bytes]],
-        added: list[tuple[tuple[str, ...], Optional[str], bytes, int]],
+        removed: DocumentColumns,
+        added: DocumentColumns,
         ancestors: list[tuple[tuple[str, ...], Optional[str], bytes]],
         length_delta: int,
     ) -> None:
         """Patch the Path-Values table for one subtree edit.
 
         ``[key, bound)`` is the edited packed-key range;
-        ``removed``/``added`` carry one ``(path, value, packed key[, byte
-        length])`` row per removed/added element, in document order;
-        ``ancestors`` are the edit point's proper ancestors (root
+        ``removed``/``added`` are the walked removed subtree and payload
+        (empty when there is none); ``ancestors`` are the ``(path,
+        value, packed key)`` of the edit point's proper ancestors (root
         first), whose stored byte lengths shift by ``length_delta``
         (skipped entirely when the delta is zero).  Rows are patched in
         place via :meth:`BPlusTree.update`; a row left empty is kept
         (the tree has no delete — empty rows contribute nothing to any
-        probe).  The column and ancestor arrays are spliced, never
-        rebuilt: the edited range is one contiguous slice of every
-        touched path's document-ordered columns, so each new column is
-        ``old[:i] + added + old[j:]`` — always a *new* list, because the
-        old ones may be shared read-only with live path lists and
-        skeletons.
+        probe).  The column arrays are spliced, never rebuilt: the
+        edited range is one contiguous slice of every touched path's
+        document-ordered columns, so each new column is ``old[:i] +
+        added + old[j:]`` — always a *new* list, because the old ones
+        may be shared read-only with live path lists and skeletons (and
+        because a new key column is what retires the ancestor arrays
+        derived from the old one, see :meth:`ancestors_on_path`).
         """
         paths_before = len(self._paths)
-        touched: dict[int, list[tuple[bytes, Optional[str], int]]] = {}
+        gone, new = self._by_path(removed), self._by_path(added)
 
-        drops: dict[tuple, set[bytes]] = {}
-        for path, value, packed in removed:
-            path_id = self._path_ids[path]
-            drops.setdefault((path_id, atom_key(value)), set()).add(packed)
-            touched.setdefault(path_id, [])
-        for rowkey, dropped in drops.items():
+        for rowkey, pairs in _rows(gone).items():
+            dropped = {packed for packed, _ in pairs}
             self._table.update(
                 rowkey,
                 lambda row, dropped=dropped: [
                     pair for pair in row if pair[0] not in dropped
                 ],
             )
-
-        adds: dict[tuple, list[tuple[bytes, int]]] = {}
-        for path, value, packed, length in added:
-            path_id = self._intern_path(path)
-            adds.setdefault((path_id, atom_key(value)), []).append(
-                (packed, length)
-            )
-            touched.setdefault(path_id, []).append((packed, value, length))
-        for rowkey, pairs in adds.items():
+        for rowkey, pairs in _rows(new).items():
             if rowkey in self._table:
 
                 def merge(row, pairs=pairs):
@@ -305,11 +263,12 @@ class PathIndex:
 
                 self._table.update(rowkey, merge)
             else:
-                self._table.insert(rowkey, sorted(pairs))
+                self._table.insert(rowkey, pairs)
 
-        ancestor_keys = [packed for _, _, packed in ancestors]
-        for path_id, triples in touched.items():
-            self._splice_path_columns(path_id, key, bound, triples, ancestor_keys)
+        for path_id in gone.keys() | new.keys():
+            self._splice_path_columns(
+                path_id, key, bound, *new.get(path_id, ([], [], []))
+            )
 
         if length_delta:
             for path, value, packed in ancestors:
@@ -341,60 +300,28 @@ class PathIndex:
         path_id: int,
         key: bytes,
         bound: bytes,
-        triples: list[tuple[bytes, Optional[str], int]],
-        ancestor_keys: list[bytes],
+        added_keys: list[bytes],
+        added_values: list[Optional[str]],
+        added_lengths: list[int],
     ) -> None:
-        """Replace the ``[key, bound)`` slice of one path's columns and
-        per-depth ancestor arrays with the added ``(key, value, length)``
-        triples (document order; possibly none).
-
-        Equals what :meth:`from_tree` would build over the edited
-        document, at the cost of the slices: below the edit point's
-        depth every element in the range shares one ancestor, which
-        leaves an ancestor array only when no key on this path is left
-        under it; from the edit point's depth down, the range of the
-        ancestor array is replaced by the added keys' own prefixes.
-        """
-        depth = len(self._paths[path_id])
+        """Replace the ``[key, bound)`` slice of one path's columns with
+        the added columns (document order; possibly empty) — what
+        :meth:`from_columns` would build over the edited document, at the
+        cost of the slices.  A path left without elements keeps its
+        interned id and nothing else."""
         keys, values, lengths = self._path_arrays.get(path_id, ([], [], []))[:3]
         low, high = bisect_left(keys, key), bisect_left(keys, bound)
-        added_keys = [triple[0] for triple in triples]
         keys = keys[:low] + added_keys + keys[high:]
-        if not keys:
+        if keys:
+            self._set_path_columns(
+                path_id,
+                keys,
+                values[:low] + added_values + values[high:],
+                lengths[:low] + added_lengths + lengths[high:],
+            )
+        else:
             self._path_arrays.pop(path_id, None)
-            for d in range(1, depth + 1):
-                self._ancestors.pop((path_id, d), None)
-            return
-        self._path_arrays[path_id] = (
-            keys,
-            values[:low] + [triple[1] for triple in triples] + values[high:],
-            lengths[:low] + [triple[2] for triple in triples] + lengths[high:],
-            [path_id] * len(keys),
-            [None] * len(keys),
-        )
-        self._ancestors[(path_id, depth)] = keys
-        added_ends = [packed_prefix_ends(added) for added in added_keys]
-        for d in range(1, depth):
-            column = self._ancestors.get((path_id, d), [])
-            if d <= len(ancestor_keys):
-                prefix = ancestor_keys[d - 1]
-                at = bisect_left(keys, prefix)
-                wanted = at < len(keys) and keys[at].startswith(prefix)
-                low = bisect_left(column, prefix)
-                high = low + (low < len(column) and column[low] == prefix)
-                prefixes = [prefix] if wanted else []
-            else:
-                low, high = bisect_left(column, key), bisect_left(column, bound)
-                prefixes = sorted(
-                    {
-                        added[: ends[d - 1]]
-                        for added, ends in zip(added_keys, added_ends)
-                    }
-                )
-            if column[low:high] != prefixes:
-                self._ancestors[(path_id, d)] = (
-                    column[:low] + prefixes + column[high:]
-                )
+            self._ancestors.pop((path_id, len(self._paths[path_id])), None)
 
     # -- path dictionary (DataGuide) --------------------------------------------
 
@@ -409,15 +336,37 @@ class PathIndex:
     def ancestors_on_path(self, path_id: int, depth: int) -> list[bytes]:
         """Sorted distinct packed keys of the depth-``depth`` ancestors of
         the elements on ``path_id`` (the elements themselves at the path's
-        own depth).
+        own depth) — the index-resident answer to the PDT sweep's "which
+        elements can an interior QPT node stand on".  Read-only.
 
-        Precomputed at load time; callers must not mutate the returned
-        list.  This is the index-resident form of the PDT sweep's
-        "which elements can an interior QPT node stand on" question —
-        answered per (path, depth) with zero per-entry work at query
-        time.
+        They are the elements of the path's depth-``depth`` prefix path
+        with a descendant on ``path_id``: derived from the two key
+        columns on first use (one bisect per prefix-path element) and
+        kept while the path's key column is the object they were derived
+        from — an edit gives every path it touches a new one, which is
+        all the invalidation there is.  Nothing is laid out per (path,
+        depth) at load time, where a deep chain would need quadratically
+        many arrays and cubically many key bytes.
         """
-        return self._ancestors.get((path_id, depth), [])
+        arrays = self._path_arrays.get(path_id)
+        path = self._paths[path_id]
+        if arrays is None or not 1 <= depth <= len(path):
+            return []
+        keys = arrays[0]
+        if depth == len(path):
+            return keys
+        derived = self._derived_ancestors.get((path_id, depth))
+        if derived is None or derived[0] is not keys:
+            prefix_arrays = self._path_arrays.get(self._path_ids[path[:depth]])
+            size = len(keys)
+            column = [
+                candidate
+                for candidate in (prefix_arrays[0] if prefix_arrays else ())
+                if (at := bisect_left(keys, candidate)) < size
+                and keys[at].startswith(candidate)
+            ]
+            derived = self._derived_ancestors[(path_id, depth)] = (keys, column)
+        return derived[1]
 
     def expand_pattern(self, pattern: PathPattern) -> list[int]:
         """Concrete path ids matching a ``/``/``//`` path pattern.
@@ -508,15 +457,7 @@ class PathIndex:
                 # Non-equality predicates push into the tree: the rows
                 # arrive pre-grouped by value, so filtering is per row.
                 scan_ids.update(path_ids)
-            else:
-                # Unpredicated probes ride the load-time column arrays;
-                # the tree sweep only backs up paths an incrementally
-                # built index has no arrays for.
-                scan_ids.update(
-                    path_id
-                    for path_id in path_ids
-                    if path_id not in path_arrays
-                )
+            # Unpredicated probes ride the load-time column arrays.
         ordered_scans = sorted(scan_ids)
         scan_rows = self._table.scan_prefixes(
             [(path_id,) for path_id in ordered_scans]
@@ -582,21 +523,12 @@ class PathIndex:
             else:
                 for path_id in path_ids:
                     arrays = path_arrays.get(path_id)
-                    if arrays is not None:
-                        path_keys, path_values, path_lengths = arrays[:3]
-                        keys += path_keys
-                        lengths += path_lengths
-                        entry_paths += arrays[3]
-                        values += path_values if with_values else arrays[4]
-                    else:
-                        for composite, row in rows_by_path[path_id]:
-                            kind = composite[1][0]
-                            value = None if kind == 0 else composite[1][-1]
-                            keep = value if with_values else None
-                            keys += [packed for packed, _ in row]
-                            lengths += [length for _, length in row]
-                            entry_paths += [path_id] * len(row)
-                            values += [keep] * len(row)
+                    if arrays is None:
+                        continue  # every element on the path was deleted
+                    keys += arrays[0]
+                    lengths += arrays[2]
+                    entry_paths += arrays[3]
+                    values += arrays[1] if with_values else arrays[4]
             if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
                 # Rows from different (path, value) pairs interleave in
                 # document order; one argsort restores it (timsort over
@@ -610,13 +542,17 @@ class PathIndex:
             results.append(PathList(keys, entry_paths, values, lengths))
         return results
 
-    def ids_on_path(self, path_id: int) -> list[tuple[int, ...]]:
-        """All element ids on one concrete path (used by the tag index)."""
-        keys: list[bytes] = []
-        for _, row in self._table.prefix_range((path_id,)):
-            keys.extend(packed for packed, _ in row)
-        keys.sort()
-        return [unpack(key) for key in keys]
+
+def _rows(by_path: dict) -> dict[tuple, list[tuple[bytes, int]]]:
+    """The Path-Values rows of a subtree laid out by path (see
+    :meth:`PathIndex._by_path`): ``(path id, atom key) -> [(packed key,
+    byte length), ...]``, in document order and therefore sorted, sharing
+    the key objects of the path's column."""
+    rows: dict[tuple, list[tuple[bytes, int]]] = {}
+    for path_id, (keys, values, lengths) in by_path.items():
+        for key, value, length in zip(keys, values, lengths):
+            rows.setdefault((path_id, atom_key(value)), []).append((key, length))
+    return rows
 
 
 def pattern_matches_path(pattern: PathPattern, path: tuple[str, ...]) -> bool:

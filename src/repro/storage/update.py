@@ -10,7 +10,11 @@ byte-length adjustment on the edit point's proper ancestors.
 
 :func:`execute_subtree_update` performs that surgery in place on an
 :class:`~repro.storage.database.IndexedDocument` and returns the raw edit
-facts; :class:`DocumentDelta` is the typed record the database emits to its
+facts.  What it splices in and out comes from the walk that loads a
+document (:func:`~repro.storage.columns.document_columns`), run over the
+payload and over the removed subtree: there is one definition of a
+record, a row and a posting, so a patched index cannot drift from a built
+one.  :class:`DocumentDelta` is the typed record the database emits to its
 update hooks so the cache / engine / snapshot layers can patch rather than
 rebuild ("Update XML Views", Liu et al., grounds when a view delta is
 computable from a base delta).
@@ -27,14 +31,14 @@ which is exactly what the ``mutations`` difftest configuration checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.dewey import DeweyID, packed_child_bound
 from repro.errors import StorageError
-from repro.storage.inverted_index import Posting
-from repro.xmlmodel.node import XMLNode, assign_dewey_ids
-from repro.xmlmodel.serializer import serialized_length
-from repro.xmlmodel.tokenizer import tokenize
+from repro.storage.columns import document_columns
+from repro.xmlmodel.node import XMLNode
+from repro.xmlmodel.serializer import own_length
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.database import IndexedDocument
@@ -75,64 +79,6 @@ class DocumentDelta:
     def edit_id(self) -> DeweyID:
         """The Dewey ID of the edit point (decoded view of ``key``)."""
         return DeweyID.from_packed(self.key)
-
-
-def subtree_with_paths(
-    root: XMLNode, base_path: tuple[str, ...]
-) -> list[tuple[XMLNode, tuple[str, ...]]]:
-    """Pre-order (node, root-to-node tag path) pairs for a subtree.
-
-    Pre-order is document order, so the nodes come out sorted by packed
-    Dewey key — the order every range splice expects.
-    """
-    out: list[tuple[XMLNode, tuple[str, ...]]] = []
-    stack: list[tuple[XMLNode, tuple[str, ...]]] = [(root, base_path)]
-    while stack:
-        node, path = stack.pop()
-        out.append((node, path))
-        for child in reversed(node.children):
-            stack.append((child, path + (child.tag,)))
-    return out
-
-
-def _node_tokens(node: XMLNode, index_tag_names: bool) -> list[str]:
-    """The tokens an element contributes, mirroring ``InvertedIndex.from_tree``."""
-    tokens: list[str] = []
-    if index_tag_names:
-        tokens.extend(tokenize(node.tag))
-    if node.text:
-        tokens.extend(tokenize(node.text))
-    return tokens
-
-
-def subtree_postings(
-    nodes: list[XMLNode], *, index_tag_names: bool, store_positions: bool
-) -> dict[str, list[Posting]]:
-    """Per-keyword postings for Dewey-labelled nodes (pre-order input).
-
-    Token positions are node-local (the same ``enumerate`` the full build
-    uses), so postings built here splice into existing lists unchanged.
-    """
-    accumulator: dict[str, list[Posting]] = {}
-    for node in nodes:
-        tokens = _node_tokens(node, index_tag_names)
-        if not tokens:
-            continue
-        counts: dict[str, int] = {}
-        positions: dict[str, list[int]] = {}
-        for position, token in enumerate(tokens):
-            counts[token] = counts.get(token, 0) + 1
-            if store_positions:
-                positions.setdefault(token, []).append(position)
-        for token, tf in counts.items():
-            accumulator.setdefault(token, []).append(
-                Posting(
-                    dewey=node.dewey.components,
-                    tf=tf,
-                    positions=tuple(positions.get(token, ())),
-                )
-            )
-    return accumulator
 
 
 def execute_subtree_update(
@@ -176,7 +122,6 @@ def execute_subtree_update(
         else:
             ordinal = 1
         edit_id = parent.dewey.child(ordinal)
-        assign_dewey_ids(new_root, root_id=edit_id)
         removed_node = None
     else:
         if target.parent is None:
@@ -190,7 +135,6 @@ def execute_subtree_update(
         if kind == "replace":
             if new_root is None:
                 raise StorageError("replace requires a payload subtree")
-            assign_dewey_ids(new_root, root_id=edit_id)
         elif new_root is not None:
             raise StorageError("delete takes no payload")
 
@@ -198,29 +142,24 @@ def execute_subtree_update(
     bound = packed_child_bound(key)
     parent_path = tuple(parent.path_from_root())
 
-    # Lengths and the parent's serialization overhead are computed against
-    # the pre-surgery tree: an empty element (<tag/>) gaining its first
-    # child grows by len(tag) + 2 (the <tag></tag> form), and the last
-    # child leaving an otherwise-empty element shrinks it by the same.
-    removed_len = serialized_length(removed_node) if removed_node is not None else 0
-    added_len = serialized_length(new_root) if new_root is not None else 0
-    overhead = 0
-    if parent.value is None:
-        if kind == "insert" and not parent.children:
-            overhead = len(parent.tag) + 2
-        elif kind == "delete" and len(parent.children) == 1:
-            overhead = -(len(parent.tag) + 2)
-    length_delta = added_len - removed_len + overhead
-
-    removed_pairs = (
-        subtree_with_paths(removed_node, parent_path + (removed_node.tag,))
-        if removed_node is not None
-        else []
+    # The same walk that loads a document, over the removed subtree and
+    # over the payload (labelling it from the edit point down).
+    walk = partial(
+        document_columns,
+        root_id=edit_id,
+        base_path=parent_path,
+        index_tag_names=index_tag_names,
+        store_positions=indexed.inverted_index.store_positions,
     )
+    removed, added = walk(removed_node, label=False), walk(new_root, label=True)
+
+    own_before = own_length(parent.tag, parent.value, bool(parent.children))
+
     # Proper ancestors of the edit point, root first — every one of their
     # subtree byte lengths shifts by the same length_delta.
     ancestor_nodes = [parent, *parent.ancestors()]
     ancestor_nodes.reverse()
+    ancestor_keys = tuple(node.dewey.packed for node in ancestor_nodes)
 
     # -- tree surgery --------------------------------------------------------
     if kind == "insert":
@@ -233,53 +172,33 @@ def execute_subtree_update(
         parent.children[slot] = new_root
         new_root.parent = parent
         removed_node.parent = None
-
-    added_pairs = (
-        subtree_with_paths(new_root, parent_path + (new_root.tag,))
-        if new_root is not None
-        else []
+    # Besides the subtrees, the parent's own tags change form (<tag/> vs
+    # <tag></tag>) when it gains its first or loses its last child.
+    length_delta = (
+        added.byte_length - removed.byte_length
+        + own_length(parent.tag, parent.value, bool(parent.children)) - own_before
     )
-    added_info = [
-        (node, path, node.dewey.packed, node.value, serialized_length(node))
-        for node, path in added_pairs
-    ]
-    ancestor_keys = tuple(node.dewey.packed for node in ancestor_nodes)
 
-    # -- document store ------------------------------------------------------
+    # -- store and indices ---------------------------------------------------
     indexed.store.apply_subtree_edit(
-        key,
-        bound,
-        [(packed, node.tag, value, length) for node, _, packed, value, length in added_info],
-        ancestor_keys,
-        length_delta,
+        key, bound, added, ancestor_keys, length_delta
     )
-
-    # -- inverted index ------------------------------------------------------
-    removed_keywords: set[str] = set()
-    for node, _ in removed_pairs:
-        removed_keywords.update(_node_tokens(node, index_tag_names))
-    added_postings = subtree_postings(
-        [node for node, _ in added_pairs],
-        index_tag_names=index_tag_names,
-        store_positions=indexed.inverted_index.store_positions,
-    )
-    indexed.inverted_index.apply_subtree_edit(
-        key, bound, removed_keywords, added_postings
-    )
-
-    # -- path index ----------------------------------------------------------
+    indexed.inverted_index.apply_subtree_edit(key, bound, removed, added)
     indexed.path_index.apply_subtree_edit(
         key,
         bound,
-        [(path, node.value, node.dewey.packed) for node, path in removed_pairs],
-        [(path, value, packed, length) for _, path, packed, value, length in added_info],
+        removed,
+        added,
         [
-            (tuple(node.path_from_root()), node.value, node.dewey.packed)
-            for node in ancestor_nodes
+            (parent_path[: depth + 1], node.value, packed)
+            for depth, (node, packed) in enumerate(
+                zip(ancestor_nodes, ancestor_keys)
+            )
         ],
         length_delta,
     )
 
-    removed_paths = tuple(dict.fromkeys(path for _, path in removed_pairs))
-    added_paths = tuple(dict.fromkeys(path for _, path in added_pairs))
-    return key, bound, ancestor_keys, removed_paths, added_paths, length_delta
+    return (
+        key, bound, ancestor_keys, tuple(removed.paths), tuple(added.paths),
+        length_delta,
+    )

@@ -37,11 +37,14 @@ def atom_key(value: Optional[str]) -> tuple:
     else orders lexicographically within the string band.  The key keeps
     the original string so equal numbers with different spellings
     (``01`` vs ``1``) share an index row only when they compare equal.
+    NaN orders with nothing — a key holding it could be stored but never
+    found again — so ``nan`` spellings sit in the string band; no
+    predicate ever matches them either way (:func:`compare_atoms`).
     """
     if value is None:
         return (KIND_NULL, "")
     number = parse_number(value)
-    if number is not None:
+    if number is not None and number == number:
         return (KIND_NUMBER, number, value)
     return (KIND_STRING, value)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.dewey import DeweyID
+from repro.dewey import DeweyID, dewey_from_parts, pack_component
 
 
 @dataclass(slots=True)
@@ -178,6 +178,22 @@ class XMLNode:
         return f"<XMLNode {self.tag}{ident}{value} children={len(self.children)}>"
 
 
+def label_children(node: XMLNode) -> None:
+    """Give the i-th child of ``node`` the id ``node.dewey`` + ``(i,)``.
+
+    Built from the parent's parts — its component tuple plus one
+    ordinal, its packed key plus one packed component — so no id is
+    validated or packed twice and every child's ``packed`` is already
+    cached.
+    """
+    base = node.dewey
+    components, packed = base.components, base.packed
+    for ordinal, child in enumerate(node.children, start=1):
+        child.dewey = dewey_from_parts(
+            components + (ordinal,), packed + pack_component(ordinal)
+        )
+
+
 def assign_dewey_ids(root: XMLNode, root_id: Optional[DeweyID] = None) -> None:
     """Assign Dewey IDs to ``root`` and every descendant.
 
@@ -185,14 +201,9 @@ def assign_dewey_ids(root: XMLNode, root_id: Optional[DeweyID] = None) -> None:
     with id ``d`` receives ``d.i``.
     """
     root.dewey = root_id if root_id is not None else DeweyID.root()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        base = node.dewey
-        assert base is not None
-        for ordinal, child in enumerate(node.children, start=1):
-            child.dewey = base.child(ordinal)
-            stack.append(child)
+    for node in root.iter():
+        if node.children:
+            label_children(node)
 
 
 class Document:

@@ -161,34 +161,22 @@ def _parse_attributes(cursor: _Cursor, element: XMLNode) -> None:
 
 
 def parse_xml(text: str) -> XMLNode:
-    """Parse ``text`` and return the root element (no Dewey IDs assigned)."""
+    """Parse ``text`` and return the root element (no Dewey IDs assigned).
+
+    One loop over an explicit stack of open elements, so nesting depth is
+    bounded by memory, never by the interpreter's recursion limit.
+    """
     cursor = _Cursor(text)
     _skip_misc(cursor)
     if cursor.peek() != "<":
         raise cursor.error("expected root element")
-    root = _parse_element(cursor)
-    _skip_misc(cursor)
-    if not cursor.at_end():
-        raise cursor.error("content after the root element")
-    return root
-
-
-def _parse_element(cursor: _Cursor) -> XMLNode:
-    cursor.expect("<")
-    tag = cursor.read_name()
-    element = XMLNode(tag)
-    _parse_attributes(cursor, element)
-    if cursor.startswith("/>"):
-        cursor.pos += 2
-        return element
-    cursor.expect(">")
-    _parse_content(cursor, element)
-    return element
-
-
-def _parse_content(cursor: _Cursor, element: XMLNode) -> None:
-    text_chunks: list[str] = []
-    while True:
+    root, closed = _parse_start_tag(cursor)
+    # (open element, its text chunks so far), innermost last.
+    open_elements: list[tuple[XMLNode, list[str]]] = []
+    if not closed:
+        open_elements.append((root, []))
+    while open_elements:
+        element, text_chunks = open_elements[-1]
         if cursor.at_end():
             raise cursor.error(f"unexpected end of input inside <{element.tag}>")
         if cursor.startswith("</"):
@@ -200,8 +188,10 @@ def _parse_content(cursor: _Cursor, element: XMLNode) -> None:
                 )
             cursor.skip_whitespace()
             cursor.expect(">")
-            break
-        if cursor.startswith("<!--"):
+            if text_chunks:
+                element.text = " ".join(text_chunks)
+            open_elements.pop()
+        elif cursor.startswith("<!--"):
             cursor.pos += 4
             cursor.read_until("-->", "comment")
         elif cursor.startswith("<![CDATA["):
@@ -211,7 +201,10 @@ def _parse_content(cursor: _Cursor, element: XMLNode) -> None:
             cursor.pos += 2
             cursor.read_until("?>", "processing instruction")
         elif cursor.peek() == "<":
-            element.append(_parse_element(cursor))
+            child, closed = _parse_start_tag(cursor)
+            element.append(child)
+            if not closed:
+                open_elements.append((child, []))
         else:
             start = cursor.pos
             next_tag = cursor.text.find("<", start)
@@ -222,8 +215,23 @@ def _parse_content(cursor: _Cursor, element: XMLNode) -> None:
             decoded = _decode_entities(raw, cursor)
             if decoded.strip():
                 text_chunks.append(decoded.strip())
-    if text_chunks:
-        element.text = " ".join(text_chunks)
+    _skip_misc(cursor)
+    if not cursor.at_end():
+        raise cursor.error("content after the root element")
+    return root
+
+
+def _parse_start_tag(cursor: _Cursor) -> tuple[XMLNode, bool]:
+    """Parse ``<tag attr="…"…>`` or ``<tag…/>``: the element with its
+    attribute children, and whether the tag closed itself."""
+    cursor.expect("<")
+    element = XMLNode(cursor.read_name())
+    _parse_attributes(cursor, element)
+    if cursor.startswith("/>"):
+        cursor.pos += 2
+        return element, True
+    cursor.expect(">")
+    return element, False
 
 
 def parse_document(name: str, text: str) -> Document:

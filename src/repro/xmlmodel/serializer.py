@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from repro.xmlmodel.node import XMLNode
 
-_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-
 
 def escape_text(text: str) -> str:
     """Escape markup characters in character data."""
-    if not any(ch in text for ch in _ESCAPES):
-        return text
-    for raw, escaped in _ESCAPES.items():
-        text = text.replace(raw, escaped)
+    if "&" in text or "<" in text or ">" in text:
+        return (
+            text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        )
     return text
 
 
@@ -42,16 +40,23 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
 
 
 def _write_compact(node: XMLNode, parts: list[str]) -> None:
-    value = node.value
-    if value is None and not node.children:
-        parts.append(f"<{node.tag}/>")
-        return
-    parts.append(f"<{node.tag}>")
-    if value is not None:
-        parts.append(escape_text(value))
-    for child in node.children:
-        _write_compact(child, parts)
-    parts.append(f"</{node.tag}>")
+    # An explicit stack, so depth is bounded by memory and not by the
+    # interpreter's recursion limit; a string on it is a pending close tag.
+    stack: list = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        value = node.value
+        if value is None and not node.children:
+            parts.append(f"<{node.tag}/>")
+            continue
+        parts.append(f"<{node.tag}>")
+        if value is not None:
+            parts.append(escape_text(value))
+        stack.append(f"</{node.tag}>")
+        stack.extend(reversed(node.children))
 
 
 def _write_pretty(node: XMLNode, parts: list[str], level: int, width: int) -> None:
@@ -72,18 +77,23 @@ def _write_pretty(node: XMLNode, parts: list[str], level: int, width: int) -> No
     parts.append(f"{pad}</{node.tag}>\n")
 
 
+def own_length(tag: str, value: str | None, has_children: bool) -> int:
+    """What one element adds to the canonical serialization of any
+    subtree containing it: its tags plus its escaped value.  A subtree's
+    length is the sum over its elements — the one definition behind
+    :func:`serialized_length` and the ingest walk's length column
+    (:func:`repro.storage.columns.document_columns`)."""
+    if value is None:
+        return 2 * len(tag) + 5 if has_children else len(tag) + 3  # <tag/>
+    return 2 * len(tag) + 5 + len(escape_text(value))  # <tag> + </tag>
+
+
 def serialized_length(node: XMLNode) -> int:
     """Length in characters of the canonical serialization of ``node``.
 
-    Computed without building the full string (one pass, O(subtree)).
+    Computed without building the string: one iterative pass, O(subtree).
     """
-    value = node.value
-    total = 0
-    if value is None and not node.children:
-        return len(node.tag) + 3  # <tag/>
-    total += 2 * len(node.tag) + 5  # <tag> + </tag>
-    if value is not None:
-        total += len(escape_text(value))
-    for child in node.children:
-        total += serialized_length(child)
-    return total
+    return sum(
+        own_length(each.tag, each.value, bool(each.children))
+        for each in node.iter()
+    )

@@ -22,9 +22,8 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 def tokenize(text: str) -> Iterator[str]:
-    """Yield lower-cased tokens of ``text`` in order (with duplicates)."""
-    for match in _TOKEN_RE.finditer(text):
-        yield match.group(0).lower()
+    """Lower-cased tokens of ``text`` in order (with duplicates)."""
+    return map(str.lower, _TOKEN_RE.findall(text))
 
 
 def token_frequencies(text: str) -> Counter:

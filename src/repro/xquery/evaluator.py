@@ -8,6 +8,15 @@ difference between the two runs is the document resolver, which maps
 ``fn:doc`` names to root elements (this realizes the QPT module's query
 rewrite: the rewritten query "goes over PDTs instead of the base data").
 
+The one plan the evaluator makes is internal to it: a ``for`` clause whose
+``where`` holds an ``=`` join conjunct is driven from a hash table over the
+clause's sequence instead of looping over all of it (see
+:meth:`Evaluator._plan_join` for the rule and when it is refused).  The
+loop body, the full ``where`` included, is unchanged — only items whose
+conjunct is false are left out — so results are those of the nested loop,
+and nothing about it shows at the interface: no flag, no second evaluator,
+the resolver rewrite untouched.
+
 Element constructors attach existing nodes *by reference* (no deep copy):
 view results keep the identity of the base/PDT elements they contain, which
 is what lets the scoring module aggregate per-element tf values and byte
@@ -19,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from repro.errors import XQueryEvalError
-from repro.values import compare_atoms
+from repro.errors import ReproError, XQueryEvalError
+from repro.values import compare_atoms, join_key
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.tokenizer import normalize_keyword, token_frequencies
 from repro.xquery.ast import (
@@ -44,6 +53,7 @@ from repro.xquery.ast import (
     SequenceExpr,
     TextLiteral,
     VarRef,
+    free_variables,
 )
 
 # A query item is an element node or an atomic string value.
@@ -66,6 +76,9 @@ class Evaluator:
     def __init__(self, context: EvalContext):
         self._context = context
         self._call_stack: list[str] = []
+        # (id(FLWOR), clause index) -> (the FLWOR, pinning its id; its
+        # join plan or None).  Lives for one ``evaluate`` call.
+        self._join_plans: dict[tuple[int, int], tuple] = {}
 
     @classmethod
     def for_program(
@@ -78,6 +91,7 @@ class Evaluator:
         scope = dict(self._context.variables)
         if env:
             scope.update(env)
+        self._join_plans.clear()
         return self._eval(expr, scope)
 
     # -- dispatch ------------------------------------------------------------
@@ -220,12 +234,102 @@ class Evaluator:
             bound[clause.var] = self._eval(clause.expr, env)
             return self._eval_clauses(expr, index + 1, bound)
         assert isinstance(clause, ForClause)
+        items = self._join_candidates(expr, index, env)
+        if items is None:
+            items = self._eval(clause.expr, env)
         result: ItemSequence = []
-        for item in self._eval(clause.expr, env):
+        for item in items:
             bound = dict(env)
             bound[clause.var] = [item]
             result.extend(self._eval_clauses(expr, index + 1, bound))
         return result
+
+    # -- the join plan -----------------------------------------------------------
+
+    def _join_candidates(
+        self, expr: FLWOR, index: int, env: dict
+    ) -> Optional[ItemSequence]:
+        """The items of ``for`` clause ``index`` that can pass the
+        ``where``'s join conjunct under ``env``, in sequence order —
+        or ``None`` when the clause has no plan and must loop over its
+        whole sequence.  The caller runs its unchanged loop body, full
+        ``where`` included, over what is returned: an item left out is
+        exactly one whose conjunct is false, so order, duplicates and
+        general-comparison semantics are those of the nested loop."""
+        entry = self._join_plans.get((id(expr), index))
+        if entry is None:
+            entry = self._join_plans[(id(expr), index)] = (
+                expr, self._plan_join(expr, index)
+            )
+        plan = entry[1]
+        if plan is None:
+            return None
+        probe, items, table = plan
+        if not items:
+            return items  # and the loop would never have reached its ``where``
+        try:
+            atoms = self._atomize(self._eval(probe, env))
+        except ReproError:
+            return None  # the loop's own ``where`` raises it in place
+        positions: set[int] = set()
+        for atom in atoms:
+            positions.update(table.get(join_key(atom), ()))
+        return [items[position] for position in sorted(positions)]
+
+    def _plan_join(self, expr: FLWOR, index: int) -> Optional[tuple]:
+        """``(probe side, the clause's items, join_key -> positions)``
+        when ``for $v in E`` can be driven by a hash table, else ``None``.
+
+        The rule: the ``where`` is — or is an ``and`` with a direct
+        operand that is — an ``=`` whose one side (the build side) has
+        exactly ``{$v}`` free and whose other side (the probe side) is
+        free of ``$v`` and of every later clause's variable; ``E`` has no
+        free variable; and neither ``E`` nor the build side holds a
+        context item or a function call — so both depend on the resolver
+        alone and the table is good for the whole ``evaluate`` call.
+        ``join_key`` equality is ``compare_atoms("=")`` (NaN, equal to
+        nothing, is left out).  A table that fails to build is no plan:
+        the plain loop then raises whatever it raised, where it did.
+        """
+        clause, where = expr.clauses[index], expr.where
+        later = {other.var for other in expr.clauses[index + 1 :]}
+        if (
+            where is None
+            or clause.var in later
+            or free_variables(clause.expr)
+            or not _resolver_only(clause.expr)
+        ):
+            return None
+        if isinstance(where, BooleanExpr) and where.op == "and":
+            conjuncts = where.operands
+        else:
+            conjuncts = (where,)
+        for conjunct in conjuncts:
+            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+                continue
+            for build, probe in (
+                (conjunct.left, conjunct.right),
+                (conjunct.right, conjunct.left),
+            ):
+                if (
+                    free_variables(build) != {clause.var}
+                    or not _resolver_only(build)
+                    or free_variables(probe) & (later | {clause.var})
+                ):
+                    continue
+                try:
+                    items = self._eval(clause.expr, {})
+                    table: dict = {}
+                    for position, item in enumerate(items):
+                        bound = {clause.var: [item]}
+                        for atom in self._atomize(self._eval(build, bound)):
+                            key = join_key(atom)
+                            if key[1] == key[1]:  # false for NaN only
+                                table.setdefault(key, []).append(position)
+                except ReproError:
+                    return None
+                return probe, items, table
+        return None
 
     # -- construction ------------------------------------------------------------
 
@@ -314,6 +418,15 @@ class Evaluator:
         ElementConstructor: _eval_constructor,
         FunctionCall: _eval_call,
     }
+
+
+def _resolver_only(expr: Expr) -> bool:
+    """No context item and no function call anywhere inside ``expr``:
+    with its free variables bound, its value depends on the resolver
+    alone."""
+    return not any(
+        isinstance(node, (ContextItem, FunctionCall)) for node in expr.walk()
+    )
 
 
 def evaluate_program(
