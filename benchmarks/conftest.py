@@ -33,7 +33,7 @@ def database(default_params):
 @pytest.fixture(scope="session")
 def efficient(database, default_params):
     # Query cache off: the paper-figure benchmarks measure the per-query
-    # pipeline cost, not warm-cache serving (that's bench_x3_query_cache).
+    # pipeline cost, not warm-cache serving (that's benchmarks/layered/).
     engine = KeywordSearchEngine(database, enable_cache=False)
     engine.define_view("bench", view_for_params(default_params))
     return engine

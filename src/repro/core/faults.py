@@ -42,7 +42,7 @@ Hangs block on an internal event capped by ``hang_timeout`` — call
 :meth:`FaultInjector.release_hangs` in test teardown so no thread leaks
 past the scenario.  :meth:`FaultInjector.disable` /
 :meth:`~FaultInjector.enable` gate firing without touching call
-counters, which is how the recovery benchmark "heals" the fault domain
+counters, which is how the chaos difftest "heals" the fault domain
 mid-run.
 """
 

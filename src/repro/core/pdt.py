@@ -7,34 +7,20 @@ satisfying the mutual ancestor/descendant/predicate constraints — while
 reading each Dewey ID exactly once and never touching the base documents.
 
 Formulation.  The paper drives a Candidate Tree through repeated
-``MinIDPath`` maintenance; we implement the identical computation with the
-equivalent *stack* discipline over the k-way merge of the id lists:
+``MinIDPath`` maintenance — a stack automaton over the k-way merge of the
+id lists, kept as written in :mod:`repro.baselines.stack_pdt` (the
+Section 4.2.2.1 ablation runs there).  The pipeline computes the same
+CE / PE sets of Definitions 1-2 as a fixpoint swept over the sorted
+packed-key arrays the storage layer already keeps
+(:func:`_collect_records_swept`): bisects and merges over flat ``bytes``,
+no per-(element, QPT node) state.
 
-* ids are consumed in Dewey (document) order, so the open Dewey prefixes of
-  the current id form a stack; a prefix is *closed* (popped) exactly when
-  no further descendants can arrive — the point at which the paper removes
-  a CT node and its DescendantMap is final;
-* each open prefix holds one item per matching QPT node (the CTQNodeSet of
-  Appendix E, needed for repeating tags such as ``//a//a``), each with its
-  own DescendantMap (DM), ParentList (PL) and InPdt flag;
-* an item that satisfies its descendant constraints reports to its PL
-  (paper: AddCTNode lines 15-16); if additionally a parent item is already
-  InPdt (or the item is anchored at the document node) it is emitted
-  immediately (the InPdt fast path of Section 4.2.2.1); otherwise, when its
-  element closes, it registers with its still-open parents — this register
-  list *is* the PdtCache: descendants that satisfy descendant constraints
-  whose ancestor constraints are still unresolved;
-* when a parent item becomes InPdt it cascades through its pending
-  registrations; when it closes without becoming a candidate the
-  registrations are dropped, exactly like pdt-cache entries whose parent
-  lists empty out (CreatePDTNodes line 26).
-
-Ids flow through the merge in their *packed* byte form (see
+Ids flow through the sweep in their *packed* byte form (see
 :mod:`repro.dewey`): bytes comparison is document order, a byte prefix is
 an ancestor, and a subtree is the contiguous range
-``[key, packed_child_bound(key))`` — so the merge's heap comparisons, the
-stack discipline and the skeleton's tf range bounds all operate on flat
-bytes with no per-element tuple allocation.
+``[key, packed_child_bound(key))`` — so the candidate tests, the ancestor
+chains and the skeleton's tf range bounds all operate on flat bytes with
+no per-element tuple allocation.
 
 The keyword-independent half of the work is captured by
 :class:`PDTSkeleton` (cached per ``(view, document)`` by the engine): the
@@ -69,12 +55,7 @@ from repro.core.prepare import (
 )
 from repro.storage.inverted_index import PostingList
 from repro.core.qpt import QPT, QPTNode
-from repro.dewey import (
-    DeweyID,
-    packed_child_bound,
-    packed_prefix_ends,
-    unpack,
-)
+from repro.dewey import DeweyID, packed_child_bound, unpack
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.path_index import PathIndex
 from repro.xmlmodel.node import NodeAnnotations, XMLNode
@@ -150,45 +131,6 @@ class PDTResult:
         }
 
 
-#: Shared DescendantMap for items with no mandatory child edges (the
-#: majority: every leaf).  Safe to share because the only mutation path
-#: (``_mark_candidate``'s discard) is guarded by a membership test that an
-#: empty set can never pass.
-_EMPTY_DM: set = set()
-
-
-class _Item:
-    """One (element, QPT node) pair under consideration (a CTQNodeSet entry)."""
-
-    __slots__ = ("qnode", "owner", "dm_missing", "parents", "pending",
-                 "candidate", "in_pdt")
-
-    def __init__(self, qnode: QPTNode, owner: "_OpenElement", dm_template):
-        self.qnode = qnode
-        self.owner = owner
-        # DescendantMap, tracked as the set of mandatory child edges not
-        # yet satisfied (all-ones DM == dm_missing empty).  The template
-        # is precomputed once per merge pass, not rebuilt per element.
-        self.dm_missing = set(dm_template) if dm_template else _EMPTY_DM
-        self.parents: list[_Item] = []  # ParentList
-        self.pending: list[_Item] = []  # PdtCache registrations
-        self.candidate = False
-        self.in_pdt = False
-
-
-class _OpenElement:
-    """An open Dewey prefix on the stack (a live CT node)."""
-
-    __slots__ = ("key", "depth", "items", "value", "byte_length")
-
-    def __init__(self, key: bytes, depth: int):
-        self.key = key
-        self.depth = depth
-        self.items: list[_Item] = []
-        self.value: Optional[str] = None
-        self.byte_length: Optional[int] = None
-
-
 @dataclass(slots=True)
 class PDTRecord:
     """An emitted PDT element (pre-tree-construction).
@@ -223,8 +165,8 @@ def _collect_records_swept(
 
     Instead of driving a per-element stack automaton (one open-element
     and one item object per (element, QPT node) pair — see
-    :class:`_PDTBuilder`), this computes Definitions 1-2 directly on
-    sorted byte-key arrays:
+    :mod:`repro.baselines.stack_pdt`), this computes Definitions 1-2
+    directly on sorted byte-key arrays:
 
     * **elements** per QPT node: a probed node's elements are exactly its
       path list (predicates are pre-filtered by the probe, so a pattern
@@ -243,8 +185,8 @@ def _collect_records_swept(
 
     All hot loops are bisects and merges over flat ``bytes`` arrays;
     nothing allocates per (element, node) state.  Equivalence
-    with the automaton (and with ``repro.core.reference``) is enforced by
-    the property suite and the legacy-equivalence tests.
+    with ``repro.core.reference`` and with the automaton is enforced by
+    the property suite and the reference-equivalence tests.
     """
     path_lists = lists.path_lists
     probed = lists.probed
@@ -539,280 +481,6 @@ def _collect_records_swept(
             if wants_content:
                 record.wants_content = True
     return records
-
-
-class _PDTBuilder:
-    """Runs the single merge pass and accumulates emitted records.
-
-    This is the paper-shaped stack automaton (CTQNodeSets, DescendantMaps,
-    ParentLists, the PdtCache) — kept as the ``inpdt_fast_path`` ablation
-    vehicle and as a second, independently-structured implementation the
-    equivalence tests can cross-check against the default
-    :func:`_collect_records_swept` array sweep.
-
-    ``inpdt_fast_path`` toggles the Section 4.2.2.1 optimization: with it
-    on, an item whose ancestor constraint is already established is
-    emitted the moment it becomes a candidate; with it off, every
-    candidate goes through the pdt-cache (pending) machinery and is
-    resolved when ancestors close — same output, more cache traffic.
-    """
-
-    def __init__(
-        self,
-        qpt: QPT,
-        lists: PreparedLists,
-        path_index: PathIndex,
-        inpdt_fast_path: bool = True,
-    ):
-        self._qpt = qpt
-        self._lists = lists
-        self._path_index = path_index
-        self._inpdt_fast_path = inpdt_fast_path
-        self._stack: list[_OpenElement] = []
-        self._records: dict[bytes, PDTRecord] = {}
-        # Per-pass precomputation: the DescendantMap template of every QPT
-        # node (indexed by node.index) and, lazily, the *full-path* match
-        # table per concrete path id.  ``match_table(path)[d-1]`` equals
-        # ``match_table(path[:d])[d-1]`` — matching at depth d never looks
-        # deeper — so one table per data path serves every prefix depth
-        # with no per-group tuple slicing.
-        self._dm_templates: list[tuple[int, ...]] = [
-            tuple(edge.child.index for edge in node.mandatory_child_edges())
-            for node in qpt.nodes
-        ]
-        self._tables: dict[int, list[list[QPTNode]]] = {}
-        # Registry of the open items per QPT node index: ParentList
-        # construction reads the parent node's open items directly
-        # instead of rescanning every stack level's item list.  Stack
-        # discipline keeps each per-node list LIFO, so closing an element
-        # pops its items off the tails.
-        self._open_by_qnode: dict[int, list[_Item]] = {
-            node.index: [] for node in qpt.nodes
-        }
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self) -> dict[bytes, PDTRecord]:
-        # Flatten the per-node path lists into five parallel arrays and
-        # argsort once by packed key: each list is already a sorted run,
-        # so timsort's run detection does the k-way merge at C speed with
-        # zero per-entry tuple or generator allocation (the packed-key
-        # arrays the storage layer keeps are swept as-is).
-        all_keys: list[bytes] = []
-        all_nodes: list[int] = []
-        all_paths: list[int] = []
-        all_values: list[Optional[str]] = []
-        all_lengths: list[int] = []
-        for node_index, path_list in self._lists.path_lists.items():
-            count = len(path_list)
-            if not count:
-                continue
-            all_keys += path_list.keys
-            all_nodes += [node_index] * count
-            all_paths += path_list.path_ids
-            all_values += path_list.values
-            all_lengths += path_list.byte_lengths
-        total = len(all_keys)
-        order = sorted(range(total), key=all_keys.__getitem__)
-        position = 0
-        while position < total:
-            key = all_keys[order[position]]
-            stop = position + 1
-            while stop < total and all_keys[order[stop]] == key:
-                stop += 1
-            self._process_group(
-                key, order, position, stop,
-                all_nodes, all_paths, all_values, all_lengths,
-            )
-            position = stop
-        while self._stack:
-            self._close(self._stack.pop())
-        return self._records
-
-    def _table_for(self, path_id: int) -> list[list[QPTNode]]:
-        table = self._tables.get(path_id)
-        if table is None:
-            table = self._qpt.match_table(self._path_index.path_by_id(path_id))
-            self._tables[path_id] = table
-        return table
-
-    def _process_group(
-        self,
-        key: bytes,
-        order: list[int],
-        start: int,
-        stop: int,
-        all_nodes: list[int],
-        all_paths: list[int],
-        all_values: list[Optional[str]],
-        all_lengths: list[int],
-    ) -> None:
-        # Close open elements that are not ancestors of the incoming id:
-        # Dewey order guarantees they can receive no further descendants.
-        # Byte-prefix containment == ancestry for packed keys.
-        stack = self._stack
-        while stack and not key.startswith(stack[-1].key):
-            self._close(stack.pop())
-        # The concrete data path of the incoming element names every
-        # ancestor tag, so each prefix can be matched against the QPT.
-        # Its length *is* the element's depth — the packed prefix ends
-        # are only decoded when an ancestor prefix must actually open.
-        table = self._table_for(all_paths[order[start]])
-        total_depth = len(table)
-        open_depth = stack[-1].depth if stack else 0
-        probed = self._lists.probed
-        dm_templates = self._dm_templates
-        open_by_qnode = self._open_by_qnode
-        prefix_ends: Optional[list[int]] = None
-        direct: Optional[set[int]] = None
-        for depth in range(open_depth + 1, total_depth + 1):
-            matches = table[depth - 1]
-            if not matches:
-                continue
-            is_self = depth == total_depth
-            if is_self:
-                element = _OpenElement(key, depth)
-                if direct is None:
-                    direct = {all_nodes[order[p]] for p in range(start, stop)}
-            else:
-                if prefix_ends is None:
-                    prefix_ends = packed_prefix_ends(key)
-                element = _OpenElement(key[: prefix_ends[depth - 1]], depth)
-            for qnode in matches:
-                node_index = qnode.index
-                if node_index in probed and (
-                    not is_self or node_index not in direct
-                ):
-                    # A probed node's elements must be confirmed by a direct
-                    # list entry (the list is complete and pre-filtered by
-                    # the node's predicates); a pattern match alone means
-                    # the predicate rejected this element.
-                    continue
-                item = _Item(qnode, element, dm_templates[node_index])
-                if not self._attach_parents(item, element):
-                    continue  # ancestor constraint is unsatisfiable
-                element.items.append(item)
-            if is_self:
-                for p in range(start, stop):
-                    index = order[p]
-                    value = all_values[index]
-                    if value is not None:
-                        element.value = value
-                    element.byte_length = all_lengths[index]
-            if element.items:
-                stack.append(element)
-                for item in element.items:
-                    open_by_qnode[item.qnode.index].append(item)
-                    if not item.dm_missing:
-                        self._mark_candidate(item)
-
-    def _attach_parents(self, item: _Item, element: _OpenElement) -> bool:
-        """Build the ParentList; returns False if no parent can exist."""
-        edge = item.qnode.parent_edge
-        assert edge is not None
-        if edge.parent is self._qpt.root:
-            # Anchored at the document node: '/' requires the document root
-            # element, '//' any depth.  Ancestor constraint auto-satisfied.
-            return edge.axis == "//" or element.depth == 1
-        candidates = self._open_by_qnode[edge.parent.index]
-        if not candidates:
-            return False
-        if edge.axis == "/":
-            want_exact = element.depth - 1
-            item.parents = [
-                candidate
-                for candidate in candidates
-                if candidate.owner.depth == want_exact
-            ]
-        else:
-            item.parents = candidates[:]
-        return bool(item.parents)
-
-    # -- constraint propagation -------------------------------------------------
-
-    def _mark_candidate(self, item: _Item) -> None:
-        """Item satisfies its descendant constraints (DM all ones)."""
-        if item.candidate:
-            return
-        item.candidate = True
-        # Report to the ParentList (AddCTNode lines 15-16).
-        child_index = item.qnode.index
-        for parent in item.parents:
-            missing = parent.dm_missing
-            if child_index in missing:
-                missing.discard(child_index)
-                if not missing:
-                    self._mark_candidate(parent)
-        # InPdt fast path: ancestor constraint already established.
-        if self._inpdt_fast_path:
-            if item.qnode.parent_edge.parent is self._qpt.root:
-                self._set_in_pdt(item)
-                return
-            for parent in item.parents:
-                if parent.in_pdt:
-                    self._set_in_pdt(item)
-                    return
-
-    def _set_in_pdt(self, item: _Item) -> None:
-        if item.in_pdt:
-            return
-        item.in_pdt = True
-        self._emit(item)
-        # Cascade through the pdt-cache registrations.
-        for waiter in item.pending:
-            if waiter.candidate and not waiter.in_pdt:
-                self._set_in_pdt(waiter)
-        item.pending = []
-
-    def _close(self, element: _OpenElement) -> None:
-        """All descendants of ``element`` have been processed."""
-        root = self._qpt.root
-        open_by_qnode = self._open_by_qnode
-        for item in element.items:
-            # Stack discipline makes this item the tail of its node's
-            # open-item registry: everything registered after it closed
-            # first.
-            open_by_qnode[item.qnode.index].pop()
-            if not item.candidate or item.in_pdt:
-                continue
-            if item.qnode.parent_edge.parent is root:
-                self._set_in_pdt(item)
-                continue
-            satisfied = False
-            for parent in item.parents:
-                if parent.in_pdt:
-                    satisfied = True
-                    break
-            if satisfied:
-                self._set_in_pdt(item)
-                continue
-            # Defer the ancestor check: register with every still-open
-            # parent (the element's ancestors are exactly the open stack,
-            # so all parents are alive here).  This is the PdtCache.
-            for parent in item.parents:
-                parent.pending.append(item)
-
-    # -- emission -----------------------------------------------------------------
-
-    def _emit(self, item: _Item) -> None:
-        element = item.owner
-        record = self._records.get(element.key)
-        if record is None:
-            tag = self._tag_of(item)
-            record = PDTRecord(
-                key=element.key,
-                tag=tag,
-                value=element.value,
-                byte_length=element.byte_length or 0,
-            )
-            self._records[element.key] = record
-        if item.qnode.v_ann or item.qnode.predicates:
-            record.wants_value = True
-        if item.qnode.c_ann:
-            record.wants_content = True
-
-    def _tag_of(self, item: _Item) -> str:
-        return item.qnode.tag
 
 
 # What one element of a skeleton column costs beyond its slot (CPython).
@@ -1614,7 +1282,6 @@ def build_skeleton(
     path_index: PathIndex,
     path_lists: Optional[dict] = None,
     probed: Optional[frozenset] = None,
-    inpdt_fast_path: bool = True,
 ) -> PDTSkeleton:
     """Run the structural pass for a ``(view, document)`` pair.
 
@@ -1622,26 +1289,15 @@ def build_skeleton(
     probes (the engine's prepared tier); otherwise the keyword-free half
     of PrepareLists is issued here.  No inverted-index probe is ever
     made — the skeleton carries no keyword data.
-
-    The default pass is the array sweep
-    (:func:`_collect_records_swept`); ``inpdt_fast_path=False`` routes
-    through the stack automaton with the Section 4.2.2.1 fast path
-    disabled — the ablation baseline, same output.
     """
     if path_lists is None:
         path_lists = prepare_path_lists(qpt, path_index)
     if probed is None:
         probed = frozenset(path_lists)
     lists = PreparedLists(path_lists=path_lists, inv_lists={}, probed=probed)
-    if inpdt_fast_path:
-        records = _collect_records_swept(qpt, lists, path_index)
-    else:
-        records = _PDTBuilder(
-            qpt, lists, path_index, inpdt_fast_path=False
-        ).run()
     return PDTSkeleton.from_records(
         doc_name=qpt.doc_name,
-        records=records,
+        records=_collect_records_swept(qpt, lists, path_index),
         entry_count=sum(len(lst) for lst in path_lists.values()),
     )
 
@@ -1694,7 +1350,6 @@ def generate_pdt(
     inverted_index: InvertedIndex,
     keywords: tuple[str, ...],
     lists: Optional[PreparedLists] = None,
-    inpdt_fast_path: bool = True,
     skeleton: Optional[PDTSkeleton] = None,
 ) -> PDTResult:
     """Generate the PDT for ``qpt`` using only the given indices.
@@ -1718,7 +1373,6 @@ def generate_pdt(
             path_index,
             path_lists=lists.path_lists,
             probed=lists.probed,
-            inpdt_fast_path=inpdt_fast_path,
         )
     return annotate_skeleton(skeleton, inv_lists, keywords)
 

@@ -3,8 +3,16 @@
 This module computes candidate elements (CE), PDT elements (PE) and the
 resulting PDT directly over the in-memory document tree, with no indices
 and no streaming — a deliberately simple O(|D| x |Q|) fixpoint that serves
-as the oracle for property tests of the streaming algorithm in
-:mod:`repro.core.pdt`.  It is not part of the query pipeline.
+as the oracle for the index-only algorithm in :mod:`repro.core.pdt`.  It
+is not part of the query pipeline.
+
+It is the one reference: ``tests/test_pdt_properties.py`` (random
+documents x random QPTs), the reference sweep over every difftest view
+shape (``test_equivalence_every_view_shape`` /
+``test_equivalence_random_scenarios``: every record column the
+Definitions determine), ``tests/test_pdt.py`` and
+``tests/test_baselines.py`` all lean on it — keep it free of anything
+the pipeline imports beyond the QPT and the document model.
 """
 
 from __future__ import annotations

@@ -182,7 +182,8 @@ class ShardStream:
 
 @dataclass
 class MergeStats:
-    """Counters the scatter-gather merge reports (and the bench asserts on).
+    """Counters the scatter-gather merge reports (``tests/test_floors.py``
+    and the CI ``sharded_fanout`` ratchet assert on them).
 
     ``candidates`` is the total number of ranked results the shards
     held; ``consumed`` is how many the merge actually pulled — the gap

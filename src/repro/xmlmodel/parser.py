@@ -27,6 +27,8 @@ _PREDEFINED_ENTITIES = {
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789.-")
+_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
 
 
 class _Cursor:
@@ -83,6 +85,29 @@ class _Cursor:
         return chunk
 
 
+def _character_reference(entity: str, cursor: _Cursor) -> str:
+    """The character ``#…`` / ``#x…`` names, or a typed error.
+
+    The digits must be ASCII digits of the base — ``int`` alone also
+    takes signs, underscores, blanks and other scripts' digits — and
+    name a code point a document can carry through UTF-8: not 0, not a
+    surrogate, not above 0x10FFFF.
+    """
+    if entity[1:2] in ("x", "X"):
+        base, digits, allowed = 16, entity[2:], _HEX_DIGITS
+    else:
+        base, digits, allowed = 10, entity[1:], _DIGITS
+    if not digits or not allowed.issuperset(digits):
+        raise cursor.error(f"malformed character reference: &{entity};")
+    significant = digits.lstrip("0")
+    # Seven digits cover 0x10FFFF in either base; longer is out of range
+    # without asking int() (which refuses very long literals untyped).
+    code = int(significant, base) if 0 < len(significant) <= 7 else 0
+    if not 0 < code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise cursor.error(f"character reference to a non-character: &{entity};")
+    return chr(code)
+
+
 def _decode_entities(raw: str, cursor: _Cursor) -> str:
     """Replace entity and character references in ``raw``."""
     if "&" not in raw:
@@ -100,10 +125,8 @@ def _decode_entities(raw: str, cursor: _Cursor) -> str:
         if end < 0:
             raise cursor.error("unterminated entity reference")
         entity = raw[amp + 1 : end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            parts.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            parts.append(chr(int(entity[1:])))
+        if entity.startswith("#"):
+            parts.append(_character_reference(entity, cursor))
         elif entity in _PREDEFINED_ENTITIES:
             parts.append(_PREDEFINED_ENTITIES[entity])
         else:

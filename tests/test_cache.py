@@ -480,6 +480,9 @@ class TestEngineCaching:
         assert path_probes(engine.database) == 0
         assert inv_probes(engine.database) > 0
         assert outcome.cache_stats["skeleton"]["hits"] == len(view.qpts)
+        # Phase attribution: the keyword half is paid, not the structural.
+        assert outcome.timings.pdt_postings > 0
+        assert outcome.timings.pdt_skeleton < outcome.timings.pdt
 
     def test_skeleton_reuse_results_identical_to_cold(
         self, bookrev_db, bookrev_view_text

@@ -1,15 +1,15 @@
-"""The columnar skeleton vs the object graph it replaced.
+"""The columnar skeleton: its columns, what is derived from them, its cost.
 
 A skeleton holds the v2 wire columns and nothing else strongly — the
 shared tree only while a query result pins it.  Three property families:
 
 * **equivalence** — for random record sets the columns carry exactly
-  what ``pdt_legacy``'s eager record graph does (keys, per-record
-  state, bounds, tree, tf arrays), and a byte-length patch in place
-  equals a rebuild from patched records;
-* **footprint** — the tree is memoized weakly, the arithmetic
-  ``memory_bytes`` gauge tracks a deep walk of the columns, and a
-  repetitive corpus takes a fraction of the record graph's bytes;
+  the records they were laid out from, ``bounds`` / ``slot_bounds`` /
+  the tree equal a slow recomputation (:func:`assert_derived_state_matches`;
+  the Definitions 1-3 reference sweep leans on it too), and a
+  byte-length patch in place equals a rebuild from patched records;
+* **footprint** — the tree is memoized weakly and the arithmetic
+  ``memory_bytes`` gauge tracks a deep walk of the columns;
 * **wiring** — the engine's skeleton tier holds such entries, results
   are identical with and without the tier, across updates too, and
   ``close``/``prune_snapshots`` reclaim hooks and stale snapshot files.
@@ -19,32 +19,120 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from repro.bench.experiments import deep_sizeof, eager_graph_bytes
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import (
+    EMPTY_TAG,
+    FRAGMENT_TAG,
     PDTRecord,
     PDTSkeleton,
     annotate_skeleton,
     build_skeleton,
     patch_skeleton_byte_lengths,
 )
-from repro.core.pdt_legacy import legacy_from_records
 from repro.core.snapshot import SkeletonStore
-from repro.dewey import pack
+from repro.dewey import DeweyID, pack, packed_child_bound, unpack
 from repro.storage.database import XMLDatabase
-from repro.storage.inverted_index import PostingList
 from tests.conftest import BOOKS_XML, BOOKREV_VIEW, REVIEWS_XML
-from tests.test_pdt_legacy_equivalence import _tree_form, assert_matches_legacy
 from tests.test_snapshot import _random_posting_list as _posting_list
 from tests.test_snapshot import _random_records
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the eager record graph
+# Columns ≡ records, derived state ≡ a recomputation
 # ---------------------------------------------------------------------------
+
+
+def _tree_form(tree):
+    return [
+        (node.tag, node.text, len(node.children))
+        + (
+            ()
+            if node.anno is None
+            else (
+                node.anno.dewey.components,
+                node.anno.dewey.packed,
+                node.anno.byte_length,
+                node.anno.pruned,
+                node.anno.doc,
+                node.anno.slot,
+            )
+        )
+        for node in tree.iter()
+    ]
+
+
+def assert_derived_state_matches(skeleton):
+    """``bounds``, ``slot_bounds`` and the tree against the columns: pure
+    functions of keys and flags (Definition 3's edges: parent = nearest
+    emitted ancestor), recomputed here in component space, sharing
+    nothing with ``PDTSkeleton._publish`` / ``_build_tree``."""
+    keys, flags, values = skeleton.keys, skeleton.flags, skeleton.values
+    assert list(keys) == sorted(set(keys))
+    assert [bool(flag & 4) for flag in flags] == [v is not None for v in values]
+    content = [key for key, flag in zip(keys, flags) if flag & 2]
+    bounds = sorted(set(content) | set(map(packed_child_bound, content)))
+    assert skeleton.content_count == len(content)
+    assert skeleton.bounds == tuple(bounds)
+    assert skeleton.slot_bounds == tuple(
+        (bounds.index(key), bounds.index(packed_child_bound(key)))
+        for key in content
+    )
+
+    ids = [unpack(key) for key in keys]
+    emitted = set(ids)
+    child_counts = Counter(  # of each record's nearest emitted ancestor
+        next((d[:n] for n in range(len(d) - 1, 0, -1) if d[:n] in emitted), None)
+        for d in ids
+    )
+    slots = iter(range(len(content)))
+    form = [
+        (
+            skeleton.tags[skeleton.tag_ids[position]],
+            values[position] if flag & 1 else None,
+            child_counts[dewey],
+            dewey,
+            keys[position],
+            skeleton.byte_lengths[position],
+            bool(flag & 2),
+            skeleton.doc_name,
+            next(slots) if flag & 2 else None,
+        )
+        for position, (dewey, flag) in enumerate(zip(ids, flags))
+    ]
+    if not ids:
+        form = [(EMPTY_TAG, None, 0)]
+    elif child_counts[None] > 1 or len(ids[0]) > 1:
+        form.insert(0, (FRAGMENT_TAG, None, child_counts[None]))
+    assert _tree_form(skeleton.tree) == form  # pre-order = key order
+
+
+def assert_columns_match_records(skeleton, doc_name, records, entry_count):
+    """``skeleton`` vs the ``records`` it should have been laid out from."""
+    assert skeleton.doc_name == doc_name
+    assert skeleton.entry_count == entry_count
+    assert skeleton.node_count == len(records)
+    assert skeleton.keys == tuple(sorted(records))
+    for position, key in enumerate(skeleton.keys):
+        record = records[key]
+        assert (
+            skeleton.tags[skeleton.tag_ids[position]],
+            skeleton.values[position],
+            skeleton.byte_lengths[position],
+            skeleton.flags[position],
+        ) == (
+            record.tag,
+            record.value,
+            record.byte_length,
+            record.wants_value
+            | record.wants_content << 1
+            | (record.value is not None) << 2,
+        )
+    assert_derived_state_matches(skeleton)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -54,19 +142,19 @@ def test_compressed_matches_eager(seed):
     for dewey in ((301, 255), (301, 255, 65535)):  # bounds that carry
         records[pack(dewey)] = PDTRecord(pack(dewey), "a", None, 1, False, True)
     columnar = PDTSkeleton.from_records("doc-ü.xml", records, 37)
-    eager = legacy_from_records("doc-ü.xml", records, 37)
-    assert_matches_legacy(columnar, eager)
+    assert_columns_match_records(columnar, "doc-ü.xml", records, 37)
 
-    keywords = ("alpha", "beta", "nowhere")
-    inv_lists = {
-        "alpha": _posting_list(rng, "alpha"),
-        "beta": _posting_list(rng, "beta"),
-        "nowhere": PostingList("nowhere", []),
-    }
-    first = annotate_skeleton(eager, inv_lists, keywords)
-    second = annotate_skeleton(columnar, inv_lists, keywords)
-    assert first.tf_arrays == second.tf_arrays
-    assert first.node_count == second.node_count
+    # Annotation reads bounds and slots only — here over bounds that
+    # carry: per content node, the postings in [key, child bound).
+    postings = _posting_list(rng, "alpha")
+    result = annotate_skeleton(columnar, {"alpha": postings}, ("alpha",))
+    assert [
+        result.tf_at(slot, "alpha") for slot in range(columnar.content_count)
+    ] == [
+        postings.subtree_tf(DeweyID.from_packed(key))
+        for key in sorted(records)
+        if records[key].wants_content
+    ]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -89,8 +177,9 @@ def test_compressed_patch_matches_eager(seed):
     assert patched == (len(chain) if delta else 0)
     for key in chain:
         records[key].byte_length += delta
-    rebuilt = legacy_from_records("d.xml", records, 5)
-    assert_matches_legacy(columnar, rebuilt)
+    rebuilt = PDTSkeleton.from_records("d.xml", records, 5)
+    assert columnar.to_bytes() == rebuilt.to_bytes()
+    assert _tree_form(columnar.tree) == _tree_form(rebuilt.tree)
     if live_tree is not None:  # patched in place, not re-built
         assert columnar.tree is live_tree
 
@@ -113,39 +202,20 @@ def test_compressed_tree_is_weakly_memoized():
 # ---------------------------------------------------------------------------
 
 
-def _shifted(records: dict[bytes, PDTRecord], offset: int):
-    """The same forest structure under different Dewey keys/values."""
-    shifted: dict[bytes, PDTRecord] = {}
-    for key, record in records.items():
-        dewey = record.dewey
-        new_key = pack((dewey[0] + offset,) + dewey[1:])
-        shifted[new_key] = PDTRecord(
-            key=new_key,
-            tag=record.tag,
-            value=f"other-{offset}" if record.wants_value else None,
-            byte_length=record.byte_length + offset,
-            wants_value=record.wants_value,
-            wants_content=record.wants_content,
-        )
-    return shifted
-
-
-def test_repetitive_corpus_compresses():
-    rng = random.Random(13)
-    base = _random_records(rng, count_hint=40)
-    if len(base) < 10:  # pragma: no cover - seed guard
-        pytest.skip("degenerate base structure")
-    graph_total = 0
-    columns_total = 0
-    for i in range(12):
-        records = _shifted(base, i * 1000)
-        graph_total += eager_graph_bytes(
-            legacy_from_records(f"doc-{i}.xml", records, 5)
-        )
-        columns_total += PDTSkeleton.from_records(
-            f"doc-{i}.xml", records, 5
-        ).memory_bytes
-    assert columns_total * 3 < graph_total
+def deep_sizeof(roots: tuple) -> int:
+    """Resident bytes of a graph of containers, id-deduplicated."""
+    seen: set[int] = set()
+    total = 0
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if type(obj) in (tuple, list):
+            stack.extend(obj)
+    return total
 
 
 def test_memory_gauge_tracks_the_deep_walk_on_every_difftest_shape():

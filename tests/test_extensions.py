@@ -14,8 +14,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.stack_pdt import build_skeleton_stack
 from repro.core.engine import KeywordSearchEngine
-from repro.core.pdt import generate_pdt
+from repro.core.pdt import build_skeleton, generate_pdt
 from repro.core.prepare import prepare_lists, probe_plan
 from repro.core.qpt import generate_qpts
 from repro.core.rewrite import make_base_resolver, make_pdt_resolver
@@ -37,23 +38,23 @@ def qpts_for(text):
 
 
 class TestInPdtFastPathAblation:
-    """The optimization changes cost, never output."""
+    """The optimization changes cost, never output: both arms of the
+    paper's automaton emit the bytes the pipeline's array sweep does."""
+
+    @staticmethod
+    def _assert_both_arms_match_the_sweep(qpt, path_index):
+        swept = build_skeleton(qpt, path_index).to_bytes()
+        for fast_path in (True, False):
+            arm = build_skeleton_stack(
+                qpt, path_index, inpdt_fast_path=fast_path
+            )
+            assert arm.to_bytes() == swept, f"inpdt_fast_path={fast_path}"
 
     def test_same_output_on_running_example(self, bookrev_db):
         for doc_name, qpt in qpts_for(BOOKREV_VIEW).items():
-            indexed = bookrev_db.get(doc_name)
-            fast = generate_pdt(
-                qpt, indexed.path_index, indexed.inverted_index, ("xml",)
+            self._assert_both_arms_match_the_sweep(
+                qpt, bookrev_db.get(doc_name).path_index
             )
-            slow = generate_pdt(
-                qpt,
-                indexed.path_index,
-                indexed.inverted_index,
-                ("xml",),
-                inpdt_fast_path=False,
-            )
-            assert serialize(fast.root) == serialize(slow.root)
-            assert fast.node_count == slow.node_count
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000_000))
@@ -61,18 +62,9 @@ class TestInPdtFastPathAblation:
         rng = random.Random(seed)
         db = XMLDatabase()
         indexed = db.load_document("d.xml", random_document(rng))
-        qpt = random_qpt(rng)
-        fast = generate_pdt(
-            qpt, indexed.path_index, indexed.inverted_index, ("xml",)
+        self._assert_both_arms_match_the_sweep(
+            random_qpt(rng), indexed.path_index
         )
-        slow = generate_pdt(
-            qpt,
-            indexed.path_index,
-            indexed.inverted_index,
-            ("xml",),
-            inpdt_fast_path=False,
-        )
-        assert serialize(fast.root) == serialize(slow.root)
 
 
 class TestFixedProbeCount:

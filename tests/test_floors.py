@@ -1,0 +1,155 @@
+"""Count floors no other test holds, as one table.
+
+The retired ``bench_x3…x12`` files asserted wall-clock ratios — nothing
+asserts those any more; their last values are in ``BENCH_history.json``
+— and counts.  Almost every count was already a tier-1 test or a CI
+ratchet on a layered metric (README *Benchmarks*: floor → holder); the
+rows below are the ones that were not.  A row reads one counter off one
+scenario and holds it to a number or to another counter of the scenario.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import functools
+import operator
+import tempfile
+from collections import Counter
+
+import pytest
+
+from benchmarks.layered import workloads
+from repro.core.cache import QueryCache
+from repro.core.engine import KeywordSearchEngine
+from repro.core.ingest import ingest_corpus
+from repro.core.snapshot import SkeletonStore
+from repro.serving import SearchServer, ServerConfig
+from repro.storage.database import XMLDatabase
+from repro.workloads.inex import INEXConfig, generate_inex_database
+from repro.workloads.views import authors_articles_view
+
+FLOORS = [  # id, scenario, counter, relation, bound
+    ("edit-never-serialises", "patchable_edits", "serialized_rounds", "==", 0),
+    ("hookless-engine-misses", "patchable_edits", "hookless_miss_rounds", "==", 8),
+    ("hookless-engine-reprobes", "patchable_edits", "hookless_path_probes", ">=", 8),
+    ("merge-consumes-less", "sharded_sweep", "consumed", "<", "candidates"),
+    ("merge-prunes-a-stream", "sharded_sweep", "pruned", ">=", 1),
+    # 177 968 B held this corpus as a hash-consed shape DAG (Böttcher et
+    # al.), retired for saving less than 5% over plain columns.
+    ("tier-bytes", "repetitive_tier", "memory_bytes", "<=", 177_968 * 1.05),
+    ("all-admitted", "eight_clients", "submitted", "==", 200),
+    ("none-failed", "eight_clients", "failed", "==", 0),
+    ("none-shed", "eight_clients", "rejected_total", "==", 0),
+    ("ledger-closes", "eight_clients", "completed", "==", "submitted"),
+]
+RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
+KEYWORD_SETS = [("thomas",), ("control",), ("search",), ("thomas", "control")]
+
+
+def patchable_edits():
+    """8 alternating patchable insert / delete rounds, a query after each,
+    on a snapshot-forwarding engine (so fingerprints are live): rounds
+    after which the document's text had been rebuilt.  Beside it, an
+    engine with its update hook detached: generation keys alone strand it."""
+    database = generate_inex_database(INEXConfig())
+    articles = database.get("articles.xml")
+    counters, inserted = Counter(), None
+    with tempfile.TemporaryDirectory() as snapshots:
+        engine = KeywordSearchEngine(database, snapshot_store=SkeletonStore(snapshots))
+        hookless = KeywordSearchEngine(database)
+        database.remove_update_hook(hookless._on_document_update)
+        for each in (engine, hookless):
+            each.search(each.define_view("v", authors_articles_view()), ("thomas",))
+        for _ in range(8):
+            if inserted is None:
+                inserted = database.insert_subtree(
+                    "articles.xml", articles.document.root.dewey, "<zaux>aside</zaux>"
+                ).edit_id
+            else:
+                database.delete_subtree("articles.xml", inserted)
+                inserted = None
+            engine.search("v", ("thomas",))
+            counters["serialized_rounds"] += articles._serialized is not None
+            database.reset_access_counters()
+            hits = hookless.search_detailed("v", ("thomas",)).cache_hits
+            counters["hookless_miss_rounds"] += hits["articles.xml"] == "miss"
+            counters["hookless_path_probes"] += articles.path_index.probe_count
+    return counters
+
+
+def sharded_sweep():
+    """The layered ``sharded_fanout`` corpus (96 libraries, one view
+    fragment each; bench_x8's, document for document) through 4 shard
+    executors: the streaming merge's counters over bench_x8's four
+    queries (80 results offered, 65 consumed, 15 streams pruned)."""
+    corpus, totals = workloads.generate("sharded_fanout"), Counter()
+    coordinator, _ = ingest_corpus(
+        corpus.documents, {"v": corpus.view_text}, shard_count=4
+    )
+    with coordinator:
+        for keywords in ("xml",), ("query", "index"), ("search",), ("ranking", "views"):
+            outcome = coordinator.search_detailed("v", keywords, top_k=5)
+            totals.update(outcome.merge_stats.as_dict())
+    return totals
+
+
+def repetitive_tier():
+    """12 structurally identical 48-entry feeds, one warmed view each:
+    the skeleton tier's exact ``memory_bytes`` sum."""
+    pool = [f"mem{i:02d}" for i in range(9)]
+    engine = KeywordSearchEngine(XMLDatabase())
+    for d in range(12):
+        entries = "".join(
+            f"<entry><title>{pool[i % 9]} brief {d}-{i}</title>"
+            f"<body>{pool[(i + d) % 9]} article text {d * 48 + i}</body></entry>"
+            for i in range(48)
+        )
+        name = f"feed{d:02d}.xml"
+        engine.database.load_document(name, f"<feed>{entries}</feed>")
+        engine.warm_view(engine.define_view(
+            f"v{d}", f"for $e in fn:doc({name})/feed/entry return <f>{{$e/title}}</f>"
+        ))
+    return {"memory_bytes": engine.cache.skeletons.memory_bytes}
+
+
+def eight_clients():
+    """8 concurrent closed-loop clients x 25 requests, 70% on the hot of
+    two pre-warmed views, exact-repeat tiers off, limits far above the
+    offered load: the server's request ledger after drain."""
+    engine = KeywordSearchEngine(
+        generate_inex_database(INEXConfig()),
+        cache=QueryCache(pdt_capacity=0, prepared_capacity=0),
+    )
+    engine.define_view("hot", authors_articles_view())
+    engine.define_view("side", authors_articles_view())
+    config = ServerConfig(
+        max_queue_depth=256, max_inflight_per_view=256, warm_views=("hot", "side")
+    )
+
+    async def client(server, offset):
+        for index in range(offset, offset + 25):
+            view = "hot" if index % 10 < 7 else "side"
+            await server.search(view, KEYWORD_SETS[index % 4], top_k=5)
+
+    async def scenario():
+        async with SearchServer(engine, config) as server:
+            await asyncio.gather(*[client(server, c) for c in range(8)])
+            return server.snapshot()["requests"]
+
+    return asyncio.run(asyncio.wait_for(scenario(), 120))
+
+
+_counters = functools.cache(lambda scenario: globals()[scenario]())
+
+
+@pytest.mark.parametrize(
+    "scenario, counter, relation, bound",
+    [row[1:] for row in FLOORS],
+    ids=[row[0] for row in FLOORS],
+)
+def test_floor(scenario, counter, relation, bound):
+    counters = _counters(scenario)
+    limit = counters[bound] if isinstance(bound, str) else bound
+    assert RELATIONS[relation](counters[counter], limit), (
+        f"{scenario}: {counter} = {counters[counter]}, floor {relation} {bound}"
+    )

@@ -1,15 +1,19 @@
-"""The shipped skeleton must be *identical* to the frozen reference.
+"""The shipped skeleton must be *exactly* the PDT of Definitions 1-3.
 
-``repro.core.pdt_legacy`` snapshots the pre-overhaul per-pattern build
-(probes, tuple-stream heap merge, original finalization into an eager
-record graph) — the one implementation of records, bounds and tree
-that shares no code with the columnar :class:`PDTSkeleton`.  These
-tests sweep every difftest view shape plus seeded random scenarios and
-assert the shipped batched/array-swept ``build_skeleton`` emits exactly
-the same skeletons — keys, per-record columns, tf bounds, shared tree
-down to every annotation — and identical annotation results.  The
-benchmark's 3x speedup claim, and the columns standing in for the
-record graph, mean nothing unless this holds.
+``repro.core.reference.reference_pdt`` computes CE / PE and the PDT
+straight over the in-memory document tree — no index, no streaming, no
+code shared with the pipeline.  These tests sweep every difftest view
+shape plus seeded random scenarios and hold ``build_skeleton`` +
+``annotate_skeleton`` to it record by record: key set, tag, both flags,
+the value where one is wanted and, for a content node, its byte length
+and per-keyword subtree tfs.  (The Definitions are silent on other
+records' lengths and unwanted values; ``difftest/golden_skeletons.json``
+and the automaton ≡ sweep byte equality below pin those cells.)  What a
+skeleton derives from its columns — ``bounds``, ``slot_bounds``, the
+tree — is checked against the recomputation in ``test_compression.py``.
+
+(The file is named after the frozen copy of the old build path that
+used to be the reference, so that its test ids stay stable.)
 """
 
 from __future__ import annotations
@@ -18,65 +22,36 @@ import pytest
 
 from difftest.generators import VIEW_SHAPES, generate_case
 
+from repro.baselines.stack_pdt import build_skeleton_stack
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import annotate_skeleton, build_skeleton
-from repro.core.pdt_legacy import legacy_build_skeleton
 from repro.core.prepare import prepare_inv_lists
+from repro.core.reference import reference_pdt
+from repro.dewey import unpack
+from tests.test_compression import assert_derived_state_matches
 
 
-def _tree_form(tree):
-    return [
-        (node.tag, node.text, len(node.children))
-        + (
-            ()
-            if node.anno is None
-            else (
-                node.anno.dewey.components,
-                node.anno.dewey.packed,
-                node.anno.byte_length,
-                node.anno.pruned,
-                node.anno.doc,
-                node.anno.slot,
-            )
-        )
-        for node in tree.iter()
-    ]
-
-
-def assert_matches_legacy(skeleton, legacy):
-    """The columnar ``skeleton`` vs a ``LegacySkeleton`` record graph."""
-    assert skeleton.doc_name == legacy.doc_name
-    assert skeleton.entry_count == legacy.entry_count
-    assert skeleton.node_count == legacy.node_count
-    assert skeleton.content_count == legacy.content_count
-    assert skeleton.keys == legacy.ordered
-    assert skeleton.bounds == legacy.bounds
-    assert skeleton.slot_bounds == legacy.slot_bounds
+def _assert_skeleton_is_reference_pdt(skeleton, result, reference):
+    assert sorted(map(unpack, skeleton.keys)) == sorted(reference)
+    nodes = {
+        node.anno.dewey.components: node
+        for node in result.root.iter()
+        if node.anno is not None
+    }
     for position, key in enumerate(skeleton.keys):
-        record = legacy.records[key]
+        dewey = unpack(key)
+        expected = reference[dewey]
         flag = skeleton.flags[position]
         assert (
             skeleton.tags[skeleton.tag_ids[position]],
-            skeleton.values[position],
-            skeleton.byte_lengths[position],
-            flag,
-        ) == (
-            record.tag,
-            record.value,
-            record.byte_length,
-            record.wants_value
-            | record.wants_content << 1
-            | (record.value is not None) << 2,
-        )
-    assert _tree_form(skeleton.tree) == _tree_form(legacy.tree)
-
-
-def _assert_skeletons_identical(batched, legacy, keywords, inv_lists):
-    assert_matches_legacy(batched, legacy)
-    assert (
-        annotate_skeleton(batched, inv_lists, keywords).tf_arrays
-        == annotate_skeleton(legacy, inv_lists, keywords).tf_arrays
-    )
+            bool(flag & 1),
+            bool(flag & 2),
+        ) == (expected["tag"], expected["wants_value"], expected["wants_content"])
+        if expected["wants_value"]:
+            assert skeleton.values[position] == expected["value"], dewey
+        if expected["wants_content"]:
+            assert skeleton.byte_lengths[position] == expected["byte_length"]
+            assert result.tf_map(nodes[dewey]) == expected["term_frequencies"]
 
 
 def _sweep_case(case):
@@ -90,15 +65,19 @@ def _sweep_case(case):
     for doc_name in view.document_names:
         indexed = case.database.get(doc_name)
         qpt = view.qpts[doc_name]
-        batched = build_skeleton(qpt, indexed.path_index)
-        legacy = legacy_build_skeleton(qpt, indexed.path_index)
+        skeleton = build_skeleton(qpt, indexed.path_index)
         inv_lists = prepare_inv_lists(indexed.inverted_index, keywords)
-        _assert_skeletons_identical(batched, legacy, keywords, inv_lists)
-        # The ablation path (stack automaton, fast path off) agrees too.
-        ablation = build_skeleton(
-            qpt, indexed.path_index, inpdt_fast_path=False
+        _assert_skeleton_is_reference_pdt(
+            skeleton,
+            annotate_skeleton(skeleton, inv_lists, keywords),
+            reference_pdt(qpt, indexed.root, keywords),
         )
-        assert ablation.to_bytes() == batched.to_bytes()
+        assert_derived_state_matches(skeleton)
+        for fast_path in (True, False):
+            automaton = build_skeleton_stack(
+                qpt, indexed.path_index, inpdt_fast_path=fast_path
+            )
+            assert automaton.to_bytes() == skeleton.to_bytes(), fast_path
 
 
 @pytest.mark.parametrize("shape", VIEW_SHAPES)

@@ -106,6 +106,21 @@ class TestEntities:
         with pytest.raises(XMLParseError):
             parse_xml("<a>&amp</a>")
 
+    @pytest.mark.parametrize(
+        "reference",  # not digits of the base, or not a character
+        ["#xZZ", "#", "#x", "#+65", "#1_0", "# 65", "#１２"]
+        + ["#99999999999", "#" + "9" * 5000, "#x110000", "#xD800", "#xDFFF", "#0"],
+    )
+    def test_bad_character_reference_is_a_typed_error(self, reference):
+        for document in (f"<a>x &{reference}; y</a>", f"<a b='&{reference};'/>"):
+            with pytest.raises(XMLParseError) as caught:
+                parse_xml(document)
+            assert caught.value.line == 1
+
+    def test_character_reference_range_ends_decode(self):
+        root = parse_xml("<a>&#x41;&#65;&#0065;&#x10FFFF;&#xD7FF;&#xE000;</a>")
+        assert root.value == "AAA\U0010ffff\ud7ff\ue000"
+
 
 class TestErrors:
     @pytest.mark.parametrize(
