@@ -15,7 +15,6 @@ from repro.core.pdt import (
 from repro.core.reference import reference_pdt
 from repro.core.scoring import (
     ScoredResult,
-    compute_idf,
     score_results,
     select_top_k,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "annotate_skeleton",
     "reference_pdt",
     "ScoredResult",
-    "compute_idf",
     "score_results",
     "select_top_k",
     "TopKSelector",

@@ -24,17 +24,19 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   because nothing downstream mutates a PDT: the evaluator references
   PDT nodes without touching their parent pointers, scoring only reads
   annotations, and materialization copies.
-* **Tier 4 — evaluated views**: keyed by ``(view, view expression,
-  per-document generations)`` — no keywords.  PDT trees are
+* **Tier 4 — evaluated views**: keyed by ``(view, view definition
+  token, per-document generations)`` — no keywords.  PDT trees are
   keyword-independent
   (per-query tfs live in flat arrays *outside* the tree, resolved by
   scoring through content-node slots), so the evaluator's output over
-  them — the view's result node list — is keyword-independent too.  A
+  them — the view's result node list — is keyword-independent too, and
+  so is the structural half of the statistics pass over that list
+  (:class:`repro.core.scoring.StatisticsPlan`, the entry's value).  A
   hit means a query with a never-seen keyword set skips the whole
-  XQuery evaluation: all that runs is the per-keyword posting sweep,
-  scoring over the cached result nodes, and top-k.  Safe for the same
-  reason as tier 3: evaluation attaches result nodes by reference and
-  nothing downstream writes into them.
+  XQuery evaluation and never visits a result node: all that runs is
+  the per-keyword posting sweep, a flat sum over the plan, and top-k.
+  Safe for the same reason as tier 3: evaluation attaches result nodes
+  by reference and nothing downstream writes into them.
 
 Every tier is a :class:`ShardedLRUCache`: entries are hash-partitioned
 by their ``(doc, view)`` coordinates across independent shards, each
@@ -201,9 +203,7 @@ class LRUCache:
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         #: Per resident entry: ``[accounted bytes, perf_counter reading
         #: of its last use]``.  One side table, so a ``get`` hashes the
-        #: key no more often than before entries carried a stamp (keys
-        #: can be expensive to hash — the evaluated tier's embed a view
-        #: expression).
+        #: key no more often than before entries carried a stamp.
         self._meta: dict[Hashable, list] = {}
         self.memory_bytes = 0
         self.stats = CacheStats()
@@ -600,14 +600,14 @@ class QueryCache:
       sharded by ``(view_name, doc_name)``
     * pdt:       ``(view_name, doc_name, generation, qpt_hash,
       keywords)`` — sharded by ``(view_name, doc_name)``
-    * evaluated: ``(view_name, view_expr, ((doc_name, generation,
-      qpt_hash), ...))`` → ``(result nodes, {doc_name: PDT root})`` —
-      sharded by ``view_name`` (one entry spans
-      every document the view reads, so it cannot partition finer);
-      ``view_expr`` participates by *identity*: the cached result nodes
-      depend on the whole expression (not just the QPT) and are
-      process-local anyway, and the identity keeps a put racing a view
-      redefinition unreachable forever
+    * evaluated: ``(view_name, view_token, ((doc_name, generation,
+      qpt_hash), ...))`` → ``(statistics plan over the result nodes,
+      {doc_name: PDT root})`` — sharded by ``view_name`` (one entry
+      spans every document the view reads, so it cannot partition
+      finer); ``view_token`` is the registered definition's *identity*:
+      the cached result nodes depend on the whole expression (not just
+      the QPT) and are process-local anyway, and the identity keeps a
+      put racing a view redefinition unreachable forever
 
     Keywords never participate in shard selection: all keyword variants
     of one ``(view, doc)`` pair share a shard, so skeleton reuse and
@@ -716,7 +716,7 @@ class QueryCache:
     @staticmethod
     def evaluated_key(
         view_name: str,
-        view_expr: object,
+        view_token: object,
         doc_coordinates: tuple[tuple[str, int, object], ...],
     ) -> tuple:
         """``doc_coordinates``: sorted ``(doc_name, generation, qpt_hash)``.
@@ -725,14 +725,17 @@ class QueryCache:
         nodes) depends on the *whole view expression* — return clauses
         and cross-document predicates included — not just the QPT, and
         it never crosses a process boundary (result nodes are live
-        objects).  The key therefore keeps the expression's object
-        *identity*: two definitions with identical QPTs but different
-        return clauses can never alias, and a put racing a view
-        redefinition lands under the dead expression's key, where it can
-        never be served — the self-invalidation guarantee the other
-        tiers get from generations + content hashes.
+        objects).  The key therefore carries the definition's *identity*
+        — ``view_token``, an object minted once per registered
+        definition (:attr:`repro.core.engine.View.token`) and hashed by
+        address, never the expression, whose dataclass hash is
+        structural and uncached: two definitions with identical QPTs but
+        different return clauses can never alias, and a put racing a
+        view redefinition lands under the dead definition's key, where
+        it can never be served — the self-invalidation guarantee the
+        other tiers get from generations + content hashes.
         """
-        return (view_name, view_expr, doc_coordinates)
+        return (view_name, view_token, doc_coordinates)
 
     # -- shard routing -------------------------------------------------------
 

@@ -15,8 +15,9 @@ reloads/redefinitions through generation- and QPT-stamped keys.
 PDT trees are shared skeleton trees (keyword-independent: per-query tfs
 live in flat arrays resolved through content-node slots), which is what
 makes the evaluated tier sound — and makes the fully warm query path an
-array sweep: one posting-list merge-join per keyword, a scoring pass
-over cached result nodes, and the top-k heap.  Per-phase wall-clock
+array sweep: one posting-list merge-join per keyword, a flat sum over
+the evaluated entry's statistics plan (no result node is visited), and
+the top-k heap.  Per-phase wall-clock
 timings are recorded in ``last_timings`` — Figure 14's module breakdown,
 with the PDT phase further split into its skeleton and postings halves.
 """
@@ -49,9 +50,8 @@ from repro.core.routing import ShardRouter
 from repro.core.snapshot import SkeletonStore
 from repro.core.scoring import (
     ScoredResult,
+    StatisticsPlan,
     apply_scores,
-    collect_statistics,
-    containing_counts,
     filter_matching,
     idf_from_counts,
 )
@@ -92,6 +92,10 @@ class View:
     text: str
     expr: Expr  # function-free view expression
     qpts: dict[str, QPT]
+    #: This definition's identity in evaluated-tier keys — minted here,
+    #: once per definition, because hashing ``expr`` itself is structural
+    #: (a 96-fragment view's costs 0.1 ms, three times per cache hit).
+    token: object = field(default_factory=object, repr=False, compare=False)
 
     @property
     def document_names(self) -> list[str]:
@@ -764,7 +768,7 @@ class KeywordSearchEngine:
         normalized = tuple(normalize_keyword(keyword) for keyword in keywords)
         timings.qpt = time.perf_counter() - start
 
-        # Phases 2–3a plus the statistics walk (see
+        # Phases 2–3a plus the statistics sum (see
         # collect_view_statistics) — the same phase-1 routine a shard
         # executor runs.
         stats = self.collect_view_statistics(
@@ -806,14 +810,16 @@ class KeywordSearchEngine:
 
         Runs the pipeline up to — but not including — scoring: PDT
         generation (phase 2), view evaluation (phase 3a), and the
-        per-result statistics walk.  Scores need idf, and idf is a
-        global view statistic; under a sharded corpus it exists only
-        after every shard's integer counts are summed, so this method
-        stops at the integers and leaves phase 2 of the protocol
-        (:func:`repro.core.scoring.apply_scores` onward) to the caller.
+        per-result statistics sum over the evaluated entry's plan
+        (:meth:`repro.core.scoring.StatisticsPlan.collect`).  Scores
+        need idf, and idf is a global view statistic; under a sharded
+        corpus it exists only after every shard's integer counts are
+        summed, so this method stops at the integers and leaves phase 2
+        of the protocol (:func:`repro.core.scoring.apply_scores`
+        onward) to the caller.
         ``normalized`` must already be keyword-normalized.  When a
         timings ledger is passed, spans are *added* to the same phases
-        ``search_detailed`` reports (pdt, evaluator; the statistics walk
+        ``search_detailed`` reports (pdt, evaluator; the statistics sum
         lands in post_processing).  ``scan_started`` is the
         ``time.perf_counter`` reading at which the *query* began — one
         value shared by every view (fragment) the query sweeps: cache
@@ -833,16 +839,12 @@ class KeywordSearchEngine:
         if timings is not None:
             timings.pdt += time.perf_counter() - start
 
-        start = time.perf_counter()
-        view_results, evaluated_hit = self._evaluate_view_results(
-            view, pdts, doc_coordinates
+        plan, evaluated_hit = self._evaluate_view_results(
+            view, pdts, doc_coordinates, timings
         )
-        if timings is not None:
-            timings.evaluator += time.perf_counter() - start
 
         start = time.perf_counter()
-        scored = collect_statistics(view_results, normalized, tf_source=pdts)
-        containing = containing_counts(scored, normalized)
+        scored, containing = plan.collect(normalized, tf_source=pdts)
         if timings is not None:
             timings.post_processing += time.perf_counter() - start
         return ViewStatistics(
@@ -1034,40 +1036,54 @@ class KeywordSearchEngine:
         view: View,
         pdts: dict[str, PDTResult],
         doc_coordinates: tuple[tuple[str, int, str], ...],
-    ) -> tuple[tuple[XMLNode, ...], bool]:
-        """The view's result nodes, through the evaluated cache tier.
+        timings: Optional[PhaseTimings] = None,
+    ) -> tuple[StatisticsPlan, bool]:
+        """The view's result nodes (``plan.nodes``) under their statistics
+        plan, through the evaluated cache tier.  A ``timings`` ledger is
+        charged the lookup and the evaluation as ``evaluator`` and a
+        plan built here as ``post_processing`` — it is the statistics
+        pass's structural half, whoever pays for it.
 
         The PDT trees handed to the evaluator are keyword-independent
         shared skeleton trees, so the evaluation result is a pure
         function of ``(view, per-document generations)`` — never of the
-        query keywords.  A hit returns the exact node list a previous
-        query's evaluation produced (shared read-only, like every other
-        cached tree); scoring stays correct because per-query tfs are
-        resolved through content-node slots against *this* query's
-        ``pdts``, not through anything stored in the nodes.
+        query keywords — and so is the structural half of the statistics
+        pass over it (:class:`~repro.core.scoring.StatisticsPlan`), which
+        is built here, with the entry, and lives exactly as long.  A hit
+        returns the exact node list a previous query's evaluation
+        produced (shared read-only, like every other cached tree) and
+        the plan over it; scoring stays correct because per-query tfs
+        are resolved through content-node slots against *this* query's
+        ``pdts``, not through anything stored in the nodes or the plan.
+        Two threads missing at once each evaluate and put; either entry
+        serves, the later put stays.
         """
+        start = time.perf_counter()
         cache = self.cache
         cacheable = cache is not None and self._views.get(view.name) is view
         key = None
         if cacheable:
-            key = cache.evaluated_key(view.name, view.expr, doc_coordinates)
+            key = cache.evaluated_key(view.name, view.token, doc_coordinates)
             cached = cache.evaluated.get(key)
             if cached is not None:
+                if timings is not None:
+                    timings.evaluator += time.perf_counter() - start
                 return cached[0], True
         evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(pdts)))
         items = evaluator.evaluate(view.expr)
-        # A tuple, not a list: the same object is cached and handed to
-        # callers, so the sequence itself must be immutable.
-        view_results = tuple(
-            item for item in items if isinstance(item, XMLNode)
-        )
+        view_results = [item for item in items if isinstance(item, XMLNode)]
+        evaluated = time.perf_counter()
+        plan = StatisticsPlan(view_results)
+        if timings is not None:
+            timings.evaluator += evaluated - start
+            timings.post_processing += time.perf_counter() - evaluated
         if cacheable:
             # The roots say which trees the result nodes point into —
             # what decides whether the entry survives a patchable edit
             # (see QueryCache.apply_document_delta).
             roots = {name: pdt.root for name, pdt in pdts.items()}
-            cache.evaluated.put(key, (view_results, roots))
-        return view_results, False
+            cache.evaluated.put(key, (plan, roots))
+        return plan, False
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -1125,7 +1141,8 @@ class KeywordSearchEngine:
             view = self.get_view(view)
         self._reject_stale(view)
         pdts, _, doc_coordinates = self._build_pdts(view, ())
-        results, _ = self._evaluate_view_results(view, pdts, doc_coordinates)
+        plan, _ = self._evaluate_view_results(view, pdts, doc_coordinates)
+        results = plan.nodes
         if not materialize:
             # A fresh list of shared, read-only pruned nodes (possibly
             # served from the evaluated tier) — callers must not mutate

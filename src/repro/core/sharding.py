@@ -14,7 +14,7 @@ statistic (Section 2.2: ``idf(k) = |V(D)| / containing(k)`` over the
 *whole* view) — no shard can score independently:
 
 1. **Statistics scatter** — every shard holding view fragments runs the
-   pipeline through evaluation and the statistics walk
+   pipeline through evaluation and the statistics sum
    (:meth:`~repro.core.engine.KeywordSearchEngine.collect_view_statistics`),
    returning per-result tf vectors/byte lengths plus two integers per
    shard: its view-size contribution and per-keyword containing counts.
@@ -963,7 +963,7 @@ class CorpusCoordinator:
         fragment_sizes: dict[int, int] = {}
         for shard in healthy:
             for fragment in harvests[shard].fragments:
-                fragment_sizes[fragment.position] = len(fragment.stats.scored)
+                fragment_sizes[fragment.position] = fragment.stats.view_size
         offsets: dict[int, int] = {}
         running = 0
         for position in sorted(fragment_sizes):
@@ -973,8 +973,8 @@ class CorpusCoordinator:
         for shard in healthy:
             for fragment in harvests[shard].fragments:
                 base = offsets[fragment.position]
-                for local_index, scored in enumerate(fragment.stats.scored):
-                    scored.index = base + local_index
+                for scored in fragment.stats.scored:
+                    scored.index += base
         containing = {
             keyword: sum(
                 fragment.stats.containing.get(keyword, 0)

@@ -2,6 +2,8 @@
 integration, the skeleton tier, and randomized invalidation properties."""
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -750,6 +752,47 @@ class TestEvaluatedTier:
                 r.to_xml() for r in want.results
             ]
 
+    def test_threads_racing_a_cold_entry_end_with_one_plan(
+        self, engine, view, bookrev_db, bookrev_view_text
+    ):
+        """8 threads x 50 searches start on a cold entry: racing misses
+        may each evaluate and put, but one entry — one plan — is left,
+        every later search sums over it, and no ranking differs from a
+        cache-free engine's."""
+        keyword_sets = [("xml",), ("search",), ("xml", "search"), ("web",)]
+        cold = KeywordSearchEngine(bookrev_db, enable_cache=False)
+        cold_view = cold.define_view("bookrevs", bookrev_view_text)
+        expected = {k: _ranking(cold, cold_view, k) for k in keyword_sets}
+        barrier = threading.Barrier(8)
+        wrong: list = []
+
+        def client(offset):
+            barrier.wait(timeout=30)
+            for step in range(50):
+                keywords = keyword_sets[(offset + step) % len(keyword_sets)]
+                if _ranking(engine, view, keywords) != expected[keywords]:
+                    wrong.append((offset, step, keywords))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        [(_, (plan, _))] = engine.cache.evaluated.items()
+        hits = engine.cache.stats()["evaluated"]["hits"]
+        outcome = engine.search_detailed(view, ["xml"], top_k=10)
+        assert outcome.evaluated_hit is True
+        assert engine.cache.stats()["evaluated"]["hits"] == hits + 1
+        [(_, (served, _))] = engine.cache.evaluated.items()
+        assert served is plan
+
     def test_reload_invalidates_evaluated_entries(
         self, engine, view, bookrev_db
     ):
@@ -782,11 +825,11 @@ class TestEvaluatedTier:
         assert outcome.results
 
     def test_racing_put_under_old_expression_is_unreachable(self):
-        """The evaluated key embeds the view *expression's* identity: a
-        put that races a same-QPT-structure redefinition (identical
-        content hash, different return clause) lands under the dead
-        expression and can never be served — the tier-level guarantee
-        the content-hash rekeying must not lose."""
+        """The evaluated key embeds the view *definition's* identity
+        (its token): a put that races a same-QPT-structure redefinition
+        (identical content hash, different return clause) lands under
+        the dead definition and can never be served — the tier-level
+        guarantee the content-hash rekeying must not lose."""
         from repro.storage.database import XMLDatabase
 
         db = XMLDatabase()
@@ -805,7 +848,7 @@ class TestEvaluatedTier:
         # under the *old expression's* key after the redefinition.
         generation = db.get("d.xml").generation
         stale_key = engine.cache.evaluated_key(
-            "v", first.expr, (("d.xml", generation, qpt_hash),)
+            "v", first.token, (("d.xml", generation, qpt_hash),)
         )
         engine.cache.evaluated.put(stale_key, stale_nodes)
         results = engine.evaluate_view("v", materialize=False)
@@ -1071,6 +1114,8 @@ class TestEvaluatedTierAcrossEdits:
         delta = bookrev_db.insert_subtree(*self.PATCHABLE)
         assert delta.length_delta > 0
 
+        # The entry's value is its statistics plan: the same object, so
+        # no query after the edit walks a result tree again.
         [(new_key, (kept, roots))] = engine.cache.evaluated.items()
         assert kept is cached
         assert roots is old_roots
@@ -1093,15 +1138,24 @@ class TestEvaluatedTierAcrossEdits:
             assert _ranking(engine, view, keywords) == _ranking(
                 cold, cold_view, keywords
             )
-        # Every byte length a cached result node carries is the cold one.
+        # Every byte length a cached result node carries is the cold one,
+        # and so is every length the surviving plan sums from them.
         cold_nodes = cold.evaluate_view(cold_view, materialize=False)
-        assert len(cold_nodes) == len(kept)
-        for kept_node, cold_node in zip(kept, cold_nodes):
+        assert len(cold_nodes) == len(kept.nodes)
+        for kept_node, cold_node in zip(kept.nodes, cold_nodes):
             assert [
                 (n.tag, n.anno.byte_length) for n in kept_node.iter() if n.anno
             ] == [
                 (n.tag, n.anno.byte_length) for n in cold_node.iter() if n.anno
             ]
+        [(_, (served, _))] = engine.cache.evaluated.items()
+        assert served is cached
+        warm_stats = engine.collect_view_statistics(view, ("xml",))
+        cold_stats = cold.collect_view_statistics(cold_view, ("xml",))
+        assert warm_stats.evaluated_hit is True
+        assert [r.statistics for r in warm_stats.scored] == [
+            r.statistics for r in cold_stats.scored
+        ]
 
     def test_edit_then_undo_keeps_the_same_tuple_throughout(
         self, engine, view, bookrev_db
@@ -1127,9 +1181,11 @@ class TestEvaluatedTierAcrossEdits:
             "1",
             "<review><isbn>111-11-1111</isbn><content>more xml</content></review>",
         )
-        # Re-warmed already, by one fresh evaluation.
+        # Re-warmed already, by one fresh evaluation — and one fresh
+        # plan over its nodes, built with the entry.
         [(_, (fresh, _))] = engine.cache.evaluated.items()
         assert fresh is not cached
+        assert fresh.nodes and not set(fresh.nodes) & set(cached.nodes)
         assert engine.cache.stats()["evaluated"]["misses"] == misses + 1
         cold = KeywordSearchEngine(bookrev_db, enable_cache=False)
         cold_view = cold.define_view("bookrevs", bookrev_view_text)

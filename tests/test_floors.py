@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import operator
 import tempfile
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -22,11 +24,13 @@ from benchmarks.layered import workloads
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
+from repro.core.scoring import StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
 from repro.storage.database import XMLDatabase
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
+from repro.xmlmodel.node import XMLNode
 
 FLOORS = [  # id, scenario, counter, relation, bound
     ("edit-never-serialises", "patchable_edits", "serialized_rounds", "==", 0),
@@ -41,6 +45,13 @@ FLOORS = [  # id, scenario, counter, relation, bound
     ("none-failed", "eight_clients", "failed", "==", 0),
     ("none-shed", "eight_clients", "rejected_total", "==", 0),
     ("ledger-closes", "eight_clients", "completed", "==", "submitted"),
+    # The evaluated entry's statistics plan is built once, by the warm-up;
+    # pointing collect_view_statistics back at a per-query plan fails both.
+    ("one-plan-per-entry", "fifty_keyword_sets", "plans_built", "==", 1),
+    ("sum-never-walks", "fifty_keyword_sets", "nodes_walked_after_first", "==", 0),
+    # 3 per search while the evaluated key embedded the expression itself
+    # (114 us each on this view: the dataclass hash is structural).
+    ("key-never-hashes-the-view", "hundred_warm_searches", "expression_hashes", "==", 0),
 ]
 RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
 KEYWORD_SETS = [("thomas",), ("control",), ("search",), ("thomas", "control")]
@@ -137,6 +148,65 @@ def eight_clients():
             return server.snapshot()["requests"]
 
     return asyncio.run(asyncio.wait_for(scenario(), 120))
+
+
+def fifty_keyword_sets():
+    """50 distinct keyword sets over one warmed view: ``StatisticsPlan``
+    constructions, and result-tree nodes the statistics pass looked at
+    (every unpruned node costs the walk one ``XMLNode.value`` read) once
+    the first query had been answered."""
+    words = ["thomas", "control", "moore", "ieee", "query", "index", "search",
+             "ranking", "cache", "graph"]
+    keyword_sets = [(word,) for word in words]
+    keyword_sets += list(itertools.combinations(words, 2))[:40]
+    counters = Counter()
+    build, value = StatisticsPlan.__init__, XMLNode.value.fget
+
+    def counted_build(plan, view_results):
+        counters["plans_built"] += 1
+        build(plan, view_results)
+
+    def counted_value(node):
+        counters["nodes_walked"] += 1
+        return value(node)
+
+    engine = KeywordSearchEngine(generate_inex_database(INEXConfig()))
+    engine.define_view("v", authors_articles_view())
+    with mock.patch.object(StatisticsPlan, "__init__", counted_build), \
+            mock.patch.object(XMLNode, "value", property(counted_value)):
+        engine.warm_view("v")
+        engine.search("v", keyword_sets[0])
+        walked_by_first = counters["nodes_walked"]
+        for keywords in keyword_sets[1:]:
+            assert engine.search_detailed("v", keywords).view_size > 0
+    assert len(set(keyword_sets)) == 50 and walked_by_first > 0
+    counters["nodes_walked_after_first"] = counters["nodes_walked"] - walked_by_first
+    return counters
+
+
+def hundred_warm_searches():
+    """100 searches over the layered ``cold_corpus`` view (96 fragments in
+    one expression) on one warmed engine: ``hash()`` calls that reached
+    the view expression."""
+    corpus, counters = workloads.generate("cold_corpus"), Counter()
+    database = XMLDatabase()
+    for name, text in corpus.documents.items():
+        database.load_document(name, text)
+    engine = KeywordSearchEngine(database)
+    view = engine.define_view("v", corpus.view_text)
+    engine.warm_view(view)
+    structural_hash = type(view.expr).__hash__
+
+    def counted_hash(expr):
+        counters["expression_hashes"] += expr is view.expr
+        return structural_hash(expr)
+
+    with mock.patch.object(type(view.expr), "__hash__", counted_hash):
+        for request in (corpus.requests * 2)[:100]:
+            outcome = engine.search_detailed("v", request.keywords)
+            counters["evaluated_hits"] += outcome.evaluated_hit
+    assert counters["evaluated_hits"] == 100
+    return counters
 
 
 _counters = functools.cache(lambda scenario: globals()[scenario]())

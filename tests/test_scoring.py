@@ -1,27 +1,38 @@
 """Scoring tests: TF-IDF per Section 2.2, semantics, normalization, top-k."""
 
-import pytest
+import sys
+from typing import Mapping, Optional
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.pdt import PDTResult
 from repro.core.scoring import (
+    StatisticsPlan,
     aggregate_result,
+    apply_scores,
+    collect_statistics,
     score_results,
     select_top_k,
 )
 from repro.xmlmodel.node import NodeAnnotations, XMLNode
 from repro.xmlmodel.parser import parse_xml
-from repro.xmlmodel.serializer import serialize
+from repro.xmlmodel.serializer import escape_text, serialize
+from repro.xmlmodel.tokenizer import token_frequencies
 
 
 def result_with_text(text: str) -> XMLNode:
     return parse_xml(f"<res>{text}</res>")
 
 
-def pruned_node(tag: str, tfs: dict, length: int) -> XMLNode:
-    node = XMLNode(tag)
-    node.anno = NodeAnnotations(
-        byte_length=length, term_frequencies=tfs, pruned=True
-    )
+def _pruned(tag, text=None, children=(), **annotations) -> XMLNode:
+    node = XMLNode(tag, text, list(children))
+    node.anno = NodeAnnotations(pruned=True, **annotations)
     return node
+
+
+def pruned_node(tag: str, tfs: dict, length: int) -> XMLNode:
+    return _pruned(tag, term_frequencies=tfs, byte_length=length)
 
 
 class TestAggregation:
@@ -72,7 +83,7 @@ class TestScoring:
 
     def test_score_formula(self):
         outcome = score_results(self._results(), ["xml", "search"], normalize=False)
-        first = outcome.all_results[0]
+        first = outcome.results[0]
         assert first.score == pytest.approx(2 * 1.5 + 1 * 3.0)
 
     def test_missing_keyword_idf_zero(self):
@@ -91,13 +102,16 @@ class TestScoring:
         assert [r.index for r in outcome.results] == [0, 1]
 
     def test_normalization_divides_by_length(self):
-        plain = score_results(self._results(), ["xml"], normalize=False)
-        normalized = score_results(self._results(), ["xml"], normalize=True)
-        for raw, norm in zip(plain.all_results, normalized.all_results):
-            if raw.score:
-                assert norm.score == pytest.approx(
-                    raw.score / raw.statistics.byte_length
-                )
+        idf = {"xml": 1.5}
+        plain = collect_statistics(self._results(), ["xml"])
+        normalized = collect_statistics(self._results(), ["xml"])
+        apply_scores(plain, idf, ["xml"], normalize=False)
+        apply_scores(normalized, idf, ["xml"], normalize=True)
+        assert [raw.score for raw in plain] == [3.0, 1.5, 0.0]
+        for raw, norm in zip(plain, normalized):
+            assert norm.score == pytest.approx(
+                raw.score / raw.statistics.byte_length
+            )
 
     def test_empty_view(self):
         outcome = score_results([], ["xml"])
@@ -134,3 +148,189 @@ class TestTopK:
         outcome = score_results(results, ["xml"], normalize=False)
         ranked = select_top_k(outcome, 2)
         assert [r.index for r in ranked] == [0, 1]
+
+
+# -- plan + sum == the recursive walk it replaced ---------------------------------
+
+
+def _aggregate(
+    node: XMLNode,
+    tfs: dict[str, int],
+    tf_source: Optional[Mapping[str, object]],
+) -> int:
+    """The statistics walk ``core/scoring.py`` ran per result per query
+    until the plan replaced it — moved here verbatim, as the oracle."""
+    anno = node.anno
+    if anno is not None and anno.pruned:
+        slot = anno.slot
+        if slot is not None:
+            # A slot-annotated node belongs to a shared skeleton tree
+            # whose per-query tfs live *outside* the tree; scoring it
+            # without a resolving tf_source would silently yield zeros,
+            # so fail loudly instead.
+            pdt = tf_source.get(anno.doc) if tf_source is not None else None
+            if pdt is None and tfs:
+                raise ValueError(
+                    "cannot score a shared-skeleton PDT node: no tf_source "
+                    f"entry for document {anno.doc!r} (per-query term "
+                    "frequencies are resolved through content-node slots, "
+                    "not stored on the tree)"
+                )
+            if pdt is not None:
+                for keyword in tfs:
+                    tfs[keyword] += pdt.tf_at(slot, keyword)
+            return anno.byte_length
+        for keyword in tfs:
+            tfs[keyword] += anno.term_frequencies.get(keyword, 0)
+        return anno.byte_length
+    value = node.value
+    if value is not None:
+        frequencies = token_frequencies(value)
+        for keyword in tfs:
+            tfs[keyword] += frequencies.get(keyword, 0)
+    if value is None and not node.children:
+        return len(node.tag) + 3  # <tag/>
+    length = 2 * len(node.tag) + 5  # <tag></tag>
+    if value is not None:
+        length += len(escape_text(value))
+    for child in node.children:
+        length += _aggregate(child, tfs, tf_source)
+    return length
+
+
+def oracle_statistics(nodes, keywords, tf_source):
+    """``[(node, tfs, byte_length)]`` in order plus the containing counts,
+    by the recursive walk."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        rows = []
+        for node in nodes:
+            tfs = {keyword: 0 for keyword in keywords}
+            rows.append((node, tfs, _aggregate(node, tfs, tf_source)))
+    finally:
+        sys.setrecursionlimit(limit)
+    containing = {
+        keyword: sum(1 for _, tfs, _ in rows if tfs[keyword] > 0)
+        for keyword in keywords
+    }
+    return rows, containing
+
+
+DOCUMENTS = ("a.xml", "b.xml", "c.xml")
+VOCABULARY = ("xml", "search", "query", "a1")
+SLOTS = 5
+TEXTS = st.sampled_from(
+    [None, "", "   ", "xml", " xml search xml ", "query & <a1> a1", "Plain words."]
+)
+TAGS = st.sampled_from(["r", "hit", "title", "x" * 17])
+TF_MAPS = st.dictionaries(st.sampled_from(VOCABULARY), st.integers(0, 4))
+
+
+#: Pruned leaves of both kinds (some with children, which must not be
+#: walked), an unpruned annotated node, empty and text-only elements.
+LEAVES = st.one_of(
+    st.builds(
+        _pruned,
+        TAGS,
+        TEXTS,
+        st.just([]) | st.builds(lambda: [XMLNode("inner", "xml xml")]),
+        doc=st.sampled_from(DOCUMENTS),
+        slot=st.integers(0, SLOTS - 1),
+        byte_length=st.integers(0, 500),
+    ),
+    st.builds(
+        _pruned,
+        TAGS,
+        TEXTS,
+        st.just([]),
+        term_frequencies=TF_MAPS,
+        byte_length=st.integers(0, 500),
+    ),
+    st.builds(XMLNode, TAGS, TEXTS),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.builds(
+        XMLNode, TAGS, TEXTS, st.lists(children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _nested(tree: XMLNode, depth: int) -> XMLNode:
+    for level in range(depth):
+        tree = XMLNode("n", "xml" if level % 500 == 0 else None, [tree])
+    return tree
+
+
+FORESTS = st.lists(
+    st.builds(_nested, TREES, st.sampled_from([0, 0, 0, 3, 2000])), max_size=5
+)
+TF_ARRAYS = st.none() | st.fixed_dictionaries(
+    {},
+    optional={
+        keyword: st.sampled_from([[1, 2, 3, 0, 1], [2, 0, 0, 1, 3], None])
+        | st.lists(st.integers(0, 3), min_size=SLOTS, max_size=SLOTS)
+        for keyword in VOCABULARY
+    },
+)
+PDTS = st.builds(
+    PDTResult,
+    doc_name=st.just("any"),
+    root=st.just(XMLNode("root")),
+    node_count=st.just(0),
+    entry_count=st.just(0),
+    keywords=st.just(()),
+    tf_arrays=TF_ARRAYS,
+)
+TF_SOURCES = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({doc: PDTS for doc in DOCUMENTS}),
+    st.dictionaries(st.sampled_from(DOCUMENTS), PDTS),  # some missing
+)
+KEYWORDS = st.lists(st.sampled_from(VOCABULARY), max_size=4).map(tuple)
+
+
+class TestPlanEqualsWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(FORESTS, KEYWORDS, TF_SOURCES)
+    def test_statistics_containing_and_order(self, forest, keywords, tf_source):
+        try:
+            rows, containing = oracle_statistics(forest, keywords, tf_source)
+        except ValueError as error:
+            assert keywords
+            with pytest.raises(ValueError) as raised:
+                StatisticsPlan(forest).collect(keywords, tf_source)
+            assert str(raised.value) == str(error)
+            return
+        scored, counted = StatisticsPlan(forest).collect(keywords, tf_source)
+        assert [
+            (r.index, r.node, r.statistics.term_frequencies, r.statistics.byte_length)
+            for r in scored
+        ] == [(index, *row) for index, row in enumerate(rows)]
+        assert all(r.score == 0.0 for r in scored)
+        assert counted == containing
+
+    def test_missing_document_raises_unless_no_keywords(self):
+        leaf = _pruned("c", doc="gone.xml", slot=0, byte_length=9)
+        plan = StatisticsPlan([XMLNode("hit", None, [leaf])])
+        with pytest.raises(ValueError, match=r"no tf_source entry for document 'gone.xml'"):
+            plan.collect(("xml",), {})
+        with pytest.raises(ValueError, match="gone.xml"):
+            plan.collect(("xml",))
+        [only], containing = plan.collect(())
+        assert only.statistics.byte_length == len("<hit></hit>") + 9
+        assert only.statistics.term_frequencies == {} and containing == {}
+
+    def test_plan_reads_live_byte_lengths_and_never_rewalks(self, monkeypatch):
+        leaf = _pruned("c", term_frequencies={"xml": 2}, byte_length=10)
+        plan = StatisticsPlan([XMLNode("hit", "xml", [leaf])])
+        monkeypatch.setattr(
+            XMLNode, "value", property(lambda node: pytest.fail("walked a node"))
+        )
+        [before], _ = plan.collect(("xml",))
+        leaf.anno.byte_length += 7  # what a patchable edit does, in place
+        [after], _ = plan.collect(("xml",))
+        assert after.statistics.byte_length == before.statistics.byte_length + 7
+        assert after.statistics.term_frequencies == {"xml": 3}
