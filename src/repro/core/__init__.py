@@ -1,7 +1,7 @@
 """The paper's primary contribution: QPT generation, index-only PDT
 generation (split into a reusable keyword-independent skeleton plus a
 per-query annotation pass), scoring with deferred materialization,
-streaming top-k selection, the sharded three-tier query cache, and the
+streaming top-k selection, the four-tier query cache, and the
 end-to-end keyword-search-over-views engine."""
 
 from repro.core.qpt import QPT, QPTNode, QPTEdge, generate_qpts
@@ -23,7 +23,6 @@ from repro.core.cache import (
     CacheStats,
     LRUCache,
     QueryCache,
-    ShardedLRUCache,
 )
 from repro.core.materialize import materialize_result
 from repro.core.engine import KeywordSearchEngine, SearchResult, View
@@ -46,7 +45,6 @@ __all__ = [
     "select_top_k_streaming",
     "CacheStats",
     "LRUCache",
-    "ShardedLRUCache",
     "QueryCache",
     "materialize_result",
     "KeywordSearchEngine",

@@ -1,4 +1,4 @@
-"""A sharded, three-tier LRU cache for the query-serving pipeline.
+"""A four-tier LRU cache for the query-serving pipeline.
 
 Repeated keyword queries are the common case a serving system sees, yet
 every search used to re-issue the full PrepareLists probe set and rebuild
@@ -38,11 +38,11 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   Safe for the same reason as tier 3: evaluation attaches result nodes
   by reference and nothing downstream writes into them.
 
-Every tier is a :class:`ShardedLRUCache`: entries are hash-partitioned
-by their ``(doc, view)`` coordinates across independent shards, each
-with its own lock and LRU chain, so concurrent workers contend only
-when they touch the same shard and capacity scales with the shard
-count.  Statistics are kept per shard and aggregated on demand.
+Every tier is one :class:`LRUCache` behind one lock, so a tier's whole
+capacity is available to whichever keys are hot — residency is the
+capacity, never how keys hash.  Serving has at most a few requests in
+the engine at once, all under one GIL, so one lock per tier costs
+nothing a partitioned tier would save.
 Eviction is LRU across queries and scan-resistant within one: a query
 sweeping more ``(view, doc)`` keys than a tier holds keeps what it has
 already used and drops its own newcomers (``bypassed``) instead of
@@ -63,20 +63,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Optional
-
-from repro.core.routing import ShardRouter
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Hashable, Optional
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one cache tier (or one shard).
+    """Hit/miss/eviction counters for one cache tier.
 
     ``memory_bytes`` is a *gauge* (the resident-byte estimate at
-    snapshot time), not a monotone counter — ``add`` still sums it,
-    because aggregating shard gauges yields the tier gauge.
+    snapshot time), not a monotone counter.
     """
 
     hits: int = 0
@@ -96,14 +92,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def add(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.invalidations += other.invalidations
-        self.bypassed += other.bypassed
-        self.memory_bytes += other.memory_bytes
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -149,12 +137,13 @@ def close_value(value: Any) -> None:
 
 
 class LRUCache:
-    """A size-bounded mapping with least-recently-used eviction.
+    """A size-bounded mapping with least-recently-used eviction — one
+    query-cache tier.
 
     ``capacity <= 0`` disables the cache (every ``get`` misses, ``put`` is
-    a no-op), which lets callers turn a tier off without branching.  Not
-    thread-safe on its own — :class:`ShardedLRUCache` serializes access
-    per shard.
+    a no-op), which lets callers turn a tier off without branching.
+    Thread-safe: every public operation holds the cache's one lock, so
+    counters, snapshots and the LRU chain always describe one instant.
 
     Besides the entry-count bound, an optional ``byte_budget`` bounds
     the *bytes* resident in the cache: each value is measured once at
@@ -200,6 +189,7 @@ class LRUCache:
         self.byte_budget = byte_budget
         self._sizer = sizer or default_sizer
         self._on_evict = on_evict
+        self._lock = threading.Lock()
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         #: Per resident entry: ``[accounted bytes, perf_counter reading
         #: of its last use]``.  One side table, so a ``get`` hashes the
@@ -216,19 +206,21 @@ class LRUCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value (refreshed as most recent), or ``None``."""
-        value = self._data.get(key, _ABSENT)
-        if value is _ABSENT:
-            self.stats.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self._meta[key][1] = time.perf_counter()
-        self.stats.hits += 1
-        return value
+        with self._lock:
+            value = self._data.get(key, _ABSENT)
+            if value is _ABSENT:
+                self.stats.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self._meta[key][1] = time.perf_counter()
+            self.stats.hits += 1
+            return value
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """The resident ``(key, value)`` pairs, LRU first — counts no
         hit or miss and refreshes nothing."""
-        return list(self._data.items())
+        with self._lock:
+            return list(self._data.items())
 
     def _forget(self, key: Hashable) -> None:
         """Drop a departed entry's byte accounting and use stamp."""
@@ -258,12 +250,13 @@ class LRUCache:
         """
         if self.capacity <= 0:
             return False
-        if key in self._data or len(self._data) < self.capacity:
+        with self._lock:
+            if key in self._data or len(self._data) < self.capacity:
+                return True
+            if self._victim_in_use(scan_started):
+                self.stats.bypassed += 1
+                return False
             return True
-        if self._victim_in_use(scan_started):
-            self.stats.bypassed += 1
-            return False
-        return True
 
     def put(
         self,
@@ -273,51 +266,53 @@ class LRUCache:
     ) -> None:
         if self.capacity <= 0:
             return
-        if key in self._data:
-            replaced = self._data[key]
-            self._data.move_to_end(key)
-            self._forget(key)
-            if replaced is not value:
-                # Entry replacement drops the old value just as finally
-                # as eviction does — same release discipline (the old
-                # mmap handle used to leak here until GC).
-                self._release(replaced)
-        self._data[key] = value
-        size = self._sizer(value)
-        self._meta[key] = [size, time.perf_counter()]
-        self.memory_bytes += size
-        budget = self.byte_budget
-        data = self._data
-        while len(data) > self.capacity or (
-            budget is not None and self.memory_bytes > budget and data
-        ):
-            if len(data) > 1 and self._victim_in_use(scan_started):
-                # The victim was used since the putting query began, so
-                # its next use is nearer than the newcomer's can be:
-                # turn the newcomer away.  The caller holds (and is
-                # about to use) it — dropped, never released.
-                del data[key]
+        with self._lock:
+            data = self._data
+            if key in data:
+                replaced = data[key]
+                data.move_to_end(key)
                 self._forget(key)
-                self.stats.bypassed += 1
-                break
-            evicted_key, evicted_value = data.popitem(last=False)
-            self._forget(evicted_key)
-            self.stats.evictions += 1
-            if evicted_value is not value:
-                # An over-budget value can evict *itself* on insertion;
-                # the caller still holds (and is about to use) it, so
-                # only drop it — releasing is for values whose last
-                # reference was the cache's.
-                self._release(evicted_value)
+                if replaced is not value:
+                    # Entry replacement drops the old value just as finally
+                    # as eviction does — same release discipline (the old
+                    # mmap handle used to leak here until GC).
+                    self._release(replaced)
+            data[key] = value
+            size = self._sizer(value)
+            self._meta[key] = [size, time.perf_counter()]
+            self.memory_bytes += size
+            budget = self.byte_budget
+            while len(data) > self.capacity or (
+                budget is not None and self.memory_bytes > budget and data
+            ):
+                if len(data) > 1 and self._victim_in_use(scan_started):
+                    # The victim was used since the putting query began, so
+                    # its next use is nearer than the newcomer's can be:
+                    # turn the newcomer away.  The caller holds (and is
+                    # about to use) it — dropped, never released.
+                    del data[key]
+                    self._forget(key)
+                    self.stats.bypassed += 1
+                    break
+                evicted_key, evicted_value = data.popitem(last=False)
+                self._forget(evicted_key)
+                self.stats.evictions += 1
+                if evicted_value is not value:
+                    # An over-budget value can evict *itself* on insertion;
+                    # the caller still holds (and is about to use) it, so
+                    # only drop it — releasing is for values whose last
+                    # reference was the cache's.
+                    self._release(evicted_value)
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``."""
-        doomed = [key for key in self._data if predicate(key)]
-        for key in doomed:
-            del self._data[key]
-            self._forget(key)
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
+        with self._lock:
+            doomed = [key for key in self._data if predicate(key)]
+            for key in doomed:
+                del self._data[key]
+                self._forget(key)
+            self.stats.invalidations += len(doomed)
+            return len(doomed)
 
     def rekey_where(
         self,
@@ -335,283 +330,55 @@ class LRUCache:
         re-measured, and re-addressing it is not a use).
         """
         moved: list[tuple[Hashable, Any]] = []
-        for key in [k for k in self._data if predicate(k)]:
-            value = self._data.pop(key)
-            meta = self._meta.pop(key)
-            new_key = transform(key)
-            if new_key in self._meta:  # overwrite: drop the old accounting
-                self._forget(new_key)
-                displaced = self._data.get(new_key)
-                if displaced is not None and displaced is not value:
-                    self._release(displaced)
-            self._data[new_key] = value
-            self._meta[new_key] = meta
-            moved.append((new_key, value))
+        with self._lock:
+            for key in [k for k in self._data if predicate(k)]:
+                value = self._data.pop(key)
+                meta = self._meta.pop(key)
+                new_key = transform(key)
+                if new_key in self._meta:  # overwrite: drop the old accounting
+                    self._forget(new_key)
+                    displaced = self._data.get(new_key)
+                    if displaced is not None and displaced is not value:
+                        self._release(displaced)
+                self._data[new_key] = value
+                self._meta[new_key] = meta
+                moved.append((new_key, value))
         return moved
 
     def clear(self) -> int:
-        count = len(self._data)
-        self._data.clear()
-        self._meta.clear()
-        self.memory_bytes = 0
-        self.stats.invalidations += count
-        return count
-
-
-class ShardedLRUCache:
-    """Hash-partitioned LRU: independent shards, each with its own lock.
-
-    ``shard_key(key)`` extracts the partition coordinates (for the query
-    tiers: the ``(doc, view)`` part of the key, *not* the keywords, so
-    all entries of one view/document land in one shard and document
-    invalidation touches a predictable place).  ``capacity`` is the
-    total across shards; each shard gets an equal slice, so eviction
-    pressure is per-partition — one hot view cannot evict the world.
-
-    Thread-safe: every mapping operation takes only its shard's lock;
-    ``invalidate_where`` and ``clear`` visit the shards one at a time
-    and never hold two locks at once.  Statistics and size snapshots
-    (``shard_stats``, ``stats``, ``stats_dict``, ``shard_sizes``,
-    ``__len__``) instead hold *every* shard lock for the duration of the
-    copy, so the aggregate they report corresponds to one instant of the
-    cache's history — counters from different shards are never mixed
-    across concurrent updates.  There is still no lock-ordering hazard:
-    snapshots are the only path that holds more than one lock, and they
-    always acquire in fixed shard order.
-    """
-
-    @staticmethod
-    def _distribute(total: int, parts: int) -> list[int]:
-        """Split ``total`` across ``parts`` without exceeding it.
-
-        The first ``total % parts`` shards take one extra slot, so the
-        per-shard slices sum to exactly ``total``.  (The previous ceil
-        division handed *every* shard the rounded-up slice, letting the
-        aggregate overshoot the configured bound by up to
-        ``parts - 1``.)  Note the corollary: with ``total < parts``
-        some shards get zero slots — the configured capacity is the
-        contract, not a per-shard minimum.
-        """
-        base, remainder = divmod(total, parts)
-        return [
-            base + (1 if index < remainder else 0) for index in range(parts)
-        ]
-
-    def __init__(
-        self,
-        capacity: int,
-        shards: int = 8,
-        shard_key: Optional[Callable[[Hashable], Hashable]] = None,
-        router: Optional[ShardRouter] = None,
-        byte_budget: Optional[int] = None,
-        sizer: Optional[Callable[[Any], int]] = None,
-        on_evict: Optional[Callable[[Any], None]] = close_value,
-    ):
-        self.capacity = capacity
-        self.byte_budget = byte_budget
-        self.shard_count = max(1, shards)
-        if router is not None and router.shard_count != self.shard_count:
-            raise ValueError(
-                f"router routes onto {router.shard_count} shards but the "
-                f"cache has {self.shard_count}"
-            )
-        #: The shared :class:`~repro.core.routing.ShardRouter` — stable
-        #: (no ``PYTHONHASHSEED`` dependence) and shareable with the
-        #: serving lanes and the corpus shard plan, so every layer that
-        #: partitions by ``(view, doc)`` agrees on placement.
-        self.router = router or ShardRouter(self.shard_count)
-        capacities = self._distribute(max(capacity, 0), self.shard_count)
-        if byte_budget is None:
-            budgets: list[Optional[int]] = [None] * self.shard_count
-        else:
-            budgets = list(
-                self._distribute(max(byte_budget, 0), self.shard_count)
-            )
-        self._shards = [
-            LRUCache(capacities[index], budgets[index], sizer, on_evict)
-            for index in range(self.shard_count)
-        ]
-        self._locks = [threading.Lock() for _ in range(self.shard_count)]
-        self._shard_key = shard_key or (lambda key: key)
-
-    # -- partitioning --------------------------------------------------------
-
-    def shard_index(self, key: Hashable) -> int:
-        return self.router.index(self._shard_key(key))
-
-    @contextmanager
-    def _hold_all_locks(self) -> Iterator[None]:
-        """Acquire every shard lock, in fixed shard order.
-
-        Deadlock-free: all other code paths hold at most one shard lock
-        at a time, and every multi-lock path comes through here with the
-        same acquisition order.
-        """
-        acquired: list[threading.Lock] = []
-        try:
-            for lock in self._locks:
-                lock.acquire()
-                acquired.append(lock)
-            yield
-        finally:
-            for lock in reversed(acquired):
-                lock.release()
-
-    # -- mapping operations --------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._hold_all_locks():
-            return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key: Hashable) -> bool:
-        index = self.shard_index(key)
-        with self._locks[index]:
-            return key in self._shards[index]
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        index = self.shard_index(key)
-        with self._locks[index]:
-            return self._shards[index].get(key)
-
-    def admits(
-        self, key: Hashable, scan_started: Optional[float] = None
-    ) -> bool:
-        index = self.shard_index(key)
-        with self._locks[index]:
-            return self._shards[index].admits(key, scan_started)
-
-    def put(
-        self,
-        key: Hashable,
-        value: Any,
-        scan_started: Optional[float] = None,
-    ) -> None:
-        index = self.shard_index(key)
-        with self._locks[index]:
-            self._shards[index].put(key, value, scan_started)
-
-    def items(self) -> list[tuple[Hashable, Any]]:
-        """Every shard's :meth:`LRUCache.items`, as of one instant."""
-        with self._hold_all_locks():
-            return [item for shard in self._shards for item in shard.items()]
-
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        dropped = 0
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                dropped += shard.invalidate_where(predicate)
-        return dropped
-
-    def rekey_where(
-        self,
-        predicate: Callable[[Hashable], Hashable],
-        transform: Callable[[Hashable], Hashable],
-    ) -> list[tuple[Hashable, Any]]:
-        """Per-shard :meth:`LRUCache.rekey_where` (one lock at a time).
-
-        ``transform`` must preserve the shard coordinates (for the query
-        tiers: the view/document prefix the shard key reads) — the entry
-        is reinserted into the shard it was found in.  Generation
-        rewrites satisfy this by construction: generations never
-        participate in shard selection.
-        """
-        moved: list[tuple[Hashable, Any]] = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                moved.extend(shard.rekey_where(predicate, transform))
-        return moved
-
-    def clear(self) -> int:
-        dropped = 0
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                dropped += shard.clear()
-        return dropped
-
-    # -- diagnostics ---------------------------------------------------------
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregate counters across all shards (a consistent snapshot)."""
-        total = CacheStats()
-        for snapshot in self.shard_stats():
-            total.add(snapshot)
-        return total
-
-    def shard_stats(self) -> list[CacheStats]:
-        """A per-shard snapshot of the counters, in shard order.
-
-        All shard locks are held while copying, so the snapshot is
-        *consistent*: it reflects one instant of the cache's history.
-        Visiting shards one at a time instead would let a counter bump
-        land between the copies and produce an aggregate state the cache
-        was never actually in (e.g. an operation sequenced strictly
-        before another shard's already-snapshotted traffic going
-        missing from the totals).
-        """
-        with self._hold_all_locks():
-            return [
-                CacheStats(
-                    hits=shard.stats.hits,
-                    misses=shard.stats.misses,
-                    evictions=shard.stats.evictions,
-                    invalidations=shard.stats.invalidations,
-                    bypassed=shard.stats.bypassed,
-                    memory_bytes=shard.memory_bytes,
-                )
-                for shard in self._shards
-            ]
-
-    def shard_sizes(self) -> list[int]:
-        with self._hold_all_locks():
-            return [len(shard) for shard in self._shards]
-
-    @property
-    def memory_bytes(self) -> int:
-        """Accounted bytes resident across all shards (one instant)."""
-        with self._hold_all_locks():
-            return sum(shard.memory_bytes for shard in self._shards)
+        with self._lock:
+            count = len(self._data)
+            self._data.clear()
+            self._meta.clear()
+            self.memory_bytes = 0
+            self.stats.invalidations += count
+            return count
 
     def stats_dict(self) -> dict[str, Any]:
-        """Aggregate counters plus the per-shard breakdown.
-
-        Built from one consistent ``shard_stats`` snapshot, so the
-        aggregate equals the shard sum *and* both describe the same
-        instant even while other threads keep counting.
-        """
-        shards = self.shard_stats()
-        total = CacheStats()
-        for snapshot in shards:
-            total.add(snapshot)
-        combined = total.as_dict()
-        combined["shards"] = [s.as_dict() for s in shards]
-        return combined
+        """The counters and the byte gauge, copied as of one instant."""
+        with self._lock:
+            snapshot = replace(self.stats, memory_bytes=self.memory_bytes)
+        return snapshot.as_dict()
 
 
 @dataclass
 class QueryCache:
-    """The engine's three tiers: prepared lists, PDT skeletons, PDTs.
+    """The engine's four tiers: prepared lists, PDT skeletons, PDTs and
+    evaluated views — one :class:`LRUCache` each.
 
     Key layouts (positions relied on by the invalidation helpers):
 
-    * prepared:  ``(doc_name, generation, qpt_hash, keywords)`` — sharded
-      by ``doc_name``
-    * skeleton:  ``(view_name, doc_name, generation, qpt_hash)`` —
-      sharded by ``(view_name, doc_name)``
+    * prepared:  ``(doc_name, generation, qpt_hash, keywords)``
+    * skeleton:  ``(view_name, doc_name, generation, qpt_hash)``
     * pdt:       ``(view_name, doc_name, generation, qpt_hash,
-      keywords)`` — sharded by ``(view_name, doc_name)``
+      keywords)``
     * evaluated: ``(view_name, view_token, ((doc_name, generation,
       qpt_hash), ...))`` → ``(statistics plan over the result nodes,
-      {doc_name: PDT root})`` — sharded by ``view_name`` (one entry
-      spans every document the view reads, so it cannot partition
-      finer); ``view_token`` is the registered definition's *identity*:
-      the cached result nodes depend on the whole expression (not just
-      the QPT) and are process-local anyway, and the identity keeps a
-      put racing a view redefinition unreachable forever
-
-    Keywords never participate in shard selection: all keyword variants
-    of one ``(view, doc)`` pair share a shard, so skeleton reuse and
-    invalidation are single-shard operations.
+      {doc_name: PDT root})``; ``view_token`` is the registered
+      definition's *identity*: the cached result nodes depend on the
+      whole expression (not just the QPT) and are process-local anyway,
+      and the identity keeps a put racing a view redefinition
+      unreachable forever
 
     ``qpt_hash`` is the QPT's *content hash*
     (:attr:`repro.core.qpt.QPT.content_hash`), never its object
@@ -631,7 +398,10 @@ class QueryCache:
     """
 
     prepared_capacity: int = 256
-    pdt_capacity: int = 128
+    #: PDTs hit only on an exact keyword-set repeat: 16 holds 8 repeated
+    #: sets of a two-document view, and a sweep of never-seen sets (which
+    #: never hits) does not grow memory with a larger tier.
+    pdt_capacity: int = 16
     skeleton_capacity: int = 64
     evaluated_capacity: int = 64
     #: Optional per-tier byte budgets (``None`` = unbounded bytes, the
@@ -643,47 +413,21 @@ class QueryCache:
     pdt_byte_budget: Optional[int] = None
     skeleton_byte_budget: Optional[int] = None
     evaluated_byte_budget: Optional[int] = None
-    shard_count: int = 8
-    #: The single routing authority for every tier (defaults to a
-    #: :class:`~repro.core.routing.ShardRouter` over ``shard_count``).
-    #: Passing a shared instance lets the serving layer and the corpus
-    #: shard plan route with the *same object* the cache partitions by.
-    router: Optional[ShardRouter] = None
-    prepared: ShardedLRUCache = field(init=False)
-    pdts: ShardedLRUCache = field(init=False)
-    skeletons: ShardedLRUCache = field(init=False)
-    evaluated: ShardedLRUCache = field(init=False)
+    prepared: LRUCache = field(init=False)
+    pdts: LRUCache = field(init=False)
+    skeletons: LRUCache = field(init=False)
+    evaluated: LRUCache = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.router is None:
-            self.router = ShardRouter(self.shard_count)
-        self.prepared = ShardedLRUCache(
-            self.prepared_capacity,
-            self.shard_count,
-            shard_key=lambda k: k[0],
-            router=self.router,
-            byte_budget=self.prepared_byte_budget,
+        self.prepared = LRUCache(
+            self.prepared_capacity, self.prepared_byte_budget
         )
-        self.pdts = ShardedLRUCache(
-            self.pdt_capacity,
-            self.shard_count,
-            shard_key=lambda k: k[:2],
-            router=self.router,
-            byte_budget=self.pdt_byte_budget,
+        self.pdts = LRUCache(self.pdt_capacity, self.pdt_byte_budget)
+        self.skeletons = LRUCache(
+            self.skeleton_capacity, self.skeleton_byte_budget
         )
-        self.skeletons = ShardedLRUCache(
-            self.skeleton_capacity,
-            self.shard_count,
-            shard_key=lambda k: k[:2],
-            router=self.router,
-            byte_budget=self.skeleton_byte_budget,
-        )
-        self.evaluated = ShardedLRUCache(
-            self.evaluated_capacity,
-            self.shard_count,
-            shard_key=lambda k: k[0],
-            router=self.router,
-            byte_budget=self.evaluated_byte_budget,
+        self.evaluated = LRUCache(
+            self.evaluated_capacity, self.evaluated_byte_budget
         )
 
     # -- keys ---------------------------------------------------------------
@@ -736,25 +480,6 @@ class QueryCache:
         other tiers get from generations + content hashes.
         """
         return (view_name, view_token, doc_coordinates)
-
-    # -- shard routing -------------------------------------------------------
-
-    def shard_for(self, view_name: str, doc_name: str) -> int:
-        """The shard index the ``(view, doc)``-keyed tiers route to.
-
-        The skeleton and PDT tiers share a shard count and both
-        partition by the ``(view_name, doc_name)`` prefix of their keys,
-        so they agree on this index.  The serving layer uses it to align
-        per-``(view, doc)`` concurrency lanes with the cache's
-        partitioning: requests that would contend on a shard's lock are
-        serialized in front of the cache instead of inside it, and a hot
-        view's traffic lands on a predictable lane.
-
-        Delegates to the shared :class:`ShardRouter` — by construction
-        identical to ``self.skeletons.shard_index((view_name,
-        doc_name))``, and stable across processes.
-        """
-        return self.router.route(view_name, doc_name)
 
     # -- invalidation --------------------------------------------------------
 
@@ -864,7 +589,7 @@ class QueryCache:
     # -- diagnostics ---------------------------------------------------------
 
     def stats(self) -> dict[str, dict[str, Any]]:
-        """Aggregate + per-shard counters for every tier."""
+        """Every tier's counters and byte gauge."""
         return {
             "prepared": self.prepared.stats_dict(),
             "skeleton": self.skeletons.stats_dict(),

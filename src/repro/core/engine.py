@@ -7,7 +7,7 @@ query over the PDTs, scores every pruned result through a streaming
 bounded-heap top-k selector, and defers materialization so document
 storage is touched only when a winner's content is actually read
 (phase 3).  Prepared index lists, keyword-independent PDT skeletons,
-finished PDTs and evaluated view results are served from a sharded
+finished PDTs and evaluated view results are served from a
 four-tier LRU query cache keyed per document/view/keywords, invalidated
 via database hooks on load/drop and self-invalidating across
 reloads/redefinitions through generation- and QPT-stamped keys.
@@ -46,7 +46,6 @@ from repro.core.prepare import (
 )
 from repro.core.qpt import QPT, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
-from repro.core.routing import ShardRouter
 from repro.core.snapshot import SkeletonStore
 from repro.core.scoring import (
     ScoredResult,
@@ -246,9 +245,9 @@ class SearchOutcome:
         are summed over its shards; empty when the cache is disabled).
         Lets benchmarks and the differential harness assert *where* time
         went — e.g. that a skeleton-warm query hit the skeleton tier.
-        Snapshotted lazily on first access (visiting every shard lock is
-        too expensive for the per-query hot path) and memoized so
-        repeated reads stay consistent."""
+        Snapshotted lazily on first access (copying every tier's
+        counters is too expensive for the per-query hot path) and
+        memoized so repeated reads stay consistent."""
         if self._cache_stats is None:
             self._cache_stats = (
                 self._stats()["cache"] if self._stats is not None else {}
@@ -332,7 +331,7 @@ def wrap_results(
 class KeywordSearchEngine:
     """Keyword search over virtual XML views (the paper's Efficient system).
 
-    By default the engine serves repeated queries through a sharded
+    By default the engine serves repeated queries through the
     four-tier :class:`QueryCache` (prepared index lists, PDT skeletons,
     PDTs, evaluated view results); the cache is invalidated
     automatically when documents are loaded/dropped or a view name is
@@ -365,13 +364,6 @@ class KeywordSearchEngine:
         if cache is None and enable_cache:
             cache = QueryCache()
         self.cache = cache
-        # Serving lanes partition exactly like the cache tiers; a
-        # cache-less engine routes as a default-sized cache would.
-        self._router = (
-            cache.router
-            if cache is not None
-            else ShardRouter(QueryCache.shard_count)
-        )
         if snapshot_store is not None and cache is None:
             raise ValueError(
                 "a snapshot store requires the query cache (the persistent "
@@ -404,14 +396,13 @@ class KeywordSearchEngine:
 
     # -- what the serving layer reads (CorpusCoordinator answers the same) ------
 
-    @property
-    def shard_count(self) -> int:
-        """How many ways :meth:`shard_for` partitions (serving lanes)."""
-        return self._router.shard_count
+    #: A lone engine is one serving lane (a coordinator has one per
+    #: shard executor).
+    shard_count = 1
 
     def shard_for(self, view_name: str, doc_name: str) -> int:
-        """The cache shard a ``(view, document)`` pair's entries live on."""
-        return self._router.route(view_name, doc_name)
+        """The lane a ``(view, document)`` pair's requests run under."""
+        return 0
 
     def stats(self) -> dict[str, dict]:
         """Cache-tier and snapshot-store counters, each ``{}`` when the

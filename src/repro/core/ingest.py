@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.core.routing import ShardRouter
 from repro.core.sharding import (
     CorpusCoordinator,
     ShardExecutor,
@@ -78,7 +77,6 @@ def ingest_corpus(
     shard_count: int = 4,
     snapshot_dir: Optional[Union[str, Path]] = None,
     workers: Optional[int] = None,
-    router: Optional[ShardRouter] = None,
     mmap_snapshots: bool = False,
 ) -> tuple[CorpusCoordinator, IngestReport]:
     """Build a warm sharded corpus in one call.
@@ -112,9 +110,7 @@ def ingest_corpus(
                     )
             if len(fragment.documents) > 1:
                 colocate.append(fragment.documents)
-    plan = ShardPlan.build(
-        sorted(documents), shard_count, colocate=colocate, router=router
-    )
+    plan = ShardPlan.build(sorted(documents), shard_count, colocate=colocate)
     timings["plan"] = time.perf_counter() - start
 
     # Step 2: parse + index on a pool — index_document is shared-nothing.

@@ -4,10 +4,9 @@ Everything through the single :class:`~repro.core.engine.KeywordSearchEngine`
 scales per *document*; this module scales per *corpus*.  The corpus is
 hash-partitioned across N :class:`ShardExecutor`\\ s — each owning its own
 database, query cache and snapshot-store slice — by a :class:`ShardPlan`
-that reuses the cache's keyspace partitioning (:class:`repro.core.routing.
-ShardRouter`), and a :class:`CorpusCoordinator` runs queries over the
-fleet with the paper's Section 4.2.2.2 top-k selection generalized to a
-scatter-gather merge.
+(a stable hash of each document's name), and a :class:`CorpusCoordinator`
+runs queries over the fleet with the paper's Section 4.2.2.2 top-k
+selection generalized to a scatter-gather merge.
 
 The protocol has two scatter phases because idf is a **global** view
 statistic (Section 2.2: ``idf(k) = |V(D)| / containing(k)`` over the
@@ -46,6 +45,7 @@ their one-part caller, the coordinator their N-part caller through
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,7 +66,6 @@ from repro.core.engine import (
     rank_statistics,
     wrap_results,
 )
-from repro.core.routing import ShardRouter
 from repro.core.scoring import ScoredResult, idf_from_counts
 from repro.core.snapshot import SkeletonStore
 from repro.core.topk import ShardStream, merge_shard_streams
@@ -132,14 +131,24 @@ def view_fragments(expr: Expr) -> tuple[Fragment, ...]:
 # -- the shard plan -------------------------------------------------------------
 
 
+def _home_shard(doc_name: str, shard_count: int) -> int:
+    """A document's hash shard: BLAKE2b (8-byte digest) of
+    ``repr((doc_name,))``, mod ``shard_count`` — no ``PYTHONHASHSEED``
+    dependence, so every process partitions a corpus the same way (an
+    ingest manifest or a snapshot directory outlives the process that
+    built it)."""
+    key = repr((doc_name,)).encode("utf-8", "backslashreplace")
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return int.from_bytes(digest, "big") % shard_count
+
+
 @dataclass(frozen=True)
 class ShardPlan:
     """An immutable document-to-shard assignment.
 
     Built either by hashing (``build`` — the production path, stable
-    across processes via :class:`ShardRouter`) or verbatim
-    (``from_assignments`` — the difftest path, which sweeps randomized
-    placements).
+    across processes) or verbatim (``from_assignments`` — the difftest
+    path, which sweeps randomized placements).
     """
 
     shard_count: int
@@ -151,7 +160,6 @@ class ShardPlan:
         doc_names: Sequence[str],
         shard_count: int,
         colocate: Sequence[Sequence[str]] = (),
-        router: Optional[ShardRouter] = None,
     ) -> "ShardPlan":
         """Hash-partition documents, honoring colocation constraints.
 
@@ -161,12 +169,8 @@ class ShardPlan:
         smallest document, and the whole component lands on the leader's
         hash shard — deterministic, and independent of group order.
         """
-        router = router or ShardRouter(shard_count)
-        if router.shard_count != shard_count:
-            raise ShardingError(
-                f"router is configured for {router.shard_count} shards, "
-                f"plan wants {shard_count}"
-            )
+        if shard_count < 1:
+            raise ShardingError(f"shard_count must be >= 1, got {shard_count}")
         parent = {name: name for name in doc_names}
 
         def find(name: str) -> str:
@@ -192,7 +196,7 @@ class ShardPlan:
             if root not in leaders or name < leaders[root]:
                 leaders[root] = name
         assignments = {
-            name: router.place_document(leaders[find(name)])
+            name: _home_shard(leaders[find(name)], shard_count)
             for name in parent
         }
         return cls(shard_count=shard_count, assignments=assignments)
@@ -739,8 +743,8 @@ class CorpusCoordinator:
 
     def stats(self) -> dict[str, dict]:
         """Every shard engine's ``stats()``, summed count by count (what
-        is not a count — a per-cache-shard breakdown, a breaker state —
-        describes one slice and is left out); hit rates recomputed."""
+        is not a count describes one slice and is left out); hit rates
+        recomputed."""
         cache: dict[str, dict] = {}
         store: dict[str, int] = {}
         for executor in self.executors:

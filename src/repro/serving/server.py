@@ -10,12 +10,12 @@ shaping*, not more query machinery:
   queue (see :mod:`repro.serving.admission`);
 * **shard-affine execution lanes** — each request is routed to the
   shards its ``(view, doc)`` pairs live on, as the engine itself
-  reports them (``engine.shard_for``: cache shards under a lone engine,
-  shard executors under a coordinator — the server never asks which),
-  and a per-lane counter bounds concurrent execution per shard.
-  Requests that would contend on a shard's lock wait in the backlog,
-  where they cost a list slot, instead of inside the cache, where they
-  cost a blocked thread;
+  reports them (``engine.shard_for``: the shard executors under a
+  coordinator, one lane under a lone engine — the server never asks
+  which), and a per-lane counter bounds concurrent execution per
+  shard.  Requests beyond it wait in the backlog, where they cost a
+  list slot, instead of inside the engine, where they cost a blocked
+  thread;
 * **startup pre-warming** — configured hot views get one
   ``build_skeleton`` per ``(view, doc)`` before traffic arrives, so
   first-contact keyword queries run the warm array-sweep path
@@ -35,9 +35,9 @@ again — no server-owned Task, and uncontended is just the general path
 with nothing to wait for.  The hop stays: an engine call may fetch from
 a peer, read a store file or sit in an injected hang, which must stall
 one request, never the loop.  The engine's entry points are thread-safe
-(sharded cache locks, thread-local timings; PR 2's stress tests and the
-concurrent difftest lock that down).  All server methods must be called
-from the event loop that ``start()`` ran on.
+(one lock per cache tier, thread-local timings; the cache stress tests
+and the concurrent difftest lock that down).  All server methods must be
+called from the event loop that ``start()`` ran on.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class ServerConfig:
     #: Under a :class:`~repro.core.sharding.CorpusCoordinator` the lanes
     #: are shard executors, so this bounds each shard's admitted load.
     max_inflight_per_shard: Optional[int] = None
-    #: Concurrent requests per cache-shard lane (1 = serialize a shard).
+    #: Concurrent requests per lane (1 = serialize a lane).
     shard_lane_width: int = 2
     #: Executor threads == engine calls executing at once.
     workers: int = 8
@@ -104,7 +104,7 @@ class ServeResult:
     outcome: SearchOutcome
     view: str
     keywords: tuple[str, ...]
-    #: Cache-shard lanes the request executed under (sorted).
+    #: Lanes the request executed under (sorted).
     lanes: tuple[int, ...]
     #: Seconds spent queued + waiting for lanes, before execution.
     queue_wait: float
@@ -169,7 +169,8 @@ class SearchServer:
         self.stats = stats or ServingStats(window=self.config.latency_window)
         self.admission = AdmissionController(self.config.admission_limits())
         # Lanes mirror whatever partitions the engine's own execution
-        # (shard executors, or cache shards), as the engine reports it.
+        # (shard executors, or one lane for a lone engine), as the
+        # engine reports it.
         self.lane_count = engine.shard_count
         self.startup_warmup: Optional[WarmupReport] = None
         self._running = False
@@ -333,8 +334,8 @@ class SearchServer:
         """The sorted lanes a view's requests execute under: the shards
         its ``(view, doc)`` pairs live on, by the engine's own account
         (``shard_for``) — so a request serializes in front of exactly
-        the cache shards, or shard executors, it will touch, and no
-        layer holds a second opinion about placement.
+        the shard executors it will touch (a lone engine's one lane),
+        and no layer holds a second opinion about placement.
         """
         if isinstance(view, str):
             view = self.engine.get_view(view)

@@ -9,8 +9,8 @@ traffic, which is what load-shedding and capacity decisions want.
 
 Everything is guarded by one lock: recording happens on executor
 threads and the event loop concurrently, and ``snapshot()`` must return
-numbers that belong together (the same consistency discipline the
-sharded cache's ``stats_dict`` follows).
+numbers that belong together (the same consistency discipline each
+cache tier's ``stats_dict`` follows).
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ the server starts accepting traffic: one ``build_skeleton`` per
 means every first-contact keyword query runs the warm array-sweep path.
 
 ``plan_warmup`` turns view names into explicit per-``(view, doc)``
-targets — annotated with the shard each lands on (cache shard or shard
-executor: whatever ``engine.shard_for`` says), so operators can see how
-warm state distributes — and ``execute_warmup`` runs the plan through
-the engine and reports what was actually built versus restored versus
-already warm.  The engine may be a lone ``KeywordSearchEngine`` or a
-``CorpusCoordinator``; both answer every method used here.
+targets — annotated with the shard each lands on (the shard executor,
+or 0 under a lone engine: whatever ``engine.shard_for`` says), so
+operators can see how warm state distributes — and ``execute_warmup``
+runs the plan through the engine and reports what was actually built
+versus restored versus already warm.  The engine may be a lone
+``KeywordSearchEngine`` or a ``CorpusCoordinator``; both answer every
+method used here.
 
 When the engine carries a persistent skeleton store
 (:class:`repro.core.snapshot.SkeletonStore`), warming restores
@@ -132,8 +133,8 @@ def plan_warmup(
     its purpose.  Targets keep the caller's view order (then document
     order within a view), matching the order ``execute_warmup`` warms.
 
-    Each target's ``shard`` is ``engine.shard_for(view, doc)``: a cache
-    shard of a lone engine, the shard executor under a coordinator.
+    Each target's ``shard`` is ``engine.shard_for(view, doc)``: 0 under
+    a lone engine, the shard executor under a coordinator.
     """
     targets: list[WarmupTarget] = []
     seen: set[str] = set()

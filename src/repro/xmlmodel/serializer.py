@@ -35,7 +35,7 @@ def serialize(node: XMLNode, indent: int | None = None) -> str:
     if indent is None:
         _write_compact(node, parts)
     else:
-        _write_pretty(node, parts, 0, indent)
+        _write_pretty(node, parts, indent)
     return "".join(parts)
 
 
@@ -59,22 +59,29 @@ def _write_compact(node: XMLNode, parts: list[str]) -> None:
         stack.extend(reversed(node.children))
 
 
-def _write_pretty(node: XMLNode, parts: list[str], level: int, width: int) -> None:
-    pad = " " * (level * width)
-    value = node.value
-    if value is None and not node.children:
-        parts.append(f"{pad}<{node.tag}/>\n")
-        return
-    if not node.children:
-        parts.append(f"{pad}<{node.tag}>{escape_text(value or '')}</{node.tag}>\n")
-        return
-    parts.append(f"{pad}<{node.tag}>")
-    if value is not None:
-        parts.append(escape_text(value))
-    parts.append("\n")
-    for child in node.children:
-        _write_pretty(child, parts, level + 1, width)
-    parts.append(f"{pad}</{node.tag}>\n")
+def _write_pretty(node: XMLNode, parts: list[str], width: int) -> None:
+    # The same explicit stack as _write_compact, of (node, level) pairs.
+    stack: list = [(node, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, level = item
+        pad = " " * (level * width)
+        value = node.value
+        if not node.children:
+            if value is None:
+                parts.append(f"{pad}<{node.tag}/>\n")
+            else:
+                parts.append(f"{pad}<{node.tag}>{escape_text(value)}</{node.tag}>\n")
+            continue
+        parts.append(f"{pad}<{node.tag}>")
+        if value is not None:
+            parts.append(escape_text(value))
+        parts.append("\n")
+        stack.append(f"{pad}</{node.tag}>\n")
+        stack.extend((child, level + 1) for child in reversed(node.children))
 
 
 def own_length(tag: str, value: str | None, has_children: bool) -> int:

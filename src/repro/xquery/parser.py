@@ -62,11 +62,19 @@ _KEYWORDS = {
 
 _COMPARE_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
+#: Deepest nesting of expressions (parentheses, clauses, predicates,
+#: enclosed blocks) and of element constructors the parser descends
+#: into.  A level costs up to seven Python frames, so this keeps a
+#: hostile query a typed error well inside the interpreter's
+#: recursion limit; real views nest a handful of levels.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -111,6 +119,12 @@ class _Parser:
             self.advance()
             return True
         return False
+
+    def descend(self) -> None:
+        """Enter one nesting level (leave with ``self._depth -= 1``)."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     # -- program -----------------------------------------------------------
 
@@ -157,7 +171,10 @@ class _Parser:
         return SequenceExpr(tuple(items))
 
     def parse_expr(self) -> Expr:
-        return self._or_expr()
+        self.descend()
+        expr = self._or_expr()
+        self._depth -= 1
+        return expr
 
     def _or_expr(self) -> Expr:
         left = self._and_expr()
@@ -354,6 +371,7 @@ class _Parser:
         if self.accept_symbol("/>"):
             return ElementConstructor(tag, ())
         self.expect_symbol(">")
+        self.descend()
         content: list[Expr] = []
         while True:
             if self.at_symbol("{"):
@@ -370,6 +388,7 @@ class _Parser:
                         f"mismatched constructor close </{closing}> for <{tag}>"
                     )
                 self.expect_symbol(">")
+                self._depth -= 1
                 return ElementConstructor(tag, tuple(content))
             elif self.accept_symbol(","):
                 # Tolerate commas between enclosed blocks, as in the paper's

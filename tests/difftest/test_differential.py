@@ -3,7 +3,7 @@
 The seed matrix defaults to three fixed seeds and is overridable with
 ``DIFFTEST_SEEDS="1,2,3"`` (CI pins the same three so runs are
 reproducible).  When ``DIFFTEST_STATS_DIR`` is set, each seed writes
-its shard/skeleton hit-rate report there as JSON — CI uploads the
+its cache-tier hit-rate report there as JSON — CI uploads the
 directory as a build artifact.
 """
 

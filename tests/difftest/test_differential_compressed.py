@@ -54,13 +54,8 @@ def _skeleton_digests(*engines) -> dict[str, str]:
     """Per-document sha256 of every skeleton-tier entry's wire bytes."""
     digests: dict[str, str] = {}
     for engine in engines:
-        tier = engine.cache.skeletons
-        with tier._hold_all_locks():
-            for shard in tier._shards:
-                for key, skeleton in shard._data.items():
-                    digests[key[1]] = hashlib.sha256(
-                        skeleton.to_bytes()
-                    ).hexdigest()
+        for key, skeleton in engine.cache.skeletons.items():
+            digests[key[1]] = hashlib.sha256(skeleton.to_bytes()).hexdigest()
     return digests
 
 

@@ -50,14 +50,13 @@ OPS_PER_CASE = 2
 
 
 def _starved_cache() -> QueryCache:
-    """Two slots per per-document tier, one slice: any view of three or
-    more documents overflows all of them."""
+    """Two slots per per-document tier: any view of three or more
+    documents overflows all of them."""
     return QueryCache(
         prepared_capacity=2,
         skeleton_capacity=2,
         pdt_capacity=2,
         evaluated_capacity=1,
-        shard_count=1,
     )
 
 

@@ -1,5 +1,5 @@
-"""The sharded three-tier query cache: LRU/shard mechanics, engine
-integration, the skeleton tier, and randomized invalidation properties."""
+"""The four-tier query cache: LRU mechanics, engine integration, the
+skeleton tier, and randomized invalidation properties."""
 
 import random
 import sys
@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core.cache import LRUCache, QueryCache, ShardedLRUCache
+from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 
 
@@ -59,68 +59,34 @@ class TestLRUCache:
 
 
 class TestShardedLRUCache:
-    def test_get_put_across_shards(self):
-        cache = ShardedLRUCache(64, shards=4)
-        for i in range(32):
-            cache.put(("doc", i), i)
-        assert len(cache) == 32
-        assert all(cache.get(("doc", i)) == i for i in range(32))
-        assert ("doc", 0) in cache and ("doc", 99) not in cache
+    """The query cache's tiers once were hash-partitioned into slices; a
+    tier is now one LRU, so whatever keys are hot may use its whole
+    capacity."""
 
-    def test_same_partition_key_same_shard(self):
-        # Keyword variants of one (view, doc) pair must share a shard.
-        cache = ShardedLRUCache(64, shards=8, shard_key=lambda k: k[:2])
-        indexes = {
-            cache.shard_index(("v", "d.xml", ("kw%d" % i,)))
-            for i in range(20)
-        }
-        assert len(indexes) == 1
+    def test_get_put_across_shards(self):
+        # 32 (view, doc) coordinates in a 32-slot tier: all resident,
+        # however their names hash.
+        tier = QueryCache(skeleton_capacity=32).skeletons
+        keys = [("v", f"d{i}.xml", 1, "h") for i in range(32)]
+        for key in keys:
+            tier.put(key, key)
+        assert len(tier) == 32
+        assert all(tier.get(key) == key for key in keys)
+        assert tier.stats.evictions == 0
 
     def test_zero_capacity_disables(self):
-        cache = ShardedLRUCache(0, shards=4)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-
-    def test_aggregate_stats_equal_shard_sum(self):
-        cache = ShardedLRUCache(64, shards=4)
-        rng = random.Random(7)
-        for _ in range(500):
-            key = rng.randrange(100)
-            if rng.random() < 0.5:
-                cache.put(key, key)
-            else:
-                cache.get(key)
-        agg = cache.stats
-        shards = cache.shard_stats()
-        assert agg.hits == sum(s.hits for s in shards)
-        assert agg.misses == sum(s.misses for s in shards)
-        assert agg.evictions == sum(s.evictions for s in shards)
-        assert agg.lookups == agg.hits + agg.misses
-
-    def test_capacity_is_split_per_shard(self):
-        cache = ShardedLRUCache(8, shards=4)
-        for i in range(100):
-            cache.put(i, i)
-        # Each shard holds at most ceil(8/4) = 2 entries.
-        assert all(size <= 2 for size in cache.shard_sizes())
-        assert cache.stats.evictions > 0
+        qc = QueryCache(skeleton_capacity=0)
+        qc.skeletons.put(("v", "d.xml", 1, "h"), "skel")
+        assert qc.skeletons.get(("v", "d.xml", 1, "h")) is None
+        assert len(qc.skeletons) == 0
 
     def test_invalidate_where_visits_every_shard(self):
-        cache = ShardedLRUCache(64, shards=4)
+        qc = QueryCache()
         for i in range(16):
-            cache.put(("a" if i % 2 else "b", i), i)
-        assert cache.invalidate_where(lambda k: k[0] == "a") == 8
-        assert len(cache) == 8
-
-    def test_stats_dict_has_shard_breakdown(self):
-        cache = ShardedLRUCache(16, shards=4)
-        cache.put("a", 1)
-        cache.get("a")
-        stats = cache.stats_dict()
-        assert stats["hits"] == 1
-        assert len(stats["shards"]) == 4
-        assert sum(s["hits"] for s in stats["shards"]) == 1
+            qc.skeletons.put(("v", f"d{i % 2}.xml", i, "h"), i)
+        assert qc.invalidate_document("d1.xml") == 8
+        assert len(qc.skeletons) == 8
+        assert qc.stats()["skeleton"]["invalidations"] == 8
 
 
 class _Sized:
@@ -187,39 +153,49 @@ class TestByteBudgets:
         assert cache.memory_bytes == 10
 
     def test_sharded_capacity_sums_exactly_to_bound(self):
-        # The regression the remainder split fixes: ceil division let
-        # the aggregate exceed the configured capacity by shards - 1.
-        for capacity, shards in [(8, 4), (10, 8), (7, 3), (5, 8), (0, 4)]:
-            cache = ShardedLRUCache(capacity, shards=shards)
-            assert sum(s.capacity for s in cache._shards) == capacity
+        # A tier holds exactly its capacity — never more, and (unlike a
+        # tier split into hash slices) never less because of how the
+        # resident keys happen to hash.
+        for capacity in (8, 10, 7, 5, 1, 0):
+            tier = QueryCache(skeleton_capacity=capacity).skeletons
             for i in range(capacity * 3 + 5):
-                cache.put(("k", i), i)
-            assert len(cache) <= capacity
+                tier.put(("v", f"d{i}", 1, "h"), i)
+            assert len(tier) == capacity
 
-    def test_sharded_byte_budget_sums_exactly_to_bound(self):
-        cache = ShardedLRUCache(64, shards=8, byte_budget=100)
-        assert sum(s.byte_budget for s in cache._shards) == 100
+    def test_sharded_memory_bytes_aggregates(
+        self, bookrev_db, bookrev_view_text
+    ):
+        # A coordinator's byte gauge is its shard engines' tiers, summed.
+        from repro.core.ingest import ingest_corpus
 
-    def test_sharded_memory_bytes_aggregates(self):
-        cache = ShardedLRUCache(64, shards=4)
-        for i in range(10):
-            cache.put(("k", i), _Sized(7))
-        assert cache.memory_bytes == 70
-        stats = cache.stats_dict()
-        assert stats["memory_bytes"] == 70
-        assert sum(s["memory_bytes"] for s in stats["shards"]) == 70
+        documents = {
+            name: bookrev_db.get(name).serialized
+            for name in bookrev_db.document_names()
+        }
+        coordinator, _ = ingest_corpus(
+            documents, {"v": bookrev_view_text}, shard_count=2
+        )
+        with coordinator:
+            gauge = coordinator.stats()["cache"]["skeleton"]["memory_bytes"]
+            slices = [
+                executor.engine.cache.skeletons.memory_bytes
+                for executor in coordinator.executors
+            ]
+        assert gauge == sum(slices) > 0
 
     def test_query_cache_threads_budgets_through(self):
         qc = QueryCache(
             skeleton_byte_budget=80,
             pdt_byte_budget=160,
         )
-        assert sum(s.byte_budget for s in qc.skeletons._shards) == 80
-        assert sum(s.byte_budget for s in qc.pdts._shards) == 160
-        assert all(s.byte_budget is None for s in qc.prepared._shards)
+        assert qc.skeletons.byte_budget == 80
+        assert qc.pdts.byte_budget == 160
+        assert qc.prepared.byte_budget is None
         for i in range(20):
             qc.skeletons.put(("v", f"d{i}", 1, "h"), _Sized(10))
-        assert qc.skeletons.memory_bytes <= 80
+        # The whole budget, whichever documents the entries belong to.
+        assert qc.skeletons.memory_bytes == 80
+        assert qc.stats()["skeleton"]["memory_bytes"] == 80
 
 
 def _stepped_scanner(
@@ -374,16 +350,6 @@ class TestScanResistance:
         cache.put(("new", 1), "c", started)
         assert ("doc", 2) in cache and ("new", 1) not in cache
 
-    def test_sharded_stats_report_bypassed_per_slice(self):
-        cache = ShardedLRUCache(8, shards=2, shard_key=lambda k: k[0])
-        keys = [("k", i) for i in range(6)]  # one slice, four slots
-        _scan(cache, keys)
-        _scan(cache, keys)
-        stats = cache.stats_dict()
-        assert stats["bypassed"] == 4
-        assert sorted(s["bypassed"] for s in stats["shards"]) == [0, 4]
-        assert cache.stats.bypassed == 4
-
 
 class TestQueryCache:
     def test_invalidate_document_hits_all_tiers(self):
@@ -419,8 +385,22 @@ class TestQueryCache:
     def test_stats_shape(self):
         stats = QueryCache().stats()
         assert set(stats) == {"prepared", "skeleton", "pdt", "evaluated"}
-        assert stats["pdt"]["hit_rate"] == 0.0
-        assert len(stats["pdt"]["shards"]) == QueryCache().shard_count
+        assert stats["pdt"] == {
+            "hits": 0,
+            "misses": 0,
+            "evictions": 0,
+            "invalidations": 0,
+            "bypassed": 0,
+            "memory_bytes": 0,
+            "hit_rate": 0.0,
+        }
+
+    def test_tier_totals(self):
+        qc = QueryCache()
+        assert [
+            tier.capacity
+            for tier in (qc.prepared, qc.skeletons, qc.pdts, qc.evaluated)
+        ] == [256, 64, 16, 64]
 
 
 @pytest.fixture()
@@ -948,15 +928,6 @@ class TestEvictionRelease:
         cache.put("b", _Closable())
         assert not old.closed
 
-    def test_sharded_cache_threads_the_hook_through_shards(self):
-        released = []
-        cache = ShardedLRUCache(2, shards=2, on_evict=released.append)
-        values = [_Closable() for _ in range(6)]
-        for index, value in enumerate(values):
-            cache.put(("k", index), value)
-        assert len(released) == len(values) - len(cache)
-        assert all(isinstance(value, _Closable) for value in released)
-
     def test_evicted_mapped_skeleton_buffer_is_closed(
         self, tmp_path, bookrev_db, bookrev_view_text
     ):
@@ -989,7 +960,7 @@ class TestEvictionRelease:
 
 def _library_engine(doc_count, **cache_options):
     """A view of ``doc_count`` one-document fragments, swept in document
-    order by every query, over a one-slice cache."""
+    order by every query."""
     from repro.storage.database import XMLDatabase
 
     database = XMLDatabase()
@@ -1006,7 +977,7 @@ def _library_engine(doc_count, **cache_options):
             "return <hit>{$b/title}{$b/body}</hit>)"
         )
     engine = KeywordSearchEngine(
-        database, cache=QueryCache(shard_count=1, **cache_options)
+        database, cache=QueryCache(**cache_options)
     )
     engine.define_view("lib", "(" + ",\n".join(fragments) + ")")
     return engine
@@ -1066,7 +1037,7 @@ class TestSweepLargerThanTier:
 
         source = _library_engine(6)
         executor = ShardExecutor(
-            0, cache=QueryCache(shard_count=1, skeleton_capacity=4)
+            0, cache=QueryCache(skeleton_capacity=4)
         )
         for name in source.database.document_names():
             executor.adopt_document(source.database.get(name))
@@ -1078,6 +1049,28 @@ class TestSweepLargerThanTier:
             harvest = executor.collect("lib", keywords)
             assert list(harvest.cache_hits.values()).count("skeleton") == 4
         assert executor.engine.cache.stats()["skeleton"]["evictions"] == 0
+
+    def test_a_tier_as_large_as_the_view_keeps_every_skeleton(self):
+        # Split into eight hash slices (four of one slot, four of none),
+        # a 4-entry tier kept 3 of these 4 documents: d3 hashed to a
+        # slice with no slot.
+        from repro.storage.database import XMLDatabase
+
+        database = XMLDatabase()
+        fragments = []
+        for name in ("d0", "d1", "d2", "d3"):
+            database.load_document(
+                name, f"<lib><book><title>xml {name}</title></book></lib>"
+            )
+            fragments.append(
+                f"(for $b in fn:doc({name})//book return <hit>{{$b/title}}</hit>)"
+            )
+        engine = KeywordSearchEngine(
+            database, cache=QueryCache(skeleton_capacity=4)
+        )
+        engine.define_view("lib", "(" + ",\n".join(fragments) + ")")
+        engine.warm_view("lib")
+        assert engine.resident_documents("lib") == ["d0", "d1", "d2", "d3"]
 
     def test_warmup_report_tells_small_tier_from_cold(self):
         from repro.serving.warmup import execute_warmup, plan_warmup
@@ -1209,7 +1202,7 @@ class TestEvaluatedTierAcrossEdits:
                 "</lib>",
             )
         engine = KeywordSearchEngine(
-            database, cache=QueryCache(shard_count=1, skeleton_capacity=2)
+            database, cache=QueryCache(skeleton_capacity=2)
         )
         for number in range(3):
             engine.define_view(

@@ -1,7 +1,7 @@
-"""Concurrency stress: the sharded cache under multi-threaded load.
+"""Concurrency stress: the query cache under multi-threaded load.
 
-The sharded design's claims — no deadlocks, no cross-shard corruption,
-counters that add up — are exercised directly on ``ShardedLRUCache``
+A tier's claims — no deadlocks, no corruption of its LRU chain,
+counters that add up — are exercised directly on one ``LRUCache`` tier
 and end-to-end through a shared ``KeywordSearchEngine`` hammered by
 threads issuing mixed hot/cold queries.  Every join uses a timeout so a
 deadlock fails the test instead of hanging the suite.
@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.core.cache import QueryCache, ShardedLRUCache
+from repro.core.cache import LRUCache
 from repro.core.engine import KeywordSearchEngine
 
 JOIN_TIMEOUT = 60.0
@@ -32,10 +32,13 @@ def run_threads(workers):
 
 
 class TestShardedCacheStress:
+    """One tier, one lock, many threads."""
+
     def test_mixed_get_put_invalidate_from_many_threads(self):
-        cache = ShardedLRUCache(128, shards=8, shard_key=lambda k: k[0])
+        cache = LRUCache(128)
         errors: list[BaseException] = []
         OPS = 3000
+        lookups = [0] * 8
 
         def worker(worker_id: int):
             rng = random.Random(worker_id)
@@ -47,6 +50,7 @@ class TestShardedCacheStress:
                     if roll < 0.45:
                         cache.put(key, (worker_id, i))
                     elif roll < 0.9:
+                        lookups[worker_id] += 1
                         value = cache.get(key)
                         if value is not None:
                             assert isinstance(value, tuple) and len(value) == 2
@@ -57,73 +61,24 @@ class TestShardedCacheStress:
             except BaseException as exc:  # surfaced after the join
                 errors.append(exc)
 
-        run_threads([lambda w=w: worker(w) for w in range(8)])
-        assert not errors, errors
-        # Counters add up: aggregate == per-shard sum, lookups == h+m.
-        agg = cache.stats
-        shards = cache.shard_stats()
-        assert agg.hits == sum(s.hits for s in shards)
-        assert agg.misses == sum(s.misses for s in shards)
-        assert agg.lookups == agg.hits + agg.misses
-        assert agg.lookups > 0
-        # No shard overran its capacity slice (128/8 = 16 each).
-        assert all(size <= 16 for size in cache.shard_sizes())
-
-    def test_stats_snapshot_is_consistent_across_shards(self):
-        # Regression: shard_stats/stats_dict used to copy shard counters
-        # one lock at a time, so the "aggregate" could pair shard 0's
-        # counters from one instant with shard 63's from a later one — a
-        # state the cache was never in.  The snapshot now holds every
-        # shard lock.  The interleaving here detects the old behavior
-        # almost immediately: the mutator bumps shard 0 strictly before
-        # shard 63 on every round, so any consistent snapshot satisfies
-        # 0 <= lookups(0) - lookups(63) <= 1 — while a shard-at-a-time
-        # snapshot walks 62 other locks between the two copies, giving
-        # the mutator ample time to push shard 63 past the stale shard-0
-        # copy.
-        cache = ShardedLRUCache(128, shards=64, shard_key=lambda k: k[0])
-        stop = threading.Event()
-        errors: list[BaseException] = []
-        # The default 5 ms GIL switch interval dwarfs a ~50 µs snapshot,
-        # hiding the interleaving; shrink it so threads actually overlap
-        # inside the snapshot loop.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-
-        def mutator():
-            # hash(0) % 64 == 0 and hash(63) % 64 == 63: the keys pin
-            # the first and last shard deterministically.
-            while not stop.is_set():
-                cache.get((0,))
-                cache.get((63,))
-
-        def snapshotter():
-            try:
-                for _ in range(1500):
-                    shards = cache.shard_stats()
-                    diff = shards[0].lookups - shards[63].lookups
-                    assert 0 <= diff <= 1, (
-                        f"inconsistent snapshot: lookups diverge by {diff}"
-                    )
-                    agg = cache.stats_dict()
-                    assert agg["hits"] + agg["misses"] == sum(
-                        s["hits"] + s["misses"] for s in agg["shards"]
-                    )
-            except BaseException as exc:
-                errors.append(exc)
-            finally:
-                stop.set()
-
         try:
-            run_threads([mutator, snapshotter])
+            run_threads([lambda w=w: worker(w) for w in range(8)])
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
+        # Counters add up: every get counted once, as a hit or a miss.
+        stats = cache.stats_dict()
+        assert stats["hits"] + stats["misses"] == sum(lookups) > 0
+        # The LRU chain and its side table agree, within the capacity.
+        assert len(cache) <= 128
+        assert set(cache._meta) == set(cache._data)
 
     def test_concurrent_writers_one_hot_shard(self):
-        # All keys share one partition coordinate: every thread contends
-        # on a single shard's lock; the LRU chain must stay consistent.
-        cache = ShardedLRUCache(32, shards=8, shard_key=lambda k: k[0])
+        # Every thread contends on the tier's one lock; the LRU chain
+        # must stay consistent.
+        cache = LRUCache(32)
 
         def worker(worker_id: int):
             for i in range(2000):
@@ -133,6 +88,8 @@ class TestShardedCacheStress:
         run_threads([lambda w=w: worker(w) for w in range(6)])
         stats = cache.stats
         assert stats.lookups == 6 * 2000
+        assert len(cache) == 32
+        assert set(cache._meta) == set(cache._data)
 
 
 KEYWORD_SETS = [
@@ -188,16 +145,7 @@ class TestEngineConcurrency:
         run_threads([lambda w=w: worker(w) for w in range(8)])
         assert not errors, errors
 
-        # Hit-rate counters add up, per tier, aggregate == shard sum.
         stats = engine.cache.stats()
-        for tier in ("prepared", "skeleton", "pdt"):
-            tier_stats = stats[tier]
-            assert (
-                tier_stats["hits"] + tier_stats["misses"]
-                == sum(
-                    s["hits"] + s["misses"] for s in tier_stats["shards"]
-                )
-            )
         # 8 workers x 40 queries x 2 documents worth of PDT lookups.
         assert stats["pdt"]["hits"] + stats["pdt"]["misses"] == 8 * 40 * 2
         assert stats["pdt"]["hits"] > 0

@@ -1,10 +1,12 @@
 """Nesting depth is bounded by memory, not by the recursion limit.
 
-``parse_xml``, ``serialize`` / ``serialized_length`` and the whole
-``load_document`` path used to recurse once per level, so a 600-deep
-document was a bare ``RecursionError`` — an exception no caller maps.
-Every stage is a loop over an explicit stack now; malformed input of any
-depth is an ``XMLParseError``.
+``parse_xml``, ``serialize`` (compact and pretty) / ``serialized_length``
+and the whole ``load_document`` path used to recurse once per level, so
+a 600-deep document was a bare ``RecursionError`` — an exception no
+caller maps.  Every stage is a loop over an explicit stack now;
+malformed input of any depth is an ``XMLParseError``.  The XQuery parser
+stays recursive descent with a nesting limit: deeper queries are an
+``XQuerySyntaxError``.
 
 Parsing and serializing are linear and run at 5000 levels.  *Loading* a
 chain is quadratic by definition — element ``d`` carries a ``d``-component
@@ -18,11 +20,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.errors import XMLParseError
+from repro.errors import XMLParseError, XQuerySyntaxError
 from repro.storage.database import XMLDatabase
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize, serialized_length
+from repro.xquery.parser import MAX_NESTING, parse_query
 
 DEPTH = 5000
 LOAD_DEPTH = 3000
@@ -34,6 +37,39 @@ def test_deep_document_parses_and_serializes():
     assert sum(1 for _ in root.iter()) == DEPTH
     assert serialize(root) == text
     assert serialized_length(root) == len(text)
+
+
+def test_deep_chain_pretty_prints():
+    root = node = XMLNode("a")
+    for _ in range(DEPTH - 1):
+        node = node.make_child("a")
+    node.text = "needle"
+    lines = serialize(root, indent=2).splitlines()
+    assert len(lines) == 2 * DEPTH - 1
+    assert lines[0] == "<a>" and lines[-1] == "</a>"
+    assert lines[DEPTH - 1] == " " * (2 * DEPTH - 2) + "<a>needle</a>"
+    assert lines[DEPTH] == " " * (2 * DEPTH - 4) + "</a>"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * DEPTH + "1" + ")" * DEPTH,
+        "<a>" * DEPTH + "</a>" * DEPTH,
+        "for $x in " * DEPTH + "1" + " return $x" * DEPTH,
+        "$x" + "[$y" * DEPTH + "]" * DEPTH,
+    ],
+    ids=["parentheses", "constructors", "flwor", "predicates"],
+)
+def test_deep_query_raises_the_typed_error(text):
+    with pytest.raises(XQuerySyntaxError, match="nesting deeper than"):
+        parse_query(text)
+
+
+def test_query_at_the_nesting_limit_parses():
+    depth = MAX_NESTING - 1
+    parse_query("(" * depth + "1" + ")" * depth)
+    parse_query("<a>" * depth + "</a>" * depth)
 
 
 def test_deep_chain_loads_and_answers():

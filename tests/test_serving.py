@@ -294,9 +294,15 @@ class TestDispatcherInvariants:
     LANES = {"a": (0,), "b": (1,), "c": (2,), "ab": (0, 1), "bc": (1, 2)}
     LANE_IDS = (0, 1, 2)
 
+    class _ThreeLaneEngine(KeywordSearchEngine):
+        """A lone engine is one lane; this one reports three, as a
+        three-shard coordinator would."""
+
+        shard_count = 3
+
     def _engine(self):
         db = generate_bookrev_database(book_count=2, reviews_per_book=1)
-        engine = KeywordSearchEngine(db)
+        engine = self._ThreeLaneEngine(db)
         for name in self.LANES:
             engine.define_view(name, BOOKREV_VIEW)
         return engine
@@ -533,10 +539,8 @@ class TestWarmup:
             ("v", "books.xml"),
             ("v", "reviews.xml"),
         ]
-        for target in targets:
-            assert target.shard == engine.cache.shard_for(
-                target.view, target.doc
-            )
+        # A lone engine is one lane: every target lands on it.
+        assert {target.shard for target in targets} == {0}
         with pytest.raises(ViewDefinitionError):
             plan_warmup(engine, ["v", "typo"])
 
@@ -678,16 +682,9 @@ class TestWarmup:
 
         async def scenario():
             async with SearchServer(engine) as server:
-                lanes = server.route(view)
-                assert lanes == tuple(
-                    sorted(
-                        {
-                            engine.cache.shard_for("v", doc)
-                            for doc in view.document_names
-                        }
-                    )
-                )
-                assert all(0 <= lane < server.lane_count for lane in lanes)
+                # A lone engine is one lane, whatever the documents.
+                assert server.lane_count == engine.shard_count == 1
+                assert server.route(view) == (0,)
 
         run_async(scenario())
 

@@ -1,11 +1,11 @@
-"""The corpus-sharding layer: router, plan, executors, coordinator, ingest."""
+"""The corpus-sharding layer: placement, plan, executors, coordinator, ingest."""
 
+import hashlib
 import json
 from dataclasses import fields
 
 import pytest
 
-from repro.core.cache import QueryCache, ShardedLRUCache
 from repro.core.engine import KeywordSearchEngine, PhaseTimings, SearchOutcome
 from repro.core.faults import (
     FAULT_DELAY,
@@ -16,7 +16,6 @@ from repro.core.faults import (
 )
 from repro.core.health import FleetHealth
 from repro.core.ingest import ingest_corpus
-from repro.core.routing import ShardRouter
 from repro.core.sharding import (
     FAILURE_ERROR,
     FAILURE_QUARANTINED,
@@ -24,6 +23,7 @@ from repro.core.sharding import (
     CorpusCoordinator,
     ShardExecutor,
     ShardPlan,
+    _home_shard,
     view_fragments,
 )
 from repro.errors import (
@@ -83,69 +83,55 @@ def _deadline(pooled):
     return 30.0 if pooled else None
 
 
+#: ``ShardPlan.build`` of the layered benchmark's ``sharded_fanout``
+#: documents (``doc000`` … ``doc095``) at 4 shards, one digit per document
+#: in name order, as recorded before placement moved into ``core/sharding``.
+FANOUT_PLACEMENTS = (
+    "113222033132012110130033220131012202102012210112210303003311233203"
+    "312232021032330003231021200221"
+)
+
+
 class TestShardRouter:
+    """Document placement: the stable hash a plan homes documents by."""
+
     def test_deterministic_and_in_range(self):
-        router = ShardRouter(7)
-        for key in ("a", ("v", "d"), 42, ("x", 1, ("y",))):
-            shard = router.index(key)
+        for name in ("a", "d.xml", "ümlaut", "doc042"):
+            shard = _home_shard(name, 7)
             assert 0 <= shard < 7
-            assert router.index(key) == shard  # stable
-        assert ShardRouter(7).index(("v", "d")) == router.index(("v", "d"))
+            assert _home_shard(name, 7) == shard  # stable
+        assert ShardPlan.build(sorted(DOCS), 7) == ShardPlan.build(sorted(DOCS), 7)
 
     def test_route_is_index_of_tuple(self):
-        router = ShardRouter(5)
-        assert router.route("v", "d") == router.index(("v", "d"))
-        assert router.place_document("d") == router.index(("d",))
+        # BLAKE2b (8-byte digest) of the 1-tuple's repr, mod the count.
+        digest = hashlib.blake2b(repr(("d",)).encode(), digest_size=8).digest()
+        assert _home_shard("d", 5) == int.from_bytes(digest, "big") % 5
 
     def test_spreads_keys(self):
-        router = ShardRouter(4)
-        shards = {router.place_document(f"doc{i}.xml") for i in range(64)}
-        assert shards == {0, 1, 2, 3}
-
-    def test_memo_is_bounded_and_never_changes_a_placement(self):
-        from repro.core.routing import _MEMO_ENTRIES
-
-        router = ShardRouter(5)
-        keys = [("v", f"doc{i}.xml") for i in range(_MEMO_ENTRIES + 50)]
-        first = [router.index(key) for key in keys]  # overflows the memo once
-        assert 0 < len(router._memo) <= _MEMO_ENTRIES
-        # Remembered, forgotten or never seen: one answer per key.
-        assert [router.index(key) for key in keys] == first
-        assert [ShardRouter(5).index(key) for key in keys[:64]] == first[:64]
+        plan = ShardPlan.build([f"doc{i}.xml" for i in range(64)], 4)
+        assert set(plan.assignments.values()) == {0, 1, 2, 3}
 
     def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
+        with pytest.raises(ShardingError):
+            ShardPlan.build(sorted(DOCS), 0)
 
-    def test_equality(self):
-        assert ShardRouter(3) == ShardRouter(3)
-        assert ShardRouter(3) != ShardRouter(4)
+    def test_placements_are_pinned(self):
+        names = [f"doc{number:03d}" for number in range(96)]
+        plan = ShardPlan.build(names, 4)
+        assert "".join(str(plan.shard_of(name)) for name in names) == (
+            FANOUT_PLACEMENTS
+        )
 
 
 class TestRouterIsShared:
-    """Satellite 1: cache tiers, serving lanes and plans route identically."""
-
-    def test_query_cache_shard_for_uses_router(self):
-        cache = QueryCache()
-        router = cache.router
-        assert cache.shard_for("v", "d") == router.route("v", "d")
-        for tier in (cache.prepared, cache.pdts, cache.skeletons, cache.evaluated):
-            assert tier.router is router
-
-    def test_tier_rejects_mismatched_router(self):
-        with pytest.raises(ValueError):
-            ShardedLRUCache(
-                capacity=8,
-                shards=4,
-                shard_key=lambda k: k,
-                router=ShardRouter(8),
-            )
+    """A plan homes every document — and every colocated group, by its
+    smallest member — on the placement hash's shard."""
 
     def test_plan_agrees_with_router(self):
-        router = ShardRouter(4)
-        plan = ShardPlan.build(sorted(DOCS), 4, router=router)
+        plan = ShardPlan.build(sorted(DOCS), 4, colocate=[("d5", "d2", "d7")])
         for name in DOCS:
-            assert plan.shard_of(name) == router.place_document(name)
+            home = "d2" if name in ("d5", "d2", "d7") else name
+            assert plan.shard_of(name) == _home_shard(home, 4)
 
 
 class TestShardPlan:
