@@ -15,6 +15,8 @@ import functools
 import itertools
 import operator
 import tempfile
+import threading
+import time
 from collections import Counter
 from unittest import mock
 
@@ -45,6 +47,8 @@ FLOORS = [  # id, scenario, counter, relation, bound
     ("none-failed", "eight_clients", "failed", "==", 0),
     ("none-shed", "eight_clients", "rejected_total", "==", 0),
     ("ledger-closes", "eight_clients", "completed", "==", "submitted"),
+    # Default ServerConfig: the one bound on concurrent engine calls.
+    ("two-engine-calls-at-once", "eight_clients", "peak_engine_calls", "==", 2),
     # The evaluated entry's statistics plan is built once, by the warm-up;
     # pointing collect_view_statistics back at a per-query plan fails both.
     ("one-plan-per-entry", "fifty_keyword_sets", "plans_built", "==", 1),
@@ -126,7 +130,8 @@ def repetitive_tier():
 def eight_clients():
     """8 concurrent closed-loop clients x 25 requests, 70% on the hot of
     two pre-warmed views, exact-repeat tiers off, limits far above the
-    offered load: the server's request ledger after drain."""
+    offered load: the server's request ledger after drain, and the most
+    engine calls that were ever executing at once."""
     engine = KeywordSearchEngine(
         generate_inex_database(INEXConfig()),
         cache=QueryCache(pdt_capacity=0, prepared_capacity=0),
@@ -136,6 +141,20 @@ def eight_clients():
     config = ServerConfig(
         max_queue_depth=256, max_inflight_per_view=256, warm_views=("hot", "side")
     )
+    calls, lock, search_detailed = Counter(), threading.Lock(), engine.search_detailed
+
+    def counted_search(*args, **kwargs):
+        with lock:
+            calls["executing"] += 1
+            calls["peak"] = max(calls["peak"], calls["executing"])
+        try:
+            time.sleep(0.002)  # hold the call open: a warm search is shorter than a GIL slice
+            return search_detailed(*args, **kwargs)
+        finally:
+            with lock:
+                calls["executing"] -= 1
+
+    engine.search_detailed = counted_search
 
     async def client(server, offset):
         for index in range(offset, offset + 25):
@@ -147,7 +166,8 @@ def eight_clients():
             await asyncio.gather(*[client(server, c) for c in range(8)])
             return server.snapshot()["requests"]
 
-    return asyncio.run(asyncio.wait_for(scenario(), 120))
+    ledger = asyncio.run(asyncio.wait_for(scenario(), 120))
+    return {**ledger, "peak_engine_calls": calls["peak"]}
 
 
 def fifty_keyword_sets():
