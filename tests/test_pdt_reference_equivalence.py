@@ -11,9 +11,6 @@ records' lengths and unwanted values; ``difftest/golden_skeletons.json``
 and the automaton ≡ sweep byte equality below pin those cells.)  What a
 skeleton derives from its columns — ``bounds``, ``slot_bounds``, the
 tree — is checked against the recomputation in ``test_compression.py``.
-
-(The file is named after the frozen copy of the old build path that
-used to be the reference, so that its test ids stay stable.)
 """
 
 from __future__ import annotations
