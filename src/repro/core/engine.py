@@ -396,14 +396,6 @@ class KeywordSearchEngine:
 
     # -- what the serving layer reads (CorpusCoordinator answers the same) ------
 
-    #: A lone engine is one serving lane (a coordinator has one per
-    #: shard executor).
-    shard_count = 1
-
-    def shard_for(self, view_name: str, doc_name: str) -> int:
-        """The lane a ``(view, document)`` pair's requests run under."""
-        return 0
-
     def stats(self) -> dict[str, dict]:
         """Cache-tier and snapshot-store counters, each ``{}`` when the
         engine runs without that tier."""

@@ -583,10 +583,6 @@ class CorpusCoordinator:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def shard_count(self) -> int:
-        return self.plan.shard_count
-
     def close(self) -> None:
         with self._pool_lock:
             self._closed = True
@@ -736,10 +732,6 @@ class CorpusCoordinator:
             )
 
     # -- the surface the serving layer reads -------------------------------------
-
-    def shard_for(self, view_name: str, doc_name: str) -> int:
-        """The shard executor holding the document, whatever the view."""
-        return self.plan.shard_of(doc_name)
 
     def stats(self) -> dict[str, dict]:
         """Every shard engine's ``stats()``, summed count by count (what

@@ -1,11 +1,12 @@
-"""Async serving layer: admission control, shard-affine execution,
-hot-view pre-warming and request-level stats over the search engine.
+"""Async serving layer: admission control, one bound on concurrent
+engine calls (``ServerConfig.workers``, FIFO), hot-view pre-warming and
+request-level stats over the search engine.
 
 Public surface::
 
     from repro.serving import (
         SearchServer, ServerConfig, ServeResult,     # the front end
-        Overloaded, AdmissionController, AdmissionLimits,  # admission
+        Overloaded, AdmissionController,             # admission
         WarmupReport, WarmupTarget, plan_warmup, execute_warmup,
         ServingStats, LatencyRecorder,
         SearchAPI, HTTPServingEndpoint, BackgroundHTTPServing,  # wire
@@ -14,13 +15,10 @@ Public surface::
 """
 
 from repro.serving.admission import (
-    REASON_COLD_VIEW_SHED,
     REASON_QUEUE_FULL,
     REASON_SERVER_STOPPED,
-    REASON_SHARD_SATURATED,
     REASON_VIEW_SATURATED,
     AdmissionController,
-    AdmissionLimits,
     Overloaded,
 )
 from repro.serving.http import (
@@ -41,7 +39,6 @@ from repro.serving.warmup import (
 
 __all__ = [
     "AdmissionController",
-    "AdmissionLimits",
     "BackgroundHTTPServing",
     "ENGINE_ERROR_STATUS",
     "HTTPServingEndpoint",
@@ -49,10 +46,8 @@ __all__ = [
     "OVERLOAD_STATUS",
     "Overloaded",
     "SearchAPI",
-    "REASON_COLD_VIEW_SHED",
     "REASON_QUEUE_FULL",
     "REASON_SERVER_STOPPED",
-    "REASON_SHARD_SATURATED",
     "REASON_VIEW_SATURATED",
     "SearchServer",
     "ServeResult",

@@ -3,35 +3,22 @@
 A bounded system needs a typed "no": when the queue is full or a view
 already has its fill of in-flight requests, rejecting *now* with
 :class:`Overloaded` is strictly better than queueing into a latency
-cliff.  The controller tracks two things:
+cliff.  The controller tracks **per-view inflight** — requests admitted
+but not yet finished (queued + executing) — so one hot view cannot
+occupy the whole queue and starve every other view.
 
-* **per-view inflight** — requests admitted but not yet finished
-  (queued + executing).  The limit keeps one hot view from occupying
-  the whole queue and starving every other view.
-* **per-view cache coldness** — an exponentially-weighted moving
-  average of the fraction of per-document cache misses each served
-  request reported (``SearchOutcome.cache_hits``).  Cold traffic costs
-  path-index probes and full merges; warm traffic is an array sweep.
-  When the queue is under pressure and shedding is enabled, requests
-  for views whose recent traffic has been mostly cold are rejected
-  first — they are the expensive ones, and dropping them protects the
-  latency of the warm majority.
-
-The controller is lock-protected: admission runs on the event loop but
-observations arrive from executor threads.
+Admission and release both run on the server's event loop, so the
+controller needs no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 #: ``Overloaded.reason`` values (typed, not free-form strings).
 REASON_QUEUE_FULL = "queue_full"
 REASON_VIEW_SATURATED = "view_saturated"
-REASON_SHARD_SATURATED = "shard_saturated"
-REASON_COLD_VIEW_SHED = "cold_view_shed"
 REASON_SERVER_STOPPED = "server_stopped"
 
 
@@ -49,201 +36,59 @@ class Overloaded:
     queue_depth: int
     inflight: int
     limit: int
-    #: Which shard tripped a ``shard_saturated`` rejection (else None).
-    shard: Optional[int] = None
 
     def describe(self) -> str:
-        where = f" shard={self.shard}" if self.shard is not None else ""
         return (
-            f"overloaded ({self.reason}): view={self.view!r}{where} "
+            f"overloaded ({self.reason}): view={self.view!r} "
             f"queue_depth={self.queue_depth} inflight={self.inflight} "
             f"limit={self.limit}"
         )
 
 
-@dataclass(frozen=True)
-class AdmissionLimits:
-    """The knobs an :class:`AdmissionController` enforces."""
-
-    max_queue_depth: int = 64
-    max_inflight_per_view: int = 16
-    #: Queued + executing requests touching any one shard lane; ``None``
-    #: disables the check.  Under a sharded corpus this is the knob that
-    #: keeps one hot shard (skewed document placement, one giant view)
-    #: from absorbing the whole fleet's admission budget.
-    max_inflight_per_shard: Optional[int] = None
-    #: Shed cold-view traffic under queue pressure (off by default; the
-    #: two hard limits above are always on).
-    shed_cold_views: bool = False
-    #: Queue fill fraction at which cold-view shedding arms.
-    shed_queue_fraction: float = 0.5
-    #: Miss-rate EWMA above which a view counts as cold.
-    shed_miss_threshold: float = 0.75
-    #: EWMA smoothing factor for per-view miss rates.
-    miss_ewma_alpha: float = 0.3
-    #: Fractional EWMA decay applied on every cold-shed decision.  The
-    #: EWMA normally updates only from *served* requests, so without
-    #: decay a shed view's coldness score would freeze and the view
-    #: would be shed forever; decaying it lets a probe request through
-    #: after sustained shedding, and the probe's real cache outcome
-    #: then resets the score honestly.
-    shed_probe_decay: float = 0.05
-
-
 class AdmissionController:
-    """Tracks inflight counts and coldness; yields admit/shed decisions."""
+    """Tracks per-view inflight counts; yields admit/shed decisions
+    against the two bounds (``ServerConfig.max_queue_depth`` and
+    ``ServerConfig.max_inflight_per_view``)."""
 
-    def __init__(self, limits: Optional[AdmissionLimits] = None):
-        self.limits = limits or AdmissionLimits()
-        self._lock = threading.Lock()
+    def __init__(self, max_queue_depth: int, max_inflight_per_view: int):
+        self.max_queue_depth = max_queue_depth
+        self.max_inflight_per_view = max_inflight_per_view
         self._inflight: dict[str, int] = {}
-        self._shard_inflight: dict[int, int] = {}
-        self._miss_ewma: dict[str, float] = {}
 
-    # -- the decision --------------------------------------------------------
-
-    def try_admit(
-        self,
-        view_name: str,
-        queue_depth: int,
-        shards: Sequence[int] = (),
-    ) -> Optional[Overloaded]:
+    def try_admit(self, view_name: str, queue_depth: int) -> Optional[Overloaded]:
         """Admit (returns ``None``, inflight incremented) or reject.
 
-        Checks are ordered cheapest-signal-first: the queue bound (a
-        global backstop), the per-view inflight bound (fairness), the
-        per-shard inflight bound over ``shards`` (the lanes this request
-        would execute under — shard fairness, when a limit is set), then
-        — only when armed by queue pressure — the cold-view shed.  An
-        admitted request's ``shards`` are accounted until ``release`` is
-        called with the same sequence.
+        The queue bound (a global backstop) is checked before the
+        per-view inflight bound (fairness).
         """
-        limits = self.limits
-        with self._lock:
-            if queue_depth >= limits.max_queue_depth:
-                return Overloaded(
-                    reason=REASON_QUEUE_FULL,
-                    view=view_name,
-                    queue_depth=queue_depth,
-                    inflight=self._inflight.get(view_name, 0),
-                    limit=limits.max_queue_depth,
-                )
-            inflight = self._inflight.get(view_name, 0)
-            if inflight >= limits.max_inflight_per_view:
-                return Overloaded(
-                    reason=REASON_VIEW_SATURATED,
-                    view=view_name,
-                    queue_depth=queue_depth,
-                    inflight=inflight,
-                    limit=limits.max_inflight_per_view,
-                )
-            if limits.max_inflight_per_shard is not None:
-                for shard in shards:
-                    shard_inflight = self._shard_inflight.get(shard, 0)
-                    if shard_inflight >= limits.max_inflight_per_shard:
-                        return Overloaded(
-                            reason=REASON_SHARD_SATURATED,
-                            view=view_name,
-                            queue_depth=queue_depth,
-                            inflight=shard_inflight,
-                            limit=limits.max_inflight_per_shard,
-                            shard=shard,
-                        )
-            if (
-                limits.shed_cold_views
-                and queue_depth
-                >= limits.shed_queue_fraction * limits.max_queue_depth
-                and self._miss_ewma.get(view_name, 0.0)
-                > limits.shed_miss_threshold
-            ):
-                # Decay toward warmth on every shed so the score cannot
-                # freeze above the threshold with no served traffic to
-                # update it — eventually a probe request is admitted.
-                self._miss_ewma[view_name] *= 1.0 - limits.shed_probe_decay
-                return Overloaded(
-                    reason=REASON_COLD_VIEW_SHED,
-                    view=view_name,
-                    queue_depth=queue_depth,
-                    inflight=inflight,
-                    limit=limits.max_inflight_per_view,
-                )
+        inflight = self._inflight.get(view_name, 0)
+        if queue_depth >= self.max_queue_depth:
+            reason, limit = REASON_QUEUE_FULL, self.max_queue_depth
+        elif inflight >= self.max_inflight_per_view:
+            reason, limit = REASON_VIEW_SATURATED, self.max_inflight_per_view
+        else:
             self._inflight[view_name] = inflight + 1
-            for shard in shards:
-                self._shard_inflight[shard] = (
-                    self._shard_inflight.get(shard, 0) + 1
-                )
             return None
+        return Overloaded(
+            reason=reason,
+            view=view_name,
+            queue_depth=queue_depth,
+            inflight=inflight,
+            limit=limit,
+        )
 
-    def release(self, view_name: str, shards: Sequence[int] = ()) -> None:
-        """A previously admitted request finished (served or errored).
-
-        ``shards`` must be the sequence the request was admitted with.
-        """
-        with self._lock:
-            remaining = self._inflight.get(view_name, 0) - 1
-            if remaining > 0:
-                self._inflight[view_name] = remaining
-            else:
-                self._inflight.pop(view_name, None)
-            for shard in shards:
-                left = self._shard_inflight.get(shard, 0) - 1
-                if left > 0:
-                    self._shard_inflight[shard] = left
-                else:
-                    self._shard_inflight.pop(shard, None)
-
-    # -- the feedback loop ---------------------------------------------------
-
-    def observe(self, view_name: str, cache_hits: dict[str, str]) -> None:
-        """Feed one served request's per-document cache outcome back in.
-
-        ``cache_hits`` is ``SearchOutcome.cache_hits`` — the deepest
-        cache tier that hit, per document.  The miss fraction updates
-        the view's coldness EWMA, which the cold-view shed consults.
-        """
-        if not cache_hits:
-            return
-        misses = sum(1 for hit in cache_hits.values() if hit == "miss")
-        fraction = misses / len(cache_hits)
-        alpha = self.limits.miss_ewma_alpha
-        with self._lock:
-            previous = self._miss_ewma.get(view_name)
-            if previous is None:
-                self._miss_ewma[view_name] = fraction
-            else:
-                self._miss_ewma[view_name] = (
-                    alpha * fraction + (1.0 - alpha) * previous
-                )
-
-    def note_warmed(self, view_name: str) -> None:
-        """The view was explicitly pre-warmed: drop its coldness score.
-
-        Warm-up deterministically fills the skeleton and evaluated
-        tiers, so whatever miss history the view accumulated before no
-        longer predicts its cost; the next served requests rebuild the
-        EWMA from real post-warm outcomes.
-        """
-        with self._lock:
-            self._miss_ewma.pop(view_name, None)
+    def release(self, view_name: str) -> None:
+        """A previously admitted request finished (served or errored)."""
+        remaining = self._inflight.get(view_name, 0) - 1
+        if remaining > 0:
+            self._inflight[view_name] = remaining
+        else:
+            self._inflight.pop(view_name, None)
 
     # -- diagnostics ---------------------------------------------------------
 
     def inflight(self, view_name: str) -> int:
-        with self._lock:
-            return self._inflight.get(view_name, 0)
-
-    def shard_inflight(self, shard: int) -> int:
-        with self._lock:
-            return self._shard_inflight.get(shard, 0)
-
-    def miss_rate(self, view_name: str) -> Optional[float]:
-        with self._lock:
-            return self._miss_ewma.get(view_name)
+        return self._inflight.get(view_name, 0)
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "inflight": dict(self._inflight),
-                "shard_inflight": dict(self._shard_inflight),
-                "miss_ewma": dict(self._miss_ewma),
-            }
+        return {"inflight": dict(self._inflight)}

@@ -72,23 +72,19 @@ from repro.errors import (
 )
 from repro.serving.admission import (
     Overloaded,
-    REASON_COLD_VIEW_SHED,
     REASON_QUEUE_FULL,
     REASON_SERVER_STOPPED,
-    REASON_SHARD_SATURATED,
     REASON_VIEW_SATURATED,
 )
 from repro.serving.server import SearchServer, ServeResult
 from repro.xmlmodel.serializer import serialize
 
 #: Admission rejections: queue-wide conditions are 503 (the replica is
-#: the problem — fail over), per-view/per-shard saturation and cold-view
-#: shedding are 429 (this traffic class is the problem — back off).
+#: the problem — fail over), per-view saturation is 429 (this traffic
+#: class is the problem — back off).
 OVERLOAD_STATUS: dict[str, int] = {
     REASON_QUEUE_FULL: 503,
     REASON_VIEW_SATURATED: 429,
-    REASON_SHARD_SATURATED: 429,
-    REASON_COLD_VIEW_SHED: 429,
     REASON_SERVER_STOPPED: 503,
 }
 
@@ -394,7 +390,6 @@ class SearchAPI:
                 queue_depth=served.queue_depth,
                 inflight=served.inflight,
                 limit=served.limit,
-                shard=served.shard,
             )
         if tag is None and offset + page_size < served.outcome.matching_count:
             tag = _query_tag(view, keywords, conjunctive, page_size)
@@ -436,7 +431,6 @@ class SearchAPI:
                 "queue_wait": served.queue_wait,
                 "service_time": served.service_time,
                 "latency": served.latency,
-                "lanes": list(served.lanes),
                 "cache_hits": dict(sorted(outcome.cache_hits.items())),
             },
         }

@@ -8,27 +8,21 @@ shaping*, not more query machinery:
   typed :class:`Overloaded` instead of queueing into a latency cliff;
 * **per-view inflight limits** — one hot view cannot occupy the whole
   queue (see :mod:`repro.serving.admission`);
-* **shard-affine execution lanes** — each request is routed to the
-  shards its ``(view, doc)`` pairs live on, as the engine itself
-  reports them (``engine.shard_for``: the shard executors under a
-  coordinator, one lane under a lone engine — the server never asks
-  which), and a per-lane counter bounds concurrent execution per
-  shard.  Requests beyond it wait in the backlog, where they cost a
-  list slot, instead of inside the engine, where they cost a blocked
-  thread;
+* **one bound on execution** — at most ``workers`` engine calls run at
+  once, started in arrival order.  Requests beyond it wait in the
+  backlog, where they cost a list slot, instead of inside the engine,
+  where they cost a blocked thread;
 * **startup pre-warming** — configured hot views get one
   ``build_skeleton`` per ``(view, doc)`` before traffic arrives, so
   first-contact keyword queries run the warm array-sweep path
   (:mod:`repro.serving.warmup`);
 * **per-request observability** — every :class:`ServeResult` carries
   the engine's ``SearchOutcome`` (cache hits, phase timings,
-  ``cache_stats``) plus queue/service/end-to-end latencies, and each
-  served request's cache outcome feeds the admission controller's
-  cold-view shedding signal.
+  ``cache_stats``) plus queue/service/end-to-end latencies.
 
 A request is **one thread hop**: ``search`` admits, queues and calls a
-synchronous dispatcher, which hands every queued request whose worker
-slot and lanes are free to the pool (``executor.submit``); the pool
+synchronous dispatcher, which hands the head of the backlog to the pool
+(``executor.submit``) while fewer than ``workers`` calls execute; the pool
 thread wakes the loop once (``call_soon_threadsafe``), and that
 callback releases, records, resolves the caller's future and dispatches
 again — no server-owned Task, and uncontended is just the general path
@@ -44,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -53,7 +48,6 @@ from repro.core.engine import KeywordSearchEngine, SearchOutcome, SearchResult, 
 from repro.core.sharding import CorpusCoordinator
 from repro.serving.admission import (
     AdmissionController,
-    AdmissionLimits,
     Overloaded,
     REASON_SERVER_STOPPED,
 )
@@ -69,32 +63,13 @@ class ServerConfig:
     max_queue_depth: int = 64
     #: Queued + executing requests per view; beyond it: ``view_saturated``.
     max_inflight_per_view: int = 16
-    #: Queued + executing requests per shard lane; ``None`` disables.
-    #: Under a :class:`~repro.core.sharding.CorpusCoordinator` the lanes
-    #: are shard executors, so this bounds each shard's admitted load.
-    max_inflight_per_shard: Optional[int] = None
-    #: Concurrent requests per lane (1 = serialize a lane).
-    shard_lane_width: int = 2
-    #: Executor threads == engine calls executing at once.
-    workers: int = 8
+    #: Executor threads == engine calls executing at once (the one
+    #: bound on execution; the rest wait in the backlog, FIFO).
+    workers: int = 2
     #: Views pre-warmed during ``start()``, before traffic is accepted.
     warm_views: tuple[str, ...] = ()
-    #: Opt-in cold-view load shedding under queue pressure.
-    shed_cold_views: bool = False
-    shed_queue_fraction: float = 0.5
-    shed_miss_threshold: float = 0.75
     #: Sliding-window size for the latency recorders.
     latency_window: int = 2048
-
-    def admission_limits(self) -> AdmissionLimits:
-        return AdmissionLimits(
-            max_queue_depth=self.max_queue_depth,
-            max_inflight_per_view=self.max_inflight_per_view,
-            max_inflight_per_shard=self.max_inflight_per_shard,
-            shed_cold_views=self.shed_cold_views,
-            shed_queue_fraction=self.shed_queue_fraction,
-            shed_miss_threshold=self.shed_miss_threshold,
-        )
 
 
 @dataclass
@@ -104,9 +79,7 @@ class ServeResult:
     outcome: SearchOutcome
     view: str
     keywords: tuple[str, ...]
-    #: Lanes the request executed under (sorted).
-    lanes: tuple[int, ...]
-    #: Seconds spent queued + waiting for lanes, before execution.
+    #: Seconds spent queued, before execution.
     queue_wait: float
     #: Seconds inside the engine (thread-pool execution).
     service_time: float
@@ -122,12 +95,6 @@ class ServeResult:
         """Per-document deepest cache tier hit (``SearchOutcome.cache_hits``)."""
         return self.outcome.cache_hits
 
-    @property
-    def cache_stats(self) -> dict[str, Any]:
-        """The engine cache's consistent counter snapshot for this
-        request — the signal load-shedding policies consume."""
-        return self.outcome.cache_stats
-
 
 @dataclass(eq=False)
 class _Request:
@@ -135,7 +102,6 @@ class _Request:
 
     view_name: str
     keywords: tuple[str, ...]
-    lanes: tuple[int, ...]
     call: Callable[[], SearchOutcome]  # the bound engine call
     future: "asyncio.Future[Union[ServeResult, Overloaded]]"
     admitted_at: float = field(default_factory=time.perf_counter)
@@ -167,21 +133,18 @@ class SearchServer:
         self.engine = engine
         self.config = config or ServerConfig()
         self.stats = stats or ServingStats(window=self.config.latency_window)
-        self.admission = AdmissionController(self.config.admission_limits())
-        # Lanes mirror whatever partitions the engine's own execution
-        # (shard executors, or one lane for a lone engine), as the
-        # engine reports it.
-        self.lane_count = engine.shard_count
+        self.admission = AdmissionController(
+            self.config.max_queue_depth, self.config.max_inflight_per_view
+        )
         self.startup_warmup: Optional[WarmupReport] = None
         self._running = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         # Admitted requests wait in `_backlog` (FIFO, max_queue_depth
         # long) until the dispatcher moves them to `_executing` (at most
-        # `workers`), taking one of each of their lanes' free widths.
-        self._backlog: list[_Request] = []
+        # `workers`).
+        self._backlog: deque[_Request] = deque()
         self._executing: set[_Request] = set()
-        self._lane_free: list[int] = []
         self._idle: Optional[asyncio.Event] = None  # set: both are empty
 
     # -- lifecycle -----------------------------------------------------------
@@ -208,7 +171,6 @@ class SearchServer:
             max_workers=self.config.workers,
             thread_name_prefix="repro-serving",
         )
-        self._lane_free = [self.config.shard_lane_width] * self.lane_count
         self._idle = asyncio.Event()
         self._idle.set()
         try:
@@ -237,11 +199,11 @@ class SearchServer:
         # executing alike, so no caller awaits forever (an engine call
         # runs on; `_complete` finds it gone and drops the result).
         for request in (*self._backlog, *self._executing):
-            self.admission.release(request.view_name, request.lanes)
+            self.admission.release(request.view_name)
             stopped = self._stopped_response(request.view_name)
             if not request.future.done():
                 request.future.set_result(stopped)
-        self._backlog = []
+        self._backlog.clear()
         self._executing = set()
         self._idle.set()
         executor, self._executor = self._executor, None
@@ -272,16 +234,11 @@ class SearchServer:
         pool, so reading ``to_xml()`` afterwards never blocks the loop.
         """
         view_name = view if isinstance(view, str) else view.name
-        resolved = self.engine.get_view(view_name)  # raises on unknown
+        self.engine.get_view(view_name)  # raises on unknown
         self.stats.record_submitted()
         if not self._running:
             return self._stopped_response(view_name)
-        # Lanes are resolved *before* admission so the per-shard inflight
-        # bound can see which shards this request would occupy.
-        lanes = self.route(resolved)
-        decision = self.admission.try_admit(
-            view_name, len(self._backlog), shards=lanes
-        )
+        decision = self.admission.try_admit(view_name, len(self._backlog))
         if decision is not None:
             self.stats.record_rejected(decision.reason)
             return decision
@@ -289,7 +246,6 @@ class SearchServer:
         request = _Request(
             view_name,
             keywords,
-            lanes,
             partial(
                 self.engine.search_detailed,
                 view_name,
@@ -321,26 +277,7 @@ class SearchServer:
             self._executor, execute_warmup, self.engine, targets
         )
         self.stats.record_warmed(len(targets))
-        # A just-warmed view serves skeleton-tier traffic: reset its
-        # coldness score so stale miss history does not keep shedding it
-        # after the operator explicitly warmed it.
-        for view_name in dict.fromkeys(target.view for target in targets):
-            self.admission.note_warmed(view_name)
         return report
-
-    # -- routing -------------------------------------------------------------
-
-    def route(self, view: Union[View, str]) -> tuple[int, ...]:
-        """The sorted lanes a view's requests execute under: the shards
-        its ``(view, doc)`` pairs live on, by the engine's own account
-        (``shard_for``) — so a request serializes in front of exactly
-        the shard executors it will touch (a lone engine's one lane),
-        and no layer holds a second opinion about placement.
-        """
-        if isinstance(view, str):
-            view = self.engine.get_view(view)
-        shard_for = self.engine.shard_for
-        return tuple(sorted({shard_for(view.name, doc) for doc in view.document_names}))
 
     # -- internals -----------------------------------------------------------
 
@@ -355,31 +292,14 @@ class SearchServer:
         )
 
     def _dispatch(self) -> None:
-        """Start every queued request whose worker slot and lanes are free.
-
-        One pass in arrival order.  A request that must wait *claims* its
-        lanes for the rest of the pass: nothing behind it sharing a lane
-        overtakes it (FIFO per lane; a two-lane request cannot be starved
-        by one-lane streams), yet a request for idle lanes is not held up
-        behind it.  Lanes are taken all at once or not at all: no deadlock.
-        """
-        free = self._lane_free
-        workers = self.config.workers
-        claimed: set[int] = set()
-        waiting: list[_Request] = []
-        for request in self._backlog:
-            if len(self._executing) < workers and not any(
-                lane in claimed or not free[lane] for lane in request.lanes
-            ):
-                for lane in request.lanes:
-                    free[lane] -= 1
-                self._executing.add(request)
-                request.started_at = time.perf_counter()
-                self._executor.submit(self._execute, request)
-            else:
-                claimed.update(request.lanes)
-                waiting.append(request)
-        self._backlog = waiting
+        """Start the head of the backlog while fewer than ``workers``
+        calls are executing: plain FIFO, nothing overtakes."""
+        backlog, workers = self._backlog, self.config.workers
+        while backlog and len(self._executing) < workers:
+            request = backlog.popleft()
+            self._executing.add(request)
+            request.started_at = time.perf_counter()
+            self._executor.submit(self._execute, request)
 
     def _execute(self, request: _Request) -> None:
         """On a pool thread: the engine call, then one wake-up of the loop."""
@@ -397,12 +317,10 @@ class SearchServer:
         """On the loop, with the call's ``SearchOutcome`` or the exception
         it raised: release, record, resolve — then dispatch again."""
         finished = time.perf_counter()
-        for lane in request.lanes:
-            self._lane_free[lane] += 1
         if request not in self._executing:
             return  # shed by stop(drain=False); already answered
         self._executing.remove(request)
-        self.admission.release(request.view_name, request.lanes)
+        self.admission.release(request.view_name)
         future = request.future
         if error is not None:
             self.stats.record_failed()
@@ -413,12 +331,10 @@ class SearchServer:
                 outcome=outcome,
                 view=request.view_name,
                 keywords=request.keywords,
-                lanes=request.lanes,
                 queue_wait=request.started_at - request.admitted_at,
                 service_time=finished - request.started_at,
                 latency=finished - request.admitted_at,
             )
-            self.admission.observe(served.view, outcome.cache_hits)
             self.stats.record_completed(
                 served.queue_wait,
                 served.service_time,
@@ -441,7 +357,6 @@ class SearchServer:
         return {
             "running": self._running,
             "queue_depth": len(self._backlog),
-            "lane_count": self.lane_count,
             "requests": self.stats.snapshot(),
             "admission": self.admission.snapshot(),
             "cache": engine_stats["cache"],

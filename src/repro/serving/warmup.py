@@ -8,11 +8,9 @@ the server starts accepting traffic: one ``build_skeleton`` per
 means every first-contact keyword query runs the warm array-sweep path.
 
 ``plan_warmup`` turns view names into explicit per-``(view, doc)``
-targets — annotated with the shard each lands on (the shard executor,
-or 0 under a lone engine: whatever ``engine.shard_for`` says), so
-operators can see how warm state distributes — and ``execute_warmup``
-runs the plan through the engine and reports what was actually built
-versus restored versus already warm.  The engine may be a lone
+targets, and ``execute_warmup`` runs the plan through the engine and
+reports what was actually built versus restored versus already warm.
+The engine may be a lone
 ``KeywordSearchEngine`` or a ``CorpusCoordinator``; both answer every
 method used here.
 
@@ -36,12 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 @dataclass(frozen=True)
 class WarmupTarget:
-    """One ``(view, document)`` pair to pre-warm, with the shard the
-    engine places it on (``engine.shard_for``)."""
+    """One ``(view, document)`` pair to pre-warm."""
 
     view: str
     doc: str
-    shard: int
 
 
 @dataclass
@@ -102,7 +98,7 @@ class WarmupReport:
     def as_dict(self) -> dict:
         return {
             "targets": [
-                {"view": t.view, "doc": t.doc, "shard": t.shard}
+                {"view": t.view, "doc": t.doc}
                 for t in self.targets
             ],
             "built": self.built_count,
@@ -132,9 +128,6 @@ def plan_warmup(
     a warm-up plan that silently skips a typo'd hot view would defeat
     its purpose.  Targets keep the caller's view order (then document
     order within a view), matching the order ``execute_warmup`` warms.
-
-    Each target's ``shard`` is ``engine.shard_for(view, doc)``: 0 under
-    a lone engine, the shard executor under a coordinator.
     """
     targets: list[WarmupTarget] = []
     seen: set[str] = set()
@@ -143,9 +136,9 @@ def plan_warmup(
             continue
         seen.add(name)
         view = engine.get_view(name)
-        for doc_name in view.document_names:
-            shard = engine.shard_for(name, doc_name)
-            targets.append(WarmupTarget(view=name, doc=doc_name, shard=shard))
+        targets.extend(
+            WarmupTarget(view=name, doc=doc_name) for doc_name in view.document_names
+        )
     return targets
 
 

@@ -65,7 +65,6 @@ def generous_config(**overrides):
         max_queue_depth=256,
         max_inflight_per_view=256,
         workers=6,
-        shard_lane_width=4,
     )
     defaults.update(overrides)
     return ServerConfig(**defaults)

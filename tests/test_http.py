@@ -45,10 +45,8 @@ from repro.serving import (
     ENGINE_ERROR_STATUS,
     OVERLOAD_STATUS,
     Overloaded,
-    REASON_COLD_VIEW_SHED,
     REASON_QUEUE_FULL,
     REASON_SERVER_STOPPED,
-    REASON_SHARD_SATURATED,
     REASON_VIEW_SATURATED,
     SearchAPI,
     SearchServer,
@@ -116,8 +114,6 @@ def stub_server(result=None, error: BaseException | None = None) -> SearchServer
 ALL_OVERLOAD_REASONS = (
     REASON_QUEUE_FULL,
     REASON_VIEW_SATURATED,
-    REASON_SHARD_SATURATED,
-    REASON_COLD_VIEW_SHED,
     REASON_SERVER_STOPPED,
 )
 
@@ -130,7 +126,6 @@ class TestOverloadStatusMapping:
     def test_overloaded_maps_to_status_and_typed_body(self, reason):
         shed = Overloaded(
             reason=reason, view="v", queue_depth=7, inflight=3, limit=2,
-            shard=4 if reason == REASON_SHARD_SATURATED else None,
         )
         api = SearchAPI(stub_server(result=shed))
         status, body = asgi_request(
@@ -144,8 +139,6 @@ class TestOverloadStatusMapping:
         assert error["queue_depth"] == 7
         assert error["inflight"] == 3
         assert error["limit"] == 2
-        if reason == REASON_SHARD_SATURATED:
-            assert error["shard"] == 4
 
 
 ENGINE_ERROR_CASES = [
@@ -519,7 +512,6 @@ class TestDegradedPage:
             outcome=outcome,
             view="v",
             keywords=("xml",),
-            lanes=(),
             queue_wait=0.0,
             service_time=0.0,
             latency=0.0,

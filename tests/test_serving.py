@@ -1,4 +1,4 @@
-"""The serving layer: admission, lanes, pre-warm, drain, stats.
+"""The serving layer: admission, dispatch, pre-warm, drain, stats.
 
 Async tests run through ``asyncio.run`` with a hard ``wait_for``
 timeout, so a stuck queue or a lost future fails the test instead of
@@ -18,13 +18,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import KeywordSearchEngine
 from repro.serving import (
     AdmissionController,
-    AdmissionLimits,
     LatencyRecorder,
     Overloaded,
-    REASON_COLD_VIEW_SHED,
     REASON_QUEUE_FULL,
     REASON_SERVER_STOPPED,
-    REASON_SHARD_SATURATED,
     REASON_VIEW_SATURATED,
     SearchServer,
     ServerConfig,
@@ -120,7 +117,6 @@ class TestServeCorrectness:
                     ]
                     assert got == expected[kws]
                     assert response.latency >= response.queue_wait
-                    assert response.lanes == server.route("v")
                 snap = server.snapshot()
                 assert snap["requests"]["completed"] == len(KEYWORD_SETS) * 4
                 assert snap["requests"]["failed"] == 0
@@ -165,7 +161,6 @@ class TestOverload:
             config = ServerConfig(
                 max_queue_depth=1,
                 workers=1,
-                shard_lane_width=1,
                 max_inflight_per_view=10,
             )
             async with SearchServer(engine, config) as server:
@@ -232,7 +227,7 @@ class TestOverload:
         started, gate = gate_engine(monkeypatch, engine)
 
         async def scenario():
-            config = ServerConfig(workers=1, shard_lane_width=1)
+            config = ServerConfig(workers=1)
             server = SearchServer(engine, config)
             await server.start()
             pending = [
@@ -261,7 +256,7 @@ class TestOverload:
         started, gate = gate_engine(monkeypatch, engine)
 
         async def scenario():
-            config = ServerConfig(workers=1, shard_lane_width=1)
+            config = ServerConfig(workers=1)
             server = SearchServer(engine, config)
             await server.start()
             pending = [
@@ -285,58 +280,46 @@ class TestOverload:
 
 
 class TestDispatcherInvariants:
-    """The backlog dispatcher under generated arrival sequences: lane
-    and worker bounds, FIFO among requests sharing a lane, completion,
-    the backlog as ``queue_depth`` — and no Task of the server's own."""
+    """The backlog dispatcher under generated arrival sequences over
+    several views: the ``workers`` bound, global FIFO, completion, the
+    backlog as ``queue_depth`` — and no Task of the server's own."""
 
-    #: View name -> the lanes its requests execute under (overlapping
-    #: sets: a two-lane view contends with both of its neighbours).
-    LANES = {"a": (0,), "b": (1,), "c": (2,), "ab": (0, 1), "bc": (1, 2)}
-    LANE_IDS = (0, 1, 2)
-
-    class _ThreeLaneEngine(KeywordSearchEngine):
-        """A lone engine is one lane; this one reports three, as a
-        three-shard coordinator would."""
-
-        shard_count = 3
+    VIEWS = ("a", "b", "c")
 
     def _engine(self):
         db = generate_bookrev_database(book_count=2, reviews_per_book=1)
-        engine = self._ThreeLaneEngine(db)
-        for name in self.LANES:
+        engine = KeywordSearchEngine(db)
+        for name in self.VIEWS:
             engine.define_view(name, BOOKREV_VIEW)
         return engine
 
-    def _track(self, monkeypatch, engine):
-        """Record, at engine entry and exit, what runs beside what.  A
-        request is identified by its ``top_k``.  Wraps ``gate_engine``'s
-        patch (call it after), so entry is recorded before the gate."""
-        log = {"order": [], "active": {}, "peak_lane": 0, "peak_total": 0}
+    def _gate_each(self, monkeypatch, engine, count):
+        """Hold every engine call at entry until its own gate opens (a
+        request is identified by its ``top_k``); record entry order and
+        the most calls ever executing at once."""
+        gates = [threading.Event() for _ in range(count)]
+        log = {"order": [], "executing": 0, "peak": 0}
         lock = threading.Lock()
         inner = engine.search_detailed
 
-        def tracked(view_name, keywords, top_k, **kwargs):
+        def gated(view_name, keywords, top_k, **kwargs):
             with lock:
                 log["order"].append(top_k)
-                log["active"][top_k] = view_name
-                active = list(log["active"].values())
-                log["peak_total"] = max(log["peak_total"], len(active))
-                for lane in self.LANE_IDS:
-                    busy = sum(lane in self.LANES[view] for view in active)
-                    log["peak_lane"] = max(log["peak_lane"], busy)
+                log["executing"] += 1
+                log["peak"] = max(log["peak"], log["executing"])
             try:
+                assert gates[top_k].wait(30), "test gate never opened"
                 return inner(view_name, keywords, top_k=top_k, **kwargs)
             finally:
                 with lock:
-                    del log["active"][top_k]
+                    log["executing"] -= 1
 
-        monkeypatch.setattr(engine, "search_detailed", tracked)
-        return log
+        monkeypatch.setattr(engine, "search_detailed", gated)
+        return gates, log
 
     async def _arrive(self, server, arrivals, depth):
         """Submit ``arrivals`` in order against a gated engine; returns
         ``(client tasks, views)`` of the admitted ones, by request id."""
-        server.route = lambda view: self.LANES[view.name]
         clients, admitted = {}, {}
         for index, view in enumerate(arrivals):
             client = asyncio.ensure_future(
@@ -353,103 +336,74 @@ class TestDispatcherInvariants:
                 clients[index], admitted[index] = client, view
         return clients, admitted
 
-    async def _executing(self, server, admitted, log):
-        """How many admitted requests are past the dispatcher (the rest
-        are the backlog), once their threads have all reached the gate."""
-        executing = len(admitted) - server.snapshot()["queue_depth"]
+    async def _entered(self, log, count):
+        """Wait until ``count`` calls have reached the engine."""
         for _ in range(5000):
-            if len(log["order"]) == executing:
+            if len(log["order"]) >= count:
                 break
             await asyncio.sleep(0.001)
-        assert len(log["order"]) == executing
-        return executing
+        assert len(log["order"]) == count
 
     @settings(max_examples=25, deadline=None)
     @given(
-        arrivals=st.lists(
-            st.sampled_from(sorted(LANES)), min_size=1, max_size=14
-        ),
+        arrivals=st.lists(st.sampled_from(VIEWS), min_size=1, max_size=14),
         workers=st.integers(1, 4),
-        width=st.integers(1, 2),
         depth=st.integers(2, 14),
     )
     def test_generated_arrivals_respect_every_bound(
-        self, arrivals, workers, width, depth
+        self, arrivals, workers, depth
     ):
         engine = self._engine()
 
-        async def scenario(log, gate):
+        async def scenario(gates, log):
             config = ServerConfig(
-                workers=workers,
-                shard_lane_width=width,
-                max_queue_depth=depth,
-                max_inflight_per_view=64,
+                workers=workers, max_queue_depth=depth, max_inflight_per_view=64
             )
             not_the_servers = asyncio.all_tasks()
             async with SearchServer(engine, config) as server:
-                clients, admitted = await self._arrive(server, arrivals, depth)
-                assert await self._executing(server, admitted, log) >= 1
-                # Gated mid-request, and the server owns no Task at all:
-                # no worker coroutines, no per-request timeout Task.
-                assert asyncio.all_tasks() - not_the_servers == set(
-                    clients.values()
-                )
-                gate.set()
-                # Every admitted request completes, as itself.
-                for index, client in clients.items():
-                    response = await client
-                    assert isinstance(response, ServeResult)
-                    assert response.view == admitted[index]
-                    assert response.lanes == self.LANES[admitted[index]]
-                assert server.snapshot()["queue_depth"] == 0
-            return admitted
+                try:
+                    clients, admitted = await self._arrive(server, arrivals, depth)
+                    ids = list(admitted)  # arrival order
+                    # Release the oldest request one at a time: each
+                    # release lets exactly the head of the backlog in.
+                    for done, request_id in enumerate(ids):
+                        executing = min(workers, len(ids) - done)
+                        await self._entered(log, done + executing)
+                        # What entered the engine is a prefix of the arrivals.
+                        assert sorted(log["order"]) == ids[: done + executing]
+                        waiting = len(ids) - done - executing
+                        assert server.snapshot()["queue_depth"] == waiting
+                        # Gated mid-request, and the server owns no Task at
+                        # all: no worker coroutines, no per-request timeout.
+                        assert asyncio.all_tasks() - not_the_servers == {
+                            clients[i] for i in ids[done:]
+                        }
+                        gates[request_id].set()
+                        # Every admitted request completes, as itself.
+                        response = await clients[request_id]
+                        assert isinstance(response, ServeResult)
+                        assert response.view == admitted[request_id]
+                    assert server.snapshot()["queue_depth"] == 0
+                finally:
+                    for gate in gates:  # a failed check must not hang the drain
+                        gate.set()
+            return ids
 
         with pytest.MonkeyPatch.context() as monkeypatch:
-            _started, gate = gate_engine(monkeypatch, engine)
-            log = self._track(monkeypatch, engine)
-            admitted = run_async(scenario(log, gate))
-        assert sorted(log["order"]) == sorted(admitted)
-        assert log["peak_total"] <= workers
-        assert log["peak_lane"] <= width
-        if width == 1:
-            # Requests sharing a lane ran one after another, so engine
-            # entry order is start order: FIFO per lane.
-            for lane in self.LANE_IDS:
-                assert [
-                    i for i in log["order"] if lane in self.LANES[admitted[i]]
-                ] == [i for i in admitted if lane in self.LANES[admitted[i]]]
-
-    def test_two_lane_request_is_neither_starved_nor_a_roadblock(self):
-        engine = self._engine()
-        arrivals = ["a", "b", "ab", "a", "b", "a", "b", "c"]
-
-        async def scenario(log, gate):
-            config = ServerConfig(workers=4, shard_lane_width=1)
-            async with SearchServer(engine, config) as server:
-                clients, admitted = await self._arrive(server, arrivals, 64)
-                # "ab" waits for both lanes and claims them: the later
-                # one-lane requests queue behind it although a worker is
-                # idle — while "c", on a lane nobody claims, is not held
-                # up by the waiting head of the backlog.
-                assert await self._executing(server, admitted, log) == 3
-                assert sorted(log["order"]) == [0, 1, 7]
-                gate.set()
-                await asyncio.gather(*clients.values())
-
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _started, gate = gate_engine(monkeypatch, engine)
-            log = self._track(monkeypatch, engine)
-            run_async(scenario(log, gate))
-        on_ab = [i for i in log["order"] if i != 7]
-        assert on_ab.index(2) == 2  # right after the two it arrived behind
-        assert [i for i in on_ab if arrivals[i] == "a"] == [0, 3, 5]
-        assert [i for i in on_ab if arrivals[i] == "b"] == [1, 4, 6]
+            gates, log = self._gate_each(monkeypatch, engine, len(arrivals))
+            ids = run_async(scenario(gates, log))
+        # Engine entry order is arrival order (the first `workers` enter
+        # together, in whatever order their threads win).
+        first = min(workers, len(ids))
+        assert sorted(log["order"][:first]) == ids[:first]
+        assert log["order"][first:] == ids[first:]
+        assert log["peak"] <= workers
 
 
 class TestAdmissionController:
     def test_queue_bound_precedes_view_bound(self):
         controller = AdmissionController(
-            AdmissionLimits(max_queue_depth=4, max_inflight_per_view=2)
+            max_queue_depth=4, max_inflight_per_view=2
         )
         assert controller.try_admit("v", queue_depth=4).reason == (
             REASON_QUEUE_FULL
@@ -464,72 +418,9 @@ class TestAdmissionController:
         controller.release("v")
         assert controller.inflight("v") == 0
 
-    def test_cold_view_shedding_uses_cache_hit_feedback(self):
-        limits = AdmissionLimits(
-            max_queue_depth=10,
-            max_inflight_per_view=10,
-            shed_cold_views=True,
-            shed_queue_fraction=0.5,
-            shed_miss_threshold=0.6,
-        )
-        controller = AdmissionController(limits)
-        for _ in range(8):
-            controller.observe("cold", {"a.xml": "miss", "b.xml": "miss"})
-            controller.observe("warm", {"a.xml": "skeleton", "b.xml": "pdt"})
-        assert controller.miss_rate("cold") == pytest.approx(1.0)
-        assert controller.miss_rate("warm") == pytest.approx(0.0)
-        # Below the pressure threshold both admit; under pressure only
-        # the cold view sheds.
-        assert controller.try_admit("cold", queue_depth=2) is None
-        shed = controller.try_admit("cold", queue_depth=5)
-        assert shed is not None and shed.reason == REASON_COLD_VIEW_SHED
-        assert controller.try_admit("warm", queue_depth=5) is None
-
-    def test_sustained_shedding_decays_toward_readmission(self):
-        limits = AdmissionLimits(
-            max_queue_depth=10,
-            max_inflight_per_view=10,
-            shed_cold_views=True,
-            shed_queue_fraction=0.5,
-            shed_miss_threshold=0.6,
-            shed_probe_decay=0.05,
-        )
-        controller = AdmissionController(limits)
-        controller.observe("cold", {"a.xml": "miss"})
-        sheds = 0
-        # The EWMA only updates from served traffic, so without decay a
-        # shed view could never recover; with decay a probe request gets
-        # through after a bounded number of sheds.
-        while sheds < 100:
-            decision = controller.try_admit("cold", queue_depth=8)
-            if decision is None:
-                break
-            assert decision.reason == REASON_COLD_VIEW_SHED
-            sheds += 1
-        assert 0 < sheds < 100
-        assert controller.miss_rate("cold") <= 0.6
-
-    def test_note_warmed_clears_coldness(self):
-        limits = AdmissionLimits(
-            max_queue_depth=10,
-            shed_cold_views=True,
-            shed_queue_fraction=0.5,
-            shed_miss_threshold=0.6,
-        )
-        controller = AdmissionController(limits)
-        controller.observe("cold", {"a.xml": "miss"})
-        assert controller.try_admit("cold", queue_depth=8) is not None
-        controller.note_warmed("cold")
-        assert controller.try_admit("cold", queue_depth=8) is None
-
-    def test_shedding_off_by_default(self):
-        controller = AdmissionController(AdmissionLimits(max_queue_depth=10))
-        controller.observe("cold", {"a.xml": "miss"})
-        assert controller.try_admit("cold", queue_depth=9) is None
-
 
 class TestWarmup:
-    def test_plan_targets_and_shard_affinity(
+    def test_plan_targets_in_view_then_document_order(
         self, bookrev_db, bookrev_view_text
     ):
         engine = KeywordSearchEngine(bookrev_db)
@@ -539,8 +430,6 @@ class TestWarmup:
             ("v", "books.xml"),
             ("v", "reviews.xml"),
         ]
-        # A lone engine is one lane: every target lands on it.
-        assert {target.shard for target in targets} == {0}
         with pytest.raises(ViewDefinitionError):
             plan_warmup(engine, ["v", "typo"])
 
@@ -676,19 +565,6 @@ class TestWarmup:
 
         run_async(scenario())
 
-    def test_route_matches_cache_shards(self, bookrev_db, bookrev_view_text):
-        engine = KeywordSearchEngine(bookrev_db)
-        view = engine.define_view("v", bookrev_view_text)
-
-        async def scenario():
-            async with SearchServer(engine) as server:
-                # A lone engine is one lane, whatever the documents.
-                assert server.lane_count == engine.shard_count == 1
-                assert server.route(view) == (0,)
-
-        run_async(scenario())
-
-
 # Words the pre-warm property draws never-before-queried keyword sets
 # from; a mix of terms that do and do not occur in the bookrev corpus.
 PROPERTY_WORDS = [
@@ -734,16 +610,16 @@ class TestPreWarmProperty:
                 assert path_probes(db) == 0
                 # The keyword-independent evaluation was warm too.
                 assert response.outcome.evaluated_hit
-                # cache_stats is surfaced per request (the shedding
-                # signal): the skeleton tier did serve this query.
-                assert response.cache_stats["skeleton"]["hits"] >= 2
+                # cache_stats is surfaced per request: the skeleton
+                # tier did serve this query.
+                assert response.outcome.cache_stats["skeleton"]["hits"] >= 2
 
         run_async(scenario())
 
 
 class TestShardedServing:
-    """The server over a :class:`CorpusCoordinator`: shard-executor
-    lanes, per-shard admission and per-shard warm-up planning."""
+    """The server over a :class:`CorpusCoordinator`: ranked output and
+    the shards' own counters."""
 
     DOCS = {
         f"s{i}": (
@@ -766,25 +642,6 @@ class TestShardedServing:
         )
         return coordinator
 
-    def test_per_shard_inflight_bound(self):
-        controller = AdmissionController(
-            AdmissionLimits(max_inflight_per_shard=1)
-        )
-        assert controller.try_admit("v", 0, shards=(0, 1)) is None
-        rejected = controller.try_admit("w", 0, shards=(1, 2))
-        assert rejected is not None
-        assert rejected.reason == REASON_SHARD_SATURATED
-        assert rejected.shard == 1
-        assert "shard=1" in rejected.describe()
-        # A disjoint lane set is unaffected...
-        assert controller.try_admit("w", 0, shards=(2,)) is None
-        # ...and nothing was leaked by the rejected attempt: releasing
-        # the two admitted requests empties the accounting entirely.
-        controller.release("v", shards=(0, 1))
-        controller.release("w", shards=(2,))
-        assert controller.snapshot()["shard_inflight"] == {}
-        assert controller.try_admit("w", 0, shards=(1, 2)) is None
-
     def test_server_over_coordinator_matches_direct_search(self):
         coordinator = self._coordinator()
         with coordinator:
@@ -799,11 +656,6 @@ class TestShardedServing:
             async def scenario():
                 config = ServerConfig(warm_views=("v",), workers=3)
                 async with SearchServer(coordinator, config) as server:
-                    # The lanes *are* the shard executors.
-                    assert server.lane_count == coordinator.shard_count
-                    assert server.route("v") == coordinator.shards_for_view(
-                        "v"
-                    )
                     for kws, want in expected.items():
                         response = await server.search("v", kws, top_k=5)
                         assert isinstance(response, ServeResult)
@@ -811,14 +663,13 @@ class TestShardedServing:
                             (r.rank, r.score, r.to_xml())
                             for r in response.results
                         ] == want
-                        assert response.lanes == server.route("v")
                         # The sharded outcome's diagnostics ride along.
                         assert response.outcome.merge_stats is not None
 
             run_async(scenario())
 
     def test_sharded_member_reports_its_shards_counters(self, tmp_path):
-        """``/stats`` and ``ServeResult.cache_stats`` under a coordinator
+        """``/stats`` and the outcome's ``cache_stats`` under a coordinator
         are the shards' own counters summed, not ``{}``."""
         from repro.core.ingest import ingest_corpus
 
@@ -832,7 +683,7 @@ class TestShardedServing:
                 async with SearchServer(coordinator) as server:
                     response = await server.search("v", ("alpha",))
                     assert isinstance(response, ServeResult)
-                    return response.cache_stats, server.snapshot()
+                    return response.outcome.cache_stats, server.snapshot()
 
             cache_stats, snapshot = run_async(scenario())
             # Ingest warmed every skeleton, so the served query hit all six.
@@ -844,44 +695,6 @@ class TestShardedServing:
             assert snapshot["snapshot_store"]["saves"] == len(self.DOCS)
             assert snapshot["snapshot_store"]["entries"] == len(self.DOCS)
             assert snapshot["health"]["serving"] == 3
-
-    def test_warmup_plan_annotates_executor_shards(self):
-        coordinator = self._coordinator()
-        with coordinator:
-            targets = plan_warmup(coordinator, ["v"])
-            assert {t.doc for t in targets} == set(self.DOCS)
-            for target in targets:
-                assert target.shard == coordinator.plan.shard_of(target.doc)
-
-    def test_shard_saturated_rejection_through_server(self, monkeypatch):
-        coordinator = self._coordinator()
-        with coordinator:
-            started, gate = gate_engine(monkeypatch, coordinator)
-
-            async def scenario():
-                config = ServerConfig(
-                    workers=2, max_inflight_per_shard=1
-                )
-                async with SearchServer(coordinator, config) as server:
-                    first = asyncio.ensure_future(
-                        server.search("v", ("alpha",))
-                    )
-                    await wait_for_event(started)
-                    # Every shard lane is now occupied by the gated
-                    # request; the next request for the same view trips
-                    # the per-shard bound, not the per-view one.
-                    rejected = await server.search("v", ("alpha",))
-                    assert isinstance(rejected, Overloaded)
-                    assert rejected.reason == REASON_SHARD_SATURATED
-                    assert rejected.shard in server.route("v")
-                    gate.set()
-                    served = await first
-                    assert isinstance(served, ServeResult)
-                    # The released lanes admit again.
-                    again = await server.search("v", ("alpha",))
-                    assert isinstance(again, ServeResult)
-
-            run_async(scenario())
 
 
 class TestStatsPrimitives:
@@ -986,7 +799,6 @@ class TestServingStress:
                 max_queue_depth=8,
                 max_inflight_per_view=6,
                 workers=4,
-                shard_lane_width=1,
                 warm_views=("hot",),
             )
             counts = {"served": 0, "shed": 0}
