@@ -7,12 +7,13 @@ cliff.  The controller tracks **per-view inflight** — requests admitted
 but not yet finished (queued + executing) — so one hot view cannot
 occupy the whole queue and starve every other view.
 
-Admission and release both run on the server's event loop, so the
-controller needs no lock.
+The controller is lock-protected, so a read from another thread
+(``snapshot``, ``inflight``) sees a consistent state.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -53,6 +54,7 @@ class AdmissionController:
     def __init__(self, max_queue_depth: int, max_inflight_per_view: int):
         self.max_queue_depth = max_queue_depth
         self.max_inflight_per_view = max_inflight_per_view
+        self._lock = threading.Lock()
         self._inflight: dict[str, int] = {}
 
     def try_admit(self, view_name: str, queue_depth: int) -> Optional[Overloaded]:
@@ -61,14 +63,15 @@ class AdmissionController:
         The queue bound (a global backstop) is checked before the
         per-view inflight bound (fairness).
         """
-        inflight = self._inflight.get(view_name, 0)
-        if queue_depth >= self.max_queue_depth:
-            reason, limit = REASON_QUEUE_FULL, self.max_queue_depth
-        elif inflight >= self.max_inflight_per_view:
-            reason, limit = REASON_VIEW_SATURATED, self.max_inflight_per_view
-        else:
-            self._inflight[view_name] = inflight + 1
-            return None
+        with self._lock:
+            inflight = self._inflight.get(view_name, 0)
+            if queue_depth >= self.max_queue_depth:
+                reason, limit = REASON_QUEUE_FULL, self.max_queue_depth
+            elif inflight >= self.max_inflight_per_view:
+                reason, limit = REASON_VIEW_SATURATED, self.max_inflight_per_view
+            else:
+                self._inflight[view_name] = inflight + 1
+                return None
         return Overloaded(
             reason=reason,
             view=view_name,
@@ -79,16 +82,19 @@ class AdmissionController:
 
     def release(self, view_name: str) -> None:
         """A previously admitted request finished (served or errored)."""
-        remaining = self._inflight.get(view_name, 0) - 1
-        if remaining > 0:
-            self._inflight[view_name] = remaining
-        else:
-            self._inflight.pop(view_name, None)
+        with self._lock:
+            remaining = self._inflight.get(view_name, 0) - 1
+            if remaining > 0:
+                self._inflight[view_name] = remaining
+            else:
+                self._inflight.pop(view_name, None)
 
     # -- diagnostics ---------------------------------------------------------
 
     def inflight(self, view_name: str) -> int:
-        return self._inflight.get(view_name, 0)
+        with self._lock:
+            return self._inflight.get(view_name, 0)
 
     def snapshot(self) -> dict[str, Any]:
-        return {"inflight": dict(self._inflight)}
+        with self._lock:
+            return {"inflight": dict(self._inflight)}

@@ -10,9 +10,8 @@ means every first-contact keyword query runs the warm array-sweep path.
 ``plan_warmup`` turns view names into explicit per-``(view, doc)``
 targets, and ``execute_warmup`` runs the plan through the engine and
 reports what was actually built versus restored versus already warm.
-The engine may be a lone
-``KeywordSearchEngine`` or a ``CorpusCoordinator``; both answer every
-method used here.
+The engine may be a lone ``KeywordSearchEngine`` or a
+``CorpusCoordinator``; both answer every method used here.
 
 When the engine carries a persistent skeleton store
 (:class:`repro.core.snapshot.SkeletonStore`), warming restores
@@ -136,9 +135,8 @@ def plan_warmup(
             continue
         seen.add(name)
         view = engine.get_view(name)
-        targets.extend(
-            WarmupTarget(view=name, doc=doc_name) for doc_name in view.document_names
-        )
+        for doc_name in view.document_names:
+            targets.append(WarmupTarget(view=name, doc=doc_name))
     return targets
 
 
