@@ -95,9 +95,8 @@ class GTPStatistics:
 class GTPEngine:
     """Keyword search over views via GTP + TermJoin (comparison system)."""
 
-    def __init__(self, database: XMLDatabase, normalize_scores: bool = True):
+    def __init__(self, database: XMLDatabase):
         self.database = database
-        self.normalize_scores = normalize_scores
         self.last_timings: Optional[PhaseTimings] = None
         self.last_statistics: Optional[GTPStatistics] = None
 
@@ -259,12 +258,7 @@ class GTPEngine:
         timings.evaluator = time.perf_counter() - start
 
         start = time.perf_counter()
-        outcome = score_results(
-            view_results,
-            normalized,
-            conjunctive=conjunctive,
-            normalize=self.normalize_scores,
-        )
+        outcome = score_results(view_results, normalized, conjunctive=conjunctive)
         winners = select_top_k(outcome, top_k)
         results = [
             SearchResult(

@@ -98,9 +98,8 @@ class BaselineOutcome:
 class BaselineEngine:
     """Materialize-then-search keyword search over views."""
 
-    def __init__(self, database: XMLDatabase, normalize_scores: bool = True):
+    def __init__(self, database: XMLDatabase):
         self.database = database
-        self.normalize_scores = normalize_scores
         self.last_timings: Optional[PhaseTimings] = None
 
     def define_view(self, name: str, text: str) -> View:
@@ -148,12 +147,7 @@ class BaselineEngine:
 
         # Tokenize + score the materialized results; select top-k.
         start = time.perf_counter()
-        outcome = score_results(
-            view_results,
-            normalized,
-            conjunctive=conjunctive,
-            normalize=self.normalize_scores,
-        )
+        outcome = score_results(view_results, normalized, conjunctive=conjunctive)
         winners = select_top_k(outcome, top_k)
         results = [
             BaselineResult(

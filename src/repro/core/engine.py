@@ -284,7 +284,6 @@ def rank_statistics(
     normalized: tuple[str, ...],
     conjunctive: bool,
     top_k: Optional[int],
-    normalize: bool,
 ) -> tuple[list[ScoredResult], int]:
     """Phase 2 of the protocol: the view-wide idf → scores → keyword
     semantics → one bounded top-k heap over ``parts`` (the lone engine's
@@ -297,7 +296,7 @@ def rank_statistics(
     selector = TopKSelector(top_k)
     matching = 0
     for stats in parts:
-        apply_scores(stats.scored, idf, normalized, normalize)
+        apply_scores(stats.scored, idf, normalized)
         kept = filter_matching(stats.scored, normalized, conjunctive)
         matching += len(kept)
         selector.extend(kept)
@@ -351,13 +350,11 @@ class KeywordSearchEngine:
     def __init__(
         self,
         database: XMLDatabase,
-        normalize_scores: bool = True,
         cache: Optional[QueryCache] = None,
         enable_cache: bool = True,
         snapshot_store: Optional["SkeletonStore"] = None,
     ):
         self.database = database
-        self.normalize_scores = normalize_scores
         self._thread_state = threading.local()
         self._views: dict[str, View] = {}
         self._closed = False
@@ -764,7 +761,7 @@ class KeywordSearchEngine:
         start = time.perf_counter()
         idf = idf_from_counts(stats.view_size, stats.containing)
         ranked, matching = rank_statistics(
-            (stats,), idf, normalized, conjunctive, top_k, self.normalize_scores
+            (stats,), idf, normalized, conjunctive, top_k
         )
         results = wrap_results(ranked, lambda _: self.database, materialize)
         timings.post_processing += time.perf_counter() - start

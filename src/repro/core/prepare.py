@@ -74,13 +74,13 @@ def build_probe_plan(qpt: QPT) -> list[PathProbe]:
 def prepare_path_lists(
     qpt: QPT, path_index: PathIndex
 ) -> dict[int, PathList]:
-    """The path-index half of PrepareLists, issued as one planned sweep.
+    """The path-index half of PrepareLists, issued as one batch.
 
     The whole probe plan goes to :meth:`PathIndex.lookup_ids_batched` in
-    a single call: pattern expansions are shared, the full-path scans ride
-    one B+-tree leaf-chain sweep, and the equality point probes one
-    batched descent — instead of one independent root-to-leaf descent per
-    pattern.  This half is *keyword-independent* — it depends only on the
+    a single call, which answers each probe from the columns of the
+    concrete paths its pattern expands to (memoized expansions; a
+    one-path unpredicated probe is a column handoff, a predicated one a
+    filter).  This half is *keyword-independent* — it depends only on the
     view's QPT and the document — which is what makes the PDT skeleton
     reusable across queries (see :mod:`repro.core.pdt`).
     """

@@ -275,7 +275,6 @@ class ShardExecutor:
     def __init__(
         self,
         shard_id: int,
-        normalize_scores: bool = True,
         cache: Optional[QueryCache] = None,
         enable_cache: bool = True,
         snapshot_store: Optional[SkeletonStore] = None,
@@ -287,7 +286,6 @@ class ShardExecutor:
         self.database = database if database is not None else XMLDatabase()
         self.engine = KeywordSearchEngine(
             self.database,
-            normalize_scores=normalize_scores,
             cache=cache,
             enable_cache=enable_cache,
             snapshot_store=snapshot_store,
@@ -411,7 +409,6 @@ class ShardExecutor:
         normalized: tuple[str, ...],
         conjunctive: bool,
         k: Optional[int],
-        normalize: bool,
     ) -> tuple[list[ScoredResult], int]:
         """Ranking scatter: phase 2 (:func:`~repro.core.engine.
         rank_statistics`, whose pair this returns) over this shard's
@@ -421,9 +418,7 @@ class ShardExecutor:
             self._faults.act(f"shard{self.shard_id}.rank")
         start = time.perf_counter()
         parts = [fragment.stats for fragment in harvest.fragments]
-        ranking = rank_statistics(
-            parts, idf, normalized, conjunctive, k, normalize
-        )
+        ranking = rank_statistics(parts, idf, normalized, conjunctive, k)
         harvest.timings.post_processing += time.perf_counter() - start
         return ranking
 
@@ -549,7 +544,6 @@ class CorpusCoordinator:
         self,
         executors: Sequence[ShardExecutor],
         plan: ShardPlan,
-        normalize_scores: bool = True,
         shard_deadline: Optional[float] = None,
         shard_retries: int = 0,
         partial_results: bool = False,
@@ -569,7 +563,6 @@ class CorpusCoordinator:
                 )
         self.executors = list(executors)
         self.plan = plan
-        self.normalize_scores = normalize_scores
         self.shard_deadline = shard_deadline
         self.shard_retries = max(0, int(shard_retries))
         self.partial_results = partial_results
@@ -986,12 +979,7 @@ class CorpusCoordinator:
         rankings, rank_failures = self._scatter(
             "ranking",
             lambda shard: self.executors[shard].rank(
-                harvests[shard],
-                idf,
-                normalized,
-                conjunctive,
-                top_k,
-                self.normalize_scores,
+                harvests[shard], idf, normalized, conjunctive, top_k
             ),
             healthy,
         )

@@ -175,24 +175,18 @@ def decode_cursor(cursor: str, tag: str) -> int:
 class SearchAPI:
     """ASGI 3.0 application over one :class:`SearchServer`.
 
-    With ``manage_server=True`` the ASGI lifespan protocol starts and
-    stops the server (the deployment shape where the ASGI host owns the
-    process); by default the caller manages the server's lifecycle and
-    the app only serves.
+    The app only serves ``"http"`` scopes; the caller starts and stops
+    the server (:class:`BackgroundHTTPServing` does both).
     """
 
-    def __init__(self, server: SearchServer, manage_server: bool = False):
+    def __init__(self, server: SearchServer):
         self.server = server
-        self.manage_server = manage_server
         #: Results returned per page when the request does not say.
         self.default_page_size = 10
         self.max_page_size = 100
 
     async def __call__(self, scope, receive, send) -> None:
-        if scope["type"] == "lifespan":
-            await self._lifespan(receive, send)
-            return
-        if scope["type"] != "http":  # pragma: no cover - ws etc.
+        if scope["type"] != "http":  # pragma: no cover - lifespan, ws etc.
             raise RuntimeError(f"unsupported ASGI scope {scope['type']!r}")
         try:
             reply = await self._dispatch(scope, receive)
@@ -449,30 +443,6 @@ class SearchAPI:
                 "top_k_guarantee": False,
             }
         return reply
-
-    # -- lifespan ------------------------------------------------------------
-
-    async def _lifespan(self, receive, send) -> None:
-        while True:
-            message = await receive()
-            if message["type"] == "lifespan.startup":
-                try:
-                    if self.manage_server and not self.server.running:
-                        await self.server.start()
-                except Exception as exc:
-                    await send(
-                        {
-                            "type": "lifespan.startup.failed",
-                            "message": str(exc),
-                        }
-                    )
-                    return
-                await send({"type": "lifespan.startup.complete"})
-            elif message["type"] == "lifespan.shutdown":
-                if self.manage_server:
-                    await self.server.stop()
-                await send({"type": "lifespan.shutdown.complete"})
-                return
 
 
 ASGIApp = Callable[[dict, Callable, Callable], Awaitable[None]]

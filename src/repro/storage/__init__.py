@@ -1,11 +1,10 @@
 """Storage and index subsystem (paper Section 3.2).
 
-Exposes the B+-tree, the Dewey-ordered document store, the (Path, Value)
-path index with its DataGuide, the inverted-list index, the tag index used
-by the GTP baseline, and :class:`XMLDatabase`, which ties them together.
+Exposes the Dewey-ordered document store, the (Path, Value) path index
+with its DataGuide, the inverted-list index, the tag index used by the
+GTP baseline, and :class:`XMLDatabase`, which ties them together.
 """
 
-from repro.storage.btree import BPlusTree
 from repro.storage.document_store import DocumentStore, ElementRecord
 from repro.storage.path_index import PathIndex, PathList, PathListEntry
 from repro.storage.inverted_index import InvertedIndex, Posting
@@ -13,7 +12,6 @@ from repro.storage.tag_index import TagIndex
 from repro.storage.database import XMLDatabase
 
 __all__ = [
-    "BPlusTree",
     "DocumentStore",
     "ElementRecord",
     "PathIndex",

@@ -1,32 +1,36 @@
 """The (Path, Value) path index of paper Section 3.2 (Figure 5).
 
-The Path-Values table holds one row per unique (root-to-element path,
-atomic value) pair; the row stores the sorted list of Dewey IDs of the
-elements on that path with that value.  A B+-tree over the composite key
-``(path, value)`` supports:
+The paper keeps a Path-Values table — one row per unique (root-to-element
+path, atomic value) pair, holding the sorted Dewey IDs of the elements on
+that path with that value — in an on-disk B+-tree.  In memory the table is
+stored by path instead: per concrete path, the document-ordered columns of
+its elements' packed keys, atomic values and subtree byte lengths.  A row
+is the elements of one path grouped by their own value, so every probe
+the table answers reads the columns:
 
-* value-predicate probes — ``/book/author/fn[. = 'Jane']`` is a key probe
-  with ``(path, 'Jane')``; range predicates are range scans within a path;
-* path probes — a prefix scan with ``(path,)`` merges every row of a path;
+* path probes — the path's columns are the probe result;
+* value-predicate probes — ``/book/author/fn[. = 'Jane']`` filters the
+  path's columns with :meth:`Predicate.matches` on each element's own
+  value, which is the query evaluator's comparison (``01 = 1`` holds);
 * descendant-axis queries — a *path dictionary* (DataGuide: the set of all
   distinct root-to-element tag paths in the document) expands patterns with
   ``//`` into concrete data paths, each probed as above.
 
-Each ID entry also carries the element's subtree byte length, the
+Each entry also carries the element's subtree byte length, the
 index-resident statistic the PDT needs for score normalization (paper
 Definition 3 attaches byte lengths to PDT nodes).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from repro.dewey import DeweyID, unpack
-from repro.storage.btree import BPlusTree
 from repro.storage.columns import DocumentColumns, document_columns, own_keys
-from repro.values import Predicate, atom_key
+from repro.values import Predicate
 from repro.xmlmodel.node import XMLNode
 
 # One step of a path pattern: (axis, tag); axis is '/' or '//'.
@@ -119,10 +123,9 @@ class PathProbe:
     """One planned path-index probe (a QPT node's pattern + push-downs).
 
     ``prepare_path_lists`` builds one probe per probed QPT node and hands
-    the whole plan to :meth:`PathIndex.lookup_ids_batched` — a single
-    planned sweep per QPT instead of one independent descent per
-    pattern.  ``node_index``/``tag`` identify the owning QPT node for
-    plan rendering; the index itself only reads the probe fields.
+    the whole plan to :meth:`PathIndex.lookup_ids_batched`.
+    ``node_index``/``tag`` identify the owning QPT node for plan
+    rendering; the index itself only reads the probe fields.
     """
 
     pattern: PathPattern
@@ -136,7 +139,6 @@ class PathIndex:
     """Path index for one document."""
 
     def __init__(self):
-        self._table = BPlusTree()
         self._paths: list[tuple[str, ...]] = []
         self._path_ids: dict[tuple[str, ...], int] = {}
         self._expansion_cache: dict[PathPattern, list[int]] = {}
@@ -155,18 +157,12 @@ class PathIndex:
 
     @classmethod
     def from_columns(cls, columns: DocumentColumns) -> "PathIndex":
-        """Build the index from a walked document: the Path-Values table
-        plus ``_path_arrays`` — per path, the document-ordered (keys,
-        values, lengths) columns, laid out at load time like the byte
-        lengths, so an unpredicated path probe is an array handoff, not
-        a B+-tree row scan (predicates still push into the tree)."""
+        """Build the index from a walked document: ``_path_arrays`` —
+        per path, the document-ordered (keys, values, lengths) columns,
+        laid out at load time, so an unpredicated path probe is an array
+        handoff and a predicated one a filter over the same arrays."""
         index = cls()
-        by_path = index._by_path(columns)
-        rows = _rows(by_path)
-        index._table = BPlusTree.from_sorted_items(
-            [(rowkey, rows[rowkey]) for rowkey in sorted(rows)]
-        )
-        for path_id, (keys, values, lengths) in by_path.items():
+        for path_id, (keys, values, lengths) in index._by_path(columns).items():
             index._set_path_columns(path_id, keys, values, lengths)
         return index
 
@@ -220,66 +216,37 @@ class PathIndex:
         bound: bytes,
         removed: DocumentColumns,
         added: DocumentColumns,
-        ancestors: list[tuple[tuple[str, ...], Optional[str], bytes]],
+        ancestors: list[tuple[tuple[str, ...], bytes]],
         length_delta: int,
     ) -> None:
-        """Patch the Path-Values table for one subtree edit.
+        """Patch the path columns for one subtree edit.
 
         ``[key, bound)`` is the edited packed-key range;
         ``removed``/``added`` are the walked removed subtree and payload
         (empty when there is none); ``ancestors`` are the ``(path,
-        value, packed key)`` of the edit point's proper ancestors (root
-        first), whose stored byte lengths shift by ``length_delta``
-        (skipped entirely when the delta is zero).  Rows are patched in
-        place via :meth:`BPlusTree.update`; a row left empty is kept
-        (the tree has no delete — empty rows contribute nothing to any
-        probe).  The column arrays are spliced, never rebuilt: the
-        edited range is one contiguous slice of every touched path's
-        document-ordered columns, so each new column is ``old[:i] +
-        added + old[j:]`` — always a *new* list, because the old ones
-        may be shared read-only with live path lists and skeletons (and
-        because a new key column is what retires the ancestor arrays
-        derived from the old one, see :meth:`ancestors_on_path`).
+        packed key)`` of the edit point's proper ancestors (root first),
+        whose stored byte lengths shift by ``length_delta`` (skipped
+        entirely when the delta is zero).  The column arrays are
+        spliced, never rebuilt: the edited range is one contiguous slice
+        of every touched path's document-ordered columns, so each new
+        column is ``old[:i] + added + old[j:]`` — always a *new* list,
+        because the old ones may be shared read-only with live path
+        lists and skeletons (and because a new key column is what
+        retires the ancestor arrays derived from the old one, see
+        :meth:`ancestors_on_path`).
         """
         paths_before = len(self._paths)
-        gone, new = self._by_path(removed), self._by_path(added)
+        new = self._by_path(added)
+        gone = {self._path_ids[path] for path in removed.paths}
 
-        for rowkey, pairs in _rows(gone).items():
-            dropped = {packed for packed, _ in pairs}
-            self._table.update(
-                rowkey,
-                lambda row, dropped=dropped: [
-                    pair for pair in row if pair[0] not in dropped
-                ],
-            )
-        for rowkey, pairs in _rows(new).items():
-            if rowkey in self._table:
-
-                def merge(row, pairs=pairs):
-                    merged = list(row)
-                    for pair in pairs:
-                        insort(merged, pair)
-                    return merged
-
-                self._table.update(rowkey, merge)
-            else:
-                self._table.insert(rowkey, pairs)
-
-        for path_id in gone.keys() | new.keys():
+        for path_id in gone | new.keys():
             self._splice_path_columns(
                 path_id, key, bound, *new.get(path_id, ([], [], []))
             )
 
         if length_delta:
-            for path, value, packed in ancestors:
+            for path, packed in ancestors:
                 path_id = self._path_ids[path]
-                self._table.update(
-                    (path_id, atom_key(value)),
-                    lambda row, target=packed: [
-                        (k, length + length_delta if k == target else length)
-                        for k, length in row
-                    ],
-                )
                 # Same keys, one length moved: copy-patch that one cell.
                 keys, values, lengths, id_column, none_column = (
                     self._path_arrays[path_id]
@@ -398,15 +365,14 @@ class PathIndex:
     ) -> PathList:
         """Probe the index for a QPT path (LookUpID / LookUpIDValue, Fig. 7).
 
-        Returns a single Dewey-ordered :class:`PathList` merging every
-        matching (path, value) row.  ``predicates`` are pushed into the
-        probe: an equality predicate becomes a point probe per concrete
-        path; other operators filter rows by value.  ``with_values``
-        attaches atomic values to the entries (the 'v'-annotation case).
+        Returns a single Dewey-ordered :class:`PathList` of the elements
+        on every concrete path the pattern expands to.  ``predicates``
+        are pushed into the probe: an element is kept when every
+        predicate matches its own value.  ``with_values`` attaches
+        atomic values to the entries (the 'v'-annotation case).
 
-        A one-probe batch: multi-pattern callers (PrepareLists) should
-        use :meth:`lookup_ids_batched` so the whole probe set shares one
-        planned B+-tree sweep.
+        A one-probe batch: multi-pattern callers (PrepareLists) use
+        :meth:`lookup_ids_batched`.
         """
         probe = PathProbe(
             pattern=pattern,
@@ -416,61 +382,30 @@ class PathIndex:
         return self.lookup_ids_batched([probe])[0]
 
     def lookup_ids_batched(self, probes: Sequence[PathProbe]) -> list[PathList]:
-        """Issue a whole probe plan as one planned sweep (batched Fig. 7).
-
-        All patterns are expanded against the DataGuide first; the
-        concrete paths needing full ``(path,)`` scans are fetched with a
-        single shared leaf-chain sweep (:meth:`BPlusTree.scan_prefixes`)
-        and the equality-predicate point probes with one
-        :meth:`BPlusTree.get_many` batch.  Probes of different QPT nodes
-        that expand to the same concrete path share one scan — the
-        per-pattern descents of the unbatched path re-read those rows
-        once per pattern.  Results come back as array-backed
+        """Answer a whole probe plan (batched Fig. 7), as array-backed
         :class:`PathList`\\ s in probe order.
 
-        ``probe_count`` accounting is unchanged: one logical probe per
-        (probe, concrete path), so probe-complexity invariants (query
-        size, never data size) keep meaning the same thing they always
-        did.
+        Each pattern is expanded against the DataGuide (memoized) and
+        answered from the columns of its concrete paths: an unpredicated
+        probe of one path hands the columns over as they are; a
+        predicated one keeps the elements whose own value every
+        predicate matches — the evaluator's comparison
+        (:func:`~repro.values.compare_atoms`), judged once per distinct
+        value per probe.
+
+        ``probe_count`` counts one logical probe per (probe, concrete
+        path), so probe-complexity invariants (query size, never data
+        size) keep meaning the same thing they always did.
         """
         path_arrays = self._path_arrays
-        plans: list[
-            tuple[PathProbe, tuple[Predicate, ...], list[int], Optional[Predicate]]
-        ] = []
-        scan_ids: set[int] = set()
-        point_keys: list[tuple] = []
-        point_slots: dict[tuple[int, tuple], int] = {}
+        results: list[PathList] = []
         for probe in probes:
             predicates = tuple(probe.predicates)
+            with_values = probe.with_values
             path_ids = self.expand_pattern(probe.pattern)
             self.probe_count += len(path_ids)
-            equality = next((p for p in predicates if p.op == "="), None)
-            plans.append((probe, predicates, path_ids, equality))
-            if equality is not None:
-                value_key = atom_key(equality.literal)
-                for path_id in path_ids:
-                    composite = (path_id, value_key)
-                    if composite not in point_slots:
-                        point_slots[composite] = len(point_keys)
-                        point_keys.append(composite)
-            elif predicates:
-                # Non-equality predicates push into the tree: the rows
-                # arrive pre-grouped by value, so filtering is per row.
-                scan_ids.update(path_ids)
-            # Unpredicated probes ride the load-time column arrays.
-        ordered_scans = sorted(scan_ids)
-        scan_rows = self._table.scan_prefixes(
-            [(path_id,) for path_id in ordered_scans]
-        )
-        rows_by_path = dict(zip(ordered_scans, scan_rows))
-        point_rows = self._table.get_many(point_keys)
-
-        results: list[PathList] = []
-        for probe, predicates, path_ids, equality in plans:
-            with_values = probe.with_values
             if (
-                equality is None
-                and not predicates
+                not predicates
                 and len(path_ids) == 1
                 and path_ids[0] in path_arrays
             ):
@@ -492,48 +427,36 @@ class PathIndex:
                     )
                 )
                 continue
+            # A path whose every element was deleted has no columns.
+            columns = [path_arrays[p] for p in path_ids if p in path_arrays]
+            if predicates:
+                admits = {
+                    value: all(p.matches(value) for p in predicates)
+                    for value in set().union(*(arrays[1] for arrays in columns))
+                }
             keys: list[bytes] = []
             entry_paths: list[int] = []
             values: list[Optional[str]] = []
             lengths: list[int] = []
-            if equality is not None:
-                value = equality.literal
-                keep = value if with_values else None
-                if all(p.matches(value) for p in predicates):
-                    for path_id in path_ids:
-                        row = point_rows[point_slots[(path_id, atom_key(value))]]
-                        if row is None:
-                            continue
-                        keys += [packed for packed, _ in row]
-                        lengths += [length for _, length in row]
-                        entry_paths += [path_id] * len(row)
-                        values += [keep] * len(row)
-            elif predicates:
-                for path_id in path_ids:
-                    for composite, row in rows_by_path[path_id]:
-                        kind = composite[1][0]
-                        value = None if kind == 0 else composite[1][-1]
-                        if not all(p.matches(value) for p in predicates):
-                            continue
-                        keep = value if with_values else None
-                        keys += [packed for packed, _ in row]
-                        lengths += [length for _, length in row]
-                        entry_paths += [path_id] * len(row)
-                        values += [keep] * len(row)
-            else:
-                for path_id in path_ids:
-                    arrays = path_arrays.get(path_id)
-                    if arrays is None:
-                        continue  # every element on the path was deleted
-                    keys += arrays[0]
-                    lengths += arrays[2]
-                    entry_paths += arrays[3]
-                    values += arrays[1] if with_values else arrays[4]
+            for path_keys, path_values, path_lengths, id_column, none_column in (
+                columns
+            ):
+                kept_values = path_values if with_values else none_column
+                if predicates:
+                    mask = list(map(admits.__getitem__, path_values))
+                    path_keys = compress(path_keys, mask)
+                    path_lengths = compress(path_lengths, mask)
+                    id_column = compress(id_column, mask)
+                    kept_values = compress(kept_values, mask)
+                keys += path_keys
+                lengths += path_lengths
+                entry_paths += id_column
+                values += kept_values
             if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
-                # Rows from different (path, value) pairs interleave in
-                # document order; one argsort restores it (timsort over
-                # the concatenated pre-sorted runs).  The linear check
-                # skips the sort for the common single-row probes.
+                # Elements of different paths interleave in document
+                # order; one argsort restores it (timsort over the
+                # concatenated pre-sorted runs).  The linear check skips
+                # the sort for single-path probes.
                 order = sorted(range(len(keys)), key=keys.__getitem__)
                 keys = [keys[i] for i in order]
                 entry_paths = [entry_paths[i] for i in order]
@@ -541,18 +464,6 @@ class PathIndex:
                 lengths = [lengths[i] for i in order]
             results.append(PathList(keys, entry_paths, values, lengths))
         return results
-
-
-def _rows(by_path: dict) -> dict[tuple, list[tuple[bytes, int]]]:
-    """The Path-Values rows of a subtree laid out by path (see
-    :meth:`PathIndex._by_path`): ``(path id, atom key) -> [(packed key,
-    byte length), ...]``, in document order and therefore sorted, sharing
-    the key objects of the path's column."""
-    rows: dict[tuple, list[tuple[bytes, int]]] = {}
-    for path_id, (keys, values, lengths) in by_path.items():
-        for key, value, length in zip(keys, values, lengths):
-            rows.setdefault((path_id, atom_key(value)), []).append((key, length))
-    return rows
 
 
 def pattern_matches_path(pattern: PathPattern, path: tuple[str, ...]) -> bool:

@@ -5,7 +5,7 @@ document died and the next query paid a full cold build.  The packed Dewey
 encoding already makes any subtree the contiguous range
 ``[key, packed_child_bound(key))``, so an insert / delete / replace of a
 subtree is range surgery on every Dewey-ordered array — the document store,
-each affected posting list, and the touched path-index rows — plus a uniform
+each affected posting list, and the touched path-index columns — plus a uniform
 byte-length adjustment on the edit point's proper ancestors.
 
 :func:`execute_subtree_update` performs that surgery in place on an
@@ -190,10 +190,8 @@ def execute_subtree_update(
         removed,
         added,
         [
-            (parent_path[: depth + 1], node.value, packed)
-            for depth, (node, packed) in enumerate(
-                zip(ancestor_nodes, ancestor_keys)
-            )
+            (parent_path[: depth + 1], packed)
+            for depth, packed in enumerate(ancestor_keys)
         ],
         length_delta,
     )

@@ -14,11 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-# Sort-order kinds for composite index keys: nulls < numbers < strings.
-KIND_NULL = 0
-KIND_NUMBER = 1
-KIND_STRING = 2
-
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
@@ -28,25 +23,6 @@ def parse_number(text: str) -> Optional[float]:
         return float(text)
     except (TypeError, ValueError):
         return None
-
-
-def atom_key(value: Optional[str]) -> tuple:
-    """A totally-ordered key for an atomic value, usable in B+-tree keys.
-
-    Numeric strings order numerically within the number band; everything
-    else orders lexicographically within the string band.  The key keeps
-    the original string so equal numbers with different spellings
-    (``01`` vs ``1``) share an index row only when they compare equal.
-    NaN orders with nothing — a key holding it could be stored but never
-    found again — so ``nan`` spellings sit in the string band; no
-    predicate ever matches them either way (:func:`compare_atoms`).
-    """
-    if value is None:
-        return (KIND_NULL, "")
-    number = parse_number(value)
-    if number is not None and number == number:
-        return (KIND_NUMBER, number, value)
-    return (KIND_STRING, value)
 
 
 def compare_atoms(op: str, left: Optional[str], right: Optional[str]) -> bool:

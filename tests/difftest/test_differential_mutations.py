@@ -75,15 +75,14 @@ def _postings_digest(index):
 
 
 def _path_rows_digest(index):
+    """The Path-Values rows: a path's elements grouped by their own
+    value, in document order, as ``(packed key, byte length)`` pairs."""
     rows = {}
-    for path_id, path in enumerate(index.data_paths):
-        for composite, row in index._table.prefix_range((path_id,)):
-            if not row:
-                continue  # deletes keep emptied rows; rebuilds never have them
-            kind = composite[1][0]
-            value = None if kind == 0 else composite[1][-1]
-            rows[(path, value)] = tuple(tuple(pair) for pair in row)
-    return rows
+    for path_id, (keys, values, lengths, *_) in index._path_arrays.items():
+        path = index.data_paths[path_id]
+        for key, value, length in zip(keys, values, lengths):
+            rows.setdefault((path, value), []).append((key, length))
+    return {row_key: tuple(pairs) for row_key, pairs in rows.items()}
 
 
 def _rebuild_database(db: XMLDatabase) -> XMLDatabase:

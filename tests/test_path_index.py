@@ -1,14 +1,15 @@
 """Path index tests: probes, predicates, // expansion, pattern matching."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.path_index import (
     PathIndex,
     match_depths,
     pattern_matches_path,
 )
-from repro.values import Predicate
-from repro.xmlmodel.node import Document
+from repro.values import COMPARISON_OPS, Predicate
+from repro.xmlmodel.node import Document, XMLNode
 from repro.xmlmodel.parser import parse_xml
 
 DOC = """<books>
@@ -106,6 +107,59 @@ class TestProbes:
     def test_interior_path_probe(self, index):
         entries = index.lookup_ids((("/", "books"), ("/", "book")))
         assert [e.dewey for e in entries] == [(1, 1), (1, 2)]
+
+    def test_equality_compares_numbers_not_spellings(self):
+        document = Document(
+            "n.xml",
+            parse_xml("<r><v>01</v><v>1</v><v>1.0</v><v>2</v><v>abc</v></r>"),
+        )
+        entries = PathIndex.from_tree(document.root).lookup_ids(
+            (("/", "r"), ("/", "v")), [Predicate("=", "1")], with_values=True
+        )
+        assert [(e.dewey, e.value) for e in entries] == [
+            ((1, 1), "01"),
+            ((1, 2), "1"),
+            ((1, 3), "1.0"),
+        ]
+
+
+_ATOMS = st.one_of(
+    st.sampled_from(["0", "-0", "01", "1", "1.0", "1e0", "nan", "inf"]),
+    st.text(alphabet="ab1", max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    elements=st.lists(
+        st.tuples(st.one_of(st.none(), _ATOMS), st.booleans()), max_size=12
+    ),
+    op=st.sampled_from(COMPARISON_OPS),
+    literal=_ATOMS,
+)
+def test_predicated_probe_filters_by_own_value(elements, op, literal):
+    """A predicated probe is the path's elements filtered by
+    ``Predicate.matches`` on each one's own value — the evaluator's
+    comparison — in document order, across the two paths ``//v`` expands
+    to (``r/v`` and ``r/g/v``, interleaved)."""
+    root = XMLNode("r")
+    for value, nested in elements:
+        (root.make_child("g") if nested else root).make_child("v", value)
+    document = Document("p.xml", root)
+    index = PathIndex.from_tree(document.root)
+    predicate = Predicate(op, literal)
+    expected = [
+        (node.dewey.components, node.value)
+        for node in document.root.iter()
+        if node.tag == "v" and predicate.matches(node.value)
+    ]
+    pattern = (("//", "v"),)
+    entries = index.lookup_ids(pattern, [predicate], with_values=True)
+    assert [(e.dewey, e.value) for e in entries] == expected
+    bare = index.lookup_ids(pattern, [predicate])
+    assert [(e.dewey, e.value) for e in bare] == [
+        (dewey, None) for dewey, _ in expected
+    ]
 
 
 class TestPatternMatching:

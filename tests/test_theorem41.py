@@ -14,6 +14,7 @@ import pytest
 
 from repro.baselines.naive import BaselineEngine
 from repro.core.engine import KeywordSearchEngine
+from repro.storage.database import XMLDatabase
 from repro.workloads.bookrev import BOOKREV_VIEW
 from repro.workloads.params import ExperimentParams
 from repro.workloads.views import (
@@ -164,6 +165,31 @@ class TestGTPEquivalence:
         assert [(r.rank, round(r.score, 12)) for r in eout.results] == [
             (r.rank, round(r.score, 12)) for r in gout.results
         ]
+
+
+class TestValuePredicate:
+    """A pushed-down equality compares numbers, not spellings."""
+
+    VIEW = """
+for $b in fn:doc(items.xml)/items/b
+where $b/v = 1
+return $b
+"""
+
+    def test_equality_across_numeric_spellings(self):
+        db = XMLDatabase()
+        db.load_document(
+            "items.xml",
+            "<items>"
+            + "".join(
+                f"<b><v>{v}</v><t>xml {v}</t></b>"
+                for v in ("01", "1", "1.0", "2")
+            )
+            + "</items>",
+        )
+        eout, bout = compare(db, self.VIEW, ["xml"])
+        assert_equivalent(eout, bout, ["xml"])
+        assert eout.view_size == 3
 
 
 class TestDisjunctiveWhere:

@@ -21,7 +21,6 @@ from repro.core.pdt import patch_skeleton_byte_lengths
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import DeweyID
 from repro.errors import StorageError
-from repro.storage.btree import BPlusTree
 from repro.storage.database import XMLDatabase
 from repro.storage.update import UPDATE_KINDS
 from repro.xmlmodel.parser import parse_xml
@@ -120,22 +119,6 @@ def _assert_parity(db: XMLDatabase) -> None:
         # Root record's byte length must equal the true serialization.
         root = live.document.root
         assert live.store.record(root.dewey).byte_length == serialized_length(root)
-
-
-class TestBPlusTreeUpdate:
-    def test_update_transforms_value_in_place(self):
-        tree = BPlusTree(order=4)
-        for n in range(20):
-            tree.insert(n, [n])
-        result = tree.update(7, lambda row: row + [99])
-        assert result == [7, 99]
-        assert tree.get(7) == [7, 99]
-
-    def test_update_missing_key_raises(self):
-        tree = BPlusTree(order=4)
-        tree.insert(1, "a")
-        with pytest.raises(KeyError):
-            tree.update(2, lambda v: v)
 
 
 class TestUpdateAPI:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.values import (
     Predicate,
-    atom_key,
     compare_atoms,
     join_key,
     parse_number,
@@ -51,22 +50,6 @@ class TestCompareAtoms:
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
             compare_atoms("~", "1", "2")
-
-
-class TestAtomKey:
-    def test_band_ordering(self):
-        assert atom_key(None) < atom_key("5") < atom_key("abc")
-
-    def test_numeric_band_orders_numerically(self):
-        assert atom_key("9") < atom_key("10")
-
-    def test_string_band_orders_lexicographically(self):
-        assert atom_key("apple") < atom_key("banana")
-
-    @given(st.text(alphabet="abc019.", max_size=6), st.text(alphabet="abc019.", max_size=6))
-    def test_keys_always_comparable(self, a, b):
-        # Any two atom keys must be totally ordered (B+-tree requirement).
-        assert (atom_key(a) < atom_key(b)) or (atom_key(a) >= atom_key(b))
 
 
 class TestJoinKey:
