@@ -34,7 +34,7 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   (:class:`repro.core.scoring.StatisticsPlan`, the entry's value).  A
   hit means a query with a never-seen keyword set skips the whole
   XQuery evaluation and never visits a result node: all that runs is
-  the per-keyword posting sweep, a flat sum over the plan, and top-k.
+  the per-keyword posting sweep, column sums over the plan, and top-k.
   Safe for the same reason as tier 3: evaluation attaches result nodes
   by reference and nothing downstream writes into them.
 

@@ -3,10 +3,10 @@
 ``KeywordSearchEngine`` wires the paper's architecture together
 (Figure 3): on a keyword query over a view it generates QPTs (phase 1),
 builds PDTs from indices alone (phase 2), evaluates the unmodified view
-query over the PDTs, scores every pruned result through a streaming
-bounded-heap top-k selector, and defers materialization so document
-storage is touched only when a winner's content is actually read
-(phase 3).  Prepared index lists, keyword-independent PDT skeletons,
+query over the PDTs, scores the matching pruned results by column and
+selects the top k, and defers materialization so document storage is
+touched only when a winner's content is actually read (phase 3).
+Prepared index lists, keyword-independent PDT skeletons,
 finished PDTs and evaluated view results are served from a
 four-tier LRU query cache keyed per document/view/keywords, invalidated
 via database hooks on load/drop and self-invalidating across
@@ -15,18 +15,21 @@ reloads/redefinitions through generation- and QPT-stamped keys.
 PDT trees are shared skeleton trees (keyword-independent: per-query tfs
 live in flat arrays resolved through content-node slots), which is what
 makes the evaluated tier sound — and makes the fully warm query path an
-array sweep: one posting-list merge-join per keyword, a flat sum over
-the evaluated entry's statistics plan (no result node is visited), and
-the top-k heap.  Per-phase wall-clock
-timings are recorded in ``last_timings`` — Figure 14's module breakdown,
-with the PDT phase further split into its skeleton and postings halves.
+array sweep: one posting-list merge-join per keyword, column sums over
+the evaluated entry's statistics plan (no result node is visited), a
+columnar score and top-k selection, and one object per winner.
+Per-phase wall-clock timings are recorded in ``last_timings`` — Figure
+14's module breakdown, with the PDT phase further split into its
+skeleton and postings halves.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.cache import QueryCache
@@ -48,13 +51,12 @@ from repro.core.qpt import QPT, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.snapshot import SkeletonStore
 from repro.core.scoring import (
+    ColumnSums,
     ScoredResult,
     StatisticsPlan,
-    apply_scores,
-    filter_matching,
     idf_from_counts,
 )
-from repro.core.topk import MergeStats, TopKSelector
+from repro.core.topk import MergeStats
 from repro.errors import (
     InjectedFaultError,
     StaleViewError,
@@ -260,22 +262,42 @@ class ViewStatistics:
     """Phase-1 output of the scatter-gather scoring protocol.
 
     Everything one engine contributes *before* scores can exist: the
-    unscored per-result statistics, the view size, and the per-keyword
+    statistics of its view results as columns
+    (:class:`~repro.core.scoring.ColumnSums`: one tf column per keyword
+    and the byte-length column), the view size, and the per-keyword
     containing counts.  idf is a global statistic over the whole view
     (Section 2.2) — under a sharded corpus it exists only after every
     shard's ``view_size`` and ``containing`` integers are summed, so
-    phase 1 stops at the integers and phase 2 (:func:`apply_scores`)
-    runs once the global idf is known.  The counts are exact integer
-    sums, which is why sharded scores come out bit-identical to the
-    single-engine path.
+    phase 1 stops at the integers and phase 2
+    (:func:`rank_statistics`) runs once the global idf is known.  The
+    counts are exact integer sums, which is why sharded scores come out
+    bit-identical to the single-engine path.
+
+    ``offset`` is the view position of row 0: 0 for a lone engine, the
+    fragment's place in the whole view once the coordinator's gather
+    has set it.  No :class:`ScoredResult` exists until
+    :func:`rank_statistics` builds one per winner; ``scored`` is the
+    compatibility read, every row materialized (unscored) on first use.
     """
 
-    scored: list[ScoredResult]
-    view_size: int
-    containing: dict[str, int]
+    sums: ColumnSums
     pdts: dict[str, PDTResult]
     cache_hits: dict[str, str]
     evaluated_hit: bool
+    offset: int = 0
+
+    @property
+    def view_size(self) -> int:
+        return len(self.sums.lengths)
+
+    @property
+    def containing(self) -> dict[str, int]:
+        return self.sums.containing
+
+    @cached_property
+    def scored(self) -> list[ScoredResult]:
+        result, offset = self.sums.result, self.offset
+        return [result(row, offset=offset) for row in range(self.view_size)]
 
 
 def rank_statistics(
@@ -285,22 +307,42 @@ def rank_statistics(
     conjunctive: bool,
     top_k: Optional[int],
 ) -> tuple[list[ScoredResult], int]:
-    """Phase 2 of the protocol: the view-wide idf → scores → keyword
-    semantics → one bounded top-k heap over ``parts`` (the lone engine's
-    one harvest, or the fragments one shard holds).  Returns the ranked
-    survivors and how many results matched.  Result indexes must already
-    be view-global (the coordinator's gather rebases a shard's) so the
-    heap's tie-break — and any later merge — agrees with one engine over
-    the whole view.
+    """Phase 2 of the protocol: the view-wide idf → keyword semantics →
+    scores → top k over ``parts`` (the lone engine's one harvest, or the
+    fragments one shard holds, in view order).  Returns the ranked
+    survivors and how many results matched.
+
+    Every step is column arithmetic (:class:`~repro.core.scoring.
+    ColumnSums`): the mask picks the matching rows, only those are
+    scored, and the selection is one stable reverse sort of their
+    positions by score, cut at k, so equal scores keep ascending view
+    index — the tie-break ``TopKSelector`` and the coordinator's merge
+    share.  A :class:`~repro.core.scoring.ScoredResult` is built for
+    the winners only, at view index ``part.offset + row``.
+    ``top_k <= 0`` scores nothing and returns no result, but still
+    counts the matches.
     """
-    selector = TopKSelector(top_k)
+    scores: list = []
+    spans: list[tuple[int, ViewStatistics, list[int]]] = []
     matching = 0
-    for stats in parts:
-        apply_scores(stats.scored, idf, normalized)
-        kept = filter_matching(stats.scored, normalized, conjunctive)
-        matching += len(kept)
-        selector.extend(kept)
-    return selector.results(), matching
+    for part in parts:
+        rows = part.sums.matching(conjunctive)
+        matching += len(rows)
+        if top_k is None or top_k > 0:
+            spans.append((len(scores), part, rows))
+            scores += part.sums.scores(rows, idf, normalized)
+    # One C-level sort: below ≈ 600 candidates (every benchmark view)
+    # faster than heapq.nlargest's per-candidate Python loop.
+    positions = range(len(scores))
+    winners = sorted(positions, key=scores.__getitem__, reverse=True)[:top_k]
+    starts = [start for start, _part, _rows in spans]
+    ranked = []
+    for position in winners:
+        start, part, rows = spans[bisect_right(starts, position) - 1]
+        ranked.append(part.sums.result(
+            rows[position - start], scores[position], part.offset
+        ))
+    return ranked, matching
 
 
 def wrap_results(
@@ -790,13 +832,12 @@ class KeywordSearchEngine:
 
         Runs the pipeline up to — but not including — scoring: PDT
         generation (phase 2), view evaluation (phase 3a), and the
-        per-result statistics sum over the evaluated entry's plan
-        (:meth:`repro.core.scoring.StatisticsPlan.collect`).  Scores
+        column sums over the evaluated entry's plan
+        (:meth:`repro.core.scoring.StatisticsPlan.sum`).  Scores
         need idf, and idf is a global view statistic; under a sharded
         corpus it exists only after every shard's integer counts are
         summed, so this method stops at the integers and leaves phase 2
-        of the protocol (:func:`repro.core.scoring.apply_scores`
-        onward) to the caller.
+        of the protocol (:func:`rank_statistics`) to the caller.
         ``normalized`` must already be keyword-normalized.  When a
         timings ledger is passed, spans are *added* to the same phases
         ``search_detailed`` reports (pdt, evaluator; the statistics sum
@@ -824,13 +865,11 @@ class KeywordSearchEngine:
         )
 
         start = time.perf_counter()
-        scored, containing = plan.collect(normalized, tf_source=pdts)
+        sums = plan.sum(normalized, tf_source=pdts)
         if timings is not None:
             timings.post_processing += time.perf_counter() - start
         return ViewStatistics(
-            scored=scored,
-            view_size=len(scored),
-            containing=containing,
+            sums=sums,
             pdts=pdts,
             cache_hits=cache_hits,
             evaluated_hit=evaluated_hit,

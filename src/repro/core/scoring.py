@@ -4,15 +4,21 @@ A result's statistics — per-keyword subtree tf and serialized byte length
 — split along the keyword axis, and this module is built around the split:
 
 * :class:`StatisticsPlan` is the keyword-*independent* half: one walk
-  over the result trees records, per result, the serialized length of
-  its constructed part, the annotations of its pruned leaves and the
-  token counts of its constructed text.  The engine keeps one plan per
-  evaluated-tier entry, so a skeleton-warm query never visits a result
-  node; baselines and inline views build one per call.
-* :meth:`StatisticsPlan.collect` is the keyword-*dependent* half: one
-  flat sum over the plan that reads only what a query's keywords decide
-  — tf from the per-document arrays the posting sweep produced, byte
-  lengths from the live leaf annotations.
+  over the result trees lays the results out as flat columns — the
+  serialized length of each result's constructed part, the annotations
+  of its pruned leaves, per document the slots its leaves read and the
+  rows they belong to, and the token counts of constructed text.  The
+  engine keeps one plan per evaluated-tier entry, so a skeleton-warm
+  query never visits a result node; baselines and inline views build
+  one per call.
+* :meth:`StatisticsPlan.sum` is the keyword-*dependent* half: column
+  arithmetic over the plan that reads only what a query's keywords
+  decide — tf from the per-document arrays the posting sweep produced,
+  byte lengths from the live leaf annotations — into a
+  :class:`ColumnSums`, which then masks, scores and selects by column
+  too.  A :class:`ScoredResult` is built only for a row somebody asks
+  for: the engine asks for its top k, the compatibility read
+  (:meth:`StatisticsPlan.collect`) for every row.
 
 The same plan and the same sum serve both pipelines, which is how
 Theorem 4.1's score equality is realized structurally:
@@ -40,7 +46,9 @@ normalized by the element's byte length (Section 4.2.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.serializer import escape_text
@@ -68,6 +76,14 @@ class ScoredResult:
         return self.statistics.term_frequencies.get(keyword, 0)
 
 
+def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*indexes)``, but a tuple even for one index."""
+    if len(indexes) == 1:
+        (index,) = indexes
+        return lambda values: (values[index],)
+    return itemgetter(*indexes)
+
+
 class StatisticsPlan:
     """The keyword-independent half of the statistics pass, kept.
 
@@ -76,89 +92,99 @@ class StatisticsPlan:
     statistics and is not descended into (its PDT-resident children are
     part of the annotated subtree already) — and every other node
     contributes its tag's serialized length, its escaped text and that
-    text's token counts.  Per result the plan holds
+    text's token counts.  The walk lays the results (rows, in view
+    order) out as columns:
 
-    * the serialized length of the constructed part, a constant;
-    * the **live** :class:`~repro.xmlmodel.node.NodeAnnotations` of its
-      pruned leaves, by reference: a patchable edit shifts
-      ``anno.byte_length`` in place
+    * the serialized length of each row's constructed part, a constant;
+    * one flat tuple of the **live**
+      :class:`~repro.xmlmodel.node.NodeAnnotations` of every row's
+      pruned leaves, by reference, with the row of each: a patchable
+      edit shifts ``anno.byte_length`` in place
       (:func:`repro.core.pdt.patch_skeleton_byte_lengths`), and the next
-      :meth:`collect` reads the shifted value, so a plan stays valid for
+      :meth:`sum` reads the shifted value, so a plan stays valid for
       exactly as long as the result nodes it was built from;
-    * its slot-annotated leaves' slots, grouped by document, and the
-      keyword -> count mappings of everything else (classic
-      ``term_frequencies`` leaves, constructed text).
+    * per document, a picker over the slots its slot-annotated leaves
+      read and the row of each slot — only the rows that touch the
+      document: a column as wide as the view per document would make a
+      many-document view quadratic;
+    * a sparse ``(row, mappings)`` list of everything else's keyword ->
+      count mappings (classic ``term_frequencies`` leaves, constructed
+      text).
 
-    Nothing in a plan depends on a query, and :meth:`collect` never
-    writes to one: a plan is shared across threads like the result nodes
+    Nothing in a plan depends on a query, and :meth:`sum` never writes
+    to one: a plan is shared across threads like the result nodes
     themselves.
     """
 
-    __slots__ = ("nodes", "documents", "_entries")
+    __slots__ = ("nodes", "_lengths", "_leaves", "_leaf_rows", "_slots",
+                 "_counts")
 
     def __init__(self, view_results: Iterable[XMLNode]):
-        #: The result nodes, in view order (``collect``'s indexes).
+        #: The result nodes, in view order (the rows of every column).
         self.nodes: tuple[XMLNode, ...] = tuple(view_results)
-        documents: dict[str, None] = {}
-        self._entries = [
-            self._plan_result(node, documents) for node in self.nodes
-        ]
-        #: Documents the slot-annotated leaves belong to, in walk order.
-        self.documents: tuple[str, ...] = tuple(documents)
-
-    @staticmethod
-    def _plan_result(root: XMLNode, documents: dict[str, None]) -> tuple:
-        length = 0
-        leaves = []
-        slots: dict[str, list[int]] = {}
-        counts = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            anno = node.anno
-            if anno is not None and anno.pruned:
-                leaves.append(anno)
-                if anno.slot is not None:
-                    documents[anno.doc] = None
-                    slots.setdefault(anno.doc, []).append(anno.slot)
-                else:
-                    counts.append(anno.term_frequencies)
-                continue
-            value = node.value
-            children = node.children
-            if value is None and not children:
-                length += len(node.tag) + 3  # <tag/>
-                continue
-            length += 2 * len(node.tag) + 5  # <tag></tag>
-            if value is not None:
-                length += len(escape_text(value))
-                counts.append(token_frequencies(value))
-            stack.extend(reversed(children))
-        return (
-            length,
-            tuple(leaves),
-            tuple((doc, tuple(found)) for doc, found in slots.items()),
-            tuple(counts),
+        lengths: list[int] = []
+        leaves: list = []
+        leaf_rows: list[int] = []
+        slots: dict[str, tuple[list[int], list[int]]] = {}
+        counts: list[tuple[int, tuple]] = []
+        for row, root in enumerate(self.nodes):
+            length = 0
+            found = []
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                anno = node.anno
+                if anno is not None and anno.pruned:
+                    leaves.append(anno)
+                    leaf_rows.append(row)
+                    if anno.slot is not None:
+                        doc_slots, slot_rows = slots.setdefault(anno.doc, ([], []))
+                        doc_slots.append(anno.slot)
+                        slot_rows.append(row)
+                    else:
+                        found.append(anno.term_frequencies)
+                    continue
+                value = node.value
+                children = node.children
+                if value is None and not children:
+                    length += len(node.tag) + 3  # <tag/>
+                    continue
+                length += 2 * len(node.tag) + 5  # <tag></tag>
+                if value is not None:
+                    length += len(escape_text(value))
+                    found.append(token_frequencies(value))
+                stack.extend(reversed(children))
+            lengths.append(length)
+            if found:
+                counts.append((row, tuple(found)))
+        self._lengths = tuple(lengths)
+        self._leaves = tuple(leaves)
+        self._leaf_rows = tuple(leaf_rows)
+        self._slots = tuple(
+            (doc, _picker(doc_slots), tuple(slot_rows))
+            for doc, (doc_slots, slot_rows) in slots.items()
         )
+        self._counts = tuple(counts)
 
-    def collect(
+    def sum(
         self,
         keywords: Sequence[str],
         tf_source: Optional[Mapping[str, object]] = None,
-    ) -> tuple[list[ScoredResult], dict[str, int]]:
-        """The keyword-dependent half: per-result statistics (no scores,
-        ``score`` stays 0.0) and ``|{e: contains(e, k)}|`` per keyword.
+    ) -> "ColumnSums":
+        """The keyword-dependent half: one tf column per distinct keyword,
+        the byte-length column and ``|{e: contains(e, k)}|`` per keyword.
 
         ``tf_source`` maps document names to the query's
         :class:`~repro.core.pdt.PDTResult` objects; each document's tf
         arrays are resolved once (a keyword without postings has none:
-        implicit zeros).  ``index`` is the position within this plan's
-        results; a sharded caller rebases it to the global view position
-        before ranking.  The counts are integers, so shard-summable.
+        implicit zeros), picked at the document's slots in one C call,
+        and only the nonzero tfs are added, each to its own row.  The
+        counts are integers, so shard-summable.
         """
         unique = tuple(dict.fromkeys(keywords))
-        arrays_of: dict[str, list] = {}
-        for doc in self.documents:
+        size = len(self.nodes)
+        tfs = {keyword: [0] * size for keyword in unique}
+        for doc, pick, slot_rows in self._slots:
             pdt = tf_source.get(doc) if tf_source is not None else None
             if pdt is None and unique:
                 # A slot-annotated node belongs to a shared skeleton tree
@@ -172,53 +198,98 @@ class StatisticsPlan:
                     "not stored on the tree)"
                 )
             arrays = (pdt.tf_arrays if pdt is not None else None) or {}
-            arrays_of[doc] = [
-                (keyword, array)
-                for keyword in unique
-                if (array := arrays.get(keyword)) is not None
-            ]
-        containing = dict.fromkeys(unique, 0)
-        scored: list[ScoredResult] = []
-        for index, (node, (length, leaves, slots, counts)) in enumerate(
-            zip(self.nodes, self._entries)
-        ):
-            for anno in leaves:
-                length += anno.byte_length
-            tfs = dict.fromkeys(unique, 0)
-            for doc, found in slots:
-                for keyword, array in arrays_of[doc]:
-                    tf = tfs[keyword]
-                    for slot in found:
-                        tf += array[slot]
-                    tfs[keyword] = tf
-            for frequencies in counts:
-                for keyword in unique:
-                    tfs[keyword] += frequencies.get(keyword, 0)
-            for keyword, tf in tfs.items():
-                if tf > 0:
-                    containing[keyword] += 1
-            scored.append(
-                ScoredResult(index, node, ResultStatistics(tfs, length))
-            )
-        return scored, containing
+            for keyword, column in tfs.items():
+                array = arrays.get(keyword)
+                if array is None:
+                    continue
+                values = pick(array)
+                for row, tf in zip(compress(slot_rows, values), compress(values, values)):
+                    column[row] += tf
+        for row, mappings in self._counts:
+            for keyword, column in tfs.items():
+                for frequencies in mappings:
+                    column[row] += frequencies.get(keyword, 0)
+        lengths = list(self._lengths)
+        for row, anno in zip(self._leaf_rows, self._leaves):
+            lengths[row] += anno.byte_length
+        containing = {
+            keyword: size - column.count(0) for keyword, column in tfs.items()
+        }
+        return ColumnSums(self.nodes, tfs, lengths, containing)
+
+    def collect(
+        self,
+        keywords: Sequence[str],
+        tf_source: Optional[Mapping[str, object]] = None,
+    ) -> tuple[list[ScoredResult], dict[str, int]]:
+        """Every row materialized (no scores, ``score`` stays 0.0) and
+        the containing counts: :meth:`sum`'s columns as objects, for the
+        baselines' reference pipeline (:func:`score_results`) and for
+        reading one result's statistics."""
+        sums = self.sum(keywords, tf_source)
+        return list(map(sums.result, range(len(self.nodes)))), sums.containing
 
 
-def aggregate_result(
-    node: XMLNode,
-    keywords: Sequence[str],
-    tf_source: Optional[Mapping[str, object]] = None,
-) -> ResultStatistics:
-    """Aggregate tf per keyword and the byte length of one view result."""
-    return collect_statistics((node,), keywords, tf_source)[0].statistics
+@dataclass(slots=True)
+class ColumnSums:
+    """A plan's statistics for one keyword set, as columns over its rows.
 
+    ``tfs`` maps each distinct keyword to its tf column, ``lengths`` is
+    the byte-length column and ``containing`` the per-keyword count of
+    rows with a nonzero tf.  :meth:`matching` and :meth:`scores` are
+    ``filter_matching`` and ``apply_scores`` by column — the same float
+    operations in the same order, so the scores are bit-identical — and
+    :meth:`result` is the one place a row becomes a
+    :class:`ScoredResult`.
+    """
 
-def collect_statistics(
-    view_results: Iterable[XMLNode],
-    keywords: Sequence[str],
-    tf_source: Optional[Mapping[str, object]] = None,
-) -> list[ScoredResult]:
-    """Phase 1 over a throw-away plan: per-result statistics, no scores."""
-    return StatisticsPlan(view_results).collect(keywords, tf_source)[0]
+    nodes: Sequence[XMLNode]
+    tfs: dict[str, list[int]]
+    lengths: list[int]
+    containing: dict[str, int]
+
+    def matching(self, conjunctive: bool = True) -> list[int]:
+        """The rows satisfying the keyword semantics, ascending: every
+        keyword's tf nonzero (conjunctive; all rows for no keywords) or
+        any keyword's (disjunctive; no rows for no keywords)."""
+        columns = self.tfs.values()
+        if not conjunctive:
+            return list(compress(range(len(self.lengths)), map(any, zip(*columns))))
+        rows: Iterable[int] = range(len(self.lengths))
+        for column in columns:
+            rows = list(compress(rows, map(column.__getitem__, rows)))
+        return list(rows)
+
+    def scores(
+        self, rows: Sequence[int], idf: Mapping[str, float], keywords: Sequence[str]
+    ) -> list:
+        """Normalized TF-IDF scores of ``rows``: :func:`apply_scores`'s
+        arithmetic — ``0 + tf·idf`` left to right over ``keywords``
+        (duplicates included), then divided by the byte length where that
+        is positive — reading the columns instead of objects."""
+        weights = [(self.tfs[keyword], idf[keyword]) for keyword in keywords]
+        lengths = self.lengths
+        scores = []
+        for row in rows:
+            raw = 0
+            for column, weight in weights:
+                raw += column[row] * weight
+            length = lengths[row]
+            scores.append(raw / length if length > 0 else raw)
+        return scores
+
+    def result(self, row: int, score: float = 0.0, offset: int = 0) -> ScoredResult:
+        """Row ``row`` as a :class:`ScoredResult` at view index
+        ``offset + row``."""
+        return ScoredResult(
+            offset + row,
+            self.nodes[row],
+            ResultStatistics(
+                {keyword: column[row] for keyword, column in self.tfs.items()},
+                self.lengths[row],
+            ),
+            score,
+        )
 
 
 @dataclass
@@ -242,14 +313,14 @@ def score_results(
     ``idf`` is computed over the *entire* view result sequence — not just
     the keyword-satisfying results — exactly as in Section 2.2 where
     ``V(D)`` is the full view.  ``tf_source`` resolves the tfs of
-    shared-skeleton PDT nodes (see :meth:`StatisticsPlan.collect`).
+    shared-skeleton PDT nodes (see :meth:`StatisticsPlan.sum`).
 
-    Composed from the scatter-gather primitives
+    The object-at-a-time reference pipeline the baselines rank through
     (:meth:`StatisticsPlan.collect` → :func:`idf_from_counts` →
-    :func:`apply_scores` → :func:`filter_matching`) so the single-engine
-    path and the sharded coordinator run the *identical* arithmetic in
-    the identical order — the foundation of the bit-identical-ranking
-    guarantee.
+    :func:`apply_scores` → :func:`filter_matching`).  The engine and
+    every shard rank by column (:class:`ColumnSums`) with the *identical*
+    float operations in the identical order — the foundation of the
+    bit-identical-ranking guarantee.
     """
     scored, containing = StatisticsPlan(view_results).collect(
         keywords, tf_source
@@ -327,8 +398,9 @@ def select_top_k(outcome: ScoringOutcome, k: Optional[int]) -> list[ScoredResult
     ``k=None`` returns every keyword-satisfying result, ranked.
 
     This full-sort form is the *reference* implementation the streaming
-    selector (:mod:`repro.core.topk`) is property-tested against; the
-    engine itself uses the O(n log k) bounded heap.
+    selector (:mod:`repro.core.topk`) and the engine's column ranking
+    (:func:`repro.core.engine.rank_statistics`) are property-tested
+    against.
     """
     ranked = sorted(outcome.results, key=lambda r: (-r.score, r.index))
     if k is None:

@@ -15,14 +15,15 @@ statistic (Section 2.2: ``idf(k) = |V(D)| / containing(k)`` over the
 1. **Statistics scatter** — every shard holding view fragments runs the
    pipeline through evaluation and the statistics sum
    (:meth:`~repro.core.engine.KeywordSearchEngine.collect_view_statistics`),
-   returning per-result tf vectors/byte lengths plus two integers per
-   shard: its view-size contribution and per-keyword containing counts.
+   returning tf and byte-length columns plus two integers per shard:
+   its view-size contribution and per-keyword containing counts.
 2. **Gather** — the coordinator sums the integers (exact, so the idf
-   floats are bit-identical to the single-engine division), rebases each
-   fragment's result indexes to global view positions (prefix sums over
-   fragment sizes in sequence order), and computes the global idf.
-3. **Ranking scatter** — every shard applies the global idf, filters by
-   the keyword semantics, and runs its own bounded top-k heap.
+   floats are bit-identical to the single-engine division), sets each
+   fragment's global view offset (prefix sums over fragment sizes in
+   sequence order), and computes the global idf.
+3. **Ranking scatter** — every shard masks its columns by the keyword
+   semantics, scores the matching rows under the global idf, selects
+   its own top k and builds result objects for those survivors only.
 4. **Streaming merge** — the coordinator k-way-merges the per-shard
    ranked streams (:func:`repro.core.topk.merge_shard_streams`),
    abandoning a shard as soon as its score upper bound falls strictly
@@ -412,8 +413,8 @@ class ShardExecutor:
     ) -> tuple[list[ScoredResult], int]:
         """Ranking scatter: phase 2 (:func:`~repro.core.engine.
         rank_statistics`, whose pair this returns) over this shard's
-        fragments under the global idf, with the harvest's indexes
-        already rebased by the gather."""
+        fragments under the global idf, with each fragment's offset
+        already set by the gather."""
         if self._faults is not None:
             self._faults.act(f"shard{self.shard_id}.rank")
         start = time.perf_counter()
@@ -942,12 +943,14 @@ class CorpusCoordinator:
         self._enforce_policy(name, failures, healthy_count=len(harvests))
         healthy = tuple(shard for shard in shards if shard in harvests)
 
-        # Gather: integer sums -> global idf; rebase fragment-local
-        # result indexes to global view positions so ranking tie-breaks
-        # match the single-engine concatenated evaluation exactly.  A
-        # shard lost in phase 1 contributes nothing here — view_size,
-        # offsets and idf all describe the *surviving* fragments, so a
-        # degraded outcome equals evaluating the healthy-only view.
+        # Gather: integer sums -> global idf; give each fragment its
+        # global view offset (one integer per fragment: no result object
+        # exists yet, and rank_statistics builds the winners at
+        # offset + row) so ranking tie-breaks match the single-engine
+        # concatenated evaluation exactly.  A shard lost in phase 1
+        # contributes nothing here — view_size, offsets and idf all
+        # describe the *surviving* fragments, so a degraded outcome
+        # equals evaluating the healthy-only view.
         start = time.perf_counter()
         fragment_sizes: dict[int, int] = {}
         for shard in healthy:
@@ -961,9 +964,7 @@ class CorpusCoordinator:
         view_size = running
         for shard in healthy:
             for fragment in harvests[shard].fragments:
-                base = offsets[fragment.position]
-                for scored in fragment.stats.scored:
-                    scored.index += base
+                fragment.stats.offset = offsets[fragment.position]
         containing = {
             keyword: sum(
                 fragment.stats.containing.get(keyword, 0)
@@ -975,7 +976,7 @@ class CorpusCoordinator:
         idf = idf_from_counts(view_size, containing)
         coordinator_timings.post_processing += time.perf_counter() - start
 
-        # Phase 2 scatter: global idf -> scores -> per-shard bounded heap.
+        # Phase 2 scatter: global idf -> scores -> per-shard top k.
         rankings, rank_failures = self._scatter(
             "ranking",
             lambda shard: self.executors[shard].rank(

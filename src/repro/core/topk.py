@@ -14,8 +14,12 @@ and selection costs O(n log k).  The ranking contract is *identical* to
 (ascending ``ScoredResult.index``) — which the test suite asserts
 property-style against the reference sort.
 
-The selector's generalization to a sharded corpus lives here too: each
-shard executor runs its own bounded heap, exposes the ranked survivors
+The engine itself selects by column
+(:func:`repro.core.engine.rank_statistics`: one stable sort of the
+matching rows by score, under the same contract, so objects exist
+only for the winners).  The selector's
+generalization to a sharded corpus lives here: each shard executor
+selects its own top k that way, exposes the ranked survivors
 as a score-descending :class:`ShardStream`, and the coordinator merges
 the streams through :func:`merge_shard_streams` — a k-way merge that
 stops consuming a shard the moment its score upper bound falls below

@@ -26,7 +26,7 @@ from benchmarks.layered import workloads
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
-from repro.core.scoring import StatisticsPlan
+from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
 from repro.storage.database import XMLDatabase
@@ -53,6 +53,11 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # pointing collect_view_statistics back at a per-query plan fails both.
     ("one-plan-per-entry", "fifty_keyword_sets", "plans_built", "==", 1),
     ("sum-never-walks", "fifty_keyword_sets", "nodes_walked_after_first", "==", 0),
+    # A ScoredResult per view result per query until the ranking became
+    # column arithmetic: 50 x 30 = 1 500 against 392 winners here, and
+    # 2 372 against the shards' 80 survivors.
+    ("objects-only-for-winners", "fifty_keyword_sets", "scored_results_built", "<=", "winners_returned"),
+    ("shard-objects-only-for-survivors", "sharded_sweep", "scored_results_built", "==", "candidates"),
     # 3 per search while the evaluated key embedded the expression itself
     # (114 us each on this view: the dataclass hash is structural).
     ("key-never-hashes-the-view", "hundred_warm_searches", "expression_hashes", "==", 0),
@@ -96,16 +101,28 @@ def sharded_sweep():
     """The layered ``sharded_fanout`` corpus (96 libraries, one view
     fragment each; bench_x8's, document for document) through 4 shard
     executors: the streaming merge's counters over bench_x8's four
-    queries (80 results offered, 65 consumed, 15 streams pruned)."""
+    queries (80 results offered, 65 consumed, 15 streams pruned), and
+    the ``ScoredResult`` objects the shards built to offer them."""
     corpus, totals = workloads.generate("sharded_fanout"), Counter()
     coordinator, _ = ingest_corpus(
         corpus.documents, {"v": corpus.view_text}, shard_count=4
     )
-    with coordinator:
+    with coordinator, _counting_scored_results(totals):
         for keywords in ("xml",), ("query", "index"), ("search",), ("ranking", "views"):
             outcome = coordinator.search_detailed("v", keywords, top_k=5)
             totals.update(outcome.merge_stats.as_dict())
     return totals
+
+
+def _counting_scored_results(counters):
+    """Count ``ScoredResult`` constructions as ``scored_results_built``."""
+    build = ScoredResult.__init__
+
+    def counted_build(result, *args, **kwargs):
+        counters["scored_results_built"] += 1
+        build(result, *args, **kwargs)
+
+    return mock.patch.object(ScoredResult, "__init__", counted_build)
 
 
 def repetitive_tier():
@@ -174,7 +191,8 @@ def fifty_keyword_sets():
     """50 distinct keyword sets over one warmed view: ``StatisticsPlan``
     constructions, and result-tree nodes the statistics pass looked at
     (every unpruned node costs the walk one ``XMLNode.value`` read) once
-    the first query had been answered."""
+    the first query had been answered, and ``ScoredResult``\\ s built
+    against the winners the 50 searches returned."""
     words = ["thomas", "control", "moore", "ieee", "query", "index", "search",
              "ranking", "cache", "graph"]
     keyword_sets = [(word,) for word in words]
@@ -193,12 +211,15 @@ def fifty_keyword_sets():
     engine = KeywordSearchEngine(generate_inex_database(INEXConfig()))
     engine.define_view("v", authors_articles_view())
     with mock.patch.object(StatisticsPlan, "__init__", counted_build), \
-            mock.patch.object(XMLNode, "value", property(counted_value)):
+            mock.patch.object(XMLNode, "value", property(counted_value)), \
+            _counting_scored_results(counters):
         engine.warm_view("v")
-        engine.search("v", keyword_sets[0])
+        counters["winners_returned"] += len(engine.search("v", keyword_sets[0]))
         walked_by_first = counters["nodes_walked"]
         for keywords in keyword_sets[1:]:
-            assert engine.search_detailed("v", keywords).view_size > 0
+            outcome = engine.search_detailed("v", keywords)
+            assert outcome.view_size > 0
+            counters["winners_returned"] += len(outcome.results)
     assert len(set(keyword_sets)) == 50 and walked_by_first > 0
     counters["nodes_walked_after_first"] = counters["nodes_walked"] - walked_by_first
     return counters

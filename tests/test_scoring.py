@@ -6,12 +6,13 @@ from typing import Mapping, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import ViewStatistics, rank_statistics
 from repro.core.pdt import PDTResult
 from repro.core.scoring import (
+    ResultStatistics,
     StatisticsPlan,
-    aggregate_result,
     apply_scores,
-    collect_statistics,
+    idf_from_counts,
     score_results,
     select_top_k,
 )
@@ -35,19 +36,24 @@ def pruned_node(tag: str, tfs: dict, length: int) -> XMLNode:
     return _pruned(tag, term_frequencies=tfs, byte_length=length)
 
 
+def statistics_of(node: XMLNode, keywords) -> ResultStatistics:
+    [scored], _containing = StatisticsPlan([node]).collect(keywords)
+    return scored.statistics
+
+
 class TestAggregation:
     def test_tf_from_text(self):
-        stats = aggregate_result(result_with_text("xml and xml search"), ["xml"])
+        stats = statistics_of(result_with_text("xml and xml search"), ["xml"])
         assert stats.term_frequencies == {"xml": 2}
 
     def test_tf_descends_into_children(self):
         result = parse_xml("<r><a>xml</a><b><c>xml search</c></b></r>")
-        stats = aggregate_result(result, ["xml", "search"])
+        stats = statistics_of(result, ["xml", "search"])
         assert stats.term_frequencies == {"xml": 2, "search": 1}
 
     def test_byte_length_matches_serialization(self):
         result = parse_xml("<r><a>hi &amp; bye</a><b/></r>")
-        stats = aggregate_result(result, [])
+        stats = statistics_of(result, [])
         assert stats.byte_length == len(serialize(result))
 
     def test_pruned_annotations_used_and_not_descended(self):
@@ -55,14 +61,14 @@ class TestAggregation:
         pruned = pruned_node("body", {"xml": 5}, 100)
         pruned.make_child("inner", "xml xml xml")  # must NOT double count
         wrapper.children.append(pruned)
-        stats = aggregate_result(wrapper, ["xml"])
+        stats = statistics_of(wrapper, ["xml"])
         assert stats.term_frequencies == {"xml": 5}
         assert stats.byte_length == len("<res></res>") + 100
 
     def test_mixed_constructed_and_pruned(self):
         wrapper = XMLNode("res", "xml intro")
         wrapper.children.append(pruned_node("c", {"xml": 2}, 7))
-        stats = aggregate_result(wrapper, ["xml"])
+        stats = statistics_of(wrapper, ["xml"])
         assert stats.term_frequencies == {"xml": 3}
 
 
@@ -103,8 +109,8 @@ class TestScoring:
 
     def test_normalization_divides_by_length(self):
         idf = {"xml": 1.5}
-        plain = collect_statistics(self._results(), ["xml"])
-        normalized = collect_statistics(self._results(), ["xml"])
+        plain = StatisticsPlan(self._results()).collect(["xml"])[0]
+        normalized = StatisticsPlan(self._results()).collect(["xml"])[0]
         apply_scores(plain, idf, ["xml"], normalize=False)
         apply_scores(normalized, idf, ["xml"], normalize=True)
         assert [raw.score for raw in plain] == [3.0, 1.5, 0.0]
@@ -225,6 +231,9 @@ TEXTS = st.sampled_from(
 )
 TAGS = st.sampled_from(["r", "hit", "title", "x" * 17])
 TF_MAPS = st.dictionaries(st.sampled_from(VOCABULARY), st.integers(0, 4))
+#: Zero and negative too: a result that is one pruned leaf has the
+#: leaf's length, and edits have driven recorded lengths negative.
+BYTE_LENGTHS = st.just(0) | st.integers(-50, -1) | st.integers(1, 500)
 
 
 #: Pruned leaves of both kinds (some with children, which must not be
@@ -237,7 +246,7 @@ LEAVES = st.one_of(
         st.just([]) | st.builds(lambda: [XMLNode("inner", "xml xml")]),
         doc=st.sampled_from(DOCUMENTS),
         slot=st.integers(0, SLOTS - 1),
-        byte_length=st.integers(0, 500),
+        byte_length=BYTE_LENGTHS,
     ),
     st.builds(
         _pruned,
@@ -245,7 +254,7 @@ LEAVES = st.one_of(
         TEXTS,
         st.just([]),
         term_frequencies=TF_MAPS,
-        byte_length=st.integers(0, 500),
+        byte_length=BYTE_LENGTHS,
     ),
     st.builds(XMLNode, TAGS, TEXTS),
 )
@@ -334,3 +343,77 @@ class TestPlanEqualsWalk:
         [after], _ = plan.collect(("xml",))
         assert after.statistics.byte_length == before.statistics.byte_length + 7
         assert after.statistics.term_frequencies == {"xml": 3}
+
+
+# -- column ranking == objects through the reference pipeline ---------------------
+
+#: Some forests twice over: every score tied with another row's.
+RANK_FORESTS = st.tuples(st.lists(TREES, max_size=6), st.booleans()).map(
+    lambda drawn: drawn[0] * 2 if drawn[1] else drawn[0]
+)
+ALL_SOURCES = st.fixed_dictionaries({doc: PDTS for doc in DOCUMENTS})
+
+
+def _ranked(results):
+    return [
+        (
+            r.index,
+            r.score.hex() if isinstance(r.score, float) else r.score,
+            type(r.score),
+            r.statistics.term_frequencies,
+            r.statistics.byte_length,
+        )
+        for r in results
+    ]
+
+
+class TestColumnRankingEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        RANK_FORESTS,
+        KEYWORDS,
+        ALL_SOURCES,
+        st.booleans(),
+        st.sampled_from([None, -1, 0, 1, 3, "n+1"]),
+    )
+    def test_rank_statistics_equals_score_results_then_select_top_k(
+        self, data, forest, keywords, tf_source, conjunctive, k
+    ):
+        """1-3 parts at their offsets (a lone engine's harvest, or one
+        shard's fragments) rank exactly like the whole forest through
+        collect -> apply_scores -> filter_matching -> select_top_k."""
+        size = len(forest)
+        top_k = size + 1 if k == "n+1" else k
+        cuts = data.draw(st.lists(st.integers(0, size), max_size=2))
+        bounds = [0, *sorted(cuts), size]
+        parts = [
+            ViewStatistics(
+                sums=StatisticsPlan(forest[start:stop]).sum(keywords, tf_source),
+                pdts={}, cache_hits={}, evaluated_hit=True, offset=start,
+            )
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        containing = {
+            keyword: sum(part.containing[keyword] for part in parts)
+            for keyword in dict.fromkeys(keywords)
+        }
+        idf = idf_from_counts(size, containing)
+        ranked, matching = rank_statistics(parts, idf, keywords, conjunctive, top_k)
+
+        outcome = score_results(forest, keywords, conjunctive, tf_source=tf_source)
+        assert idf == outcome.idf
+        assert _ranked(ranked) == _ranked(select_top_k(outcome, top_k))
+        assert all(r.node is forest[r.index] for r in ranked)
+        assert matching == len(outcome.results)
+
+    def test_scored_is_every_row_at_the_offset(self):
+        forest = [result_with_text("xml"), result_with_text("none")]
+        stats = ViewStatistics(
+            sums=StatisticsPlan(forest).sum(("xml",)),
+            pdts={}, cache_hits={}, evaluated_hit=True, offset=5,
+        )
+        assert [(r.index, r.tf("xml"), r.score) for r in stats.scored] == [
+            (5, 1, 0.0), (6, 0, 0.0)
+        ]
+        assert stats.scored is stats.scored  # built once, on first read
