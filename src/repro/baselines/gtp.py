@@ -15,10 +15,13 @@ mutual constraints — but does it the pre-path-index way:
 * predicate operands and join values are fetched from the *base data*
   (document storage), the second cost the paper calls out.
 
-The output is the same record set the streaming PDT algorithm produces, so
-the rest of the pipeline (evaluator, scorer, materializer) is shared — the
-comparison isolates exactly the two architectural differences the paper
-credits for its speedup.
+The output is the same record set the streaming PDT algorithm produces,
+finished by the same tree builder (:meth:`PDTSkeleton.from_records`) into
+the same form: a tree whose content nodes carry slots, plus one tf array
+per keyword indexed by slot.  So the rest of the pipeline (tree, tf
+layout, evaluator, scorer, materializer) is shared — the comparison
+isolates exactly the two architectural differences the paper credits for
+its speedup.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.core.engine import PhaseTimings, SearchOutcome, SearchResult, View
-from repro.core.pdt import PDTRecord, PDTResult, assemble_pdt
+from repro.core.pdt import PDTRecord, PDTResult, PDTSkeleton
 from repro.core.qpt import QPT, QPTNode, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.scoring import score_results, select_top_k
@@ -166,8 +169,8 @@ class GTPEngine:
             selected[qnode.index] = [d for d in pool if d in matched_desc]
 
         # Assemble the records (keyed by packed Dewey byte keys, the form
-        # assemble_pdt nests by); join values and byte lengths come from
-        # the base data (the GTP cost the paper highlights).
+        # the tree builder nests by); join values and byte lengths come
+        # from the base data (the GTP cost the paper highlights).
         records: dict[bytes, PDTRecord] = {}
         for qnode in qpt.nodes:
             for dewey in selected[qnode.index]:
@@ -194,12 +197,11 @@ class GTPEngine:
         # index; the Efficient pipeline's range-sum lookup is exactly the
         # optimization the paper credits to its inverted-list usage).
         # Both sides run on packed byte keys — no per-posting decode.
+        # Sorted content keys are slot order.
         content_nodes = sorted(
             key for key, record in records.items() if record.wants_content
         )
-        tf_by_node: dict[bytes, dict[str, int]] = {
-            key: {} for key in content_nodes
-        }
+        tf_arrays: dict[str, Optional[list[int]]] = {}
         for keyword in keywords:
             posting_list = inverted.lookup(keyword)
             stats.tag_stream_entries += len(posting_list)
@@ -207,19 +209,22 @@ class GTPEngine:
                 content_nodes, posting_list.items_packed()
             )
             stats.structural_joins += 1
-            for key, total in totals.items():
-                tf_by_node[key][keyword] = total
+            tf_arrays[keyword] = (
+                [totals.get(key, 0) for key in content_nodes]
+                if len(posting_list)
+                else None
+            )
 
-        def tf_lookup(dewey_id: DeweyID) -> dict[str, int]:
-            totals = tf_by_node.get(dewey_id.packed, {})
-            return {keyword: totals.get(keyword, 0) for keyword in keywords}
-
-        return assemble_pdt(
+        skeleton = PDTSkeleton.from_records(
+            qpt.doc_name, records, stats.tag_stream_entries
+        )
+        return PDTResult(
             doc_name=qpt.doc_name,
-            records=records,
+            root=skeleton.tree,
+            node_count=skeleton.node_count,
+            entry_count=skeleton.entry_count,
             keywords=keywords,
-            tf_lookup=tf_lookup,
-            entry_count=stats.tag_stream_entries,
+            tf_arrays=tf_arrays,
         )
 
     # -- search -------------------------------------------------------------------
@@ -258,7 +263,12 @@ class GTPEngine:
         timings.evaluator = time.perf_counter() - start
 
         start = time.perf_counter()
-        outcome = score_results(view_results, normalized, conjunctive=conjunctive)
+        outcome = score_results(
+            view_results,
+            normalized,
+            conjunctive=conjunctive,
+            tf_source=pruned_docs,
+        )
         winners = select_top_k(outcome, top_k)
         results = [
             SearchResult(

@@ -1,16 +1,18 @@
-"""Bulk corpus ingestion: parallel parse → index → snapshot-precompute.
+"""Bulk corpus ingestion: plan → parse + index → attach, define and warm.
 
-Standing up a large sharded corpus is three embarrassingly parallel
-steps followed by cheap wiring, in the spirit of the loader pipelines in
-"XML Reconstruction View Selection in XML Databases" — view-serving
-state is precomputed at load time, per partition:
+Standing up a large sharded corpus is a plan, a pass over the documents
+and cheap wiring, in the spirit of the loader pipelines in "XML
+Reconstruction View Selection in XML Databases" — view-serving state is
+precomputed at load time, per partition:
 
 1. **Plan** — parse the view definitions, fragment them, and build a
    :class:`~repro.core.sharding.ShardPlan` whose colocation groups are
    exactly the multi-document fragments (so no view is ever split).
 2. **Parse + index** — every document runs through
-   :func:`repro.storage.database.index_document` on a thread pool; the
-   function touches no shared state, so workers need no locks.
+   :func:`repro.storage.database.index_document` in the calling thread.
+   Parsing and indexing are pure Python under one GIL, so a thread pool
+   would only add hand-offs (the coordinator's scatter records the same
+   for shards).
 3. **Attach + define + warm** — each indexed document is attached to
    its home shard's executor (fresh generation, shared immutable
    indices), views are registered fragment-by-fragment, and every view
@@ -28,7 +30,6 @@ prints as JSON.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -76,18 +77,15 @@ def ingest_corpus(
     views: Mapping[str, str],
     shard_count: int = 4,
     snapshot_dir: Optional[Union[str, Path]] = None,
-    workers: Optional[int] = None,
     mmap_snapshots: bool = False,
 ) -> tuple[CorpusCoordinator, IngestReport]:
     """Build a warm sharded corpus in one call.
 
     ``documents`` maps document names to XML text; ``views`` maps view
     names to view definition text.  Returns the ready coordinator and
-    the ingest manifest.  ``workers`` bounds the parse/index pool
-    (default: one per document, capped at 8; 1 indexes in this
-    thread).  ``mmap_snapshots``
-    makes each shard's snapshot slice memory-map payloads on restore
-    instead of decoding them at load.
+    the ingest manifest.  ``mmap_snapshots`` makes each shard's snapshot
+    slice memory-map payloads on restore instead of decoding them at
+    load.
     """
     timings: dict[str, float] = {}
 
@@ -113,22 +111,11 @@ def ingest_corpus(
     plan = ShardPlan.build(sorted(documents), shard_count, colocate=colocate)
     timings["plan"] = time.perf_counter() - start
 
-    # Step 2: parse + index on a pool — index_document is shared-nothing.
+    # Step 2: parse + index — index_document is shared-nothing.
     start = time.perf_counter()
-    names = sorted(documents)
-    if workers is None:
-        workers = min(len(names), 8) or 1
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="ingest"
-        ) as pool:
-            indexed = list(
-                pool.map(
-                    lambda name: index_document(name, documents[name]), names
-                )
-            )
-    else:
-        indexed = [index_document(name, documents[name]) for name in names]
+    indexed = [
+        index_document(name, documents[name]) for name in sorted(documents)
+    ]
     timings["index"] = time.perf_counter() - start
 
     # Step 3: attach to home shards, define views, warm everything.

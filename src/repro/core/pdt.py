@@ -74,15 +74,14 @@ class PDTResult:
     reads annotations only, and materialization copies; nothing downstream
     writes into the pruned tree.
 
-    When produced by :func:`annotate_skeleton`, ``root`` is the skeleton's
-    *shared* keyword-independent tree and the per-query keyword data lives
-    in ``tf_arrays``: one flat array per keyword, indexed by the content
-    node's ``anno.slot``.  Scoring resolves tfs through :meth:`tf_at`; a
-    keyword with no postings maps to ``None`` (an implicit all-zero
-    array), so every queried keyword is always present — shape-stable
-    regardless of which keywords matched.  Trees built by
-    :func:`assemble_pdt` (the GTP baseline) instead carry per-node
-    ``term_frequencies`` annotations and leave ``tf_arrays`` as ``None``.
+    ``root`` is a skeleton's keyword-independent tree (shared across
+    queries when the skeleton is cached); the per-query keyword data
+    lives in ``tf_arrays``: one flat array per distinct keyword, indexed
+    by the content node's ``anno.slot`` (content nodes in document
+    order).  A keyword with no postings maps to ``None`` (an implicit
+    all-zero array), so every queried keyword is always present —
+    shape-stable regardless of which keywords matched.  Scoring resolves
+    tfs through :meth:`tf_at`.
     """
 
     doc_name: str
@@ -90,7 +89,7 @@ class PDTResult:
     node_count: int
     entry_count: int
     keywords: tuple[str, ...]
-    tf_arrays: Optional[dict[str, Optional[list[int]]]] = None
+    tf_arrays: dict[str, Optional[list[int]]]
 
     @property
     def is_empty(self) -> bool:
@@ -104,31 +103,16 @@ class PDTResult:
 
     def tf_at(self, slot: int, keyword: str) -> int:
         """Subtree tf of ``keyword`` at the content node with ``slot``."""
-        arrays = self.tf_arrays
-        if arrays is None:
-            return 0
-        array = arrays.get(keyword)
+        array = self.tf_arrays.get(keyword)
         return array[slot] if array is not None else 0
 
     def tf_map(self, node: XMLNode) -> dict[str, int]:
-        """The per-keyword subtree tfs of one (content) PDT node.
-
-        Resolves through ``tf_arrays`` for slot-annotated nodes and falls
-        back to the node's own ``term_frequencies`` annotation (the
-        assemble_pdt/GTP form).  Non-content nodes yield all zeros.
-        """
-        anno = node.anno
-        if anno is None:
+        """The per-keyword subtree tfs of one PDT node, read at its
+        content slot; a node without a slot yields all zeros."""
+        slot = node.anno.slot if node.anno is not None else None
+        if slot is None:
             return {keyword: 0 for keyword in self.keywords}
-        if anno.slot is not None and self.tf_arrays is not None:
-            return {
-                keyword: self.tf_at(anno.slot, keyword)
-                for keyword in self.keywords
-            }
-        return {
-            keyword: anno.term_frequencies.get(keyword, 0)
-            for keyword in self.keywords
-        }
+        return {keyword: self.tf_at(slot, keyword) for keyword in self.keywords}
 
 
 @dataclass(slots=True)
@@ -546,7 +530,9 @@ class PDTSkeleton:
     Slots are positional, so re-built trees are interchangeable.
 
     Three ways in, and no conversion between them: :meth:`from_records`
-    (the sweep's output), :meth:`from_bytes` (decode and validate a
+    (the records of the sweep, of the stack automaton in
+    :mod:`repro.baselines.stack_pdt` and of the GTP baseline's
+    structural joins), :meth:`from_bytes` (decode and validate a
     payload now) and :meth:`from_mapping` (validate an ``mmap``-ed
     payload's header, decode its columns on first access).  Skeletons
     are immutable in practice apart from the byte-length patches; the
@@ -803,7 +789,6 @@ class PDTSkeleton:
             anno = new_anno(NodeAnnotations)
             anno.dewey = dewey
             anno.byte_length = byte_lengths[position]
-            anno.term_frequencies = {}
             anno.doc = doc_name
             if flag & _WANTS_CONTENT:
                 anno.pruned = True
@@ -1375,68 +1360,3 @@ def generate_pdt(
             probed=lists.probed,
         )
     return annotate_skeleton(skeleton, inv_lists, keywords)
-
-
-def assemble_pdt(
-    doc_name: str,
-    records: dict[bytes, PDTRecord],
-    keywords: tuple[str, ...],
-    tf_lookup,
-    entry_count: int,
-) -> PDTResult:
-    """Nest PDT records into an XML tree (Definition 3's edge set:
-    parent = nearest emitted ancestor).
-
-    ``tf_lookup(dewey_id) -> {keyword: tf}`` supplies the per-keyword
-    subtree term frequencies attached to content ('c') nodes as per-node
-    ``term_frequencies`` annotations.  Used by the GTP baseline, which
-    produces the same records via structural joins and builds a private
-    (non-shared) tree per query.
-    """
-    if not records:
-        return PDTResult(
-            doc_name=doc_name,
-            root=XMLNode(EMPTY_TAG),
-            node_count=0,
-            entry_count=entry_count,
-            keywords=keywords,
-        )
-    ordered = sorted(records)
-    nodes: dict[bytes, XMLNode] = {}
-    top_level: list[XMLNode] = []
-    stack: list[bytes] = []
-    for key in ordered:
-        record = records[key]
-        node = XMLNode(record.tag)
-        if record.wants_value and record.value is not None:
-            node.text = record.value
-        anno = NodeAnnotations(
-            dewey=DeweyID.from_packed(key), byte_length=record.byte_length
-        )
-        anno.pruned = record.wants_content
-        anno.doc = doc_name
-        if record.wants_content:
-            anno.term_frequencies = tf_lookup(anno.dewey)
-        node.anno = anno
-        nodes[key] = node
-        while stack and not key.startswith(stack[-1]):
-            stack.pop()
-        if stack:
-            nodes[stack[-1]].append(node)
-        else:
-            top_level.append(node)
-        stack.append(key)
-    if len(top_level) == 1 and nodes[ordered[0]].anno.dewey.depth == 1:
-        # The document root element itself is in the PDT: it is the tree.
-        root = top_level[0]
-    else:
-        root = XMLNode(FRAGMENT_TAG)
-        for node in top_level:
-            root.append(node)
-    return PDTResult(
-        doc_name=doc_name,
-        root=root,
-        node_count=len(records),
-        entry_count=entry_count,
-        keywords=keywords,
-    )

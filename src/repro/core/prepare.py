@@ -31,12 +31,6 @@ class PreparedLists:
     inv_lists: dict[str, PostingList]
     probed: frozenset[int]
 
-    def total_path_entries(self) -> int:
-        return sum(len(lst) for lst in self.path_lists.values())
-
-    def total_postings(self) -> int:
-        return sum(len(lst) for lst in self.inv_lists.values())
-
     @property
     def probe_count(self) -> int:
         """Index probes issued to build these lists (query-size bound).

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.qpt import QPT, QPTNode
-from repro.dewey import DeweyID
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.serializer import serialized_length
 from repro.xmlmodel.tokenizer import token_frequencies
@@ -132,8 +131,3 @@ def _subtree_tf(element: XMLNode, keyword: str) -> int:
         if node.text:
             total += token_frequencies(node.text).get(keyword, 0)
     return total
-
-
-def reference_pdt_deweys(qpt: QPT, root: XMLNode) -> set[DeweyID]:
-    """Just the PDT node ids (handy for concise assertions)."""
-    return {DeweyID(components) for components in reference_pdt(qpt, root)}

@@ -26,16 +26,14 @@ Theorem 4.1's score equality is realized structurally:
 * Baseline results reference fully materialized base elements, so term
   frequencies come from tokenizing the text and byte lengths from the
   canonical serialization;
-* Efficient results reference pruned PDT elements whose annotations carry
-  the identical quantities (subtree tf from the inverted index, subtree
-  byte length from the path index), so the walk stops at pruned nodes.
-  Shared skeleton trees keep the per-query tfs *outside* the tree — each
+* Efficient (and GTP) results reference pruned PDT elements that stand
+  for the identical quantities (subtree tf from the inverted index,
+  subtree byte length from the path index), so the walk stops at pruned
+  nodes.  PDT trees keep the per-query tfs *outside* the tree — each
   content node carries a ``slot`` index into the flat tf arrays of its
   document's :class:`repro.core.pdt.PDTResult` — so the sum resolves tfs
-  through the ``tf_source`` mapping (document name -> PDTResult) supplied
-  by the engine; nodes annotated the classic way (per-node
-  ``term_frequencies``, e.g. by the GTP baseline) keep working without
-  one.
+  through the ``tf_source`` mapping (document name -> PDTResult) its
+  caller supplies.
 
 Definitions (paper Section 2.2): ``tf(e, k)`` is the number of occurrences
 of k in e and its descendants; ``idf(k) = |V(D)| / |{e in V(D):
@@ -103,13 +101,12 @@ class StatisticsPlan:
       (:func:`repro.core.pdt.patch_skeleton_byte_lengths`), and the next
       :meth:`sum` reads the shifted value, so a plan stays valid for
       exactly as long as the result nodes it was built from;
-    * per document, a picker over the slots its slot-annotated leaves
-      read and the row of each slot — only the rows that touch the
-      document: a column as wide as the view per document would make a
-      many-document view quadratic;
-    * a sparse ``(row, mappings)`` list of everything else's keyword ->
-      count mappings (classic ``term_frequencies`` leaves, constructed
-      text).
+    * per document, a picker over the slots its pruned leaves read and
+      the row of each slot — only the rows that touch the document: a
+      column as wide as the view per document would make a many-document
+      view quadratic;
+    * a sparse ``(row, mappings)`` list of the token counts of
+      constructed text.
 
     Nothing in a plan depends on a query, and :meth:`sum` never writes
     to one: a plan is shared across threads like the result nodes
@@ -137,12 +134,9 @@ class StatisticsPlan:
                 if anno is not None and anno.pruned:
                     leaves.append(anno)
                     leaf_rows.append(row)
-                    if anno.slot is not None:
-                        doc_slots, slot_rows = slots.setdefault(anno.doc, ([], []))
-                        doc_slots.append(anno.slot)
-                        slot_rows.append(row)
-                    else:
-                        found.append(anno.term_frequencies)
+                    doc_slots, slot_rows = slots.setdefault(anno.doc, ([], []))
+                    doc_slots.append(anno.slot)
+                    slot_rows.append(row)
                     continue
                 value = node.value
                 children = node.children
@@ -186,18 +180,19 @@ class StatisticsPlan:
         tfs = {keyword: [0] * size for keyword in unique}
         for doc, pick, slot_rows in self._slots:
             pdt = tf_source.get(doc) if tf_source is not None else None
-            if pdt is None and unique:
-                # A slot-annotated node belongs to a shared skeleton tree
-                # whose per-query tfs live *outside* the tree; scoring it
-                # without a resolving tf_source would silently yield
-                # zeros, so fail loudly instead.
+            if pdt is None:
+                if not unique:
+                    continue
+                # A pruned node's per-query tfs live *outside* the tree;
+                # scoring it without a resolving tf_source would silently
+                # yield zeros, so fail loudly instead.
                 raise ValueError(
                     "cannot score a shared-skeleton PDT node: no tf_source "
                     f"entry for document {doc!r} (per-query term "
                     "frequencies are resolved through content-node slots, "
                     "not stored on the tree)"
                 )
-            arrays = (pdt.tf_arrays if pdt is not None else None) or {}
+            arrays = pdt.tf_arrays
             for keyword, column in tfs.items():
                 array = arrays.get(keyword)
                 if array is None:

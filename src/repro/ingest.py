@@ -1,7 +1,7 @@
 """``python -m repro.ingest`` — stand up a warm sharded corpus.
 
 Thin CLI over :func:`repro.core.ingest.ingest_paths`: parse + index the
-given documents in parallel, hash-partition them across shard executors
+given documents, hash-partition them across shard executors
 (colocating every multi-document view fragment), register the views,
 pre-build skeletons/evaluated tiers, and print the ingest manifest as
 JSON.
@@ -63,13 +63,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="persist per-shard skeleton snapshots under this directory",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parse/index worker threads (default: min(#docs, 8); "
-        "1 indexes in the calling thread)",
-    )
-    parser.add_argument(
         "--manifest",
         default=None,
         metavar="OUT.json",
@@ -83,7 +76,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             dict(args.view),
             shard_count=args.shards,
             snapshot_dir=args.snapshot_dir,
-            workers=args.workers,
         )
     except (ReproError, OSError) as exc:
         print(f"ingest failed: {exc}", file=sys.stderr)

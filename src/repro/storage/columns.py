@@ -44,9 +44,9 @@ class DocumentColumns(NamedTuple):
     #: tag path once, in order of first appearance.
     path_ids: list[int]
     paths: list[tuple[str, ...]]
-    #: keyword -> (column indices, tfs, node-local positions or ``None``)
-    #: of the elements directly containing it, in document order.
-    postings: dict[str, tuple[list[int], list[int], Optional[list[tuple[int, ...]]]]]
+    #: keyword -> (column indices, tfs) of the elements directly
+    #: containing it, in document order.
+    postings: dict[str, tuple[list[int], list[int]]]
 
     @property
     def byte_length(self) -> int:
@@ -66,8 +66,6 @@ def document_columns(
     label: bool,
     root_id: Optional[DeweyID] = None,
     base_path: tuple[str, ...] = (),
-    index_tag_names: bool = False,
-    store_positions: bool = False,
 ) -> DocumentColumns:
     """Walk the subtree at ``root`` once and return its columns (empty
     ones for ``None``: the payload of a delete, the removal of an insert).
@@ -78,8 +76,6 @@ def document_columns(
     the tree keeps the labels it has — ordinal holes included — and an
     unlabelled element is a :class:`StorageError`.  ``base_path`` is the
     tag path of ``root``'s parent, for a subtree below the document root.
-    ``index_tag_names`` also posts each element's tag-name tokens (ahead
-    of its text's); ``store_positions`` keeps node-local token positions.
     """
     if root is None:
         return DocumentColumns([], [], [], [], [], [], {})
@@ -121,27 +117,13 @@ def document_columns(
         parents.append(parent)
         path_ids.append(path_id)
 
-        tokens = list(tokenize(node.text)) if node.text else []
-        if index_tag_names:
-            tokens[:0] = tokenize(tag)
-        if store_positions:
-            where: dict[str, list[int]] = {}
-            for position, token in enumerate(tokens):
-                where.setdefault(token, []).append(position)
-            for token, positions in where.items():
-                rows, tfs, all_positions = postings.get(token) or postings.setdefault(
-                    token, ([], [], [])
-                )
-                rows.append(index)
-                tfs.append(len(positions))
-                all_positions.append(tuple(positions))
-        elif tokens:
+        if node.text:
             counts: dict[str, int] = {}
-            for token in tokens:
+            for token in tokenize(node.text):
                 counts[token] = counts.get(token, 0) + 1
             for token, tf in counts.items():
-                rows, tfs, _ = postings.get(token) or postings.setdefault(
-                    token, ([], [], None)
+                rows, tfs = postings.get(token) or postings.setdefault(
+                    token, ([], [])
                 )
                 rows.append(index)
                 tfs.append(tf)

@@ -97,16 +97,15 @@ def index_document(
     name: str,
     source: Union[str, XMLNode, Document],
     *,
-    store_positions: bool = False,
-    index_tag_names: bool = False,
     generation: int = 0,
 ) -> IndexedDocument:
     """Parse (if needed), Dewey-label and index one document — no database.
 
     This is the pure, shared-nothing heart of :meth:`XMLDatabase.load_document`:
-    it touches no shared state, so a bulk-ingestion pipeline can run it
-    across a thread pool and :meth:`XMLDatabase.attach_document` the
-    results under each target shard's own generation counter.
+    it touches no shared state, so a bulk-ingestion pipeline can index
+    documents before it knows their shards and
+    :meth:`XMLDatabase.attach_document` the results under each target
+    shard's own generation counter.
     """
     if isinstance(source, Document):
         root, label = source.root, source.root.dewey is None
@@ -116,17 +115,12 @@ def index_document(
         root, label = parse_xml(source), True
     # One walk labels the tree (unless it arrives labelled: a reloaded
     # document keeps its ordinal holes) and yields every index's columns.
-    columns = document_columns(
-        root,
-        label=label,
-        index_tag_names=index_tag_names,
-        store_positions=store_positions,
-    )
+    columns = document_columns(root, label=label)
     return IndexedDocument(
         document=Document(name, root, assign_ids=False),
         store=DocumentStore.from_columns(columns),
         path_index=PathIndex.from_columns(columns),
-        inverted_index=InvertedIndex.from_columns(columns, store_positions),
+        inverted_index=InvertedIndex.from_columns(columns),
         generation=generation,
     )
 
@@ -134,10 +128,8 @@ def index_document(
 class XMLDatabase:
     """A set of indexed XML documents addressable by name (``fn:doc``)."""
 
-    def __init__(self, index_tag_names: bool = False, store_positions: bool = False):
+    def __init__(self):
         self._documents: dict[str, IndexedDocument] = {}
-        self.index_tag_names = index_tag_names
-        self.store_positions = store_positions
         # itertools.count: atomic under the GIL, so concurrent loads can
         # never stamp two documents with the same generation.
         self._generations = itertools.count(1)
@@ -241,11 +233,7 @@ class XMLDatabase:
         if name in self._documents:
             raise StorageError(f"document already loaded: {name!r}")
         indexed = index_document(
-            name,
-            source,
-            store_positions=self.store_positions,
-            index_tag_names=self.index_tag_names,
-            generation=next(self._generations),
+            name, source, generation=next(self._generations)
         )
         self._documents[name] = indexed
         self._notify_invalidation(name)
@@ -254,8 +242,8 @@ class XMLDatabase:
     def attach_document(self, indexed: IndexedDocument) -> IndexedDocument:
         """Adopt an already-indexed document built elsewhere.
 
-        The ingestion pipeline indexes documents off-database (in
-        worker threads, via :func:`index_document`) and attaches each
+        The ingestion pipeline indexes documents off-database (via
+        :func:`index_document`) and attaches each
         to its target shard's database; the sharded difftest harness
         attaches documents a single-engine case already indexed.  The
         immutable pieces — labelled tree, store, indices, cached
@@ -334,13 +322,7 @@ class XMLDatabase:
             else None
         )
         key, bound, ancestor_keys, removed_paths, added_paths, length_delta = (
-            execute_subtree_update(
-                indexed,
-                kind,
-                target_id,
-                new_root,
-                index_tag_names=self.index_tag_names,
-            )
+            execute_subtree_update(indexed, kind, target_id, new_root)
         )
         indexed._serialized = None
         indexed._tag_index = None

@@ -1,18 +1,17 @@
 """XML inverted-list indices (paper Section 3.2, Figure 4b).
 
 For every keyword the index stores the Dewey-ordered list of elements that
-*directly* contain the keyword, with the term frequency (and optionally the
-position list) per element.  Because Dewey IDs make a subtree a contiguous
-ID range, the tf of a keyword within an arbitrary element's subtree — the
-quantity the PDT attaches to 'c' nodes — is a range sum over the posting
-list, answered in O(log n) with prefix sums (this plays the role of the
-"B+-tree built on top of each inverted list").
+*directly* contain the keyword, one ``(element, tf)`` pair per element.
+Because Dewey IDs make a subtree a contiguous ID range, the tf of a
+keyword within an arbitrary element's subtree — the quantity the PDT
+attaches to 'c' nodes — is a range sum over the posting list, answered in
+O(log n) with prefix sums (this plays the role of the "B+-tree built on
+top of each inverted list").
 
 Storage layout: each posting list keeps exactly three parallel arrays —
 packed Dewey byte keys (see :mod:`repro.dewey`), per-element tfs and the
-tf prefix sums — plus an optional positions array when the index stores
-positions.  :class:`Posting` objects are synthesized views, decoded on
-demand; nothing stores the int-tuple form.  The arrays are filled
+tf prefix sums.  :class:`Posting` objects are synthesized views, decoded
+on demand; nothing stores the int-tuple form.  The arrays are filled
 straight from the ingest walk's columns (:mod:`repro.storage.columns`), at
 load and on every edit, each list owning a run of fresh key objects: no
 ``Posting`` is allocated and no key re-packed.  Besides the memory win, the
@@ -25,9 +24,9 @@ annotation path of :func:`repro.core.pdt.annotate_skeleton`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.dewey import DeweyID, pack, unpack
 from repro.storage.columns import DocumentColumns, document_columns, own_keys
@@ -36,7 +35,7 @@ from repro.xmlmodel.node import XMLNode
 
 @dataclass(frozen=True)
 class Posting:
-    """One inverted-list entry: element id, tf, optional positions.
+    """One inverted-list entry: element id and tf.
 
     A *view* object: posting lists store packed arrays internally and
     synthesize ``Posting`` instances on demand.
@@ -44,7 +43,6 @@ class Posting:
 
     dewey: tuple[int, ...]
     tf: int
-    positions: tuple[int, ...] = field(default=())
 
 
 class PostingList:
@@ -52,12 +50,9 @@ class PostingList:
 
     Storage is three parallel arrays — packed keys, tfs and tf prefix
     sums; ``postings`` decodes them into :class:`Posting` views.
-    ``_positions`` is ``None`` unless at least one posting carries
-    positions, so the common positions-off configuration pays nothing
-    for the feature.
     """
 
-    __slots__ = ("keyword", "_keys", "_tfs", "_cumulative", "_positions")
+    __slots__ = ("keyword", "_keys", "_tfs", "_cumulative")
 
     def __init__(self, keyword: str, postings: Iterable[Posting]):
         postings = list(postings)
@@ -65,28 +60,22 @@ class PostingList:
             keyword,
             [pack(posting.dewey) for posting in postings],
             [posting.tf for posting in postings],
-            [tuple(posting.positions) for posting in postings],
         )
 
     @classmethod
     def from_columns(
-        cls,
-        keyword: str,
-        keys: list[bytes],
-        tfs: list[int],
-        positions: Optional[list[tuple[int, ...]]] = None,
+        cls, keyword: str, keys: list[bytes], tfs: list[int]
     ) -> "PostingList":
         """A list over ready-made storage arrays (document order), which
         it takes ownership of — no :class:`Posting`, no key re-packed."""
         plist = cls.__new__(cls)
-        plist._fill(keyword, keys, tfs, positions)
+        plist._fill(keyword, keys, tfs)
         return plist
 
-    def _fill(self, keyword, keys, tfs, positions) -> None:
+    def _fill(self, keyword, keys, tfs) -> None:
         self.keyword = keyword
         self._keys = keys
         self._tfs = tfs
-        self._positions = positions if positions and any(positions) else None
         self._cumulative = list(accumulate(tfs, initial=0))
 
     def __len__(self) -> int:
@@ -95,17 +84,10 @@ class PostingList:
     def __iter__(self) -> Iterator[Posting]:
         return iter(self.postings)
 
-    def _posting_at(self, index: int) -> Posting:
-        return Posting(
-            dewey=unpack(self._keys[index]),
-            tf=self._tfs[index],
-            positions=self._positions[index] if self._positions else (),
-        )
-
     @property
     def postings(self) -> list[Posting]:
         """Decoded posting views (synthesized; not the storage form)."""
-        return [self._posting_at(i) for i in range(len(self._keys))]
+        return [Posting(unpack(key), tf) for key, tf in zip(self._keys, self._tfs)]
 
     @property
     def keys(self) -> tuple[bytes, ...]:
@@ -161,34 +143,20 @@ class PostingList:
         return out
 
     def splice_range(
-        self,
-        low: bytes,
-        high: bytes,
-        keys: Sequence[bytes],
-        tfs: Sequence[int],
-        positions: Optional[Sequence[tuple[int, ...]]],
+        self, low: bytes, high: bytes, keys: Sequence[bytes], tfs: Sequence[int]
     ) -> None:
         """Replace the postings in ``[low, high)`` with the given storage
         arrays (document order; empty: a pure removal).
 
-        Array surgery on the storage form: keys/tfs/positions are spliced
-        and the tf prefix sums rebuilt (one linear pass — the arrays were
-        rewritten anyway).  ``_positions`` collapses back to ``None`` when
-        no surviving posting carries positions, so a delete can return a
-        list to the cheap positions-off layout.
+        Array surgery on the storage form: keys and tfs are spliced and
+        the tf prefix sums rebuilt (one linear pass — the arrays were
+        rewritten anyway).
         """
         lo = bisect_left(self._keys, low)
         hi = bisect_left(self._keys, high)
-        all_positions = self._positions
-        if positions and any(positions):
-            if all_positions is None:
-                all_positions = [()] * len(self._keys)
-            all_positions[lo:hi] = positions
-        elif all_positions is not None:
-            all_positions[lo:hi] = [()] * len(keys)
         self._keys[lo:hi] = keys
         self._tfs[lo:hi] = tfs
-        self._fill(self.keyword, self._keys, self._tfs, all_positions)
+        self._fill(self.keyword, self._keys, self._tfs)
 
     def storage_nbytes(self) -> int:
         """Approximate payload bytes held by the packed key array.
@@ -202,47 +170,28 @@ class PostingList:
 class InvertedIndex:
     """Inverted-list index for one document."""
 
-    def __init__(self, lists: dict[str, PostingList], store_positions: bool):
+    def __init__(self, lists: dict[str, PostingList]):
         self._lists = lists
-        self.store_positions = store_positions
         self.probe_count = 0
 
     @classmethod
-    def from_columns(
-        cls, columns: DocumentColumns, store_positions: bool = False
-    ) -> "InvertedIndex":
-        """Build the lists from a walked document (which must have been
-        walked with the same ``store_positions``).  The walk is pre-order,
+    def from_columns(cls, columns: DocumentColumns) -> "InvertedIndex":
+        """Build the lists from a walked document.  The walk is pre-order,
         i.e. document order, so each keyword's postings arrive sorted;
         every list owns a run of fresh key objects."""
-        lists = {
-            keyword: PostingList.from_columns(
-                keyword, own_keys(columns.keys, rows), tfs, positions
-            )
-            for keyword, (rows, tfs, positions) in columns.postings.items()
-        }
-        return cls(lists, store_positions)
+        return cls(
+            {
+                keyword: PostingList.from_columns(
+                    keyword, own_keys(columns.keys, rows), tfs
+                )
+                for keyword, (rows, tfs) in columns.postings.items()
+            }
+        )
 
     @classmethod
-    def from_tree(
-        cls,
-        root: XMLNode,
-        store_positions: bool = False,
-        index_tag_names: bool = False,
-    ) -> "InvertedIndex":
-        """Tokenize every element's direct text and build the lists.
-
-        ``index_tag_names`` additionally indexes each element's tag name as
-        a token (the paper notes a keyword "can appear in the tag name");
-        it defaults off and must match the scorer's configuration.
-        """
-        columns = document_columns(
-            root,
-            label=False,
-            index_tag_names=index_tag_names,
-            store_positions=store_positions,
-        )
-        return cls.from_columns(columns, store_positions)
+    def from_tree(cls, root: XMLNode) -> "InvertedIndex":
+        """Tokenize every element's direct text and build the lists."""
+        return cls.from_columns(document_columns(root, label=False))
 
     def apply_subtree_edit(
         self,
@@ -262,16 +211,16 @@ class InvertedIndex:
         document frequencies match a from-scratch rebuild.
         """
         for keyword in removed.postings.keys() | added.postings.keys():
-            rows, tfs, positions = added.postings.get(keyword, ((), (), None))
+            rows, tfs = added.postings.get(keyword, ((), ()))
             keys = own_keys(added.keys, rows)
             existing = self._lists.get(keyword)
             if existing is None:
                 if keys:
                     self._lists[keyword] = PostingList.from_columns(
-                        keyword, keys, tfs, positions
+                        keyword, keys, tfs
                     )
                 continue
-            existing.splice_range(low, high, keys, tfs, positions)
+            existing.splice_range(low, high, keys, tfs)
             if not len(existing):
                 del self._lists[keyword]
 

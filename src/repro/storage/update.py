@@ -86,8 +86,6 @@ def execute_subtree_update(
     kind: str,
     target_id: DeweyID,
     new_root: Optional[XMLNode],
-    *,
-    index_tag_names: bool,
 ) -> tuple[
     bytes,
     bytes,
@@ -144,13 +142,7 @@ def execute_subtree_update(
 
     # The same walk that loads a document, over the removed subtree and
     # over the payload (labelling it from the edit point down).
-    walk = partial(
-        document_columns,
-        root_id=edit_id,
-        base_path=parent_path,
-        index_tag_names=index_tag_names,
-        store_positions=indexed.inverted_index.store_positions,
-    )
+    walk = partial(document_columns, root_id=edit_id, base_path=parent_path)
     removed, added = walk(removed_node, label=False), walk(new_root, label=True)
 
     own_before = own_length(parent.tag, parent.value, bool(parent.children))

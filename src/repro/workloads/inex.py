@@ -96,10 +96,6 @@ class INEXConfig:
         return self.journals_per_scale * self.scale
 
     @property
-    def article_count(self) -> int:
-        return self.journal_count * self.articles_per_journal
-
-    @property
     def author_count(self) -> int:
         return self.author_pool_base + self.authors_per_scale * self.scale
 

@@ -12,13 +12,13 @@ The model follows the paper's conventions (Section 2.1):
 
 PDT nodes reuse the same class with an attached :class:`NodeAnnotations`
 record carrying the selectively-materialized information (Dewey id, byte
-length, per-keyword term frequencies) that the scoring and materialization
-phases consume.
+length, content slot) that the scoring and materialization phases
+consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.dewey import DeweyID, dewey_from_parts, pack_component
@@ -29,21 +29,18 @@ class NodeAnnotations:
     """Extra information attached to pruned (PDT) nodes.
 
     ``dewey`` identifies the base element this pruned node stands for;
-    ``byte_length`` is the serialized length of the base element's subtree;
-    ``term_frequencies`` maps query keyword -> tf aggregated over the base
-    element's subtree.  ``pruned`` marks nodes whose content was *not*
-    materialized ('c' nodes before top-k expansion).
-
-    Nodes of a shared PDT skeleton tree carry a ``slot`` instead of
-    ``term_frequencies``: the content node's index into the per-query tf
-    arrays of :class:`repro.core.pdt.PDTResult`.  The tree itself is
+    ``byte_length`` is the serialized length of the base element's subtree.
+    ``pruned`` marks nodes whose content was *not* materialized ('c' nodes
+    before top-k expansion), and each such node carries a ``slot``: its
+    index into the per-query tf arrays of
+    :class:`repro.core.pdt.PDTResult`, which hold the keyword's tf
+    aggregated over the base element's subtree.  The tree itself is
     keyword-independent and reused across queries, so per-query data can
     never live on the node.
     """
 
     dewey: Optional[DeweyID] = None
     byte_length: int = 0
-    term_frequencies: dict[str, int] = field(default_factory=dict)
     pruned: bool = False
     doc: Optional[str] = None
     slot: Optional[int] = None
@@ -245,9 +242,6 @@ class Document:
                 else:
                     return None
         return node
-
-    def nodes_in_document_order(self) -> Iterator[XMLNode]:
-        return self.root.iter()
 
     def size(self) -> int:
         return self.root.size()

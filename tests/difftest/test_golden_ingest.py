@@ -4,11 +4,10 @@
 seed's own view shape) and for every ``VIEW_SHAPES`` template at seed
 11, the sha256 of the ``mutations`` module's three state digests —
 document-store rows, posting lists, Path-Values rows keyed by path
-*tuple* — plus the content fingerprint, per document and in three
-states: as loaded, re-indexed with ``store_positions`` and
-``index_tag_names`` on, and after the case's edit stream was applied
-through the delta path.  Beside them, the cumulative index-probe /
-store-access counters after each of the case's queries.
+*tuple* — plus the content fingerprint, per document and in two
+states: as loaded, and after the case's edit stream was applied through
+the delta path.  Beside them, the cumulative index-probe / store-access
+counters after each of the case's queries.
 
 Recorded at the last commit whose three index builders each walked the
 tree themselves (``cd tests && python -m difftest.test_golden_ingest``
@@ -25,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.storage.database import index_document
 
 from difftest.generators import (
     VIEW_SHAPES,
@@ -70,17 +68,6 @@ def compute_case(seed: int, shape=None) -> dict:
     names = db.document_names()
     out: dict = {
         "loaded": {name: _document_digests(db.get(name)) for name in names},
-        "flags_on": {
-            name: _document_digests(
-                index_document(
-                    name,
-                    generate_case(seed, shape).database.get(name).document,
-                    store_positions=True,
-                    index_tag_names=True,
-                )
-            )
-            for name in names
-        },
     }
 
     engine = KeywordSearchEngine(db)
@@ -109,7 +96,7 @@ def compute_case(seed: int, shape=None) -> dict:
 def test_ingest_reproduces_recorded_digests(case_id, seed, shape):
     expected = json.loads(GOLDEN_PATH.read_text())["cases"][case_id]
     computed = compute_case(seed, shape)
-    for section in ("loaded", "flags_on", "counters", "edited"):
+    for section in ("loaded", "counters", "edited"):
         assert computed[section] == expected[section], f"{case_id} [{section}]"
 
 

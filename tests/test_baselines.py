@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.gtp import GTPEngine, GTPStatistics, structural_join
 from repro.baselines.naive import BaselineEngine
 from repro.baselines.projection import project_document, project_serialized
+from repro.core.pdt import generate_pdt
 from repro.core.qpt import generate_qpts
 from repro.core.reference import reference_pdt
 from repro.workloads.bookrev import BOOKREV_VIEW
@@ -53,18 +54,57 @@ class TestStructuralJoin:
         assert matched_desc == {(1, 1), (1, 2)}
 
 
+def _node_rows(root):
+    """Per node, what the shared tree builder decides: tag, text and the
+    annotation's dewey, byte length, pruned flag and content slot.  The
+    byte length only where scoring reads it, at content nodes: the sweep
+    records none for an ancestor it derived without a probe, GTP reads
+    every record's from base data."""
+    rows = []
+    for node in root.iter():
+        anno = node.anno
+        if anno is None:
+            rows.append((node.tag, node.text))
+            continue
+        length = anno.byte_length if anno.pruned else None
+        rows.append(
+            (node.tag, node.text, anno.dewey, length, anno.pruned, anno.slot)
+        )
+    return rows
+
+
 class TestGTP:
+    #: ``zzznever`` has no postings; ``xml`` is queried twice.
+    KEYWORDS = ("xml", "search", "zzznever", "data", "xml")
+
     def test_pruned_document_matches_reference(self, bookrev_db):
-        qpt = qpts_for(BOOKREV_VIEW)["books.xml"]
         engine = GTPEngine(bookrev_db)
-        result = engine.build_pruned_document(qpt, ("xml",), GTPStatistics())
-        reference = reference_pdt(qpt, bookrev_db.get("books.xml").root, ("xml",))
-        produced = {
-            node.anno.dewey.components
-            for node in result.root.iter()
-            if node.anno is not None and node.anno.dewey is not None
-        }
-        assert produced == set(reference)
+        for doc, qpt in qpts_for(BOOKREV_VIEW).items():
+            indexed = bookrev_db.get(doc)
+            result = engine.build_pruned_document(
+                qpt, self.KEYWORDS, GTPStatistics()
+            )
+            reference = reference_pdt(qpt, indexed.root, self.KEYWORDS)
+            produced = {
+                node.anno.dewey.components: node
+                for node in result.root.iter()
+                if node.anno is not None and node.anno.dewey is not None
+            }
+            assert set(produced) == set(reference)
+            for dewey, expected in reference.items():
+                if expected["wants_content"]:
+                    assert (
+                        result.tf_map(produced[dewey])
+                        == expected["term_frequencies"]
+                    )
+            # The same tree and the same tf layout as the engine's sweep.
+            swept = generate_pdt(
+                qpt, indexed.path_index, indexed.inverted_index, self.KEYWORDS
+            )
+            assert result.tf_arrays == swept.tf_arrays
+            assert result.tf_arrays["zzznever"] is None
+            assert _node_rows(result.root) == _node_rows(swept.root)
+            assert result.node_count == swept.node_count
 
     def test_gtp_accesses_base_data(self, bookrev_db):
         """The defining cost difference: GTP touches document storage."""

@@ -6,8 +6,8 @@ sub-document edit runs the same walk over its payload.  Here every
 structure is recomputed from the live tree by the shortest code that
 states its definition — the serializer is the independent oracle for
 byte lengths, ``Counter(tokenize(text))`` for postings — over generated
-trees, with dense labels and with the ordinal holes edits leave behind,
-with ``index_tag_names`` / ``store_positions`` on and off.
+trees, with dense labels and with the ordinal holes edits leave behind.
+Only text is tokenized: a tag name is never a posting.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _paths(root: XMLNode):
         stack.extend((c, path + (c.tag,)) for c in reversed(node.children))
 
 
-def _assert_is_the_definition(indexed, index_tag_names, store_positions):
+def _assert_is_the_definition(indexed):
     root = indexed.document.root
     nodes = list(root.iter())
     # Document order is key order, labels dense or not.
@@ -105,15 +105,10 @@ def _assert_is_the_definition(indexed, index_tag_names, store_positions):
     # -- inverted index: Counter(tokenize(text)) per element --------------------
     expected: dict[str, list] = {}
     for node in nodes:
-        tokens = list(tokenize(node.tag)) if index_tag_names else []
-        tokens += tokenize(node.text or "")
-        for token, tf in Counter(tokens).items():
-            positions = tuple(i for i, t in enumerate(tokens) if t == token)
-            expected.setdefault(token, []).append(
-                (node.dewey.components, tf, positions if store_positions else ())
-            )
+        for token, tf in Counter(tokenize(node.text or "")).items():
+            expected.setdefault(token, []).append((node.dewey.components, tf))
     actual = {
-        keyword: [(p.dewey, p.tf, p.positions) for p in plist.postings]
+        keyword: [(p.dewey, p.tf) for p in plist.postings]
         for keyword, plist in indexed.inverted_index._lists.items()
     }
     assert actual == expected
@@ -148,31 +143,26 @@ def _assert_is_the_definition(indexed, index_tag_names, store_positions):
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000_000),
-    index_tag_names=st.booleans(),
-    store_positions=st.booleans(),
     edits=st.integers(min_value=0, max_value=5),
 )
-def test_columnar_ingest_is_the_definition(
-    seed, index_tag_names, store_positions, edits
-):
+def test_columnar_ingest_is_the_definition(seed, edits):
     rng = random.Random(seed)
-    flags = dict(index_tag_names=index_tag_names, store_positions=store_positions)
-    db = XMLDatabase(**flags)
+    db = XMLDatabase()
     live = db.load_document("d", _random_tree(rng))
-    _assert_is_the_definition(live, **flags)
+    _assert_is_the_definition(live)
     fingerprint = live.fingerprint  # from here on maintained by the edits
 
     _mutate(db, rng, edits)
     # The delta-maintained state, holes and all ...
-    _assert_is_the_definition(live, **flags)
+    _assert_is_the_definition(live)
     # ... and a rebuild of the pre-labelled tree, which keeps the holes.
-    rebuilt = index_document("d", live.document, **flags)
+    rebuilt = index_document("d", live.document)
     assert [n.dewey for n in rebuilt.document.root.iter()] == [
         n.dewey for n in live.document.root.iter()
     ]
-    _assert_is_the_definition(rebuilt, **flags)
+    _assert_is_the_definition(rebuilt)
     assert rebuilt.fingerprint == live.fingerprint
-    assert index_document("d", live.document, **flags).fingerprint == (
+    assert index_document("d", live.document).fingerprint == (
         rebuilt.fingerprint
     )
     if not edits:
@@ -181,11 +171,11 @@ def test_columnar_ingest_is_the_definition(
 
 def test_attributes_arrive_as_leading_children():
     text = '<r id="7" kind="a &amp; b"><c x="1">t</c><e/></r>'
-    indexed = index_document("d", text, index_tag_names=True, store_positions=True)
+    indexed = index_document("d", text)
     assert [n.tag for n in indexed.document.root.iter()] == [
         "r", "id", "kind", "c", "x", "e",
     ]
-    _assert_is_the_definition(indexed, True, True)
+    _assert_is_the_definition(indexed)
     assert indexed.store.record(indexed.document.root.dewey).byte_length == len(
         serialize(parse_xml(text))
     )
@@ -198,7 +188,7 @@ def test_an_element_valued_nan_can_be_edited():
     indexed = db.load_document("d", "<a><b>nan</b><b>NaN</b><c>7</c></a>")
     db.delete_subtree("d", "1.1")
     db.replace_subtree("d", "1.2", "<b>nan</b>")
-    _assert_is_the_definition(indexed, False, False)
+    _assert_is_the_definition(indexed)
     entries = indexed.path_index.lookup_ids(
         (("/", "a"), ("/", "b")), with_values=True
     )

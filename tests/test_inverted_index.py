@@ -1,4 +1,4 @@
-"""Inverted index tests: postings, subtree aggregation, positions."""
+"""Inverted index tests: postings, subtree aggregation, storage layout."""
 
 import pytest
 
@@ -98,26 +98,6 @@ class TestSubtreeAggregation:
             assert index.lookup("xml").subtree_tf(node.dewey) == text_tf
 
 
-class TestOptions:
-    def test_positions_stored_when_enabled(self):
-        document = Document("d.xml", parse_xml("<a>x y x</a>"))
-        index = InvertedIndex.from_tree(document.root, store_positions=True)
-        posting = index.lookup("x").postings[0]
-        assert posting.positions == (0, 2)
-
-    def test_positions_empty_when_disabled(self):
-        document = Document("d.xml", parse_xml("<a>x y x</a>"))
-        index = InvertedIndex.from_tree(document.root)
-        assert index.lookup("x").postings[0].positions == ()
-
-    def test_tag_name_indexing(self):
-        document = Document("d.xml", parse_xml("<chapter>body</chapter>"))
-        default = InvertedIndex.from_tree(document.root)
-        with_tags = InvertedIndex.from_tree(document.root, index_tag_names=True)
-        assert "chapter" not in default
-        assert "chapter" in with_tags
-
-
 class TestPackedStorageFootprint:
     """Satellite regression: posting lists keep only the packed arrays.
 
@@ -159,8 +139,10 @@ class TestPackedStorageFootprint:
         assert packed_bytes < tuple_bytes
 
     def test_positions_array_absent_when_unused(self):
+        """A posting is ``(element, tf)``: the three arrays are all a
+        list stores."""
         plist, _ = self._deep_list()
-        assert plist._positions is None
+        assert PostingListSlots() == ("keyword", "_keys", "_tfs", "_cumulative")
 
 
 def PostingListSlots():

@@ -32,12 +32,23 @@ def _pruned(tag, text=None, children=(), **annotations) -> XMLNode:
     return node
 
 
-def pruned_node(tag: str, tfs: dict, length: int) -> XMLNode:
-    return _pruned(tag, term_frequencies=tfs, byte_length=length)
+def _pdt(tf_arrays) -> PDTResult:
+    return PDTResult("any", XMLNode("root"), 0, 0, (), tf_arrays)
 
 
-def statistics_of(node: XMLNode, keywords) -> ResultStatistics:
-    [scored], _containing = StatisticsPlan([node]).collect(keywords)
+#: The document the fixtures' content leaves belong to.
+LEAF_DOC = "leaf.xml"
+
+
+def pruned_node(tag: str, tfs: dict, length: int):
+    """A content leaf at slot 0 of ``LEAF_DOC``, and the tf source that
+    resolves its ``tfs``."""
+    node = _pruned(tag, doc=LEAF_DOC, slot=0, byte_length=length)
+    return node, {LEAF_DOC: _pdt({kw: [tf] for kw, tf in tfs.items()})}
+
+
+def statistics_of(node: XMLNode, keywords, tf_source=None) -> ResultStatistics:
+    [scored], _containing = StatisticsPlan([node]).collect(keywords, tf_source)
     return scored.statistics
 
 
@@ -58,17 +69,18 @@ class TestAggregation:
 
     def test_pruned_annotations_used_and_not_descended(self):
         wrapper = XMLNode("res")
-        pruned = pruned_node("body", {"xml": 5}, 100)
+        pruned, tf_source = pruned_node("body", {"xml": 5}, 100)
         pruned.make_child("inner", "xml xml xml")  # must NOT double count
         wrapper.children.append(pruned)
-        stats = statistics_of(wrapper, ["xml"])
+        stats = statistics_of(wrapper, ["xml"], tf_source)
         assert stats.term_frequencies == {"xml": 5}
         assert stats.byte_length == len("<res></res>") + 100
 
     def test_mixed_constructed_and_pruned(self):
         wrapper = XMLNode("res", "xml intro")
-        wrapper.children.append(pruned_node("c", {"xml": 2}, 7))
-        stats = statistics_of(wrapper, ["xml"])
+        pruned, tf_source = pruned_node("c", {"xml": 2}, 7)
+        wrapper.children.append(pruned)
+        stats = statistics_of(wrapper, ["xml"], tf_source)
         assert stats.term_frequencies == {"xml": 3}
 
 
@@ -165,29 +177,24 @@ def _aggregate(
     tf_source: Optional[Mapping[str, object]],
 ) -> int:
     """The statistics walk ``core/scoring.py`` ran per result per query
-    until the plan replaced it — moved here verbatim, as the oracle."""
+    until the plan replaced it — moved here as the oracle, less the
+    per-node tf dicts no pruned leaf carries any more."""
     anno = node.anno
     if anno is not None and anno.pruned:
-        slot = anno.slot
-        if slot is not None:
-            # A slot-annotated node belongs to a shared skeleton tree
-            # whose per-query tfs live *outside* the tree; scoring it
-            # without a resolving tf_source would silently yield zeros,
-            # so fail loudly instead.
-            pdt = tf_source.get(anno.doc) if tf_source is not None else None
-            if pdt is None and tfs:
-                raise ValueError(
-                    "cannot score a shared-skeleton PDT node: no tf_source "
-                    f"entry for document {anno.doc!r} (per-query term "
-                    "frequencies are resolved through content-node slots, "
-                    "not stored on the tree)"
-                )
-            if pdt is not None:
-                for keyword in tfs:
-                    tfs[keyword] += pdt.tf_at(slot, keyword)
-            return anno.byte_length
-        for keyword in tfs:
-            tfs[keyword] += anno.term_frequencies.get(keyword, 0)
+        # A pruned node's per-query tfs live *outside* the tree;
+        # scoring it without a resolving tf_source would silently yield
+        # zeros, so fail loudly instead.
+        pdt = tf_source.get(anno.doc) if tf_source is not None else None
+        if pdt is None and tfs:
+            raise ValueError(
+                "cannot score a shared-skeleton PDT node: no tf_source "
+                f"entry for document {anno.doc!r} (per-query term "
+                "frequencies are resolved through content-node slots, "
+                "not stored on the tree)"
+            )
+        if pdt is not None:
+            for keyword in tfs:
+                tfs[keyword] += pdt.tf_at(anno.slot, keyword)
         return anno.byte_length
     value = node.value
     if value is not None:
@@ -224,36 +231,29 @@ def oracle_statistics(nodes, keywords, tf_source):
 
 
 DOCUMENTS = ("a.xml", "b.xml", "c.xml")
+#: A document every drawn tf source other than ``None`` resolves.
+FURTHER = "d.xml"
 VOCABULARY = ("xml", "search", "query", "a1")
 SLOTS = 5
 TEXTS = st.sampled_from(
     [None, "", "   ", "xml", " xml search xml ", "query & <a1> a1", "Plain words."]
 )
 TAGS = st.sampled_from(["r", "hit", "title", "x" * 17])
-TF_MAPS = st.dictionaries(st.sampled_from(VOCABULARY), st.integers(0, 4))
 #: Zero and negative too: a result that is one pruned leaf has the
 #: leaf's length, and edits have driven recorded lengths negative.
 BYTE_LENGTHS = st.just(0) | st.integers(-50, -1) | st.integers(1, 500)
 
 
-#: Pruned leaves of both kinds (some with children, which must not be
-#: walked), an unpruned annotated node, empty and text-only elements.
+#: Pruned leaves (some with children, which must not be walked), empty
+#: and text-only elements.
 LEAVES = st.one_of(
     st.builds(
         _pruned,
         TAGS,
         TEXTS,
         st.just([]) | st.builds(lambda: [XMLNode("inner", "xml xml")]),
-        doc=st.sampled_from(DOCUMENTS),
+        doc=st.sampled_from((*DOCUMENTS, FURTHER)),
         slot=st.integers(0, SLOTS - 1),
-        byte_length=BYTE_LENGTHS,
-    ),
-    st.builds(
-        _pruned,
-        TAGS,
-        TEXTS,
-        st.just([]),
-        term_frequencies=TF_MAPS,
         byte_length=BYTE_LENGTHS,
     ),
     st.builds(XMLNode, TAGS, TEXTS),
@@ -276,7 +276,7 @@ def _nested(tree: XMLNode, depth: int) -> XMLNode:
 FORESTS = st.lists(
     st.builds(_nested, TREES, st.sampled_from([0, 0, 0, 3, 2000])), max_size=5
 )
-TF_ARRAYS = st.none() | st.fixed_dictionaries(
+TF_ARRAYS = st.fixed_dictionaries(
     {},
     optional={
         keyword: st.sampled_from([[1, 2, 3, 0, 1], [2, 0, 0, 1, 3], None])
@@ -293,10 +293,13 @@ PDTS = st.builds(
     keywords=st.just(()),
     tf_arrays=TF_ARRAYS,
 )
+ALL_SOURCES = st.fixed_dictionaries({doc: PDTS for doc in (*DOCUMENTS, FURTHER)})
 TF_SOURCES = st.one_of(
     st.none(),
-    st.fixed_dictionaries({doc: PDTS for doc in DOCUMENTS}),
-    st.dictionaries(st.sampled_from(DOCUMENTS), PDTS),  # some missing
+    ALL_SOURCES,
+    st.fixed_dictionaries(  # some missing
+        {FURTHER: PDTS}, optional={doc: PDTS for doc in DOCUMENTS}
+    ),
 )
 KEYWORDS = st.lists(st.sampled_from(VOCABULARY), max_size=4).map(tuple)
 
@@ -333,14 +336,14 @@ class TestPlanEqualsWalk:
         assert only.statistics.term_frequencies == {} and containing == {}
 
     def test_plan_reads_live_byte_lengths_and_never_rewalks(self, monkeypatch):
-        leaf = _pruned("c", term_frequencies={"xml": 2}, byte_length=10)
+        leaf, tf_source = pruned_node("c", {"xml": 2}, 10)
         plan = StatisticsPlan([XMLNode("hit", "xml", [leaf])])
         monkeypatch.setattr(
             XMLNode, "value", property(lambda node: pytest.fail("walked a node"))
         )
-        [before], _ = plan.collect(("xml",))
+        [before], _ = plan.collect(("xml",), tf_source)
         leaf.anno.byte_length += 7  # what a patchable edit does, in place
-        [after], _ = plan.collect(("xml",))
+        [after], _ = plan.collect(("xml",), tf_source)
         assert after.statistics.byte_length == before.statistics.byte_length + 7
         assert after.statistics.term_frequencies == {"xml": 3}
 
@@ -351,7 +354,6 @@ class TestPlanEqualsWalk:
 RANK_FORESTS = st.tuples(st.lists(TREES, max_size=6), st.booleans()).map(
     lambda drawn: drawn[0] * 2 if drawn[1] else drawn[0]
 )
-ALL_SOURCES = st.fixed_dictionaries({doc: PDTS for doc in DOCUMENTS})
 
 
 def _ranked(results):

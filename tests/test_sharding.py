@@ -744,8 +744,6 @@ class TestIngest:
                 f"v={view_path}",
                 "--manifest",
                 str(manifest),
-                "--workers",
-                "1",
                 *doc_paths,
             ]
         )

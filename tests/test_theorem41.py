@@ -144,8 +144,8 @@ class TestGTPEquivalence:
         gview = gtp.define_view("v", BOOKREV_VIEW)
         eout = efficient.search_detailed(eview, ["xml", "search"], 10, True)
         gout = gtp.search_detailed(gview, ["xml", "search"], 10, True)
-        assert [(r.rank, round(r.score, 12)) for r in eout.results] == [
-            (r.rank, round(r.score, 12)) for r in gout.results
+        assert [(r.rank, r.score.hex()) for r in eout.results] == [
+            (r.rank, r.score.hex()) for r in gout.results
         ]
         assert [r.to_xml() for r in eout.results] == [
             r.to_xml() for r in gout.results
@@ -162,8 +162,8 @@ class TestGTPEquivalence:
         keywords = ["thomas", "control"]
         eout = efficient.search_detailed(eview, keywords, 10, True)
         gout = gtp.search_detailed(gview, keywords, 10, True)
-        assert [(r.rank, round(r.score, 12)) for r in eout.results] == [
-            (r.rank, round(r.score, 12)) for r in gout.results
+        assert [(r.rank, r.score.hex()) for r in eout.results] == [
+            (r.rank, r.score.hex()) for r in gout.results
         ]
 
 

