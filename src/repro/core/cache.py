@@ -105,35 +105,8 @@ class CacheStats:
         }
 
 
-def default_sizer(value: Any) -> int:
-    """Bytes a cached value reports for budget accounting.
-
-    Values expose a ``memory_bytes`` attribute (skeletons do);
-    anything without one is accounted as free, so byte budgets
-    constrain exactly the tiers whose values opted into accounting.
-    """
-    size = getattr(value, "memory_bytes", 0)
-    return size if isinstance(size, int) else 0
-
-
 #: "No such key" for lookups whose values may legitimately be ``None``.
 _ABSENT = object()
-
-
-def close_value(value: Any) -> None:
-    """The default on-evict hook: release a value that holds resources.
-
-    Values that own something beyond heap memory expose ``close()`` —
-    a skeleton an ``mmap_mode`` store loaded holds an open mapping until
-    its columns are decoded, whose pages and file handle survive until
-    garbage collection otherwise, a real leak on a long-running server
-    whose byte budget keeps churning the skeleton tier.  Everything else
-    (prepared lists, PDTs, result tuples) has no ``close`` and is left
-    to the collector.
-    """
-    close = getattr(value, "close", None)
-    if callable(close):
-        close()
 
 
 class LRUCache:
@@ -147,11 +120,12 @@ class LRUCache:
 
     Besides the entry-count bound, an optional ``byte_budget`` bounds
     the *bytes* resident in the cache: each value is measured once at
-    insertion by ``sizer`` (default: its ``memory_bytes`` attribute)
-    and LRU entries are evicted while the running total exceeds the
-    budget.  A single value larger than the whole budget is evicted
-    immediately — a hard budget, not advisory.  The running total is
-    exposed as :attr:`memory_bytes`.
+    insertion by its ``memory_bytes`` attribute (skeletons have one;
+    anything without one is free, so a budget constrains exactly the
+    values that opted into accounting) and LRU entries are evicted
+    while the running total exceeds the budget.  A single value larger
+    than the whole budget is evicted immediately — a hard budget, not
+    advisory.  The running total is exposed as :attr:`memory_bytes`.
 
     Eviction is **scan-resistant**: every entry records when it was last
     used (hit or insert), and a ``put`` that names the moment its query
@@ -164,31 +138,11 @@ class LRUCache:
     shorter reuse distance than the newcomer can have, so keeping it is
     the better bet.  Across queries the order is plain LRU, and a
     ``put`` without ``scan_started`` always evicts the LRU tail.
-
-    When the cache drops a value it *owns* — LRU/byte-budget eviction,
-    replacement by a different value under the same key, or
-    displacement by a :meth:`rekey_where` overwrite — it runs
-    ``on_evict`` (default :func:`close_value`) so resource-holding
-    values release deterministically instead of leaking until garbage
-    collection.  *Invalidation* paths (``invalidate_where``/``clear``)
-    deliberately do **not** close: they drop dead-keyed entries that a
-    concurrent in-flight query may legitimately still be reading (a
-    generation bump lands mid-search), whereas eviction only removes
-    the least-recently-used tail the cache alone is keeping alive.
-    Pass ``on_evict=None`` to disable the hook.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        byte_budget: Optional[int] = None,
-        sizer: Optional[Callable[[Any], int]] = None,
-        on_evict: Optional[Callable[[Any], None]] = close_value,
-    ):
+    def __init__(self, capacity: int, byte_budget: Optional[int] = None):
         self.capacity = capacity
         self.byte_budget = byte_budget
-        self._sizer = sizer or default_sizer
-        self._on_evict = on_evict
         self._lock = threading.Lock()
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         #: Per resident entry: ``[accounted bytes, perf_counter reading
@@ -225,11 +179,6 @@ class LRUCache:
     def _forget(self, key: Hashable) -> None:
         """Drop a departed entry's byte accounting and use stamp."""
         self.memory_bytes -= self._meta.pop(key)[0]
-
-    def _release(self, value: Any) -> None:
-        """Run the on-evict hook on a value the cache just dropped."""
-        if self._on_evict is not None:
-            self._on_evict(value)
 
     def _victim_in_use(self, scan_started: Optional[float]) -> bool:
         """Whether the LRU victim was used since ``scan_started``."""
@@ -269,16 +218,10 @@ class LRUCache:
         with self._lock:
             data = self._data
             if key in data:
-                replaced = data[key]
                 data.move_to_end(key)
                 self._forget(key)
-                if replaced is not value:
-                    # Entry replacement drops the old value just as finally
-                    # as eviction does — same release discipline (the old
-                    # mmap handle used to leak here until GC).
-                    self._release(replaced)
             data[key] = value
-            size = self._sizer(value)
+            size = getattr(value, "memory_bytes", 0)
             self._meta[key] = [size, time.perf_counter()]
             self.memory_bytes += size
             budget = self.byte_budget
@@ -288,21 +231,14 @@ class LRUCache:
                 if len(data) > 1 and self._victim_in_use(scan_started):
                     # The victim was used since the putting query began, so
                     # its next use is nearer than the newcomer's can be:
-                    # turn the newcomer away.  The caller holds (and is
-                    # about to use) it — dropped, never released.
+                    # turn the newcomer away.
                     del data[key]
                     self._forget(key)
                     self.stats.bypassed += 1
                     break
-                evicted_key, evicted_value = data.popitem(last=False)
+                evicted_key, _ = data.popitem(last=False)
                 self._forget(evicted_key)
                 self.stats.evictions += 1
-                if evicted_value is not value:
-                    # An over-budget value can evict *itself* on insertion;
-                    # the caller still holds (and is about to use) it, so
-                    # only drop it — releasing is for values whose last
-                    # reference was the cache's.
-                    self._release(evicted_value)
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``."""
@@ -335,11 +271,12 @@ class LRUCache:
                 value = self._data.pop(key)
                 meta = self._meta.pop(key)
                 new_key = transform(key)
-                if new_key in self._meta:  # overwrite: drop the old accounting
+                if new_key in self._meta:
+                    # Overwrite: drop the displaced entry outright, so the
+                    # moved one is inserted at the MRU end, not at the
+                    # displaced key's position.
+                    del self._data[new_key]
                     self._forget(new_key)
-                    displaced = self._data.get(new_key)
-                    if displaced is not None and displaced is not value:
-                        self._release(displaced)
                 self._data[new_key] = value
                 self._meta[new_key] = meta
                 moved.append((new_key, value))
@@ -406,9 +343,9 @@ class QueryCache:
     evaluated_capacity: int = 64
     #: Optional per-tier byte budgets (``None`` = unbounded bytes, the
     #: entry-count capacity still applies).  Values report their own
-    #: footprint through ``memory_bytes`` (see
-    #: :func:`default_sizer`) — skeletons report their columns, not
-    #: the object graph of the tree built from them.
+    #: footprint through ``memory_bytes`` (see :class:`LRUCache`) —
+    #: skeletons report their columns, not the object graph of the tree
+    #: built from them.
     prepared_byte_budget: Optional[int] = None
     pdt_byte_budget: Optional[int] = None
     skeleton_byte_budget: Optional[int] = None

@@ -578,23 +578,15 @@ class KeywordSearchEngine:
     def _restore(
         store: SkeletonStore, fingerprint: str, qpt_hash: str, doc_name: str
     ) -> Optional[PDTSkeleton]:
-        """A stored skeleton this engine may serve, columns decoded —
-        or ``None``: build it.
+        """A stored skeleton this engine may serve — or ``None``: build it.
 
-        An ``mmap_mode`` store admits a payload on its header alone, so
-        the columns are decoded (and validated) here; when they are
-        corrupt the store has counted the miss and reclaimed the file by
-        the time ``decode`` raises, exactly as its eager load would
-        have.  A mismatched ``doc_name`` would mean a digest collision
-        or a store shared across differently-named loads of the same
-        content — never served blind.
+        The store has decoded and validated it.  A mismatched
+        ``doc_name`` would mean a digest collision or a store shared
+        across differently-named loads of the same content — never
+        served blind.
         """
         restored = store.load(fingerprint, qpt_hash)
         if restored is None or restored.doc_name != doc_name:
-            return None
-        try:
-            restored.decode()
-        except ValueError:
             return None
         return restored
 

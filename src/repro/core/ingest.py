@@ -84,8 +84,8 @@ def ingest_corpus(
     ``documents`` maps document names to XML text; ``views`` maps view
     names to view definition text.  Returns the ready coordinator and
     the ingest manifest.  ``mmap_snapshots`` makes each shard's snapshot
-    slice memory-map payloads on restore instead of decoding them at
-    load.
+    slice read payloads on restore through a memory mapping instead of
+    ``read_bytes`` (see :class:`~repro.core.snapshot.SkeletonStore`).
     """
     timings: dict[str, float] = {}
 

@@ -45,7 +45,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.prepare import (
     PreparedLists,
@@ -480,11 +480,6 @@ _ALL_FLAGS = bytes(range(8))
 _IS_CONTENT = bytes(1 if flag & _WANTS_CONTENT else 0 for flag in range(256))
 _VALUELESS_FLAGS = bytes(range(_HAS_VALUE))
 _NEXT_BYTE = [bytes((byte + 1,)) for byte in range(0xFF)]
-#: The columns a skeleton over an ``mmap`` decodes on first access.
-_COLUMNS = frozenset(
-    ("keys", "tag_ids", "tags", "flags", "values", "byte_lengths",
-     "bounds", "slot_bounds")
-)
 
 
 class PDTSkeleton:
@@ -529,15 +524,14 @@ class PDTSkeleton:
     cached ``PDTResult`` / evaluated-tier entry references its nodes.
     Slots are positional, so re-built trees are interchangeable.
 
-    Three ways in, and no conversion between them: :meth:`from_records`
+    Two ways in, and no conversion between them: :meth:`from_records`
     (the records of the sweep, of the stack automaton in
     :mod:`repro.baselines.stack_pdt` and of the GTP baseline's
-    structural joins), :meth:`from_bytes` (decode and validate a
-    payload now) and :meth:`from_mapping` (validate an ``mmap``-ed
-    payload's header, decode its columns on first access).  Skeletons
-    are immutable in practice apart from the byte-length patches; the
-    lazy decode and the tree memo are idempotent and published by atomic
-    attribute writes, so a benign compute race between annotating
+    structural joins) and :meth:`from_bytes` (decode and validate a
+    payload).  Either way every column is set when the constructor
+    returns.  Skeletons are immutable in practice apart from the
+    byte-length patches; the tree memo is idempotent and published by
+    one attribute write, so a benign compute race between annotating
     threads settles on equivalent state — the skeleton tier's
     concurrent-read contract.
     """
@@ -557,7 +551,6 @@ class PDTSkeleton:
         "slot_bounds",
         "_tree_ref",
         "_memory_bytes",
-        "_pending",
     )
 
     def __init__(self, doc_name: str, entry_count: int, node_count: int):
@@ -566,8 +559,6 @@ class PDTSkeleton:
         self.node_count = node_count
         self._tree_ref: Optional[weakref.ref] = None
         self._memory_bytes: Optional[int] = None
-        #: ``(layout, on_corrupt)`` of a payload not decoded yet.
-        self._pending: Optional[tuple] = None
 
     def stats(self) -> dict[str, int]:
         return {"nodes": self.node_count, "entries": self.entry_count}
@@ -575,7 +566,7 @@ class PDTSkeleton:
     def __repr__(self) -> str:
         return f"<PDTSkeleton {self.doc_name!r} nodes={self.node_count}>"
 
-    # -- the three ways in ---------------------------------------------------
+    # -- the two ways in -----------------------------------------------------
 
     @classmethod
     def from_records(
@@ -612,74 +603,20 @@ class PDTSkeleton:
         return skeleton
 
     @classmethod
-    def from_bytes(cls, payload: bytes) -> "PDTSkeleton":
-        """Inverse of :meth:`to_bytes`; raises ``ValueError`` on corrupt
-        payloads (see :func:`deserialize_skeleton`)."""
-        return deserialize_skeleton(payload)
+    def from_bytes(cls, payload) -> "PDTSkeleton":
+        """Decode a :meth:`to_bytes` payload — any bytes-like buffer, an
+        ``mmap`` included; the skeleton keeps no reference to it.
 
-    @classmethod
-    def from_mapping(
-        cls, mapping, on_corrupt: Optional[Callable[[], None]] = None
-    ) -> "PDTSkeleton":
-        """A skeleton over an ``mmap``-ed payload, decoded on first access.
-
-        Validates the offset-table header in O(1) (``ValueError`` as for
-        :meth:`from_bytes`); ``doc_name``, ``entry_count``,
-        ``node_count`` and ``content_count`` — what an engine checks
-        before admitting a snapshot — never touch the columns, which
-        stay on disk until something reads one.  Column corruption
-        therefore surfaces at :meth:`decode`, not here.  The skeleton
-        owns ``mapping`` and closes it once decoded (or on
-        :meth:`close`).
+        Raises ``ValueError`` on any malformed, truncated, non-canonical
+        or version-mismatched payload — callers (the snapshot store)
+        treat that as a miss, never as corrupt state to serve.
         """
-        layout = SkeletonLayout(mapping)
+        layout = SkeletonLayout(payload)
         skeleton = cls(
             layout.doc_name, layout.entry_count, layout.record_count
         )
-        skeleton.content_count = layout.content_count
-        skeleton._pending = (layout, on_corrupt)
+        skeleton._publish(*layout.columns())
         return skeleton
-
-    def decode(self) -> None:
-        """Decode and validate a :meth:`from_mapping` skeleton's columns now.
-
-        Raises ``ValueError`` when they are corrupt, after calling
-        ``on_corrupt`` (once) so whoever served the payload can take it
-        back.  A no-op on a skeleton that has its columns.
-        """
-        pending = self._pending
-        if pending is None:
-            return
-        layout, on_corrupt = pending
-        try:
-            columns = layout.columns()
-        except ValueError:
-            if self._pending is None:
-                # A racing decode() published the columns and released
-                # the mapping under this one (or close() did).
-                return
-            if on_corrupt is not None:
-                self._pending = (layout, None)
-                on_corrupt()
-            raise
-        self._publish(*columns)
-        self._pending = None
-        layout.payload.close()
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: a column, before decode() — or
-        # while a racing decode() publishes, which makes this one a no-op.
-        if name in _COLUMNS:
-            self.decode()
-            return object.__getattribute__(self, name)
-        raise AttributeError(name)
-
-    def close(self) -> None:
-        """Release the mapping of a skeleton never decoded (idempotent)."""
-        pending = self._pending
-        if pending is not None:
-            self._pending = None
-            pending[0].payload.close()
 
     def _publish(
         self,
@@ -817,8 +754,64 @@ class PDTSkeleton:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Self-contained byte form (see :func:`serialize_skeleton`)."""
-        return serialize_skeleton(self)
+        """Encode as self-contained v2 bytes (see the header map below).
+
+        Only the *record columns* travel — the skeleton's own state,
+        joined; what else it carries (subtree bounds, the shared tree) is
+        a pure function of the columns and is derived again on the way
+        in, so the wire format cannot drift from the in-memory
+        derivations, and a payload is host-independent (no pickled code,
+        no interpreter state).
+
+        A fixed offset-table header plus packed column arrays: a reader
+        can address any column in O(1) (:class:`SkeletonLayout`) and
+        check a payload's shape without parsing it.  The encoding is
+        deterministic (tag table in first-appearance order), and
+        :meth:`from_bytes` accepts nothing else, so a payload that
+        decodes re-encodes to itself.
+        """
+        keys = self.keys
+        tags = self.tags
+        if len(tags) > 0xFFFF:
+            raise ValueError("too many distinct tags for skeleton payload")
+        doc_raw = self.doc_name.encode("utf-8")
+        keys_blob = b"".join(keys)
+        tag_table = b"".join(
+            len(raw).to_bytes(4, "big") + raw
+            for raw in [tag.encode("utf-8") for tag in tags]
+        )
+        value_parts = [
+            value.encode("utf-8") for value in self.values if value is not None
+        ]
+        values_blob = b"".join(value_parts)
+        return b"".join(
+            (
+                _V2_HEADER.pack(
+                    _SKELETON_MAGIC,
+                    _SKELETON_VERSION,
+                    self.entry_count,
+                    len(keys),
+                    self.content_count,
+                    len(value_parts),
+                    len(tags),
+                    len(doc_raw),
+                    len(keys_blob),
+                    len(tag_table),
+                    len(values_blob),
+                ),
+                doc_raw,
+                _wire_column("I", accumulate(map(len, keys), initial=0)),
+                keys_blob,
+                _wire_column("H", self.tag_ids),
+                tag_table,
+                self.flags,
+                _wire_column("q", self.byte_lengths),
+                _wire_column(
+                    "I", accumulate(map(len, value_parts), initial=0)
+                ),
+                values_blob,
+            )
+        )
 
     # -- accounting ----------------------------------------------------------
 
@@ -888,8 +881,8 @@ _SKELETON_VERSION = 2
 #   [38:42] u32 tag table byte length
 #   [42:46] u32 values blob byte length
 # then, back to back (every section offset is O(1) arithmetic over the
-# header — the offset table an mmap reader needs to address any column
-# without parsing the ones before it):
+# header — a reader addresses any column without parsing the ones
+# before it):
 #   doc_name utf-8
 #   key_offsets   u32[n+1]   (relative, key_offsets[0] == 0)
 #   keys blob     (concatenated packed Dewey keys)
@@ -922,66 +915,6 @@ def _host_column(typecode: str, raw: bytes) -> array:
     return column
 
 
-def serialize_skeleton(skeleton: PDTSkeleton) -> bytes:
-    """Encode a skeleton as self-contained v2 bytes (see the header map).
-
-    Only the *record columns* travel — the skeleton's own state, joined;
-    what else it carries (subtree bounds, the shared tree) is a pure
-    function of the columns and is derived again on the way in, so the
-    wire format cannot drift from the in-memory derivations, and a
-    payload is host-independent (no pickled code, no interpreter state).
-
-    A fixed offset-table header plus packed column arrays: a reader can
-    address any column in O(1) and :meth:`PDTSkeleton.from_mapping` can
-    admit a payload through ``mmap`` without parsing it.  The encoding
-    is deterministic (tag table in first-appearance order), and the
-    decoder accepts nothing else, so a payload that decodes re-encodes
-    to itself.
-    """
-    keys = skeleton.keys
-    tags = skeleton.tags
-    if len(tags) > 0xFFFF:
-        raise ValueError("too many distinct tags for skeleton payload")
-    doc_raw = skeleton.doc_name.encode("utf-8")
-    keys_blob = b"".join(keys)
-    tag_table = b"".join(
-        len(raw).to_bytes(4, "big") + raw
-        for raw in [tag.encode("utf-8") for tag in tags]
-    )
-    value_parts = [
-        value.encode("utf-8")
-        for value in skeleton.values
-        if value is not None
-    ]
-    values_blob = b"".join(value_parts)
-    return b"".join(
-        (
-            _V2_HEADER.pack(
-                _SKELETON_MAGIC,
-                _SKELETON_VERSION,
-                skeleton.entry_count,
-                len(keys),
-                skeleton.content_count,
-                len(value_parts),
-                len(tags),
-                len(doc_raw),
-                len(keys_blob),
-                len(tag_table),
-                len(values_blob),
-            ),
-            doc_raw,
-            _wire_column("I", accumulate(map(len, keys), initial=0)),
-            keys_blob,
-            _wire_column("H", skeleton.tag_ids),
-            tag_table,
-            skeleton.flags,
-            _wire_column("q", skeleton.byte_lengths),
-            _wire_column("I", accumulate(map(len, value_parts), initial=0)),
-            values_blob,
-        )
-    )
-
-
 def skeleton_payload_version(payload) -> int:
     """The wire version of a skeleton payload (header peek, O(1)).
 
@@ -1001,8 +934,8 @@ class SkeletonLayout:
     section length, so all offsets are arithmetic and the single
     total-length equation rejects truncated or trailing-byte payloads
     up front.  Column *content* is validated when (and only when)
-    :meth:`columns` decodes it — that is the contract that lets an mmap
-    reader admit a payload without paging it in.
+    :meth:`columns` decodes it, so the layout alone is a cheap shape
+    check (the networked store's admission of peer bytes).
     """
 
     __slots__ = (
@@ -1085,7 +1018,7 @@ class SkeletonLayout:
         """``(keys, tag_ids, tags, flags, values, byte_lengths)`` — a
         :class:`PDTSkeleton`'s columns, or ``ValueError``.
 
-        Accepts exactly what :func:`serialize_skeleton` writes: sorted,
+        Accepts exactly what :meth:`PDTSkeleton.to_bytes` writes: sorted,
         well-formed keys, a tag table in first-appearance order with
         every entry referenced, no unknown flag bit, header counts that
         match the flags — so whatever decodes re-encodes to the payload
@@ -1182,21 +1115,6 @@ class SkeletonLayout:
             else:
                 values.append(None)
         return tuple(values)
-
-
-def deserialize_skeleton(payload) -> PDTSkeleton:
-    """Decode :func:`serialize_skeleton` output back into a skeleton.
-
-    Raises ``ValueError`` on any malformed, truncated, non-canonical or
-    version-mismatched payload — callers (the snapshot store) treat
-    that as a miss, never as corrupt state to serve.
-    """
-    layout = SkeletonLayout(payload)
-    skeleton = PDTSkeleton(
-        layout.doc_name, layout.entry_count, layout.record_count
-    )
-    skeleton._publish(*layout.columns())
-    return skeleton
 
 
 def _patch_tree_annotations(

@@ -28,15 +28,10 @@ Writes are atomic (temp file + ``os.replace``) so concurrent readers
 never observe a torn snapshot; corrupt or truncated payloads read back
 as misses, never as data.
 
-Two load paths exist, one skeleton class.  The default **eager** path
-decodes and validates the payload on the spot.  With ``mmap_mode=True``
-the store instead memory-maps the payload and returns a skeleton over
-the mapping (:meth:`PDTSkeleton.from_mapping`): load time is an O(1)
-header validation plus a page table entry, and the columns stay on disk
-until the first deep access decodes them and releases the mapping.  A
-payload whose columns turn out corrupt at that point is taken back: the
-hit becomes a counted miss and the file is reclaimed, as the eager path
-would have done at load.
+:meth:`SkeletonStore.load` is the one place a snapshot is decoded and
+validated: it returns a fully decoded skeleton or ``None``, and a
+payload that fails to decode is a counted miss whose file is reclaimed
+on the spot.
 """
 
 from __future__ import annotations
@@ -65,13 +60,9 @@ class SkeletonStore:
     the only mutable in-memory state is the counters, which are guarded
     by a lock.
 
-    ``mmap_mode=True`` switches :meth:`load` to the zero-copy path:
-    payloads come back header-validated, their columns paged in and
-    decoded on first access; platforms where mapping fails read as a
-    miss.  The default stays eager — a fully-decoded skeleton with no
-    open file mapping — which is also the strictest validation point
-    for store hygiene (corrupt payloads are detected and reclaimed at
-    load, not at first use).
+    ``mmap_mode=True`` makes :meth:`load` read a payload through a
+    read-only memory mapping instead of ``read_bytes``, closed before
+    :meth:`load` returns; nothing else differs.
 
     ``fault_injector`` arms the chaos sites ``store.load`` and
     ``store.save``: an injected *error* on a load behaves exactly like
@@ -201,22 +192,16 @@ class SkeletonStore:
         except OSError:
             pass
 
-    def _reject(self, target: Path, before: os.stat_result) -> None:
-        """Count a miss for a corrupt payload and reclaim its file."""
-        self._count("misses")
-        self._unlink_if_unchanged(target, before)
-
     def load(
         self, doc_fingerprint: str, qpt_hash: str
     ) -> Optional[PDTSkeleton]:
-        """The stored skeleton, or ``None`` (missing *or* unreadable).
+        """The stored skeleton, decoded and validated — or ``None``
+        (missing *or* unreadable).
 
         A corrupt file — any version but the current one included —
         counts as a miss and is removed so the next build re-snapshots
         cleanly (see :meth:`_unlink_if_unchanged` for why the cleanup is
-        stat-guarded).  In ``mmap_mode`` a payload with a valid header
-        comes back without its columns having been read; see
-        :meth:`_load_mapped` for what happens if they are corrupt.
+        stat-guarded).
         """
         corrupt = None
         if self._faults is not None:
@@ -229,64 +214,36 @@ class SkeletonStore:
             if event is not None and event.kind == FAULT_CORRUPT:
                 corrupt = event
         target = self.path_for(doc_fingerprint, qpt_hash)
-        if self.mmap_mode and corrupt is None:
-            return self._load_mapped(target)
+        mapping = None
         try:
             before = target.stat()
-            payload = target.read_bytes()
-        except OSError:
+            if self.mmap_mode and before.st_size:
+                with open(target, "rb") as handle:
+                    mapping = mmap.mmap(
+                        handle.fileno(), 0, access=mmap.ACCESS_READ
+                    )
+                payload = mapping
+            else:
+                payload = target.read_bytes()
+        except (OSError, ValueError):
+            # ValueError: the file emptied between the stat and the map.
             self._count("misses")
             return None
-        if corrupt is not None:
-            # Injected read corruption: the mangled bytes fail the parse
-            # below, so the load counts as a miss and the (actually
-            # fine) file is reclaimed — exactly what real on-disk rot
-            # would cost: a rebuild, never wrong data.
-            payload = self._faults.mangle(corrupt, payload)
         try:
+            if corrupt is not None:
+                # Injected read corruption: the mangled bytes fail the
+                # parse, so the load counts as a miss and the (actually
+                # fine) file is reclaimed — exactly what real on-disk rot
+                # would cost: a rebuild, never wrong data.
+                payload = self._faults.mangle(corrupt, payload)
             skeleton = PDTSkeleton.from_bytes(payload)
         except ValueError:
-            self._reject(target, before)
-            return None
-        self._count("hits")
-        return skeleton
-
-    def _load_mapped(self, target: Path) -> Optional[PDTSkeleton]:
-        """The zero-copy load path: map pages, validate the header only.
-
-        The hit is counted here; should the columns fail to decode
-        later, the skeleton reports back and the hit is re-counted as
-        the miss (and reclaim) the eager path would have made of it.
-        """
-        try:
-            before = target.stat()
-            handle = open(target, "rb")
-        except OSError:
             self._count("misses")
+            self._unlink_if_unchanged(target, before)
             return None
-        try:
-            try:
-                mapping = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            finally:
-                handle.close()
-        except (OSError, ValueError):
-            # Unmappable (e.g. an empty file): nothing valid to serve.
-            self._reject(target, before)
-            return None
-
-        def columns_corrupt() -> None:
-            with self._stats_lock:
-                self.hits -= 1
-            self._reject(target, before)
-
-        try:
-            skeleton = PDTSkeleton.from_mapping(mapping, columns_corrupt)
-        except ValueError:
-            mapping.close()
-            self._reject(target, before)
-            return None
+        finally:
+            if mapping is not None:
+                mapping.close()
         self._count("hits")
         return skeleton
 

@@ -156,14 +156,12 @@ class NetworkedSkeletonStore:
     delta-maintenance paths use one — same ``load`` / ``save`` /
     ``discard`` / ``prune`` / ``stats`` surface, same
     content-digest keys.  Only ``load`` changes: a local miss consults
-    the peer (gated by the circuit breaker), validates the fetched
-    bytes structurally (the O(1) :class:`SkeletonLayout` admission
-    check the mmap tier uses), writes them through to the local store
-    and re-loads from disk — so a fetched snapshot behaves exactly
-    like a locally-saved one (including ``mmap_mode`` zero-copy
-    restores, and including the eager mode's full-parse rejection of
-    deeper corruption) and every later load, in this process or a
-    sibling sharing the directory, is local.
+    the peer (gated by the circuit breaker), checks the fetched bytes'
+    shape (the O(1) :class:`SkeletonLayout` header check), writes them
+    through to the local store and re-loads from disk — so a fetched
+    snapshot is decoded and validated exactly like a locally-saved one,
+    and every later load, in this process or a sibling sharing the
+    directory, is local.
 
     Network activity is counted separately from the local store's
     hit/miss counters: ``net_stats`` reports ``fetched`` (peer
@@ -256,23 +254,21 @@ class NetworkedSkeletonStore:
             self._count("fell_back")
             return None
         try:
-            # O(1) structural validation — magic, version, the offset
-            # table's total-length equation — the same admission check
-            # the mmap tier applies to a local file.  A full eager
-            # parse here would cost more than the cold build it is
-            # supposed to replace.
+            # O(1) structural check of bytes from outside the process —
+            # magic, version, the offset table's total-length equation —
+            # before anything is written to local disk.
             SkeletonLayout(payload)
         except ValueError:
             self._count("fetch_failed", "fell_back")
             return None
         self.local.save_payload(doc_fingerprint, qpt_hash, payload)
-        # Serve it through the local store so mmap_mode and the local
-        # hit counters see a fetched snapshot exactly like a saved one.
+        # Serve it through the local store, so the one decode-and-
+        # validate point and the local hit counters see a fetched
+        # snapshot exactly like a saved one.
         restored = self.local.load(doc_fingerprint, qpt_hash)
         if restored is None:
-            # An eager-mode local load full-parses: corruption below
-            # the offset table is rejected (and the file reclaimed)
-            # there, after the cheap check above admitted it.
+            # Corruption below the offset table: the local load
+            # rejected the payload and reclaimed the file.
             self._count("fetch_failed", "fell_back")
             return None
         self._count("fetched")
@@ -302,10 +298,6 @@ class NetworkedSkeletonStore:
     @property
     def root(self) -> Path:
         return self.local.root
-
-    @property
-    def mmap_mode(self) -> bool:
-        return self.local.mmap_mode
 
     def path_for(self, doc_fingerprint: str, qpt_hash: str) -> Path:
         return self.local.path_for(doc_fingerprint, qpt_hash)

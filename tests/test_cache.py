@@ -57,6 +57,22 @@ class TestLRUCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    def test_rekey_overwrite_leaves_the_moved_entry_most_recent(self):
+        cache = LRUCache(8)
+        cache.put(("d", 2), "displaced")
+        cache.put(("x", 0), "other")
+        cache.put(("d", 1), "migrating")
+        moved = cache.rekey_where(
+            lambda key: key == ("d", 1), lambda key: ("d", 2)
+        )
+        assert moved == [(("d", 2), "migrating")]
+        # Not at the displaced key's LRU-end slot: the next victim is
+        # the untouched entry.
+        assert cache.items() == [
+            (("x", 0), "other"),
+            (("d", 2), "migrating"),
+        ]
+
 
 class TestShardedLRUCache:
     """The query cache's tiers once were hash-partitioned into slices; a
@@ -299,16 +315,6 @@ class TestScanResistance:
         assert cache.memory_bytes == 40
         assert cache.stats.evictions == 0
         assert cache.stats.bypassed == 2 * 4
-
-    def test_bypassed_value_is_dropped_not_released(self):
-        # The caller still holds (and is about to use) the newcomer.
-        released = []
-        cache = LRUCache(1, on_evict=released.append)
-        started = time.perf_counter()
-        cache.put("a", "kept", started)
-        cache.put("b", "turned away", started)
-        assert "a" in cache and "b" not in cache
-        assert released == []
 
     def test_admits_predicts_put_and_counts_the_refusal(self):
         cache = LRUCache(2)
@@ -843,119 +849,6 @@ class TestEvaluatedTier:
         engine.execute(text, top_k=5)
         engine.execute(text, top_k=5)
         assert len(engine.cache.evaluated) == 0
-
-
-class _Closable:
-    """A value owning a releasable resource (stand-in for a skeleton
-    over an mmap that nothing has decoded yet)."""
-
-    def __init__(self):
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-class TestEvictionRelease:
-    """Values dropped by the cache release their resources (the mmap
-    leak: eviction/replacement used to drop ``MappedSkeleton``s without
-    ``close()``, holding pages + file handles until GC)."""
-
-    def test_evicted_value_is_closed(self):
-        cache = LRUCache(1)
-        old, new = _Closable(), _Closable()
-        cache.put("a", old)
-        cache.put("b", new)
-        assert old.closed and not new.closed
-        assert cache.stats.evictions == 1
-
-    def test_replacement_closes_the_old_value(self):
-        cache = LRUCache(4)
-        old, new = _Closable(), _Closable()
-        cache.put("a", old)
-        cache.put("a", new)
-        assert old.closed and not new.closed
-
-    def test_reinserting_the_same_object_does_not_close_it(self):
-        cache = LRUCache(4)
-        value = _Closable()
-        cache.put("a", value)
-        cache.put("a", value)
-        assert not value.closed
-        assert cache.get("a") is value
-
-    def test_byte_budget_self_eviction_leaves_callers_value_open(self):
-        # An over-budget value evicts itself at insertion, but the
-        # caller still holds (and will use) it: dropped, never closed.
-        class _SizedClosable(_Closable):
-            memory_bytes = 1000
-
-        value = _SizedClosable()
-        cache = LRUCache(4, byte_budget=10)
-        cache.put("a", value)
-        assert "a" not in cache
-        assert not value.closed
-
-    def test_invalidation_and_clear_do_not_close(self):
-        # Invalidation drops dead-keyed entries an in-flight query may
-        # still be reading — releasing is reserved for cache-owned drops.
-        cache = LRUCache(4)
-        kept_alive = _Closable()
-        cache.put(("d", 1), kept_alive)
-        cache.invalidate_where(lambda key: key[0] == "d")
-        assert not kept_alive.closed
-        survivor = _Closable()
-        cache.put(("d", 2), survivor)
-        cache.clear()
-        assert not survivor.closed
-
-    def test_rekey_overwrite_closes_the_displaced_value(self):
-        cache = LRUCache(8)
-        displaced, migrating = _Closable(), _Closable()
-        cache.put(("d", 2), displaced)
-        cache.put(("d", 1), migrating)
-        moved = cache.rekey_where(
-            lambda key: key == ("d", 1), lambda key: ("d", 2)
-        )
-        assert moved == [(("d", 2), migrating)]
-        assert displaced.closed and not migrating.closed
-        assert cache.get(("d", 2)) is migrating
-
-    def test_on_evict_none_disables_the_hook(self):
-        cache = LRUCache(1, on_evict=None)
-        old = _Closable()
-        cache.put("a", old)
-        cache.put("b", _Closable())
-        assert not old.closed
-
-    def test_evicted_mapped_skeleton_buffer_is_closed(
-        self, tmp_path, bookrev_db, bookrev_view_text
-    ):
-        # The regression scenario itself: a real mmap-loaded skeleton
-        # cycled out of a tier before anything decoded it (this tier's
-        # sizer reads no column) must release its mapping.
-        from repro.core.snapshot import SkeletonStore
-
-        store = SkeletonStore(tmp_path / "snap")
-        engine = KeywordSearchEngine(bookrev_db, snapshot_store=store)
-        view = engine.define_view("v", bookrev_view_text)
-        engine.warm_view("v")
-        mapped_store = SkeletonStore(tmp_path / "snap", mmap_mode=True)
-        fingerprint = bookrev_db.get("books.xml").fingerprint
-        qpt_hash = view.qpts["books.xml"].content_hash
-        mapped = mapped_store.load(fingerprint, qpt_hash)
-        mapping = mapped._pending[0].payload
-        cache = LRUCache(1, sizer=lambda value: 1)
-        cache.put("snap", mapped)
-        displacing = mapped_store.load(fingerprint, qpt_hash)
-        cache.put("snap2", displacing)  # capacity exceeded: evicts "snap"
-        assert "snap" not in cache
-        assert mapping.closed and mapped._pending is None
-        assert not displacing._pending[0].payload.closed
-        # The default sizer measures the columns, which decodes them —
-        # and a decoded skeleton holds no mapping to leak.
-        LRUCache(1).put("snap2", displacing)
-        assert displacing._pending is None
 
 
 def _library_engine(doc_count, **cache_options):

@@ -25,13 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pdt import (
-    PDTRecord,
-    PDTSkeleton,
-    annotate_skeleton,
-    deserialize_skeleton,
-    serialize_skeleton,
-)
+from repro.core.pdt import PDTRecord, PDTSkeleton, annotate_skeleton
 from repro.core.qpt import QPT, QPTNode, generate_qpts
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import pack
@@ -141,21 +135,23 @@ def test_serialization_rejects_corruption():
     skeleton = PDTSkeleton.from_records("d.xml", _random_records(rng), 5)
     payload = skeleton.to_bytes()
     with pytest.raises(ValueError):
-        deserialize_skeleton(payload[:-1])  # truncated
+        PDTSkeleton.from_bytes(payload[:-1])  # truncated
     with pytest.raises(ValueError):
-        deserialize_skeleton(payload + b"\x00")  # trailing bytes
+        PDTSkeleton.from_bytes(payload + b"\x00")  # trailing bytes
     with pytest.raises(ValueError):
-        deserialize_skeleton(b"XXXX" + payload[4:])  # bad magic
+        PDTSkeleton.from_bytes(b"XXXX" + payload[4:])  # bad magic
     mutated = bytearray(payload)
     mutated[5] ^= 0xFF  # version byte
     with pytest.raises(ValueError):
-        deserialize_skeleton(bytes(mutated))
+        PDTSkeleton.from_bytes(bytes(mutated))
 
 
 def test_serialize_function_matches_method():
+    # The codec's one pair of names, on the empty skeleton.
     skeleton = PDTSkeleton.from_records("d.xml", {}, 0)
-    assert serialize_skeleton(skeleton) == skeleton.to_bytes()
-    assert PDTSkeleton.from_bytes(skeleton.to_bytes()).node_count == 0
+    payload = skeleton.to_bytes()
+    assert PDTSkeleton.from_bytes(payload).to_bytes() == payload
+    assert PDTSkeleton.from_bytes(payload).node_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +415,26 @@ def corrupt_a_key(payload: bytes) -> bytes:
     return payload[:offset] + bytes((payload[offset] ^ 0xFF,)) + payload[offset + 1:]
 
 
+@pytest.mark.parametrize("mmap_mode", (False, True))
+def test_corrupt_columns_are_a_miss_at_load(tmp_path, mmap_mode):
+    """The store is the one place a payload is verified: a valid header
+    over a corrupt keys blob is a counted miss and a reclaimed file by
+    the time ``load`` returns, whichever way the bytes were read."""
+    store = SkeletonStore(tmp_path / "snap", mmap_mode=mmap_mode)
+    path = store.save("f" * 64, "a" * 64, _store_skeleton(3))
+    path.write_bytes(corrupt_a_key(path.read_bytes()))
+    assert store.load("f" * 64, "a" * 64) is None
+    stats = store.stats()
+    assert stats["hits"] == 0 and stats["misses"] == 1, stats
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("site", ("query", "edit"))
 def test_corrupt_columns_under_mmap_mode_are_a_miss_not_an_error(
     tmp_path, bookrev_db, bookrev_view_text, site
 ):
-    """Such a payload used to pass the mmap load's header check, then
-    raise out of every query (or edit) touching it, forever: counted a
-    hit, never reclaimed.  Both restore sites make of it what the eager
-    store does — a counted miss, a reclaim, a rebuild, a re-save."""
+    """Neither restore site raises on such a payload: both get the
+    store's counted miss and reclaim, then rebuild and re-save."""
     from repro.core.engine import KeywordSearchEngine
 
     root = tmp_path / "snap"

@@ -237,15 +237,16 @@ class TestNetworkedSkeletonStore:
             local, StaticPeer({(fingerprint, qpt_hash): payload})
         )
         restored = net.load(fingerprint, qpt_hash)
-        assert restored._pending is not None  # mapped, not decoded yet
-        restored.close()
+        assert restored.to_bytes() == payload
+        assert net.net_stats()["fetched"] == 1
+        assert local.stats()["hits"] == 1
 
     def test_peer_payload_with_corrupt_columns_is_rebuilt_not_raised(
         self, tmp_path, bookrev_db, snapshot_payload
     ):
-        # The O(1) admission lets it in and writes it through; under
-        # mmap_mode nothing decodes it until the engine does — which
-        # used to raise out of every local query.
+        # The O(1) header check lets it in and writes it through; the
+        # local load that follows decodes it, rejects it and reclaims
+        # the file, under mmap_mode as in the default mode.
         from tests.test_snapshot import corrupt_a_key
 
         (fingerprint, qpt_hash), payload = snapshot_payload
@@ -267,7 +268,11 @@ class TestNetworkedSkeletonStore:
                 for r in reference.search("v", ["xml", "search"])
             ]
         stats = net.stats()
-        assert stats["fetched"] == 1 and stats["hits"] == 0, stats
+        # The failure table's row: fetch_failed + fell_back, not fetched
+        # (the second fell_back is the view's other document, a peer
+        # miss).
+        assert stats["fetched"] == 0 and stats["hits"] == 0, stats
+        assert stats["fetch_failed"] == 1 and stats["fell_back"] == 2, stats
         # Reclaimed, rebuilt, re-saved: the local tier holds good bytes.
         assert local.read_payload(fingerprint, qpt_hash) == payload
 

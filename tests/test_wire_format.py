@@ -4,15 +4,15 @@ The v2 layout is an offset-table header plus packed column arrays, so
 a reader can validate a payload and answer identity questions in O(1)
 without parsing the columns.  These tests pin down:
 
-* **round trips** — ``from_bytes`` (decode now) and ``from_mapping``
-  (decode on first access) agree on every column and derived structure
-  and re-serialize byte-identically;
+* **round trips** — ``from_bytes`` over ``bytes`` and over an ``mmap``
+  buffer agree on every column and derived structure and re-serialize
+  byte-identically;
 * **rejection** — truncation, trailing bytes, bad magic, bad version,
   corrupt offset tables and non-canonical columns all raise, never
   mis-parse: whatever decodes re-encodes to itself;
 * **retired versions** — a v1 payload is a counted miss and is reclaimed;
-* **the mmap store** — ``mmap_mode=True`` defers the columns, treats
-  corrupt payloads as misses, and round-trips patched state.
+* **the mmap store** — ``mmap_mode=True`` returns decoded skeletons and
+  treats corrupt payloads as misses.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from repro.core.pdt import (
     PDTSkeleton,
     SkeletonLayout,
     annotate_skeleton,
-    deserialize_skeleton,
-    patch_skeleton_byte_lengths,
-    serialize_skeleton,
     skeleton_payload_version,
 )
 from repro.core.snapshot import SkeletonStore
@@ -52,15 +49,12 @@ def _mapping(payload: bytes) -> mmap.mmap:
     return mapping
 
 
-def _decoded_from_mapping(payload: bytes) -> PDTSkeleton:
+def _from_mapped_buffer(payload: bytes) -> PDTSkeleton:
     mapping = _mapping(payload)
     try:
-        skeleton = PDTSkeleton.from_mapping(mapping)
-        skeleton.decode()
-    except ValueError:
+        return PDTSkeleton.from_bytes(mapping)
+    finally:
         mapping.close()
-        raise
-    return skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +78,16 @@ def test_mapped_skeleton_matches_eager(seed):
     skeleton = _skeleton(seed)
     payload = skeleton.to_bytes()
     eager = PDTSkeleton.from_bytes(payload)
-    mapping = _mapping(payload)
-    mapped = PDTSkeleton.from_mapping(mapping)
+    # Decoded from the buffer, then independent of it: the mapping is
+    # closed before any column is read.
+    mapped = _from_mapped_buffer(payload)
 
-    # O(1) facts, straight from the header: nothing decoded yet.
     assert mapped.doc_name == skeleton.doc_name
     assert mapped.entry_count == skeleton.entry_count
     assert mapped.node_count == skeleton.node_count
     assert mapped.content_count == skeleton.content_count
-    assert not mapping.closed
-
-    # The first deep access decodes every column and lets the mapping go.
-    assert mapped.bounds == eager.bounds == skeleton.bounds
-    assert mapping.closed
     for column in ("keys", "tag_ids", "tags", "flags", "values",
-                   "byte_lengths", "slot_bounds"):
+                   "byte_lengths", "bounds", "slot_bounds"):
         assert (
             getattr(mapped, column)
             == getattr(eager, column)
@@ -123,52 +112,6 @@ def test_mapped_skeleton_matches_eager(seed):
     assert (
         annotate_skeleton(mapped, inv_lists, ("kw",)).tf_arrays
         == annotate_skeleton(eager, inv_lists, ("kw",)).tf_arrays
-    )
-
-
-def test_concurrent_first_access_decodes_to_one_state():
-    # The lazy decode is idempotent: threads racing on the first deep
-    # access all see the same columns, none a half-published skeleton or
-    # the mapping the winner released.
-    import sys
-    import threading
-
-    payload = _skeleton(4).to_bytes()
-    eager = PDTSkeleton.from_bytes(payload)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            mapped = PDTSkeleton.from_mapping(_mapping(payload))
-            seen, start = [], threading.Barrier(8)
-
-            def read():
-                start.wait(5)
-                seen.append((mapped.bounds, mapped.slot_bounds, mapped.keys))
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(10)
-            assert not any(thread.is_alive() for thread in threads)
-            assert seen == [(eager.bounds, eager.slot_bounds, eager.keys)] * 8
-            assert mapped.to_bytes() == payload
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_mapped_patch_flips_to_reencode():
-    records = _random_records(random.Random(5))
-    payload = PDTSkeleton.from_records("d.xml", records, 3).to_bytes()
-    mapped = PDTSkeleton.from_mapping(_mapping(payload))
-    first = min(records)
-    assert patch_skeleton_byte_lengths(mapped, (first,), 7) == 1
-    records[first].byte_length += 7
-    assert mapped.to_bytes() != payload
-    assert (
-        mapped.to_bytes()
-        == PDTSkeleton.from_records("d.xml", records, 3).to_bytes()
     )
 
 
@@ -223,7 +166,7 @@ def test_column_corruption_rejected():
     offset = 46 + doc_len
     payload[offset : offset + 8] = b"\xff" * 8
     with pytest.raises(ValueError):
-        deserialize_skeleton(bytes(payload))
+        PDTSkeleton.from_bytes(bytes(payload))
 
 
 def test_non_canonical_columns_rejected():
@@ -246,7 +189,7 @@ def test_non_canonical_columns_rejected():
         mutant = (
             payload[:offset] + replacement + payload[offset + len(replacement):]
         )
-        for decode in (PDTSkeleton.from_bytes, _decoded_from_mapping):
+        for decode in (PDTSkeleton.from_bytes, _from_mapped_buffer):
             with pytest.raises(ValueError):
                 decode(mutant)
 
@@ -279,18 +222,13 @@ def test_mutated_payload_is_rejected_or_canonical(seed, mutations):
                 payload[other:other + 4], payload[at:at + 4]
             )
     payload = bytes(payload)
-    for decode in (PDTSkeleton.from_bytes, _decoded_from_mapping):
+    for decode in (PDTSkeleton.from_bytes, _from_mapped_buffer):
         try:
             skeleton = decode(payload)
         except ValueError:
             continue
         assert skeleton.to_bytes() == payload
         assert sum(1 for _ in skeleton.tree.iter()) >= skeleton.node_count
-
-
-def test_serialize_matches_across_entry_points():
-    skeleton = _skeleton(3)
-    assert serialize_skeleton(skeleton) == skeleton.to_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +241,13 @@ def test_store_mmap_mode_returns_mapped_skeletons(tmp_path):
     skeleton = _skeleton()
     store.save("f" * 64, "a" * 64, skeleton)
     restored = store.load("f" * 64, "a" * 64)
-    assert restored.doc_name == skeleton.doc_name
-    assert restored._pending is not None  # header only, so far
+    # Fully decoded, and equal to what was saved, column for column.
+    for column in ("doc_name", "entry_count", "node_count", "content_count",
+                   "keys", "tag_ids", "tags", "flags", "values",
+                   "byte_lengths", "bounds", "slot_bounds"):
+        assert getattr(restored, column) == getattr(skeleton, column), column
     assert restored.to_bytes() == skeleton.to_bytes()
-    assert restored._pending is None
-    assert store.stats()["hits"] == 1
-    restored.close()
-    restored.close()  # idempotent
-    unread = store.load("f" * 64, "a" * 64)
-    unread.close()  # releases the mapping of a skeleton never decoded
-    assert unread._pending is None
+    assert store.stats()["hits"] == 1 and store.stats()["misses"] == 0
 
 
 def test_store_mmap_mode_corrupt_payload_is_a_miss(tmp_path):
