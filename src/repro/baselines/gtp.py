@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 from repro.core.engine import PhaseTimings, SearchOutcome, SearchResult, View
 from repro.core.pdt import PDTRecord, PDTResult, PDTSkeleton
-from repro.core.qpt import QPT, QPTNode, generate_qpts
+from repro.core.qpt import QPT, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.scoring import score_results, select_top_k
 from repro.dewey import DeweyID, pack
@@ -100,7 +100,6 @@ class GTPEngine:
 
     def __init__(self, database: XMLDatabase):
         self.database = database
-        self.last_timings: Optional[PhaseTimings] = None
         self.last_statistics: Optional[GTPStatistics] = None
 
     def define_view(self, name: str, text: str) -> View:
@@ -280,7 +279,6 @@ class GTPEngine:
             result.materialize()
         timings.post_processing = time.perf_counter() - start
 
-        self.last_timings = timings
         self.last_statistics = stats
         return SearchOutcome(
             results=results,

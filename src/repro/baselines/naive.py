@@ -100,7 +100,6 @@ class BaselineEngine:
 
     def __init__(self, database: XMLDatabase):
         self.database = database
-        self.last_timings: Optional[PhaseTimings] = None
 
     def define_view(self, name: str, text: str) -> View:
         program = parse_query(text)
@@ -160,7 +159,6 @@ class BaselineEngine:
         ]
         timings.post_processing = time.perf_counter() - start
 
-        self.last_timings = timings
         return BaselineOutcome(
             results=results,
             view_size=outcome.view_size,

@@ -29,8 +29,8 @@ computes the same records with an array sweep over the packed-key columns.
 The automaton is kept, beside the paper's other comparison systems, for
 two jobs:
 
-* the Section 4.2.2.1 ablation — ``benchmarks/bench_ablation_inpdt.py``
-  runs it with the InPdt fast path on and off;
+* the Section 4.2.2.1 ablation — the InPdt fast path on and off (its
+  last timing is recorded in EXPERIMENTS.md);
 * a second, independently structured implementation of Definitions 1-3:
   ``tests/test_extensions.py::TestInPdtFastPathAblation`` and the
   reference sweep (``test_equivalence_every_view_shape`` /

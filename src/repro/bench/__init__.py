@@ -1,15 +1,13 @@
 """Benchmark harness: one experiment per table/figure of the evaluation.
 
 ``python -m repro.bench`` runs every experiment and prints the paper-style
-series; ``benchmarks/`` wraps the same experiment functions in
-pytest-benchmark targets.
+series (``--markdown`` writes the tables EXPERIMENTS.md records).
 """
 
 from repro.bench.harness import ExperimentTable, Row, timed
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
     build_database,
-    build_engines,
     run_fig13_data_size,
     run_fig13b_module_comparison,
     run_fig14_module_cost,
@@ -29,7 +27,6 @@ __all__ = [
     "timed",
     "ALL_EXPERIMENTS",
     "build_database",
-    "build_engines",
     "run_fig13_data_size",
     "run_fig13b_module_comparison",
     "run_fig14_module_cost",

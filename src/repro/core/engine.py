@@ -18,14 +18,13 @@ makes the evaluated tier sound — and makes the fully warm query path an
 array sweep: one posting-list merge-join per keyword, column sums over
 the evaluated entry's statistics plan (no result node is visited), a
 columnar score and top-k selection, and one object per winner.
-Per-phase wall-clock timings are recorded in ``last_timings`` — Figure
-14's module breakdown, with the PDT phase further split into its
-skeleton and postings halves.
+Each search returns its per-phase wall-clock timings in
+``SearchOutcome.timings`` — Figure 14's module breakdown, with the PDT
+phase further split into its skeleton and postings halves.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
@@ -74,7 +73,6 @@ from repro.xquery.ast import (
     Expr,
     FLWOR,
     FTContains,
-    Program,
     VarRef,
 )
 from repro.xquery.evaluator import EvalContext, Evaluator
@@ -384,9 +382,8 @@ class KeywordSearchEngine:
     The search entry points are safe to call from a thread pool (the
     serving layer does): all shared state is either immutable once
     published (views, QPTs, skeleton trees) or lock-protected (the
-    cache), and the ``last_timings`` diagnostic is **thread-local** — a
-    caller always reads the timings of its *own* most recent search,
-    never a racing thread's.
+    cache), and each search's timings travel only in its own
+    :class:`SearchOutcome`.
     """
 
     def __init__(
@@ -397,7 +394,6 @@ class KeywordSearchEngine:
         snapshot_store: Optional["SkeletonStore"] = None,
     ):
         self.database = database
-        self._thread_state = threading.local()
         self._views: dict[str, View] = {}
         self._closed = False
         if cache is None and enable_cache:
@@ -423,15 +419,6 @@ class KeywordSearchEngine:
             # them, forward snapshots to the new fingerprint, and
             # re-warm the affected views so the next query lands warm.
             database.add_update_hook(self._on_document_update)
-
-    @property
-    def last_timings(self) -> Optional[PhaseTimings]:
-        """Per-phase timings of the *calling thread's* last search."""
-        return getattr(self._thread_state, "timings", None)
-
-    @last_timings.setter
-    def last_timings(self, timings: Optional[PhaseTimings]) -> None:
-        self._thread_state.timings = timings
 
     # -- what the serving layer reads (CorpusCoordinator answers the same) ------
 
@@ -800,7 +787,6 @@ class KeywordSearchEngine:
         results = wrap_results(ranked, lambda _: self.database, materialize)
         timings.post_processing += time.perf_counter() - start
 
-        self.last_timings = timings
         return SearchOutcome(
             results=results,
             view_size=stats.view_size,

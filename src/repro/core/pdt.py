@@ -50,7 +50,6 @@ from typing import Optional
 from repro.core.prepare import (
     PreparedLists,
     prepare_inv_lists,
-    prepare_lists,
     prepare_path_lists,
 )
 from repro.storage.inverted_index import PostingList
@@ -1252,29 +1251,17 @@ def generate_pdt(
     path_index: PathIndex,
     inverted_index: InvertedIndex,
     keywords: tuple[str, ...],
-    lists: Optional[PreparedLists] = None,
-    skeleton: Optional[PDTSkeleton] = None,
 ) -> PDTResult:
     """Generate the PDT for ``qpt`` using only the given indices.
 
     ``keywords`` must already be normalized (see
-    :func:`repro.xmlmodel.tokenizer.normalize_keyword`).  ``lists`` can be
-    supplied to reuse probes (the engine prepares them once per query) and
-    ``skeleton`` to reuse a cached structural pass (the engine's skeleton
-    tier); when a skeleton is given the path index is never touched.
+    :func:`repro.xmlmodel.tokenizer.normalize_keyword`).  The structural
+    pass and the keyword annotation are :func:`build_skeleton` and
+    :func:`annotate_skeleton`; the engine calls them separately so a
+    cached skeleton skips the first.
     """
-    if lists is not None:
-        inv_lists = lists.inv_lists
-    elif skeleton is not None:
-        inv_lists = prepare_inv_lists(inverted_index, keywords)
-    else:
-        lists = prepare_lists(qpt, path_index, inverted_index, keywords)
-        inv_lists = lists.inv_lists
-    if skeleton is None:
-        skeleton = build_skeleton(
-            qpt,
-            path_index,
-            path_lists=lists.path_lists,
-            probed=lists.probed,
-        )
-    return annotate_skeleton(skeleton, inv_lists, keywords)
+    return annotate_skeleton(
+        build_skeleton(qpt, path_index),
+        prepare_inv_lists(inverted_index, keywords),
+        keywords,
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.qpt import QPT, QPTNode
+from repro.core.qpt import QPT
 from repro.storage.inverted_index import InvertedIndex, PostingList
 from repro.storage.path_index import PathIndex, PathList, PathProbe
 
@@ -30,15 +30,6 @@ class PreparedLists:
     path_lists: dict[int, PathList]
     inv_lists: dict[str, PostingList]
     probed: frozenset[int]
-
-    @property
-    def probe_count(self) -> int:
-        """Index probes issued to build these lists (query-size bound).
-
-        One path-index probe per probed QPT node plus one inverted-list
-        probe per keyword — the cost a query-cache hit avoids entirely.
-        """
-        return len(self.path_lists) + len(self.inv_lists)
 
 
 def build_probe_plan(qpt: QPT) -> list[PathProbe]:
@@ -94,22 +85,6 @@ def prepare_inv_lists(
     lists happen to be non-empty.
     """
     return {keyword: inverted_index.lookup(keyword) for keyword in keywords}
-
-
-def prepare_lists(
-    qpt: QPT,
-    path_index: PathIndex,
-    inverted_index: InvertedIndex,
-    keywords: tuple[str, ...],
-) -> PreparedLists:
-    """Issue the index probes for ``qpt`` and the query keywords."""
-    path_lists = prepare_path_lists(qpt, path_index)
-    inv_lists = prepare_inv_lists(inverted_index, keywords)
-    return PreparedLists(
-        path_lists=path_lists,
-        inv_lists=inv_lists,
-        probed=frozenset(path_lists),
-    )
 
 
 def probe_plan(qpt: QPT) -> list[tuple[str, tuple[tuple[str, str], ...], bool]]:

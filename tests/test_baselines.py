@@ -147,8 +147,8 @@ class TestBaselineEngine:
     def test_timings_recorded(self, bookrev_db):
         engine = BaselineEngine(bookrev_db)
         view = engine.define_view("v", BOOKREV_VIEW)
-        engine.search(view, ["xml"], top_k=5)
-        assert engine.last_timings.evaluator > 0
+        outcome = engine.search_detailed(view, ["xml"], top_k=5)
+        assert outcome.timings.evaluator > 0
 
 
 class TestProjection:

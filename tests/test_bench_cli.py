@@ -30,7 +30,6 @@ def test_a_retired_id_is_an_unknown_experiment(capsys):
 def test_package_surface_is_the_harness_and_the_paper_runners():
     runners = [runner.__name__ for runner in repro.bench.ALL_EXPERIMENTS.values()]
     assert repro.bench.__all__ == [
-        "ExperimentTable", "Row", "timed", "ALL_EXPERIMENTS",
-        "build_database", "build_engines",
+        "ExperimentTable", "Row", "timed", "ALL_EXPERIMENTS", "build_database",
     ] + [name for name in runners if name != "run_params_table"]
     assert all(hasattr(repro.bench, name) for name in repro.bench.__all__)

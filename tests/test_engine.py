@@ -93,7 +93,6 @@ class TestOutcome:
         split = timings["pdt_skeleton"] + timings["pdt_postings"]
         assert split > 0.0
         assert timings["pdt"] + 1e-9 >= split
-        assert engine.last_timings is outcome.timings
 
     def test_store_touched_only_for_materialization(self, engine, view):
         db = engine.database
@@ -156,16 +155,6 @@ class TestStaleViews:
             engine.search(view, ["xml"], top_k=5)
         assert excinfo.value.view_name == "bookrevs"
         assert excinfo.value.missing == ["reviews.xml"]
-
-    def test_stale_rejection_leaves_no_partial_timings(
-        self, engine, view, bookrev_db
-    ):
-        engine.search(view, ["xml"], top_k=5)
-        before = engine.last_timings
-        bookrev_db.drop_document("books.xml")
-        with pytest.raises(StaleViewError):
-            engine.search(view, ["xml"], top_k=5)
-        assert engine.last_timings is before
 
     def test_stale_view_name_error_is_view_definition_error(self):
         assert issubclass(StaleViewError, ViewDefinitionError)
@@ -358,29 +347,6 @@ class TestUpdateRewarm:
 
 
 class TestThreadSafetyHooks:
-    def test_last_timings_is_thread_local(self, engine, view):
-        import threading
-
-        engine.search(view, ("xml",), top_k=3)
-        main_timings = engine.last_timings
-        assert main_timings is not None
-        seen = {}
-
-        def worker():
-            seen["before"] = engine.last_timings  # fresh thread: nothing yet
-            engine.search(view, ("search",), top_k=3)
-            seen["after"] = engine.last_timings
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(30)
-        assert not thread.is_alive()
-        assert seen["before"] is None
-        assert seen["after"] is not None
-        assert seen["after"] is not main_timings
-        # The main thread still sees its own timings, untouched.
-        assert engine.last_timings is main_timings
-
     def test_warm_view_rejects_stale_view_object(self, engine, view):
         engine.define_view("bookrevs", view.text)  # redefinition
         with pytest.raises(ViewDefinitionError):

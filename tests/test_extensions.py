@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.stack_pdt import build_skeleton_stack
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import build_skeleton, generate_pdt
-from repro.core.prepare import prepare_lists, probe_plan
+from repro.core.prepare import prepare_inv_lists, probe_plan
 from repro.core.qpt import generate_qpts
 from repro.core.rewrite import make_base_resolver, make_pdt_resolver
 from repro.errors import DocumentNotFoundError
@@ -79,7 +79,7 @@ class TestFixedProbeCount:
         for doc_name, qpt in qpts.items():
             indexed = db.get(doc_name)
             db.reset_access_counters()
-            prepare_lists(
+            generate_pdt(
                 qpt, indexed.path_index, indexed.inverted_index,
                 ("thomas", "control"),
             )
@@ -101,13 +101,9 @@ class TestFixedProbeCount:
         assert with_values["title"] is False  # c-only node
 
     def test_inverted_probes_one_per_keyword(self, bookrev_db):
-        qpt = qpts_for(BOOKREV_VIEW)["books.xml"]
         indexed = bookrev_db.get("books.xml")
         bookrev_db.reset_access_counters()
-        prepare_lists(
-            qpt, indexed.path_index, indexed.inverted_index,
-            ("xml", "search", "theory"),
-        )
+        prepare_inv_lists(indexed.inverted_index, ("xml", "search", "theory"))
         assert indexed.inverted_index.probe_count == 3
 
 
