@@ -224,6 +224,7 @@ class GTPEngine:
             entry_count=skeleton.entry_count,
             keywords=keywords,
             tf_arrays=tf_arrays,
+            byte_lengths=skeleton.byte_lengths,
         )
 
     # -- search -------------------------------------------------------------------

@@ -310,8 +310,8 @@ class QueryCache:
     * pdt:       ``(view_name, doc_name, generation, qpt_hash,
       keywords)``
     * evaluated: ``(view_name, view_token, ((doc_name, generation,
-      qpt_hash), ...))`` → ``(statistics plan over the result nodes,
-      {doc_name: PDT root})``; ``view_token`` is the registered
+      qpt_hash), ...))`` → the statistics plan over the result nodes;
+      ``view_token`` is the registered
       definition's *identity*: the cached result nodes depend on the
       whole expression (not just the QPT) and are process-local anyway,
       and the identity keeps a put racing a view redefinition
@@ -442,19 +442,20 @@ class QueryCache:
         Skeleton entries of ``patched_views`` (the views the engine
         classified as skeleton-patchable for this edit) are *migrated* to
         the new generation instead of dropped — the caller then patches
-        the skeleton objects in place.  An evaluated entry of such a view
-        is migrated with it, **iff the tree its result nodes point into
-        is, by identity, the live tree of the skeleton just migrated**:
-        result nodes reference that shared tree, so the caller's patch
-        corrects every byte length scoring will read.  An entry
-        evaluated over any other tree (the skeleton was evicted or
-        bypassed and rebuilt since) holds lengths nobody patches and is
-        dropped.  Everything else derived from the document dies:
-        prepared lists (they hold pre-edit index arrays), skeletons of
-        non-patchable views or older generations, all PDTs (their tf
-        annotations embed pre-edit postings), and the remaining
-        evaluated results spanning the document.  Returns the moved
-        ``(new_key, skeleton)`` pairs and the number of entries dropped.
+        the skeleton objects' byte-length columns in place.  The
+        evaluated entries of those views are migrated with the
+        generation bump too, whether or not their skeleton is resident:
+        a patchable edit keeps the record set, so every record position
+        an entry's result nodes read their byte length at is unchanged,
+        and whichever skeleton serves the document next — this patched
+        one, one restored from the forwarded snapshot, or one rebuilt
+        from the edited document — holds the post-edit lengths.
+        Everything else derived from the document dies: prepared lists
+        (they hold pre-edit index arrays), skeletons of non-patchable
+        views or older generations, all PDTs (their tf annotations embed
+        pre-edit postings), and the remaining evaluated results spanning
+        the document.  Returns the moved ``(new_key, skeleton)`` pairs
+        and the number of entries dropped.
         """
         moved = self.skeletons.rekey_where(
             lambda k: (
@@ -464,30 +465,21 @@ class QueryCache:
             ),
             lambda k: (k[0], k[1], new_generation, k[3]),
         )
-        migrated = {(key[0], key[3]): skeleton for key, skeleton in moved}
-        surviving = set()
-        if migrated:
-            for key, (_, roots) in self.evaluated.items():
-                for name, generation, qpt_hash in key[2]:
-                    if name == doc_name and generation == old_generation:
-                        skeleton = migrated.get((key[0], qpt_hash))
-                        if (
-                            skeleton is not None
-                            and skeleton.tree is roots[doc_name]
-                        ):
-                            surviving.add(key)
-        if surviving:
-            self.evaluated.rekey_where(
-                surviving.__contains__,
-                lambda k: (
-                    k[0],
-                    k[1],
-                    tuple(
-                        (name, new_generation if name == doc_name else gen, h)
-                        for name, gen, h in k[2]
-                    ),
+        self.evaluated.rekey_where(
+            lambda k: k[0] in patched_views
+            and any(
+                name == doc_name and generation == old_generation
+                for name, generation, _ in k[2]
+            ),
+            lambda k: (
+                k[0],
+                k[1],
+                tuple(
+                    (name, new_generation if name == doc_name else gen, h)
+                    for name, gen, h in k[2]
                 ),
-            )
+            ),
+        )
         dropped = self.prepared.invalidate_where(lambda k: k[0] == doc_name)
         dropped += self.skeletons.invalidate_where(
             lambda k: k[1] == doc_name and k[2] != new_generation

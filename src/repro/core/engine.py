@@ -477,9 +477,10 @@ class KeywordSearchEngine:
         The write path that replaces the invalidation storm: classify
         each registered view reading the document as patchable or not,
         migrate + patch the patchable skeleton-tier entries (and forward
-        their snapshots to the new fingerprint), keep the evaluated
-        entries whose result nodes point into those patched trees, drop
-        everything else derived from the document, and re-warm the
+        their snapshots to the new fingerprint), migrate the patchable
+        views' evaluated entries (their plans read byte lengths from
+        whichever skeleton serves the next query), drop everything else
+        derived from the document, and re-warm the
         affected views so the next query finds the skeleton and
         evaluated tiers hot — a lookup for a view that kept its entries,
         a rebuild only for one whose structure the edit changed.
@@ -1050,8 +1051,9 @@ class KeywordSearchEngine:
         returns the exact node list a previous query's evaluation
         produced (shared read-only, like every other cached tree) and
         the plan over it; scoring stays correct because per-query tfs
-        are resolved through content-node slots against *this* query's
-        ``pdts``, not through anything stored in the nodes or the plan.
+        and byte lengths are resolved through content-node slots and
+        record positions against *this* query's ``pdts``, not through
+        anything stored in the nodes or the plan.
         Two threads missing at once each evaluate and put; either entry
         serves, the later put stays.
         """
@@ -1065,7 +1067,7 @@ class KeywordSearchEngine:
             if cached is not None:
                 if timings is not None:
                     timings.evaluator += time.perf_counter() - start
-                return cached[0], True
+                return cached, True
         evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(pdts)))
         items = evaluator.evaluate(view.expr)
         view_results = [item for item in items if isinstance(item, XMLNode)]
@@ -1075,11 +1077,7 @@ class KeywordSearchEngine:
             timings.evaluator += evaluated - start
             timings.post_processing += time.perf_counter() - evaluated
         if cacheable:
-            # The roots say which trees the result nodes point into —
-            # what decides whether the entry survives a patchable edit
-            # (see QueryCache.apply_document_delta).
-            roots = {name: pdt.root for name, pdt in pdts.items()}
-            cache.evaluated.put(key, (plan, roots))
+            cache.evaluated.put(key, plan)
         return plan, False
 
     # -- diagnostics ------------------------------------------------------------

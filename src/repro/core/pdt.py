@@ -81,6 +81,12 @@ class PDTResult:
     all-zero array), so every queried keyword is always present —
     shape-stable regardless of which keywords matched.  Scoring resolves
     tfs through :meth:`tf_at`.
+
+    ``byte_lengths`` is the skeleton's own ``byte_lengths`` column, by
+    reference — the one place a PDT node's byte length lives.  A node
+    reads its length at its ``anno.position`` (its record's position in
+    the skeleton's columns); the tree carries no copy, so a patchable
+    edit's in-place patch of the column is all there is to patch.
     """
 
     doc_name: str
@@ -89,14 +95,11 @@ class PDTResult:
     entry_count: int
     keywords: tuple[str, ...]
     tf_arrays: dict[str, Optional[list[int]]]
+    byte_lengths: array
 
     @property
     def is_empty(self) -> bool:
         return self.root.tag == EMPTY_TAG
-
-    def stats(self) -> dict[str, int]:
-        """Size statistics (used by benchmarks and cache diagnostics)."""
-        return {"nodes": self.node_count, "entries": self.entry_count}
 
     # -- per-query keyword data ---------------------------------------------
 
@@ -506,7 +509,8 @@ class PDTSkeleton:
       bit 2 value present;
     * ``values`` — materialized atomic values (``None`` where absent);
     * ``byte_lengths`` — signed and mutable, so delta maintenance can
-      patch them in place.
+      patch them in place; the only copy of a PDT node's byte length
+      (queries read it through :attr:`PDTResult.byte_lengths`).
 
     Derived from the columns once, because every annotation needs them:
     ``bounds`` / ``slot_bounds`` — the sorted, de-duplicated subtree
@@ -515,13 +519,16 @@ class PDTSkeleton:
     ``PostingList.cumulative_below(bounds)`` sweep per keyword then
     yields every content node's subtree tf by two array reads.
 
-    ``tree``, the assembled PDT tree (values, byte lengths and nesting
-    are all keyword-independent, so one shared tree serves every keyword
-    set; content nodes carry their ``slot`` and the per-query tfs live
-    in :attr:`PDTResult.tf_arrays`), is memoized **weakly**: it is built
-    from the columns on demand and kept alive exactly as long as some
-    cached ``PDTResult`` / evaluated-tier entry references its nodes.
-    Slots are positional, so re-built trees are interchangeable.
+    ``tree``, the assembled PDT tree (values and nesting are
+    keyword-independent, so one shared tree serves every keyword set;
+    every node carries its record ``position`` and a content node its
+    ``slot``: the per-query tfs live in :attr:`PDTResult.tf_arrays`, the
+    byte lengths in the ``byte_lengths`` column), is memoized
+    **weakly**: it is built from the columns on demand and kept alive
+    exactly as long as some cached ``PDTResult`` / evaluated-tier entry
+    references its nodes.  Nothing writes to a tree once it is built,
+    and positions and slots are positional, so re-built trees are
+    interchangeable.
 
     Two ways in, and no conversion between them: :meth:`from_records`
     (the records of the sweep, of the stack automaton in
@@ -529,10 +536,10 @@ class PDTSkeleton:
     structural joins) and :meth:`from_bytes` (decode and validate a
     payload).  Either way every column is set when the constructor
     returns.  Skeletons are immutable in practice apart from the
-    byte-length patches; the tree memo is idempotent and published by
-    one attribute write, so a benign compute race between annotating
-    threads settles on equivalent state — the skeleton tier's
-    concurrent-read contract.
+    byte-length column's patches; the tree memo is idempotent and
+    published by one attribute write, so a benign compute race between
+    annotating threads settles on equivalent state — the skeleton
+    tier's concurrent-read contract.
     """
 
     __slots__ = (
@@ -558,9 +565,6 @@ class PDTSkeleton:
         self.node_count = node_count
         self._tree_ref: Optional[weakref.ref] = None
         self._memory_bytes: Optional[int] = None
-
-    def stats(self) -> dict[str, int]:
-        return {"nodes": self.node_count, "entries": self.entry_count}
 
     def __repr__(self) -> str:
         return f"<PDTSkeleton {self.doc_name!r} nodes={self.node_count}>"
@@ -678,7 +682,6 @@ class PDTSkeleton:
         tag_ids = self.tag_ids
         flags = self.flags
         values = self.values
-        byte_lengths = self.byte_lengths
         doc_name = self.doc_name
         dewey_ids: list[DeweyID] = []
         stack: list[int] = []
@@ -724,7 +727,7 @@ class PDTSkeleton:
             node.dewey = None
             anno = new_anno(NodeAnnotations)
             anno.dewey = dewey
-            anno.byte_length = byte_lengths[position]
+            anno.position = position
             anno.doc = doc_name
             if flag & _WANTS_CONTENT:
                 anno.pruned = True
@@ -1116,31 +1119,6 @@ class SkeletonLayout:
         return tuple(values)
 
 
-def _patch_tree_annotations(
-    tree: XMLNode, remaining: set[bytes], deepest: bytes, delta: int
-) -> None:
-    """Shift ``anno.byte_length`` on a live shared tree for an edit.
-
-    ``remaining`` holds the ancestor keys still to patch;
-    ``ancestor_keys`` is a root-first prefix chain, so ``deepest``
-    bounds the walk: descend only through nodes on the chain (and the
-    fragment wrapper, which carries no annotation).
-    """
-    stack = [tree]
-    while stack and remaining:
-        node = stack.pop()
-        anno = node.anno
-        if anno is None or anno.dewey is None:
-            stack.extend(node.children)
-            continue
-        key = anno.dewey.packed
-        if key in remaining:
-            anno.byte_length += delta
-            remaining.discard(key)
-        if deepest.startswith(key):
-            stack.extend(node.children)
-
-
 def patch_skeleton_byte_lengths(
     skeleton: PDTSkeleton,
     ancestor_keys: tuple[bytes, ...],
@@ -1150,33 +1128,28 @@ def patch_skeleton_byte_lengths(
 
     The delta-maintenance fast path for edits the engine classified as
     *skeleton-patchable*: no added or removed element matches the view's
-    QPT anywhere along its path, so the record set, the shared tree and
-    the content-slot bounds are all unchanged — only the serialized
-    lengths of the edit point's proper ancestors moved, by the same
-    ``delta`` each.  Bisects each ancestor key into the sorted key
-    column and shifts its ``byte_lengths`` cell; a live shared tree, if
-    any, gets the matching ``anno.byte_length`` annotations patched (the
-    annotation pass reads lengths from the tree).  Returns the number of
-    skeleton nodes patched; ancestors the skeleton does not materialize
-    are skipped — their lengths are simply not part of this view.
+    QPT anywhere along its path, so the record set — every record's
+    position, the tree and the content-slot bounds — is unchanged; only
+    the serialized lengths of the edit point's proper ancestors moved,
+    by the same ``delta`` each.  Bisects each ancestor key into the
+    sorted key column and shifts its ``byte_lengths`` cell, the one
+    place the length lives: no tree is touched, or built.  Returns the
+    number of skeleton nodes patched; ancestors the skeleton does not
+    materialize are skipped — their lengths are simply not part of this
+    view.
     """
     if delta == 0 or not ancestor_keys:
         return 0
     keys = skeleton.keys
     byte_lengths = skeleton.byte_lengths
     count = len(keys)
-    patched: set[bytes] = set()
+    patched = 0
     for key in ancestor_keys:
         position = bisect_left(keys, key)
         if position < count and keys[position] == key:
             byte_lengths[position] += delta
-            patched.add(key)
-    ref = skeleton._tree_ref
-    tree = ref() if ref is not None else None
-    patched_count = len(patched)
-    if tree is not None and patched:
-        _patch_tree_annotations(tree, patched, ancestor_keys[-1], delta)
-    return patched_count
+            patched += 1
+    return patched
 
 
 def build_skeleton(
@@ -1243,6 +1216,7 @@ def annotate_skeleton(
         entry_count=skeleton.entry_count,
         keywords=tuple(keywords),
         tf_arrays=tf_arrays,
+        byte_lengths=skeleton.byte_lengths,
     )
 
 

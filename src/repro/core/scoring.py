@@ -5,16 +5,16 @@ A result's statistics — per-keyword subtree tf and serialized byte length
 
 * :class:`StatisticsPlan` is the keyword-*independent* half: one walk
   over the result trees lays the results out as flat columns — the
-  serialized length of each result's constructed part, the annotations
-  of its pruned leaves, per document the slots its leaves read and the
-  rows they belong to, and the token counts of constructed text.  The
+  serialized length of each result's constructed part, per document the
+  slots and record positions its pruned leaves read and the rows they
+  belong to, and the token counts of constructed text.  The
   engine keeps one plan per evaluated-tier entry, so a skeleton-warm
   query never visits a result node; baselines and inline views build
   one per call.
 * :meth:`StatisticsPlan.sum` is the keyword-*dependent* half: column
   arithmetic over the plan that reads only what a query's keywords
   decide — tf from the per-document arrays the posting sweep produced,
-  byte lengths from the live leaf annotations — into a
+  byte lengths from the skeleton columns those PDTs carry — into a
   :class:`ColumnSums`, which then masks, scores and selects by column
   too.  A :class:`ScoredResult` is built only for a row somebody asks
   for: the engine asks for its top k, the compatibility read
@@ -29,11 +29,12 @@ Theorem 4.1's score equality is realized structurally:
 * Efficient (and GTP) results reference pruned PDT elements that stand
   for the identical quantities (subtree tf from the inverted index,
   subtree byte length from the path index), so the walk stops at pruned
-  nodes.  PDT trees keep the per-query tfs *outside* the tree — each
-  content node carries a ``slot`` index into the flat tf arrays of its
-  document's :class:`repro.core.pdt.PDTResult` — so the sum resolves tfs
-  through the ``tf_source`` mapping (document name -> PDTResult) its
-  caller supplies.
+  nodes.  PDT trees keep both *outside* the tree — each content node
+  carries a ``slot`` index into the flat tf arrays of its document's
+  :class:`repro.core.pdt.PDTResult` and a ``position`` into its
+  ``byte_lengths`` column — so the sum resolves them through the
+  ``tf_source`` mapping (document name -> PDTResult) its caller
+  supplies.
 
 Definitions (paper Section 2.2): ``tf(e, k)`` is the number of occurrences
 of k in e and its descendants; ``idf(k) = |V(D)| / |{e in V(D):
@@ -94,17 +95,16 @@ class StatisticsPlan:
     order) out as columns:
 
     * the serialized length of each row's constructed part, a constant;
-    * one flat tuple of the **live**
-      :class:`~repro.xmlmodel.node.NodeAnnotations` of every row's
-      pruned leaves, by reference, with the row of each: a patchable
-      edit shifts ``anno.byte_length`` in place
-      (:func:`repro.core.pdt.patch_skeleton_byte_lengths`), and the next
-      :meth:`sum` reads the shifted value, so a plan stays valid for
-      exactly as long as the result nodes it was built from;
-    * per document, a picker over the slots its pruned leaves read and
-      the row of each slot — only the rows that touch the document: a
-      column as wide as the view per document would make a many-document
-      view quadratic;
+    * per document, a picker over the slots its pruned leaves read, one
+      over their record positions and the row of each leaf — only the
+      rows that touch the document: a column as wide as the view per
+      document would make a many-document view quadratic.  A plan holds
+      no length of a pruned leaf: :meth:`sum` picks them from this
+      query's PDT, whose ``byte_lengths`` is its skeleton's live column.
+      A patchable edit patches that column in place
+      (:func:`repro.core.pdt.patch_skeleton_byte_lengths`) and keeps
+      every record's position, so a plan stays valid across it whichever
+      skeleton — migrated, restored or rebuilt — serves the next query;
     * a sparse ``(row, mappings)`` list of the token counts of
       constructed text.
 
@@ -113,16 +113,13 @@ class StatisticsPlan:
     themselves.
     """
 
-    __slots__ = ("nodes", "_lengths", "_leaves", "_leaf_rows", "_slots",
-                 "_counts")
+    __slots__ = ("nodes", "_lengths", "_docs", "_counts")
 
     def __init__(self, view_results: Iterable[XMLNode]):
         #: The result nodes, in view order (the rows of every column).
         self.nodes: tuple[XMLNode, ...] = tuple(view_results)
         lengths: list[int] = []
-        leaves: list = []
-        leaf_rows: list[int] = []
-        slots: dict[str, tuple[list[int], list[int]]] = {}
+        leaves: dict[str, tuple[list[int], list[int], list[int]]] = {}
         counts: list[tuple[int, tuple]] = []
         for row, root in enumerate(self.nodes):
             length = 0
@@ -132,11 +129,12 @@ class StatisticsPlan:
                 node = stack.pop()
                 anno = node.anno
                 if anno is not None and anno.pruned:
-                    leaves.append(anno)
-                    leaf_rows.append(row)
-                    doc_slots, slot_rows = slots.setdefault(anno.doc, ([], []))
-                    doc_slots.append(anno.slot)
-                    slot_rows.append(row)
+                    slots, positions, rows = leaves.setdefault(
+                        anno.doc, ([], [], [])
+                    )
+                    slots.append(anno.slot)
+                    positions.append(anno.position)
+                    rows.append(row)
                     continue
                 value = node.value
                 children = node.children
@@ -152,11 +150,9 @@ class StatisticsPlan:
             if found:
                 counts.append((row, tuple(found)))
         self._lengths = tuple(lengths)
-        self._leaves = tuple(leaves)
-        self._leaf_rows = tuple(leaf_rows)
-        self._slots = tuple(
-            (doc, _picker(doc_slots), tuple(slot_rows))
-            for doc, (doc_slots, slot_rows) in slots.items()
+        self._docs = tuple(
+            (doc, _picker(slots), _picker(positions), tuple(rows))
+            for doc, (slots, positions, rows) in leaves.items()
         )
         self._counts = tuple(counts)
 
@@ -169,44 +165,43 @@ class StatisticsPlan:
         the byte-length column and ``|{e: contains(e, k)}|`` per keyword.
 
         ``tf_source`` maps document names to the query's
-        :class:`~repro.core.pdt.PDTResult` objects; each document's tf
-        arrays are resolved once (a keyword without postings has none:
-        implicit zeros), picked at the document's slots in one C call,
-        and only the nonzero tfs are added, each to its own row.  The
-        counts are integers, so shard-summable.
+        :class:`~repro.core.pdt.PDTResult` objects; each document's
+        byte lengths are picked at its leaves' record positions and its
+        tf arrays (a keyword without postings has none: implicit zeros)
+        at their slots, one C call each, and only the nonzero tfs are
+        added, each to its own row.  The counts are integers, so
+        shard-summable.
         """
         unique = tuple(dict.fromkeys(keywords))
         size = len(self.nodes)
         tfs = {keyword: [0] * size for keyword in unique}
-        for doc, pick, slot_rows in self._slots:
+        lengths = list(self._lengths)
+        for doc, pick_slots, pick_positions, rows in self._docs:
             pdt = tf_source.get(doc) if tf_source is not None else None
             if pdt is None:
-                if not unique:
-                    continue
-                # A pruned node's per-query tfs live *outside* the tree;
-                # scoring it without a resolving tf_source would silently
-                # yield zeros, so fail loudly instead.
+                # A pruned node's tfs and byte length live *outside* the
+                # tree; scoring it without its PDT would silently yield
+                # zeros, so fail loudly instead.
                 raise ValueError(
                     "cannot score a shared-skeleton PDT node: no tf_source "
-                    f"entry for document {doc!r} (per-query term "
-                    "frequencies are resolved through content-node slots, "
-                    "not stored on the tree)"
+                    f"entry for document {doc!r} (its term frequencies and "
+                    "byte length are read from the document's PDT, not "
+                    "stored on the tree)"
                 )
+            for row, length in zip(rows, pick_positions(pdt.byte_lengths)):
+                lengths[row] += length
             arrays = pdt.tf_arrays
             for keyword, column in tfs.items():
                 array = arrays.get(keyword)
                 if array is None:
                     continue
-                values = pick(array)
-                for row, tf in zip(compress(slot_rows, values), compress(values, values)):
+                values = pick_slots(array)
+                for row, tf in zip(compress(rows, values), compress(values, values)):
                     column[row] += tf
         for row, mappings in self._counts:
             for keyword, column in tfs.items():
                 for frequencies in mappings:
                     column[row] += frequencies.get(keyword, 0)
-        lengths = list(self._lengths)
-        for row, anno in zip(self._leaf_rows, self._leaves):
-            lengths[row] += anno.byte_length
         containing = {
             keyword: size - column.count(0) for keyword, column in tfs.items()
         }
@@ -307,8 +302,8 @@ def score_results(
 
     ``idf`` is computed over the *entire* view result sequence — not just
     the keyword-satisfying results — exactly as in Section 2.2 where
-    ``V(D)`` is the full view.  ``tf_source`` resolves the tfs of
-    shared-skeleton PDT nodes (see :meth:`StatisticsPlan.sum`).
+    ``V(D)`` is the full view.  ``tf_source`` resolves the tfs and byte
+    lengths of shared-skeleton PDT nodes (see :meth:`StatisticsPlan.sum`).
 
     The object-at-a-time reference pipeline the baselines rank through
     (:meth:`StatisticsPlan.collect` → :func:`idf_from_counts` →

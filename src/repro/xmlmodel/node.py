@@ -11,9 +11,9 @@ The model follows the paper's conventions (Section 2.1):
   rows and leaf-value predicates.
 
 PDT nodes reuse the same class with an attached :class:`NodeAnnotations`
-record carrying the selectively-materialized information (Dewey id, byte
-length, content slot) that the scoring and materialization phases
-consume.
+record carrying the selectively-materialized information (Dewey id,
+record position, content slot) that the scoring and materialization
+phases consume.
 """
 
 from __future__ import annotations
@@ -29,18 +29,20 @@ class NodeAnnotations:
     """Extra information attached to pruned (PDT) nodes.
 
     ``dewey`` identifies the base element this pruned node stands for;
-    ``byte_length`` is the serialized length of the base element's subtree.
-    ``pruned`` marks nodes whose content was *not* materialized ('c' nodes
-    before top-k expansion), and each such node carries a ``slot``: its
-    index into the per-query tf arrays of
-    :class:`repro.core.pdt.PDTResult`, which hold the keyword's tf
-    aggregated over the base element's subtree.  The tree itself is
-    keyword-independent and reused across queries, so per-query data can
-    never live on the node.
+    ``position`` is its record's position in the skeleton's columns,
+    where :attr:`repro.core.pdt.PDTResult.byte_lengths` holds the
+    serialized length of the base element's subtree.  ``pruned`` marks
+    nodes whose content was *not* materialized ('c' nodes before top-k
+    expansion), and each such node carries a ``slot``: its index into
+    the per-query tf arrays of :class:`repro.core.pdt.PDTResult`, which
+    hold the keyword's tf aggregated over the base element's subtree.
+    The tree itself is keyword-independent, reused across queries and
+    never written once built, so neither per-query data nor anything an
+    edit patches lives on the node.
     """
 
     dewey: Optional[DeweyID] = None
-    byte_length: int = 0
+    position: int = 0
     pruned: bool = False
     doc: Optional[str] = None
     slot: Optional[int] = None

@@ -21,6 +21,8 @@ on a single engine and through the coordinator at shard counts 1 and 2.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.baselines.naive import BaselineEngine
@@ -96,10 +98,14 @@ def _ops(seeds) -> list[MutationOp]:
     return [op for step in zip(*streams) for op in step]
 
 
-def _check_step(starved, ample, baseline, bview, keywords, context) -> None:
+def _check_step(starved, ample, baseline, bview, keywords, context) -> bool:
+    """Check one step both ways; returns whether the starved engine's
+    first query was an evaluated-tier hit."""
+    hits = []
     for conjunctive in (True, False):
         where = f"{context} kw={keywords} conj={conjunctive}"
         out = starved.search_detailed("v", keywords, TOP_K, conjunctive)
+        hits.append(out.evaluated_hit)
         assert_outcomes_equivalent(
             out,
             baseline.search_detailed(bview, keywords, TOP_K, conjunctive),
@@ -111,10 +117,17 @@ def _check_step(starved, ample, baseline, bview, keywords, context) -> None:
             ample.search_detailed("v", keywords, TOP_K, conjunctive),
             f"{where} [overflow-vs-ample]",
         )
+    return hits[0]
 
 
-@pytest.mark.parametrize("seed", _seed_matrix())
-def test_overflow_single_engine_matches_baseline_and_ample(seed):
+@functools.cache
+def _single_engine_run(seed: int) -> int:
+    """One seed's starved single engine through its edit stream, every
+    step checked.  Returns the post-edit queries that hit the very
+    evaluated entry the edit found although the edited document's
+    skeleton was not resident then — so the skeleton that served the
+    query was rebuilt after the edit, and the entry's byte lengths came
+    from it."""
     seeds = _seeds(seed)
     view_text, documents, _groups, keyword_sets = _combined_corpus(seeds)
     starved_db = XMLDatabase()
@@ -129,10 +142,13 @@ def test_overflow_single_engine_matches_baseline_and_ample(seed):
     _check_step(
         starved, ample, baseline, bview, keyword_sets[0], f"seed={seed} warm"
     )
+    survived_rebuilds = 0
     for step, op in enumerate(_ops(seeds)):
+        entries = [entry for _, entry in starved.cache.evaluated.items()]
+        resident = op.doc in starved.resident_documents("v")
         for database in (starved_db, reference_db):
             apply_mutation(database, op)
-        _check_step(
+        hit = _check_step(
             starved,
             ample,
             baseline,
@@ -140,12 +156,30 @@ def test_overflow_single_engine_matches_baseline_and_ample(seed):
             keyword_sets[step % len(keyword_sets)],
             f"seed={seed} step={step} op={op.describe()}",
         )
+        survived_rebuilds += hit and not resident and any(
+            entry is old
+            for _, entry in starved.cache.evaluated.items()
+            for old in entries
+        )
 
     stats = starved.cache.stats()
     # The rule was exercised, and the tier it protects kept serving.
     assert stats["skeleton"]["bypassed"] > 0
     assert stats["skeleton"]["hits"] > 0
     assert len(starved.cache.skeletons) <= 2
+    return survived_rebuilds
+
+
+@pytest.mark.parametrize("seed", _seed_matrix())
+def test_overflow_single_engine_matches_baseline_and_ample(seed):
+    _single_engine_run(seed)
+
+
+def test_overflow_entries_survive_edits_over_rebuilt_skeletons():
+    """A patchable edit migrates the evaluated entry whether or not the
+    edited document's skeleton is resident: somewhere in the matrix an
+    entry outlives an edit whose skeleton the starved tier had dropped."""
+    assert sum(map(_single_engine_run, _seed_matrix())) > 0
 
 
 @pytest.mark.parametrize("shard_count", (1, 2))

@@ -54,19 +54,20 @@ class TestStructuralJoin:
         assert matched_desc == {(1, 1), (1, 2)}
 
 
-def _node_rows(root):
-    """Per node, what the shared tree builder decides: tag, text and the
-    annotation's dewey, byte length, pruned flag and content slot.  The
-    byte length only where scoring reads it, at content nodes: the sweep
-    records none for an ancestor it derived without a probe, GTP reads
-    every record's from base data."""
+def _node_rows(result):
+    """Per node of a PDT, what the shared tree builder decides: tag, text
+    and the annotation's dewey, byte length (read from the result's
+    skeleton column), pruned flag and content slot.  The byte length
+    only where scoring reads it, at content nodes: the sweep records
+    none for an ancestor it derived without a probe, GTP reads every
+    record's from base data."""
     rows = []
-    for node in root.iter():
+    for node in result.root.iter():
         anno = node.anno
         if anno is None:
             rows.append((node.tag, node.text))
             continue
-        length = anno.byte_length if anno.pruned else None
+        length = result.byte_lengths[anno.position] if anno.pruned else None
         rows.append(
             (node.tag, node.text, anno.dewey, length, anno.pruned, anno.slot)
         )
@@ -103,7 +104,7 @@ class TestGTP:
             )
             assert result.tf_arrays == swept.tf_arrays
             assert result.tf_arrays["zzznever"] is None
-            assert _node_rows(result.root) == _node_rows(swept.root)
+            assert _node_rows(result) == _node_rows(swept)
             assert result.node_count == swept.node_count
 
     def test_gtp_accesses_base_data(self, bookrev_db):

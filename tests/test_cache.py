@@ -771,12 +771,12 @@ class TestEvaluatedTier:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        [(_, (plan, _))] = engine.cache.evaluated.items()
+        [(_, plan)] = engine.cache.evaluated.items()
         hits = engine.cache.stats()["evaluated"]["hits"]
         outcome = engine.search_detailed(view, ["xml"], top_k=10)
         assert outcome.evaluated_hit is True
         assert engine.cache.stats()["evaluated"]["hits"] == hits + 1
-        [(_, (served, _))] = engine.cache.evaluated.items()
+        [(_, served)] = engine.cache.evaluated.items()
         assert served is plan
 
     def test_reload_invalidates_evaluated_entries(
@@ -975,6 +975,30 @@ class TestSweepLargerThanTier:
         assert report.as_dict()["views"]["lib"]["resident"] == 4
 
 
+def three_library_views(cache):
+    """Three one-document views ``v0``–``v2`` over ``doc0``–``doc2``, on
+    an engine with ``cache``: ``(database, engine)``."""
+    from repro.storage.database import XMLDatabase
+
+    database = XMLDatabase()
+    for number in range(3):
+        database.load_document(
+            f"doc{number}",
+            f"<lib><book><title>xml {number}</title>"
+            f"<body>query index {'xml ' * number}</body></book>"
+            f"<book><title>query {number}</title><body>xml</body></book>"
+            "</lib>",
+        )
+    engine = KeywordSearchEngine(database, cache=cache)
+    for number in range(3):
+        engine.define_view(
+            f"v{number}",
+            f"for $b in fn:doc(doc{number})//book "
+            "return <hit>{$b/title}{$b/body}</hit>",
+        )
+    return database, engine
+
+
 def _ranking(engine, view, keywords):
     return [
         (r.rank, r.score, r.scored.statistics.byte_length)
@@ -983,8 +1007,9 @@ def _ranking(engine, view, keywords):
 
 
 class TestEvaluatedTierAcrossEdits:
-    """A patchable edit migrates the evaluated entry with its skeleton —
-    iff the entry's result nodes point into that skeleton's live tree."""
+    """A patchable edit migrates the evaluated entry of every patchable
+    view — whichever skeleton serves its document next reads the entry's
+    byte lengths at unchanged record positions."""
 
     # Under a <content>, a content node: no QPT node matches the new
     # element's path, yet the lengths scoring reads all shift.
@@ -994,7 +1019,7 @@ class TestEvaluatedTierAcrossEdits:
         self, engine, view, bookrev_db, bookrev_view_text
     ):
         engine.search(view, ["xml"], top_k=10)
-        [(old_key, (cached, old_roots))] = engine.cache.evaluated.items()
+        [(old_key, cached)] = engine.cache.evaluated.items()
         misses = engine.cache.stats()["evaluated"]["misses"]
 
         delta = bookrev_db.insert_subtree(*self.PATCHABLE)
@@ -1002,9 +1027,8 @@ class TestEvaluatedTierAcrossEdits:
 
         # The entry's value is its statistics plan: the same object, so
         # no query after the edit walks a result tree again.
-        [(new_key, (kept, roots))] = engine.cache.evaluated.items()
+        [(new_key, kept)] = engine.cache.evaluated.items()
         assert kept is cached
-        assert roots is old_roots
         # A two-document view: only the edited coordinate moved on.
         assert new_key[:2] == old_key[:2]
         old_coords = {name: (gen, h) for name, gen, h in old_key[2]}
@@ -1024,17 +1048,24 @@ class TestEvaluatedTierAcrossEdits:
             assert _ranking(engine, view, keywords) == _ranking(
                 cold, cold_view, keywords
             )
-        # Every byte length a cached result node carries is the cold one,
-        # and so is every length the surviving plan sums from them.
+        # Every byte length the surviving plan reads — each cached result
+        # node's, in this query's skeleton column at its record position —
+        # is the cold one.
+        warm = engine.search_detailed(view, ["xml"], top_k=10)
         cold_nodes = cold.evaluate_view(cold_view, materialize=False)
+        cold_pdts = cold.search_detailed(cold_view, ["xml"], top_k=10).pdts
         assert len(cold_nodes) == len(kept.nodes)
-        for kept_node, cold_node in zip(kept.nodes, cold_nodes):
-            assert [
-                (n.tag, n.anno.byte_length) for n in kept_node.iter() if n.anno
-            ] == [
-                (n.tag, n.anno.byte_length) for n in cold_node.iter() if n.anno
+
+        def lengths(node, pdts):
+            return [
+                (n.tag, pdts[n.anno.doc].byte_lengths[n.anno.position])
+                for n in node.iter()
+                if n.anno
             ]
-        [(_, (served, _))] = engine.cache.evaluated.items()
+
+        for kept_node, cold_node in zip(kept.nodes, cold_nodes):
+            assert lengths(kept_node, warm.pdts) == lengths(cold_node, cold_pdts)
+        [(_, served)] = engine.cache.evaluated.items()
         assert served is cached
         warm_stats = engine.collect_view_statistics(view, ("xml",))
         cold_stats = cold.collect_view_statistics(cold_view, ("xml",))
@@ -1047,12 +1078,12 @@ class TestEvaluatedTierAcrossEdits:
         self, engine, view, bookrev_db
     ):
         before = _ranking(engine, view, ["xml"])
-        [(_, (cached, _))] = engine.cache.evaluated.items()
+        [(_, cached)] = engine.cache.evaluated.items()
         delta = bookrev_db.insert_subtree(*self.PATCHABLE)
         assert _ranking(engine, view, ["xml"]) != before
         bookrev_db.delete_subtree("reviews.xml", delta.edit_id)
         assert _ranking(engine, view, ["xml"]) == before
-        [(_, (kept, _))] = engine.cache.evaluated.items()
+        [(_, kept)] = engine.cache.evaluated.items()
         assert kept is cached
         assert engine.cache.stats()["evaluated"]["misses"] == 1
 
@@ -1060,7 +1091,7 @@ class TestEvaluatedTierAcrossEdits:
         self, engine, view, bookrev_db, bookrev_view_text
     ):
         engine.search(view, ["xml"], top_k=10)
-        [(_, (cached, _))] = engine.cache.evaluated.items()
+        [(_, cached)] = engine.cache.evaluated.items()
         misses = engine.cache.stats()["evaluated"]["misses"]
         bookrev_db.insert_subtree(
             "reviews.xml",
@@ -1069,7 +1100,7 @@ class TestEvaluatedTierAcrossEdits:
         )
         # Re-warmed already, by one fresh evaluation — and one fresh
         # plan over its nodes, built with the entry.
-        [(_, (fresh, _))] = engine.cache.evaluated.items()
+        [(_, fresh)] = engine.cache.evaluated.items()
         assert fresh is not cached
         assert fresh.nodes and not set(fresh.nodes) & set(cached.nodes)
         assert engine.cache.stats()["evaluated"]["misses"] == misses + 1
@@ -1079,42 +1110,20 @@ class TestEvaluatedTierAcrossEdits:
             cold, cold_view, ["xml"]
         )
 
-    def test_entry_over_a_rebuilt_skeletons_old_tree_is_dropped(self):
-        """The trap a plain rekey falls into: the skeleton was evicted and
-        rebuilt *after* the evaluation, so the entry's result nodes point
-        into a tree the edit's patch never reaches."""
-        from repro.storage.database import XMLDatabase
-
-        database = XMLDatabase()
-        for number in range(3):
-            database.load_document(
-                f"doc{number}",
-                f"<lib><book><title>xml {number}</title>"
-                f"<body>query index {'xml ' * number}</body></book>"
-                f"<book><title>query {number}</title><body>xml</body></book>"
-                "</lib>",
-            )
-        engine = KeywordSearchEngine(
-            database, cache=QueryCache(skeleton_capacity=2)
-        )
-        for number in range(3):
-            engine.define_view(
-                f"v{number}",
-                f"for $b in fn:doc(doc{number})//book "
-                "return <hit>{$b/title}{$b/body}</hit>",
-            )
+    def test_entry_over_a_rebuilt_skeleton_survives_an_edit(self):
+        """The skeleton was evicted and rebuilt *after* the evaluation, so
+        the entry's result nodes point into a tree no skeleton holds: the
+        edit still migrates the entry, and the lengths it reads come from
+        whichever skeleton serves the document — patched or rebuilt."""
+        database, engine = three_library_views(QueryCache(skeleton_capacity=2))
         engine.search("v0", ["xml"])  # evaluate v0 over skeleton tree T
-        [(_, (cached, roots))] = engine.cache.evaluated.items()
+        [(_, cached)] = engine.cache.evaluated.items()
         engine.search("v1", ["xml"])
         engine.search("v2", ["xml"])  # two slots: v0's skeleton is evicted
         assert engine.resident_documents("v0") == []
         outcome = engine.search_detailed("v0", ["query"])  # rebuilt: tree T'
         assert outcome.cache_hits == {"doc0": "miss"}
         assert outcome.evaluated_hit is True  # still the nodes over T
-        key = next(
-            key for key, _ in engine.cache.skeletons.items() if key[0] == "v0"
-        )
-        assert engine.cache.skeletons.get(key).tree is not roots["doc0"]
 
         misses = engine.cache.stats()["evaluated"]["misses"]
         database.insert_subtree("doc0", "1.1.2", "<zaux>xml xml aside</zaux>")
@@ -1122,8 +1131,8 @@ class TestEvaluatedTierAcrossEdits:
             value for key, value in engine.cache.evaluated.items()
             if key[0] == "v0"
         ]
-        assert len(survivors) == 1 and survivors[0][0] is not cached
-        assert engine.cache.stats()["evaluated"]["misses"] == misses + 1
+        assert survivors == [cached]
+        assert engine.cache.stats()["evaluated"]["misses"] == misses
 
         cold = KeywordSearchEngine(database, enable_cache=False)
         cold.define_view(
@@ -1134,40 +1143,31 @@ class TestEvaluatedTierAcrossEdits:
             assert _ranking(engine, "v0", keywords) == _ranking(
                 cold, "v0", keywords
             )
+        assert engine.cache.stats()["evaluated"]["misses"] == misses
 
-    def test_apply_document_delta_compares_trees_by_identity(self):
-        class Skeleton:
-            def __init__(self, tree):
-                self.tree = tree
-
+    def test_apply_document_delta_migrates_patchable_entries(self):
+        """Every patchable view's entry migrates, resident skeleton or
+        not; unpatchable views' entries and entries over an older
+        generation of the document are dropped."""
         cache = QueryCache()
-        tree, other_tree, expr = object(), object(), object()
-        cache.skeletons.put(cache.skeleton_key("v", "d.xml", 1, "qh"), Skeleton(tree))
-        cache.skeletons.put(cache.skeleton_key("w", "d.xml", 1, "qh"), Skeleton(tree))
-        cache.skeletons.put(cache.skeleton_key("x", "d.xml", 1, "qh"), Skeleton(tree))
+        cache.skeletons.put(cache.skeleton_key("v", "d.xml", 1, "qh"), "skel")
+        expr = object()
         coords = (("d.xml", 1, "qh"), ("e.xml", 7, "qe"))
-        same = cache.evaluated_key("v", expr, coords)
-        stale_tree = cache.evaluated_key("w", expr, coords)
+        resident = cache.evaluated_key("v", expr, coords)
+        not_resident = cache.evaluated_key("w", expr, coords)
         unpatchable = cache.evaluated_key("x", expr, coords)
-        no_skeleton = cache.evaluated_key("y", expr, coords)
         old_generation = cache.evaluated_key(
             "v", expr, (("d.xml", 0, "qh"), ("e.xml", 7, "qe"))
         )
         elsewhere = cache.evaluated_key("v", expr, (("e.xml", 7, "qe"),))
-        results = ("nodes",)
-        for key, root in (
-            (same, tree),
-            (stale_tree, other_tree),
-            (unpatchable, tree),
-            (no_skeleton, tree),
-            (old_generation, tree),
-            (elsewhere, tree),
+        for key in (
+            resident, not_resident, unpatchable, old_generation, elsewhere
         ):
-            cache.evaluated.put(key, (results, {"d.xml": root, "e.xml": root}))
-        cache.apply_document_delta("d.xml", 1, 2, {"v", "w", "y"})
-        assert {key for key, _ in cache.evaluated.items()} == {
-            cache.evaluated_key(
-                "v", expr, (("d.xml", 2, "qh"), ("e.xml", 7, "qe"))
-            ),
-            elsewhere,
+            cache.evaluated.put(key, key)
+        cache.apply_document_delta("d.xml", 1, 2, {"v", "w"})
+        migrated = (("d.xml", 2, "qh"), ("e.xml", 7, "qe"))
+        assert dict(cache.evaluated.items()) == {
+            cache.evaluated_key("v", expr, migrated): resident,
+            cache.evaluated_key("w", expr, migrated): not_resident,
+            elsewhere: elsewhere,
         }

@@ -47,7 +47,9 @@ from tests.test_snapshot import _random_records
 # ---------------------------------------------------------------------------
 
 
-def _tree_form(tree):
+def _tree_form(tree, byte_lengths):
+    """Each node of ``tree`` in pre-order, its byte length read from the
+    skeleton column ``byte_lengths`` at its record position."""
     return [
         (node.tag, node.text, len(node.children))
         + (
@@ -56,7 +58,8 @@ def _tree_form(tree):
             else (
                 node.anno.dewey.components,
                 node.anno.dewey.packed,
-                node.anno.byte_length,
+                node.anno.position,
+                byte_lengths[node.anno.position],
                 node.anno.pruned,
                 node.anno.doc,
                 node.anno.slot,
@@ -97,6 +100,7 @@ def assert_derived_state_matches(skeleton):
             child_counts[dewey],
             dewey,
             keys[position],
+            position,
             skeleton.byte_lengths[position],
             bool(flag & 2),
             skeleton.doc_name,
@@ -108,7 +112,8 @@ def assert_derived_state_matches(skeleton):
         form = [(EMPTY_TAG, None, 0)]
     elif child_counts[None] > 1 or len(ids[0]) > 1:
         form.insert(0, (FRAGMENT_TAG, None, child_counts[None]))
-    assert _tree_form(skeleton.tree) == form  # pre-order = key order
+    # pre-order = key order
+    assert _tree_form(skeleton.tree, skeleton.byte_lengths) == form
 
 
 def assert_columns_match_records(skeleton, doc_name, records, entry_count):
@@ -179,8 +184,10 @@ def test_compressed_patch_matches_eager(seed):
         records[key].byte_length += delta
     rebuilt = PDTSkeleton.from_records("d.xml", records, 5)
     assert columnar.to_bytes() == rebuilt.to_bytes()
-    assert _tree_form(columnar.tree) == _tree_form(rebuilt.tree)
-    if live_tree is not None:  # patched in place, not re-built
+    assert _tree_form(columnar.tree, columnar.byte_lengths) == _tree_form(
+        rebuilt.tree, rebuilt.byte_lengths
+    )
+    if live_tree is not None:  # the column patched, no tree re-built
         assert columnar.tree is live_tree
 
 
@@ -189,12 +196,12 @@ def test_compressed_tree_is_weakly_memoized():
     skeleton = PDTSkeleton.from_records("d.xml", records, 5)
     tree = skeleton.tree
     assert skeleton.tree is tree  # memoized while something holds it
-    form = _tree_form(tree)
+    form = _tree_form(tree, skeleton.byte_lengths)
     del tree
     gc.collect()
     # The only reference was weak; a fresh access builds an equal tree.
     assert skeleton._tree_ref() is None
-    assert _tree_form(skeleton.tree) == form
+    assert _tree_form(skeleton.tree, skeleton.byte_lengths) == form
 
 
 # ---------------------------------------------------------------------------

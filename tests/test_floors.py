@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import gc
 import itertools
 import operator
 import tempfile
@@ -26,6 +27,7 @@ from benchmarks.layered import workloads
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
+from repro.core.pdt import PDTSkeleton
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
@@ -33,6 +35,7 @@ from repro.storage.database import XMLDatabase
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
 from repro.xmlmodel.node import XMLNode
+from tests.test_cache import three_library_views
 
 FLOORS = [  # id, scenario, counter, relation, bound
     ("edit-never-serialises", "patchable_edits", "serialized_rounds", "==", 0),
@@ -61,6 +64,9 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 3 per search while the evaluated key embedded the expression itself
     # (114 us each on this view: the dataclass hash is structural).
     ("key-never-hashes-the-view", "hundred_warm_searches", "expression_hashes", "==", 0),
+    # 1 while an evaluated entry survived an edit only if its skeleton's
+    # live tree was, by identity, the one it had been evaluated over.
+    ("edit-builds-no-tree", "rebuilt_skeleton_edit", "trees_built", "==", 0),
 ]
 RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
 KEYWORD_SETS = [("thomas",), ("control",), ("search",), ("thomas", "control")]
@@ -247,6 +253,37 @@ def hundred_warm_searches():
             outcome = engine.search_detailed("v", request.keywords)
             counters["evaluated_hits"] += outcome.evaluated_hit
     assert counters["evaluated_hits"] == 100
+    return counters
+
+
+def rebuilt_skeleton_edit():
+    """Three one-document views behind a two-slot skeleton tier, PDT
+    tier off: v0 is evaluated, its skeleton evicted and rebuilt under
+    the evaluated entry, and once nothing holds the rebuilt skeleton's
+    tree a patchable edit reaches v0's document — the
+    ``PDTSkeleton._build_tree`` calls ``QueryCache.apply_document_delta``
+    made (the re-warm after it is not counted)."""
+    database, engine = three_library_views(QueryCache(skeleton_capacity=2, pdt_capacity=0))
+    counters, inside = Counter(), []
+    for view, keywords in (("v0", "xml"), ("v1", "xml"), ("v2", "xml"), ("v0", "query")):
+        engine.search(view, (keywords,))
+    gc.collect()  # a tree is a reference cycle: only a collection frees it
+    apply, build = QueryCache.apply_document_delta, PDTSkeleton._build_tree
+
+    def counted_apply(cache, *args):
+        inside.append(cache)
+        try:
+            return apply(cache, *args)
+        finally:
+            inside.pop()
+
+    def counted_build(skeleton):
+        counters["trees_built"] += bool(inside)
+        return build(skeleton)
+
+    with mock.patch.object(QueryCache, "apply_document_delta", counted_apply), \
+            mock.patch.object(PDTSkeleton, "_build_tree", counted_build):
+        database.insert_subtree("doc0", "1.1.2", "<zaux>xml xml aside</zaux>")
     return counters
 
 

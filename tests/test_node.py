@@ -81,7 +81,7 @@ class TestMutation:
 
     def test_detach_copy_shares_annotations(self):
         node = XMLNode("a")
-        node.anno = NodeAnnotations(byte_length=7)
+        node.anno = NodeAnnotations(position=7)
         assert node.detach_copy().anno is node.anno
 
 

@@ -80,9 +80,9 @@ class TestRunningExample:
             anno = node.anno
             if anno is None or not anno.pruned:
                 continue
-            assert anno.byte_length == reference[anno.dewey.components][
-                "byte_length"
-            ]
+            assert result.byte_lengths[anno.position] == reference[
+                anno.dewey.components
+            ]["byte_length"]
 
     def test_matches_reference_exactly(self, bookrev_db, bookrev_view_text):
         for doc_name, qpt in qpts_for(bookrev_view_text).items():

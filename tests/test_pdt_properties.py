@@ -103,7 +103,7 @@ def test_streaming_equals_reference(seed):
             assert node.value == expected["value"], f"value mismatch at {dewey}"
         assert anno.pruned == expected["wants_content"]
         if expected["wants_content"]:
-            assert anno.byte_length == expected["byte_length"], (
+            assert result.byte_lengths[anno.position] == expected["byte_length"], (
                 f"byte length mismatch at {dewey}"
             )
             # Per-query tfs live in the result's flat arrays, resolved

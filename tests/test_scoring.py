@@ -1,6 +1,7 @@
 """Scoring tests: TF-IDF per Section 2.2, semantics, normalization, top-k."""
 
 import sys
+from array import array
 from typing import Mapping, Optional
 
 import pytest
@@ -32,8 +33,10 @@ def _pruned(tag, text=None, children=(), **annotations) -> XMLNode:
     return node
 
 
-def _pdt(tf_arrays) -> PDTResult:
-    return PDTResult("any", XMLNode("root"), 0, 0, (), tf_arrays)
+def _pdt(tf_arrays, byte_lengths) -> PDTResult:
+    return PDTResult(
+        "any", XMLNode("root"), 0, 0, (), tf_arrays, array("q", byte_lengths)
+    )
 
 
 #: The document the fixtures' content leaves belong to.
@@ -41,10 +44,11 @@ LEAF_DOC = "leaf.xml"
 
 
 def pruned_node(tag: str, tfs: dict, length: int):
-    """A content leaf at slot 0 of ``LEAF_DOC``, and the tf source that
-    resolves its ``tfs``."""
-    node = _pruned(tag, doc=LEAF_DOC, slot=0, byte_length=length)
-    return node, {LEAF_DOC: _pdt({kw: [tf] for kw, tf in tfs.items()})}
+    """A content leaf at slot 0 and record position 0 of ``LEAF_DOC``,
+    and the tf source that resolves its ``tfs`` and byte ``length``."""
+    node = _pruned(tag, doc=LEAF_DOC, slot=0, position=0)
+    pdt = _pdt({kw: [tf] for kw, tf in tfs.items()}, [length])
+    return node, {LEAF_DOC: pdt}
 
 
 def statistics_of(node: XMLNode, keywords, tf_source=None) -> ResultStatistics:
@@ -181,21 +185,20 @@ def _aggregate(
     per-node tf dicts no pruned leaf carries any more."""
     anno = node.anno
     if anno is not None and anno.pruned:
-        # A pruned node's per-query tfs live *outside* the tree;
-        # scoring it without a resolving tf_source would silently yield
-        # zeros, so fail loudly instead.
+        # A pruned node's tfs and byte length live *outside* the tree;
+        # scoring it without its PDT would silently yield zeros, so fail
+        # loudly instead.
         pdt = tf_source.get(anno.doc) if tf_source is not None else None
-        if pdt is None and tfs:
+        if pdt is None:
             raise ValueError(
                 "cannot score a shared-skeleton PDT node: no tf_source "
-                f"entry for document {anno.doc!r} (per-query term "
-                "frequencies are resolved through content-node slots, "
-                "not stored on the tree)"
+                f"entry for document {anno.doc!r} (its term frequencies and "
+                "byte length are read from the document's PDT, not "
+                "stored on the tree)"
             )
-        if pdt is not None:
-            for keyword in tfs:
-                tfs[keyword] += pdt.tf_at(anno.slot, keyword)
-        return anno.byte_length
+        for keyword in tfs:
+            tfs[keyword] += pdt.tf_at(anno.slot, keyword)
+        return pdt.byte_lengths[anno.position]
     value = node.value
     if value is not None:
         frequencies = token_frequencies(value)
@@ -235,13 +238,19 @@ DOCUMENTS = ("a.xml", "b.xml", "c.xml")
 FURTHER = "d.xml"
 VOCABULARY = ("xml", "search", "query", "a1")
 SLOTS = 5
+#: Records per drawn PDT: a leaf reads its byte length at one of them.
+POSITIONS = 4
 TEXTS = st.sampled_from(
     [None, "", "   ", "xml", " xml search xml ", "query & <a1> a1", "Plain words."]
 )
 TAGS = st.sampled_from(["r", "hit", "title", "x" * 17])
 #: Zero and negative too: a result that is one pruned leaf has the
 #: leaf's length, and edits have driven recorded lengths negative.
-BYTE_LENGTHS = st.just(0) | st.integers(-50, -1) | st.integers(1, 500)
+BYTE_LENGTHS = st.lists(
+    st.just(0) | st.integers(-50, -1) | st.integers(1, 500),
+    min_size=POSITIONS,
+    max_size=POSITIONS,
+)
 
 
 #: Pruned leaves (some with children, which must not be walked), empty
@@ -254,7 +263,7 @@ LEAVES = st.one_of(
         st.just([]) | st.builds(lambda: [XMLNode("inner", "xml xml")]),
         doc=st.sampled_from((*DOCUMENTS, FURTHER)),
         slot=st.integers(0, SLOTS - 1),
-        byte_length=BYTE_LENGTHS,
+        position=st.integers(0, POSITIONS - 1),
     ),
     st.builds(XMLNode, TAGS, TEXTS),
 )
@@ -292,6 +301,7 @@ PDTS = st.builds(
     entry_count=st.just(0),
     keywords=st.just(()),
     tf_arrays=TF_ARRAYS,
+    byte_lengths=BYTE_LENGTHS.map(lambda lengths: array("q", lengths)),
 )
 ALL_SOURCES = st.fixed_dictionaries({doc: PDTS for doc in (*DOCUMENTS, FURTHER)})
 TF_SOURCES = st.one_of(
@@ -311,7 +321,6 @@ class TestPlanEqualsWalk:
         try:
             rows, containing = oracle_statistics(forest, keywords, tf_source)
         except ValueError as error:
-            assert keywords
             with pytest.raises(ValueError) as raised:
                 StatisticsPlan(forest).collect(keywords, tf_source)
             assert str(raised.value) == str(error)
@@ -324,14 +333,16 @@ class TestPlanEqualsWalk:
         assert all(r.score == 0.0 for r in scored)
         assert counted == containing
 
-    def test_missing_document_raises_unless_no_keywords(self):
-        leaf = _pruned("c", doc="gone.xml", slot=0, byte_length=9)
+    def test_missing_document_raises_without_keywords_too(self):
+        leaf = _pruned("c", doc="gone.xml", slot=0, position=1)
         plan = StatisticsPlan([XMLNode("hit", None, [leaf])])
         with pytest.raises(ValueError, match=r"no tf_source entry for document 'gone.xml'"):
             plan.collect(("xml",), {})
         with pytest.raises(ValueError, match="gone.xml"):
             plan.collect(("xml",))
-        [only], containing = plan.collect(())
+        with pytest.raises(ValueError, match="gone.xml"):
+            plan.collect(())
+        [only], containing = plan.collect((), {"gone.xml": _pdt({}, [4, 9])})
         assert only.statistics.byte_length == len("<hit></hit>") + 9
         assert only.statistics.term_frequencies == {} and containing == {}
 
@@ -342,7 +353,8 @@ class TestPlanEqualsWalk:
             XMLNode, "value", property(lambda node: pytest.fail("walked a node"))
         )
         [before], _ = plan.collect(("xml",), tf_source)
-        leaf.anno.byte_length += 7  # what a patchable edit does, in place
+        # What a patchable edit does: the skeleton column, in place.
+        tf_source[LEAF_DOC].byte_lengths[leaf.anno.position] += 7
         [after], _ = plan.collect(("xml",), tf_source)
         assert after.statistics.byte_length == before.statistics.byte_length + 7
         assert after.statistics.term_frequencies == {"xml": 3}

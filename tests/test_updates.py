@@ -343,6 +343,44 @@ class TestSkeletonPatch:
     def test_zero_delta_is_a_noop(self):
         assert patch_skeleton_byte_lengths(None, (), 0) == 0
 
+    def test_patch_of_a_never_built_tree_reaches_the_next_sum(self):
+        from repro.core.pdt import annotate_skeleton, build_skeleton
+        from repro.core.scoring import StatisticsPlan
+
+        db = _database()
+        engine = KeywordSearchEngine(db, enable_cache=False)
+        qpt = engine.define_view("v", VIEW).qpts["items.xml"]
+        indexed = db.get("items.xml")
+        skeleton = build_skeleton(qpt, indexed.path_index)
+        assert skeleton._tree_ref is None
+        first_item = next(
+            n for n in indexed.document.root.iter() if n.tag == "item"
+        )
+        position = skeleton.keys.index(first_item.dewey.packed)
+        before = skeleton.byte_lengths[position]
+        delta = db.insert_subtree(
+            "items.xml", first_item.dewey, "<zaux>an aside</zaux>"
+        )
+        assert engine._delta_patchable(qpt, delta)
+        assert patch_skeleton_byte_lengths(
+            skeleton, delta.ancestor_keys, delta.length_delta
+        ) > 0
+        assert skeleton._tree_ref is None  # the patch built no tree
+        assert skeleton.byte_lengths[position] == (
+            before + delta.length_delta
+        ) == serialized_length(first_item)
+        rebuilt = build_skeleton(qpt, indexed.path_index)
+
+        def summed_lengths(skeleton):
+            pdt = annotate_skeleton(skeleton, {}, ("widget",))
+            items = [n for n in pdt.root.iter() if n.tag == "item"]
+            plan = StatisticsPlan(items)
+            return plan.sum(("widget",), {"items.xml": pdt}).lengths
+
+        lengths = summed_lengths(skeleton)
+        assert lengths == summed_lengths(rebuilt)
+        assert lengths[0] == serialized_length(first_item)
+
 
 def _reference_fingerprint(root) -> str:
     """The fingerprint definition, recomputed from the labelled tree with
