@@ -218,13 +218,7 @@ class GTPEngine:
             qpt.doc_name, records, stats.tag_stream_entries
         )
         return PDTResult(
-            doc_name=qpt.doc_name,
-            root=skeleton.tree,
-            node_count=skeleton.node_count,
-            entry_count=skeleton.entry_count,
-            keywords=keywords,
-            tf_arrays=tf_arrays,
-            byte_lengths=skeleton.byte_lengths,
+            skeleton=skeleton, keywords=keywords, tf_arrays=tf_arrays
         )
 
     # -- search -------------------------------------------------------------------

@@ -20,7 +20,7 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   whole merge pass; only per-keyword inverted-list probes and the cheap
   annotation pass remain.
 * **Tier 3 — PDTs**: keyed by ``(view, document, keywords)``.  A hit
-  skips PDT work entirely and reuses the pruned tree.  This is safe
+  skips PDT work entirely and reuses the annotated PDT.  This is safe
   because nothing downstream mutates a PDT: the evaluator references
   PDT nodes without touching their parent pointers, scoring only reads
   annotations, and materialization copies.

@@ -875,7 +875,7 @@ class KeywordSearchEngine:
 
         Lookup order per document — deepest reuse first:
 
-        1. **PDT tier** ``(view, doc, keywords)``: the finished tree.
+        1. **PDT tier** ``(view, doc, keywords)``: the annotated PDT.
         2. **Skeleton tier** ``(view, doc)``: the keyword-independent
            structural pass.  A hit means zero path-index probes — only
            the per-keyword inverted-list probes and the annotation pass

@@ -24,13 +24,12 @@ no per-element tuple allocation.
 
 The keyword-independent half of the work is captured by
 :class:`PDTSkeleton` (cached per ``(view, document)`` by the engine): the
-surviving records as flat columns (the v2 wire format's own), the shared
-assembled tree, and — for every content node — its subtree boundary keys
-resolved to indices into one sorted bounds array.  The per-query half,
-:func:`annotate_skeleton`, is then a single merge-join sweep per keyword
-over ``(bounds, posting list)`` producing a flat tf array:
-O(skeleton + postings) instead of the O(skeleton · log postings) per-node
-binary searches it replaces.
+surviving records as flat columns (the v2 wire format's own), the tree
+assembled from them on demand, and — for every content node — its
+subtree boundary keys resolved to indices into one sorted bounds array.
+The per-query half, :func:`annotate_skeleton`, is then one merge-join
+sweep per keyword over ``(bounds, posting list)`` producing a flat tf
+array: O(skeleton + postings), not O(skeleton · log postings) bisects.
 
 Equivalence with Definitions 1-3 is enforced by property tests against
 ``repro.core.reference``.
@@ -65,41 +64,54 @@ EMPTY_TAG = "#empty-document"
 
 @dataclass
 class PDTResult:
-    """A generated PDT plus the statistics the benchmarks report.
+    """A generated PDT: its skeleton plus one query's keyword data.
 
-    A ``PDTResult`` is immutable in practice and safe to share across
-    queries — the engine's query cache relies on this.  The evaluator
-    references PDT nodes without touching their parent pointers, scoring
-    reads annotations only, and materialization copies; nothing downstream
-    writes into the pruned tree.
+    Immutable in practice and safe to share across queries — the
+    engine's query cache relies on this; nothing downstream writes into
+    a PDT or its tree.
 
-    ``root`` is a skeleton's keyword-independent tree (shared across
-    queries when the skeleton is cached); the per-query keyword data
-    lives in ``tf_arrays``: one flat array per distinct keyword, indexed
-    by the content node's ``anno.slot`` (content nodes in document
-    order).  A keyword with no postings maps to ``None`` (an implicit
-    all-zero array), so every queried keyword is always present —
-    shape-stable regardless of which keywords matched.  Scoring resolves
-    tfs through :meth:`tf_at`.
+    Everything keyword-independent reads through to ``skeleton``:
+    ``doc_name``, ``node_count``, ``entry_count``, ``byte_lengths`` (the
+    skeleton's live column, the one place a PDT node's byte length
+    lives, read at the node's ``anno.position``) and ``root`` — the
+    skeleton's weakly memoized tree, assembled the first time something
+    reads it (the evaluator, on an evaluated-tier miss), so a query
+    served from the evaluated tier builds none.
 
-    ``byte_lengths`` is the skeleton's own ``byte_lengths`` column, by
-    reference — the one place a PDT node's byte length lives.  A node
-    reads its length at its ``anno.position`` (its record's position in
-    the skeleton's columns); the tree carries no copy, so a patchable
-    edit's in-place patch of the column is all there is to patch.
+    The per-query keyword data is ``tf_arrays``: one flat array per
+    distinct keyword, indexed by the content node's ``anno.slot``
+    (content nodes in document order).  A keyword with no postings maps
+    to ``None`` (an implicit all-zero array), so every queried keyword
+    is always present.  Scoring resolves tfs through :meth:`tf_at`.
     """
 
-    doc_name: str
-    root: XMLNode
-    node_count: int
-    entry_count: int
+    skeleton: PDTSkeleton
     keywords: tuple[str, ...]
     tf_arrays: dict[str, Optional[list[int]]]
-    byte_lengths: array
+
+    @property
+    def doc_name(self) -> str:
+        return self.skeleton.doc_name
+
+    @property
+    def node_count(self) -> int:
+        return self.skeleton.node_count
+
+    @property
+    def entry_count(self) -> int:
+        return self.skeleton.entry_count
+
+    @property
+    def byte_lengths(self) -> array:
+        return self.skeleton.byte_lengths
+
+    @property
+    def root(self) -> XMLNode:
+        return self.skeleton.tree
 
     @property
     def is_empty(self) -> bool:
-        return self.root.tag == EMPTY_TAG
+        return not self.skeleton.keys
 
     # -- per-query keyword data ---------------------------------------------
 
@@ -524,8 +536,9 @@ class PDTSkeleton:
     every node carries its record ``position`` and a content node its
     ``slot``: the per-query tfs live in :attr:`PDTResult.tf_arrays`, the
     byte lengths in the ``byte_lengths`` column), is memoized
-    **weakly**: it is built from the columns on demand and kept alive
-    exactly as long as some cached ``PDTResult`` / evaluated-tier entry
+    **weakly**: it is built from the columns only when a reader asks
+    (the evaluator, through :attr:`PDTResult.root`) and kept alive
+    exactly as long as some evaluated-tier entry or evaluation in flight
     references its nodes.  Nothing writes to a tree once it is built,
     and positions and slots are positional, so re-built trees are
     interchangeable.
@@ -1188,8 +1201,8 @@ def annotate_skeleton(
     ``cumulative_below`` merge-join sweep per keyword over the skeleton's
     precomputed subtree bounds produces a flat per-content-node tf array —
     O(skeleton + postings) per keyword, no binary searches, no index probe
-    of any kind, and no tree construction (the skeleton's shared tree is
-    reused as-is).
+    of any kind, and no tree construction (the result holds the skeleton;
+    its tree is built only if something reads :attr:`PDTResult.root`).
 
     The tf arrays are keyed by the ``keywords`` argument, *not* by which
     inverted lists happen to be non-empty: a queried keyword with zero
@@ -1209,15 +1222,7 @@ def annotate_skeleton(
         tf_arrays[keyword] = [
             counts[high] - counts[low] for low, high in slot_bounds
         ]
-    return PDTResult(
-        doc_name=skeleton.doc_name,
-        root=skeleton.tree,
-        node_count=skeleton.node_count,
-        entry_count=skeleton.entry_count,
-        keywords=tuple(keywords),
-        tf_arrays=tf_arrays,
-        byte_lengths=skeleton.byte_lengths,
-    )
+    return PDTResult(skeleton, tuple(keywords), tf_arrays)
 
 
 def generate_pdt(

@@ -17,17 +17,23 @@ corpus and checks the starved system after every edit:
   policy may change what is resident, never what is ranked);
 
 on a single engine and through the coordinator at shard counts 1 and 2.
+Evaluated-tier hits on the single engine build no PDT tree: the
+evaluator alone reads one, so a skeleton rebuilt under a hit stays
+columns (lazy tree == eager tree, by the same two references).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from unittest import mock
 
 import pytest
 
 from repro.baselines.naive import BaselineEngine
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
+from repro.core.pdt import PDTSkeleton
 from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
 from repro.storage.database import XMLDatabase
 
@@ -98,13 +104,32 @@ def _ops(seeds) -> list[MutationOp]:
     return [op for step in zip(*streams) for op in step]
 
 
-def _check_step(starved, ample, baseline, bview, keywords, context) -> bool:
-    """Check one step both ways; returns whether the starved engine's
+def _search(system, keywords, conjunctive, trees: Counter):
+    """One search of ``system``; on an evaluated-tier hit, ``trees``
+    counts it and the PDT trees built meanwhile."""
+    built, build = Counter(), PDTSkeleton._build_tree
+
+    def counted_build(skeleton):
+        built["trees"] += 1
+        return build(skeleton)
+
+    with mock.patch.object(PDTSkeleton, "_build_tree", counted_build):
+        out = system.search_detailed("v", keywords, TOP_K, conjunctive)
+    if out.evaluated_hit:
+        trees["hits"] += 1
+        trees["built_on_hits"] += built["trees"]
+    return out
+
+
+def _check_step(
+    starved, ample, baseline, bview, keywords, context, trees: Counter
+) -> bool:
+    """Check one step both ways; returns whether the starved system's
     first query was an evaluated-tier hit."""
     hits = []
     for conjunctive in (True, False):
         where = f"{context} kw={keywords} conj={conjunctive}"
-        out = starved.search_detailed("v", keywords, TOP_K, conjunctive)
+        out = _search(starved, keywords, conjunctive, trees)
         hits.append(out.evaluated_hit)
         assert_outcomes_equivalent(
             out,
@@ -121,13 +146,14 @@ def _check_step(starved, ample, baseline, bview, keywords, context) -> bool:
 
 
 @functools.cache
-def _single_engine_run(seed: int) -> int:
+def _single_engine_run(seed: int) -> Counter:
     """One seed's starved single engine through its edit stream, every
-    step checked.  Returns the post-edit queries that hit the very
-    evaluated entry the edit found although the edited document's
-    skeleton was not resident then — so the skeleton that served the
-    query was rebuilt after the edit, and the entry's byte lengths came
-    from it."""
+    step checked.  Counts ``survived_rebuilds``, the post-edit queries
+    that hit the very evaluated entry the edit found although the edited
+    document's skeleton was not resident then — so the skeleton that
+    served the query was rebuilt after the edit, and the entry's byte
+    lengths came from it — and the evaluated-tier ``hits`` with the
+    trees ``built_on_hits``."""
     seeds = _seeds(seed)
     view_text, documents, _groups, keyword_sets = _combined_corpus(seeds)
     starved_db = XMLDatabase()
@@ -139,10 +165,16 @@ def _single_engine_run(seed: int) -> int:
     assert len(starved.get_view("v").qpts) > 2  # the sweep overflows
     starved.warm_view("v")
 
+    counts = Counter()
     _check_step(
-        starved, ample, baseline, bview, keyword_sets[0], f"seed={seed} warm"
+        starved,
+        ample,
+        baseline,
+        bview,
+        keyword_sets[0],
+        f"seed={seed} warm",
+        counts,
     )
-    survived_rebuilds = 0
     for step, op in enumerate(_ops(seeds)):
         entries = [entry for _, entry in starved.cache.evaluated.items()]
         resident = op.doc in starved.resident_documents("v")
@@ -155,8 +187,9 @@ def _single_engine_run(seed: int) -> int:
             bview,
             keyword_sets[step % len(keyword_sets)],
             f"seed={seed} step={step} op={op.describe()}",
+            counts,
         )
-        survived_rebuilds += hit and not resident and any(
+        counts["survived_rebuilds"] += hit and not resident and any(
             entry is old
             for _, entry in starved.cache.evaluated.items()
             for old in entries
@@ -167,7 +200,7 @@ def _single_engine_run(seed: int) -> int:
     assert stats["skeleton"]["bypassed"] > 0
     assert stats["skeleton"]["hits"] > 0
     assert len(starved.cache.skeletons) <= 2
-    return survived_rebuilds
+    return counts
 
 
 @pytest.mark.parametrize("seed", _seed_matrix())
@@ -179,7 +212,19 @@ def test_overflow_entries_survive_edits_over_rebuilt_skeletons():
     """A patchable edit migrates the evaluated entry whether or not the
     edited document's skeleton is resident: somewhere in the matrix an
     entry outlives an edit whose skeleton the starved tier had dropped."""
-    assert sum(map(_single_engine_run, _seed_matrix())) > 0
+    assert sum(
+        _single_engine_run(seed)["survived_rebuilds"] for seed in _seed_matrix()
+    ) > 0
+
+
+def test_overflow_evaluated_hits_build_no_tree():
+    """Only the evaluator reads a PDT's tree: across the matrix, the
+    evaluated-tier hits of the starved engine — skeletons evicted,
+    rebuilt and patched under them — built none, and ranked like the
+    naive oracle and the ample engine (checked per step above)."""
+    totals = sum(map(_single_engine_run, _seed_matrix()), Counter())
+    assert totals["hits"] > 0
+    assert totals["built_on_hits"] == 0
 
 
 @pytest.mark.parametrize("shard_count", (1, 2))
@@ -222,6 +267,7 @@ def test_overflow_sharded_matches_baseline_and_ample(seed, shard_count):
                 keyword_sets[step % len(keyword_sets)],
                 f"seed={seed} shards={shard_count} step={step} "
                 f"op={op.describe()}",
+                Counter(),
             )
         for executor in executors:
             stats = executor.engine.cache.stats()["skeleton"]

@@ -67,6 +67,10 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 1 while an evaluated entry survived an edit only if its skeleton's
     # live tree was, by identity, the one it had been evaluated over.
     ("edit-builds-no-tree", "rebuilt_skeleton_edit", "trees_built", "==", 0),
+    # 32.0 while every annotated PDT carried its skeleton's tree: the
+    # sweep rebuilds 32 of its 96 skeletons per query and no evaluated
+    # hit reads a tree.
+    ("no-tree-on-evaluated-hit", "cold_sweep_trees", "trees_per_query", "==", 0),
 ]
 RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
 KEYWORD_SETS = [("thomas",), ("control",), ("search",), ("thomas", "control")]
@@ -231,17 +235,24 @@ def fifty_keyword_sets():
     return counters
 
 
-def hundred_warm_searches():
-    """100 searches over the layered ``cold_corpus`` view (96 fragments in
-    one expression) on one warmed engine: ``hash()`` calls that reached
-    the view expression."""
-    corpus, counters = workloads.generate("cold_corpus"), Counter()
+def _warmed_cold_corpus():
+    """The layered ``cold_corpus`` view (96 fragments in one expression)
+    on one warmed engine with default tiers."""
+    corpus = workloads.generate("cold_corpus")
     database = XMLDatabase()
     for name, text in corpus.documents.items():
         database.load_document(name, text)
     engine = KeywordSearchEngine(database)
     view = engine.define_view("v", corpus.view_text)
     engine.warm_view(view)
+    return corpus, engine, view
+
+
+def hundred_warm_searches():
+    """100 searches over the warmed ``cold_corpus`` view: ``hash()``
+    calls that reached the view expression."""
+    corpus, engine, view = _warmed_cold_corpus()
+    counters = Counter()
     structural_hash = type(view.expr).__hash__
 
     def counted_hash(expr):
@@ -253,6 +264,26 @@ def hundred_warm_searches():
             outcome = engine.search_detailed("v", request.keywords)
             counters["evaluated_hits"] += outcome.evaluated_hit
     assert counters["evaluated_hits"] == 100
+    return counters
+
+
+def cold_sweep_trees():
+    """50 searches over the warmed ``cold_corpus`` view, every one an
+    evaluated-tier hit while the 64-slot skeleton tier overflows: the
+    ``PDTSkeleton._build_tree`` calls per search."""
+    corpus, engine, _view = _warmed_cold_corpus()
+    counters, build = Counter(), PDTSkeleton._build_tree
+
+    def counted_build(skeleton):
+        counters["trees_built"] += 1
+        return build(skeleton)
+
+    with mock.patch.object(PDTSkeleton, "_build_tree", counted_build):
+        for request in (corpus.requests * 2)[:50]:
+            outcome = engine.search_detailed("v", request.keywords)
+            counters["evaluated_hits"] += outcome.evaluated_hit
+    assert counters["evaluated_hits"] == 50
+    counters["trees_per_query"] = counters["trees_built"] / 50
     return counters
 
 

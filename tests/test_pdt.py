@@ -173,6 +173,19 @@ class TestConstraints:
         )["d.xml"]
         assert pdt_for(db, qpt).is_empty
 
+    def test_is_empty_reads_the_columns_not_the_tree(self):
+        db = self._db("<r><x><a>1</a></x></r>")
+        empty, kept = (
+            pdt_for(db, qpts_for(
+                f"for $x in fn:doc(d.xml)/r//x where $x/a {test} "
+                "return <o>{$x/a}</o>"
+            )["d.xml"])
+            for test in ("> 100", "= 1")
+        )
+        assert empty.is_empty and not kept.is_empty
+        assert empty.skeleton._tree_ref is None
+        assert kept.skeleton._tree_ref is None
+
     def test_ancestor_constraint_prunes_nested(self):
         # Only x elements inside qualifying parents are kept.
         db = self._db(

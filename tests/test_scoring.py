@@ -1,14 +1,13 @@
 """Scoring tests: TF-IDF per Section 2.2, semantics, normalization, top-k."""
 
 import sys
-from array import array
 from typing import Mapping, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import ViewStatistics, rank_statistics
-from repro.core.pdt import PDTResult
+from repro.core.pdt import PDTRecord, PDTResult, PDTSkeleton
 from repro.core.scoring import (
     ResultStatistics,
     StatisticsPlan,
@@ -17,6 +16,7 @@ from repro.core.scoring import (
     score_results,
     select_top_k,
 )
+from repro.dewey import pack
 from repro.xmlmodel.node import NodeAnnotations, XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import escape_text, serialize
@@ -34,9 +34,14 @@ def _pruned(tag, text=None, children=(), **annotations) -> XMLNode:
 
 
 def _pdt(tf_arrays, byte_lengths) -> PDTResult:
-    return PDTResult(
-        "any", XMLNode("root"), 0, 0, (), tf_arrays, array("q", byte_lengths)
-    )
+    """A PDT over one sibling record per byte length, in order: record
+    position ``i`` carries ``byte_lengths[i]``."""
+    keys = [pack((1, position + 1)) for position in range(len(byte_lengths))]
+    records = {
+        key: PDTRecord(key, "r", None, length)
+        for key, length in zip(keys, byte_lengths)
+    }
+    return PDTResult(PDTSkeleton.from_records("any", records, 0), (), tf_arrays)
 
 
 #: The document the fixtures' content leaves belong to.
@@ -293,16 +298,7 @@ TF_ARRAYS = st.fixed_dictionaries(
         for keyword in VOCABULARY
     },
 )
-PDTS = st.builds(
-    PDTResult,
-    doc_name=st.just("any"),
-    root=st.just(XMLNode("root")),
-    node_count=st.just(0),
-    entry_count=st.just(0),
-    keywords=st.just(()),
-    tf_arrays=TF_ARRAYS,
-    byte_lengths=BYTE_LENGTHS.map(lambda lengths: array("q", lengths)),
-)
+PDTS = st.builds(_pdt, TF_ARRAYS, BYTE_LENGTHS)
 ALL_SOURCES = st.fixed_dictionaries({doc: PDTS for doc in (*DOCUMENTS, FURTHER)})
 TF_SOURCES = st.one_of(
     st.none(),
