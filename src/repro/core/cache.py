@@ -19,11 +19,11 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   with a *never-seen* keyword set skips all path-index probes and the
   whole merge pass; only per-keyword inverted-list probes and the cheap
   annotation pass remain.
-* **Tier 3 — PDTs**: keyed by ``(view, document, keywords)``.  A hit
-  skips PDT work entirely and reuses the annotated PDT.  This is safe
-  because nothing downstream mutates a PDT: the evaluator references
-  PDT nodes without touching their parent pointers, scoring only reads
-  annotations, and materialization copies.
+* **Tier 3 — PDT tf columns**: keyed by ``(view, document, keyword)``.
+  A keyword enters a PDT only as its own tf column, swept from its own
+  inverted list, so the column is the same whichever keywords share
+  the query.  A hit skips that keyword's probe and posting sweep.
+  Columns are shared read-only across queries: scoring only reads them.
 * **Tier 4 — evaluated views**: keyed by ``(view, view definition
   token, per-document generations)`` — no keywords.  PDT trees are
   keyword-independent
@@ -34,9 +34,9 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   (:class:`repro.core.scoring.StatisticsPlan`, the entry's value).  A
   hit means a query with a never-seen keyword set skips the whole
   XQuery evaluation and never visits a result node: all that runs is
-  the per-keyword posting sweep, column sums over the plan, and top-k.
-  Safe for the same reason as tier 3: evaluation attaches result nodes
-  by reference and nothing downstream writes into them.
+  the posting sweep of each keyword tier 3 lacks, column sums over the
+  plan, and top-k.  Safe because evaluation attaches result nodes by
+  reference and nothing downstream writes into them.
 
 Every tier is one :class:`LRUCache` behind one lock, so a tier's whole
 capacity is available to whichever keys are hot — residency is the
@@ -50,21 +50,22 @@ flooding the tier — see :class:`LRUCache`.
 
 All tiers are invalidated per document through the hooks
 :class:`repro.storage.database.XMLDatabase` fires on ``load_document`` /
-``drop_document``, and per view (skeletons and PDTs) when a view name
-is redefined.  The idea — keep per-view intermediate structures alive
-across queries, sharing the structure/data split — follows the
-view-maintenance and DAG-compression line of work (Chebotko & Fu's
-reconstruction-view selection; Böttcher et al.'s DAG-compressed search
-structures).
+``drop_document``, and per view (skeletons, tf columns and evaluated
+views) when a view name is redefined.  The idea — keep per-view
+intermediate structures alive across queries, sharing the structure/data
+split — follows the view-maintenance and DAG-compression line of work
+(Chebotko & Fu's reconstruction-view selection; Böttcher et al.'s
+DAG-compressed search structures).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, NamedTuple, Optional
 
 
 @dataclass
@@ -103,6 +104,19 @@ class CacheStats:
             "memory_bytes": self.memory_bytes,
             "hit_rate": self.hit_rate,
         }
+
+
+class TfColumn(NamedTuple):
+    """A PDT-tier value: one keyword's tf column over one skeleton's
+    content slots — ``values`` is ``None`` when the keyword has no
+    postings in the document (all zeros) — and the bytes it holds."""
+
+    values: Optional[list[int]]
+    memory_bytes: int
+
+    @classmethod
+    def of(cls, values: Optional[list[int]]) -> "TfColumn":
+        return cls(values, 0 if values is None else sys.getsizeof(values))
 
 
 #: "No such key" for lookups whose values may legitimately be ``None``.
@@ -300,15 +314,15 @@ class LRUCache:
 
 @dataclass
 class QueryCache:
-    """The engine's four tiers: prepared lists, PDT skeletons, PDTs and
-    evaluated views — one :class:`LRUCache` each.
+    """The engine's four tiers: prepared lists, PDT skeletons, PDT tf
+    columns and evaluated views — one :class:`LRUCache` each.
 
     Key layouts (positions relied on by the invalidation helpers):
 
     * prepared:  ``(doc_name, generation, qpt_hash, keywords)``
     * skeleton:  ``(view_name, doc_name, generation, qpt_hash)``
     * pdt:       ``(view_name, doc_name, generation, qpt_hash,
-      keywords)``
+      keyword)`` → that keyword's :class:`TfColumn`
     * evaluated: ``(view_name, view_token, ((doc_name, generation,
       qpt_hash), ...))`` → the statistics plan over the result nodes;
       ``view_token`` is the registered
@@ -335,10 +349,10 @@ class QueryCache:
     """
 
     prepared_capacity: int = 256
-    #: PDTs hit only on an exact keyword-set repeat: 16 holds 8 repeated
-    #: sets of a two-document view, and a sweep of never-seen sets (which
-    #: never hits) does not grow memory with a larger tier.
-    pdt_capacity: int = 16
+    #: tf columns are bounded by bytes (``pdt_byte_budget``), not count:
+    #: one costs 56 B to a few KB, and a 600-set sweep over two documents
+    #: keeps its 150 columns (~300 KB) resident.
+    pdt_capacity: int = 4096
     skeleton_capacity: int = 64
     evaluated_capacity: int = 64
     #: Optional per-tier byte budgets (``None`` = unbounded bytes, the
@@ -347,7 +361,7 @@ class QueryCache:
     #: skeletons report their columns, not the object graph of the tree
     #: built from them.
     prepared_byte_budget: Optional[int] = None
-    pdt_byte_budget: Optional[int] = None
+    pdt_byte_budget: Optional[int] = 1 << 20
     skeleton_byte_budget: Optional[int] = None
     evaluated_byte_budget: Optional[int] = None
     prepared: LRUCache = field(init=False)
@@ -390,9 +404,9 @@ class QueryCache:
         doc_name: str,
         generation: int,
         qpt_hash: object,
-        keywords: tuple[str, ...],
+        keyword: str,
     ) -> tuple:
-        return (view_name, doc_name, generation, qpt_hash, keywords)
+        return (view_name, doc_name, generation, qpt_hash, keyword)
 
     @staticmethod
     def evaluated_key(
@@ -452,10 +466,10 @@ class QueryCache:
         from the edited document — holds the post-edit lengths.
         Everything else derived from the document dies: prepared lists
         (they hold pre-edit index arrays), skeletons of non-patchable
-        views or older generations, all PDTs (their tf annotations embed
-        pre-edit postings), and the remaining evaluated results spanning
-        the document.  Returns the moved ``(new_key, skeleton)`` pairs
-        and the number of entries dropped.
+        views or older generations, every tf column (a sweep of pre-edit
+        postings), and the remaining evaluated results spanning the
+        document.  Returns the moved ``(new_key, skeleton)`` pairs and
+        the number of entries dropped.
         """
         moved = self.skeletons.rekey_where(
             lambda k: (
@@ -494,8 +508,8 @@ class QueryCache:
         return moved, dropped
 
     def invalidate_view(self, view_name: str) -> int:
-        """Drop the skeletons, PDTs and evaluated results of a (re)defined
-        view.
+        """Drop the skeletons, tf columns and evaluated results of a
+        (re)defined view.
 
         Prepared lists survive: they are keyed by QPT content hash, so a
         structural redefinition keys new entries under a new hash (stale

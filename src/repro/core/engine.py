@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
-from repro.core.cache import QueryCache
+from repro.core.cache import QueryCache, TfColumn
 from repro.core.materialize import materialize_result
 from repro.core.pdt import (
     PDTResult,
@@ -220,10 +220,11 @@ class SearchOutcome:
     pdts: dict[str, PDTResult]
     timings: PhaseTimings
     cache_hits: dict[str, str] = field(default_factory=dict)
-    """Per-document cache outcome: ``"pdt"``, ``"skeleton"``,
-    ``"snapshot"`` (skeleton restored from the persistent store — same
-    zero-probe depth as a skeleton hit), ``"prepared"`` or ``"miss"``
-    (deepest tier that hit)."""
+    """Per-document cache outcome: ``"pdt"`` (the skeleton tier and the
+    PDT tier, for every keyword's tf column), else where the skeleton
+    came from: ``"skeleton"``, ``"snapshot"`` (restored from the
+    persistent store — same zero-probe depth as a skeleton hit),
+    ``"prepared"`` or ``"miss"``."""
 
     evaluated_hit: bool = False
     """Whether the view's result nodes came from the evaluated tier
@@ -873,22 +874,26 @@ class KeywordSearchEngine:
     ]:
         """Per-document PDTs for a query, through the cache tiers.
 
-        Lookup order per document — deepest reuse first:
+        Per document, the structural half — deepest reuse first:
 
-        1. **PDT tier** ``(view, doc, keywords)``: the annotated PDT.
-        2. **Skeleton tier** ``(view, doc)``: the keyword-independent
-           structural pass.  A hit means zero path-index probes — only
-           the per-keyword inverted-list probes and the annotation pass
-           run, so a warm view answers *never-seen* keyword sets without
-           touching the path index.
-        3. **Snapshot store** ``(doc fingerprint, qpt hash)``: the
+        1. **Skeleton tier** ``(view, doc)``: the keyword-independent
+           structural pass.  A hit means zero path-index probes, so a
+           warm view answers *never-seen* keyword sets without touching
+           the path index.
+        2. **Snapshot store** ``(doc fingerprint, qpt hash)``: the
            persistent tier, when configured.  A hit deserializes a
            skeleton some process built earlier — zero path probes, like
            a skeleton hit — refills the in-memory skeleton tier, and is
            reported as ``"snapshot"``.
-        4. **Prepared tier** ``(doc, qpt hash, keywords)``: the raw
+        3. **Prepared tier** ``(doc, qpt hash, keywords)``: the raw
            probe results.  A hit skips all index probes but redoes the
            merge pass (and refills the skeleton tier from it for free).
+
+        Then the keyword half: each distinct keyword's tf column from
+        the **PDT tier** ``(view, doc, keyword)``; only the keywords it
+        lacks are swept, and their columns put.  A miss still probes
+        every keyword, to fill the prepared tier.  A document is ``"pdt"``
+        when the skeleton tier and this one served it all.
 
         Every key embeds the QPT's *content hash*, never its object
         identity, so a structurally identical QPT built in a fresh
@@ -912,6 +917,7 @@ class KeywordSearchEngine:
         pdts: dict[str, PDTResult] = {}
         cache_hits: dict[str, str] = {}
         doc_coordinates: list[tuple[str, int, str]] = []
+        distinct = tuple(dict.fromkeys(normalized))
         for doc_name in sorted(view.qpts):
             qpt = view.qpts[doc_name]
             qpt_hash = qpt.content_hash
@@ -921,30 +927,17 @@ class KeywordSearchEngine:
             # cache traffic is generation-coherent per document even if a
             # reload lands mid-flight.
             doc_coordinates.append((doc_name, indexed.generation, qpt_hash))
-            if cacheable:
-                pdt_key = cache.pdt_key(
-                    view.name,
-                    doc_name,
-                    indexed.generation,
-                    qpt_hash,
-                    normalized,
-                )
-                pdt = cache.pdts.get(pdt_key)
-                if pdt is not None:
-                    pdts[doc_name] = pdt
-                    cache_hits[doc_name] = "pdt"
-                    continue
+            coordinates = (view.name, doc_name, indexed.generation, qpt_hash)
             skeleton: Optional[PDTSkeleton] = None
             lists: Optional[PreparedLists] = None
             if cacheable:
-                skeleton_key = cache.skeleton_key(
-                    view.name, doc_name, indexed.generation, qpt_hash
-                )
+                skeleton_key = cache.skeleton_key(*coordinates)
                 skeleton = cache.skeletons.get(skeleton_key)
                 lists_key = cache.prepared_key(
                     doc_name, indexed.generation, qpt_hash, normalized
                 )
-                lists = cache.prepared.get(lists_key)
+                if skeleton is None:
+                    lists = cache.prepared.get(lists_key)
 
             # Structural half: reuse the skeleton, restore it from the
             # persistent store, or build it (from cached probe results
@@ -998,14 +991,23 @@ class KeywordSearchEngine:
             if timings is not None:
                 timings.pdt_skeleton += time.perf_counter() - start
 
-            # Keyword half: posting lists (from the prepared tier when
-            # the exact keyword set was probed before) + annotation.
+            # Keyword half: the tf columns the PDT tier holds; the rest
+            # are swept from posting lists — the prepared tier's when the
+            # exact keyword set was probed before, else probed now.
             start = time.perf_counter()
-            if lists is None:
+            tf_arrays: dict[str, Optional[list[int]]] = {}
+            if cacheable:
+                for keyword in distinct:
+                    key = cache.pdt_key(*coordinates, keyword)
+                    column = cache.pdts.get(key)
+                    if column is not None:
+                        tf_arrays[keyword] = column.values
+            missing = tuple(k for k in distinct if k not in tf_arrays)
+            if hit == "miss":
                 inv_lists = prepare_inv_lists(
                     indexed.inverted_index, normalized
                 )
-                if cacheable and hit == "miss":
+                if cacheable:
                     # The skeleton-hit path never probes path lists, so
                     # only the miss path can fill the prepared tier.
                     cache.prepared.put(
@@ -1017,15 +1019,33 @@ class KeywordSearchEngine:
                         ),
                         scan_started,
                     )
-            else:
-                inv_lists = lists.inv_lists
-            pdt = annotate_skeleton(skeleton, inv_lists, normalized)
+            if missing:
+                if hit == "skeleton":
+                    lists = cache.prepared.get(lists_key)
+                if lists is not None:
+                    inv_lists = lists.inv_lists
+                elif hit != "miss":
+                    inv_lists = prepare_inv_lists(
+                        indexed.inverted_index, missing
+                    )
+                swept = annotate_skeleton(skeleton, inv_lists, missing)
+                for keyword, values in swept.tf_arrays.items():
+                    tf_arrays[keyword] = values
+                    if cacheable:
+                        cache.pdts.put(
+                            cache.pdt_key(*coordinates, keyword),
+                            TfColumn.of(values),
+                            scan_started,
+                        )
+            elif hit == "skeleton":
+                hit = "pdt"
+            pdts[doc_name] = PDTResult(
+                skeleton,
+                normalized,
+                {keyword: tf_arrays[keyword] for keyword in distinct},
+            )
             if timings is not None:
                 timings.pdt_postings += time.perf_counter() - start
-
-            if cacheable:
-                cache.pdts.put(pdt_key, pdt, scan_started)
-            pdts[doc_name] = pdt
             cache_hits[doc_name] = hit
         return pdts, cache_hits, tuple(doc_coordinates)
 

@@ -58,7 +58,7 @@ class XMLNode:
 
     # ``__weakref__`` lets skeletons memoize the shared tree they build
     # from their columns *weakly*: the tree stays alive exactly as
-    # long as some cached PDT or evaluated result references it, and is
+    # long as some evaluated result references it, and is
     # reclaimable the moment nothing does.
     __slots__ = ("tag", "text", "children", "parent", "dewey", "anno",
                  "__weakref__")

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
+from tests.conftest import REVIEWS_XML
 
 
 class TestLRUCache:
@@ -363,8 +364,8 @@ class TestQueryCache:
         qpt = object()
         qc.prepared.put(qc.prepared_key("d.xml", 1, qpt, ("k",)), "lists")
         qc.skeletons.put(qc.skeleton_key("v", "d.xml", 1, qpt), "skel")
-        qc.pdts.put(qc.pdt_key("v", "d.xml", 1, qpt, ("k",)), "pdt")
-        qc.pdts.put(qc.pdt_key("v", "other.xml", 2, qpt, ("k",)), "pdt2")
+        qc.pdts.put(qc.pdt_key("v", "d.xml", 1, qpt, "k"), "pdt")
+        qc.pdts.put(qc.pdt_key("v", "other.xml", 2, qpt, "k"), "pdt2")
         assert qc.invalidate_document("d.xml") == 3
         assert len(qc.prepared) == 0
         assert len(qc.skeletons) == 0
@@ -375,7 +376,7 @@ class TestQueryCache:
         qpt = object()
         qc.prepared.put(qc.prepared_key("d.xml", 1, qpt, ("k",)), "lists")
         qc.skeletons.put(qc.skeleton_key("v", "d.xml", 1, qpt), "skel")
-        qc.pdts.put(qc.pdt_key("v", "d.xml", 1, qpt, ("k",)), "pdt")
+        qc.pdts.put(qc.pdt_key("v", "d.xml", 1, qpt, "k"), "pdt")
         assert qc.invalidate_view("v") == 2
         assert len(qc.prepared) == 1
         assert len(qc.skeletons) == 0
@@ -406,7 +407,11 @@ class TestQueryCache:
         assert [
             tier.capacity
             for tier in (qc.prepared, qc.skeletons, qc.pdts, qc.evaluated)
-        ] == [256, 64, 16, 64]
+        ] == [256, 64, 4096, 64]
+        assert [
+            tier.byte_budget
+            for tier in (qc.prepared, qc.skeletons, qc.pdts, qc.evaluated)
+        ] == [None, None, 1 << 20, None]
 
 
 @pytest.fixture()
@@ -447,6 +452,26 @@ class TestEngineCaching:
         second = engine.search_detailed(view, ["xml", "search"], top_k=10)
         assert_zero_probes(engine.database)
         assert set(second.cache_hits.values()) == {"pdt"}
+
+    def test_a_keyword_repeated_in_another_set_is_never_reprobed(
+        self, engine, view
+    ):
+        # The PDT tier holds one tf column per (document, keyword), so a
+        # never-seen set whose keywords were all swept before does no PDT
+        # work; a document is "pdt" only when every keyword hit.
+        engine.warm_view(view)
+        engine.database.reset_access_counters()
+        first = engine.search_detailed(view, ["xml", "search"])
+        assert inv_probes(engine.database) == 2 * len(view.qpts)
+        assert set(first.cache_hits.values()) == {"skeleton"}
+        engine.database.reset_access_counters()
+        second = engine.search_detailed(view, ["xml", "engines"])
+        assert inv_probes(engine.database) == len(view.qpts)  # "engines"
+        assert set(second.cache_hits.values()) == {"skeleton"}
+        engine.database.reset_access_counters()
+        third = engine.search_detailed(view, ["engines", "search"])
+        assert_zero_probes(engine.database)
+        assert set(third.cache_hits.values()) == {"pdt"}
 
     def test_cached_results_identical(self, engine, view):
         first = engine.search(view, ["xml", "search"], top_k=10)
@@ -887,7 +912,8 @@ class TestSweepLargerThanTier:
         for keywords in self.KEYWORD_SETS:
             outcome = engine.search_detailed("lib", keywords)
             hits = list(outcome.cache_hits.values())
-            assert hits.count("skeleton") == 4
+            # "pdt": the skeleton hit and so did every keyword's column.
+            assert sum(hit in {"skeleton", "pdt"} for hit in hits) == 4
             assert hits.count("miss") == 2
         stats = engine.cache.stats()["skeleton"]
         assert stats["evictions"] == 0
@@ -940,7 +966,8 @@ class TestSweepLargerThanTier:
         assert len(executor.resident_documents("lib")) == 4
         for keywords in self.KEYWORD_SETS:
             harvest = executor.collect("lib", keywords)
-            assert list(harvest.cache_hits.values()).count("skeleton") == 4
+            hits = harvest.cache_hits.values()
+            assert sum(hit in {"skeleton", "pdt"} for hit in hits) == 4
         assert executor.engine.cache.stats()["skeleton"]["evictions"] == 0
 
     def test_a_tier_as_large_as_the_view_keeps_every_skeleton(self):
@@ -1171,3 +1198,56 @@ class TestEvaluatedTierAcrossEdits:
             cache.evaluated_key("w", expr, migrated): not_resident,
             elsewhere: elsewhere,
         }
+
+
+def _reload_reviews(database):
+    database.drop_document("reviews.xml")
+    database.load_document(
+        "reviews.xml", REVIEWS_XML.replace("all about search", "all about xml")
+    )
+
+
+def _tf_ranking(engine, view):
+    return [
+        (r.rank, r.score, r.tf("xml"), r.to_xml())
+        for r in engine.search(view, ["xml"], top_k=10)
+    ]
+
+
+class TestTfColumnsAcrossEdits:
+    """An edit that moves a keyword's tf inside a content subtree drops
+    the document's cached tf columns: the next search of the keyword
+    ranks, and reports tfs, exactly as a cache-free engine does."""
+
+    EDITS = {
+        # Under review 1's <content>: no QPT node matches the new element.
+        "patchable-insert": lambda database: database.insert_subtree(
+            "reviews.xml", "1.1.3", "<zaux>xml xml aside</zaux>"
+        ),
+        # Review 3's <content> is a view node: the skeleton is rebuilt.
+        "in-view-replace": lambda database: database.replace_subtree(
+            "reviews.xml", "1.3.3", "<content>xml xml search</content>"
+        ),
+        "reload": _reload_reviews,
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_next_search_reads_the_edited_tfs(
+        self, engine, view, bookrev_db, bookrev_view_text, edit
+    ):
+        cold = KeywordSearchEngine(bookrev_db, enable_cache=False)
+        cold_view = cold.define_view("bookrevs", bookrev_view_text)
+        before = _tf_ranking(engine, view)
+        assert before == _tf_ranking(cold, cold_view)
+
+        def reviews_columns():
+            return [
+                k for k, _ in engine.cache.pdts.items() if k[1] == "reviews.xml"
+            ]
+
+        assert reviews_columns()
+        self.EDITS[edit](bookrev_db)
+        assert reviews_columns() == []
+        after = _tf_ranking(engine, view)
+        assert after != before
+        assert after == _tf_ranking(cold, cold_view)

@@ -124,18 +124,22 @@ class TestEngineConcurrency:
         }
 
         errors: list[BaseException] = []
+        # Hot queries dominate; cold ones rotate through the full set so
+        # every tier sees traffic.
+        rngs = [random.Random(worker_id) for worker_id in range(8)]
+        streams = [
+            [
+                KEYWORD_SETS[0]
+                if rng.random() < 0.4
+                else rng.choice(KEYWORD_SETS)
+                for _ in range(40)
+            ]
+            for rng in rngs
+        ]
 
         def worker(worker_id: int):
-            rng = random.Random(worker_id)
             try:
-                for _ in range(40):
-                    # Hot queries dominate; cold ones rotate through the
-                    # full set so every tier sees traffic.
-                    kws = (
-                        KEYWORD_SETS[0]
-                        if rng.random() < 0.4
-                        else rng.choice(KEYWORD_SETS)
-                    )
+                for kws in streams[worker_id]:
                     results = engine.search(view, kws, top_k=10)
                     got = [(r.rank, r.score, r.to_xml()) for r in results]
                     assert got == expected[kws], f"divergence on {kws}"
@@ -146,8 +150,11 @@ class TestEngineConcurrency:
         assert not errors, errors
 
         stats = engine.cache.stats()
-        # 8 workers x 40 queries x 2 documents worth of PDT lookups.
-        assert stats["pdt"]["hits"] + stats["pdt"]["misses"] == 8 * 40 * 2
+        # One tf-column lookup per distinct keyword per document (2) of
+        # every one of the 8 x 40 queries.
+        assert stats["pdt"]["hits"] + stats["pdt"]["misses"] == 2 * sum(
+            len(set(kws)) for stream in streams for kws in stream
+        )
         assert stats["pdt"]["hits"] > 0
 
     def test_concurrent_redefinition_never_corrupts_results(

@@ -289,14 +289,15 @@ def test_engine_skeleton_tier_holds_compressed_entries():
     engine = KeywordSearchEngine(_bookrev_db())
     view = engine.define_view("bookrevs", BOOKREV_VIEW)
     engine.warm_view(view)
+    engine.search(view, ("xml",))
     entries = [skeleton for _, skeleton in engine.cache.skeletons.items()]
     assert len(entries) == 2
     assert engine.cache.skeletons.memory_bytes == sum(
         skeleton.memory_bytes for skeleton in entries
     )
-    # The tier pins columns only, and so does a cached PDT: the evaluator
-    # is the one reader of a tree, and once no evaluated result
-    # references it, it is gone.
+    # The tier pins columns only, and a cached tf column pins no
+    # skeleton: the evaluator is the one reader of a tree, and once no
+    # evaluated result references it, it is gone.
     assert all(skeleton._tree_ref() is not None for skeleton in entries)
     engine.cache.evaluated.clear()
     gc.collect()

@@ -32,6 +32,7 @@ from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
 from repro.storage.database import XMLDatabase
+from repro.storage.inverted_index import PostingList
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
 from repro.xmlmodel.node import XMLNode
@@ -56,6 +57,10 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # pointing collect_view_statistics back at a per-query plan fails both.
     ("one-plan-per-entry", "fifty_keyword_sets", "plans_built", "==", 1),
     ("sum-never-walks", "fifty_keyword_sets", "nodes_walked_after_first", "==", 0),
+    # 150 sweeps over these 17 lists while the PDT tier cached whole
+    # keyword sets: each (document, keyword) re-swept by every set
+    # naming it.
+    ("one-sweep-per-keyword", "fifty_keyword_sets", "posting_sweeps", "==", "distinct_lists_swept"),
     # A ScoredResult per view result per query until the ranking became
     # column arithmetic: 50 x 30 = 1 500 against 392 winners here, and
     # 2 372 against the shards' 80 survivors.
@@ -201,14 +206,17 @@ def fifty_keyword_sets():
     """50 distinct keyword sets over one warmed view: ``StatisticsPlan``
     constructions, and result-tree nodes the statistics pass looked at
     (every unpruned node costs the walk one ``XMLNode.value`` read) once
-    the first query had been answered, and ``ScoredResult``\\ s built
-    against the winners the 50 searches returned."""
+    the first query had been answered, ``ScoredResult``\\ s built
+    against the winners the 50 searches returned, and posting-list
+    sweeps (``PostingList.cumulative_below`` calls) against the distinct
+    lists they swept."""
     words = ["thomas", "control", "moore", "ieee", "query", "index", "search",
              "ranking", "cache", "graph"]
     keyword_sets = [(word,) for word in words]
     keyword_sets += list(itertools.combinations(words, 2))[:40]
-    counters = Counter()
+    counters, swept = Counter(), set()
     build, value = StatisticsPlan.__init__, XMLNode.value.fget
+    sweep = PostingList.cumulative_below
 
     def counted_build(plan, view_results):
         counters["plans_built"] += 1
@@ -218,20 +226,28 @@ def fifty_keyword_sets():
         counters["nodes_walked"] += 1
         return value(node)
 
+    def counted_sweep(plist, bounds):
+        counters["posting_sweeps"] += 1
+        swept.add((id(plist), plist.keyword))
+        return sweep(plist, bounds)
+
     engine = KeywordSearchEngine(generate_inex_database(INEXConfig()))
     engine.define_view("v", authors_articles_view())
     with mock.patch.object(StatisticsPlan, "__init__", counted_build), \
             mock.patch.object(XMLNode, "value", property(counted_value)), \
+            mock.patch.object(PostingList, "cumulative_below", counted_sweep), \
             _counting_scored_results(counters):
         engine.warm_view("v")
+        assert counters["posting_sweeps"] == 0
         counters["winners_returned"] += len(engine.search("v", keyword_sets[0]))
         walked_by_first = counters["nodes_walked"]
         for keywords in keyword_sets[1:]:
             outcome = engine.search_detailed("v", keywords)
             assert outcome.view_size > 0
             counters["winners_returned"] += len(outcome.results)
-    assert len(set(keyword_sets)) == 50 and walked_by_first > 0
+    assert len(set(keyword_sets)) == 50 and walked_by_first > 0 and swept
     counters["nodes_walked_after_first"] = counters["nodes_walked"] - walked_by_first
+    counters["distinct_lists_swept"] = len(swept)
     return counters
 
 

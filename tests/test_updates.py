@@ -297,7 +297,7 @@ class TestCacheMigration:
         other_key = cache.skeleton_key("w", "d.xml", 1, "qh")
         cache.skeletons.put(skeleton_key, "patchable-skel")
         cache.skeletons.put(other_key, "structural-skel")
-        cache.pdts.put(cache.pdt_key("v", "d.xml", 1, "qh", ("kw",)), "pdt")
+        cache.pdts.put(cache.pdt_key("v", "d.xml", 1, "qh", "kw"), "pdt")
         cache.prepared.put(cache.prepared_key("d.xml", 1, "qh", ("kw",)), "pl")
         moved, dropped = cache.apply_document_delta("d.xml", 1, 2, {"v"})
         assert [key for key, _ in moved] == [
