@@ -697,6 +697,79 @@ class TestShardedServing:
             assert snapshot["health"]["serving"] == 3
 
 
+class TestLayeredBenchmarkCounters:
+    """The counters ``benchmarks/layered`` reads off every engine slice.
+
+    Its adapter treats a missing key as a counter whose home is gone
+    (the layer reads 0), so a renamed key would pass silently there:
+    each tier of ``cache.stats()`` must carry ``hits``, ``misses``,
+    ``evictions`` and ``memory_bytes``, and ``snapshot_store.stats()``
+    ``hits`` (restores) and ``saves``."""
+
+    TIERS = {"prepared", "skeleton", "pdt", "evaluated"}
+
+    def _counts(self, engines):
+        tiers: dict[str, int] = {}
+        store = {"hits": 0, "saves": 0}
+        for engine in engines:
+            cache = engine.cache.stats()
+            assert set(cache) == self.TIERS
+            for tier, counters in cache.items():
+                for key in ("hits", "misses", "evictions", "memory_bytes"):
+                    assert isinstance(counters[key], int), (tier, key)
+                    tiers[f"{tier}.{key}"] = (
+                        tiers.get(f"{tier}.{key}", 0) + counters[key]
+                    )
+            store_stats = engine.snapshot_store.stats()
+            for key in store:
+                assert isinstance(store_stats[key], int), key
+                store[key] += store_stats[key]
+        return tiers, store
+
+    def test_lone_engine_with_a_store(self, tmp_path):
+        from repro.core.snapshot import SkeletonStore
+
+        db = generate_bookrev_database(book_count=6, reviews_per_book=2, seed=3)
+        documents = len(db.document_names())
+        first = KeywordSearchEngine(db, snapshot_store=SkeletonStore(tmp_path))
+        first.define_view("v", BOOKREV_VIEW)
+        first.search("v", ["xml"])
+        first.search("v", ["xml"])
+        tiers, store = self._counts([first])
+        assert store == {"hits": 0, "saves": documents}
+        assert tiers["skeleton.misses"] == tiers["skeleton.hits"] == documents
+        assert tiers["skeleton.memory_bytes"] > 0
+        first.close()
+        # A second engine over the same directory restores every skeleton.
+        second = KeywordSearchEngine(db, snapshot_store=SkeletonStore(tmp_path))
+        second.define_view("v", BOOKREV_VIEW)
+        second.search("v", ["xml"])
+        _, store = self._counts([second])
+        assert store == {"hits": documents, "saves": 0}
+        second.close()
+
+    def test_coordinator_shard_slices(self, tmp_path):
+        from repro.core.ingest import ingest_corpus
+
+        docs, view = TestShardedServing.DOCS, TestShardedServing.VIEW
+        for restored in (False, True):
+            coordinator, _ = ingest_corpus(
+                docs, {"v": view}, shard_count=3, snapshot_dir=tmp_path
+            )
+            with coordinator:
+                coordinator.search("v", ("alpha",))
+                engines = [e.engine for e in coordinator.executors]
+                tiers, store = self._counts(engines)
+            # Ingest warms every skeleton (built, or restored from the
+            # first ingest's slices); the search hits all of them.
+            assert tiers["skeleton.hits"] >= len(docs)
+            assert store == (
+                {"hits": len(docs), "saves": 0}
+                if restored
+                else {"hits": 0, "saves": len(docs)}
+            )
+
+
 class TestStatsPrimitives:
     def test_latency_recorder_percentiles_and_window(self):
         recorder = LatencyRecorder(window=100)
