@@ -14,6 +14,7 @@ import time
 from repro import KeywordSearchEngine
 from repro.baselines.gtp import GTPEngine
 from repro.baselines.naive import BaselineEngine
+from repro.core import build_skeleton
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
 
@@ -68,7 +69,10 @@ def main() -> None:
     print(f"baseline/efficient = {baseline_time / efficient_time:.1f}x, "
           f"gtp/efficient = {gtp_time / efficient_time:.1f}x")
 
-    pdt_total = sum(p.node_count for p in eout.pdts.values())
+    pdt_total = sum(
+        build_skeleton(qpt, db.get(doc).path_index).node_count
+        for doc, qpt in eview.qpts.items()
+    )
     data_total = sum(
         len(db.get(doc).store) for doc in eview.qpts
     )

@@ -280,7 +280,6 @@ class GTPEngine:
             view_size=outcome.view_size,
             matching_count=len(outcome.results),
             idf=outcome.idf,
-            pdts=pruned_docs,
             timings=timings,
         )
 

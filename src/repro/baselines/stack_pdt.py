@@ -43,10 +43,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.pdt import PDTRecord, PDTSkeleton
-from repro.core.prepare import PreparedLists, prepare_path_lists
+from repro.core.prepare import prepare_path_lists
 from repro.core.qpt import QPT, QPTNode
 from repro.dewey import packed_prefix_ends
-from repro.storage.path_index import PathIndex
+from repro.storage.path_index import PathIndex, PathList
 
 #: Shared DescendantMap for items with no mandatory child edges (the
 #: majority: every leaf).  Safe to share because the only mutation path
@@ -106,12 +106,14 @@ class _PDTBuilder:
     def __init__(
         self,
         qpt: QPT,
-        lists: PreparedLists,
+        path_lists: dict[int, PathList],
         path_index: PathIndex,
         inpdt_fast_path: bool = True,
     ):
         self._qpt = qpt
-        self._lists = lists
+        self._path_lists = path_lists
+        # A node is probed iff it has its own path list.
+        self._probed = frozenset(path_lists)
         self._path_index = path_index
         self._inpdt_fast_path = inpdt_fast_path
         self._stack: list[_OpenElement] = []
@@ -149,7 +151,7 @@ class _PDTBuilder:
         all_paths: list[int] = []
         all_values: list[Optional[str]] = []
         all_lengths: list[int] = []
-        for node_index, path_list in self._lists.path_lists.items():
+        for node_index, path_list in self._path_lists.items():
             count = len(path_list)
             if not count:
                 continue
@@ -206,7 +208,7 @@ class _PDTBuilder:
         table = self._table_for(all_paths[order[start]])
         total_depth = len(table)
         open_depth = stack[-1].depth if stack else 0
-        probed = self._lists.probed
+        probed = self._probed
         dm_templates = self._dm_templates
         open_by_qnode = self._open_by_qnode
         prefix_ends: Optional[list[int]] = None
@@ -368,11 +370,10 @@ def build_skeleton_stack(
     same probes, the stack pass (``inpdt_fast_path`` is the builder's),
     the same finalization."""
     path_lists = prepare_path_lists(qpt, path_index)
-    lists = PreparedLists(
-        path_lists=path_lists, inv_lists={}, probed=frozenset(path_lists)
-    )
     return PDTSkeleton.from_records(
         doc_name=qpt.doc_name,
-        records=_PDTBuilder(qpt, lists, path_index, inpdt_fast_path).run(),
+        records=_PDTBuilder(
+            qpt, path_lists, path_index, inpdt_fast_path
+        ).run(),
         entry_count=sum(len(lst) for lst in path_lists.values()),
     )

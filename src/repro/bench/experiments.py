@@ -19,6 +19,7 @@ from repro.baselines.naive import BaselineEngine
 from repro.baselines.projection import project_serialized
 from repro.bench.harness import ExperimentTable, timed
 from repro.core.engine import KeywordSearchEngine, SearchOutcome
+from repro.core.pdt import build_skeleton
 from repro.storage.database import XMLDatabase
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.params import ExperimentParams, PARAMETER_TABLE
@@ -421,13 +422,14 @@ def run_x2_pdt_size(
         database = build_database(params)
         engine = KeywordSearchEngine(database, enable_cache=False)
         view = engine.define_view("bench", view_for_params(params))
-        outcome = engine.search_detailed(
-            view, params.keywords(), top_k=params.top_k
-        )
         data_elements = sum(
             len(database.get(doc).store) for doc in view.qpts
         )
-        pdt_elements = sum(p.node_count for p in outcome.pdts.values())
+        # A PDT's node count is its skeleton's: keywords add no node.
+        pdt_elements = sum(
+            build_skeleton(qpt, database.get(doc).path_index).node_count
+            for doc, qpt in view.qpts.items()
+        )
         table.add_row(
             scale,
             data_elements=data_elements,

@@ -19,11 +19,7 @@ from repro.core.scoring import (
     select_top_k,
 )
 from repro.core.topk import TopKSelector, select_top_k_streaming
-from repro.core.cache import (
-    CacheStats,
-    LRUCache,
-    QueryCache,
-)
+from repro.core.cache import LRUCache, QueryCache
 from repro.core.materialize import materialize_result
 from repro.core.engine import KeywordSearchEngine, SearchResult, View
 
@@ -43,7 +39,6 @@ __all__ = [
     "select_top_k",
     "TopKSelector",
     "select_top_k_streaming",
-    "CacheStats",
     "LRUCache",
     "QueryCache",
     "materialize_result",

@@ -64,46 +64,15 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Hashable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Mapping, NamedTuple, Optional
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one cache tier.
-
-    ``memory_bytes`` is a *gauge* (the resident-byte estimate at
-    snapshot time), not a monotone counter.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    #: Puts dropped instead of admitted because admitting them would
-    #: have evicted an entry used since the putting query began (see
-    #: :meth:`LRUCache.put`).  The caller still used the value it built.
-    bypassed: int = 0
-    memory_bytes: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "bypassed": self.bypassed,
-            "memory_bytes": self.memory_bytes,
-            "hit_rate": self.hit_rate,
-        }
+def hit_rate(counts: Mapping[str, int]) -> float:
+    """``hits / (hits + misses)`` of one tier's counts, 0.0 before any
+    lookup — a tier's own and a coordinator's summed over its shards."""
+    lookups = counts["hits"] + counts["misses"]
+    return counts["hits"] / lookups if lookups else 0.0
 
 
 class TfColumn(NamedTuple):
@@ -152,7 +121,18 @@ class LRUCache:
     shorter reuse distance than the newcomer can have, so keeping it is
     the better bet.  Across queries the order is plain LRU, and a
     ``put`` without ``scan_started`` always evicts the LRU tail.
+
+    The counters are plain int attributes, bumped under the lock the
+    operation already holds; :meth:`stats` is their one read.
     """
+
+    #: The integers :meth:`stats` reports — what a coordinator sums over
+    #: its shards.  ``memory_bytes`` is a gauge (resident bytes now);
+    #: the rest count events.
+    COUNTS = (
+        "hits", "misses", "evictions", "invalidations", "bypassed",
+        "memory_bytes",
+    )
 
     def __init__(self, capacity: int, byte_budget: Optional[int] = None):
         self.capacity = capacity
@@ -164,7 +144,14 @@ class LRUCache:
         #: key no more often than before entries carried a stamp.
         self._meta: dict[Hashable, list] = {}
         self.memory_bytes = 0
-        self.stats = CacheStats()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
+        #: Puts dropped instead of admitted because admitting them would
+        #: have evicted an entry used since the putting query began (see
+        #: :meth:`put`).  The caller still used the value it built.
+        self.bypassed = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -177,11 +164,11 @@ class LRUCache:
         with self._lock:
             value = self._data.get(key, _ABSENT)
             if value is _ABSENT:
-                self.stats.misses += 1
+                self.misses += 1
                 return None
             self._data.move_to_end(key)
             self._meta[key][1] = time.perf_counter()
-            self.stats.hits += 1
+            self.hits += 1
             return value
 
     def items(self) -> list[tuple[Hashable, Any]]:
@@ -217,7 +204,7 @@ class LRUCache:
             if key in self._data or len(self._data) < self.capacity:
                 return True
             if self._victim_in_use(scan_started):
-                self.stats.bypassed += 1
+                self.bypassed += 1
                 return False
             return True
 
@@ -248,11 +235,11 @@ class LRUCache:
                     # turn the newcomer away.
                     del data[key]
                     self._forget(key)
-                    self.stats.bypassed += 1
+                    self.bypassed += 1
                     break
                 evicted_key, _ = data.popitem(last=False)
                 self._forget(evicted_key)
-                self.stats.evictions += 1
+                self.evictions += 1
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``."""
@@ -261,12 +248,12 @@ class LRUCache:
             for key in doomed:
                 del self._data[key]
                 self._forget(key)
-            self.stats.invalidations += len(doomed)
+            self.invalidations += len(doomed)
             return len(doomed)
 
     def rekey_where(
         self,
-        predicate: Callable[[Hashable], Hashable],
+        predicate: Callable[[Hashable], bool],
         transform: Callable[[Hashable], Hashable],
     ) -> list[tuple[Hashable, Any]]:
         """Move matching entries to ``transform(key)`` and return them.
@@ -302,14 +289,17 @@ class LRUCache:
             self._data.clear()
             self._meta.clear()
             self.memory_bytes = 0
-            self.stats.invalidations += count
+            self.invalidations += count
             return count
 
-    def stats_dict(self) -> dict[str, Any]:
-        """The counters and the byte gauge, copied as of one instant."""
+    def stats(self) -> dict[str, Any]:
+        """:attr:`COUNTS` as of one instant, and the hit rate."""
         with self._lock:
-            snapshot = replace(self.stats, memory_bytes=self.memory_bytes)
-        return snapshot.as_dict()
+            counts: dict[str, Any] = {
+                name: getattr(self, name) for name in self.COUNTS
+            }
+        counts["hit_rate"] = hit_rate(counts)
+        return counts
 
 
 @dataclass
@@ -534,8 +524,8 @@ class QueryCache:
     def stats(self) -> dict[str, dict[str, Any]]:
         """Every tier's counters and byte gauge."""
         return {
-            "prepared": self.prepared.stats_dict(),
-            "skeleton": self.skeletons.stats_dict(),
-            "pdt": self.pdts.stats_dict(),
-            "evaluated": self.evaluated.stats_dict(),
+            "prepared": self.prepared.stats(),
+            "skeleton": self.skeletons.stats(),
+            "pdt": self.pdts.stats(),
+            "evaluated": self.evaluated.stats(),
         }

@@ -201,7 +201,10 @@ class SearchResult:
 
 @dataclass
 class SearchOutcome:
-    """Everything a search produced (results + diagnostics).
+    """Everything a search produced (results + diagnostics) — what
+    serving sends.  It keeps no PDT (scoring has already read every
+    one) and no cache counters: the engine's cumulative counters are
+    :meth:`KeywordSearchEngine.stats`, never a query's.
 
     The fields from ``shards`` down describe a scatter-gather and keep
     their empty defaults on a lone engine.  ``degraded`` is ``True``
@@ -217,7 +220,6 @@ class SearchOutcome:
     view_size: int
     matching_count: int
     idf: dict[str, float]
-    pdts: dict[str, PDTResult]
     timings: PhaseTimings
     cache_hits: dict[str, str] = field(default_factory=dict)
     """Per-document cache outcome: ``"pdt"`` (the skeleton tier and the
@@ -237,24 +239,6 @@ class SearchOutcome:
     missing_shards: tuple[int, ...] = ()
     failures: tuple["ShardFailure", ...] = ()
 
-    _stats: Optional[Callable[[], dict]] = field(default=None, repr=False)
-    _cache_stats: Optional[dict] = field(default=None, repr=False)
-
-    @property
-    def cache_stats(self) -> dict[str, dict]:
-        """Per-tier cache counters of whatever answered (a coordinator's
-        are summed over its shards; empty when the cache is disabled).
-        Lets benchmarks and the differential harness assert *where* time
-        went — e.g. that a skeleton-warm query hit the skeleton tier.
-        Snapshotted lazily on first access (copying every tier's
-        counters is too expensive for the per-query hot path) and
-        memoized so repeated reads stay consistent."""
-        if self._cache_stats is None:
-            self._cache_stats = (
-                self._stats()["cache"] if self._stats is not None else {}
-            )
-        return self._cache_stats
-
 
 @dataclass
 class ViewStatistics:
@@ -264,7 +248,9 @@ class ViewStatistics:
     statistics of its view results as columns
     (:class:`~repro.core.scoring.ColumnSums`: one tf column per keyword
     and the byte-length column), the view size, and the per-keyword
-    containing counts.  idf is a global statistic over the whole view
+    containing counts, plus where each document's PDT came from
+    (``cache_hits``); the PDTs the sums read are not kept.
+    idf is a global statistic over the whole view
     (Section 2.2) — under a sharded corpus it exists only after every
     shard's ``view_size`` and ``containing`` integers are summed, so
     phase 1 stops at the integers and phase 2
@@ -280,7 +266,6 @@ class ViewStatistics:
     """
 
     sums: ColumnSums
-    pdts: dict[str, PDTResult]
     cache_hits: dict[str, str]
     evaluated_hit: bool
     offset: int = 0
@@ -794,11 +779,9 @@ class KeywordSearchEngine:
             view_size=stats.view_size,
             matching_count=matching,
             idf=idf,
-            pdts=stats.pdts,
             timings=timings,
             cache_hits=stats.cache_hits,
             evaluated_hit=stats.evaluated_hit,
-            _stats=self.stats,
         )
 
     def collect_view_statistics(
@@ -850,7 +833,6 @@ class KeywordSearchEngine:
             timings.post_processing += time.perf_counter() - start
         return ViewStatistics(
             sums=sums,
-            pdts=pdts,
             cache_hits=cache_hits,
             evaluated_hit=evaluated_hit,
         )
@@ -962,16 +944,11 @@ class KeywordSearchEngine:
                         path_lists = prepare_path_lists(
                             qpt, indexed.path_index
                         )
-                        probed = frozenset(path_lists)
                     else:
                         hit = "prepared"
                         path_lists = lists.path_lists
-                        probed = lists.probed
                     skeleton = build_skeleton(
-                        qpt,
-                        indexed.path_index,
-                        path_lists=path_lists,
-                        probed=probed,
+                        qpt, indexed.path_index, path_lists=path_lists
                     )
                     if cacheable:
                         if store is not None:
@@ -1013,9 +990,7 @@ class KeywordSearchEngine:
                     cache.prepared.put(
                         lists_key,
                         PreparedLists(
-                            path_lists=path_lists,
-                            inv_lists=inv_lists,
-                            probed=probed,
+                            path_lists=path_lists, inv_lists=inv_lists
                         ),
                         scan_started,
                     )

@@ -46,16 +46,12 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from typing import Optional
 
-from repro.core.prepare import (
-    PreparedLists,
-    prepare_inv_lists,
-    prepare_path_lists,
-)
+from repro.core.prepare import prepare_inv_lists, prepare_path_lists
 from repro.storage.inverted_index import PostingList
 from repro.core.qpt import QPT, QPTNode
 from repro.dewey import DeweyID, packed_child_bound, unpack
 from repro.storage.inverted_index import InvertedIndex
-from repro.storage.path_index import PathIndex
+from repro.storage.path_index import PathIndex, PathList
 from repro.xmlmodel.node import NodeAnnotations, XMLNode
 
 FRAGMENT_TAG = "#fragment"
@@ -155,7 +151,7 @@ class PDTRecord:
 
 def _collect_records_swept(
     qpt: QPT,
-    lists: PreparedLists,
+    path_lists: dict[int, PathList],
     path_index: PathIndex,
 ) -> dict[bytes, PDTRecord]:
     """The default structural pass: a CE/PE fixpoint swept over the
@@ -186,8 +182,8 @@ def _collect_records_swept(
     with ``repro.core.reference`` and with the automaton is enforced by
     the property suite and the reference-equivalence tests.
     """
-    path_lists = lists.path_lists
-    probed = lists.probed
+    # A node is probed iff it has its own path list.
+    probed = frozenset(path_lists)
     qpt_root = qpt.root
     nodes = qpt.nodes
 
@@ -1168,8 +1164,7 @@ def patch_skeleton_byte_lengths(
 def build_skeleton(
     qpt: QPT,
     path_index: PathIndex,
-    path_lists: Optional[dict] = None,
-    probed: Optional[frozenset] = None,
+    path_lists: Optional[dict[int, PathList]] = None,
 ) -> PDTSkeleton:
     """Run the structural pass for a ``(view, document)`` pair.
 
@@ -1180,12 +1175,9 @@ def build_skeleton(
     """
     if path_lists is None:
         path_lists = prepare_path_lists(qpt, path_index)
-    if probed is None:
-        probed = frozenset(path_lists)
-    lists = PreparedLists(path_lists=path_lists, inv_lists={}, probed=probed)
     return PDTSkeleton.from_records(
         doc_name=qpt.doc_name,
-        records=_collect_records_swept(qpt, lists, path_index),
+        records=_collect_records_swept(qpt, path_lists, path_index),
         entry_count=sum(len(lst) for lst in path_lists.values()),
     )
 

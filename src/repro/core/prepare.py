@@ -21,15 +21,14 @@ from repro.storage.path_index import PathIndex, PathList, PathProbe
 class PreparedLists:
     """Output of PrepareLists: per-node path lists and per-keyword postings.
 
-    ``path_lists`` is keyed by QPT-node index; ``probed`` is the set of
-    node indexes that have their own list (elements matching such a node
-    must be confirmed by a direct list entry — predicate filtering happens
-    in the index probe, so pattern matching alone is not enough).
+    ``path_lists`` is keyed by QPT-node index: a node with its own list is
+    *probed* (elements matching it must be confirmed by a direct list
+    entry — predicate filtering happens in the index probe, so pattern
+    matching alone is not enough).
     """
 
     path_lists: dict[int, PathList]
     inv_lists: dict[str, PostingList]
-    probed: frozenset[int]
 
 
 def build_probe_plan(qpt: QPT) -> list[PathProbe]:

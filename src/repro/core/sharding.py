@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from repro.core.cache import CacheStats, QueryCache
+from repro.core.cache import LRUCache, QueryCache, hit_rate
 from repro.core.faults import FaultInjector
 from repro.core.health import FleetHealth
 from repro.core.engine import (
@@ -243,24 +243,14 @@ class FragmentStatistics:
 
 @dataclass
 class ShardHarvest:
-    """Everything one shard returns from the statistics scatter."""
+    """Everything one shard returns from the statistics scatter: its
+    fragments' statistics (no PDT), timings and cache outcomes."""
 
     shard_id: int
     fragments: list[FragmentStatistics]
     timings: PhaseTimings
     cache_hits: dict[str, str]
     evaluated_hit: bool
-
-    @property
-    def pdts(self) -> dict:
-        """Per-document PDTs, merged across fragments (diagnostic only:
-        scoring already resolved tfs through each fragment's own PDTs,
-        so last-wins merging for documents shared by fragments is fine).
-        """
-        merged: dict = {}
-        for fragment in self.fragments:
-            merged.update(fragment.stats.pdts)
-        return merged
 
 
 class ShardExecutor:
@@ -728,20 +718,27 @@ class CorpusCoordinator:
     # -- the surface the serving layer reads -------------------------------------
 
     def stats(self) -> dict[str, dict]:
-        """Every shard engine's ``stats()``, summed count by count (what
-        is not a count describes one slice and is left out); hit rates
-        recomputed."""
+        """Every shard engine's ``stats()``, summed over the names its
+        classes count in (``LRUCache.COUNTS`` per tier, the snapshot
+        store's ``COUNTS``; a breaker state describes one slice and is
+        left out), hit rates recomputed from the summed counts."""
         cache: dict[str, dict] = {}
         store: dict[str, int] = {}
         for executor in self.executors:
-            slice_stats = executor.engine.stats()
+            engine = executor.engine
+            slice_stats = engine.stats()
             for tier, counters in slice_stats["cache"].items():
-                _add_counts(cache.setdefault(tier, {}), counters)
-            _add_counts(store, slice_stats["snapshot_store"])
+                _sum_counts(
+                    cache.setdefault(tier, {}), counters, LRUCache.COUNTS
+                )
+            if engine.snapshot_store is not None:
+                _sum_counts(
+                    store,
+                    slice_stats["snapshot_store"],
+                    engine.snapshot_store.COUNTS,
+                )
         for counters in cache.values():
-            counters["hit_rate"] = CacheStats(
-                hits=counters["hits"], misses=counters["misses"]
-            ).hit_rate
+            counters["hit_rate"] = hit_rate(counters)
         return {"cache": cache, "snapshot_store": store}
 
     def health_snapshot(self) -> dict:
@@ -1022,10 +1019,8 @@ class CorpusCoordinator:
             [coordinator_timings, merged_shard_timings], concurrent=False
         )
 
-        pdts: dict = {}
         cache_hits: dict[str, str] = {}
         for shard in healthy:
-            pdts.update(harvests[shard].pdts)
             cache_hits.update(harvests[shard].cache_hits)
         missing = tuple(sorted(failures))
         return SearchOutcome(
@@ -1033,7 +1028,6 @@ class CorpusCoordinator:
             view_size=view_size,
             matching_count=sum(rankings[shard][1] for shard in ranked),
             idf=idf,
-            pdts=pdts,
             timings=timings,
             cache_hits=cache_hits,
             evaluated_hit=all(
@@ -1045,11 +1039,11 @@ class CorpusCoordinator:
             degraded=bool(failures),
             missing_shards=missing,
             failures=tuple(failures[shard] for shard in missing),
-            _stats=self.stats,
         )
 
 
-def _add_counts(total: dict, counters: Mapping) -> None:
-    for key, value in counters.items():
-        if isinstance(value, int):
-            total[key] = total.get(key, 0) + value
+def _sum_counts(
+    total: dict, counters: Mapping, names: Sequence[str]
+) -> None:
+    for name in names:
+        total[name] = total.get(name, 0) + counters[name]

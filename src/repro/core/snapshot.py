@@ -74,6 +74,11 @@ class SkeletonStore:
     real write failure.
     """
 
+    #: The integers :meth:`stats` reports — what a coordinator sums over
+    #: its shards' slices.  ``entries`` is a gauge (files on disk now);
+    #: the rest count events.
+    COUNTS = ("saves", "hits", "misses", "pruned", "entries")
+
     def __init__(
         self,
         root: Union[str, Path],
@@ -265,7 +270,7 @@ class SkeletonStore:
         doc_fingerprint, qpt_hash = key
         return self.path_for(doc_fingerprint, qpt_hash).exists()
 
-    def entries(self) -> Iterator[Path]:
+    def paths(self) -> Iterator[Path]:
         """Every snapshot file currently in the store."""
         return (
             path
@@ -274,7 +279,12 @@ class SkeletonStore:
         )
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        return sum(1 for _ in self.paths())
+
+    @property
+    def entries(self) -> int:
+        """The snapshot files on disk (a gauge :meth:`stats` reports)."""
+        return len(self)
 
     def prune(self, keep: Optional[set[str]] = None) -> int:
         """Delete snapshot files, returning how many were removed.
@@ -288,7 +298,7 @@ class SkeletonStore:
         :meth:`stats`.
         """
         removed = 0
-        for path in list(self.entries()):
+        for path in list(self.paths()):
             if keep is not None and path.name in keep:
                 continue
             try:
@@ -302,12 +312,6 @@ class SkeletonStore:
         return removed
 
     def stats(self) -> dict[str, int]:
+        """:attr:`COUNTS` as of one instant."""
         with self._stats_lock:
-            snapshot = {
-                "saves": self.saves,
-                "hits": self.hits,
-                "misses": self.misses,
-                "pruned": self.pruned,
-            }
-        snapshot["entries"] = len(self)
-        return snapshot
+            return {name: getattr(self, name) for name in self.COUNTS}

@@ -163,13 +163,19 @@ class NetworkedSkeletonStore:
     and every later load, in this process or a sibling sharing the
     directory, is local.
 
-    Network activity is counted separately from the local store's
-    hit/miss counters: ``net_stats`` reports ``fetched`` (peer
-    supplied the bytes), ``fetch_failed`` (the peer path errored after
-    retries, or returned bytes that failed validation) and
-    ``fell_back`` (the load returned ``None`` and the caller will
-    cold-build).  ``stats`` merges both views.
+    Network activity is counted beside the local store's counters:
+    ``fetched`` (peer supplied the bytes), ``fetch_failed`` (the peer
+    path errored after retries, or returned bytes that failed
+    validation), ``fell_back`` (the load returned ``None`` and the
+    caller will cold-build) and ``coalesced`` (a miss that rode another
+    caller's fetch).  ``stats`` reports the local store's counts, these,
+    and the breaker's state.
     """
+
+    #: The network counters ``_count`` bumps.
+    NET_COUNTS = ("fetched", "fetch_failed", "fell_back", "coalesced")
+    #: The integers :meth:`stats` reports — what a coordinator sums.
+    COUNTS = SkeletonStore.COUNTS + NET_COUNTS
 
     def __init__(
         self,
@@ -276,18 +282,12 @@ class NetworkedSkeletonStore:
 
     # -- stats ---------------------------------------------------------------
 
-    def net_stats(self) -> dict[str, int]:
-        with self._net_lock:
-            return {
-                "fetched": self.fetched,
-                "fetch_failed": self.fetch_failed,
-                "fell_back": self.fell_back,
-                "coalesced": self.coalesced,
-            }
-
     def stats(self) -> dict:
-        merged = dict(self.local.stats())
-        merged.update(self.net_stats())
+        merged: dict = self.local.stats()
+        with self._net_lock:
+            merged.update(
+                (name, getattr(self, name)) for name in self.NET_COUNTS
+            )
         merged["breaker_state"] = self.breaker.state
         return merged
 
@@ -323,8 +323,8 @@ class NetworkedSkeletonStore:
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self.local
 
-    def entries(self) -> Iterator[Path]:
-        return self.local.entries()
+    def paths(self) -> Iterator[Path]:
+        return self.local.paths()
 
     def __len__(self) -> int:
         return len(self.local)

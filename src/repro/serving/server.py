@@ -17,8 +17,9 @@ shaping*, not more query machinery:
   first-contact keyword queries run the warm array-sweep path
   (:mod:`repro.serving.warmup`);
 * **per-request observability** — every :class:`ServeResult` carries
-  the engine's ``SearchOutcome`` (cache hits, phase timings,
-  ``cache_stats``) plus queue/service/end-to-end latencies.
+  the engine's ``SearchOutcome`` (cache hits, phase timings) plus
+  queue/service/end-to-end latencies; the engine's cumulative cache
+  counters are ``engine.stats()`` (``/stats``).
 
 A request is **one thread hop**: ``search`` admits, queues and calls a
 synchronous dispatcher, which hands the head of the backlog to the pool
@@ -68,8 +69,6 @@ class ServerConfig:
     workers: int = 2
     #: Views pre-warmed during ``start()``, before traffic is accepted.
     warm_views: tuple[str, ...] = ()
-    #: Sliding-window size for the latency recorders.
-    latency_window: int = 2048
 
 
 @dataclass
@@ -128,11 +127,10 @@ class SearchServer:
         self,
         engine: Union[KeywordSearchEngine, CorpusCoordinator],
         config: Optional[ServerConfig] = None,
-        stats: Optional[ServingStats] = None,
     ):
         self.engine = engine
         self.config = config or ServerConfig()
-        self.stats = stats or ServingStats(window=self.config.latency_window)
+        self.stats = ServingStats()
         self.admission = AdmissionController(
             self.config.max_queue_depth, self.config.max_inflight_per_view
         )

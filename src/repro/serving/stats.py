@@ -10,7 +10,7 @@ traffic, which is what load-shedding and capacity decisions want.
 Everything is guarded by one lock: recording happens on executor
 threads and the event loop concurrently, and ``snapshot()`` must return
 numbers that belong together (the same consistency discipline each
-cache tier's ``stats_dict`` follows).
+cache tier's ``stats()`` follows).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class ServingStats:
     the number a client experiences).
     """
 
-    def __init__(self, window: int = 2048):
+    def __init__(self):
         self._lock = threading.Lock()
         self.submitted = 0
         self.completed = 0
@@ -106,9 +106,9 @@ class ServingStats:
         self.failed = 0
         self.rejected: Counter[str] = Counter()
         self.warmed_targets = 0
-        self.queue_wait = LatencyRecorder(window)
-        self.service = LatencyRecorder(window)
-        self.latency = LatencyRecorder(window)
+        self.queue_wait = LatencyRecorder()
+        self.service = LatencyRecorder()
+        self.latency = LatencyRecorder()
         self._cache_hit_counts: Counter[str] = Counter()
 
     # -- recording (called from the loop and executor threads) ---------------

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
+from repro.core.pdt import build_skeleton
 from tests.conftest import REVIEWS_XML
 
 
@@ -19,9 +20,9 @@ class TestLRUCache:
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        assert cache.hits == 1
+        assert cache.misses == 1
+        assert cache.stats()["hit_rate"] == 0.5
 
     def test_lru_eviction_order(self):
         cache = LRUCache(2)
@@ -30,7 +31,7 @@ class TestLRUCache:
         cache.get("a")  # refresh a; b is now least recent
         cache.put("c", 3)
         assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.stats.evictions == 1
+        assert cache.evictions == 1
 
     def test_put_existing_key_updates(self):
         cache = LRUCache(2)
@@ -89,7 +90,7 @@ class TestShardedLRUCache:
             tier.put(key, key)
         assert len(tier) == 32
         assert all(tier.get(key) == key for key in keys)
-        assert tier.stats.evictions == 0
+        assert tier.evictions == 0
 
     def test_zero_capacity_disables(self):
         qc = QueryCache(skeleton_capacity=0)
@@ -133,7 +134,7 @@ class TestByteBudgets:
         assert "b" not in cache
         assert "a" in cache and "c" in cache
         assert cache.memory_bytes == 80
-        assert cache.stats.evictions == 1
+        assert cache.evictions == 1
 
     def test_oversized_entry_is_never_retained(self):
         cache = LRUCache(100, byte_budget=10)
@@ -252,8 +253,8 @@ class TestScanResistance:
         assert _scan(cache, keys) == 0
         for _ in range(4):
             assert _scan(cache, keys) == 8
-        assert cache.stats.evictions == 0
-        assert cache.stats.bypassed == 5 * 4
+        assert cache.evictions == 0
+        assert cache.bypassed == 5 * 4
         assert [key for key in keys if key in cache] == keys[:8]
 
     def test_two_interleaved_scanners_keep_capacity_hits_each(self):
@@ -274,7 +275,7 @@ class TestScanResistance:
                     live.remove(scanner)
         assert first_hits[1:] == [8] * 4
         assert second_hits[1:] == [8] * 4
-        assert cache.stats.evictions == 0
+        assert cache.evictions == 0
 
     def test_arbitrary_residents_converge_to_the_prefix_in_one_cycle(self):
         keys = [("k", i) for i in range(12)]
@@ -296,8 +297,8 @@ class TestScanResistance:
         _scan(cache, second)
         assert all(key in cache for key in second)
         assert not any(key in cache for key in first)
-        assert cache.stats.evictions == 4
-        assert cache.stats.bypassed == 0
+        assert cache.evictions == 4
+        assert cache.bypassed == 0
 
     def test_never_seen_key_evicts_the_lru_tail(self):
         cache = LRUCache(2)
@@ -314,8 +315,8 @@ class TestScanResistance:
         for _ in range(3):
             assert _scan(cache, keys, sized) == 4
         assert cache.memory_bytes == 40
-        assert cache.stats.evictions == 0
-        assert cache.stats.bypassed == 2 * 4
+        assert cache.evictions == 0
+        assert cache.bypassed == 2 * 4
 
     def test_admits_predicts_put_and_counts_the_refusal(self):
         cache = LRUCache(2)
@@ -325,7 +326,7 @@ class TestScanResistance:
         cache.put("b", 2, started)
         assert cache.admits("a", started)  # resident: a replacement
         assert not cache.admits("c", started)
-        assert cache.stats.bypassed == 1
+        assert cache.bypassed == 1
         assert cache.admits("c")  # no scan start: plain LRU
         assert cache.admits("c", time.perf_counter())  # a later query
         assert not LRUCache(0).admits("a")
@@ -492,7 +493,7 @@ class TestEngineCaching:
         assert set(outcome.cache_hits.values()) == {"skeleton"}
         assert path_probes(engine.database) == 0
         assert inv_probes(engine.database) > 0
-        assert outcome.cache_stats["skeleton"]["hits"] == len(view.qpts)
+        assert engine.stats()["cache"]["skeleton"]["hits"] == len(view.qpts)
         # Phase attribution: the keyword half is paid, not the structural.
         assert outcome.timings.pdt_postings > 0
         assert outcome.timings.pdt_skeleton < outcome.timings.pdt
@@ -560,7 +561,7 @@ class TestEngineCaching:
         bookrev_db.reset_access_counters()
         outcome = engine.search_detailed(view, ["xml"])
         assert set(outcome.cache_hits.values()) == {"miss"}
-        assert outcome.cache_stats == {}
+        assert engine.stats()["cache"] == {}
         probes = path_probes(bookrev_db) + inv_probes(bookrev_db)
         assert probes > 0
 
@@ -741,7 +742,7 @@ class TestEvaluatedTier:
         assert first.evaluated_hit is False
         second = engine.search_detailed(view, ["search"], top_k=5)
         assert second.evaluated_hit is True
-        assert second.cache_stats["evaluated"]["hits"] == 1
+        assert engine.stats()["cache"]["evaluated"]["hits"] == 1
 
     def test_evaluated_results_identical_to_cold(
         self, bookrev_db, bookrev_view_text
@@ -1078,20 +1079,31 @@ class TestEvaluatedTierAcrossEdits:
         # Every byte length the surviving plan reads — each cached result
         # node's, in this query's skeleton column at its record position —
         # is the cold one.
-        warm = engine.search_detailed(view, ["xml"], top_k=10)
+        engine.search_detailed(view, ["xml"], top_k=10)
+        warm_skeletons = {
+            key[1]: skeleton
+            for key, skeleton in engine.cache.skeletons.items()
+            if key[2] == bookrev_db.get(key[1]).generation
+        }
+        assert set(warm_skeletons) == set(view.qpts)
         cold_nodes = cold.evaluate_view(cold_view, materialize=False)
-        cold_pdts = cold.search_detailed(cold_view, ["xml"], top_k=10).pdts
+        cold_skeletons = {
+            doc: build_skeleton(qpt, bookrev_db.get(doc).path_index)
+            for doc, qpt in cold_view.qpts.items()
+        }
         assert len(cold_nodes) == len(kept.nodes)
 
-        def lengths(node, pdts):
+        def lengths(node, skeletons):
             return [
-                (n.tag, pdts[n.anno.doc].byte_lengths[n.anno.position])
+                (n.tag, skeletons[n.anno.doc].byte_lengths[n.anno.position])
                 for n in node.iter()
                 if n.anno
             ]
 
         for kept_node, cold_node in zip(kept.nodes, cold_nodes):
-            assert lengths(kept_node, warm.pdts) == lengths(cold_node, cold_pdts)
+            assert lengths(kept_node, warm_skeletons) == lengths(
+                cold_node, cold_skeletons
+            )
         [(_, served)] = engine.cache.evaluated.items()
         assert served is cached
         warm_stats = engine.collect_view_statistics(view, ("xml",))

@@ -79,7 +79,7 @@ class TestOutcome:
         assert outcome.view_size == 2  # two books with year > 1995
         assert outcome.matching_count == 2
         assert set(outcome.idf) == {"xml", "search"}
-        assert set(outcome.pdts) == {"books.xml", "reviews.xml"}
+        assert set(outcome.cache_hits) == {"books.xml", "reviews.xml"}
 
     def test_timings_recorded(self, engine, view):
         outcome = engine.search_detailed(view, ["xml"], top_k=5)

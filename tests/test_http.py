@@ -414,7 +414,7 @@ class TestPaginationOverTheWire:
             served = 0
             for executor in coordinator.executors:
                 store = executor.engine.snapshot_store
-                for entry in store.entries():
+                for entry in store.paths():
                     status, body = asgi_request(
                         api, "GET", f"/snapshots/{entry.name}"
                     )
@@ -504,7 +504,6 @@ class TestDegradedPage:
             view_size=3,
             matching_count=0,
             idf={},
-            pdts={},
             timings=PhaseTimings(),
             **outcome_kwargs,
         )

@@ -400,7 +400,7 @@ class TestColumnRankingEqualsReference:
         parts = [
             ViewStatistics(
                 sums=StatisticsPlan(forest[start:stop]).sum(keywords, tf_source),
-                pdts={}, cache_hits={}, evaluated_hit=True, offset=start,
+                cache_hits={}, evaluated_hit=True, offset=start,
             )
             for start, stop in zip(bounds, bounds[1:])
         ]
@@ -421,7 +421,7 @@ class TestColumnRankingEqualsReference:
         forest = [result_with_text("xml"), result_with_text("none")]
         stats = ViewStatistics(
             sums=StatisticsPlan(forest).sum(("xml",)),
-            pdts={}, cache_hits={}, evaluated_hit=True, offset=5,
+            cache_hits={}, evaluated_hit=True, offset=5,
         )
         assert [(r.index, r.tf("xml"), r.score) for r in stats.scored] == [
             (5, 1, 0.0), (6, 0, 0.0)

@@ -610,9 +610,9 @@ class TestPreWarmProperty:
                 assert path_probes(db) == 0
                 # The keyword-independent evaluation was warm too.
                 assert response.outcome.evaluated_hit
-                # cache_stats is surfaced per request: the skeleton
-                # tier did serve this query.
-                assert response.outcome.cache_stats["skeleton"]["hits"] >= 2
+                # The engine's counters agree: the skeleton tier did
+                # serve this query.
+                assert engine.stats()["cache"]["skeleton"]["hits"] >= 2
 
         run_async(scenario())
 
@@ -669,31 +669,57 @@ class TestShardedServing:
             run_async(scenario())
 
     def test_sharded_member_reports_its_shards_counters(self, tmp_path):
-        """``/stats`` and the outcome's ``cache_stats`` under a coordinator
-        are the shards' own counters summed, not ``{}``."""
+        """``/stats`` under a coordinator is the shards' own counters
+        summed name by name, not ``{}``; hit rates are recomputed from
+        the sums."""
+        from repro.core.cache import LRUCache
         from repro.core.ingest import ingest_corpus
+        from repro.core.snapshot import SkeletonStore
 
         coordinator, _ = ingest_corpus(
             self.DOCS, {"v": self.VIEW}, shard_count=3, snapshot_dir=tmp_path
         )
         with coordinator:
-            slices = [e.engine.stats() for e in coordinator.executors]
+            before = coordinator.stats()
 
             async def scenario():
                 async with SearchServer(coordinator) as server:
                     response = await server.search("v", ("alpha",))
                     assert isinstance(response, ServeResult)
-                    return response.outcome.cache_stats, server.snapshot()
+                    return server.snapshot()
 
-            cache_stats, snapshot = run_async(scenario())
+            snapshot = run_async(scenario())
+            slices = [e.engine.stats() for e in coordinator.executors]
+            summed = coordinator.stats()
+            assert snapshot["cache"] == summed["cache"]
+            assert snapshot["snapshot_store"] == summed["snapshot_store"]
+            assert set(summed["cache"]) == {
+                "prepared", "skeleton", "pdt", "evaluated"
+            }
+            for tier, counters in summed["cache"].items():
+                assert set(counters) == {*LRUCache.COUNTS, "hit_rate"}
+                for name in LRUCache.COUNTS:
+                    assert counters[name] == sum(
+                        s["cache"][tier][name] for s in slices
+                    ), (tier, name)
+                lookups = counters["hits"] + counters["misses"]
+                assert counters["hit_rate"] == (
+                    counters["hits"] / lookups if lookups else 0.0
+                ), tier
+            store = summed["snapshot_store"]
+            assert set(store) == set(SkeletonStore.COUNTS)
+            for name in SkeletonStore.COUNTS:
+                assert store[name] == sum(
+                    s["snapshot_store"][name] for s in slices
+                ), name
             # Ingest warmed every skeleton, so the served query hit all six.
-            assert cache_stats["skeleton"]["hits"] == sum(
-                s["cache"]["skeleton"]["hits"] for s in slices
-            ) + len(self.DOCS)
-            assert cache_stats["skeleton"]["hit_rate"] > 0
-            assert snapshot["cache"]["skeleton"]["hits"] >= len(self.DOCS)
-            assert snapshot["snapshot_store"]["saves"] == len(self.DOCS)
-            assert snapshot["snapshot_store"]["entries"] == len(self.DOCS)
+            skeleton = summed["cache"]["skeleton"]
+            assert skeleton["hits"] == (
+                before["cache"]["skeleton"]["hits"] + len(self.DOCS)
+            )
+            assert skeleton["hit_rate"] > 0
+            assert store["saves"] == len(self.DOCS)
+            assert store["entries"] == len(self.DOCS)
             assert snapshot["health"]["serving"] == 3
 
 

@@ -302,9 +302,6 @@ class TestCoordinator:
                 (r.rank, r.score, r.scored.index, r.scored.statistics, r.to_xml())
                 for r in results
             ],
-            "pdts": lambda pdts: {
-                name: pdt.node_count for name, pdt in pdts.items()
-            },
             # Wall clock: only the ledger's shape can agree.
             "timings": lambda timings: sorted(timings.as_dict()),
         }
@@ -320,7 +317,15 @@ class TestCoordinator:
                     assert project(getattr(out, spec.name)) == project(
                         getattr(ref, spec.name)
                     ), spec.name
-                assert out.cache_stats.keys() == ref.cache_stats.keys()
+                # The coordinator's stats sum the shards' per tier, name
+                # by name: the lone engine's shape.
+                assert {
+                    tier: counters.keys()
+                    for tier, counters in coord.stats()["cache"].items()
+                } == {
+                    tier: counters.keys()
+                    for tier, counters in single.stats()["cache"].items()
+                }
                 # One part: nothing scattered, merged or missing.
                 assert ref.shards == () and ref.shard_timings == {}
                 assert ref.merge_stats is None

@@ -208,9 +208,10 @@ class TestNetworkedSkeletonStore:
         net = NetworkedSkeletonStore(local, peer)
         assert net.load(fingerprint, qpt_hash) is not None
         assert peer.fetches == 0
-        assert net.net_stats() == {
+        assert net.stats() == {
+            "saves": 1, "hits": 1, "misses": 0, "pruned": 0, "entries": 1,
             "fetched": 0, "fetch_failed": 0, "fell_back": 0,
-            "coalesced": 0,
+            "coalesced": 0, "breaker_state": "closed",
         }
 
     def test_peer_hit_writes_through_and_counts_fetched(
@@ -222,7 +223,7 @@ class TestNetworkedSkeletonStore:
         net = NetworkedSkeletonStore(local, peer)
         restored = net.load(fingerprint, qpt_hash)
         assert restored is not None and restored.doc_name == "books.xml"
-        assert net.net_stats()["fetched"] == 1
+        assert net.stats()["fetched"] == 1
         # written through: the local file tier now serves it alone
         assert local.read_payload(fingerprint, qpt_hash) == payload
         assert net.load(fingerprint, qpt_hash) is not None
@@ -238,7 +239,7 @@ class TestNetworkedSkeletonStore:
         )
         restored = net.load(fingerprint, qpt_hash)
         assert restored.to_bytes() == payload
-        assert net.net_stats()["fetched"] == 1
+        assert net.stats()["fetched"] == 1
         assert local.stats()["hits"] == 1
 
     def test_peer_payload_with_corrupt_columns_is_rebuilt_not_raised(
@@ -283,7 +284,7 @@ class TestNetworkedSkeletonStore:
         net = NetworkedSkeletonStore(SkeletonStore(tmp_path / "s"), StaticPeer())
         for _ in range(5):
             assert net.load(fingerprint, qpt_hash) is None
-        stats = net.net_stats()
+        stats = net.stats()
         assert stats["fell_back"] == 5 and stats["fetch_failed"] == 0
         assert net.breaker.state == "closed"
 
@@ -299,7 +300,7 @@ class TestNetworkedSkeletonStore:
         for _ in range(10):
             assert net.load(fingerprint, qpt_hash) is None
         assert peer.fetches == 3  # breaker opened after the third failure
-        stats = net.net_stats()
+        stats = net.stats()
         assert stats["fetch_failed"] == 3
         assert stats["fell_back"] == 10
         assert net.breaker.state == "open"
@@ -315,7 +316,7 @@ class TestNetworkedSkeletonStore:
             local, StaticPeer({(fingerprint, qpt_hash): corrupt})
         )
         assert net.load(fingerprint, qpt_hash) is None
-        stats = net.net_stats()
+        stats = net.stats()
         assert stats["fetch_failed"] == 1 and stats["fell_back"] == 1
         assert local.read_payload(fingerprint, qpt_hash) is None
 
@@ -416,7 +417,7 @@ class TestSingleFlight:
         assert peer.fetches == 1  # the herd rode one fetch
         assert len(results) == 5
         assert all(restored is not None for restored in results)
-        stats = net.net_stats()
+        stats = net.stats()
         assert stats["fetched"] == 1
         assert stats["coalesced"] == 4
         assert stats["fell_back"] == 0
@@ -431,7 +432,7 @@ class TestSingleFlight:
         results = self._herd(net, fingerprint, qpt_hash, peer, followers=3)
         assert peer.fetches == 1
         assert results == [None, None, None, None]
-        stats = net.net_stats()
+        stats = net.stats()
         assert stats["fetch_failed"] == 1
         assert stats["coalesced"] == 3
         # Leader fell back once; each follower re-read a still-cold
@@ -458,7 +459,7 @@ class TestSingleFlight:
         start = time.monotonic()
         assert net.load(fingerprint, qpt_hash) is None
         assert time.monotonic() - start < 5.0
-        stats = net.net_stats()
+        stats = net.stats()
         assert stats["coalesced"] == 1
         assert stats["fell_back"] == 1
         peer.release.set()  # unpark the leader for clean teardown
