@@ -29,6 +29,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.cache import QueryCache, TfColumn
@@ -74,6 +75,7 @@ from repro.xquery.ast import (
     FLWOR,
     FTContains,
     VarRef,
+    sequence_items,
 )
 from repro.xquery.evaluator import EvalContext, Evaluator
 from repro.xquery.functions import inline_functions
@@ -256,19 +258,24 @@ class ViewStatistics:
     phase 1 stops at the integers and phase 2
     (:func:`rank_statistics`) runs once the global idf is known.  The
     counts are exact integer sums, which is why sharded scores come out
-    bit-identical to the single-engine path.
+    bit-identical to the single-engine path.  ``timings`` is the ledger
+    the phase was charged to.
 
-    ``offset`` is the view position of row 0: 0 for a lone engine, the
-    fragment's place in the whole view once the coordinator's gather
-    has set it.  No :class:`ScoredResult` exists until
-    :func:`rank_statistics` builds one per winner; ``scored`` is the
-    compatibility read, every row materialized (unscored) on first use.
+    The rows fall into parts, one per top-level item of a sequence view
+    (``sums.starts``), and ``offsets`` holds the view index of each
+    part's first row: empty — the identity, a lone engine's view is the
+    whole view — until the coordinator's gather sets them for a shard,
+    whose parts are fragments of the whole view.  No
+    :class:`ScoredResult` exists until :func:`rank_statistics` builds
+    one per winner; ``scored`` is the compatibility read, every row
+    materialized (unscored) at its view index on first use.
     """
 
     sums: ColumnSums
     cache_hits: dict[str, str]
     evaluated_hit: bool
-    offset: int = 0
+    timings: PhaseTimings = field(default_factory=PhaseTimings)
+    offsets: tuple[int, ...] = ()
 
     @property
     def view_size(self) -> int:
@@ -278,55 +285,64 @@ class ViewStatistics:
     def containing(self) -> dict[str, int]:
         return self.sums.containing
 
+    @property
+    def part_sizes(self) -> list[int]:
+        """The result count of each part, in row order."""
+        starts = self.sums.starts
+        ends = (*starts[1:], self.view_size)
+        return [end - start for start, end in zip(starts, ends)]
+
+    def offset(self, row: int) -> int:
+        """What ``row`` adds to become its view index."""
+        if not self.offsets:
+            return 0
+        starts = self.sums.starts
+        part = bisect_right(starts, row) - 1
+        return self.offsets[part] - starts[part]
+
     @cached_property
     def scored(self) -> list[ScoredResult]:
         result, offset = self.sums.result, self.offset
-        return [result(row, offset=offset) for row in range(self.view_size)]
+        return [result(row, offset=offset(row)) for row in range(self.view_size)]
 
 
 def rank_statistics(
-    parts: Sequence[ViewStatistics],
+    stats: ViewStatistics,
     idf: Mapping[str, float],
     normalized: tuple[str, ...],
     conjunctive: bool,
     top_k: Optional[int],
 ) -> tuple[list[ScoredResult], int]:
     """Phase 2 of the protocol: the view-wide idf → keyword semantics →
-    scores → top k over ``parts`` (the lone engine's one harvest, or the
-    fragments one shard holds, in view order).  Returns the ranked
-    survivors and how many results matched.
+    scores → top k over one engine's statistics (the lone engine's
+    whole view, or the fragments one shard holds, in view order).
+    Returns the ranked survivors and how many results matched.
 
     Every step is column arithmetic (:class:`~repro.core.scoring.
     ColumnSums`): the mask picks the matching rows, only those are
     scored, and the selection is one stable reverse sort of their
     positions by score, cut at k, so equal scores keep ascending view
-    index — the tie-break ``TopKSelector`` and the coordinator's merge
-    share.  A :class:`~repro.core.scoring.ScoredResult` is built for
-    the winners only, at view index ``part.offset + row``.
+    index (a shard's offsets rise with its rows) — the tie-break
+    ``TopKSelector`` and the coordinator's merge share.  A
+    :class:`~repro.core.scoring.ScoredResult` is built for the winners
+    only, at view index ``offsets[part] + (row - starts[part])``.
     ``top_k <= 0`` scores nothing and returns no result, but still
     counts the matches.
     """
-    scores: list = []
-    spans: list[tuple[int, ViewStatistics, list[int]]] = []
-    matching = 0
-    for part in parts:
-        rows = part.sums.matching(conjunctive)
-        matching += len(rows)
-        if top_k is None or top_k > 0:
-            spans.append((len(scores), part, rows))
-            scores += part.sums.scores(rows, idf, normalized)
+    sums = stats.sums
+    rows = sums.matching(conjunctive)
+    if top_k is not None and top_k <= 0:
+        return [], len(rows)
+    scores = sums.scores(rows, idf, normalized)
     # One C-level sort: below ≈ 600 candidates (every benchmark view)
     # faster than heapq.nlargest's per-candidate Python loop.
     positions = range(len(scores))
     winners = sorted(positions, key=scores.__getitem__, reverse=True)[:top_k]
-    starts = [start for start, _part, _rows in spans]
     ranked = []
     for position in winners:
-        start, part, rows = spans[bisect_right(starts, position) - 1]
-        ranked.append(part.sums.result(
-            rows[position - start], scores[position], part.offset
-        ))
-    return ranked, matching
+        row = rows[position]
+        ranked.append(sums.result(row, scores[position], stats.offset(row)))
+    return ranked, len(rows)
 
 
 def wrap_results(
@@ -646,11 +662,7 @@ class KeywordSearchEngine:
         except KeyError:
             raise ViewDefinitionError(f"no view named {name!r}") from None
 
-    def warm_view(
-        self,
-        view: Union[View, str],
-        scan_started: Optional[float] = None,
-    ) -> dict[str, str]:
+    def warm_view(self, view: Union[View, str]) -> dict[str, str]:
         """Pre-build the view's keyword-independent cached state.
 
         Runs one ``build_skeleton`` per ``(view, document)`` pair plus
@@ -671,9 +683,7 @@ class KeywordSearchEngine:
         warm), keyed by document name.  A view with more documents
         than the skeleton tier holds warms the first ones in document
         order and builds the rest for nothing (see
-        :meth:`resident_documents`); ``scan_started`` lets a caller
-        warming several views as one sweep (a shard executor's
-        fragments) share one start, and defaults to now.
+        :meth:`resident_documents`).
         """
         if self.cache is None:
             raise ValueError(
@@ -691,9 +701,7 @@ class KeywordSearchEngine:
                 "get_view, or warm by name)"
             )
         self._reject_stale(view)
-        pdts, cache_hits, doc_coordinates = self._build_pdts(
-            view, (), scan_started=scan_started
-        )
+        pdts, cache_hits, doc_coordinates = self._build_pdts(view, ())
         self._evaluate_view_results(view, pdts, doc_coordinates)
         return cache_hits
 
@@ -749,7 +757,7 @@ class KeywordSearchEngine:
         materialize: bool = False,
     ) -> SearchOutcome:
         timings = PhaseTimings()
-        start = scan_started = time.perf_counter()
+        start = time.perf_counter()
         if isinstance(view, str):
             view = self.get_view(view)
         self._reject_stale(view)
@@ -759,17 +767,15 @@ class KeywordSearchEngine:
         # Phases 2–3a plus the statistics sum (see
         # collect_view_statistics) — the same phase-1 routine a shard
         # executor runs.
-        stats = self.collect_view_statistics(
-            view, normalized, timings, scan_started
-        )
+        stats = self.collect_view_statistics(view, normalized, timings)
 
-        # The one-part case of the protocol: the counts are already the
-        # whole view's, and one ranked list is already the answer — no
-        # scatter, no merge.
+        # The one-engine case of the protocol: the counts are already
+        # the whole view's, and one ranked list is already the answer —
+        # no scatter, no merge.
         start = time.perf_counter()
         idf = idf_from_counts(stats.view_size, stats.containing)
         ranked, matching = rank_statistics(
-            (stats,), idf, normalized, conjunctive, top_k
+            stats, idf, normalized, conjunctive, top_k
         )
         results = wrap_results(ranked, lambda _: self.database, materialize)
         timings.post_processing += time.perf_counter() - start
@@ -789,7 +795,6 @@ class KeywordSearchEngine:
         view: Union[View, str],
         normalized: Sequence[str],
         timings: Optional[PhaseTimings] = None,
-        scan_started: Optional[float] = None,
     ) -> ViewStatistics:
         """Phase 1 of the scatter-gather protocol: statistics, no scores.
 
@@ -801,27 +806,24 @@ class KeywordSearchEngine:
         corpus it exists only after every shard's integer counts are
         summed, so this method stops at the integers and leaves phase 2
         of the protocol (:func:`rank_statistics`) to the caller.
-        ``normalized`` must already be keyword-normalized.  When a
-        timings ledger is passed, spans are *added* to the same phases
-        ``search_detailed`` reports (pdt, evaluator; the statistics sum
-        lands in post_processing).  ``scan_started`` is the
-        ``time.perf_counter`` reading at which the *query* began — one
-        value shared by every view (fragment) the query sweeps: cache
-        entries used since then are not evicted on its behalf (see
-        :meth:`repro.core.cache.LRUCache.put`).  Defaults to now — a
-        lone call is its own query.
+        ``normalized`` must already be keyword-normalized.  Spans are
+        *added* to the same phases ``search_detailed`` reports (pdt,
+        evaluator; the statistics sum lands in post_processing) of the
+        ``timings`` ledger — a new one unless passed — which the
+        statistics carry.
         """
         if isinstance(view, str):
             view = self.get_view(view)
         self._reject_stale(view)
         normalized = tuple(normalized)
+        if timings is None:
+            timings = PhaseTimings()
 
         start = time.perf_counter()
         pdts, cache_hits, doc_coordinates = self._build_pdts(
-            view, normalized, timings, scan_started
+            view, normalized, timings
         )
-        if timings is not None:
-            timings.pdt += time.perf_counter() - start
+        timings.pdt += time.perf_counter() - start
 
         plan, evaluated_hit = self._evaluate_view_results(
             view, pdts, doc_coordinates, timings
@@ -829,12 +831,12 @@ class KeywordSearchEngine:
 
         start = time.perf_counter()
         sums = plan.sum(normalized, tf_source=pdts)
-        if timings is not None:
-            timings.post_processing += time.perf_counter() - start
+        timings.post_processing += time.perf_counter() - start
         return ViewStatistics(
             sums=sums,
             cache_hits=cache_hits,
             evaluated_hit=evaluated_hit,
+            timings=timings,
         )
 
     def _reject_stale(self, view: View) -> None:
@@ -848,7 +850,6 @@ class KeywordSearchEngine:
         view: View,
         normalized: tuple[str, ...],
         timings: Optional[PhaseTimings] = None,
-        scan_started: Optional[float] = None,
     ) -> tuple[
         dict[str, PDTResult],
         dict[str, str],
@@ -886,13 +887,12 @@ class KeywordSearchEngine:
         across definitions.
 
         A view with more documents than a tier holds sweeps it in the
-        same order every query; every put carries ``scan_started`` so
-        the sweep keeps what it already used instead of flooding the
-        tier, and a skeleton the tier turns away is used for this query,
-        then dropped.  Without a ``scan_started`` the sweep starts here.
+        same order every query; every put carries the sweep's start
+        (``scan_started``) so the sweep keeps what it already used
+        instead of flooding the tier, and a skeleton the tier turns away
+        is used for this query, then dropped.
         """
-        if scan_started is None:
-            scan_started = time.perf_counter()
+        scan_started = time.perf_counter()
         cache = self.cache
         cacheable = cache is not None and self._views.get(view.name) is view
         store = self.snapshot_store
@@ -1064,10 +1064,14 @@ class KeywordSearchEngine:
                     timings.evaluator += time.perf_counter() - start
                 return cached, True
         evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(pdts)))
-        items = evaluator.evaluate(view.expr)
-        view_results = [item for item in items if isinstance(item, XMLNode)]
+        # Sequence evaluation is concatenation: each top-level item
+        # evaluated alone is its part of the view, and gives its size.
+        parts = [
+            [item for item in evaluator.evaluate(expr) if isinstance(item, XMLNode)]
+            for expr in sequence_items(view.expr)
+        ]
         evaluated = time.perf_counter()
-        plan = StatisticsPlan(view_results)
+        plan = StatisticsPlan(chain.from_iterable(parts), [len(p) for p in parts])
         if timings is not None:
             timings.evaluator += evaluated - start
             timings.post_processing += time.perf_counter() - evaluated

@@ -45,7 +45,7 @@ normalized by the element's byte length (Section 4.2.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -111,13 +111,21 @@ class StatisticsPlan:
     Nothing in a plan depends on a query, and :meth:`sum` never writes
     to one: a plan is shared across threads like the result nodes
     themselves.
+
+    ``part_sizes`` splits the rows into consecutive parts — the engine
+    passes the result count of each top-level item of a sequence view —
+    and ``starts`` keeps the row each part begins at; without it the
+    rows are one part.
     """
 
-    __slots__ = ("nodes", "_lengths", "_docs", "_counts")
+    __slots__ = ("nodes", "starts", "_lengths", "_docs", "_counts")
 
-    def __init__(self, view_results: Iterable[XMLNode]):
+    def __init__(
+        self, view_results: Iterable[XMLNode], part_sizes: Sequence[int] = ()
+    ):
         #: The result nodes, in view order (the rows of every column).
         self.nodes: tuple[XMLNode, ...] = tuple(view_results)
+        self.starts: tuple[int, ...] = (0, *accumulate(part_sizes[:-1]))
         lengths: list[int] = []
         leaves: dict[str, tuple[list[int], list[int], list[int]]] = {}
         counts: list[tuple[int, tuple]] = []
@@ -205,7 +213,7 @@ class StatisticsPlan:
         containing = {
             keyword: size - column.count(0) for keyword, column in tfs.items()
         }
-        return ColumnSums(self.nodes, tfs, lengths, containing)
+        return ColumnSums(self.nodes, self.starts, tfs, lengths, containing)
 
     def collect(
         self,
@@ -224,9 +232,10 @@ class StatisticsPlan:
 class ColumnSums:
     """A plan's statistics for one keyword set, as columns over its rows.
 
-    ``tfs`` maps each distinct keyword to its tf column, ``lengths`` is
-    the byte-length column and ``containing`` the per-keyword count of
-    rows with a nonzero tf.  :meth:`matching` and :meth:`scores` are
+    ``starts`` is the plan's: the row each part begins at.  ``tfs`` maps
+    each distinct keyword to its tf column, ``lengths`` is the
+    byte-length column and ``containing`` the per-keyword count of rows
+    with a nonzero tf.  :meth:`matching` and :meth:`scores` are
     ``filter_matching`` and ``apply_scores`` by column — the same float
     operations in the same order, so the scores are bit-identical — and
     :meth:`result` is the one place a row becomes a
@@ -234,6 +243,7 @@ class ColumnSums:
     """
 
     nodes: Sequence[XMLNode]
+    starts: tuple[int, ...]
     tfs: dict[str, list[int]]
     lengths: list[int]
     containing: dict[str, int]

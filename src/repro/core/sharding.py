@@ -15,8 +15,9 @@ statistic (Section 2.2: ``idf(k) = |V(D)| / containing(k)`` over the
 1. **Statistics scatter** — every shard holding view fragments runs the
    pipeline through evaluation and the statistics sum
    (:meth:`~repro.core.engine.KeywordSearchEngine.collect_view_statistics`),
-   returning tf and byte-length columns plus two integers per shard:
-   its view-size contribution and per-keyword containing counts.
+   one engine call over its one view, returning tf and byte-length
+   columns with one part per fragment, plus integers: each fragment's
+   result count and the shard's per-keyword containing counts.
 2. **Gather** — the coordinator sums the integers (exact, so the idf
    floats are bit-identical to the single-engine division), sets each
    fragment's global view offset (prefix sums over fragment sizes in
@@ -30,9 +31,11 @@ statistic (Section 2.2: ``idf(k) = |V(D)| / containing(k)`` over the
    below the current k-th score.
 
 A view is fragmented at its top-level sequence boundaries (``(f1, f2,
-…)``): each fragment is the evaluation unit and must live wholly on one
+…)``): each fragment is the placement unit and must live wholly on one
 shard — the plan colocates a fragment's documents, and ``define_view``
-rejects a plan that would split one.  Ranking is **bit-identical** to
+rejects a plan that would split one.  A shard's fragments, in position
+order, are one engine view (:meth:`Fragment.merge`): its slice of the
+view, cached and answered as a unit.  Ranking is **bit-identical** to
 evaluating the concatenated view on one engine: sequence evaluation is
 fragment-by-fragment, the statistics are integer-summed, the scores are
 the same floats, and the merge provably returns the same top-k (the
@@ -40,7 +43,7 @@ difftest suite asserts this bit-for-bit across randomized plans).
 
 Both phases exist once, in :mod:`repro.core.engine`
 (``collect_view_statistics``, ``rank_statistics``): the lone engine is
-their one-part caller, the coordinator their N-part caller through
+their one-engine caller, the coordinator their N-shard caller through
 ``_scatter``, and both return the same ``SearchOutcome``.
 """
 
@@ -82,7 +85,12 @@ from repro.storage.database import IndexedDocument, XMLDatabase
 from repro.storage.update import DocumentDelta
 from repro.xmlmodel.node import Document, XMLNode
 from repro.xmlmodel.tokenizer import normalize_keyword
-from repro.xquery.ast import Expr, SequenceExpr, referenced_documents
+from repro.xquery.ast import (
+    Expr,
+    SequenceExpr,
+    referenced_documents,
+    sequence_items,
+)
 from repro.xquery.functions import inline_functions
 from repro.xquery.parser import parse_query
 
@@ -92,16 +100,33 @@ from repro.xquery.parser import parse_query
 
 @dataclass(frozen=True)
 class Fragment:
-    """One top-level piece of a view's sequence expression.
+    """One top-level piece of a view's sequence expression — or a
+    shard's pieces of one view, merged into one sequence.
 
-    ``position`` is the fragment's index in the sequence — the key for
-    rebasing its local result indexes to global view positions.  A
-    fragment is the unit of placement: its documents must share a shard.
+    ``positions`` holds each piece's index in the view's sequence, in
+    order — the keys for rebasing local result indexes to global view
+    positions; ``position`` is the first.  A view fragment is the unit
+    of placement: its documents must share a shard.
     """
 
-    position: int
+    positions: tuple[int, ...]
     expr: Expr
     documents: tuple[str, ...]
+
+    @property
+    def position(self) -> int:
+        return self.positions[0]
+
+    @classmethod
+    def merge(cls, fragments: Sequence["Fragment"]) -> "Fragment":
+        """View fragments, in position order, as one sequence (always a
+        :class:`SequenceExpr`, so each is one top-level item)."""
+        ordered = sorted(fragments, key=lambda fragment: fragment.position)
+        return cls(
+            positions=tuple(fragment.position for fragment in ordered),
+            expr=SequenceExpr(tuple(fragment.expr for fragment in ordered)),
+            documents=tuple(sorted({d for f in ordered for d in f.documents})),
+        )
 
 
 def view_fragments(expr: Expr) -> tuple[Fragment, ...]:
@@ -111,12 +136,8 @@ def view_fragments(expr: Expr) -> tuple[Fragment, ...]:
     fragment-by-fragment concatenation, so per-fragment results at
     rebased indexes reproduce the whole view's result order exactly.
     """
-    if isinstance(expr, SequenceExpr):
-        items: tuple[Expr, ...] = expr.items
-    else:
-        items = (expr,)
     fragments = []
-    for position, item in enumerate(items):
+    for position, item in enumerate(sequence_items(expr)):
         documents = tuple(sorted(referenced_documents(item)))
         if not documents:
             raise ShardingError(
@@ -124,7 +145,7 @@ def view_fragments(expr: Expr) -> tuple[Fragment, ...]:
                 "cannot be placed on any shard"
             )
         fragments.append(
-            Fragment(position=position, expr=item, documents=documents)
+            Fragment(positions=(position,), expr=item, documents=documents)
         )
     return tuple(fragments)
 
@@ -233,34 +254,17 @@ class ShardPlan:
 # -- per-shard execution --------------------------------------------------------
 
 
-@dataclass
-class FragmentStatistics:
-    """Phase-1 statistics for one fragment on one shard."""
-
-    position: int
-    stats: ViewStatistics
-
-
-@dataclass
-class ShardHarvest:
-    """Everything one shard returns from the statistics scatter: its
-    fragments' statistics (no PDT), timings and cache outcomes."""
-
-    shard_id: int
-    fragments: list[FragmentStatistics]
-    timings: PhaseTimings
-    cache_hits: dict[str, str]
-    evaluated_hit: bool
-
-
 class ShardExecutor:
     """One shard: its own database, cache, snapshot slice, and engine.
 
     Executors never see each other — all cross-shard coordination
     (global idf, index rebasing, the final merge) happens in the
-    coordinator.  Each view fragment placed here is registered as its
-    own engine view (``view#position``), so every cache tier — prepared
-    lists, skeletons, PDTs, evaluated results — operates per fragment.
+    coordinator.  The view fragments placed here are one engine view:
+    the sequence of them in position order (sequence evaluation is
+    concatenation, so its parts are the fragments' results).  Every
+    cache tier — prepared lists, skeletons, PDTs, evaluated results —
+    operates on the shard's slice of the view, and each phase is one
+    engine call.
     """
 
     def __init__(
@@ -281,7 +285,7 @@ class ShardExecutor:
             enable_cache=enable_cache,
             snapshot_store=snapshot_store,
         )
-        self._fragments: dict[str, tuple[Fragment, ...]] = {}
+        self._fragments: dict[str, Fragment] = {}
 
     def close(self) -> None:
         """Release the shard engine's hooks and prune its snapshot slice."""
@@ -310,92 +314,55 @@ class ShardExecutor:
     def register_view(
         self, view_name: str, fragments: Sequence[Fragment]
     ) -> None:
-        """Register this shard's fragments of a view.
-
-        Each fragment becomes a separate engine view named
-        ``view#position`` — stable across processes (the position comes
+        """Register this shard's fragments of a view as one engine view:
+        :meth:`Fragment.merge` of them, named ``view#position`` after
+        its first fragment — stable across processes (the position comes
         from the view text), so cache keys and snapshot files line up
-        between runs.
-        """
-        ordered = tuple(sorted(fragments, key=lambda f: f.position))
-        for fragment in ordered:
-            self.engine.register_view(
-                _fragment_view_name(view_name, fragment.position),
-                fragment.expr,
-            )
-        self._fragments[view_name] = ordered
+        between runs."""
+        merged = Fragment.merge(fragments)
+        self.engine.register_view(
+            _fragment_view_name(view_name, merged.position), merged.expr
+        )
+        self._fragments[view_name] = merged
 
     def fragments_for(self, view_name: str) -> tuple[Fragment, ...]:
+        """The shard's one merged fragment of the view, as a 1-tuple."""
         try:
-            return self._fragments[view_name]
+            return (self._fragments[view_name],)
         except KeyError:
             raise ViewDefinitionError(
                 f"shard {self.shard_id} holds no fragments of view "
                 f"{view_name!r}"
             ) from None
 
+    def _engine_view(self, view_name: str) -> str:
+        (fragment,) = self.fragments_for(view_name)
+        return _fragment_view_name(view_name, fragment.position)
+
     def warm_view(self, view_name: str) -> dict[str, str]:
-        """Warm every fragment's skeleton/evaluated tiers on this shard."""
-        merged: dict[str, str] = {}
-        # One start for the whole shard: the fragments are one sweep.
-        scan_started = time.perf_counter()
-        for fragment in self.fragments_for(view_name):
-            merged.update(
-                self.engine.warm_view(
-                    _fragment_view_name(view_name, fragment.position),
-                    scan_started,
-                )
-            )
-        return merged
+        """Warm the skeleton/evaluated tiers of the shard's slice."""
+        return self.engine.warm_view(self._engine_view(view_name))
 
     def resident_documents(self, view_name: str) -> list[str]:
-        """Documents of this shard's fragments with a resident skeleton."""
-        return [
-            doc_name
-            for fragment in self.fragments_for(view_name)
-            for doc_name in self.engine.resident_documents(
-                _fragment_view_name(view_name, fragment.position)
-            )
-        ]
+        """The slice's documents with a resident skeleton."""
+        return self.engine.resident_documents(self._engine_view(view_name))
 
     # -- the two scatter phases --------------------------------------------------
 
     def collect(
         self, view_name: str, normalized: tuple[str, ...]
-    ) -> ShardHarvest:
-        """Statistics scatter: phase 1 over every local fragment."""
+    ) -> ViewStatistics:
+        """Statistics scatter: phase 1 over the shard's slice, one part
+        per fragment (the gather sets each part's offset)."""
         if self._faults is not None:
             self._faults.act(f"shard{self.shard_id}.collect")
-        timings = PhaseTimings()
-        fragments: list[FragmentStatistics] = []
-        cache_hits: dict[str, str] = {}
-        evaluated_hit = True
-        # One start per shard per query: to the cache tiers the shard's
-        # fragment views are a single sweep, not one query each.
-        scan_started = time.perf_counter()
-        for fragment in self.fragments_for(view_name):
-            stats = self.engine.collect_view_statistics(
-                _fragment_view_name(view_name, fragment.position),
-                normalized,
-                timings,
-                scan_started,
-            )
-            fragments.append(
-                FragmentStatistics(position=fragment.position, stats=stats)
-            )
-            cache_hits.update(stats.cache_hits)
-            evaluated_hit = evaluated_hit and stats.evaluated_hit
-        return ShardHarvest(
-            shard_id=self.shard_id,
-            fragments=fragments,
-            timings=timings,
-            cache_hits=cache_hits,
-            evaluated_hit=evaluated_hit,
+        return self.engine.collect_view_statistics(
+            self._engine_view(view_name), normalized
         )
 
     def rank(
         self,
-        harvest: ShardHarvest,
+        stats: ViewStatistics,
         idf: Mapping[str, float],
         normalized: tuple[str, ...],
         conjunctive: bool,
@@ -403,14 +370,13 @@ class ShardExecutor:
     ) -> tuple[list[ScoredResult], int]:
         """Ranking scatter: phase 2 (:func:`~repro.core.engine.
         rank_statistics`, whose pair this returns) over this shard's
-        fragments under the global idf, with each fragment's offset
+        statistics under the global idf, with each fragment's offset
         already set by the gather."""
         if self._faults is not None:
             self._faults.act(f"shard{self.shard_id}.rank")
         start = time.perf_counter()
-        parts = [fragment.stats for fragment in harvest.fragments]
-        ranking = rank_statistics(parts, idf, normalized, conjunctive, k)
-        harvest.timings.post_processing += time.perf_counter() - start
+        ranking = rank_statistics(stats, idf, normalized, conjunctive, k)
+        stats.timings.post_processing += time.perf_counter() - start
         return ranking
 
 
@@ -912,7 +878,7 @@ class CorpusCoordinator:
         conjunctive: bool = True,
         materialize: bool = False,
     ) -> SearchOutcome:
-        """The N-part case of the protocol (see the module docstring):
+        """The N-shard case of the protocol (see the module docstring):
         the engine's two phases, each behind :meth:`_scatter`, with a
         gather between them and a merge after.
 
@@ -940,19 +906,25 @@ class CorpusCoordinator:
         self._enforce_policy(name, failures, healthy_count=len(harvests))
         healthy = tuple(shard for shard in shards if shard in harvests)
 
-        # Gather: integer sums -> global idf; give each fragment its
-        # global view offset (one integer per fragment: no result object
-        # exists yet, and rank_statistics builds the winners at
-        # offset + row) so ranking tie-breaks match the single-engine
-        # concatenated evaluation exactly.  A shard lost in phase 1
-        # contributes nothing here — view_size, offsets and idf all
-        # describe the *surviving* fragments, so a degraded outcome
-        # equals evaluating the healthy-only view.
+        # Gather: integer sums -> global idf; give each fragment (a part
+        # of its shard's statistics) its global view offset (one integer
+        # per fragment: no result object exists yet, and rank_statistics
+        # builds the winners at offset + row within the part) so ranking
+        # tie-breaks match the single-engine concatenated evaluation
+        # exactly.  A shard lost in phase 1 contributes nothing here —
+        # view_size, offsets and idf all describe the *surviving*
+        # fragments, so a degraded outcome equals evaluating the
+        # healthy-only view.
         start = time.perf_counter()
+        positions = {
+            shard: self.executors[shard].fragments_for(name)[0].positions
+            for shard in healthy
+        }
         fragment_sizes: dict[int, int] = {}
         for shard in healthy:
-            for fragment in harvests[shard].fragments:
-                fragment_sizes[fragment.position] = fragment.stats.view_size
+            fragment_sizes.update(
+                zip(positions[shard], harvests[shard].part_sizes, strict=True)
+            )
         offsets: dict[int, int] = {}
         running = 0
         for position in sorted(fragment_sizes):
@@ -960,13 +932,10 @@ class CorpusCoordinator:
             running += fragment_sizes[position]
         view_size = running
         for shard in healthy:
-            for fragment in harvests[shard].fragments:
-                fragment.stats.offset = offsets[fragment.position]
+            harvests[shard].offsets = tuple(map(offsets.get, positions[shard]))
         containing = {
             keyword: sum(
-                fragment.stats.containing.get(keyword, 0)
-                for shard in healthy
-                for fragment in harvests[shard].fragments
+                harvests[shard].containing.get(keyword, 0) for shard in healthy
             )
             for keyword in normalized
         }

@@ -294,6 +294,12 @@ class Program:
         return f"{decls}{self.body}"
 
 
+def sequence_items(expr: Expr) -> tuple[Expr, ...]:
+    """The top-level items of a sequence; any other expression is its
+    own one item."""
+    return expr.items if isinstance(expr, SequenceExpr) else (expr,)
+
+
 def referenced_documents(expr: Expr) -> list[str]:
     """Names of all documents referenced via ``fn:doc`` (in first-use order)."""
     seen: list[str] = []

@@ -948,9 +948,10 @@ class TestSweepLargerThanTier:
         assert engine.resident_documents("lib") == kept
 
     def test_shard_fragments_share_one_scan_start(self):
-        # 24 one-document fragment views on one executor are one sweep:
-        # stamped per fragment, each put would evict the previous
-        # fragment's skeleton and the tier would serve nothing.
+        # Six one-document fragments on one executor are one engine view,
+        # so one sweep with one start: stamped per fragment, each put
+        # would evict the previous fragment's skeleton and the tier would
+        # serve nothing.
         from repro.core.sharding import ShardExecutor, view_fragments
         from repro.xquery.functions import inline_functions
         from repro.xquery.parser import parse_query

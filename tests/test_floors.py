@@ -76,6 +76,12 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # sweep rebuilds 32 of its 96 skeletons per query and no evaluated
     # hit reads a tree.
     ("no-tree-on-evaluated-hit", "cold_sweep_trees", "trees_per_query", "==", 0),
+    # 0.0 while every fragment was its own engine view: 96 evaluated
+    # entries per query against 64 slots, each evicting the next.
+    ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
+    # 96 per query (one per fragment view) before a shard's fragments
+    # became one sequence view.
+    ("one-engine-call-per-shard", "sharded_sweep", "engine_calls_per_query", "==", "shard_count"),
 ]
 RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
 KEYWORD_SETS = [("thomas",), ("control",), ("search",), ("thomas", "control")]
@@ -117,16 +123,48 @@ def sharded_sweep():
     fragment each; bench_x8's, document for document) through 4 shard
     executors: the streaming merge's counters over bench_x8's four
     queries (80 results offered, 65 consumed, 15 streams pruned), and
-    the ``ScoredResult`` objects the shards built to offer them."""
+    the ``ScoredResult`` objects the shards built to offer them, and the
+    ``collect_view_statistics`` calls each query made."""
     corpus, totals = workloads.generate("sharded_fanout"), Counter()
     coordinator, _ = ingest_corpus(
         corpus.documents, {"v": corpus.view_text}, shard_count=4
     )
-    with coordinator, _counting_scored_results(totals):
-        for keywords in ("xml",), ("query", "index"), ("search",), ("ranking", "views"):
+    queries = ("xml",), ("query", "index"), ("search",), ("ranking", "views")
+    collect = KeywordSearchEngine.collect_view_statistics
+
+    def counted_collect(engine, *args, **kwargs):
+        totals["engine_calls"] += 1
+        return collect(engine, *args, **kwargs)
+
+    with coordinator, _counting_scored_results(totals), mock.patch.object(
+        KeywordSearchEngine, "collect_view_statistics", counted_collect
+    ):
+        for keywords in queries:
             outcome = coordinator.search_detailed("v", keywords, top_k=5)
             totals.update(outcome.merge_stats.as_dict())
+    totals["engine_calls_per_query"] = totals["engine_calls"] / len(queries)
+    totals["shard_count"] = len(outcome.shards)
     return totals
+
+
+def one_shard_sweep():
+    """The layered ``sharded_fanout`` corpus through a 1-shard
+    ``ingest_corpus`` (default tiers): the evaluated tier's hit rate
+    over 24 of its requests, after one warm pass over the same 24."""
+    corpus = workloads.generate("sharded_fanout")
+    coordinator, _ = ingest_corpus(
+        corpus.documents, {"v": corpus.view_text}, shard_count=1
+    )
+    requests = corpus.requests[:24]
+    with coordinator:
+        for request in requests:
+            coordinator.search("v", request.keywords, conjunctive=request.conjunctive)
+        before = coordinator.stats()["cache"]["evaluated"]
+        for request in requests:
+            coordinator.search("v", request.keywords, conjunctive=request.conjunctive)
+        after = coordinator.stats()["cache"]["evaluated"]
+    hits = after["hits"] - before["hits"]
+    return {"evaluated_hit_rate": hits / (hits + after["misses"] - before["misses"])}
 
 
 def _counting_scored_results(counters):
@@ -218,9 +256,9 @@ def fifty_keyword_sets():
     build, value = StatisticsPlan.__init__, XMLNode.value.fget
     sweep = PostingList.cumulative_below
 
-    def counted_build(plan, view_results):
+    def counted_build(plan, *args, **kwargs):
         counters["plans_built"] += 1
-        build(plan, view_results)
+        build(plan, *args, **kwargs)
 
     def counted_value(node):
         counters["nodes_walked"] += 1

@@ -390,40 +390,42 @@ class TestColumnRankingEqualsReference:
     def test_rank_statistics_equals_score_results_then_select_top_k(
         self, data, forest, keywords, tf_source, conjunctive, k
     ):
-        """1-3 parts at their offsets (a lone engine's harvest, or one
-        shard's fragments) rank exactly like the whole forest through
-        collect -> apply_scores -> filter_matching -> select_top_k."""
+        """1-3 parts at offsets with gaps between them (one shard's
+        fragments of a larger view) rank exactly like the whole forest
+        through collect -> apply_scores -> filter_matching ->
+        select_top_k, each winner at its part's offset."""
         size = len(forest)
         top_k = size + 1 if k == "n+1" else k
         cuts = data.draw(st.lists(st.integers(0, size), max_size=2))
         bounds = [0, *sorted(cuts), size]
-        parts = [
-            ViewStatistics(
-                sums=StatisticsPlan(forest[start:stop]).sum(keywords, tf_source),
-                cache_hits={}, evaluated_hit=True, offset=start,
-            )
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-        containing = {
-            keyword: sum(part.containing[keyword] for part in parts)
-            for keyword in dict.fromkeys(keywords)
-        }
-        idf = idf_from_counts(size, containing)
-        ranked, matching = rank_statistics(parts, idf, keywords, conjunctive, top_k)
+        sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
+        gap = 7  # the results of other shards' fragments before each part
+        stats = ViewStatistics(
+            sums=StatisticsPlan(forest, sizes).sum(keywords, tf_source),
+            cache_hits={}, evaluated_hit=True,
+            offsets=tuple(start + gap * part for part, start in enumerate(bounds[:-1])),
+        )
+        idf = idf_from_counts(stats.view_size, stats.containing)
+        ranked, matching = rank_statistics(stats, idf, keywords, conjunctive, top_k)
 
         outcome = score_results(forest, keywords, conjunctive, tf_source=tf_source)
+        expected = select_top_k(outcome, top_k)
+        part_of = [part for part, count in enumerate(sizes) for _ in range(count)]
         assert idf == outcome.idf
-        assert _ranked(ranked) == _ranked(select_top_k(outcome, top_k))
-        assert all(r.node is forest[r.index] for r in ranked)
+        assert _ranked(ranked) == [
+            (index + gap * part_of[index], *rest)
+            for index, *rest in _ranked(expected)
+        ]
+        assert all(r.node is e.node for r, e in zip(ranked, expected))
         assert matching == len(outcome.results)
 
     def test_scored_is_every_row_at_the_offset(self):
         forest = [result_with_text("xml"), result_with_text("none")]
         stats = ViewStatistics(
-            sums=StatisticsPlan(forest).sum(("xml",)),
-            cache_hits={}, evaluated_hit=True, offset=5,
+            sums=StatisticsPlan(forest, [1, 1]).sum(("xml",)),
+            cache_hits={}, evaluated_hit=True, offsets=(5, 9),
         )
         assert [(r.index, r.tf("xml"), r.score) for r in stats.scored] == [
-            (5, 1, 0.0), (6, 0, 0.0)
+            (5, 1, 0.0), (9, 0, 0.0)
         ]
         assert stats.scored is stats.scored  # built once, on first read

@@ -396,6 +396,97 @@ class TestCoordinator:
                 assert name in home.engine.database.document_names()
 
 
+def _placed_coordinator(assignments, view_text, docs=DOCS):
+    """A coordinator over ``docs`` with each document on the shard
+    ``assignments`` names."""
+    shard_count = max(assignments.values()) + 1
+    plan = ShardPlan.from_assignments(assignments, shard_count)
+    executors = [ShardExecutor(i) for i in range(shard_count)]
+    for name in sorted(assignments):
+        executors[plan.shard_of(name)].load_document(name, docs[name])
+    coordinator = CorpusCoordinator(executors, plan)
+    coordinator.define_view("v", view_text)
+    return coordinator
+
+
+def _assert_ranks_like(coordinator, single):
+    for keywords in (("alpha",), ("alpha", "gamma"), ("epsilon",), ("ghostword",)):
+        for conjunctive in (True, False):
+            for top_k in (3, None):
+                ranked = [
+                    [(r.rank, r.score, r.scored.index) for r in engine.search(
+                        "v", keywords, top_k=top_k, conjunctive=conjunctive
+                    )]
+                    for engine in (coordinator, single)
+                ]
+                assert ranked[0] == ranked[1], (keywords, conjunctive, top_k)
+
+
+class TestOneEngineViewPerShard:
+    """A shard's fragments are one engine view, its parts one per
+    fragment, each rebased to its own global offset by the gather."""
+
+    def test_interleaved_fragments_with_an_empty_one(self):
+        # Fragments 0 and 2 on shard 0, 1 and 3 on shard 1; fragment 2
+        # matches no element, so its part is empty.
+        fragments = [
+            _fragment("d0"),
+            _fragment("d1"),
+            "(for $b in fn:doc(d2)//missing return <hit>{$b/title}</hit>)",
+            _fragment("d3"),
+        ]
+        view_text = "(" + ",\n".join(fragments) + ")"
+        docs = {name: DOCS[name] for name in ("d0", "d1", "d2", "d3")}
+        single = _single_engine(view_text, docs)
+        with _placed_coordinator(
+            {"d0": 0, "d1": 1, "d2": 0, "d3": 1}, view_text, docs
+        ) as coord:
+            for executor in coord.executors:
+                (fragment,) = executor.fragments_for("v")
+                assert fragment.positions == ((0, 2), (1, 3))[executor.shard_id]
+                assert len(executor.engine._views) == 1
+            _assert_ranks_like(coord, single)
+
+    def test_two_fragments_reading_one_document_share_its_qpt(self):
+        view_text = "(" + ",\n".join([
+            "(for $b in fn:doc(d0)//book return <hit>{$b/title}</hit>)",
+            _fragment("d1"),
+            "(for $b in fn:doc(d0)//book return <hit>{$b/body}</hit>)",
+        ]) + ")"
+        docs = {name: DOCS[name] for name in ("d0", "d1")}
+        single = _single_engine(view_text, docs)
+        with _placed_coordinator({"d0": 0, "d1": 1}, view_text, docs) as coord:
+            shard_view = coord.executors[0].engine.get_view("v#0")
+            assert shard_view.qpts["d0"].content_hash == (
+                single.get_view("v").qpts["d0"].content_hash
+            )
+            _assert_ranks_like(coord, single)
+
+    def test_scored_reads_global_indexes_after_the_gather(self):
+        # The compatibility read: each shard's rows, at the view indexes
+        # the gather gave them, are the lone engine's rows there.
+        view_text = _view_text(sorted(DOCS))
+        single = _single_engine(view_text)
+        harvests = []
+        with _coordinator(3, view_text) as coord:
+            for executor in coord.executors:
+                collect = executor.collect
+                executor.collect = lambda *args, collect=collect: (
+                    harvests.append(collect(*args)) or harvests[-1]
+                )
+            outcome = coord.search_detailed("v", ("alpha", "gamma"))
+        expected = single.collect_view_statistics("v", ("alpha", "gamma")).scored
+        scored = sorted(
+            (r for stats in harvests for r in stats.scored),
+            key=lambda r: r.index,
+        )
+        assert len(harvests) == len(outcome.shards) == 3
+        assert [r.index for r in scored] == list(range(outcome.view_size))
+        assert [r.statistics for r in scored] == [
+            r.statistics for r in expected
+        ]
+
+
 def _faulty_coordinator(
     shard_count, view_text, injector, docs=DOCS, **kwargs
 ):
