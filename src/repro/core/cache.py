@@ -64,6 +64,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, NamedTuple, Optional
 
@@ -161,15 +162,25 @@ class LRUCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value (refreshed as most recent), or ``None``."""
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys: Sequence[Hashable]) -> list[Optional[Any]]:
+        """``[self.get(key) for key in keys]`` — the same values, counts
+        and LRU order — under one lock and one use stamp."""
         with self._lock:
-            value = self._data.get(key, _ABSENT)
-            if value is _ABSENT:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self._meta[key][1] = time.perf_counter()
-            self.hits += 1
-            return value
+            data, meta, now = self._data, self._meta, time.perf_counter()
+            values: list[Optional[Any]] = []
+            for key in keys:
+                value = data.get(key, _ABSENT)
+                if value is _ABSENT:
+                    value = None
+                    self.misses += 1
+                else:
+                    data.move_to_end(key)
+                    meta[key][1] = now
+                    self.hits += 1
+                values.append(value)
+            return values
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """The resident ``(key, value)`` pairs, LRU first — counts no

@@ -97,10 +97,21 @@ class View:
     #: once per definition, because hashing ``expr`` itself is structural
     #: (a 96-fragment view's costs 0.1 ms, three times per cache hit).
     token: object = field(default_factory=object, repr=False, compare=False)
+    #: ``(doc_name, qpt, qpt content hash)`` per document, sorted by
+    #: name — the order every query sweeps them in, taken once here.
+    documents: tuple[tuple[str, QPT, str], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.documents = tuple(
+            (name, qpt, qpt.content_hash)
+            for name, qpt in sorted(self.qpts.items())
+        )
 
     @property
     def document_names(self) -> list[str]:
-        return sorted(self.qpts)
+        return [name for name, _, _ in self.documents]
 
 
 @dataclass
@@ -112,7 +123,7 @@ class PhaseTimings:
     structural work (path-index probes + the merge pass — zero on a
     skeleton-tier hit) and ``pdt_postings`` the per-query keyword work
     (inverted-list probes + the tf annotation pass).  The halves sum to
-    at most ``pdt``; cache-tier lookups make up the (tiny) remainder.
+    at most ``pdt``; the remainder is the skeleton and PDT tier reads.
     """
 
     qpt: float = 0.0
@@ -715,14 +726,14 @@ class KeywordSearchEngine:
         if cache is None or self._views.get(view.name) is not view:
             return []
         resident = []
-        for doc_name in view.document_names:
+        for doc_name, _, qpt_hash in view.documents:
             if doc_name not in self.database:
                 continue
             key = cache.skeleton_key(
                 view.name,
                 doc_name,
                 self.database.get(doc_name).generation,
-                view.qpts[doc_name].content_hash,
+                qpt_hash,
             )
             if key in cache.skeletons:
                 resident.append(doc_name)
@@ -760,13 +771,12 @@ class KeywordSearchEngine:
         start = time.perf_counter()
         if isinstance(view, str):
             view = self.get_view(view)
-        self._reject_stale(view)
         normalized = tuple(normalize_keyword(keyword) for keyword in keywords)
         timings.qpt = time.perf_counter() - start
 
         # Phases 2–3a plus the statistics sum (see
-        # collect_view_statistics) — the same phase-1 routine a shard
-        # executor runs.
+        # collect_view_statistics, which also rejects a stale view) —
+        # the same phase-1 routine a shard executor runs.
         stats = self.collect_view_statistics(view, normalized, timings)
 
         # The one-engine case of the protocol: the counts are already
@@ -841,7 +851,7 @@ class KeywordSearchEngine:
 
     def _reject_stale(self, view: View) -> None:
         """Fail fast when a view references dropped documents."""
-        missing = [name for name in view.qpts if name not in self.database]
+        missing = [n for n, _, _ in view.documents if n not in self.database]
         if missing:
             raise StaleViewError(view.name, missing)
 
@@ -857,7 +867,9 @@ class KeywordSearchEngine:
     ]:
         """Per-document PDTs for a query, through the cache tiers.
 
-        Per document, the structural half — deepest reuse first:
+        The skeleton and PDT tiers are read up front, by one ``get_many``
+        each (their keys need only the coordinates); then per document,
+        the structural half — deepest reuse first:
 
         1. **Skeleton tier** ``(view, doc)``: the keyword-independent
            structural pass.  A hit means zero path-index probes, so a
@@ -896,27 +908,42 @@ class KeywordSearchEngine:
         cache = self.cache
         cacheable = cache is not None and self._views.get(view.name) is view
         store = self.snapshot_store
+        documents = view.documents
+        # The generation captured here keys every tier this query
+        # touches — including the evaluated tier — so one query's cache
+        # traffic is generation-coherent per document even if a reload
+        # lands mid-flight.
+        docs = [self.database.get(name) for name, _, _ in documents]
+        doc_coordinates = tuple(
+            (name, doc.generation, qpt_hash)
+            for (name, _, qpt_hash), doc in zip(documents, docs)
+        )
+        distinct = tuple(dict.fromkeys(normalized))
+        width = len(distinct)
+        skeleton_keys = [
+            QueryCache.skeleton_key(view.name, *c) for c in doc_coordinates
+        ]
+        skeletons: list[Optional[PDTSkeleton]] = [None] * len(documents)
+        columns: list[Optional[TfColumn]] = [None] * (len(documents) * width)
+        if cacheable:
+            skeletons = cache.skeletons.get_many(skeleton_keys)
+            columns = cache.pdts.get_many([
+                cache.pdt_key(view.name, *coordinates, keyword)
+                for coordinates in doc_coordinates
+                for keyword in distinct
+            ])
+
         pdts: dict[str, PDTResult] = {}
         cache_hits: dict[str, str] = {}
-        doc_coordinates: list[tuple[str, int, str]] = []
-        distinct = tuple(dict.fromkeys(normalized))
-        for doc_name in sorted(view.qpts):
-            qpt = view.qpts[doc_name]
-            qpt_hash = qpt.content_hash
-            indexed = self.database.get(doc_name)
-            # The generation captured here keys every tier this query
-            # touches — including the evaluated tier — so one query's
-            # cache traffic is generation-coherent per document even if a
-            # reload lands mid-flight.
-            doc_coordinates.append((doc_name, indexed.generation, qpt_hash))
-            coordinates = (view.name, doc_name, indexed.generation, qpt_hash)
-            skeleton: Optional[PDTSkeleton] = None
+        for at, (doc_name, qpt, qpt_hash) in enumerate(documents):
+            indexed = docs[at]
+            coordinates = (view.name, *doc_coordinates[at])
+            skeleton = skeletons[at]
             lists: Optional[PreparedLists] = None
             if cacheable:
-                skeleton_key = cache.skeleton_key(*coordinates)
-                skeleton = cache.skeletons.get(skeleton_key)
+                skeleton_key = skeleton_keys[at]
                 lists_key = cache.prepared_key(
-                    doc_name, indexed.generation, qpt_hash, normalized
+                    *doc_coordinates[at], normalized
                 )
                 if skeleton is None:
                     lists = cache.prepared.get(lists_key)
@@ -972,13 +999,8 @@ class KeywordSearchEngine:
             # are swept from posting lists — the prepared tier's when the
             # exact keyword set was probed before, else probed now.
             start = time.perf_counter()
-            tf_arrays: dict[str, Optional[list[int]]] = {}
-            if cacheable:
-                for keyword in distinct:
-                    key = cache.pdt_key(*coordinates, keyword)
-                    column = cache.pdts.get(key)
-                    if column is not None:
-                        tf_arrays[keyword] = column.values
+            row = zip(distinct, columns[at * width:(at + 1) * width])
+            tf_arrays = {k: c.values for k, c in row if c is not None}
             missing = tuple(k for k in distinct if k not in tf_arrays)
             if hit == "miss":
                 inv_lists = prepare_inv_lists(
@@ -1022,7 +1044,7 @@ class KeywordSearchEngine:
             if timings is not None:
                 timings.pdt_postings += time.perf_counter() - start
             cache_hits[doc_name] = hit
-        return pdts, cache_hits, tuple(doc_coordinates)
+        return pdts, cache_hits, doc_coordinates
 
     def _evaluate_view_results(
         self,

@@ -520,11 +520,12 @@ class PDTSkeleton:
       patch them in place; the only copy of a PDT node's byte length
       (queries read it through :attr:`PDTResult.byte_lengths`).
 
-    Derived from the columns once, because every annotation needs them:
-    ``bounds`` / ``slot_bounds`` — the sorted, de-duplicated subtree
+    Derived from the columns on first annotation (or ``put``), because
+    only a posting sweep needs them: ``subtree_bounds``, the pair
+    ``(bounds, slot_bounds)`` — the sorted, de-duplicated subtree
     boundary keys of all content nodes and, per content slot, the
-    ``(low, high)`` indices into ``bounds``; one
-    ``PostingList.cumulative_below(bounds)`` sweep per keyword then
+    ``(low, high)`` indices into ``bounds``;
+    one ``PostingList.cumulative_below(bounds)`` sweep per keyword then
     yields every content node's subtree tf by two array reads.
 
     ``tree``, the assembled PDT tree (values and nesting are
@@ -545,10 +546,10 @@ class PDTSkeleton:
     structural joins) and :meth:`from_bytes` (decode and validate a
     payload).  Either way every column is set when the constructor
     returns.  Skeletons are immutable in practice apart from the
-    byte-length column's patches; the tree memo is idempotent and
-    published by one attribute write, so a benign compute race between
-    annotating threads settles on equivalent state — the skeleton
-    tier's concurrent-read contract.
+    byte-length column's patches; the tree and bound memos are
+    idempotent and each published by one attribute write, so a benign
+    compute race between annotating threads settles on equivalent
+    state — the skeleton tier's concurrent-read contract.
     """
 
     __slots__ = (
@@ -562,8 +563,7 @@ class PDTSkeleton:
         "flags",
         "values",
         "byte_lengths",
-        "bounds",
-        "slot_bounds",
+        "_bounds",
         "_tree_ref",
         "_memory_bytes",
     )
@@ -572,6 +572,7 @@ class PDTSkeleton:
         self.doc_name = doc_name
         self.entry_count = entry_count
         self.node_count = node_count
+        self._bounds: Optional[tuple[tuple, tuple]] = None
         self._tree_ref: Optional[weakref.ref] = None
         self._memory_bytes: Optional[int] = None
 
@@ -639,9 +640,25 @@ class PDTSkeleton:
         values: tuple[Optional[str], ...],
         byte_lengths: array,
     ) -> None:
-        """Set the columns and what is derived from them (the one
-        finalization every way in shares)."""
-        content_keys = list(compress(keys, flags.translate(_IS_CONTENT)))
+        """Set the columns (the one finalization every way in shares)."""
+        self.keys = keys
+        self.tag_ids = tag_ids
+        self.tags = tags
+        self.flags = flags
+        self.values = values
+        self.byte_lengths = byte_lengths
+        self.content_count = flags.translate(_IS_CONTENT).count(1)
+
+    # -- the subtree bounds --------------------------------------------------
+
+    @property
+    def subtree_bounds(self) -> tuple[tuple, tuple]:
+        """``(bounds, slot_bounds)``, derived on first read: one memo."""
+        return self._bounds or self._derive_bounds()
+
+    def _derive_bounds(self) -> tuple[tuple, tuple]:
+        keys = self.keys
+        content_keys = list(compress(keys, self.flags.translate(_IS_CONTENT)))
         # packed_child_bound, minus the scan for the last component when
         # adding one to it carries nowhere: then only the last byte moves.
         uppers = [
@@ -652,18 +669,9 @@ class PDTSkeleton:
         ]
         bounds = tuple(sorted(set(content_keys).union(uppers)))
         index_of = {bound: at for at, bound in enumerate(bounds)}.__getitem__
-        slot_bounds = tuple(
-            zip(map(index_of, content_keys), map(index_of, uppers))
-        )
-        self.keys = keys
-        self.tag_ids = tag_ids
-        self.tags = tags
-        self.flags = flags
-        self.values = values
-        self.byte_lengths = byte_lengths
-        self.content_count = len(content_keys)
-        self.bounds = bounds
-        self.slot_bounds = slot_bounds
+        slot_bounds = zip(map(index_of, content_keys), map(index_of, uppers))
+        self._bounds = pair = (bounds, tuple(slot_bounds))
+        return pair
 
     # -- the shared tree -----------------------------------------------------
 
@@ -769,10 +777,10 @@ class PDTSkeleton:
 
         Only the *record columns* travel — the skeleton's own state,
         joined; what else it carries (subtree bounds, the shared tree) is
-        a pure function of the columns and is derived again on the way
-        in, so the wire format cannot drift from the in-memory
-        derivations, and a payload is host-independent (no pickled code,
-        no interpreter state).
+        a pure function of the columns and is derived again when read, so
+        the wire format cannot drift from the in-memory derivations, and
+        a payload is host-independent (no pickled code, no interpreter
+        state).
 
         A fixed offset-table header plus packed column arrays: a reader
         can address any column in O(1) (:class:`SkeletonLayout`) and
@@ -831,8 +839,8 @@ class PDTSkeleton:
         """Estimated resident footprint (memoized; patches do not move it).
 
         Counts everything the skeleton owns — every column and both
-        bound arrays; the weakly-held tree is evictable derived data and
-        excluded by design, it exists only while query results pin it.
+        bound arrays (derived here if need be); the weakly-held tree is
+        evictable derived data, excluded: only query results pin it.
 
         Arithmetic over the column lengths — container sizes plus a
         per-element constant for what each slot points at — because
@@ -849,7 +857,7 @@ class PDTSkeleton:
             key_bytes = sum(map(len, keys))
             tags = self.tags
             present = [value for value in self.values if value is not None]
-            bounds = self.bounds
+            bounds, slot_bounds = pair = self.subtree_bounds
             content_count = self.content_count
             cached = (
                 getsizeof(self)
@@ -865,10 +873,10 @@ class PDTSkeleton:
                 + len(present) * _SIZEOF_STR
                 + sum(map(len, present))
                 + getsizeof(self.byte_lengths)
-                + getsizeof(bounds)
+                + getsizeof(pair) + getsizeof(bounds)
                 + (len(bounds) - content_count)
                 * (_SIZEOF_BYTES + key_bytes // max(count, 1))
-                + getsizeof(self.slot_bounds)
+                + getsizeof(slot_bounds)
                 + content_count * _SIZEOF_PAIR
                 + len(bounds) * _SIZEOF_INT
             )
@@ -1203,8 +1211,7 @@ def annotate_skeleton(
     whether or not the keyword occurs in the document.
     """
     tf_arrays: dict[str, Optional[list[int]]] = {}
-    bounds = skeleton.bounds
-    slot_bounds = skeleton.slot_bounds
+    bounds, slot_bounds = skeleton.subtree_bounds
     for keyword in dict.fromkeys(keywords):
         posting_list = inv_lists.get(keyword)
         if posting_list is None or len(posting_list) == 0:

@@ -75,6 +75,42 @@ class TestLRUCache:
             (("d", 2), "migrating"),
         ]
 
+    @staticmethod
+    def _twins(capacity):
+        """Two caches with the same entries, puts and LRU order."""
+        pair = LRUCache(capacity), LRUCache(capacity)
+        for cache in pair:
+            for key in "abcde":
+                cache.put(key, key.upper())
+        return pair
+
+    @pytest.mark.parametrize("capacity", [-1, 0, 3, 8])
+    def test_get_many_is_that_sequence_of_gets(self, capacity):
+        # Hits, misses, a repeated key and a key evicted before the read.
+        keys = ["c", "x", "a", "c", "e", "b"]
+        batched, single = self._twins(capacity)
+        assert batched.get_many(keys) == [single.get(key) for key in keys]
+        assert batched.stats() == single.stats()
+        assert batched.items() == single.items()
+        assert batched.get_many([]) == [] and batched.stats() == single.stats()
+
+    def test_get_many_stamps_every_hit_with_one_use(self):
+        cache = LRUCache(4)
+        for key in "abc":
+            cache.put(key, key)
+        before = time.perf_counter()
+        cache.get_many(["c", "a", "x"])
+        stamps = {key: cache._meta[key][1] for key in "abc"}
+        assert stamps["a"] == stamps["c"] >= before > stamps["b"]
+        # Within a scan that began before the read, the unread entry is
+        # evictable and the read ones are protected, exactly as after
+        # per-key gets.
+        cache.put("d", "d", before)
+        cache.put("e", "e", before)  # evicts b
+        cache.put("f", "f", before)  # would evict c: turned away
+        assert [key for key, _ in cache.items()] == ["c", "a", "d", "e"]
+        assert cache.evictions == 1 and cache.bypassed == 1
+
 
 class TestShardedLRUCache:
     """The query cache's tiers once were hash-partitioned into slices; a

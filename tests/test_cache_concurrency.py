@@ -49,11 +49,19 @@ class TestShardedCacheStress:
                     roll = rng.random()
                     if roll < 0.45:
                         cache.put(key, (worker_id, i))
-                    elif roll < 0.9:
+                    elif roll < 0.75:
                         lookups[worker_id] += 1
                         value = cache.get(key)
                         if value is not None:
                             assert isinstance(value, tuple) and len(value) == 2
+                    elif roll < 0.9:
+                        keys = [key] + [
+                            (doc, rng.randrange(64)) for _ in range(rng.randrange(4))
+                        ]
+                        lookups[worker_id] += len(keys)
+                        for value in cache.get_many(keys):
+                            if value is not None:
+                                assert isinstance(value, tuple) and len(value) == 2
                     elif roll < 0.97:
                         _ = key in cache
                     else:
@@ -68,7 +76,8 @@ class TestShardedCacheStress:
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
-        # Counters add up: every get counted once, as a hit or a miss.
+        # Counters add up: every key a get or get_many read counted
+        # once, as a hit or a miss.
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == sum(lookups) > 0
         # The LRU chain and its side table agree, within the capacity.

@@ -70,18 +70,18 @@ def _tree_form(tree, byte_lengths):
 
 
 def assert_derived_state_matches(skeleton):
-    """``bounds``, ``slot_bounds`` and the tree against the columns: pure
+    """``subtree_bounds`` and the tree against the columns: pure
     functions of keys and flags (Definition 3's edges: parent = nearest
     emitted ancestor), recomputed here in component space, sharing
-    nothing with ``PDTSkeleton._publish`` / ``_build_tree``."""
+    nothing with ``PDTSkeleton._derive_bounds`` / ``_build_tree``."""
     keys, flags, values = skeleton.keys, skeleton.flags, skeleton.values
     assert list(keys) == sorted(set(keys))
     assert [bool(flag & 4) for flag in flags] == [v is not None for v in values]
     content = [key for key, flag in zip(keys, flags) if flag & 2]
     bounds = sorted(set(content) | set(map(packed_child_bound, content)))
     assert skeleton.content_count == len(content)
-    assert skeleton.bounds == tuple(bounds)
-    assert skeleton.slot_bounds == tuple(
+    assert skeleton.subtree_bounds[0] == tuple(bounds)
+    assert skeleton.subtree_bounds[1] == tuple(
         (bounds.index(key), bounds.index(packed_child_bound(key)))
         for key in content
     )
@@ -246,7 +246,7 @@ def test_memory_gauge_tracks_the_deep_walk_on_every_difftest_shape():
                         getattr(skeleton, column)
                         for column in ("doc_name", "keys", "tag_ids", "tags",
                                        "flags", "values", "byte_lengths",
-                                       "bounds", "slot_bounds")
+                                       "subtree_bounds")
                     )
                 )
                 assert 0.9 * walked <= skeleton.memory_bytes <= 1.1 * walked, (

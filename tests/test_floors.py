@@ -24,7 +24,7 @@ from unittest import mock
 import pytest
 
 from benchmarks.layered import workloads
-from repro.core.cache import QueryCache
+from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
 from repro.core.pdt import PDTSkeleton
@@ -75,7 +75,15 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 32.0 while every annotated PDT carried its skeleton's tree: the
     # sweep rebuilds 32 of its 96 skeletons per query and no evaluated
     # hit reads a tree.
-    ("no-tree-on-evaluated-hit", "cold_sweep_trees", "trees_per_query", "==", 0),
+    ("no-tree-on-evaluated-hit", "cold_sweep", "trees_per_query", "==", 0),
+    # 96 and 172.8 while each document read the skeleton tier, and each
+    # (document, keyword) pair the PDT tier, by its own get.
+    ("one-read-per-tier-skeleton", "cold_sweep", "skeleton_reads_per_query", "==", 1),
+    ("one-read-per-tier-pdt", "cold_sweep", "pdt_reads_per_query", "==", 1),
+    # 32.0 while every skeleton derived its subtree bounds as it was
+    # built: none of the 32 rebuilt per query is annotated (the PDT tier
+    # holds every column) or admitted (the sweep keeps its 64 residents).
+    ("no-bounds-on-evaluated-hit", "cold_sweep", "bound_derivations_per_query", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -321,23 +329,40 @@ def hundred_warm_searches():
     return counters
 
 
-def cold_sweep_trees():
+def cold_sweep():
     """50 searches over the warmed ``cold_corpus`` view, every one an
-    evaluated-tier hit while the 64-slot skeleton tier overflows: the
-    ``PDTSkeleton._build_tree`` calls per search."""
+    evaluated-tier hit while the 64-slot skeleton tier overflows, then
+    the same 50 again.  Per first-pass search (the PDT tier is empty, so
+    every rebuilt skeleton is annotated): the ``PDTSkeleton._build_tree``
+    calls.  Per repeated search (the PDT tier holds every column): the
+    reads of the skeleton tier and of the PDT tier (``get_many`` calls;
+    a ``get`` is one) and the ``PDTSkeleton._derive_bounds`` calls."""
     corpus, engine, _view = _warmed_cold_corpus()
-    counters, build = Counter(), PDTSkeleton._build_tree
+    counters = Counter()
+    tiers = {id(engine.cache.skeletons): "skeleton_reads", id(engine.cache.pdts): "pdt_reads"}
 
-    def counted_build(skeleton):
-        counters["trees_built"] += 1
-        return build(skeleton)
+    def counting(owner, name, counter=None):
+        method = getattr(owner, name)
 
-    with mock.patch.object(PDTSkeleton, "_build_tree", counted_build):
+        def counted(self, *args):
+            counters[counter or tiers.get(id(self))] += 1
+            return method(self, *args)
+
+        return mock.patch.object(owner, name, counted)
+
+    def sweep():
         for request in (corpus.requests * 2)[:50]:
             outcome = engine.search_detailed("v", request.keywords)
             counters["evaluated_hits"] += outcome.evaluated_hit
-    assert counters["evaluated_hits"] == 50
-    counters["trees_per_query"] = counters["trees_built"] / 50
+
+    with counting(PDTSkeleton, "_build_tree", "trees"):
+        sweep()
+    with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
+            counting(LRUCache, "get_many"):
+        sweep()
+    assert counters["evaluated_hits"] == 100
+    for name in ("trees", "skeleton_reads", "pdt_reads", "bound_derivations"):
+        counters[f"{name}_per_query"] = counters[name] / 50
     return counters
 
 

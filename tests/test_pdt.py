@@ -384,12 +384,73 @@ class TestSkeletonPrecompute:
 
         qpt = qpts_for(bookrev_view_text)["reviews.xml"]
         skeleton = build_skeleton(qpt, bookrev_db.get("reviews.xml").path_index)
-        assert list(skeleton.bounds) == sorted(set(skeleton.bounds))
-        assert len(skeleton.slot_bounds) == skeleton.content_count
+        bounds, slot_bounds = skeleton.subtree_bounds
+        assert list(bounds) == sorted(set(bounds))
+        assert len(slot_bounds) == skeleton.content_count
         for slot, key in enumerate(_content_keys(skeleton)):
-            low, high = skeleton.slot_bounds[slot]
-            assert skeleton.bounds[low] == key
-            assert skeleton.bounds[high] == packed_child_bound(key)
+            low, high = slot_bounds[slot]
+            assert bounds[low] == key
+            assert bounds[high] == packed_child_bound(key)
+
+    def test_threads_annotating_a_fresh_skeleton_agree(
+        self, bookrev_db, bookrev_view_text
+    ):
+        import sys
+        import threading
+
+        from repro.core.pdt import annotate_skeleton, build_skeleton
+        from repro.core.prepare import prepare_inv_lists
+
+        qpt = qpts_for(bookrev_view_text)["reviews.xml"]
+        indexed = bookrev_db.get("reviews.xml")
+        keywords = ("xml", "search", "good")
+        inv_lists = prepare_inv_lists(indexed.inverted_index, keywords)
+        expected = annotate_skeleton(
+            build_skeleton(qpt, indexed.path_index), inv_lists, keywords
+        ).tf_arrays
+        skeleton = build_skeleton(qpt, indexed.path_index)
+        assert skeleton._bounds is None  # built, not yet annotated
+        barrier, seen = threading.Barrier(8), []
+
+        def annotate():
+            barrier.wait()
+            tf_arrays = annotate_skeleton(skeleton, inv_lists, keywords).tf_arrays
+            seen.append((tf_arrays, skeleton.subtree_bounds))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=annotate) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8
+        bounds = skeleton.subtree_bounds
+        assert skeleton.subtree_bounds is bounds  # settled
+        for tf_arrays, seen_bounds in seen:
+            assert tf_arrays == expected
+            assert seen_bounds == bounds
+
+    def test_memory_bytes_do_not_depend_on_who_derived_the_bounds(
+        self, bookrev_db, bookrev_view_text
+    ):
+        from repro.core.cache import LRUCache
+        from repro.core.pdt import annotate_skeleton, build_skeleton
+
+        qpt = qpts_for(bookrev_view_text)["reviews.xml"]
+        path_index = bookrev_db.get("reviews.xml").path_index
+        annotated, fresh = (build_skeleton(qpt, path_index) for _ in range(2))
+        annotate_skeleton(annotated, {}, ("xml",))
+        assert annotated._bounds is not None and fresh._bounds is None
+        tiers = LRUCache(4), LRUCache(4)
+        for tier, skeleton in zip(tiers, (annotated, fresh)):
+            tier.put("reviews.xml", skeleton)
+        assert fresh._bounds is not None  # the put measured it
+        assert annotated.memory_bytes == fresh.memory_bytes > 0
+        assert tiers[0].memory_bytes == tiers[1].memory_bytes
 
     def test_parent_positions_match_byte_prefixes(
         self, bookrev_db, bookrev_view_text

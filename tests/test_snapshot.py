@@ -104,8 +104,7 @@ def test_skeleton_serialization_round_trip(seed):
                    "byte_lengths"):
         assert getattr(restored, column) == getattr(original, column), column
     # tf bounds: identical subtree ranges and slot mappings.
-    assert restored.bounds == original.bounds
-    assert restored.slot_bounds == original.slot_bounds
+    assert restored.subtree_bounds == original.subtree_bounds
     assert [
         (node.anno.dewey.components, node.anno.slot)
         for node in restored.tree.iter()

@@ -87,7 +87,7 @@ def test_mapped_skeleton_matches_eager(seed):
     assert mapped.node_count == skeleton.node_count
     assert mapped.content_count == skeleton.content_count
     for column in ("keys", "tag_ids", "tags", "flags", "values",
-                   "byte_lengths", "bounds", "slot_bounds"):
+                   "byte_lengths", "subtree_bounds"):
         assert (
             getattr(mapped, column)
             == getattr(eager, column)
@@ -244,7 +244,7 @@ def test_store_mmap_mode_returns_mapped_skeletons(tmp_path):
     # Fully decoded, and equal to what was saved, column for column.
     for column in ("doc_name", "entry_count", "node_count", "content_count",
                    "keys", "tag_ids", "tags", "flags", "values",
-                   "byte_lengths", "bounds", "slot_bounds"):
+                   "byte_lengths", "subtree_bounds"):
         assert getattr(restored, column) == getattr(skeleton, column), column
     assert restored.to_bytes() == skeleton.to_bytes()
     assert store.stats()["hits"] == 1 and store.stats()["misses"] == 0
