@@ -273,7 +273,7 @@ class LRUCache:
         re-addressed under its new coordinates (e.g. a fresh document
         generation) instead of being dropped and rebuilt.  Moved entries
         become most-recently-used; returns ``(new_key, value)`` pairs so
-        the caller can patch the values in place afterwards.  Byte
+        the caller can patch the values afterwards.  Byte
         accounting and the use stamp follow the entry (the value is not
         re-measured, and re-addressing it is not a use).
         """
@@ -457,7 +457,7 @@ class QueryCache:
         Skeleton entries of ``patched_views`` (the views the engine
         classified as skeleton-patchable for this edit) are *migrated* to
         the new generation instead of dropped — the caller then patches
-        the skeleton objects' byte-length columns in place.  The
+        the skeletons' byte-length columns (a patch publishes a copy).  The
         evaluated entries of those views are migrated with the
         generation bump too, whether or not their skeleton is resident:
         a patchable edit keeps the record set, so every record position

@@ -68,11 +68,11 @@ class PDTResult:
 
     Everything keyword-independent reads through to ``skeleton``:
     ``doc_name``, ``node_count``, ``entry_count``, ``byte_lengths`` (the
-    skeleton's live column, the one place a PDT node's byte length
-    lives, read at the node's ``anno.position``) and ``root`` — the
-    skeleton's weakly memoized tree, assembled the first time something
-    reads it (the evaluator, on an evaluated-tier miss), so a query
-    served from the evaluated tier builds none.
+    skeleton's current column — a patch publishes a copy — the one place
+    a PDT node's byte length lives, read at ``anno.position``) and
+    ``root`` — the skeleton's weakly memoized tree, assembled the first
+    time something reads it (the evaluator, on an evaluated-tier miss),
+    so a query served from the evaluated tier builds none.
 
     The per-query keyword data is ``tf_arrays``: one flat array per
     distinct keyword, indexed by the content node's ``anno.slot``
@@ -516,8 +516,8 @@ class PDTSkeleton:
     * ``flags`` — per record, bit 0 wants_value, bit 1 wants_content,
       bit 2 value present;
     * ``values`` — materialized atomic values (``None`` where absent);
-    * ``byte_lengths`` — signed and mutable, so delta maintenance can
-      patch them in place; the only copy of a PDT node's byte length
+    * ``byte_lengths`` — signed, and never written once published: a
+      patch publishes a copy; the only copy of a PDT node's byte length
       (queries read it through :attr:`PDTResult.byte_lengths`).
 
     Derived from the columns on first annotation (or ``put``), because
@@ -546,7 +546,8 @@ class PDTSkeleton:
     structural joins) and :meth:`from_bytes` (decode and validate a
     payload).  Either way every column is set when the constructor
     returns.  Skeletons are immutable in practice apart from the
-    byte-length column's patches; the tree and bound memos are
+    byte-length column, which a patch replaces; the tree and bound
+    memos are
     idempotent and each published by one attribute write, so a benign
     compute race between annotating threads settles on equivalent
     state — the skeleton tier's concurrent-read contract.
@@ -1141,7 +1142,7 @@ def patch_skeleton_byte_lengths(
     ancestor_keys: tuple[bytes, ...],
     delta: int,
 ) -> int:
-    """Shift the byte lengths of the edit point's ancestors in place.
+    """Shift the byte lengths of the edit point's ancestors in a copy.
 
     The delta-maintenance fast path for edits the engine classified as
     *skeleton-patchable*: no added or removed element matches the view's
@@ -1149,16 +1150,17 @@ def patch_skeleton_byte_lengths(
     position, the tree and the content-slot bounds — is unchanged; only
     the serialized lengths of the edit point's proper ancestors moved,
     by the same ``delta`` each.  Bisects each ancestor key into the
-    sorted key column and shifts its ``byte_lengths`` cell, the one
-    place the length lives: no tree is touched, or built.  Returns the
-    number of skeleton nodes patched; ancestors the skeleton does not
-    materialize are skipped — their lengths are simply not part of this
-    view.
+    sorted key column and shifts its cell of a copy of ``byte_lengths``,
+    the one place the length lives, then publishes the copy: no tree is
+    touched, or built, and a query or a statistics memo holding the old
+    column keeps the lengths it read.  Returns the number of skeleton
+    nodes patched; ancestors the skeleton does not materialize are
+    skipped — their lengths are simply not part of this view.
     """
     if delta == 0 or not ancestor_keys:
         return 0
     keys = skeleton.keys
-    byte_lengths = skeleton.byte_lengths
+    byte_lengths = skeleton.byte_lengths[:]
     count = len(keys)
     patched = 0
     for key in ancestor_keys:
@@ -1166,6 +1168,8 @@ def patch_skeleton_byte_lengths(
         if position < count and keys[position] == key:
             byte_lengths[position] += delta
             patched += 1
+    if patched:
+        skeleton.byte_lengths = byte_lengths
     return patched
 
 

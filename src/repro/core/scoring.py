@@ -18,7 +18,8 @@ A result's statistics — per-keyword subtree tf and serialized byte length
   :class:`ColumnSums`, which then masks, scores and selects by column
   too.  A :class:`ScoredResult` is built only for a row somebody asks
   for: the engine asks for its top k, the compatibility read
-  (:meth:`StatisticsPlan.collect`) for every row.
+  (:meth:`StatisticsPlan.collect`) for every row.  Each column is
+  memoized on the plan with the inputs it was summed from.
 
 The same plan and the same sum serve both pipelines, which is how
 Theorem 4.1's score equality is realized structurally:
@@ -75,6 +76,13 @@ class ScoredResult:
         return self.statistics.term_frequencies.get(keyword, 0)
 
 
+#: Entries a plan's :meth:`StatisticsPlan.sum` memo holds — the
+#: byte-length column's plus one per keyword — before it starts over.
+MEMO_ENTRIES = 256
+#: The byte-length column's memo key (a keyword's is the keyword).
+_LENGTHS = None
+
+
 def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
     """``itemgetter(*indexes)``, but a tuple even for one index."""
     if len(indexes) == 1:
@@ -100,17 +108,19 @@ class StatisticsPlan:
       rows that touch the document: a column as wide as the view per
       document would make a many-document view quadratic.  A plan holds
       no length of a pruned leaf: :meth:`sum` picks them from this
-      query's PDT, whose ``byte_lengths`` is its skeleton's live column.
-      A patchable edit patches that column in place
+      query's PDT, whose ``byte_lengths`` is its skeleton's current
+      column.  A patchable edit publishes a patched copy of that column
       (:func:`repro.core.pdt.patch_skeleton_byte_lengths`) and keeps
       every record's position, so a plan stays valid across it whichever
       skeleton — migrated, restored or rebuilt — serves the next query;
     * a sparse ``(row, mappings)`` list of the token counts of
       constructed text.
 
-    Nothing in a plan depends on a query, and :meth:`sum` never writes
-    to one: a plan is shared across threads like the result nodes
-    themselves.
+    Nothing in a plan depends on a query.  Its one mutable part is the
+    memo of :meth:`sum` (at most :data:`MEMO_ENTRIES` columns, so an
+    evaluated-tier entry's plan keeps its view's columns while it
+    lives), each step one dict operation, atomic under the GIL: a plan
+    is shared across threads like the result nodes themselves.
 
     ``part_sizes`` splits the rows into consecutive parts — the engine
     passes the result count of each top-level item of a sequence view —
@@ -118,7 +128,9 @@ class StatisticsPlan:
     rows are one part.
     """
 
-    __slots__ = ("nodes", "starts", "_lengths", "_docs", "_counts")
+    __slots__ = (
+        "nodes", "starts", "_lengths", "_names", "_docs", "_counts", "_memo"
+    )
 
     def __init__(
         self, view_results: Iterable[XMLNode], part_sizes: Sequence[int] = ()
@@ -158,11 +170,13 @@ class StatisticsPlan:
             if found:
                 counts.append((row, tuple(found)))
         self._lengths = tuple(lengths)
+        self._names = tuple(leaves)
         self._docs = tuple(
-            (doc, _picker(slots), _picker(positions), tuple(rows))
-            for doc, (slots, positions, rows) in leaves.items()
+            (_picker(slots), _picker(positions), tuple(rows))
+            for slots, positions, rows in leaves.values()
         )
         self._counts = tuple(counts)
+        self._memo: dict[Optional[str], tuple] = {}
 
     def sum(
         self,
@@ -179,41 +193,75 @@ class StatisticsPlan:
         at their slots, one C call each, and only the nonzero tfs are
         added, each to its own row.  The counts are integers, so
         shard-summable.
+
+        Memoized per column: each is kept with its per-document inputs
+        (``byte_lengths`` columns, or one keyword's tf arrays) and reused
+        while this call's ``==`` them, identity first, so a repeated
+        keyword costs one comparison per document.  Sound because a
+        published column is never written: a patch publishes a copy.
         """
-        unique = tuple(dict.fromkeys(keywords))
+        pdts = self._sources(tf_source)
+        inputs = tuple([pdt.skeleton.byte_lengths for pdt in pdts])
+        entry = self._memo.get(_LENGTHS)
+        if entry is None or entry[0] != inputs:
+            lengths = list(self._lengths)
+            for (_, pick_positions, rows), column in zip(self._docs, inputs):
+                for row, length in zip(rows, pick_positions(column)):
+                    lengths[row] += length
+            entry = self._remember(_LENGTHS, (inputs, lengths))
+        lengths = entry[1]
+        arrays = [pdt.tf_arrays for pdt in pdts]
         size = len(self.nodes)
-        tfs = {keyword: [0] * size for keyword in unique}
-        lengths = list(self._lengths)
-        for doc, pick_slots, pick_positions, rows in self._docs:
-            pdt = tf_source.get(doc) if tf_source is not None else None
-            if pdt is None:
-                # A pruned node's tfs and byte length live *outside* the
-                # tree; scoring it without its PDT would silently yield
-                # zeros, so fail loudly instead.
-                raise ValueError(
-                    "cannot score a shared-skeleton PDT node: no tf_source "
-                    f"entry for document {doc!r} (its term frequencies and "
-                    "byte length are read from the document's PDT, not "
-                    "stored on the tree)"
+        tfs: dict[str, list[int]] = {}
+        containing: dict[str, int] = {}
+        for keyword in dict.fromkeys(keywords):
+            inputs = tuple([tf_arrays.get(keyword) for tf_arrays in arrays])
+            entry = self._memo.get(keyword)
+            if entry is None or entry[0] != inputs:
+                column = self._tf_column(keyword, inputs)
+                entry = self._remember(
+                    keyword, (inputs, column, size - column.count(0))
                 )
-            for row, length in zip(rows, pick_positions(pdt.byte_lengths)):
-                lengths[row] += length
-            arrays = pdt.tf_arrays
-            for keyword, column in tfs.items():
-                array = arrays.get(keyword)
-                if array is None:
-                    continue
-                values = pick_slots(array)
-                for row, tf in zip(compress(rows, values), compress(values, values)):
-                    column[row] += tf
-        for row, mappings in self._counts:
-            for keyword, column in tfs.items():
-                for frequencies in mappings:
-                    column[row] += frequencies.get(keyword, 0)
-        containing = {
-            keyword: size - column.count(0) for keyword, column in tfs.items()
-        }
+            _, tfs[keyword], containing[keyword] = entry
         return ColumnSums(self.nodes, self.starts, tfs, lengths, containing)
+
+    def _sources(self, tf_source: Optional[Mapping[str, object]]) -> tuple:
+        """The PDT of each document the plan's leaves read, in plan order."""
+        pdts = tuple(map((tf_source or {}).get, self._names))
+        if not all(pdts):
+            doc = next(d for d, pdt in zip(self._names, pdts) if pdt is None)
+            # A pruned node's tfs and byte length live *outside* the
+            # tree; scoring it without its PDT would silently yield
+            # zeros, so fail loudly instead.
+            raise ValueError(
+                "cannot score a shared-skeleton PDT node: no tf_source "
+                f"entry for document {doc!r} (its term frequencies and "
+                "byte length are read from the document's PDT, not "
+                "stored on the tree)"
+            )
+        return pdts
+
+    def _tf_column(self, keyword: str, inputs: tuple) -> list[int]:
+        """``keyword``'s column from each document's tf array (or None)."""
+        column = [0] * len(self.nodes)
+        for (pick_slots, _, rows), array in zip(self._docs, inputs):
+            if array is None:
+                continue
+            values = pick_slots(array)
+            for row, tf in zip(compress(rows, values), compress(values, values)):
+                column[row] += tf
+        for row, mappings in self._counts:
+            for frequencies in mappings:
+                column[row] += frequencies.get(keyword, 0)
+        return column
+
+    def _remember(self, key: Optional[str], entry: tuple) -> tuple:
+        """Keep ``entry``; past the bound the memo starts over (each
+        insert checks it, so it holds whenever no sum is in flight)."""
+        self._memo[key] = entry
+        if len(self._memo) > MEMO_ENTRIES:
+            self._memo.clear()
+        return entry
 
     def collect(
         self,
@@ -235,11 +283,13 @@ class ColumnSums:
     ``starts`` is the plan's: the row each part begins at.  ``tfs`` maps
     each distinct keyword to its tf column, ``lengths`` is the
     byte-length column and ``containing`` the per-keyword count of rows
-    with a nonzero tf.  :meth:`matching` and :meth:`scores` are
-    ``filter_matching`` and ``apply_scores`` by column — the same float
-    operations in the same order, so the scores are bit-identical — and
-    :meth:`result` is the one place a row becomes a
-    :class:`ScoredResult`.
+    with a nonzero tf.  The columns are shared read-only, like the
+    nodes: the plan's memo hands the same lists to every sum over the
+    same inputs, so nothing may write to them.  :meth:`matching` and
+    :meth:`scores` are ``filter_matching`` and ``apply_scores`` by
+    column — the same float operations in the same order, so the scores
+    are bit-identical — and :meth:`result` is the one place a row
+    becomes a :class:`ScoredResult`.
     """
 
     nodes: Sequence[XMLNode]

@@ -3,7 +3,8 @@
 A tier's claims — no deadlocks, no corruption of its LRU chain,
 counters that add up — are exercised directly on one ``LRUCache`` tier
 and end-to-end through a shared ``KeywordSearchEngine`` hammered by
-threads issuing mixed hot/cold queries.  Every join uses a timeout so a
+threads issuing mixed hot/cold queries (their statistics sums sharing
+one plan's memo).  Every join uses a timeout so a
 deadlock fails the test instead of hanging the suite.
 """
 
@@ -15,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.core import scoring
 from repro.core.cache import LRUCache
 from repro.core.engine import KeywordSearchEngine
 
@@ -116,7 +118,7 @@ class TestEngineConcurrency:
         return KeywordSearchEngine(bookrev_db)
 
     def test_mixed_hot_cold_queries_are_consistent(
-        self, engine, bookrev_view_text, bookrev_db
+        self, engine, bookrev_view_text, bookrev_db, monkeypatch
     ):
         view = engine.define_view("bookrevs", bookrev_view_text)
         # Ground truth per keyword set, computed single-threaded without
@@ -154,8 +156,13 @@ class TestEngineConcurrency:
             except BaseException as exc:
                 errors.append(exc)
 
+        # A sum memo smaller than the keywords in play (6 columns): the
+        # plan's memo is read, filled and cleared whole by racing sums.
+        monkeypatch.setattr(scoring, "MEMO_ENTRIES", 4)
         run_threads([lambda w=w: worker(w) for w in range(8)])
         assert not errors, errors
+        [(_, plan)] = engine.cache.evaluated.items()
+        assert 0 < len(plan._memo) <= 4
 
         stats = engine.cache.stats()
         # One tf-column lookup per distinct keyword per document (2) of

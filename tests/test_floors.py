@@ -27,6 +27,7 @@ from benchmarks.layered import workloads
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
+from repro.core import scoring
 from repro.core.pdt import PDTSkeleton
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
@@ -84,6 +85,10 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # built: none of the 32 rebuilt per query is annotated (the PDT tier
     # holds every column) or admitted (the sweep keeps its 64 residents).
     ("no-bounds-on-evaluated-hit", "cold_sweep", "bound_derivations_per_query", "==", 0),
+    # 268.8 (96 documents x (lengths + 1.8 keywords)) while every sum
+    # re-added each document's columns, though the repeated pass hands
+    # the plan the same columns it summed on the first.
+    ("no-picks-on-repeated-keywords", "cold_sweep", "picks_per_query", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -336,9 +341,22 @@ def cold_sweep():
     every rebuilt skeleton is annotated): the ``PDTSkeleton._build_tree``
     calls.  Per repeated search (the PDT tier holds every column): the
     reads of the skeleton tier and of the PDT tier (``get_many`` calls;
-    a ``get`` is one) and the ``PDTSkeleton._derive_bounds`` calls."""
-    corpus, engine, _view = _warmed_cold_corpus()
+    a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls and the
+    calls of the plan's per-document pickers (``scoring._picker``'s)."""
     counters = Counter()
+    picker = scoring._picker
+
+    def counted_picker(indexes):
+        pick = picker(indexes)
+
+        def counted(values):
+            counters["picks"] += 1
+            return pick(values)
+
+        return counted
+
+    with mock.patch.object(scoring, "_picker", counted_picker):
+        corpus, engine, _view = _warmed_cold_corpus()
     tiers = {id(engine.cache.skeletons): "skeleton_reads", id(engine.cache.pdts): "pdt_reads"}
 
     def counting(owner, name, counter=None):
@@ -357,11 +375,13 @@ def cold_sweep():
 
     with counting(PDTSkeleton, "_build_tree", "trees"):
         sweep()
+    first_pass_picks = counters["picks"]
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
             counting(LRUCache, "get_many"):
         sweep()
+    counters["picks"] -= first_pass_picks
     assert counters["evaluated_hits"] == 100
-    for name in ("trees", "skeleton_reads", "pdt_reads", "bound_derivations"):
+    for name in ("trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks"):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters
 

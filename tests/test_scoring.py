@@ -2,12 +2,19 @@
 
 import sys
 from typing import Mapping, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import ViewStatistics, rank_statistics
-from repro.core.pdt import PDTRecord, PDTResult, PDTSkeleton
+from repro.core import scoring
+from repro.core.pdt import (
+    PDTRecord,
+    PDTResult,
+    PDTSkeleton,
+    patch_skeleton_byte_lengths,
+)
 from repro.core.scoring import (
     ResultStatistics,
     StatisticsPlan,
@@ -329,6 +336,37 @@ class TestPlanEqualsWalk:
         assert all(r.score == 0.0 for r in scored)
         assert counted == containing
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.data(),
+        FORESTS,
+        ALL_SOURCES,
+        st.sampled_from([1, 2, scoring.MEMO_ENTRIES]),
+    )
+    def test_memoized_sum_equals_a_fresh_plans(self, data, forest, tf_source, bound):
+        """One plan summed over a sequence of keyword sets, some PDTs
+        replaced and some byte-length columns patched between the calls,
+        sums exactly like a fresh plan every time, and its memo never
+        outgrows the bound."""
+        plan = StatisticsPlan(forest)
+        with mock.patch.object(scoring, "MEMO_ENTRIES", bound):
+            for _ in range(data.draw(st.integers(1, 6), label="calls")):
+                keywords = data.draw(KEYWORDS, label="keywords")
+                for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
+                    tf_source = {**tf_source, doc: data.draw(PDTS, label=doc)}
+                for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
+                    skeleton = tf_source[doc].skeleton
+                    delta = data.draw(st.integers(-9, 9).filter(bool))
+                    patch_skeleton_byte_lengths(skeleton, skeleton.keys, delta)
+                fresh = StatisticsPlan(forest).sum(keywords, tf_source)
+                summed = plan.sum(keywords, tf_source)
+                assert (summed.tfs, summed.lengths, summed.containing) == (
+                    fresh.tfs,
+                    fresh.lengths,
+                    fresh.containing,
+                )
+                assert len(plan._memo) <= bound
+
     def test_missing_document_raises_without_keywords_too(self):
         leaf = _pruned("c", doc="gone.xml", slot=0, position=1)
         plan = StatisticsPlan([XMLNode("hit", None, [leaf])])
@@ -348,9 +386,11 @@ class TestPlanEqualsWalk:
         monkeypatch.setattr(
             XMLNode, "value", property(lambda node: pytest.fail("walked a node"))
         )
-        [before], _ = plan.collect(("xml",), tf_source)
-        # What a patchable edit does: the skeleton column, in place.
-        tf_source[LEAF_DOC].byte_lengths[leaf.anno.position] += 7
+        [before], _ = plan.collect(("xml",), tf_source)  # warms the memo
+        # What a patchable edit does: publish a patched copy of the column.
+        skeleton = tf_source[LEAF_DOC].skeleton
+        key = skeleton.keys[leaf.anno.position]
+        assert patch_skeleton_byte_lengths(skeleton, (key,), 7) == 1
         [after], _ = plan.collect(("xml",), tf_source)
         assert after.statistics.byte_length == before.statistics.byte_length + 7
         assert after.statistics.term_frequencies == {"xml": 3}

@@ -334,8 +334,12 @@ class TestSkeletonPatch:
         present = [key for key in ancestor_keys if key in skeleton.keys]
         assert present, "expected at least one ancestor in the skeleton"
         before = dict(zip(skeleton.keys, skeleton.byte_lengths))
+        published = skeleton.byte_lengths
         patched = patch_skeleton_byte_lengths(skeleton, ancestor_keys, 30)
         assert patched == len(present)
+        # A patch publishes a copy: the column a query may hold is unchanged.
+        assert skeleton.byte_lengths is not published
+        assert list(published) == list(before.values())
         for key, byte_length in zip(skeleton.keys, skeleton.byte_lengths):
             expected = before[key] + (30 if key in present else 0)
             assert byte_length == expected
