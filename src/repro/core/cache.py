@@ -89,10 +89,6 @@ class TfColumn(NamedTuple):
         return cls(values, 0 if values is None else sys.getsizeof(values))
 
 
-#: "No such key" for lookups whose values may legitimately be ``None``.
-_ABSENT = object()
-
-
 class LRUCache:
     """A size-bounded mapping with least-recently-used eviction — one
     query-cache tier.
@@ -101,6 +97,10 @@ class LRUCache:
     a no-op), which lets callers turn a tier off without branching.
     Thread-safe: every public operation holds the cache's one lock, so
     counters, snapshots and the LRU chain always describe one instant.
+
+    Each entry is one slot, ``[value, accounted bytes, last use]``, in
+    the one ordered map: a hit hashes its key twice (the lookup and the
+    move to the MRU end) and stores its stamp into the slot it found.
 
     Besides the entry-count bound, an optional ``byte_budget`` bounds
     the *bytes* resident in the cache: each value is measured once at
@@ -139,11 +139,9 @@ class LRUCache:
         self.capacity = capacity
         self.byte_budget = byte_budget
         self._lock = threading.Lock()
-        self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        #: Per resident entry: ``[accounted bytes, perf_counter reading
-        #: of its last use]``.  One side table, so a ``get`` hashes the
-        #: key no more often than before entries carried a stamp.
-        self._meta: dict[Hashable, list] = {}
+        #: key -> ``[value, accounted bytes, perf_counter reading of its
+        #: last use]``, LRU first.
+        self._data: OrderedDict[Hashable, list] = OrderedDict()
         self.memory_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -168,35 +166,34 @@ class LRUCache:
         """``[self.get(key) for key in keys]`` — the same values, counts
         and LRU order — under one lock and one use stamp."""
         with self._lock:
-            data, meta, now = self._data, self._meta, time.perf_counter()
+            now = time.perf_counter()
+            lookup, refresh = self._data.get, self._data.move_to_end
             values: list[Optional[Any]] = []
+            hits = 0
             for key in keys:
-                value = data.get(key, _ABSENT)
-                if value is _ABSENT:
-                    value = None
-                    self.misses += 1
+                slot = lookup(key)
+                if slot is None:
+                    values.append(None)
                 else:
-                    data.move_to_end(key)
-                    meta[key][1] = now
-                    self.hits += 1
-                values.append(value)
+                    refresh(key)
+                    slot[2] = now
+                    values.append(slot[0])
+                    hits += 1
+            self.hits += hits
+            self.misses += len(keys) - hits
             return values
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """The resident ``(key, value)`` pairs, LRU first — counts no
         hit or miss and refreshes nothing."""
         with self._lock:
-            return list(self._data.items())
-
-    def _forget(self, key: Hashable) -> None:
-        """Drop a departed entry's byte accounting and use stamp."""
-        self.memory_bytes -= self._meta.pop(key)[0]
+            return [(key, slot[0]) for key, slot in self._data.items()]
 
     def _victim_in_use(self, scan_started: Optional[float]) -> bool:
         """Whether the LRU victim was used since ``scan_started``."""
         if scan_started is None:
             return False
-        return self._meta[next(iter(self._data))][1] >= scan_started
+        return next(iter(self._data.values()))[2] >= scan_started
 
     def admits(
         self, key: Hashable, scan_started: Optional[float] = None
@@ -229,12 +226,11 @@ class LRUCache:
             return
         with self._lock:
             data = self._data
-            if key in data:
-                data.move_to_end(key)
-                self._forget(key)
-            data[key] = value
+            replaced = data.pop(key, None)
+            if replaced is not None:
+                self.memory_bytes -= replaced[1]
             size = getattr(value, "memory_bytes", 0)
-            self._meta[key] = [size, time.perf_counter()]
+            data[key] = [value, size, time.perf_counter()]
             self.memory_bytes += size
             budget = self.byte_budget
             while len(data) > self.capacity or (
@@ -244,12 +240,11 @@ class LRUCache:
                     # The victim was used since the putting query began, so
                     # its next use is nearer than the newcomer's can be:
                     # turn the newcomer away.
-                    del data[key]
-                    self._forget(key)
+                    self.memory_bytes -= data.pop(key)[1]
                     self.bypassed += 1
                     break
-                evicted_key, _ = data.popitem(last=False)
-                self._forget(evicted_key)
+                _, evicted = data.popitem(last=False)
+                self.memory_bytes -= evicted[1]
                 self.evictions += 1
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
@@ -257,8 +252,7 @@ class LRUCache:
         with self._lock:
             doomed = [key for key in self._data if predicate(key)]
             for key in doomed:
-                del self._data[key]
-                self._forget(key)
+                self.memory_bytes -= self._data.pop(key)[1]
             self.invalidations += len(doomed)
             return len(doomed)
 
@@ -273,32 +267,30 @@ class LRUCache:
         re-addressed under its new coordinates (e.g. a fresh document
         generation) instead of being dropped and rebuilt.  Moved entries
         become most-recently-used; returns ``(new_key, value)`` pairs so
-        the caller can patch the values afterwards.  Byte
-        accounting and the use stamp follow the entry (the value is not
-        re-measured, and re-addressing it is not a use).
+        the caller can patch the values afterwards.  The slot moves
+        whole: byte accounting and the use stamp follow the entry (the
+        value is not re-measured, and re-addressing it is not a use).
         """
         moved: list[tuple[Hashable, Any]] = []
         with self._lock:
-            for key in [k for k in self._data if predicate(k)]:
-                value = self._data.pop(key)
-                meta = self._meta.pop(key)
+            data = self._data
+            for key in [k for k in data if predicate(k)]:
+                slot = data.pop(key)
                 new_key = transform(key)
-                if new_key in self._meta:
-                    # Overwrite: drop the displaced entry outright, so the
-                    # moved one is inserted at the MRU end, not at the
-                    # displaced key's position.
-                    del self._data[new_key]
-                    self._forget(new_key)
-                self._data[new_key] = value
-                self._meta[new_key] = meta
-                moved.append((new_key, value))
+                # Overwrite: drop the displaced entry outright, so the
+                # moved one is inserted at the MRU end, not at the
+                # displaced key's position.
+                displaced = data.pop(new_key, None)
+                if displaced is not None:
+                    self.memory_bytes -= displaced[1]
+                data[new_key] = slot
+                moved.append((new_key, slot[0]))
         return moved
 
     def clear(self) -> int:
         with self._lock:
             count = len(self._data)
             self._data.clear()
-            self._meta.clear()
             self.memory_bytes = 0
             self.invalidations += count
             return count
@@ -407,7 +399,8 @@ class QueryCache:
         qpt_hash: object,
         keyword: str,
     ) -> tuple:
-        return (view_name, doc_name, generation, qpt_hash, keyword)
+        key = QueryCache.skeleton_key(view_name, doc_name, generation, qpt_hash)
+        return key + (keyword,)  # as the engine extends its skeleton keys
 
     @staticmethod
     def evaluated_key(

@@ -35,12 +35,11 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 from repro.core.cache import QueryCache, TfColumn
 from repro.core.materialize import materialize_result
 from repro.core.pdt import (
-    PDTResult,
     PDTSkeleton,
-    annotate_skeleton,
     build_skeleton,
     generate_pdt,
     patch_skeleton_byte_lengths,
+    sweep_tf_arrays,
 )
 from repro.core.prepare import (
     PreparedLists,
@@ -52,12 +51,14 @@ from repro.core.rewrite import make_pdt_resolver
 from repro.core.snapshot import SkeletonStore
 from repro.core.scoring import (
     ColumnSums,
+    QueryColumns,
     ScoredResult,
     StatisticsPlan,
     idf_from_counts,
 )
 from repro.core.topk import MergeStats
 from repro.errors import (
+    DocumentNotFoundError,
     InjectedFaultError,
     StaleViewError,
     StorageError,
@@ -102,12 +103,15 @@ class View:
     documents: tuple[tuple[str, QPT, str], ...] = field(
         init=False, repr=False, compare=False
     )
+    #: Document name -> its position in ``documents``.
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.documents = tuple(
             (name, qpt, qpt.content_hash)
             for name, qpt in sorted(self.qpts.items())
         )
+        self.positions = {name: at for at, name in enumerate(self.document_names)}
 
     @property
     def document_names(self) -> list[str]:
@@ -122,8 +126,9 @@ class PhaseTimings:
     tell structure from data: ``pdt_skeleton`` is the keyword-independent
     structural work (path-index probes + the merge pass — zero on a
     skeleton-tier hit) and ``pdt_postings`` the per-query keyword work
-    (inverted-list probes + the tf annotation pass).  The halves sum to
-    at most ``pdt``; the remainder is the skeleton and PDT tier reads.
+    (the PDT tier read, inverted-list probes + the tf annotation pass).
+    The halves sum to at most ``pdt``; the remainder is the keys and the
+    skeleton tier read.
     """
 
     qpt: float = 0.0
@@ -711,9 +716,8 @@ class KeywordSearchEngine:
                 "currently registered definition (re-fetch it with "
                 "get_view, or warm by name)"
             )
-        self._reject_stale(view)
-        pdts, cache_hits, doc_coordinates = self._build_pdts(view, ())
-        self._evaluate_view_results(view, pdts, doc_coordinates)
+        columns, cache_hits, doc_coordinates = self._build_pdts(view, ())
+        self._evaluate_view_results(view, columns, doc_coordinates)
         return cache_hits
 
     def resident_documents(self, view: Union[View, str]) -> list[str]:
@@ -824,23 +828,22 @@ class KeywordSearchEngine:
         """
         if isinstance(view, str):
             view = self.get_view(view)
-        self._reject_stale(view)
         normalized = tuple(normalized)
         if timings is None:
             timings = PhaseTimings()
 
         start = time.perf_counter()
-        pdts, cache_hits, doc_coordinates = self._build_pdts(
+        columns, cache_hits, doc_coordinates = self._build_pdts(
             view, normalized, timings
         )
         timings.pdt += time.perf_counter() - start
 
         plan, evaluated_hit = self._evaluate_view_results(
-            view, pdts, doc_coordinates, timings
+            view, columns, doc_coordinates, timings
         )
 
         start = time.perf_counter()
-        sums = plan.sum(normalized, tf_source=pdts)
+        sums = plan.sum(columns)
         timings.post_processing += time.perf_counter() - start
         return ViewStatistics(
             sums=sums,
@@ -849,27 +852,19 @@ class KeywordSearchEngine:
             timings=timings,
         )
 
-    def _reject_stale(self, view: View) -> None:
-        """Fail fast when a view references dropped documents."""
-        missing = [n for n, _, _ in view.documents if n not in self.database]
-        if missing:
-            raise StaleViewError(view.name, missing)
-
     def _build_pdts(
         self,
         view: View,
         normalized: tuple[str, ...],
         timings: Optional[PhaseTimings] = None,
-    ) -> tuple[
-        dict[str, PDTResult],
-        dict[str, str],
-        tuple[tuple[str, int, str], ...],
-    ]:
-        """Per-document PDTs for a query, through the cache tiers.
-
-        The skeleton and PDT tiers are read up front, by one ``get_many``
-        each (their keys need only the coordinates); then per document,
-        the structural half — deepest reuse first:
+    ) -> tuple[QueryColumns, dict[str, str], tuple[tuple[str, int, str], ...]]:
+        """A query's skeletons and tf columns, through the cache tiers:
+        the skeleton and PDT tiers' ``get_many`` lists as they came back
+        (:class:`~repro.core.scoring.QueryColumns`; no PDT object is
+        built), after one pass that raises :class:`StaleViewError`
+        naming every dropped document.  A document the two reads left
+        incomplete is finished into its cells; the structural half,
+        deepest reuse first:
 
         1. **Skeleton tier** ``(view, doc)``: the keyword-independent
            structural pass.  A hit means zero path-index probes, so a
@@ -884,11 +879,11 @@ class KeywordSearchEngine:
            probe results.  A hit skips all index probes but redoes the
            merge pass (and refills the skeleton tier from it for free).
 
-        Then the keyword half: each distinct keyword's tf column from
-        the **PDT tier** ``(view, doc, keyword)``; only the keywords it
-        lacks are swept, and their columns put.  A miss still probes
-        every keyword, to fill the prepared tier.  A document is ``"pdt"``
-        when the skeleton tier and this one served it all.
+        Then the keyword half: only the keywords whose tf column the
+        **PDT tier** ``(view, doc, keyword)`` lacks are swept, and their
+        columns put.  A miss still probes every keyword, to fill the
+        prepared tier.  A document is ``"pdt"`` when the skeleton tier
+        and this one served it all.
 
         Every key embeds the QPT's *content hash*, never its object
         identity, so a structurally identical QPT built in a fresh
@@ -913,45 +908,45 @@ class KeywordSearchEngine:
         # touches — including the evaluated tier — so one query's cache
         # traffic is generation-coherent per document even if a reload
         # lands mid-flight.
-        docs = [self.database.get(name) for name, _, _ in documents]
-        doc_coordinates = tuple(
-            (name, doc.generation, qpt_hash)
-            for (name, _, qpt_hash), doc in zip(documents, docs)
-        )
+        get, skeleton_key = self.database.get, QueryCache.skeleton_key
+        docs, doc_coordinates, skeleton_keys, dropped = [], [], [], []
+        for doc_name, _, qpt_hash in documents:
+            try:
+                indexed = get(doc_name)
+            except DocumentNotFoundError:
+                dropped.append(doc_name)
+                continue
+            docs.append(indexed)
+            doc_coordinates.append((doc_name, indexed.generation, qpt_hash))
+            skeleton_keys.append(
+                skeleton_key(view.name, doc_name, indexed.generation, qpt_hash)
+            )
+        if dropped:
+            raise StaleViewError(view.name, dropped)
         distinct = tuple(dict.fromkeys(normalized))
         width = len(distinct)
-        skeleton_keys = [
-            QueryCache.skeleton_key(view.name, *c) for c in doc_coordinates
-        ]
         skeletons: list[Optional[PDTSkeleton]] = [None] * len(documents)
         columns: list[Optional[TfColumn]] = [None] * (len(documents) * width)
         if cacheable:
             skeletons = cache.skeletons.get_many(skeleton_keys)
-            columns = cache.pdts.get_many([
-                cache.pdt_key(view.name, *coordinates, keyword)
-                for coordinates in doc_coordinates
-                for keyword in distinct
+            start = time.perf_counter()
+            columns = cache.pdts.get_many([  # QueryCache.pdt_key's layout
+                key + (keyword,) for key in skeleton_keys for keyword in distinct
             ])
+            if timings is not None:  # reading tf columns is keyword work
+                timings.pdt_postings += time.perf_counter() - start
 
-        pdts: dict[str, PDTResult] = {}
-        cache_hits: dict[str, str] = {}
-        loop_started = time.perf_counter()
-        slow = 0.0  # the clocked documents' share of the loop
-        for at, (doc_name, qpt, qpt_hash) in enumerate(documents):
+        cache_hits = dict.fromkeys(view.positions, "pdt")
+        served = None not in skeletons and None not in columns
+        for at in () if served else range(len(documents)):
+            doc_name, qpt, qpt_hash = documents[at]
             skeleton = skeletons[at]
-            row = columns[at * width:(at + 1) * width]
-            if skeleton is not None and None not in row:
-                # Both reads served it all: no key, no clock, no sweep.
-                tf_arrays = {k: c.values for k, c in zip(distinct, row)}
-                pdts[doc_name] = PDTResult(skeleton, normalized, tf_arrays)
-                cache_hits[doc_name] = "pdt"
+            cells = columns[at * width:(at + 1) * width]
+            if skeleton is not None and None not in cells:
                 continue
-            doc_started = time.perf_counter()
             indexed = docs[at]
-            coordinates = (view.name, *doc_coordinates[at])
             lists: Optional[PreparedLists] = None
             if cacheable:
-                skeleton_key = skeleton_keys[at]
                 lists_key = cache.prepared_key(
                     *doc_coordinates[at], normalized
                 )
@@ -999,18 +994,20 @@ class KeywordSearchEngine:
                             except (OSError, InjectedFaultError):
                                 pass
                 if cacheable and cache.skeletons.admits(
-                    skeleton_key, scan_started
+                    skeleton_keys[at], scan_started
                 ):
-                    cache.skeletons.put(skeleton_key, skeleton, scan_started)
+                    cache.skeletons.put(
+                        skeleton_keys[at], skeleton, scan_started
+                    )
+                skeletons[at] = skeleton
             if timings is not None:
                 timings.pdt_skeleton += time.perf_counter() - start
 
-            # Keyword half: the tf columns the PDT tier holds; the rest
-            # are swept from posting lists — the prepared tier's when the
-            # exact keyword set was probed before, else probed now.
+            # Keyword half: the tf columns the PDT tier lacks are swept
+            # from posting lists — the prepared tier's when the exact
+            # keyword set was probed before, else probed now.
             start = time.perf_counter()
-            tf_arrays = {k: c.values for k, c in zip(distinct, row) if c}
-            missing = tuple(k for k in distinct if k not in tf_arrays)
+            missing = tuple(k for k, cell in zip(distinct, cells) if cell is None)
             if hit == "miss":
                 inv_lists = prepare_inv_lists(
                     indexed.inverted_index, normalized
@@ -1034,36 +1031,30 @@ class KeywordSearchEngine:
                     inv_lists = prepare_inv_lists(
                         indexed.inverted_index, missing
                     )
-                swept = annotate_skeleton(skeleton, inv_lists, missing)
-                for keyword, values in swept.tf_arrays.items():
-                    tf_arrays[keyword] = values
-                    if cacheable:
-                        cache.pdts.put(
-                            cache.pdt_key(*coordinates, keyword),
-                            TfColumn.of(values),
-                            scan_started,
-                        )
-            elif hit == "skeleton":
-                hit = "pdt"
-            pdts[doc_name] = PDTResult(
-                skeleton,
-                normalized,
-                {keyword: tf_arrays[keyword] for keyword in distinct},
-            )
+                swept = sweep_tf_arrays(skeleton, inv_lists, missing)
+                for offset, keyword in enumerate(distinct):
+                    if keyword in swept:
+                        cell = TfColumn.of(swept[keyword])
+                        columns[at * width + offset] = cell
+                        if cacheable:
+                            cache.pdts.put(
+                                skeleton_keys[at] + (keyword,),
+                                cell,
+                                scan_started,
+                            )
             cache_hits[doc_name] = hit
             if timings is not None:
-                end = time.perf_counter()
-                timings.pdt_postings += end - start
-                slow += end - doc_started
-        if timings is not None:
-            # The unclocked documents' column lookups are keyword work.
-            timings.pdt_postings += time.perf_counter() - loop_started - slow
-        return pdts, cache_hits, doc_coordinates
+                timings.pdt_postings += time.perf_counter() - start
+        return (
+            QueryColumns(skeletons, columns, distinct, view.positions),
+            cache_hits,
+            tuple(doc_coordinates),
+        )
 
     def _evaluate_view_results(
         self,
         view: View,
-        pdts: dict[str, PDTResult],
+        columns: QueryColumns,
         doc_coordinates: tuple[tuple[str, int, str], ...],
         timings: Optional[PhaseTimings] = None,
     ) -> tuple[StatisticsPlan, bool]:
@@ -1083,7 +1074,7 @@ class KeywordSearchEngine:
         produced (shared read-only, like every other cached tree) and
         the plan over it; scoring stays correct because per-query tfs
         and byte lengths are resolved through content-node slots and
-        record positions against *this* query's ``pdts``, not through
+        record positions against *this* query's ``columns``, not through
         anything stored in the nodes or the plan.
         Two threads missing at once each evaluate and put; either entry
         serves, the later put stays.
@@ -1099,7 +1090,8 @@ class KeywordSearchEngine:
                 if timings is not None:
                     timings.evaluator += time.perf_counter() - start
                 return cached, True
-        evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(pdts)))
+        # The resolver builds each document's PDT as the evaluator opens it.
+        evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(columns)))
         # Sequence evaluation is concatenation: each top-level item
         # evaluated alone is its part of the view, and gives its size.
         parts = [
@@ -1169,9 +1161,8 @@ class KeywordSearchEngine:
         """
         if isinstance(view, str):
             view = self.get_view(view)
-        self._reject_stale(view)
-        pdts, _, doc_coordinates = self._build_pdts(view, ())
-        plan, _ = self._evaluate_view_results(view, pdts, doc_coordinates)
+        columns, _, doc_coordinates = self._build_pdts(view, ())
+        plan, _ = self._evaluate_view_results(view, columns, doc_coordinates)
         results = plan.nodes
         if not materialize:
             # A fresh list of shared, read-only pruned nodes (possibly

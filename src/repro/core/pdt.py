@@ -62,9 +62,11 @@ EMPTY_TAG = "#empty-document"
 class PDTResult:
     """A generated PDT: its skeleton plus one query's keyword data.
 
-    Immutable in practice and safe to share across queries — the
-    engine's query cache relies on this; nothing downstream writes into
-    a PDT or its tree.
+    Built where a tree is read, not per document: the engine builds one
+    only when the evaluator's resolver opens a document (an
+    evaluated-tier miss; :meth:`repro.core.scoring.QueryColumns.get`).
+    Immutable in practice; nothing downstream writes into a PDT or its
+    tree.
 
     Everything keyword-independent reads through to ``skeleton``:
     ``doc_name``, ``node_count``, ``entry_count``, ``byte_lengths`` (the
@@ -1199,14 +1201,23 @@ def annotate_skeleton(
     inv_lists: dict[str, PostingList],
     keywords: tuple[str, ...],
 ) -> PDTResult:
+    """:func:`sweep_tf_arrays` onto a cached skeleton, as one PDT."""
+    tf_arrays = sweep_tf_arrays(skeleton, inv_lists, keywords)
+    return PDTResult(skeleton, tuple(keywords), tf_arrays)
+
+
+def sweep_tf_arrays(
+    skeleton: PDTSkeleton,
+    inv_lists: dict[str, PostingList],
+    keywords: tuple[str, ...],
+) -> dict[str, Optional[list[int]]]:
     """Merge a query's posting lists onto a cached skeleton.
 
     This is the per-query half of PDT generation: one
     ``cumulative_below`` merge-join sweep per keyword over the skeleton's
     precomputed subtree bounds produces a flat per-content-node tf array —
     O(skeleton + postings) per keyword, no binary searches, no index probe
-    of any kind, and no tree construction (the result holds the skeleton;
-    its tree is built only if something reads :attr:`PDTResult.root`).
+    of any kind, and no tree construction.
 
     The tf arrays are keyed by the ``keywords`` argument, *not* by which
     inverted lists happen to be non-empty: a queried keyword with zero
@@ -1225,7 +1236,7 @@ def annotate_skeleton(
         tf_arrays[keyword] = [
             counts[high] - counts[low] for low, high in slot_bounds
         ]
-    return PDTResult(skeleton, tuple(keywords), tf_arrays)
+    return tf_arrays
 
 
 def generate_pdt(

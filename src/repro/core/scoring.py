@@ -14,12 +14,13 @@ A result's statistics — per-keyword subtree tf and serialized byte length
 * :meth:`StatisticsPlan.sum` is the keyword-*dependent* half: column
   arithmetic over the plan that reads only what a query's keywords
   decide — tf from the per-document arrays the posting sweep produced,
-  byte lengths from the skeleton columns those PDTs carry — into a
-  :class:`ColumnSums`, which then masks, scores and selects by column
-  too.  A :class:`ScoredResult` is built only for a row somebody asks
-  for: the engine asks for its top k, the compatibility read
-  (:meth:`StatisticsPlan.collect`) for every row.  Each column is
-  memoized on the plan with the inputs it was summed from.
+  byte lengths from the skeletons' columns, both handed over as one
+  :class:`QueryColumns` — into a :class:`ColumnSums`, which then
+  masks, scores and selects by column too.  A :class:`ScoredResult` is
+  built only for a row somebody asks for: the engine asks for its top
+  k, the compatibility read (:meth:`StatisticsPlan.collect`) for every
+  row.  Each column is memoized on the plan with the inputs it was
+  summed from.
 
 The same plan and the same sum serve both pipelines, which is how
 Theorem 4.1's score equality is realized structurally:
@@ -31,11 +32,12 @@ Theorem 4.1's score equality is realized structurally:
   for the identical quantities (subtree tf from the inverted index,
   subtree byte length from the path index), so the walk stops at pruned
   nodes.  PDT trees keep both *outside* the tree — each content node
-  carries a ``slot`` index into the flat tf arrays of its document's
-  :class:`repro.core.pdt.PDTResult` and a ``position`` into its
-  ``byte_lengths`` column — so the sum resolves them through the
-  ``tf_source`` mapping (document name -> PDTResult) its caller
-  supplies.
+  carries a ``slot`` index into its document's flat tf arrays and a
+  ``position`` into its skeleton's ``byte_lengths`` column — so the sum
+  resolves them through the :class:`QueryColumns` its caller supplies
+  (the engine's tier reads as they came back, or
+  :meth:`QueryColumns.of` a ``tf_source`` mapping of document names to
+  :class:`repro.core.pdt.PDTResult`).
 
 Definitions (paper Section 2.2): ``tf(e, k)`` is the number of occurrences
 of k in e and its descendants; ``idf(k) = |V(D)| / |{e in V(D):
@@ -48,8 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from repro.core.cache import TfColumn
+from repro.core.pdt import PDTResult, PDTSkeleton
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.serializer import escape_text
 from repro.xmlmodel.tokenizer import token_frequencies
@@ -91,6 +95,38 @@ def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indexes)
 
 
+class QueryColumns(NamedTuple):
+    """One query's inputs to :meth:`StatisticsPlan.sum`, as the engine's
+    two tier reads return them: one skeleton per document, and the
+    :class:`~repro.core.cache.TfColumn` cells document-major, one per
+    keyword of ``keywords`` (distinct, in query order).  ``positions``
+    maps a document name to its position in both."""
+
+    skeletons: Sequence[PDTSkeleton]
+    tf_columns: Sequence[TfColumn]
+    keywords: tuple[str, ...]
+    positions: Mapping[str, int]
+
+    @classmethod
+    def of(cls, pdts: Optional[Mapping], keywords: Sequence[str] = ()) -> "QueryColumns":
+        """``pdts`` (document name -> :class:`~repro.core.pdt.PDTResult`)
+        as columns of ``keywords``; a keyword a PDT lacks reads as zeros."""
+        pdts, keywords = pdts or {}, tuple(dict.fromkeys(keywords))
+        cells = [TfColumn.of(p.tf_arrays.get(k)) for p in pdts.values() for k in keywords]
+        positions = {name: at for at, name in enumerate(pdts)}
+        return cls([p.skeleton for p in pdts.values()], cells, keywords, positions)
+
+    def get(self, doc_name: str) -> Optional[PDTResult]:
+        """The document's PDT, built as the evaluator's resolver opens it
+        (an evaluated-tier miss); ``None`` for a name not here."""
+        at = self.positions.get(doc_name)
+        if at is None:
+            return None
+        cells = self.tf_columns[at * len(self.keywords):]
+        tf_arrays = {k: cell.values for k, cell in zip(self.keywords, cells)}
+        return PDTResult(self.skeletons[at], self.keywords, tf_arrays)
+
+
 class StatisticsPlan:
     """The keyword-independent half of the statistics pass, kept.
 
@@ -107,9 +143,9 @@ class StatisticsPlan:
       over their record positions and the row of each leaf — only the
       rows that touch the document: a column as wide as the view per
       document would make a many-document view quadratic.  A plan holds
-      no length of a pruned leaf: :meth:`sum` picks them from this
-      query's PDT, whose ``byte_lengths`` is its skeleton's current
-      column.  A patchable edit publishes a patched copy of that column
+      no length of a pruned leaf: :meth:`sum` picks them from the
+      current ``byte_lengths`` column of this query's skeleton.  A
+      patchable edit publishes a patched copy of that column
       (:func:`repro.core.pdt.patch_skeleton_byte_lengths`) and keeps
       every record's position, so a plan stays valid across it whichever
       skeleton — migrated, restored or rebuilt — serves the next query;
@@ -129,7 +165,8 @@ class StatisticsPlan:
     """
 
     __slots__ = (
-        "nodes", "starts", "_lengths", "_names", "_docs", "_counts", "_memo"
+        "nodes", "starts", "_lengths", "_names", "_docs", "_counts", "_memo",
+        "_at",
     )
 
     def __init__(
@@ -177,22 +214,21 @@ class StatisticsPlan:
         )
         self._counts = tuple(counts)
         self._memo: dict[Optional[str], tuple] = {}
+        #: ``(positions map, each of _names' position in it)`` for the
+        #: last map :meth:`sum` read — a view's is one object.
+        self._at: Optional[tuple[Mapping[str, int], tuple[int, ...]]] = None
 
-    def sum(
-        self,
-        keywords: Sequence[str],
-        tf_source: Optional[Mapping[str, object]] = None,
-    ) -> "ColumnSums":
-        """The keyword-dependent half: one tf column per distinct keyword,
-        the byte-length column and ``|{e: contains(e, k)}|`` per keyword.
+    def sum(self, columns: QueryColumns) -> "ColumnSums":
+        """The keyword-dependent half: one tf column per keyword of
+        ``columns``, the byte-length column and ``|{e: contains(e, k)}|``
+        per keyword.
 
-        ``tf_source`` maps document names to the query's
-        :class:`~repro.core.pdt.PDTResult` objects; each document's
-        byte lengths are picked at its leaves' record positions and its
-        tf arrays (a keyword without postings has none: implicit zeros)
-        at their slots, one C call each, and only the nonzero tfs are
-        added, each to its own row.  The counts are integers, so
-        shard-summable.
+        The plan reads its documents' cells by position (found once per
+        positions map): each document's byte lengths are picked at its
+        leaves' record positions and its tf arrays (a keyword without
+        postings has none: implicit zeros) at their slots, one C call
+        each, and only the nonzero tfs are added, each to its own row.
+        The counts are integers, so shard-summable.
 
         Memoized per column: each is kept with its per-document inputs
         (``byte_lengths`` columns, or one keyword's tf arrays) and reused
@@ -200,8 +236,9 @@ class StatisticsPlan:
         keyword costs one comparison per document.  Sound because a
         published column is never written: a patch publishes a copy.
         """
-        pdts = self._sources(tf_source)
-        inputs = tuple([pdt.skeleton.byte_lengths for pdt in pdts])
+        at = self._positions(columns.positions)
+        skeletons = columns.skeletons
+        inputs = tuple([skeletons[position].byte_lengths for position in at])
         entry = self._memo.get(_LENGTHS)
         if entry is None or entry[0] != inputs:
             lengths = list(self._lengths)
@@ -210,12 +247,13 @@ class StatisticsPlan:
                     lengths[row] += length
             entry = self._remember(_LENGTHS, (inputs, lengths))
         lengths = entry[1]
-        arrays = [pdt.tf_arrays for pdt in pdts]
+        cells, width = columns.tf_columns, len(columns.keywords)
+        rows = [position * width for position in at]
         size = len(self.nodes)
         tfs: dict[str, list[int]] = {}
         containing: dict[str, int] = {}
-        for keyword in dict.fromkeys(keywords):
-            inputs = tuple([tf_arrays.get(keyword) for tf_arrays in arrays])
+        for offset, keyword in enumerate(columns.keywords):
+            inputs = tuple([cells[row + offset].values for row in rows])
             entry = self._memo.get(keyword)
             if entry is None or entry[0] != inputs:
                 column = self._tf_column(keyword, inputs)
@@ -225,21 +263,25 @@ class StatisticsPlan:
             _, tfs[keyword], containing[keyword] = entry
         return ColumnSums(self.nodes, self.starts, tfs, lengths, containing)
 
-    def _sources(self, tf_source: Optional[Mapping[str, object]]) -> tuple:
-        """The PDT of each document the plan's leaves read, in plan order."""
-        pdts = tuple(map((tf_source or {}).get, self._names))
-        if not all(pdts):
-            doc = next(d for d, pdt in zip(self._names, pdts) if pdt is None)
+    def _positions(self, positions: Mapping[str, int]) -> tuple[int, ...]:
+        """Where each document the plan's leaves read is, in plan order."""
+        known = self._at
+        if known is not None and known[0] is positions:
+            return known[1]
+        try:
+            at = tuple([positions[doc] for doc in self._names])
+        except KeyError as missing:
             # A pruned node's tfs and byte length live *outside* the
             # tree; scoring it without its PDT would silently yield
             # zeros, so fail loudly instead.
             raise ValueError(
                 "cannot score a shared-skeleton PDT node: no tf_source "
-                f"entry for document {doc!r} (its term frequencies and "
-                "byte length are read from the document's PDT, not "
-                "stored on the tree)"
-            )
-        return pdts
+                f"entry for document {missing.args[0]!r} (its term "
+                "frequencies and byte length are read from the "
+                "document's PDT, not stored on the tree)"
+            ) from None
+        self._at = (positions, at)
+        return at
 
     def _tf_column(self, keyword: str, inputs: tuple) -> list[int]:
         """``keyword``'s column from each document's tf array (or None)."""
@@ -272,7 +314,7 @@ class StatisticsPlan:
         the containing counts: :meth:`sum`'s columns as objects, for the
         baselines' reference pipeline (:func:`score_results`) and for
         reading one result's statistics."""
-        sums = self.sum(keywords, tf_source)
+        sums = self.sum(QueryColumns.of(tf_source, keywords))
         return list(map(sums.result, range(len(self.nodes)))), sums.containing
 
 
@@ -363,7 +405,7 @@ def score_results(
     ``idf`` is computed over the *entire* view result sequence — not just
     the keyword-satisfying results — exactly as in Section 2.2 where
     ``V(D)`` is the full view.  ``tf_source`` resolves the tfs and byte
-    lengths of shared-skeleton PDT nodes (see :meth:`StatisticsPlan.sum`).
+    lengths of shared-skeleton PDT nodes (see :meth:`StatisticsPlan.collect`).
 
     The object-at-a-time reference pipeline the baselines rank through
     (:meth:`StatisticsPlan.collect` → :func:`idf_from_counts` →

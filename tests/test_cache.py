@@ -14,6 +14,13 @@ from repro.core.pdt import build_skeleton
 from tests.conftest import REVIEWS_XML
 
 
+def accounted_keys(cache: LRUCache) -> set:
+    """The keys whose slot carries a value, its bytes and a use stamp,
+    once the byte gauge is checked to be the sum of the slots' bytes."""
+    assert cache.memory_bytes == sum(slot[1] for slot in cache._data.values())
+    return {key for key, slot in cache._data.items() if len(slot) == 3}
+
+
 class TestLRUCache:
     def test_get_put_and_stats(self):
         cache = LRUCache(2)
@@ -100,7 +107,7 @@ class TestLRUCache:
             cache.put(key, key)
         before = time.perf_counter()
         cache.get_many(["c", "a", "x"])
-        stamps = {key: cache._meta[key][1] for key in "abc"}
+        stamps = {key: cache._data[key][2] for key in "abc"}
         assert stamps["a"] == stamps["c"] >= before > stamps["b"]
         # Within a scan that began before the read, the unread entry is
         # evictable and the read ones are protected, exactly as after
@@ -371,18 +378,18 @@ class TestScanResistance:
         cache = LRUCache(3)
         for i in range(5):  # two evictions
             cache.put(("doc", 1, i), i)
-        assert set(cache._meta) == set(cache._data)
-        before = dict(cache._meta)
+        assert accounted_keys(cache) == set(cache._data)
+        before = {key: slot[1:] for key, slot in cache._data.items()}
         moved = cache.rekey_where(
             lambda k: k[2] == 4, lambda k: (k[0], 2, k[2])
         )
         assert [key for key, _ in moved] == [("doc", 2, 4)]
-        assert cache._meta[("doc", 2, 4)] == before[("doc", 1, 4)]
-        assert set(cache._meta) == set(cache._data)
+        assert cache._data[("doc", 2, 4)][1:] == before[("doc", 1, 4)]
+        assert accounted_keys(cache) == set(cache._data)
         cache.invalidate_where(lambda k: k[2] == 3)
-        assert set(cache._meta) == set(cache._data)
+        assert accounted_keys(cache) == set(cache._data)
         cache.clear()
-        assert cache._meta == {}
+        assert cache._data == {} and cache.memory_bytes == 0
 
     def test_rekeyed_entry_stays_protected_within_its_scan(self):
         cache = LRUCache(2)

@@ -19,6 +19,7 @@ import pytest
 from repro.core import scoring
 from repro.core.cache import LRUCache
 from repro.core.engine import KeywordSearchEngine
+from tests.test_cache import accounted_keys
 
 JOIN_TIMEOUT = 60.0
 
@@ -82,9 +83,9 @@ class TestShardedCacheStress:
         # once, as a hit or a miss.
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == sum(lookups) > 0
-        # The LRU chain and its side table agree, within the capacity.
+        # Every slot on the LRU chain is accounted, within the capacity.
         assert len(cache) <= 128
-        assert set(cache._meta) == set(cache._data)
+        assert accounted_keys(cache) == set(cache._data)
 
     def test_concurrent_writers_one_hot_shard(self):
         # Every thread contends on the tier's one lock; the LRU chain
@@ -99,7 +100,7 @@ class TestShardedCacheStress:
         run_threads([lambda w=w: worker(w) for w in range(6)])
         assert cache.hits + cache.misses == 6 * 2000
         assert len(cache) == 32
-        assert set(cache._meta) == set(cache._data)
+        assert accounted_keys(cache) == set(cache._data)
 
 
 KEYWORD_SETS = [

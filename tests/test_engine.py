@@ -155,6 +155,11 @@ class TestStaleViews:
             engine.search(view, ["xml"], top_k=5)
         assert excinfo.value.view_name == "bookrevs"
         assert excinfo.value.missing == ["reviews.xml"]
+        # Every dropped document is named, not only the first found.
+        bookrev_db.drop_document("books.xml")
+        with pytest.raises(StaleViewError) as excinfo:
+            engine.search(view, ["xml"], top_k=5)
+        assert excinfo.value.missing == ["books.xml", "reviews.xml"]
 
     def test_stale_view_name_error_is_view_definition_error(self):
         assert issubclass(StaleViewError, ViewDefinitionError)

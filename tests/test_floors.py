@@ -28,7 +28,7 @@ from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
 from repro.core import scoring
-from repro.core.pdt import PDTSkeleton
+from repro.core.pdt import PDTResult, PDTSkeleton
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
@@ -89,6 +89,9 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # re-added each document's columns, though the repeated pass hands
     # the plan the same columns it summed on the first.
     ("no-picks-on-repeated-keywords", "cold_sweep", "picks_per_query", "==", 0),
+    # 96.0 while the engine wrapped each document's two tier reads in a
+    # PDTResult that the sum unpacked straight away.
+    ("no-pdt-object-per-warm-document", "cold_sweep", "pdt_results_per_query", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -341,8 +344,9 @@ def cold_sweep():
     every rebuilt skeleton is annotated): the ``PDTSkeleton._build_tree``
     calls.  Per repeated search (the PDT tier holds every column): the
     reads of the skeleton tier and of the PDT tier (``get_many`` calls;
-    a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls and the
-    calls of the plan's per-document pickers (``scoring._picker``'s)."""
+    a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls, the
+    calls of the plan's per-document pickers (``scoring._picker``'s) and
+    the ``PDTResult`` constructions."""
     counters = Counter()
     picker = scoring._picker
 
@@ -362,9 +366,9 @@ def cold_sweep():
     def counting(owner, name, counter=None):
         method = getattr(owner, name)
 
-        def counted(self, *args):
+        def counted(self, *args, **kwargs):
             counters[counter or tiers.get(id(self))] += 1
-            return method(self, *args)
+            return method(self, *args, **kwargs)
 
         return mock.patch.object(owner, name, counted)
 
@@ -377,11 +381,15 @@ def cold_sweep():
         sweep()
     first_pass_picks = counters["picks"]
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
-            counting(LRUCache, "get_many"):
+            counting(LRUCache, "get_many"), \
+            counting(PDTResult, "__init__", "pdt_results"):
         sweep()
     counters["picks"] -= first_pass_picks
     assert counters["evaluated_hits"] == 100
-    for name in ("trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks"):
+    for name in (
+        "trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks",
+        "pdt_results",
+    ):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters
 

@@ -15,7 +15,9 @@ from repro.core.pdt import (
     PDTSkeleton,
     patch_skeleton_byte_lengths,
 )
+from repro.core.cache import TfColumn
 from repro.core.scoring import (
+    QueryColumns,
     ResultStatistics,
     StatisticsPlan,
     apply_scores,
@@ -342,12 +344,34 @@ class TestPlanEqualsWalk:
         FORESTS,
         ALL_SOURCES,
         st.sampled_from([1, 2, scoring.MEMO_ENTRIES]),
+        st.sampled_from(["of", "engine"]),
     )
-    def test_memoized_sum_equals_a_fresh_plans(self, data, forest, tf_source, bound):
+    def test_memoized_sum_equals_a_fresh_plans(
+        self, data, forest, tf_source, bound, form
+    ):
         """One plan summed over a sequence of keyword sets, some PDTs
         replaced and some byte-length columns patched between the calls,
         sums exactly like a fresh plan every time, and its memo never
-        outgrows the bound."""
+        outgrows the bound — fed ``QueryColumns.of`` the PDTs, or the
+        lists the engine hands it: its own document order, one positions
+        map for every call (a view's) and one tier cell per document and
+        keyword."""
+        positions = {doc: at for at, doc in enumerate(sorted(tf_source, reverse=True))}
+
+        def engine_columns(pdts, keywords):
+            distinct = tuple(dict.fromkeys(keywords))
+            return QueryColumns(
+                [pdts[doc].skeleton for doc in positions],
+                [
+                    TfColumn.of(pdts[doc].tf_arrays.get(keyword))
+                    for doc in positions
+                    for keyword in distinct
+                ],
+                distinct,
+                positions,
+            )
+
+        columns_of = {"of": QueryColumns.of, "engine": engine_columns}[form]
         plan = StatisticsPlan(forest)
         with mock.patch.object(scoring, "MEMO_ENTRIES", bound):
             for _ in range(data.draw(st.integers(1, 6), label="calls")):
@@ -358,8 +382,8 @@ class TestPlanEqualsWalk:
                     skeleton = tf_source[doc].skeleton
                     delta = data.draw(st.integers(-9, 9).filter(bool))
                     patch_skeleton_byte_lengths(skeleton, skeleton.keys, delta)
-                fresh = StatisticsPlan(forest).sum(keywords, tf_source)
-                summed = plan.sum(keywords, tf_source)
+                fresh = StatisticsPlan(forest).sum(QueryColumns.of(tf_source, keywords))
+                summed = plan.sum(columns_of(tf_source, keywords))
                 assert (summed.tfs, summed.lengths, summed.containing) == (
                     fresh.tfs,
                     fresh.lengths,
@@ -441,7 +465,7 @@ class TestColumnRankingEqualsReference:
         sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
         gap = 7  # the results of other shards' fragments before each part
         stats = ViewStatistics(
-            sums=StatisticsPlan(forest, sizes).sum(keywords, tf_source),
+            sums=StatisticsPlan(forest, sizes).sum(QueryColumns.of(tf_source, keywords)),
             cache_hits={}, evaluated_hit=True,
             offsets=tuple(start + gap * part for part, start in enumerate(bounds[:-1])),
         )
@@ -462,7 +486,7 @@ class TestColumnRankingEqualsReference:
     def test_scored_is_every_row_at_the_offset(self):
         forest = [result_with_text("xml"), result_with_text("none")]
         stats = ViewStatistics(
-            sums=StatisticsPlan(forest, [1, 1]).sum(("xml",)),
+            sums=StatisticsPlan(forest, [1, 1]).sum(QueryColumns.of({}, ("xml",))),
             cache_hits={}, evaluated_hit=True, offsets=(5, 9),
         )
         assert [(r.index, r.tf("xml"), r.score) for r in stats.scored] == [

@@ -349,7 +349,7 @@ class TestSkeletonPatch:
 
     def test_patch_of_a_never_built_tree_reaches_the_next_sum(self):
         from repro.core.pdt import annotate_skeleton, build_skeleton
-        from repro.core.scoring import StatisticsPlan
+        from repro.core.scoring import QueryColumns, StatisticsPlan
 
         db = _database()
         engine = KeywordSearchEngine(db, enable_cache=False)
@@ -379,7 +379,7 @@ class TestSkeletonPatch:
             pdt = annotate_skeleton(skeleton, {}, ("widget",))
             items = [n for n in pdt.root.iter() if n.tag == "item"]
             plan = StatisticsPlan(items)
-            return plan.sum(("widget",), {"items.xml": pdt}).lengths
+            return plan.sum(QueryColumns.of({"items.xml": pdt}, ("widget",))).lengths
 
         lengths = summed_lengths(skeleton)
         assert lengths == summed_lengths(rebuilt)
