@@ -15,9 +15,9 @@ mutual constraints — but does it the pre-path-index way:
 * predicate operands and join values are fetched from the *base data*
   (document storage), the second cost the paper calls out.
 
-The output is the same record set the streaming PDT algorithm produces,
-finished by the same tree builder (:meth:`PDTSkeleton.from_records`) into
-the same form: a tree whose content nodes carry slots, plus one tf array
+The output is the record set whose columns the streaming PDT sweep
+writes directly, finished by :meth:`PDTSkeleton.from_records` into the
+same form: a tree whose content nodes carry slots, plus one tf array
 per keyword indexed by slot.  So the rest of the pipeline (tree, tf
 layout, evaluator, scorer, materializer) is shared — the comparison
 isolates exactly the two architectural differences the paper credits for

@@ -94,7 +94,8 @@ class _PDTBuilder:
     ParentLists, the PdtCache) — kept as the ``inpdt_fast_path`` ablation
     vehicle and as a second, independently-structured implementation the
     equivalence tests can cross-check against the default
-    :func:`repro.core.pdt._collect_records_swept` array sweep.
+    :func:`repro.core.pdt._sweep_columns` array sweep (which writes
+    columns; this automaton still emits records for ``from_records``).
 
     ``inpdt_fast_path`` toggles the Section 4.2.2.1 optimization: with it
     on, an item whose ancestor constraint is already established is
@@ -368,7 +369,7 @@ def build_skeleton_stack(
 ) -> PDTSkeleton:
     """:func:`repro.core.pdt.build_skeleton` through the automaton: the
     same probes, the stack pass (``inpdt_fast_path`` is the builder's),
-    the same finalization."""
+    its records finalized by :meth:`PDTSkeleton.from_records`."""
     path_lists = prepare_path_lists(qpt, path_index)
     return PDTSkeleton.from_records(
         doc_name=qpt.doc_name,

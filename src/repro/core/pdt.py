@@ -12,8 +12,8 @@ id lists, kept as written in :mod:`repro.baselines.stack_pdt` (the
 Section 4.2.2.1 ablation runs there).  The pipeline computes the same
 CE / PE sets of Definitions 1-2 as a fixpoint swept over the sorted
 packed-key arrays the storage layer already keeps
-(:func:`_collect_records_swept`): bisects and merges over flat ``bytes``,
-no per-(element, QPT node) state.
+(:func:`_sweep_columns`): bisects and merges over flat ``bytes``, no
+per-(element, QPT node) state, written straight into skeleton columns.
 
 Ids flow through the sweep in their *packed* byte form (see
 :mod:`repro.dewey`): bytes comparison is document order, a byte prefix is
@@ -37,6 +37,7 @@ Equivalence with Definitions 1-3 is enforced by property tests against
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 import weakref
@@ -48,7 +49,7 @@ from typing import Optional
 
 from repro.core.prepare import prepare_inv_lists, prepare_path_lists
 from repro.storage.inverted_index import PostingList
-from repro.core.qpt import QPT, QPTNode
+from repro.core.qpt import QPT
 from repro.dewey import DeweyID, packed_child_bound, unpack
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.path_index import PathIndex, PathList
@@ -131,11 +132,11 @@ class PDTResult:
 class PDTRecord:
     """An emitted PDT element (pre-tree-construction).
 
-    ``key`` is the element's packed Dewey byte key.  Shared with the GTP
-    baseline, which computes the same records through structural joins
-    instead of the single-pass merge.  ``slots=True``: the cold path
-    allocates one record per surviving element, and slot storage both
-    shrinks and speeds that loop.
+    ``key`` is the element's packed Dewey byte key.  The stack automaton
+    (:mod:`repro.baselines.stack_pdt`) and the GTP baseline emit these,
+    and tests build them, for :meth:`PDTSkeleton.from_records`; the
+    pipeline's sweep writes columns instead.  ``slots=True``: one record
+    per surviving element.
     """
 
     key: bytes
@@ -151,13 +152,15 @@ class PDTRecord:
         return unpack(self.key)
 
 
-def _collect_records_swept(
+def _sweep_columns(
     qpt: QPT,
     path_lists: dict[int, PathList],
     path_index: PathIndex,
-) -> dict[bytes, PDTRecord]:
-    """The default structural pass: a CE/PE fixpoint swept over the
-    packed-key arrays the storage layer already keeps.
+) -> tuple:
+    """The structural pass: a CE/PE fixpoint swept over the packed-key
+    arrays the storage layer already keeps, written straight into a
+    skeleton's columns ``(keys, tag_ids, tags, flags, values,
+    byte_lengths)`` — what :meth:`PDTSkeleton._publish` takes.
 
     Instead of driving a per-element stack automaton (one open-element
     and one item object per (element, QPT node) pair — see
@@ -168,7 +171,8 @@ def _collect_records_swept(
       path list (predicates are pre-filtered by the probe, so a pattern
       match alone never qualifies); an unprobed node's elements are the
       Dewey prefixes of list entries at the depths its pattern matches —
-      derived once, deduplicated by key;
+      derived once, deduplicated by key, from prefix plans memoized on
+      the QPT per data path;
     * **CE (bottom-up)**: a mandatory ``//`` edge is an emptiness test of
       the child's candidate array within ``(key, packed_child_bound(key))``
       — two bisects; a mandatory ``/`` edge bisects the child's
@@ -177,41 +181,31 @@ def _collect_records_swept(
     * **PE (top-down)**: one merged sweep per edge over the parent's
       sorted PE keys and the node's sorted candidates — the active
       ancestor chain is a small prefix stack, ``/`` additionally checks
-      the chain's deepest entry sits one level up.
+      the chain's deepest entry sits one level up.  No sweep when the
+      parent keeps the whole column of one path and the child's
+      candidates are the whole column of a path extending it (by one
+      step on ``/``, by any number on ``//``): every candidate's
+      ancestor on the parent's path is a parent element;
+    * **emission**: one segment of rows per QPT node.  A node that keeps
+      its whole path list takes byte lengths (and values, when its probe
+      fetched them or no list carries any) from the list's columns; any
+      other looks its keys up in key → length / value maps over every
+      list, built on first need.  An element two nodes emit (they share
+      its tag) is one row, flags OR'ed.  One argsort orders the columns;
+      tag ids follow first appearance, as the wire requires.
 
-    All hot loops are bisects and merges over flat ``bytes`` arrays;
-    nothing allocates per (element, node) state.  Equivalence
+    So a node that keeps every element of its path hands the index's own
+    columns through CE, PE and emission as the same list objects, and a
+    sweep that keeps every element hands on its input list.  Equivalence
     with ``repro.core.reference`` and with the automaton is enforced by
     the property suite and the reference-equivalence tests.
     """
     # A node is probed iff it has its own path list.
-    probed = frozenset(path_lists)
+    probed = path_lists
     qpt_root = qpt.root
     nodes = qpt.nodes
-
-    # -- per-path precomputation ---------------------------------------------
-    tables: dict[int, list[list[QPTNode]]] = {}
-    # Depths (1-based) at which each *unprobed* node matches, per path id.
-    prefix_plans: dict[int, list[tuple[int, list[int]]]] = {}
-
-    def plan_for(path_id: int) -> list[tuple[int, list[int]]]:
-        plan = prefix_plans.get(path_id)
-        if plan is None:
-            table = qpt.match_table(path_index.path_by_id(path_id))
-            tables[path_id] = table
-            plan = []
-            for depth, matches in enumerate(table, start=1):
-                unprobed = [
-                    qnode.index
-                    for qnode in matches
-                    if qnode.index not in probed
-                ]
-                if unprobed:
-                    plan.append((depth, unprobed))
-            prefix_plans[path_id] = plan
-        return plan
-
-    depth_by_path: dict[int, int] = {}
+    path_by_id = path_index.path_by_id
+    prefix_plans = qpt._prefix_plans
 
     # -- element collection ---------------------------------------------------
     # Per QPT node: a *sorted key array* plus its depth information — a
@@ -227,48 +221,52 @@ def _collect_records_swept(
     # descendant can never become a candidate.
     element_keys: dict[int, list[bytes]] = {node.index: [] for node in nodes}
     element_depths: dict[int, object] = {node.index: 0 for node in nodes}
+    # Probed node -> the path whose complete key column its list is.
+    whole: dict[int, tuple[str, ...]] = {}
     derived_sources: dict[int, list[tuple[int, list[bytes]]]] = {}
-    direct_value: dict[bytes, str] = {}
-    direct_length: dict[bytes, int] = {}
-    plans = prefix_plans
-    derived_paths: set[int] = set()
+    depth_by_path: dict[int, int] = {}
     for node_index, path_list in path_lists.items():
         keys = path_list.keys
         path_ids = path_list.path_ids
         single = path_list.single_path
         unique_paths = (single,) if single is not None else set(path_ids)
         for path_id in unique_paths:
-            if path_id not in depth_by_path:
-                depth_by_path[path_id] = len(path_index.path_by_id(path_id))
-            if path_id not in plans:
-                plan_for(path_id)
-            if path_id not in derived_paths:
-                derived_paths.add(path_id)
-                for prefix_depth, unprobed in plans[path_id]:
-                    ancestor_keys = path_index.ancestors_on_path(
-                        path_id, prefix_depth
+            if path_id in depth_by_path:
+                continue
+            path = path_by_id(path_id)
+            depth_by_path[path_id] = len(path)
+            plan = prefix_plans.get(path)
+            if plan is None:
+                plan = prefix_plans[path] = [
+                    (depth, unprobed)
+                    for depth, matches in enumerate(qpt.match_table(path), 1)
+                    if (unprobed := [
+                        qnode.index
+                        for qnode in matches
+                        if qnode.index not in probed
+                    ])
+                ]
+            for prefix_depth, unprobed in plan:
+                ancestor_keys = path_index.ancestors_on_path(
+                    path_id, prefix_depth
+                )
+                if not ancestor_keys:
+                    continue
+                for target in unprobed:
+                    derived_sources.setdefault(target, []).append(
+                        (prefix_depth, ancestor_keys)
                     )
-                    if not ancestor_keys:
-                        continue
-                    for target in unprobed:
-                        derived_sources.setdefault(target, []).append(
-                            (prefix_depth, ancestor_keys)
-                        )
+        # Shared with the path list — read-only by convention.
+        element_keys[node_index] = keys
+        if single is not None:
+            # A whole-path handoff: the list is the path's own column.
+            whole[node_index] = path_by_id(single)
         if len(unique_paths) == 1:
             only = next(iter(unique_paths))
-            # Shared with the path list — read-only by convention.
-            element_keys[node_index] = keys
             element_depths[node_index] = depth_by_path[only]
         else:
-            element_keys[node_index] = keys
             element_depths[node_index] = dict(
                 zip(keys, map(depth_by_path.__getitem__, path_ids))
-            )
-        direct_length.update(zip(keys, path_list.byte_lengths))
-        if path_list.has_values:
-            direct_value.update(
-                pair for pair in zip(keys, path_list.values)
-                if pair[1] is not None
             )
     for target, sources in derived_sources.items():
         if len(sources) == 1:
@@ -354,7 +352,8 @@ def _collect_records_swept(
                             break
                 if ok:
                     kept.append(key)
-        cand[n] = kept
+        # A sweep that kept every element hands on the list itself.
+        cand[n] = ordered_elems if len(kept) == len(ordered_elems) else kept
         edge = qnode.parent_edge
         if edge is not None and edge.mandatory and edge.axis == "/":
             # The parent's CE pass probes this node's candidates per depth.
@@ -386,7 +385,21 @@ def _collect_records_swept(
                 else:
                     kept = [key for key in cand[n] if depths[key] == 1]
         else:
-            parents = in_pdt[edge.parent.index]
+            parent_index = edge.parent.index
+            parents = in_pdt[parent_index]
+            path, parent_path = whole.get(n), whole.get(parent_index)
+            if (
+                path and parent_path
+                and cand[n] is element_keys[n]
+                and parents is element_keys[parent_index]
+                and path[: len(parent_path)] == parent_path
+                and (steps := len(path) - len(parent_path)) > 0
+                and (steps == 1 or edge.axis == "//")
+            ):
+                # Whole column under whole column: a candidate's prefix
+                # of the parent path's depth is a parent element.
+                in_pdt[n] = cand[n]
+                continue
             kept = []
             if parents:
                 direct_only = edge.axis == "/"
@@ -443,40 +456,93 @@ def _collect_records_swept(
                             kept.append(key)
                     else:
                         kept.append(key)
+                if len(kept) == len(cand[n]):
+                    kept = cand[n]
         in_pdt[n] = kept
 
-    # -- emission (Definition 3's node set) -----------------------------------
-    records: dict[bytes, PDTRecord] = {}
-    records_get = records.get
-    value_get = direct_value.get
-    length_get = direct_length.get
-    new_record = PDTRecord.__new__
+    # -- emission (Definition 3's node set), as columns -----------------------
+    row_keys: list[bytes] = []
+    row_lengths: list[int] = []
+    row_values: list[Optional[str]] = []
+    row_flags = bytearray()
+    row_tags: list[int] = []
+    tag_index: dict[str, int] = {}
+    segments = 0
+    length_of = value_of = None
+    any_values = any(each.has_values for each in path_lists.values())
     for qnode in nodes:
-        emitted = in_pdt[qnode.index]
+        n = qnode.index
+        emitted = in_pdt[n]
         if not emitted:
             continue
-        wants_value = bool(qnode.v_ann or qnode.predicates)
-        wants_content = qnode.c_ann
-        tag = qnode.tag
-        for key in emitted:
-            record = records_get(key)
-            if record is None:
-                # PDTRecord(...), unrolled: this is one of the two per-
-                # record allocation loops of the cold path.
-                record = new_record(PDTRecord)
-                record.key = key
-                record.tag = tag
-                record.value = value_get(key)
-                record.byte_length = length_get(key, 0)
-                record.wants_value = wants_value
-                record.wants_content = wants_content
-                records[key] = record
+        flag = (_WANTS_VALUE if qnode.v_ann or qnode.predicates else 0) | (
+            _WANTS_CONTENT if qnode.c_ann else 0
+        )
+        path_list = path_lists.get(n)
+        own = path_list is not None and emitted is path_list.keys
+        if own and (path_list.has_values or not any_values):
+            lengths, values = path_list.byte_lengths, path_list.values
+        else:
+            if length_of is None:
+                length_of, value_of = {}, {}
+                for each in path_lists.values():
+                    length_of.update(zip(each.keys, each.byte_lengths))
+                    if each.has_values:
+                        value_of.update(zip(each.keys, each.values))
+            lengths = path_list.byte_lengths if own else [
+                length_of.get(key, 0) for key in emitted
+            ]
+            values = list(map(value_of.get, emitted))
+        tag_id = tag_index.get(qnode.tag)
+        if tag_id is None:
+            tag_id = tag_index[qnode.tag] = len(tag_index)
+        else:
+            # Only a node of an already-emitted tag can meet a row again.
+            row_of = dict(zip(row_keys, range(len(row_keys))))
+            fresh = [key not in row_of for key in emitted]
+            for key in compress(emitted, map(operator.not_, fresh)):
+                row_flags[row_of[key]] |= flag
+            if not any(fresh):
                 continue
-            if wants_value:
-                record.wants_value = True
-            if wants_content:
-                record.wants_content = True
-    return records
+            emitted, lengths, values = (
+                list(compress(column, fresh))
+                for column in (emitted, lengths, values)
+            )
+        segments += 1
+        count = len(emitted)
+        row_keys += emitted
+        row_lengths += lengths
+        row_values += values
+        row_flags += bytes((flag,)) * count
+        row_tags += [tag_id] * count
+    tags = tuple(tag_index)
+    if segments > 1:
+        order = operator.itemgetter(
+            *sorted(range(len(row_keys)), key=row_keys.__getitem__)
+        )
+        row_keys, row_lengths, row_values, row_flags, row_tags = map(
+            order, (row_keys, row_lengths, row_values, row_flags, row_tags)
+        )
+        first = list(dict.fromkeys(row_tags))
+        if first != sorted(first):
+            tags = tuple(map(tags.__getitem__, first))
+            renumber = dict(zip(first, range(len(first))))
+            # A list, not an iterator: array() sizes a list exactly.
+            row_tags = list(map(renumber.__getitem__, row_tags))
+    return (
+        tuple(row_keys),
+        # Unlike the wire's u16, memory takes any number of tags.
+        array("H" if len(tags) <= 0xFFFF else "I", row_tags),
+        tags,
+        bytes(
+            [
+                flag | _HAS_VALUE if value is not None else flag
+                for flag, value in zip(row_flags, row_values)
+            ]
+        ),
+        tuple(row_values),
+        array("q", row_lengths),
+    )
 
 
 # What one element of a skeleton column costs beyond its slot (CPython).
@@ -542,14 +608,13 @@ class PDTSkeleton:
     and positions and slots are positional, so re-built trees are
     interchangeable.
 
-    Two ways in, and no conversion between them: :meth:`from_records`
-    (the records of the sweep, of the stack automaton in
-    :mod:`repro.baselines.stack_pdt` and of the GTP baseline's
-    structural joins) and :meth:`from_bytes` (decode and validate a
-    payload).  Either way every column is set when the constructor
-    returns.  Skeletons are immutable in practice apart from the
-    byte-length column, which a patch replaces; the tree and bound
-    memos are
+    Three ways in, each ending in :meth:`_publish`: the structural
+    sweep's columns (:func:`build_skeleton`), :meth:`from_records` (the
+    records of the stack automaton in :mod:`repro.baselines.stack_pdt`
+    and of the GTP baseline's structural joins) and :meth:`from_bytes`
+    (decode and validate a payload).  Every way sets every column.
+    Skeletons are immutable in practice apart from the byte-length
+    column, which a patch replaces; the tree and bound memos are
     idempotent and each published by one attribute write, so a benign
     compute race between annotating threads settles on equivalent
     state — the skeleton tier's concurrent-read contract.
@@ -591,7 +656,7 @@ class PDTSkeleton:
         records: dict[bytes, PDTRecord],
         entry_count: int,
     ) -> "PDTSkeleton":
-        """Finalize merge-pass records: sort them and lay out the columns."""
+        """Finalize the baselines' records: sort them, lay out the columns."""
         keys = tuple(sorted(records))
         ordered = [records[key] for key in keys]
         tag_index: dict[str, int] = {}
@@ -1180,7 +1245,9 @@ def build_skeleton(
     path_index: PathIndex,
     path_lists: Optional[dict[int, PathList]] = None,
 ) -> PDTSkeleton:
-    """Run the structural pass for a ``(view, document)`` pair.
+    """Run the structural pass for a ``(view, document)`` pair: one
+    :func:`_sweep_columns` sweep, whose columns the skeleton publishes
+    as they come (no records, no sort of them).
 
     ``path_lists`` can be supplied to reuse already-issued path-index
     probes (the engine's prepared tier); otherwise the keyword-free half
@@ -1189,11 +1256,11 @@ def build_skeleton(
     """
     if path_lists is None:
         path_lists = prepare_path_lists(qpt, path_index)
-    return PDTSkeleton.from_records(
-        doc_name=qpt.doc_name,
-        records=_collect_records_swept(qpt, path_lists, path_index),
-        entry_count=sum(len(lst) for lst in path_lists.values()),
-    )
+    columns = _sweep_columns(qpt, path_lists, path_index)
+    entry_count = sum(len(lst) for lst in path_lists.values())
+    skeleton = PDTSkeleton(qpt.doc_name, entry_count, len(columns[0]))
+    skeleton._publish(*columns)
+    return skeleton
 
 
 def annotate_skeleton(

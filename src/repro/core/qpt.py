@@ -137,6 +137,9 @@ class QPT:
         self._collect(root)
         self._patterns: dict[int, tuple[tuple[str, str], ...]] = {}
         self._match_cache: dict[tuple[str, ...], list[list[QPTNode]]] = {}
+        # Per data path, the PDT sweep's (depth, indexes of nodes outside
+        # the probe plan); every build probes that same plan.
+        self._prefix_plans: dict[tuple[str, ...], list] = {}
         self._content_hash: Optional[str] = None
 
     def _collect(self, root: QPTNode) -> None:

@@ -94,8 +94,8 @@ class PathList:
         #: The one concrete path id all entries share, when the probe can
         #: certify it (whole-path handoffs) — lets consumers skip a scan.
         self.single_path = single_path
-        #: False when the probe certifies every value is ``None`` (the
-        #: with_values=False case); True means "may carry values".
+        #: Whether the probe fetched values: False means every value is
+        #: ``None`` (a with_values=False probe), whatever the element's.
         self.has_values = has_values
 
     def __len__(self) -> int:
@@ -462,7 +462,11 @@ class PathIndex:
                 entry_paths = [entry_paths[i] for i in order]
                 values = [values[i] for i in order]
                 lengths = [lengths[i] for i in order]
-            results.append(PathList(keys, entry_paths, values, lengths))
+            results.append(
+                PathList(
+                    keys, entry_paths, values, lengths, has_values=with_values
+                )
+            )
         return results
 
 

@@ -18,10 +18,12 @@ from repro.baselines.stack_pdt import build_skeleton_stack
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import build_skeleton, generate_pdt
 from repro.core.prepare import prepare_inv_lists, probe_plan
-from repro.core.qpt import generate_qpts
+from repro.core.qpt import QPT, QPTNode, generate_qpts
 from repro.core.rewrite import make_base_resolver, make_pdt_resolver
+from repro.dewey import unpack
 from repro.errors import DocumentNotFoundError
 from repro.storage.database import XMLDatabase
+from repro.values import Predicate
 from repro.workloads.bookrev import BOOKREV_VIEW, generate_bookrev_database
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
@@ -37,24 +39,122 @@ def qpts_for(text):
     return generate_qpts(inline_functions(parse_query(text)))
 
 
+def _step(parent, axis, tag, *, c=False, v=False, equals=None):
+    """An optional-edge child of ``parent``; ``equals`` adds an ``=``
+    predicate (and, as the QPT builder does, the value annotation)."""
+    child = QPTNode(
+        tag,
+        [Predicate("=", equals)] if equals is not None else [],
+        v_ann=v or equals is not None,
+        c_ann=c,
+    )
+    parent.add_child(child, axis, False)
+    return child
+
+
+def _two_c_nodes(doc):
+    """Two top-level ``//c``: one content-, one value-annotated."""
+    _step(doc, "//", "c", c=True)
+    _step(doc, "//", "c", v=True)
+
+
+def _two_a_nodes(doc):
+    """``/r/a`` and ``/r//a``, both over the whole ``/r/a`` column."""
+    r = _step(doc, "/", "r")
+    _step(r, "/", "a", c=True)
+    _step(r, "//", "a", v=True)
+
+
+def _predicated_parent(doc):
+    _step(_step(_step(doc, "/", "r"), "/", "a", equals="1"), "/", "c", c=True)
+
+
+def _descendant_two_below(doc):
+    _step(_step(_step(doc, "/", "r"), "/", "a", c=True), "//", "c", c=True)
+
+
+def _child_two_below(doc):
+    _step(_step(_step(doc, "/", "r"), "/", "a", c=True), "/", "c", c=True)
+
+
+# (document, QPT shape, the skeleton's rows: Dewey id, tag, flags, value);
+# flags bit 0 wants_value, bit 1 wants_content, bit 2 value present.
+_EDGE_INPUTS = {
+    # Each c is one row wanting both; its value comes from the v node's
+    # list, not the c node's value-less one.
+    "two-c-nodes-one-valued": (
+        "<r><a><c>x</c></a><b><c>y</c></b></r>",
+        _two_c_nodes,
+        [((1, 1, 1), "c", 7, "x"), ((1, 2, 1), "c", 7, "y")],
+    ),
+    "one-element-two-nodes": (
+        "<r><a>u</a><a>w</a></r>",
+        _two_a_nodes,
+        [((1,), "r", 0, None), ((1, 1), "a", 7, "u"), ((1, 2), "a", 7, "w")],
+    ),
+    # The whole /r/a/c column must not pass: y's parent fails the predicate.
+    "predicated-parent": (
+        "<r><a>1<c>x</c></a><a>2<c>y</c></a></r>",
+        _predicated_parent,
+        [
+            ((1,), "r", 0, None),
+            ((1, 1), "a", 5, "1"),
+            ((1, 1, 1), "c", 2, None),
+        ],
+    ),
+    "descendant-two-steps-below": (
+        "<r><a><b><c>x</c></b></a></r>",
+        _descendant_two_below,
+        [
+            ((1,), "r", 0, None),
+            ((1, 1), "a", 2, None),
+            ((1, 1, 1, 1), "c", 2, None),
+        ],
+    ),
+    "child-two-steps-below": (
+        "<r><a><b><c>x</c></b></a></r>",
+        _child_two_below,
+        [((1,), "r", 0, None), ((1, 1), "a", 2, None)],
+    ),
+}
+
+
 class TestInPdtFastPathAblation:
     """The optimization changes cost, never output: both arms of the
     paper's automaton emit the bytes the pipeline's array sweep does."""
 
     @staticmethod
     def _assert_both_arms_match_the_sweep(qpt, path_index):
-        swept = build_skeleton(qpt, path_index).to_bytes()
+        swept = build_skeleton(qpt, path_index)
         for fast_path in (True, False):
             arm = build_skeleton_stack(
                 qpt, path_index, inpdt_fast_path=fast_path
             )
-            assert arm.to_bytes() == swept, f"inpdt_fast_path={fast_path}"
+            label = f"inpdt_fast_path={fast_path}"
+            assert arm.to_bytes() == swept.to_bytes(), label
+            # Tier admission reads it: the columns' allocations match too.
+            assert arm.memory_bytes == swept.memory_bytes, label
 
     def test_same_output_on_running_example(self, bookrev_db):
         for doc_name, qpt in qpts_for(BOOKREV_VIEW).items():
             self._assert_both_arms_match_the_sweep(
                 qpt, bookrev_db.get(doc_name).path_index
             )
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_INPUTS))
+    def test_same_output_on_edge_inputs(self, name):
+        document, shape, rows = _EDGE_INPUTS[name]
+        doc = QPTNode("#doc")
+        shape(doc)
+        qpt = QPT("d.xml", doc)
+        indexed = XMLDatabase().load_document("d.xml", document)
+        self._assert_both_arms_match_the_sweep(qpt, indexed.path_index)
+        skeleton = build_skeleton(qpt, indexed.path_index)
+        columns = (skeleton.tag_ids, skeleton.flags, skeleton.values)
+        assert [
+            (unpack(key), skeleton.tags[tag_id], flag, value)
+            for key, tag_id, flag, value in zip(skeleton.keys, *columns)
+        ] == rows
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000_000))

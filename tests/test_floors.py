@@ -29,6 +29,7 @@ from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
 from repro.core import scoring
 from repro.core.pdt import PDTResult, PDTSkeleton
+from repro.core.qpt import QPT
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
@@ -92,6 +93,12 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 96.0 while the engine wrapped each document's two tier reads in a
     # PDTResult that the sum unpacked straight away.
     ("no-pdt-object-per-warm-document", "cold_sweep", "pdt_results_per_query", "==", 0),
+    # 32.0 while the structural sweep emitted PDTRecords for
+    # PDTSkeleton.from_records to sort into columns: one per rebuild.
+    ("sweep-builds-no-records", "cold_sweep", "records_finalized_per_query", "==", 0),
+    # 96.0 while each rebuild re-derived its prefix plans from
+    # QPT.match_table: three paths per skeleton, 32 rebuilds per query.
+    ("one-prefix-plan-per-path", "cold_sweep", "match_tables_per_query", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -345,8 +352,9 @@ def cold_sweep():
     calls.  Per repeated search (the PDT tier holds every column): the
     reads of the skeleton tier and of the PDT tier (``get_many`` calls;
     a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls, the
-    calls of the plan's per-document pickers (``scoring._picker``'s) and
-    the ``PDTResult`` constructions."""
+    calls of the plan's per-document pickers (``scoring._picker``'s),
+    the ``PDTResult`` constructions, the ``PDTSkeleton.from_records``
+    calls and the ``QPT.match_table`` calls."""
     counters = Counter()
     picker = scoring._picker
 
@@ -366,9 +374,9 @@ def cold_sweep():
     def counting(owner, name, counter=None):
         method = getattr(owner, name)
 
-        def counted(self, *args, **kwargs):
-            counters[counter or tiers.get(id(self))] += 1
-            return method(self, *args, **kwargs)
+        def counted(*args, **kwargs):  # a classmethod's arrive without cls
+            counters[counter or tiers.get(id(args[0]))] += 1
+            return method(*args, **kwargs)
 
         return mock.patch.object(owner, name, counted)
 
@@ -382,13 +390,15 @@ def cold_sweep():
     first_pass_picks = counters["picks"]
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
             counting(LRUCache, "get_many"), \
-            counting(PDTResult, "__init__", "pdt_results"):
+            counting(PDTResult, "__init__", "pdt_results"), \
+            counting(PDTSkeleton, "from_records", "records_finalized"), \
+            counting(QPT, "match_table", "match_tables"):
         sweep()
     counters["picks"] -= first_pass_picks
     assert counters["evaluated_hits"] == 100
     for name in (
         "trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks",
-        "pdt_results",
+        "pdt_results", "records_finalized", "match_tables",
     ):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters
