@@ -30,11 +30,11 @@ from repro.core.cache import QueryCache
 from repro.core.qpt import QPT, generate_qpts
 from repro.core.pdt import (
     PDTResult,
-    PDTSkeleton,
     annotate_skeleton,
     build_skeleton,
     generate_pdt,
 )
+from repro.core.skeleton import PDTSkeleton
 from repro.core.topk import TopKSelector
 from repro.dewey import DeweyID, pack, packed_child_bound, unpack
 from repro.errors import (

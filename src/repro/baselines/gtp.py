@@ -16,9 +16,9 @@ mutual constraints — but does it the pre-path-index way:
   (document storage), the second cost the paper calls out.
 
 The output is the record set whose columns the streaming PDT sweep
-writes directly, finished by :meth:`PDTSkeleton.from_records` into the
-same form: a tree whose content nodes carry slots, plus one tf array
-per keyword indexed by slot.  So the rest of the pipeline (tree, tf
+writes directly, finished by :func:`repro.baselines.records.from_records`
+into the same form: a tree whose content nodes carry slots, plus one tf
+array per keyword indexed by slot.  So the rest of the pipeline (tree, tf
 layout, evaluator, scorer, materializer) is shared — the comparison
 isolates exactly the two architectural differences the paper credits for
 its speedup.
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.core.engine import PhaseTimings, SearchOutcome, SearchResult, View
-from repro.core.pdt import PDTRecord, PDTResult, PDTSkeleton
+from repro.baselines.records import PDTRecord, from_records
+from repro.core.pdt import PDTResult
 from repro.core.qpt import QPT, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.scoring import score_results, select_top_k
@@ -214,7 +215,7 @@ class GTPEngine:
                 else None
             )
 
-        skeleton = PDTSkeleton.from_records(
+        skeleton = from_records(
             qpt.doc_name, records, stats.tag_stream_entries
         )
         return PDTResult(

@@ -42,9 +42,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.pdt import PDTRecord, PDTSkeleton
+from repro.baselines.records import PDTRecord, from_records
 from repro.core.prepare import prepare_path_lists
 from repro.core.qpt import QPT, QPTNode
+from repro.core.skeleton import PDTSkeleton
 from repro.dewey import packed_prefix_ends
 from repro.storage.path_index import PathIndex, PathList
 
@@ -94,7 +95,7 @@ class _PDTBuilder:
     ParentLists, the PdtCache) — kept as the ``inpdt_fast_path`` ablation
     vehicle and as a second, independently-structured implementation the
     equivalence tests can cross-check against the default
-    :func:`repro.core.pdt._sweep_columns` array sweep (which writes
+    :func:`repro.core.pdt.build_skeleton` array sweep (which writes
     columns; this automaton still emits records for ``from_records``).
 
     ``inpdt_fast_path`` toggles the Section 4.2.2.1 optimization: with it
@@ -369,9 +370,9 @@ def build_skeleton_stack(
 ) -> PDTSkeleton:
     """:func:`repro.core.pdt.build_skeleton` through the automaton: the
     same probes, the stack pass (``inpdt_fast_path`` is the builder's),
-    its records finalized by :meth:`PDTSkeleton.from_records`."""
+    its records finalized by :func:`~repro.baselines.records.from_records`."""
     path_lists = prepare_path_lists(qpt, path_index)
-    return PDTSkeleton.from_records(
+    return from_records(
         doc_name=qpt.doc_name,
         records=_PDTBuilder(
             qpt, path_lists, path_index, inpdt_fast_path

@@ -7,12 +7,12 @@ end-to-end keyword-search-over-views engine."""
 from repro.core.qpt import QPT, QPTNode, QPTEdge, generate_qpts
 from repro.core.pdt import (
     PDTResult,
-    PDTSkeleton,
     annotate_skeleton,
     build_skeleton,
     generate_pdt,
 )
 from repro.core.reference import reference_pdt
+from repro.core.skeleton import PDTSkeleton
 from repro.core.scoring import (
     ScoredResult,
     score_results,

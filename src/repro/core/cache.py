@@ -15,7 +15,7 @@ inputs, so they cache cleanly — and they split along the keyword axis:
 * **Tier 2 — PDT skeletons**: keyed by ``(view, document)`` — no
   keywords.  The skeleton is the keyword-*independent* structural part
   of the PDT (view-relevant paths, Dewey ids, the resolved structural
-  joins); see :class:`repro.core.pdt.PDTSkeleton`.  A hit means a query
+  joins); see :class:`repro.core.skeleton.PDTSkeleton`.  A hit means a query
   with a *never-seen* keyword set skips all path-index probes and the
   whole merge pass; only per-keyword inverted-list probes and the cheap
   annotation pass remain.

@@ -34,13 +34,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.cache import QueryCache, TfColumn
 from repro.core.materialize import materialize_result
-from repro.core.pdt import (
-    PDTSkeleton,
-    build_skeleton,
-    generate_pdt,
-    patch_skeleton_byte_lengths,
-    sweep_tf_arrays,
-)
+from repro.core.pdt import build_skeleton, generate_pdt, sweep_tf_arrays
 from repro.core.prepare import (
     PreparedLists,
     prepare_inv_lists,
@@ -48,6 +42,7 @@ from repro.core.prepare import (
 )
 from repro.core.qpt import QPT, generate_qpts
 from repro.core.rewrite import make_pdt_resolver
+from repro.core.skeleton import PDTSkeleton, patch_skeleton_byte_lengths
 from repro.core.snapshot import SkeletonStore
 from repro.core.scoring import (
     ColumnSums,

@@ -9,24 +9,28 @@ reading each Dewey ID exactly once and never touching the base documents.
 Formulation.  The paper drives a Candidate Tree through repeated
 ``MinIDPath`` maintenance — a stack automaton over the k-way merge of the
 id lists, kept as written in :mod:`repro.baselines.stack_pdt` (the
-Section 4.2.2.1 ablation runs there).  The pipeline computes the same
-CE / PE sets of Definitions 1-2 as a fixpoint swept over the sorted
-packed-key arrays the storage layer already keeps
-(:func:`_sweep_columns`): bisects and merges over flat ``bytes``, no
-per-(element, QPT node) state, written straight into skeleton columns.
+Section 4.2.2.1 ablation runs there).  :func:`build_skeleton` computes
+the same sets in four phases over the sorted packed-key arrays the
+storage layer keeps, with no per-(element, QPT node) state:
 
-Ids flow through the sweep in their *packed* byte form (see
+1. :func:`_collect_elements` — each QPT node's elements;
+2. :func:`_candidate_elements` — CE (Definition 1), bottom-up;
+3. :func:`_pdt_elements` — PE (Definition 2), top-down;
+4. :func:`_emit_columns` — Definition 3's node set, written straight
+   into skeleton columns.
+
+Ids flow through the phases in their *packed* byte form (see
 :mod:`repro.dewey`): bytes comparison is document order, a byte prefix is
 an ancestor, and a subtree is the contiguous range
 ``[key, packed_child_bound(key))`` — so the candidate tests, the ancestor
 chains and the skeleton's tf range bounds all operate on flat bytes with
 no per-element tuple allocation.
 
-The keyword-independent half of the work is captured by
-:class:`PDTSkeleton` (cached per ``(view, document)`` by the engine): the
-surviving records as flat columns (the v2 wire format's own), the tree
-assembled from them on demand, and — for every content node — its
-subtree boundary keys resolved to indices into one sorted bounds array.
+The keyword-independent half of the work is a
+:class:`~repro.core.skeleton.PDTSkeleton`, cached per ``(view,
+document)`` by the engine: the surviving records as flat columns, the
+tree assembled from them on demand, and every content node's subtree
+bounds as indices into one sorted bounds array.
 The per-query half, :func:`annotate_skeleton`, is then one merge-join
 sweep per keyword over ``(bounds, posting list)`` producing a flat tf
 array: O(skeleton + postings), not O(skeleton · log postings) bisects.
@@ -38,25 +42,23 @@ Equivalence with Definitions 1-3 is enforced by property tests against
 from __future__ import annotations
 
 import operator
-import struct
-import sys
-import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import compress, repeat
 from typing import Optional
 
 from repro.core.prepare import prepare_inv_lists, prepare_path_lists
-from repro.storage.inverted_index import PostingList
 from repro.core.qpt import QPT
-from repro.dewey import DeweyID, packed_child_bound, unpack
-from repro.storage.inverted_index import InvertedIndex
+from repro.core.skeleton import (
+    PDTSkeleton,
+    _HAS_VALUE,
+    _WANTS_CONTENT,
+    _WANTS_VALUE,
+)
+from repro.storage.inverted_index import InvertedIndex, PostingList
 from repro.storage.path_index import PathIndex, PathList
-from repro.xmlmodel.node import NodeAnnotations, XMLNode
-
-FRAGMENT_TAG = "#fragment"
-EMPTY_TAG = "#empty-document"
+from repro.xmlmodel.node import XMLNode
 
 
 @dataclass
@@ -128,97 +130,32 @@ class PDTResult:
         return {keyword: self.tf_at(slot, keyword) for keyword in self.keywords}
 
 
-@dataclass(slots=True)
-class PDTRecord:
-    """An emitted PDT element (pre-tree-construction).
-
-    ``key`` is the element's packed Dewey byte key.  The stack automaton
-    (:mod:`repro.baselines.stack_pdt`) and the GTP baseline emit these,
-    and tests build them, for :meth:`PDTSkeleton.from_records`; the
-    pipeline's sweep writes columns instead.  ``slots=True``: one record
-    per surviving element.
-    """
-
-    key: bytes
-    tag: str
-    value: Optional[str]
-    byte_length: int
-    wants_value: bool = False
-    wants_content: bool = False
-
-    @property
-    def dewey(self) -> tuple[int, ...]:
-        """Decoded component tuple (diagnostics/tests; not hot-path)."""
-        return unpack(self.key)
-
-
-def _sweep_columns(
+def _collect_elements(
     qpt: QPT,
     path_lists: dict[int, PathList],
     path_index: PathIndex,
-) -> tuple:
-    """The structural pass: a CE/PE fixpoint swept over the packed-key
-    arrays the storage layer already keeps, written straight into a
-    skeleton's columns ``(keys, tag_ids, tags, flags, values,
-    byte_lengths)`` — what :meth:`PDTSkeleton._publish` takes.
+) -> tuple[dict, dict, dict]:
+    """Phase 1, element collection: per QPT node, ``(element_keys,
+    element_depths, whole)``.
 
-    Instead of driving a per-element stack automaton (one open-element
-    and one item object per (element, QPT node) pair — see
-    :mod:`repro.baselines.stack_pdt`), this computes Definitions 1-2
-    directly on sorted byte-key arrays:
+    Keys are a sorted list; depths a scalar when every element sits at
+    one depth, else a ``{key: depth}`` dict.  A probed node's elements
+    are exactly its (predicate-filtered) path list.  An unprobed node's
+    are the index's ancestor-prefix arrays at the depths its pattern
+    matches on each probed path (plans memoized on the QPT) — a safe
+    superset, since CE grounds its mandatory edges in the filtered
+    lists.  ``whole`` maps a node whose list is one path's complete
+    column to that path.
 
-    * **elements** per QPT node: a probed node's elements are exactly its
-      path list (predicates are pre-filtered by the probe, so a pattern
-      match alone never qualifies); an unprobed node's elements are the
-      Dewey prefixes of list entries at the depths its pattern matches —
-      derived once, deduplicated by key, from prefix plans memoized on
-      the QPT per data path;
-    * **CE (bottom-up)**: a mandatory ``//`` edge is an emptiness test of
-      the child's candidate array within ``(key, packed_child_bound(key))``
-      — two bisects; a mandatory ``/`` edge bisects the child's
-      candidates bucketed by depth, so "has a direct child" is one probe
-      of the ``depth+1`` bucket inside the subtree range;
-    * **PE (top-down)**: one merged sweep per edge over the parent's
-      sorted PE keys and the node's sorted candidates — the active
-      ancestor chain is a small prefix stack, ``/`` additionally checks
-      the chain's deepest entry sits one level up.  No sweep when the
-      parent keeps the whole column of one path and the child's
-      candidates are the whole column of a path extending it (by one
-      step on ``/``, by any number on ``//``): every candidate's
-      ancestor on the parent's path is a parent element;
-    * **emission**: one segment of rows per QPT node.  A node that keeps
-      its whole path list takes byte lengths (and values, when its probe
-      fetched them or no list carries any) from the list's columns; any
-      other looks its keys up in key → length / value maps over every
-      list, built on first need.  An element two nodes emit (they share
-      its tag) is one row, flags OR'ed.  One argsort orders the columns;
-      tag ids follow first appearance, as the wire requires.
-
-    So a node that keeps every element of its path hands the index's own
-    columns through CE, PE and emission as the same list objects, and a
-    sweep that keeps every element hands on its input list.  Equivalence
-    with ``repro.core.reference`` and with the automaton is enforced by
-    the property suite and the reference-equivalence tests.
+    Handoff: a probed node's keys *are* its list's ``keys``, and a
+    single-source unprobed node's *are* the index's array — shared
+    read-only, never copied.
     """
     # A node is probed iff it has its own path list.
     probed = path_lists
-    qpt_root = qpt.root
     nodes = qpt.nodes
     path_by_id = path_index.path_by_id
     prefix_plans = qpt._prefix_plans
-
-    # -- element collection ---------------------------------------------------
-    # Per QPT node: a *sorted key array* plus its depth information — a
-    # scalar when every element sits at one depth (single-path lists,
-    # single-source derivations: the arrays are shared with the index,
-    # zero copies), a {key: depth} dict otherwise.  Probed nodes take
-    # their lists verbatim; unprobed nodes take the index's precomputed
-    # ancestor-prefix arrays: the depth-d ancestors of *every* element
-    # on the path.  Deriving from the unfiltered path rather than the
-    # predicate-filtered lists is a safe superset: every unprobed node
-    # has a mandatory child edge, and the CE pass grounds those chains
-    # in the filtered lists, so an ancestor with no surviving probed
-    # descendant can never become a candidate.
     element_keys: dict[int, list[bytes]] = {node.index: [] for node in nodes}
     element_depths: dict[int, object] = {node.index: 0 for node in nodes}
     # Probed node -> the path whose complete key column its list is.
@@ -280,80 +217,52 @@ def _sweep_columns(
                 merged.update(dict.fromkeys(ancestor_keys, depth))
             element_keys[target] = sorted(merged)
             element_depths[target] = merged
+    return element_keys, element_depths, whole
 
-    # -- CE: candidate elements, bottom-up (Definition 1) ---------------------
+
+def _candidate_elements(
+    qpt: QPT,
+    element_keys: dict[int, list[bytes]],
+    element_depths: dict[int, object],
+) -> dict[int, list[bytes]]:
+    """Phase 2, CE (Definition 1), bottom-up: the elements with a child
+    candidate below them on every mandatory edge.
+
+    One filter per mandatory edge over the shrinking survivor list.  A
+    subtree is contiguous right after its root in packed order, so the
+    test is one bisect plus a prefix check of the next key in a pool:
+    the child's candidates on ``//``, on ``/`` those one level below
+    the element (bucketed by depth as the child keeps them).
+
+    Handoff: a node that keeps every element hands on its element list,
+    so ``cand[n] is element_keys[n]`` tells PE it kept the whole list.
+    """
     cand: dict[int, list[bytes]] = {}
     cand_by_depth: dict[int, dict[int, list[bytes]]] = {}
-    for qnode in reversed(nodes):
+    for qnode in reversed(qpt.nodes):
         n = qnode.index
-        ordered_elems = element_keys[n]
+        elements = kept = element_keys[n]
         depths = element_depths[n]
         scalar_depth = isinstance(depths, int)
-        mandatory = qnode.mandatory_child_edges()
-        if not mandatory:
-            kept = ordered_elems  # shared read-only; never mutated below
-        elif len(mandatory) == 1:
-            # Single mandatory edge — the common shape, unrolled.  In
-            # packed order a subtree is contiguous right after its root,
-            # so "has a (direct) descendant candidate" is one bisect plus
-            # a prefix check of the very next candidate — no subtree
-            # bound is ever materialized.
-            kept = []
-            edge = mandatory[0]
+        for edge in qnode.mandatory_child_edges():
             child = edge.child.index
-            if edge.axis == "/":
-                buckets = cand_by_depth[child]
-                if scalar_depth:
-                    bucket = buckets.get(depths + 1)
-                    if bucket is not None:
-                        bucket_count = len(bucket)
-                        for key in ordered_elems:
-                            i = bisect_left(bucket, key)
-                            if i < bucket_count and bucket[i].startswith(key):
-                                kept.append(key)
-                else:
-                    for key in ordered_elems:
-                        bucket = buckets.get(depths[key] + 1)
-                        if bucket is None:
-                            continue
-                        i = bisect_left(bucket, key)
-                        if i < len(bucket) and bucket[i].startswith(key):
-                            kept.append(key)
+            if edge.axis == "//":
+                pools = repeat(cand[child])
+            elif scalar_depth:
+                pools = repeat(cand_by_depth[child].get(depths + 1, ()))
             else:
-                pool = cand[child]
-                pool_count = len(pool)
-                for key in ordered_elems:
-                    i = bisect_right(pool, key)
-                    if i < pool_count and pool[i].startswith(key):
-                        kept.append(key)
-        else:
-            kept = []
-            checks = [
-                (edge.axis == "/", edge.child.index) for edge in mandatory
+                buckets = cand_by_depth[child]
+                pools = [buckets.get(depths[key] + 1, ()) for key in kept]
+            # bisect_right: on ``//`` (``//a//a``) the element itself may
+            # be a candidate of the child, and it is no descendant.
+            kept = [
+                key
+                for key, pool in zip(kept, pools)
+                if (i := bisect_right(pool, key)) < len(pool)
+                and pool[i].startswith(key)
             ]
-            for key in ordered_elems:
-                ok = True
-                for is_child_axis, child in checks:
-                    if is_child_axis:
-                        depth = depths if scalar_depth else depths[key]
-                        bucket = cand_by_depth[child].get(depth + 1)
-                        if bucket is None:
-                            ok = False
-                            break
-                        i = bisect_left(bucket, key)
-                        if i >= len(bucket) or not bucket[i].startswith(key):
-                            ok = False
-                            break
-                    else:
-                        pool = cand[child]
-                        i = bisect_right(pool, key)
-                        if i >= len(pool) or not pool[i].startswith(key):
-                            ok = False
-                            break
-                if ok:
-                    kept.append(key)
-        # A sweep that kept every element hands on the list itself.
-        cand[n] = ordered_elems if len(kept) == len(ordered_elems) else kept
+        # A filter that kept every element hands on the list itself.
+        cand[n] = elements if len(kept) == len(elements) else kept
         edge = qnode.parent_edge
         if edge is not None and edge.mandatory and edge.axis == "/":
             # The parent's CE pass probes this node's candidates per depth.
@@ -364,14 +273,36 @@ def _sweep_columns(
                 for key in kept:
                     buckets.setdefault(depths[key], []).append(key)
                 cand_by_depth[n] = buckets
+    return cand
 
-    # -- PE: PDT elements, top-down (Definition 2) ----------------------------
+
+def _pdt_elements(
+    qpt: QPT,
+    element_keys: dict[int, list[bytes]],
+    element_depths: dict[int, object],
+    whole: dict[int, tuple[str, ...]],
+    cand: dict[int, list[bytes]],
+) -> dict[int, list[bytes]]:
+    """Phase 3, PE (Definition 2), top-down: the candidates below a PE
+    element of the parent on the edge's axis (under the document node:
+    at depth 1 on ``/``, anywhere on ``//``).
+
+    One merged prefix-stack sweep per edge over the parent's PE keys and
+    the node's candidates; on ``/`` it also checks the depth step.
+
+    Handoff: a sweep that keeps every candidate hands on the candidate
+    list.  No sweep at all when the parent kept one path's whole column
+    (``parents is element_keys[parent]``) and the candidates are the
+    whole column of a path extending it, by one step on ``/`` or any
+    number on ``//``: the PE set is then the candidate list itself.
+    """
+    qpt_root = qpt.root
     # ``in_pdt`` keeps *sorted lists* (cand order is preserved), so each
     # child pass is one merged stack sweep over (parents, candidates):
     # ancestors of the current candidate are exactly the stacked parent
     # keys, maintained with startswith pops — no per-key prefix decoding.
     in_pdt: dict[int, list[bytes]] = {}
-    for qnode in nodes:
+    for qnode in qpt.nodes:
         n = qnode.index
         edge = qnode.parent_edge
         assert edge is not None
@@ -459,8 +390,25 @@ def _sweep_columns(
                 if len(kept) == len(cand[n]):
                     kept = cand[n]
         in_pdt[n] = kept
+    return in_pdt
 
-    # -- emission (Definition 3's node set), as columns -----------------------
+
+def _emit_columns(
+    qpt: QPT,
+    path_lists: dict[int, PathList],
+    in_pdt: dict[int, list[bytes]],
+) -> tuple:
+    """Phase 4, emission: Definition 3's node set as the columns
+    :meth:`PDTSkeleton._publish` takes, one segment of rows per QPT
+    node.  An element two nodes emit (same tag) is one row, flags
+    OR'ed; one argsort orders the columns; tag ids follow first
+    appearance, as the wire requires.
+
+    Handoff: a node whose PE set *is* its path list's ``keys`` takes
+    byte lengths (and values, when its probe fetched them or no list
+    carries any) from the list's own columns; any other looks its keys
+    up in maps over every list, built on first need.
+    """
     row_keys: list[bytes] = []
     row_lengths: list[int] = []
     row_values: list[Optional[str]] = []
@@ -470,7 +418,7 @@ def _sweep_columns(
     segments = 0
     length_of = value_of = None
     any_values = any(each.has_values for each in path_lists.values())
-    for qnode in nodes:
+    for qnode in qpt.nodes:
         n = qnode.index
         emitted = in_pdt[n]
         if not emitted:
@@ -545,709 +493,19 @@ def _sweep_columns(
     )
 
 
-# What one element of a skeleton column costs beyond its slot (CPython).
-_SIZEOF_BYTES = sys.getsizeof(b"")
-_SIZEOF_STR = sys.getsizeof("")
-_SIZEOF_INT = sys.getsizeof(1 << 20)
-_SIZEOF_PAIR = sys.getsizeof((0, 0))
-
-#: ``flags`` bits of one record (the wire's, and the in-memory column's).
-_WANTS_VALUE, _WANTS_CONTENT, _HAS_VALUE = 1, 2, 4
-_ALL_FLAGS = bytes(range(8))
-#: ``flags.translate(_IS_CONTENT)`` is 1 at content records, 0 elsewhere.
-_IS_CONTENT = bytes(1 if flag & _WANTS_CONTENT else 0 for flag in range(256))
-_VALUELESS_FLAGS = bytes(range(_HAS_VALUE))
-_NEXT_BYTE = [bytes((byte + 1,)) for byte in range(0xFF)]
-
-
-class PDTSkeleton:
-    """The keyword-independent structural part of a PDT.
-
-    Everything the merge pass computes — which elements of a ``(view,
-    document)`` pair survive the structural ancestor/descendant/predicate
-    constraints, their Dewey ids, tags, values and byte lengths — depends
-    only on the view's QPT and the document, never on the query keywords
-    (keywords enter the pipeline solely as per-element term-frequency
-    annotations consumed by scoring).  A skeleton is therefore shared
-    across *every* keyword set queried against the same view and
-    document; :func:`annotate_skeleton` merges a query's posting lists
-    onto it in one sweep per keyword with zero path-index work.
-
-    Its state *is* the v2 wire format's record columns (see the header
-    map below), in record (= document) order — one form whether the
-    skeleton was built, restored or patched, cached or not:
-
-    * ``keys`` — the packed Dewey keys (sorted; bytes order = document
-      order, a byte prefix = an ancestor);
-    * ``tag_ids`` / ``tags`` — per record, an index into the distinct
-      tags in first-appearance order;
-    * ``flags`` — per record, bit 0 wants_value, bit 1 wants_content,
-      bit 2 value present;
-    * ``values`` — materialized atomic values (``None`` where absent);
-    * ``byte_lengths`` — signed, and never written once published: a
-      patch publishes a copy; the only copy of a PDT node's byte length
-      (queries read it through :attr:`PDTResult.byte_lengths`).
-
-    Derived from the columns on first annotation (or ``put``), because
-    only a posting sweep needs them: ``subtree_bounds``, the pair
-    ``(bounds, slot_bounds)`` — the sorted, de-duplicated subtree
-    boundary keys of all content nodes and, per content slot, the
-    ``(low, high)`` indices into ``bounds``;
-    one ``PostingList.cumulative_below(bounds)`` sweep per keyword then
-    yields every content node's subtree tf by two array reads.
-
-    ``tree``, the assembled PDT tree (values and nesting are
-    keyword-independent, so one shared tree serves every keyword set;
-    every node carries its record ``position`` and a content node its
-    ``slot``: the per-query tfs live in :attr:`PDTResult.tf_arrays`, the
-    byte lengths in the ``byte_lengths`` column), is memoized
-    **weakly**: it is built from the columns only when a reader asks
-    (the evaluator, through :attr:`PDTResult.root`) and kept alive
-    exactly as long as some evaluated-tier entry or evaluation in flight
-    references its nodes.  Nothing writes to a tree once it is built,
-    and positions and slots are positional, so re-built trees are
-    interchangeable.
-
-    Three ways in, each ending in :meth:`_publish`: the structural
-    sweep's columns (:func:`build_skeleton`), :meth:`from_records` (the
-    records of the stack automaton in :mod:`repro.baselines.stack_pdt`
-    and of the GTP baseline's structural joins) and :meth:`from_bytes`
-    (decode and validate a payload).  Every way sets every column.
-    Skeletons are immutable in practice apart from the byte-length
-    column, which a patch replaces; the tree and bound memos are
-    idempotent and each published by one attribute write, so a benign
-    compute race between annotating threads settles on equivalent
-    state — the skeleton tier's concurrent-read contract.
-    """
-
-    __slots__ = (
-        "doc_name",
-        "entry_count",
-        "node_count",
-        "content_count",
-        "keys",
-        "tag_ids",
-        "tags",
-        "flags",
-        "values",
-        "byte_lengths",
-        "_bounds",
-        "_tree_ref",
-        "_memory_bytes",
-    )
-
-    def __init__(self, doc_name: str, entry_count: int, node_count: int):
-        self.doc_name = doc_name
-        self.entry_count = entry_count
-        self.node_count = node_count
-        self._bounds: Optional[tuple[tuple, tuple]] = None
-        self._tree_ref: Optional[weakref.ref] = None
-        self._memory_bytes: Optional[int] = None
-
-    def __repr__(self) -> str:
-        return f"<PDTSkeleton {self.doc_name!r} nodes={self.node_count}>"
-
-    # -- the two ways in -----------------------------------------------------
-
-    @classmethod
-    def from_records(
-        cls,
-        doc_name: str,
-        records: dict[bytes, PDTRecord],
-        entry_count: int,
-    ) -> "PDTSkeleton":
-        """Finalize the baselines' records: sort them, lay out the columns."""
-        keys = tuple(sorted(records))
-        ordered = [records[key] for key in keys]
-        tag_index: dict[str, int] = {}
-        tag_ids = [
-            tag_index.setdefault(record.tag, len(tag_index))
-            for record in ordered
-        ]
-        skeleton = cls(doc_name, entry_count, len(keys))
-        skeleton._publish(
-            keys,
-            # Unlike the wire's u16, memory takes any number of tags.
-            array("H" if len(tag_index) <= 0xFFFF else "I", tag_ids),
-            tuple(tag_index),
-            bytes(
-                [
-                    (_WANTS_VALUE if record.wants_value else 0)
-                    | (_WANTS_CONTENT if record.wants_content else 0)
-                    | (_HAS_VALUE if record.value is not None else 0)
-                    for record in ordered
-                ]
-            ),
-            tuple([record.value for record in ordered]),
-            array("q", [record.byte_length for record in ordered]),
-        )
-        return skeleton
-
-    @classmethod
-    def from_bytes(cls, payload) -> "PDTSkeleton":
-        """Decode a :meth:`to_bytes` payload — any bytes-like buffer, an
-        ``mmap`` included; the skeleton keeps no reference to it.
-
-        Raises ``ValueError`` on any malformed, truncated, non-canonical
-        or version-mismatched payload — callers (the snapshot store)
-        treat that as a miss, never as corrupt state to serve.
-        """
-        layout = SkeletonLayout(payload)
-        skeleton = cls(
-            layout.doc_name, layout.entry_count, layout.record_count
-        )
-        skeleton._publish(*layout.columns())
-        return skeleton
-
-    def _publish(
-        self,
-        keys: tuple[bytes, ...],
-        tag_ids: array,
-        tags: tuple[str, ...],
-        flags: bytes,
-        values: tuple[Optional[str], ...],
-        byte_lengths: array,
-    ) -> None:
-        """Set the columns (the one finalization every way in shares)."""
-        self.keys = keys
-        self.tag_ids = tag_ids
-        self.tags = tags
-        self.flags = flags
-        self.values = values
-        self.byte_lengths = byte_lengths
-        self.content_count = flags.translate(_IS_CONTENT).count(1)
-
-    # -- the subtree bounds --------------------------------------------------
-
-    @property
-    def subtree_bounds(self) -> tuple[tuple, tuple]:
-        """``(bounds, slot_bounds)``, derived on first read: one memo."""
-        return self._bounds or self._derive_bounds()
-
-    def _derive_bounds(self) -> tuple[tuple, tuple]:
-        keys = self.keys
-        content_keys = list(compress(keys, self.flags.translate(_IS_CONTENT)))
-        # packed_child_bound, minus the scan for the last component when
-        # adding one to it carries nowhere: then only the last byte moves.
-        uppers = [
-            key[:-1] + _NEXT_BYTE[key[-1]]
-            if key[-1] != 0xFF
-            else packed_child_bound(key)
-            for key in content_keys
-        ]
-        bounds = tuple(sorted(set(content_keys).union(uppers)))
-        index_of = {bound: at for at, bound in enumerate(bounds)}.__getitem__
-        slot_bounds = zip(map(index_of, content_keys), map(index_of, uppers))
-        self._bounds = pair = (bounds, tuple(slot_bounds))
-        return pair
-
-    # -- the shared tree -----------------------------------------------------
-
-    @property
-    def tree(self) -> XMLNode:
-        ref = self._tree_ref
-        tree = ref() if ref is not None else None
-        if tree is None:
-            tree = self._build_tree()
-            self._tree_ref = weakref.ref(tree)
-        return tree
-
-    def _build_tree(self) -> XMLNode:
-        """Nest the records into the shared tree (Definition 3's edge
-        set: parent = nearest emitted ancestor).
-
-        Ids are decoded incrementally — a record's components extend its
-        parent's already-decoded tuple by the unpacked key suffix — so
-        the pass never re-decodes an ancestor prefix.
-        """
-        keys = self.keys
-        if not keys:
-            return XMLNode(EMPTY_TAG)
-        tags = self.tags
-        tag_ids = self.tag_ids
-        flags = self.flags
-        values = self.values
-        doc_name = self.doc_name
-        dewey_ids: list[DeweyID] = []
-        stack: list[int] = []
-        nodes: list[XMLNode] = []
-        top_level: list[XMLNode] = []
-        slot_count = 0
-        append_dewey = dewey_ids.append
-        append_node = nodes.append
-        new_dewey = DeweyID.__new__
-        new_node = XMLNode.__new__
-        new_anno = NodeAnnotations.__new__
-        for position, key in enumerate(keys):
-            while stack and not key.startswith(keys[stack[-1]]):
-                stack.pop()
-            if stack:
-                parent = stack[-1]
-                parent_id = dewey_ids[parent]
-                offset = len(parent_id._packed)
-                if offset + 1 + key[offset] == len(key):
-                    # Single-component suffix (the common case: the
-                    # record is a child of the previous record's element).
-                    components = parent_id.components + (
-                        int.from_bytes(key[offset + 1:], "big"),
-                    )
-                else:
-                    components = parent_id.components + unpack(key[offset:])
-            else:
-                parent = -1
-                components = unpack(key)
-            # dewey_from_parts, XMLNode/NodeAnnotations construction and
-            # child attachment, unrolled: this loop allocates the whole
-            # tree, three objects per record.
-            dewey = new_dewey(DeweyID)
-            dewey.components = components
-            dewey._packed = key
-            append_dewey(dewey)
-            stack.append(position)
-            flag = flags[position]
-            node = new_node(XMLNode)
-            node.tag = tags[tag_ids[position]]
-            node.text = values[position] if flag & _WANTS_VALUE else None
-            node.children = []
-            node.dewey = None
-            anno = new_anno(NodeAnnotations)
-            anno.dewey = dewey
-            anno.position = position
-            anno.doc = doc_name
-            if flag & _WANTS_CONTENT:
-                anno.pruned = True
-                anno.slot = slot_count
-                slot_count += 1
-            else:
-                anno.pruned = False
-                anno.slot = None
-            node.anno = anno
-            append_node(node)
-            if parent >= 0:
-                parent_node = nodes[parent]
-                node.parent = parent_node
-                parent_node.children.append(node)
-            else:
-                node.parent = None
-                top_level.append(node)
-        if len(top_level) == 1 and len(dewey_ids[0].components) == 1:
-            # The document root element itself is in the PDT: it is the tree.
-            return top_level[0]
-        tree = XMLNode(FRAGMENT_TAG)
-        for node in top_level:
-            tree.append(node)
-        return tree
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Encode as self-contained v2 bytes (see the header map below).
-
-        Only the *record columns* travel — the skeleton's own state,
-        joined; what else it carries (subtree bounds, the shared tree) is
-        a pure function of the columns and is derived again when read, so
-        the wire format cannot drift from the in-memory derivations, and
-        a payload is host-independent (no pickled code, no interpreter
-        state).
-
-        A fixed offset-table header plus packed column arrays: a reader
-        can address any column in O(1) (:class:`SkeletonLayout`) and
-        check a payload's shape without parsing it.  The encoding is
-        deterministic (tag table in first-appearance order), and
-        :meth:`from_bytes` accepts nothing else, so a payload that
-        decodes re-encodes to itself.
-        """
-        keys = self.keys
-        tags = self.tags
-        if len(tags) > 0xFFFF:
-            raise ValueError("too many distinct tags for skeleton payload")
-        doc_raw = self.doc_name.encode("utf-8")
-        keys_blob = b"".join(keys)
-        tag_table = b"".join(
-            len(raw).to_bytes(4, "big") + raw
-            for raw in [tag.encode("utf-8") for tag in tags]
-        )
-        value_parts = [
-            value.encode("utf-8") for value in self.values if value is not None
-        ]
-        values_blob = b"".join(value_parts)
-        return b"".join(
-            (
-                _V2_HEADER.pack(
-                    _SKELETON_MAGIC,
-                    _SKELETON_VERSION,
-                    self.entry_count,
-                    len(keys),
-                    self.content_count,
-                    len(value_parts),
-                    len(tags),
-                    len(doc_raw),
-                    len(keys_blob),
-                    len(tag_table),
-                    len(values_blob),
-                ),
-                doc_raw,
-                _wire_column("I", accumulate(map(len, keys), initial=0)),
-                keys_blob,
-                _wire_column("H", self.tag_ids),
-                tag_table,
-                self.flags,
-                _wire_column("q", self.byte_lengths),
-                _wire_column(
-                    "I", accumulate(map(len, value_parts), initial=0)
-                ),
-                values_blob,
-            )
-        )
-
-    # -- accounting ----------------------------------------------------------
-
-    @property
-    def memory_bytes(self) -> int:
-        """Estimated resident footprint (memoized; patches do not move it).
-
-        Counts everything the skeleton owns — every column and both
-        bound arrays (derived here if need be); the weakly-held tree is
-        evictable derived data, excluded: only query results pin it.
-
-        Arithmetic over the column lengths — container sizes plus a
-        per-element constant for what each slot points at — because
-        every cache ``put`` reads this, so it must not walk the object
-        graph; the tests hold it to within 10% of such a walk.  Lower
-        bound keys are the key objects themselves; only an upper bound
-        that is no content node's key is an extra ``bytes``.
-        """
-        cached = self._memory_bytes
-        if cached is None:
-            getsizeof = sys.getsizeof
-            keys = self.keys
-            count = len(keys)
-            key_bytes = sum(map(len, keys))
-            tags = self.tags
-            present = [value for value in self.values if value is not None]
-            bounds, slot_bounds = pair = self.subtree_bounds
-            content_count = self.content_count
-            cached = (
-                getsizeof(self)
-                + getsizeof(keys)
-                + count * _SIZEOF_BYTES
-                + key_bytes
-                + getsizeof(self.tag_ids)
-                + getsizeof(tags)
-                + len(tags) * _SIZEOF_STR
-                + sum(map(len, tags))
-                + getsizeof(self.flags)
-                + getsizeof(self.values)
-                + len(present) * _SIZEOF_STR
-                + sum(map(len, present))
-                + getsizeof(self.byte_lengths)
-                + getsizeof(pair) + getsizeof(bounds)
-                + (len(bounds) - content_count)
-                * (_SIZEOF_BYTES + key_bytes // max(count, 1))
-                + getsizeof(slot_bounds)
-                + content_count * _SIZEOF_PAIR
-                + len(bounds) * _SIZEOF_INT
-            )
-            self._memory_bytes = cached
-        return cached
-
-
-_SKELETON_MAGIC = b"PDTS"
-_SKELETON_VERSION = 2
-
-# v2 fixed header (big-endian):
-#   [0:4]   magic "PDTS"
-#   [4:6]   u16 version (= 2)
-#   [6:14]  u64 entry_count
-#   [14:18] u32 record_count (n)
-#   [18:22] u32 content_count
-#   [22:26] u32 value_count (m: records whose value is present)
-#   [26:30] u32 tag_count (t: distinct tags, first-appearance order)
-#   [30:34] u32 doc_name byte length
-#   [34:38] u32 keys blob byte length
-#   [38:42] u32 tag table byte length
-#   [42:46] u32 values blob byte length
-# then, back to back (every section offset is O(1) arithmetic over the
-# header — a reader addresses any column without parsing the ones
-# before it):
-#   doc_name utf-8
-#   key_offsets   u32[n+1]   (relative, key_offsets[0] == 0)
-#   keys blob     (concatenated packed Dewey keys)
-#   tag_ids       u16[n]
-#   tag table     t × (u32 length + utf-8)
-#   flags         u8[n]      (bit0 wants_value, bit1 wants_content,
-#                             bit2 value present)
-#   byte_lengths  i64[n]     (signed: delta patches legitimately drive a
-#                             pruned record's running length negative)
-#   value_offsets u32[m+1]   (relative, over value-bearing records in order)
-#   values blob   (concatenated utf-8 values)
-_V2_HEADER = struct.Struct(">4sHQ8I")
-_V2_HEADER_SIZE = _V2_HEADER.size  # 46
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _wire_column(typecode: str, values) -> bytes:
-    """``values`` as one big-endian wire column."""
-    column = array(typecode, values)
-    if _LITTLE_ENDIAN:
-        column.byteswap()
-    return column.tobytes()
-
-
-def _host_column(typecode: str, raw: bytes) -> array:
-    """Inverse of :func:`_wire_column`."""
-    column = array(typecode, raw)
-    if _LITTLE_ENDIAN:
-        column.byteswap()
-    return column
-
-
-def skeleton_payload_version(payload) -> int:
-    """The wire version of a skeleton payload (header peek, O(1)).
-
-    Accepts any bytes-like buffer.  Raises ``ValueError`` when the
-    payload is too short or carries the wrong magic — the same contract
-    as full deserialization.
-    """
-    if len(payload) < 6 or bytes(payload[0:4]) != _SKELETON_MAGIC:
-        raise ValueError("not a PDT skeleton payload")
-    return int.from_bytes(bytes(payload[4:6]), "big")
-
-
-class SkeletonLayout:
-    """Validated v2 section offsets over a bytes-like payload.
-
-    Parsing is O(1) in the payload size: the fixed header names every
-    section length, so all offsets are arithmetic and the single
-    total-length equation rejects truncated or trailing-byte payloads
-    up front.  Column *content* is validated when (and only when)
-    :meth:`columns` decodes it, so the layout alone is a cheap shape
-    check (the networked store's admission of peer bytes).
-    """
-
-    __slots__ = (
-        "payload",
-        "doc_name",
-        "entry_count",
-        "record_count",
-        "content_count",
-        "value_count",
-        "tag_count",
-        "key_index_offset",
-        "keys_offset",
-        "keys_size",
-        "tag_ids_offset",
-        "tag_table_offset",
-        "tag_table_size",
-        "flags_offset",
-        "lengths_offset",
-        "value_index_offset",
-        "values_offset",
-        "values_size",
-        "total",
-    )
-
-    def __init__(self, payload):
-        total = len(payload)
-        if total < _V2_HEADER_SIZE:
-            raise ValueError("truncated PDT skeleton payload")
-        version = skeleton_payload_version(payload)
-        if version != _SKELETON_VERSION:
-            raise ValueError(f"unsupported PDT skeleton version {version}")
-        (
-            _,
-            _,
-            entry_count,
-            record_count,
-            content_count,
-            value_count,
-            tag_count,
-            doc_size,
-            keys_size,
-            tag_table_size,
-            values_size,
-        ) = _V2_HEADER.unpack(bytes(payload[:_V2_HEADER_SIZE]))
-        self.payload = payload
-        self.entry_count = entry_count
-        self.record_count = record_count
-        self.content_count = content_count
-        self.value_count = value_count
-        self.tag_count = tag_count
-        self.keys_size = keys_size
-        self.tag_table_size = tag_table_size
-        self.values_size = values_size
-        offset = _V2_HEADER_SIZE
-        doc_end = offset + doc_size
-        self.key_index_offset = doc_end
-        self.keys_offset = self.key_index_offset + 4 * (record_count + 1)
-        self.tag_ids_offset = self.keys_offset + keys_size
-        self.tag_table_offset = self.tag_ids_offset + 2 * record_count
-        self.flags_offset = self.tag_table_offset + tag_table_size
-        self.lengths_offset = self.flags_offset + record_count
-        self.value_index_offset = self.lengths_offset + 8 * record_count
-        self.values_offset = self.value_index_offset + 4 * (value_count + 1)
-        self.total = self.values_offset + values_size
-        if self.total > total:
-            raise ValueError("truncated PDT skeleton payload")
-        if self.total < total:
-            raise ValueError("trailing bytes in PDT skeleton payload")
-        try:
-            self.doc_name = bytes(payload[offset:doc_end]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError("corrupt PDT skeleton doc name") from exc
-
-    def _section(self, start: int, end: int) -> bytes:
-        return bytes(self.payload[start:end])
-
-    # -- column decoders (each validates what it touches) --------------------
-
-    def columns(self) -> tuple:
-        """``(keys, tag_ids, tags, flags, values, byte_lengths)`` — a
-        :class:`PDTSkeleton`'s columns, or ``ValueError``.
-
-        Accepts exactly what :meth:`PDTSkeleton.to_bytes` writes: sorted,
-        well-formed keys, a tag table in first-appearance order with
-        every entry referenced, no unknown flag bit, header counts that
-        match the flags — so whatever decodes re-encodes to the payload
-        it came from, byte for byte.
-        """
-        flags = self.flags()
-        byte_lengths = _host_column(
-            "q", self._section(self.lengths_offset, self.value_index_offset)
-        )
-        return (
-            self.keys(), *self.tags(), flags, self.values(flags), byte_lengths
-        )
-
-    def keys(self) -> tuple[bytes, ...]:
-        offsets = _host_column(
-            "I", self._section(self.key_index_offset, self.keys_offset)
-        )
-        if offsets[0] != 0 or offsets[-1] != self.keys_size:
-            raise ValueError("corrupt PDT skeleton key index")
-        blob = self._section(self.keys_offset, self.tag_ids_offset)
-        keys: list[bytes] = []
-        previous = b""
-        low = 0
-        for high in islice(offsets, 1, None):
-            if high <= low or high > len(blob):
-                raise ValueError("corrupt PDT skeleton key index")
-            key = blob[low:high]
-            # The packed form, as pack() writes it: per component a
-            # length byte and that many bytes, the first one non-zero
-            # (pack(unpack(key)) == key, at a quarter of the cost).
-            cursor, size = 0, high - low
-            while cursor < size:
-                end = cursor + 1 + key[cursor]
-                if end == cursor + 1 or end > size or key[cursor + 1] == 0:
-                    raise ValueError("corrupt PDT skeleton key")
-                cursor = end
-            if key <= previous:
-                raise ValueError("PDT skeleton keys out of order")
-            keys.append(key)
-            previous = key
-            low = high
-        return tuple(keys)
-
-    def tags(self) -> tuple[array, tuple[str, ...]]:
-        """Per-record tag ids and the tag table they index."""
-        table = self._section(self.tag_table_offset, self.flags_offset)
-        names: list[str] = []
-        cursor = 0
-        for _ in range(self.tag_count):
-            size_end = cursor + 4
-            tag_end = size_end + int.from_bytes(table[cursor:size_end], "big")
-            if size_end > len(table) or tag_end > len(table):
-                raise ValueError("corrupt PDT skeleton tag table")
-            names.append(table[size_end:tag_end].decode("utf-8"))
-            cursor = tag_end
-        if cursor != len(table) or len(set(names)) != len(names):
-            raise ValueError("corrupt PDT skeleton tag table")
-        tag_ids = _host_column(
-            "H", self._section(self.tag_ids_offset, self.tag_table_offset)
-        )
-        # First appearances must read 0, 1, 2, … and reach every entry.
-        if list(dict.fromkeys(tag_ids)) != list(range(len(names))):
-            raise ValueError("corrupt PDT skeleton tag ids")
-        return tag_ids, tuple(names)
-
-    def flags(self) -> bytes:
-        flags = self._section(self.flags_offset, self.lengths_offset)
-        if flags.translate(None, _ALL_FLAGS):
-            raise ValueError("corrupt PDT skeleton flags")
-        if sum(flags.translate(_IS_CONTENT)) != self.content_count:
-            raise ValueError("corrupt PDT skeleton content count")
-        return flags
-
-    def values(self, flags: bytes) -> tuple[Optional[str], ...]:
-        offsets = _host_column(
-            "I", self._section(self.value_index_offset, self.values_offset)
-        )
-        if (
-            offsets[0] != 0
-            or offsets[-1] != self.values_size
-            or len(flags.translate(None, _VALUELESS_FLAGS)) != self.value_count
-        ):
-            raise ValueError("corrupt PDT skeleton value index")
-        blob = self._section(self.values_offset, self.total)
-        values: list[Optional[str]] = []
-        position = 0
-        for flag in flags:
-            if flag & _HAS_VALUE:
-                low, high = offsets[position], offsets[position + 1]
-                if high < low or high > len(blob):
-                    raise ValueError("corrupt PDT skeleton value index")
-                values.append(blob[low:high].decode("utf-8"))
-                position += 1
-            else:
-                values.append(None)
-        return tuple(values)
-
-
-def patch_skeleton_byte_lengths(
-    skeleton: PDTSkeleton,
-    ancestor_keys: tuple[bytes, ...],
-    delta: int,
-) -> int:
-    """Shift the byte lengths of the edit point's ancestors in a copy.
-
-    The delta-maintenance fast path for edits the engine classified as
-    *skeleton-patchable*: no added or removed element matches the view's
-    QPT anywhere along its path, so the record set — every record's
-    position, the tree and the content-slot bounds — is unchanged; only
-    the serialized lengths of the edit point's proper ancestors moved,
-    by the same ``delta`` each.  Bisects each ancestor key into the
-    sorted key column and shifts its cell of a copy of ``byte_lengths``,
-    the one place the length lives, then publishes the copy: no tree is
-    touched, or built, and a query or a statistics memo holding the old
-    column keeps the lengths it read.  Returns the number of skeleton
-    nodes patched; ancestors the skeleton does not materialize are
-    skipped — their lengths are simply not part of this view.
-    """
-    if delta == 0 or not ancestor_keys:
-        return 0
-    keys = skeleton.keys
-    byte_lengths = skeleton.byte_lengths[:]
-    count = len(keys)
-    patched = 0
-    for key in ancestor_keys:
-        position = bisect_left(keys, key)
-        if position < count and keys[position] == key:
-            byte_lengths[position] += delta
-            patched += 1
-    if patched:
-        skeleton.byte_lengths = byte_lengths
-    return patched
-
-
 def build_skeleton(
     qpt: QPT,
     path_index: PathIndex,
     path_lists: Optional[dict[int, PathList]] = None,
 ) -> PDTSkeleton:
-    """Run the structural pass for a ``(view, document)`` pair: one
-    :func:`_sweep_columns` sweep, whose columns the skeleton publishes
-    as they come (no records, no sort of them).
+    """Run the structural pass for a ``(view, document)`` pair: the four
+    phases in order, whose columns the skeleton publishes as they come.
+
+    Unlike the stack automaton of :mod:`repro.baselines.stack_pdt`, the
+    phases compute Definitions 1-3 on sorted byte-key arrays, with no
+    per-(element, QPT node) state.  Identity is the fast path: a node
+    that keeps every element of its path hands the index's own lists
+    through every phase as the same objects.
 
     ``path_lists`` can be supplied to reuse already-issued path-index
     probes (the engine's prepared tier); otherwise the keyword-free half
@@ -1256,7 +514,12 @@ def build_skeleton(
     """
     if path_lists is None:
         path_lists = prepare_path_lists(qpt, path_index)
-    columns = _sweep_columns(qpt, path_lists, path_index)
+    element_keys, element_depths, whole = _collect_elements(
+        qpt, path_lists, path_index
+    )
+    cand = _candidate_elements(qpt, element_keys, element_depths)
+    in_pdt = _pdt_elements(qpt, element_keys, element_depths, whole, cand)
+    columns = _emit_columns(qpt, path_lists, in_pdt)
     entry_count = sum(len(lst) for lst in path_lists.values())
     skeleton = PDTSkeleton(qpt.doc_name, entry_count, len(columns[0]))
     skeleton._publish(*columns)

@@ -53,7 +53,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.cache import TfColumn
-from repro.core.pdt import PDTResult, PDTSkeleton
+from repro.core.pdt import PDTResult
+from repro.core.skeleton import PDTSkeleton
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.serializer import escape_text
 from repro.xmlmodel.tokenizer import token_frequencies
@@ -146,7 +147,7 @@ class StatisticsPlan:
       no length of a pruned leaf: :meth:`sum` picks them from the
       current ``byte_lengths`` column of this query's skeleton.  A
       patchable edit publishes a patched copy of that column
-      (:func:`repro.core.pdt.patch_skeleton_byte_lengths`) and keeps
+      (:func:`repro.core.skeleton.patch_skeleton_byte_lengths`) and keeps
       every record's position, so a plan stays valid across it whichever
       skeleton — migrated, restored or rebuilt — serves the next query;
     * a sparse ``(row, mappings)`` list of the token counts of

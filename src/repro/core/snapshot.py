@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
-from repro.core.pdt import PDTSkeleton
+from repro.core.skeleton import PDTSkeleton
 from repro.errors import InjectedFaultError
 
 _SUFFIX = ".pdts"

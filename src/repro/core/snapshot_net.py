@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Optional, Protocol
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
 from repro.core.health import CircuitBreaker
-from repro.core.pdt import PDTSkeleton, SkeletonLayout
+from repro.core.skeleton import PDTSkeleton, SkeletonLayout
 from repro.core.snapshot import SkeletonStore
 from repro.errors import InjectedFaultError, SnapshotFetchError
 

@@ -33,7 +33,7 @@ import pytest
 from repro.baselines.naive import BaselineEngine
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
-from repro.core.pdt import PDTSkeleton
+from repro.core.skeleton import PDTSkeleton
 from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
 from repro.storage.database import XMLDatabase
 

@@ -24,14 +24,12 @@ from collections import Counter
 
 import pytest
 
+from repro.baselines.records import PDTRecord, from_records
 from repro.core.engine import KeywordSearchEngine
-from repro.core.pdt import (
+from repro.core.pdt import annotate_skeleton, build_skeleton
+from repro.core.skeleton import (
     EMPTY_TAG,
     FRAGMENT_TAG,
-    PDTRecord,
-    PDTSkeleton,
-    annotate_skeleton,
-    build_skeleton,
     patch_skeleton_byte_lengths,
 )
 from repro.core.snapshot import SkeletonStore
@@ -146,7 +144,7 @@ def test_compressed_matches_eager(seed):
     records = _random_records(rng)
     for dewey in ((301, 255), (301, 255, 65535)):  # bounds that carry
         records[pack(dewey)] = PDTRecord(pack(dewey), "a", None, 1, False, True)
-    columnar = PDTSkeleton.from_records("doc-ü.xml", records, 37)
+    columnar = from_records("doc-ü.xml", records, 37)
     assert_columns_match_records(columnar, "doc-ü.xml", records, 37)
 
     # Annotation reads bounds and slots only — here over bounds that
@@ -168,7 +166,7 @@ def test_compressed_patch_matches_eager(seed):
     records = _random_records(rng, count_hint=20)
     if not records:
         pytest.skip("empty record set has nothing to patch")
-    columnar = PDTSkeleton.from_records("d.xml", records, 5)
+    columnar = from_records("d.xml", records, 5)
     live_tree = columnar.tree if seed % 2 else None
 
     # Patch along the ancestor chain of a random present key (plus one
@@ -182,7 +180,7 @@ def test_compressed_patch_matches_eager(seed):
     assert patched == (len(chain) if delta else 0)
     for key in chain:
         records[key].byte_length += delta
-    rebuilt = PDTSkeleton.from_records("d.xml", records, 5)
+    rebuilt = from_records("d.xml", records, 5)
     assert columnar.to_bytes() == rebuilt.to_bytes()
     assert _tree_form(columnar.tree, columnar.byte_lengths) == _tree_form(
         rebuilt.tree, rebuilt.byte_lengths
@@ -193,7 +191,7 @@ def test_compressed_patch_matches_eager(seed):
 
 def test_compressed_tree_is_weakly_memoized():
     records = _random_records(random.Random(3), count_hint=20)
-    skeleton = PDTSkeleton.from_records("d.xml", records, 5)
+    skeleton = from_records("d.xml", records, 5)
     tree = skeleton.tree
     assert skeleton.tree is tree  # memoized while something holds it
     form = _tree_form(tree, skeleton.byte_lengths)
@@ -343,7 +341,7 @@ def test_engine_prunes_stale_snapshots(tmp_path):
     assert live > 0
     # A snapshot under a fingerprint no live document carries is
     # unaddressable — prune reclaims exactly it.
-    stale = PDTSkeleton.from_records("books.xml", {}, 0)
+    stale = from_records("books.xml", {}, 0)
     store.save("0" * 64, "1" * 64, stale)
     assert engine.prune_snapshots() == 1
     assert len(store) == live
@@ -362,7 +360,7 @@ def test_engine_close_is_idempotent_and_prunes(tmp_path):
     db = _bookrev_db()
     engine = KeywordSearchEngine(db, snapshot_store=store)
     engine.warm_view(engine.define_view("bookrevs", BOOKREV_VIEW))
-    store.save("0" * 64, "1" * 64, PDTSkeleton.from_records("x", {}, 0))
+    store.save("0" * 64, "1" * 64, from_records("x", {}, 0))
     before = len(store)
     engine.close()
     assert len(store) == before - 1

@@ -39,16 +39,19 @@ def qpts_for(text):
     return generate_qpts(inline_functions(parse_query(text)))
 
 
-def _step(parent, axis, tag, *, c=False, v=False, equals=None):
-    """An optional-edge child of ``parent``; ``equals`` adds an ``=``
-    predicate (and, as the QPT builder does, the value annotation)."""
+def _step(
+    parent, axis, tag, *, c=False, v=False, equals=None, mandatory=False
+):
+    """A child of ``parent``, on an optional edge unless ``mandatory``;
+    ``equals`` adds an ``=`` predicate (and, as the QPT builder does, the
+    value annotation)."""
     child = QPTNode(
         tag,
         [Predicate("=", equals)] if equals is not None else [],
         v_ann=v or equals is not None,
         c_ann=c,
     )
-    parent.add_child(child, axis, False)
+    parent.add_child(child, axis, mandatory)
     return child
 
 
@@ -75,6 +78,14 @@ def _descendant_two_below(doc):
 
 def _child_two_below(doc):
     _step(_step(_step(doc, "/", "r"), "/", "a", c=True), "/", "c", c=True)
+
+
+def _two_mandatory_edges(doc):
+    """``//a`` needing a ``/b`` child and a ``//c`` descendant; its
+    elements are derived from both lists, at two depths."""
+    a = _step(doc, "//", "a")
+    _step(a, "/", "b", c=True, mandatory=True)
+    _step(a, "//", "c", c=True, mandatory=True)
 
 
 # (document, QPT shape, the skeleton's rows: Dewey id, tag, flags, value);
@@ -115,6 +126,22 @@ _EDGE_INPUTS = {
         "<r><a><b><c>x</c></b></a></r>",
         _child_two_below,
         [((1,), "r", 0, None), ((1, 1), "a", 2, None)],
+    ),
+    # (1, 2, 2) has no c below it and (1, 3) no b child: both fail CE, and
+    # the b and c under them have no PE parent.
+    "two-mandatory-edges-two-depths": (
+        "<r><a><b>1</b><x><c>2</c></x></a>"
+        "<d><a><b>3</b><c>4</c></a><a><b>5</b></a></d>"
+        "<a><x><b>6</b></x><c>7</c></a></r>",
+        _two_mandatory_edges,
+        [
+            ((1, 1), "a", 0, None),
+            ((1, 1, 1), "b", 2, None),
+            ((1, 1, 2, 1), "c", 2, None),
+            ((1, 2, 1), "a", 0, None),
+            ((1, 2, 1, 1), "b", 2, None),
+            ((1, 2, 1, 2), "c", 2, None),
+        ],
     ),
 }
 

@@ -24,12 +24,14 @@ from unittest import mock
 import pytest
 
 from benchmarks.layered import workloads
+from repro.baselines import records
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
 from repro.core import scoring
-from repro.core.pdt import PDTResult, PDTSkeleton
+from repro.core.pdt import PDTResult
 from repro.core.qpt import QPT
+from repro.core.skeleton import PDTSkeleton
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
@@ -94,7 +96,7 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # PDTResult that the sum unpacked straight away.
     ("no-pdt-object-per-warm-document", "cold_sweep", "pdt_results_per_query", "==", 0),
     # 32.0 while the structural sweep emitted PDTRecords for
-    # PDTSkeleton.from_records to sort into columns: one per rebuild.
+    # from_records to sort into columns: one per rebuild.
     ("sweep-builds-no-records", "cold_sweep", "records_finalized_per_query", "==", 0),
     # 96.0 while each rebuild re-derived its prefix plans from
     # QPT.match_table: three paths per skeleton, 32 rebuilds per query.
@@ -353,8 +355,9 @@ def cold_sweep():
     reads of the skeleton tier and of the PDT tier (``get_many`` calls;
     a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls, the
     calls of the plan's per-document pickers (``scoring._picker``'s),
-    the ``PDTResult`` constructions, the ``PDTSkeleton.from_records``
-    calls and the ``QPT.match_table`` calls."""
+    the ``PDTResult`` constructions, the
+    ``repro.baselines.records.from_records`` calls and the
+    ``QPT.match_table`` calls."""
     counters = Counter()
     picker = scoring._picker
 
@@ -374,7 +377,7 @@ def cold_sweep():
     def counting(owner, name, counter=None):
         method = getattr(owner, name)
 
-        def counted(*args, **kwargs):  # a classmethod's arrive without cls
+        def counted(*args, **kwargs):
             counters[counter or tiers.get(id(args[0]))] += 1
             return method(*args, **kwargs)
 
@@ -391,7 +394,7 @@ def cold_sweep():
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
             counting(LRUCache, "get_many"), \
             counting(PDTResult, "__init__", "pdt_results"), \
-            counting(PDTSkeleton, "from_records", "records_finalized"), \
+            counting(records, "from_records", "records_finalized"), \
             counting(QPT, "match_table", "match_tables"):
         sweep()
     counters["picks"] -= first_pass_picks

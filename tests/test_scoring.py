@@ -9,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import ViewStatistics, rank_statistics
 from repro.core import scoring
-from repro.core.pdt import (
-    PDTRecord,
-    PDTResult,
-    PDTSkeleton,
-    patch_skeleton_byte_lengths,
-)
+from repro.baselines.records import PDTRecord, from_records
+from repro.core.pdt import PDTResult
+from repro.core.skeleton import patch_skeleton_byte_lengths
 from repro.core.cache import TfColumn
 from repro.core.scoring import (
     QueryColumns,
@@ -50,7 +47,7 @@ def _pdt(tf_arrays, byte_lengths) -> PDTResult:
         key: PDTRecord(key, "r", None, length)
         for key, length in zip(keys, byte_lengths)
     }
-    return PDTResult(PDTSkeleton.from_records("any", records, 0), (), tf_arrays)
+    return PDTResult(from_records("any", records, 0), (), tf_arrays)
 
 
 #: The document the fixtures' content leaves belong to.

@@ -482,14 +482,14 @@ class TestWarmup:
     def test_warm_up_prunes_stale_snapshots(
         self, tmp_path, bookrev_db, bookrev_view_text
     ):
-        from repro.core.pdt import PDTSkeleton
+        from repro.baselines.records import from_records
         from repro.core.snapshot import SkeletonStore
         from repro.serving.warmup import execute_warmup
 
         store = SkeletonStore(tmp_path / "snap")
         # A leftover snapshot no live (document, view) pair addresses.
         store.save(
-            "0" * 64, "1" * 64, PDTSkeleton.from_records("gone.xml", {}, 0)
+            "0" * 64, "1" * 64, from_records("gone.xml", {}, 0)
         )
         engine = KeywordSearchEngine(bookrev_db, snapshot_store=store)
         engine.define_view("v", bookrev_view_text)

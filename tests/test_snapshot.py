@@ -25,7 +25,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pdt import PDTRecord, PDTSkeleton, annotate_skeleton
+from repro.baselines.records import PDTRecord, from_records
+from repro.core.pdt import annotate_skeleton
+from repro.core.skeleton import PDTSkeleton
 from repro.core.qpt import QPT, QPTNode, generate_qpts
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import pack
@@ -93,7 +95,7 @@ def _random_posting_list(rng: random.Random, keyword: str) -> PostingList:
 def test_skeleton_serialization_round_trip(seed):
     rng = random.Random(seed)
     records = _random_records(rng)
-    original = PDTSkeleton.from_records("doc-ü.xml", records, len(records) * 3)
+    original = from_records("doc-ü.xml", records, len(records) * 3)
     restored = PDTSkeleton.from_bytes(original.to_bytes())
 
     assert restored.doc_name == original.doc_name
@@ -131,7 +133,7 @@ def test_skeleton_serialization_round_trip(seed):
 
 def test_serialization_rejects_corruption():
     rng = random.Random(7)
-    skeleton = PDTSkeleton.from_records("d.xml", _random_records(rng), 5)
+    skeleton = from_records("d.xml", _random_records(rng), 5)
     payload = skeleton.to_bytes()
     with pytest.raises(ValueError):
         PDTSkeleton.from_bytes(payload[:-1])  # truncated
@@ -147,7 +149,7 @@ def test_serialization_rejects_corruption():
 
 def test_serialize_function_matches_method():
     # The codec's one pair of names, on the empty skeleton.
-    skeleton = PDTSkeleton.from_records("d.xml", {}, 0)
+    skeleton = from_records("d.xml", {}, 0)
     payload = skeleton.to_bytes()
     assert PDTSkeleton.from_bytes(payload).to_bytes() == payload
     assert PDTSkeleton.from_bytes(payload).node_count == 0
@@ -290,7 +292,7 @@ def test_content_hash_stable_across_processes():
 
 
 def _store_skeleton(seed: int = 11) -> PDTSkeleton:
-    return PDTSkeleton.from_records(
+    return from_records(
         "d.xml", _random_records(random.Random(seed)), 9
     )
 
@@ -408,7 +410,7 @@ def test_store_prune(tmp_path):
 def corrupt_a_key(payload: bytes) -> bytes:
     """Flip one byte inside the keys blob — the header stays valid, so
     an O(1) admission (mmap load, peer fetch) lets the payload in."""
-    from repro.core.pdt import SkeletonLayout
+    from repro.core.skeleton import SkeletonLayout
 
     offset = SkeletonLayout(payload).keys_offset + 1
     return payload[:offset] + bytes((payload[offset] ^ 0xFF,)) + payload[offset + 1:]

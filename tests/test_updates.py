@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.naive import BaselineEngine
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
-from repro.core.pdt import patch_skeleton_byte_lengths
+from repro.core.skeleton import patch_skeleton_byte_lengths
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import DeweyID
 from repro.errors import StorageError

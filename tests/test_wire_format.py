@@ -23,11 +23,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pdt import (
-    PDTRecord,
+from repro.baselines.records import PDTRecord, from_records
+from repro.core.pdt import annotate_skeleton
+from repro.core.skeleton import (
     PDTSkeleton,
     SkeletonLayout,
-    annotate_skeleton,
     skeleton_payload_version,
 )
 from repro.core.snapshot import SkeletonStore
@@ -38,7 +38,7 @@ from tests.test_snapshot import _random_records
 
 def _skeleton(seed: int = 11) -> PDTSkeleton:
     rng = random.Random(seed)
-    return PDTSkeleton.from_records(
+    return from_records(
         "doc-ü.xml", _random_records(rng), 37
     )
 
@@ -122,7 +122,7 @@ def test_more_tags_than_the_wire_holds_still_build_and_annotate():
     for number in range(1, 0x10000 + 2):
         key = pack((1, number))
         records[key] = PDTRecord(key, f"t{number}", None, 1, False, True)
-    skeleton = PDTSkeleton.from_records("wide.xml", records, len(records))
+    skeleton = from_records("wide.xml", records, len(records))
     assert len(skeleton.tags) == 0x10001
     assert skeleton.tree.children[-1].tag == "t65537"
     postings = PostingList("kw", [Posting(dewey=(1, 0x10001), tf=3)])
@@ -176,7 +176,7 @@ def test_non_canonical_columns_rejected():
         pack((1, n)): PDTRecord(pack((1, n)), tag, None, 5, False, n == 2)
         for n, tag in ((1, "a"), (2, "b"), (3, "a"))
     }
-    payload = PDTSkeleton.from_records("d", records, 3).to_bytes()
+    payload = from_records("d", records, 3).to_bytes()
     layout = SkeletonLayout(payload)
     assert PDTSkeleton.from_bytes(payload).to_bytes() == payload
     for offset, replacement in (
