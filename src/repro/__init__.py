@@ -19,13 +19,8 @@ Quickstart::
         print(hit.rank, hit.score, hit.to_xml())
 """
 
-from repro.core.engine import (
-    KeywordSearchEngine,
-    PhaseTimings,
-    SearchOutcome,
-    SearchResult,
-    View,
-)
+from repro.core.engine import KeywordSearchEngine
+from repro.core.outcome import PhaseTimings, SearchOutcome, SearchResult, View
 from repro.core.cache import QueryCache
 from repro.core.qpt import QPT, generate_qpts
 from repro.core.pdt import (

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.core.engine import PhaseTimings, SearchOutcome, SearchResult, View
+from repro.core.outcome import PhaseTimings, SearchOutcome, SearchResult, View
 from repro.baselines.records import PDTRecord, from_records
 from repro.core.pdt import PDTResult
 from repro.core.qpt import QPT, generate_qpts

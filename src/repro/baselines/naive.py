@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.core.engine import PhaseTimings, View
+from repro.core.outcome import PhaseTimings, View
 from repro.core.qpt import generate_qpts
 from repro.core.rewrite import make_base_resolver
 from repro.core.scoring import (

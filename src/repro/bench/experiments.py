@@ -18,7 +18,8 @@ from repro.baselines.gtp import GTPEngine
 from repro.baselines.naive import BaselineEngine
 from repro.baselines.projection import project_serialized
 from repro.bench.harness import ExperimentTable, timed
-from repro.core.engine import KeywordSearchEngine, SearchOutcome
+from repro.core.engine import KeywordSearchEngine
+from repro.core.outcome import SearchOutcome
 from repro.core.pdt import build_skeleton
 from repro.storage.database import XMLDatabase
 from repro.workloads.inex import INEXConfig, generate_inex_database

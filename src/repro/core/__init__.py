@@ -21,7 +21,8 @@ from repro.core.scoring import (
 from repro.core.topk import TopKSelector, select_top_k_streaming
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.materialize import materialize_result
-from repro.core.engine import KeywordSearchEngine, SearchResult, View
+from repro.core.engine import KeywordSearchEngine
+from repro.core.outcome import SearchResult, View
 
 __all__ = [
     "QPT",

@@ -416,7 +416,7 @@ class QueryCache:
         it never crosses a process boundary (result nodes are live
         objects).  The key therefore carries the definition's *identity*
         — ``view_token``, an object minted once per registered
-        definition (:attr:`repro.core.engine.View.token`) and hashed by
+        definition (:attr:`repro.core.outcome.View.token`) and hashed by
         address, never the expression, whose dataclass hash is
         structural and uncached: two definitions with identical QPTs but
         different return clauses can never alias, and a put racing a

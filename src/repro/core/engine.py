@@ -20,50 +20,47 @@ the evaluated entry's statistics plan (no result node is visited), a
 columnar score and top-k selection, and one object per winner.
 Each search returns its per-phase wall-clock timings in
 ``SearchOutcome.timings`` — Figure 14's module breakdown, with the PDT
-phase further split into its skeleton and postings halves.
+phase further split into its skeleton and postings halves.  What a
+search returns lives in :mod:`repro.core.outcome`, and the write path
+that keeps the tiers valid under edits in :mod:`repro.core.maintenance`.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.cache import QueryCache, TfColumn
+from repro.core.maintenance import apply_delta, live_snapshots, restore_skeleton
 from repro.core.materialize import materialize_result
+from repro.core.outcome import (
+    PhaseTimings,
+    SearchOutcome,
+    SearchResult,
+    View,
+    ViewStatistics,
+    rank_statistics,
+    wrap_results,
+)
 from repro.core.pdt import build_skeleton, generate_pdt, sweep_tf_arrays
-from repro.core.prepare import (
-    PreparedLists,
-    prepare_inv_lists,
-    prepare_path_lists,
-)
-from repro.core.qpt import QPT, generate_qpts
+from repro.core.prepare import PreparedLists, prepare_inv_lists, prepare_path_lists
+from repro.core.qpt import generate_qpts
 from repro.core.rewrite import make_pdt_resolver
-from repro.core.skeleton import PDTSkeleton, patch_skeleton_byte_lengths
+from repro.core.skeleton import PDTSkeleton
 from repro.core.snapshot import SkeletonStore
-from repro.core.scoring import (
-    ColumnSums,
-    QueryColumns,
-    ScoredResult,
-    StatisticsPlan,
-    idf_from_counts,
-)
-from repro.core.topk import MergeStats
+from repro.core.scoring import QueryColumns, StatisticsPlan, idf_from_counts
 from repro.errors import (
     DocumentNotFoundError,
     InjectedFaultError,
     StaleViewError,
-    StorageError,
     UnsupportedQueryError,
     ViewDefinitionError,
 )
-from repro.storage.database import XMLDatabase
+from repro.storage.database import IndexedDocument, XMLDatabase
 from repro.storage.update import DocumentDelta
 from repro.xmlmodel.node import XMLNode
-from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tokenizer import normalize_keyword
 from repro.xquery.ast import (
     BooleanExpr,
@@ -77,307 +74,27 @@ from repro.xquery.evaluator import EvalContext, Evaluator
 from repro.xquery.functions import inline_functions
 from repro.xquery.parser import parse_query
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.sharding import ShardFailure
 
+@dataclass(slots=True)
+class _TierReads:
+    """One query's tier keys and ``get_many`` reads, in view order."""
 
-@dataclass
-class View:
-    """A named virtual view: parsed definition plus its QPTs."""
+    normalized: tuple[str, ...]
+    distinct: tuple[str, ...]  # the keywords once each: a document's cells
+    cacheable: bool
+    scan_started: float
+    docs: list[IndexedDocument]
+    doc_coordinates: list[tuple[str, int, str]]
+    skeleton_keys: list[tuple]
+    skeletons: list[Optional[PDTSkeleton]]
+    columns: list[Optional[TfColumn]]  # document-major, ``distinct`` wide
 
-    name: str
-    text: str
-    expr: Expr  # function-free view expression
-    qpts: dict[str, QPT]
-    #: This definition's identity in evaluated-tier keys — minted here,
-    #: once per definition, because hashing ``expr`` itself is structural
-    #: (a 96-fragment view's costs 0.1 ms, three times per cache hit).
-    token: object = field(default_factory=object, repr=False, compare=False)
-    #: ``(doc_name, qpt, qpt content hash)`` per document, sorted by
-    #: name — the order every query sweeps them in, taken once here.
-    documents: tuple[tuple[str, QPT, str], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    #: Document name -> its position in ``documents``.
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    def cells(self, at: int) -> list[Optional[TfColumn]]:
+        width = len(self.distinct)
+        return self.columns[at * width:(at + 1) * width]
 
-    def __post_init__(self) -> None:
-        self.documents = tuple(
-            (name, qpt, qpt.content_hash)
-            for name, qpt in sorted(self.qpts.items())
-        )
-        self.positions = {name: at for at, name in enumerate(self.document_names)}
-
-    @property
-    def document_names(self) -> list[str]:
-        return [name for name, _, _ in self.documents]
-
-
-@dataclass
-class PhaseTimings:
-    """Wall-clock seconds per pipeline phase (Figure 14's modules).
-
-    ``pdt`` is further attributed to its two halves so benchmarks can
-    tell structure from data: ``pdt_skeleton`` is the keyword-independent
-    structural work (path-index probes + the merge pass — zero on a
-    skeleton-tier hit) and ``pdt_postings`` the per-query keyword work
-    (the PDT tier read, inverted-list probes + the tf annotation pass).
-    The halves sum to at most ``pdt``; the remainder is the keys and the
-    skeleton tier read.
-    """
-
-    qpt: float = 0.0
-    pdt: float = 0.0
-    evaluator: float = 0.0
-    post_processing: float = 0.0
-    pdt_skeleton: float = 0.0
-    pdt_postings: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.qpt + self.pdt + self.evaluator + self.post_processing
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "qpt": self.qpt,
-            "pdt": self.pdt,
-            "pdt_skeleton": self.pdt_skeleton,
-            "pdt_postings": self.pdt_postings,
-            "evaluator": self.evaluator,
-            "post_processing": self.post_processing,
-            "total": self.total,
-        }
-
-    @classmethod
-    def merge(
-        cls, spans: Sequence["PhaseTimings"], concurrent: bool = True
-    ) -> "PhaseTimings":
-        """Aggregate several phase ledgers into one.
-
-        ``concurrent=True`` models spans that ran side by side (the
-        coordinator's shard executors under its thread pool): elapsed
-        wall clock per phase is the *longest* span, so each field merges
-        by max.  ``concurrent=False`` models serial composition (the
-        coordinator's own scatter/merge spans stacked on top of the
-        shard work, or shards executed one after another): fields sum.
-        An empty sequence merges to all zeros either way.
-        """
-        merged = cls()
-        combine = max if concurrent else sum
-        for spec in fields(cls):
-            values = [getattr(span, spec.name) for span in spans]
-            setattr(merged, spec.name, combine(values) if values else 0.0)
-        return merged
-
-
-@dataclass
-class SearchResult:
-    """One ranked result: scores from the pruned form, content on demand."""
-
-    rank: int
-    score: float
-    scored: ScoredResult
-    _database: Optional[XMLDatabase] = field(repr=False, default=None)
-    _materialized: Optional[XMLNode] = field(repr=False, default=None)
-
-    @property
-    def pruned(self) -> XMLNode:
-        return self.scored.node
-
-    @property
-    def is_materialized(self) -> bool:
-        """Whether full content has already been fetched from storage."""
-        return self._materialized is not None
-
-    def tf(self, keyword: str) -> int:
-        return self.scored.tf(keyword)
-
-    def materialize(self) -> XMLNode:
-        """Fetch full content from document storage (cached).
-
-        This is the only point at which a result touches the document
-        store; everything before it ran off indices and the pruned tree.
-        """
-        if self._materialized is None:
-            if self._database is None:
-                raise StorageError(
-                    "cannot materialize: this SearchResult is not attached "
-                    "to a database (construct it with _database=... or use "
-                    "the pruned tree)"
-                )
-            self._materialized = materialize_result(self.scored.node, self._database)
-        return self._materialized
-
-    def to_xml(self, indent: Optional[int] = None) -> str:
-        return serialize(self.materialize(), indent=indent)
-
-
-@dataclass
-class SearchOutcome:
-    """Everything a search produced (results + diagnostics) — what
-    serving sends.  It keeps no PDT (scoring has already read every
-    one) and no cache counters: the engine's cumulative counters are
-    :meth:`KeywordSearchEngine.stats`, never a query's.
-
-    The fields from ``shards`` down describe a scatter-gather and keep
-    their empty defaults on a lone engine.  ``degraded`` is ``True``
-    only under the coordinator's ``partial_results`` policy when one or
-    more shards failed: ``missing_shards`` names them, ``failures``
-    carries the typed records, and the global top-k guarantee is
-    forfeited — the results are exactly the healthy shards' contribution
-    (:meth:`repro.core.sharding.CorpusCoordinator.search_detailed` has
-    the precise semantics per phase).
-    """
-
-    results: list[SearchResult]
-    view_size: int
-    matching_count: int
-    idf: dict[str, float]
-    timings: PhaseTimings
-    cache_hits: dict[str, str] = field(default_factory=dict)
-    """Per-document cache outcome: ``"pdt"`` (the skeleton tier and the
-    PDT tier, for every keyword's tf column), else where the skeleton
-    came from: ``"skeleton"``, ``"snapshot"`` (restored from the
-    persistent store — same zero-probe depth as a skeleton hit),
-    ``"prepared"`` or ``"miss"``."""
-
-    evaluated_hit: bool = False
-    """Whether the view's result nodes came from the evaluated tier
-    (keyword-independent evaluation skipped entirely)."""
-
-    shards: tuple[int, ...] = ()
-    merge_stats: Optional[MergeStats] = None
-    shard_timings: dict[int, PhaseTimings] = field(default_factory=dict)
-    degraded: bool = False
-    missing_shards: tuple[int, ...] = ()
-    failures: tuple["ShardFailure", ...] = ()
-
-
-@dataclass
-class ViewStatistics:
-    """Phase-1 output of the scatter-gather scoring protocol.
-
-    Everything one engine contributes *before* scores can exist: the
-    statistics of its view results as columns
-    (:class:`~repro.core.scoring.ColumnSums`: one tf column per keyword
-    and the byte-length column), the view size, and the per-keyword
-    containing counts, plus where each document's PDT came from
-    (``cache_hits``); the PDTs the sums read are not kept.
-    idf is a global statistic over the whole view
-    (Section 2.2) — under a sharded corpus it exists only after every
-    shard's ``view_size`` and ``containing`` integers are summed, so
-    phase 1 stops at the integers and phase 2
-    (:func:`rank_statistics`) runs once the global idf is known.  The
-    counts are exact integer sums, which is why sharded scores come out
-    bit-identical to the single-engine path.  ``timings`` is the ledger
-    the phase was charged to.
-
-    The rows fall into parts, one per top-level item of a sequence view
-    (``sums.starts``), and ``offsets`` holds the view index of each
-    part's first row: empty — the identity, a lone engine's view is the
-    whole view — until the coordinator's gather sets them for a shard,
-    whose parts are fragments of the whole view.  No
-    :class:`ScoredResult` exists until :func:`rank_statistics` builds
-    one per winner; ``scored`` is the compatibility read, every row
-    materialized (unscored) at its view index on first use.
-    """
-
-    sums: ColumnSums
-    cache_hits: dict[str, str]
-    evaluated_hit: bool
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
-    offsets: tuple[int, ...] = ()
-
-    @property
-    def view_size(self) -> int:
-        return len(self.sums.lengths)
-
-    @property
-    def containing(self) -> dict[str, int]:
-        return self.sums.containing
-
-    @property
-    def part_sizes(self) -> list[int]:
-        """The result count of each part, in row order."""
-        starts = self.sums.starts
-        ends = (*starts[1:], self.view_size)
-        return [end - start for start, end in zip(starts, ends)]
-
-    def offset(self, row: int) -> int:
-        """What ``row`` adds to become its view index."""
-        if not self.offsets:
-            return 0
-        starts = self.sums.starts
-        part = bisect_right(starts, row) - 1
-        return self.offsets[part] - starts[part]
-
-    @cached_property
-    def scored(self) -> list[ScoredResult]:
-        result, offset = self.sums.result, self.offset
-        return [result(row, offset=offset(row)) for row in range(self.view_size)]
-
-
-def rank_statistics(
-    stats: ViewStatistics,
-    idf: Mapping[str, float],
-    normalized: tuple[str, ...],
-    conjunctive: bool,
-    top_k: Optional[int],
-) -> tuple[list[ScoredResult], int]:
-    """Phase 2 of the protocol: the view-wide idf → keyword semantics →
-    scores → top k over one engine's statistics (the lone engine's
-    whole view, or the fragments one shard holds, in view order).
-    Returns the ranked survivors and how many results matched.
-
-    Every step is column arithmetic (:class:`~repro.core.scoring.
-    ColumnSums`): the mask picks the matching rows, only those are
-    scored, and the selection is one stable reverse sort of their
-    positions by score, cut at k, so equal scores keep ascending view
-    index (a shard's offsets rise with its rows) — the tie-break
-    ``TopKSelector`` and the coordinator's merge share.  A
-    :class:`~repro.core.scoring.ScoredResult` is built for the winners
-    only, at view index ``offsets[part] + (row - starts[part])``.
-    ``top_k <= 0`` scores nothing and returns no result, but still
-    counts the matches.
-    """
-    sums = stats.sums
-    rows = sums.matching(conjunctive)
-    if top_k is not None and top_k <= 0:
-        return [], len(rows)
-    scores = sums.scores(rows, idf, normalized)
-    # One C-level sort: below ≈ 600 candidates (every benchmark view)
-    # faster than heapq.nlargest's per-candidate Python loop.
-    positions = range(len(scores))
-    winners = sorted(positions, key=scores.__getitem__, reverse=True)[:top_k]
-    ranked = []
-    for position in winners:
-        row = rows[position]
-        ranked.append(sums.result(row, scores[position], stats.offset(row)))
-    return ranked, len(rows)
-
-
-def wrap_results(
-    winners: Sequence[ScoredResult],
-    database_of: Callable[[ScoredResult], XMLDatabase],
-    materialize: bool,
-) -> list[SearchResult]:
-    """Ranked statistics become :class:`SearchResult`\\ s here and only
-    here, each attached to the database that can materialize it.  No
-    result touches the document store unless the caller opted into
-    eager materialization."""
-    results = [
-        SearchResult(
-            rank=rank,
-            score=scored.score,
-            scored=scored,
-            _database=database_of(scored),
-        )
-        for rank, scored in enumerate(winners, start=1)
-    ]
-    if materialize:
-        for result in results:
-            result.materialize()
-    return results
+    def prepared_key(self, at: int) -> tuple:
+        return QueryCache.prepared_key(*self.doc_coordinates[at], self.normalized)
 
 
 class KeywordSearchEngine:
@@ -404,7 +121,7 @@ class KeywordSearchEngine:
         database: XMLDatabase,
         cache: Optional[QueryCache] = None,
         enable_cache: bool = True,
-        snapshot_store: Optional["SkeletonStore"] = None,
+        snapshot_store: Optional[SkeletonStore] = None,
     ):
         self.database = database
         self._views: dict[str, View] = {}
@@ -426,11 +143,6 @@ class KeywordSearchEngine:
         self.snapshot_store = snapshot_store
         if cache is not None:
             database.add_invalidation_hook(self._on_document_change)
-            # The delta-aware write path: sub-document updates migrate
-            # patchable skeleton-tier entries (and the evaluated entries
-            # over them) to the new generation instead of orphaning
-            # them, forward snapshots to the new fingerprint, and
-            # re-warm the affected views so the next query lands warm.
             database.add_update_hook(self._on_document_update)
 
     # -- what the serving layer reads (CorpusCoordinator answers the same) ------
@@ -460,159 +172,31 @@ class KeywordSearchEngine:
 
     def _on_document_change(self, doc_name: str) -> None:
         """Database hook: a document was loaded or dropped."""
-        if self.cache is not None:
-            self.cache.invalidate_document(doc_name)
-
-    @staticmethod
-    def _delta_patchable(qpt: QPT, delta: DocumentDelta) -> bool:
-        """Can this view's skeletons survive the edit with a byte-length
-        patch alone?
-
-        Yes iff *no* removed or added element matches a QPT node anywhere
-        along its full root-to-element path: then the edit cannot change
-        which elements the structural pass emits (a removed element that
-        influenced the skeleton only through a probed descendant would
-        have that descendant — also removed — fail this check), so the
-        record set, tree shape, values and entry count are all identical
-        to a rebuild, and only the edit point's ancestor byte lengths
-        moved.  Patchability is a function of the QPT's structure and the
-        delta's paths only — two views with equal content hashes always
-        agree, which is what lets snapshots be forwarded per hash.
-        """
-        for path in delta.removed_paths + delta.added_paths:
-            if qpt.match_table(path)[len(path) - 1]:
-                return False
-        return True
+        self.cache.invalidate_document(doc_name)
 
     def _on_document_update(self, delta: DocumentDelta) -> None:
-        """Database hook: a sub-document update was applied.
-
-        The write path that replaces the invalidation storm: classify
-        each registered view reading the document as patchable or not,
-        migrate + patch the patchable skeleton-tier entries (and forward
-        their snapshots to the new fingerprint), migrate the patchable
-        views' evaluated entries (their plans read byte lengths from
-        whichever skeleton serves the next query), drop everything else
-        derived from the document, and re-warm the
-        affected views so the next query finds the skeleton and
-        evaluated tiers hot — a lookup for a view that kept its entries,
-        a rebuild only for one whose structure the edit changed.
-        """
-        cache = self.cache
-        if cache is None:
-            return
-        doc_name = delta.doc_name
-        affected: list[View] = []
-        patched_views: set[str] = set()
-        for name, view in self._views.items():
-            qpt = view.qpts.get(doc_name)
-            if qpt is None:
-                continue
-            affected.append(view)
-            if self._delta_patchable(qpt, delta):
-                patched_views.add(name)
-        moved, _ = cache.apply_document_delta(
-            doc_name,
-            delta.old_generation,
-            delta.new_generation,
-            patched_views,
-        )
-        patched_by_hash: dict[str, PDTSkeleton] = {}
-        seen: set[int] = set()
-        for key, skeleton in moved:
-            if id(skeleton) not in seen:
-                seen.add(id(skeleton))
-                patch_skeleton_byte_lengths(
-                    skeleton, delta.ancestor_keys, delta.length_delta
-                )
-            patched_by_hash[key[3]] = skeleton
-        self._forward_snapshots(delta, affected, patched_views, patched_by_hash)
-        for view in affected:
+        """Database hook: a sub-document update was applied.  Keep what
+        it left valid (:func:`~repro.core.maintenance.apply_delta`), then
+        re-warm the views reading the document so the next query finds
+        the skeleton and evaluated tiers hot — a lookup for a view that
+        kept its entries, a rebuild only for one whose structure the
+        edit changed."""
+        store, views = self.snapshot_store, self._views.values()
+        for view in apply_delta(self.cache, store, self.database, views, delta):
             if all(name in self.database for name in view.qpts):
                 self.warm_view(view)
 
-    def _forward_snapshots(
-        self,
-        delta: DocumentDelta,
-        affected: list[View],
-        patched_views: set[str],
-        patched_by_hash: dict[str, PDTSkeleton],
-    ) -> None:
-        """Version the persistent tier forward across an update.
-
-        For each affected QPT content hash: a patchable view's snapshot
-        is re-written under the document's *new* fingerprint (patched in
-        memory when the skeleton tier had it, else loaded from the old
-        snapshot and patched), and the old-fingerprint snapshot is
-        discarded — it is unaddressable by construction, so this only
-        reclaims the disk instead of orphaning the file.
-        """
-        store = self.snapshot_store
-        if store is None or delta.old_fingerprint is None:
-            return
-        if delta.doc_name not in self.database:
-            return
-        new_fingerprint = self.database.get(delta.doc_name).fingerprint
-        handled: set[str] = set()
-        for view in affected:
-            qpt_hash = view.qpts[delta.doc_name].content_hash
-            if qpt_hash in handled:
-                continue
-            handled.add(qpt_hash)
-            if view.name in patched_views:
-                skeleton = patched_by_hash.get(qpt_hash)
-                if skeleton is None:
-                    skeleton = self._restore(
-                        store, delta.old_fingerprint, qpt_hash, delta.doc_name
-                    )
-                    if skeleton is not None:
-                        patch_skeleton_byte_lengths(
-                            skeleton, delta.ancestor_keys, delta.length_delta
-                        )
-                if skeleton is not None:
-                    store.save(new_fingerprint, qpt_hash, skeleton)
-            store.discard(delta.old_fingerprint, qpt_hash)
-
     # -- snapshot tier / lifecycle --------------------------------------------
-
-    @staticmethod
-    def _restore(
-        store: SkeletonStore, fingerprint: str, qpt_hash: str, doc_name: str
-    ) -> Optional[PDTSkeleton]:
-        """A stored skeleton this engine may serve — or ``None``: build it.
-
-        The store has decoded and validated it.  A mismatched
-        ``doc_name`` would mean a digest collision or a store shared
-        across differently-named loads of the same content — never
-        served blind.
-        """
-        restored = store.load(fingerprint, qpt_hash)
-        if restored is None or restored.doc_name != doc_name:
-            return None
-        return restored
 
     def prune_snapshots(self) -> int:
         """Drop persistent snapshots no live ``(document, view)`` pair can
-        restore, returning the number of files removed.
-
-        The live set is every ``(fingerprint, qpt hash)`` coordinate
-        reachable from the currently registered views and the documents
-        currently in the database; anything else in the store — older
-        fingerprints, dropped views, other engines' leftovers — is
-        unaddressable from here and only holds disk.  No-op without a
-        snapshot store.
-        """
+        restore (:func:`~repro.core.maintenance.live_snapshots`),
+        returning the number of files removed; 0 without a store."""
         store = self.snapshot_store
         if store is None:
             return 0
-        keep: set[str] = set()
-        for view in self._views.values():
-            for doc_name, qpt in view.qpts.items():
-                if doc_name not in self.database:
-                    continue
-                fingerprint = self.database.get(doc_name).fingerprint
-                keep.add(store.entry_name(fingerprint, qpt.content_hash))
-        return store.prune(keep=keep)
+        views = self._views.values()
+        return store.prune(keep=live_snapshots(store, self.database, views))
 
     def close(self) -> None:
         """Release the engine's external hooks and tidy the snapshot tier.
@@ -673,6 +257,13 @@ class KeywordSearchEngine:
         except KeyError:
             raise ViewDefinitionError(f"no view named {name!r}") from None
 
+    def drop_view(self, name: str) -> None:
+        """Forget a view and its cache entries (snapshots: prunable)."""
+        if self._views.pop(name, None) is None:
+            raise ViewDefinitionError(f"no view named {name!r}")
+        if self.cache is not None:
+            self.cache.invalidate_view(name)
+
     def warm_view(self, view: Union[View, str]) -> dict[str, str]:
         """Pre-build the view's keyword-independent cached state.
 
@@ -711,8 +302,9 @@ class KeywordSearchEngine:
                 "currently registered definition (re-fetch it with "
                 "get_view, or warm by name)"
             )
-        columns, cache_hits, doc_coordinates = self._build_pdts(view, ())
-        self._evaluate_view_results(view, columns, doc_coordinates)
+        timings = PhaseTimings()
+        columns, cache_hits, doc_coordinates = self._build_pdts(view, (), timings)
+        self._evaluate_view_results(view, columns, doc_coordinates, timings)
         return cache_hits
 
     def resident_documents(self, view: Union[View, str]) -> list[str]:
@@ -851,34 +443,14 @@ class KeywordSearchEngine:
         self,
         view: View,
         normalized: tuple[str, ...],
-        timings: Optional[PhaseTimings] = None,
+        timings: PhaseTimings,
     ) -> tuple[QueryColumns, dict[str, str], tuple[tuple[str, int, str], ...]]:
         """A query's skeletons and tf columns, through the cache tiers:
-        the skeleton and PDT tiers' ``get_many`` lists as they came back
+        :meth:`_read_tiers`'s two ``get_many`` lists as they came back
         (:class:`~repro.core.scoring.QueryColumns`; no PDT object is
-        built), after one pass that raises :class:`StaleViewError`
-        naming every dropped document.  A document the two reads left
-        incomplete is finished into its cells; the structural half,
-        deepest reuse first:
-
-        1. **Skeleton tier** ``(view, doc)``: the keyword-independent
-           structural pass.  A hit means zero path-index probes, so a
-           warm view answers *never-seen* keyword sets without touching
-           the path index.
-        2. **Snapshot store** ``(doc fingerprint, qpt hash)``: the
-           persistent tier, when configured.  A hit deserializes a
-           skeleton some process built earlier — zero path probes, like
-           a skeleton hit — refills the in-memory skeleton tier, and is
-           reported as ``"snapshot"``.
-        3. **Prepared tier** ``(doc, qpt hash, keywords)``: the raw
-           probe results.  A hit skips all index probes but redoes the
-           merge pass (and refills the skeleton tier from it for free).
-
-        Then the keyword half: only the keywords whose tf column the
-        **PDT tier** ``(view, doc, keyword)`` lacks are swept, and their
-        columns put.  A miss still probes every keyword, to fill the
-        prepared tier.  A document is ``"pdt"`` when the skeleton tier
-        and this one served it all.
+        built).  A document the reads left incomplete is finished into
+        its cells by :meth:`_structural_half`, then :meth:`_keyword_half`;
+        it is ``"pdt"`` when the skeleton and PDT tiers served it all.
 
         Every key embeds the QPT's *content hash*, never its object
         identity, so a structurally identical QPT built in a fresh
@@ -891,13 +463,34 @@ class KeywordSearchEngine:
         A view with more documents than a tier holds sweeps it in the
         same order every query; every put carries the sweep's start
         (``scan_started``) so the sweep keeps what it already used
-        instead of flooding the tier, and a skeleton the tier turns away
-        is used for this query, then dropped.
+        instead of flooding the tier.
         """
+        reads = self._read_tiers(view, normalized, timings)
+        skeletons, columns = reads.skeletons, reads.columns
+        cache_hits = dict.fromkeys(view.positions, "pdt")
+        served = None not in skeletons and None not in columns
+        for at in () if served else range(len(skeletons)):
+            if skeletons[at] is not None and None not in reads.cells(at):
+                continue
+            hit, lists = self._structural_half(view, reads, at, timings)
+            self._keyword_half(reads, at, hit, lists, timings)
+            cache_hits[view.documents[at][0]] = hit
+        return (
+            QueryColumns(skeletons, columns, reads.distinct, view.positions),
+            cache_hits,
+            tuple(reads.doc_coordinates),
+        )
+
+    def _read_tiers(
+        self, view: View, normalized: tuple[str, ...], timings: PhaseTimings
+    ) -> _TierReads:
+        """Key every document, after one pass that raises
+        :class:`StaleViewError` naming every dropped one, and read the
+        skeleton and PDT tiers with one ``get_many`` each (tf columns
+        are keyword work: ``pdt_postings``)."""
         scan_started = time.perf_counter()
         cache = self.cache
         cacheable = cache is not None and self._views.get(view.name) is view
-        store = self.snapshot_store
         documents = view.documents
         # The generation captured here keys every tier this query
         # touches — including the evaluated tier — so one query's cache
@@ -919,139 +512,138 @@ class KeywordSearchEngine:
         if dropped:
             raise StaleViewError(view.name, dropped)
         distinct = tuple(dict.fromkeys(normalized))
-        width = len(distinct)
         skeletons: list[Optional[PDTSkeleton]] = [None] * len(documents)
-        columns: list[Optional[TfColumn]] = [None] * (len(documents) * width)
+        columns: list[Optional[TfColumn]] = [None] * (len(documents) * len(distinct))
         if cacheable:
             skeletons = cache.skeletons.get_many(skeleton_keys)
             start = time.perf_counter()
             columns = cache.pdts.get_many([  # QueryCache.pdt_key's layout
                 key + (keyword,) for key in skeleton_keys for keyword in distinct
             ])
-            if timings is not None:  # reading tf columns is keyword work
-                timings.pdt_postings += time.perf_counter() - start
-
-        cache_hits = dict.fromkeys(view.positions, "pdt")
-        served = None not in skeletons and None not in columns
-        for at in () if served else range(len(documents)):
-            doc_name, qpt, qpt_hash = documents[at]
-            skeleton = skeletons[at]
-            cells = columns[at * width:(at + 1) * width]
-            if skeleton is not None and None not in cells:
-                continue
-            indexed = docs[at]
-            lists: Optional[PreparedLists] = None
-            if cacheable:
-                lists_key = cache.prepared_key(
-                    *doc_coordinates[at], normalized
-                )
-                if skeleton is None:
-                    lists = cache.prepared.get(lists_key)
-
-            # Structural half: reuse the skeleton, restore it from the
-            # persistent store, or build it (from cached probe results
-            # when the prepared tier has them).
-            start = time.perf_counter()
-            if skeleton is not None:
-                hit = "skeleton"
-            else:
-                if cacheable and store is not None and lists is None:
-                    # Only genuine first contact goes to disk: with the
-                    # prepared tier warm, rebuilding from the cached
-                    # lists (no probes) is strictly cheaper than a file
-                    # read + deserialize + finalization round trip.
-                    skeleton = self._restore(
-                        store, indexed.fingerprint, qpt_hash, doc_name
-                    )
-                    if skeleton is not None:
-                        hit = "snapshot"
-                if skeleton is None:
-                    if lists is None:
-                        hit = "miss"
-                        path_lists = prepare_path_lists(
-                            qpt, indexed.path_index
-                        )
-                    else:
-                        hit = "prepared"
-                        path_lists = lists.path_lists
-                    skeleton = build_skeleton(
-                        qpt, indexed.path_index, path_lists=path_lists
-                    )
-                    if cacheable:
-                        if store is not None:
-                            # A failed snapshot write costs the *next*
-                            # process a rebuild; it must never fail the
-                            # query that already has its skeleton.
-                            try:
-                                store.save(
-                                    indexed.fingerprint, qpt_hash, skeleton
-                                )
-                            except (OSError, InjectedFaultError):
-                                pass
-                if cacheable and cache.skeletons.admits(
-                    skeleton_keys[at], scan_started
-                ):
-                    cache.skeletons.put(
-                        skeleton_keys[at], skeleton, scan_started
-                    )
-                skeletons[at] = skeleton
-            if timings is not None:
-                timings.pdt_skeleton += time.perf_counter() - start
-
-            # Keyword half: the tf columns the PDT tier lacks are swept
-            # from posting lists — the prepared tier's when the exact
-            # keyword set was probed before, else probed now.
-            start = time.perf_counter()
-            missing = tuple(k for k, cell in zip(distinct, cells) if cell is None)
-            if hit == "miss":
-                inv_lists = prepare_inv_lists(
-                    indexed.inverted_index, normalized
-                )
-                if cacheable:
-                    # The skeleton-hit path never probes path lists, so
-                    # only the miss path can fill the prepared tier.
-                    cache.prepared.put(
-                        lists_key,
-                        PreparedLists(
-                            path_lists=path_lists, inv_lists=inv_lists
-                        ),
-                        scan_started,
-                    )
-            if missing:
-                if hit == "skeleton":
-                    lists = cache.prepared.get(lists_key)
-                if lists is not None:
-                    inv_lists = lists.inv_lists
-                elif hit != "miss":
-                    inv_lists = prepare_inv_lists(
-                        indexed.inverted_index, missing
-                    )
-                swept = sweep_tf_arrays(skeleton, inv_lists, missing)
-                for offset, keyword in enumerate(distinct):
-                    if keyword in swept:
-                        cell = TfColumn.of(swept[keyword])
-                        columns[at * width + offset] = cell
-                        if cacheable:
-                            cache.pdts.put(
-                                skeleton_keys[at] + (keyword,),
-                                cell,
-                                scan_started,
-                            )
-            cache_hits[doc_name] = hit
-            if timings is not None:
-                timings.pdt_postings += time.perf_counter() - start
-        return (
-            QueryColumns(skeletons, columns, distinct, view.positions),
-            cache_hits,
-            tuple(doc_coordinates),
+            timings.pdt_postings += time.perf_counter() - start
+        return _TierReads(
+            normalized, distinct, cacheable, scan_started, docs,
+            doc_coordinates, skeleton_keys, skeletons, columns,
         )
+
+    def _structural_half(
+        self, view: View, reads: _TierReads, at: int, timings: PhaseTimings
+    ) -> tuple[str, Optional[PreparedLists]]:
+        """Document ``at``'s skeleton into ``reads.skeletons``
+        (``pdt_skeleton``), deepest reuse first:
+
+        1. **Skeleton tier** ``(view, doc)``, already read.  A hit means
+           zero path-index probes, so a warm view answers *never-seen*
+           keyword sets without touching the path index.
+        2. **Snapshot store** ``(doc fingerprint, qpt hash)``: the
+           persistent tier, when configured.  A hit deserializes a
+           skeleton some process built earlier — zero path probes, like
+           a skeleton hit — refills the skeleton tier, and is reported
+           as ``"snapshot"``.
+        3. **Prepared tier** ``(doc, qpt hash, keywords)``: the raw
+           probe results.  A hit skips all index probes but redoes the
+           merge pass (and refills the skeleton tier from it for free).
+
+        Else a ``"miss"``: probe, build, save.  A skeleton the tier turns
+        away serves this query only.  Returns the source and the lists
+        the keyword half reuses (on a miss, the path half of new ones).
+        """
+        doc_name, qpt, qpt_hash = view.documents[at]
+        cache, store = self.cache, self.snapshot_store
+        cacheable, scan_started = reads.cacheable, reads.scan_started
+        indexed, skeleton = reads.docs[at], reads.skeletons[at]
+        lists: Optional[PreparedLists] = None
+        if cacheable and skeleton is None:
+            lists = cache.prepared.get(reads.prepared_key(at))
+        start = time.perf_counter()
+        if skeleton is not None:
+            hit = "skeleton"
+        else:
+            if cacheable and store is not None and lists is None:
+                # Only genuine first contact goes to disk: with the
+                # prepared tier warm, rebuilding from the cached
+                # lists (no probes) is strictly cheaper than a file
+                # read + deserialize + finalization round trip.
+                skeleton = restore_skeleton(
+                    store, indexed.fingerprint, qpt_hash, doc_name
+                )
+                if skeleton is not None:
+                    hit = "snapshot"
+            if skeleton is None:
+                if lists is None:
+                    hit = "miss"
+                    path_lists = prepare_path_lists(qpt, indexed.path_index)
+                    lists = PreparedLists(path_lists=path_lists, inv_lists={})
+                else:
+                    hit = "prepared"
+                skeleton = build_skeleton(
+                    qpt, indexed.path_index, path_lists=lists.path_lists
+                )
+                if cacheable and store is not None:
+                    # A failed snapshot write costs the *next* process
+                    # a rebuild; it must never fail the query that
+                    # already has its skeleton.
+                    try:
+                        store.save(indexed.fingerprint, qpt_hash, skeleton)
+                    except (OSError, InjectedFaultError):
+                        pass
+            key = reads.skeleton_keys[at]
+            if cacheable and cache.skeletons.admits(key, scan_started):
+                cache.skeletons.put(key, skeleton, scan_started)
+            reads.skeletons[at] = skeleton
+        timings.pdt_skeleton += time.perf_counter() - start
+        return hit, lists
+
+    def _keyword_half(
+        self,
+        reads: _TierReads,
+        at: int,
+        hit: str,
+        lists: Optional[PreparedLists],
+        timings: PhaseTimings,
+    ) -> None:
+        """Document ``at``'s tf columns into ``reads.columns``
+        (``pdt_postings``): only the keywords whose column the **PDT
+        tier** ``(view, doc, keyword)`` lacks are swept — from the
+        prepared tier's posting lists when the exact keyword set was
+        probed before, else probed now — and their columns put.  A miss
+        still probes every keyword, to fill the prepared tier.
+        """
+        start = time.perf_counter()
+        cache, distinct = self.cache, reads.distinct
+        indexed, cacheable = reads.docs[at], reads.cacheable
+        missing = tuple(k for k, c in zip(distinct, reads.cells(at)) if c is None)
+        if hit == "miss":
+            lists.inv_lists = prepare_inv_lists(
+                indexed.inverted_index, reads.normalized
+            )
+            if cacheable:
+                # The skeleton-hit path never probes path lists, so
+                # only the miss path can fill the prepared tier.
+                cache.prepared.put(reads.prepared_key(at), lists, reads.scan_started)
+        if missing:
+            if hit == "skeleton":
+                lists = cache.prepared.get(reads.prepared_key(at))
+            if lists is not None:
+                inv_lists = lists.inv_lists
+            else:
+                inv_lists = prepare_inv_lists(indexed.inverted_index, missing)
+            swept = sweep_tf_arrays(reads.skeletons[at], inv_lists, missing)
+            for offset, keyword in enumerate(distinct):
+                if keyword in swept:
+                    cell = TfColumn.of(swept[keyword])
+                    reads.columns[at * len(distinct) + offset] = cell
+                    if cacheable:
+                        key = reads.skeleton_keys[at] + (keyword,)
+                        cache.pdts.put(key, cell, reads.scan_started)
+        timings.pdt_postings += time.perf_counter() - start
 
     def _evaluate_view_results(
         self,
         view: View,
         columns: QueryColumns,
         doc_coordinates: tuple[tuple[str, int, str], ...],
-        timings: Optional[PhaseTimings] = None,
+        timings: PhaseTimings,
     ) -> tuple[StatisticsPlan, bool]:
         """The view's result nodes (``plan.nodes``) under their statistics
         plan, through the evaluated cache tier.  A ``timings`` ledger is
@@ -1082,8 +674,7 @@ class KeywordSearchEngine:
             key = cache.evaluated_key(view.name, view.token, doc_coordinates)
             cached = cache.evaluated.get(key)
             if cached is not None:
-                if timings is not None:
-                    timings.evaluator += time.perf_counter() - start
+                timings.evaluator += time.perf_counter() - start
                 return cached, True
         # The resolver builds each document's PDT as the evaluator opens it.
         evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(columns)))
@@ -1095,9 +686,8 @@ class KeywordSearchEngine:
         ]
         evaluated = time.perf_counter()
         plan = StatisticsPlan(chain.from_iterable(parts), [len(p) for p in parts])
-        if timings is not None:
-            timings.evaluator += evaluated - start
-            timings.post_processing += time.perf_counter() - evaluated
+        timings.evaluator += evaluated - start
+        timings.post_processing += time.perf_counter() - evaluated
         if cacheable:
             cache.evaluated.put(key, plan)
         return plan, False
@@ -1156,8 +746,11 @@ class KeywordSearchEngine:
         """
         if isinstance(view, str):
             view = self.get_view(view)
-        columns, _, doc_coordinates = self._build_pdts(view, ())
-        plan, _ = self._evaluate_view_results(view, columns, doc_coordinates)
+        timings = PhaseTimings()
+        columns, _, doc_coordinates = self._build_pdts(view, (), timings)
+        plan, _ = self._evaluate_view_results(
+            view, columns, doc_coordinates, timings
+        )
         results = plan.nodes
         if not materialize:
             # A fresh list of shared, read-only pruned nodes (possibly

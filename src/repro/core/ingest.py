@@ -34,12 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.core.sharding import (
-    CorpusCoordinator,
-    ShardExecutor,
-    ShardPlan,
-    view_fragments,
-)
+from repro.core.placement import ShardPlan, view_fragments
+from repro.core.sharding import CorpusCoordinator, ShardExecutor
 from repro.core.snapshot import SkeletonStore
 from repro.errors import ShardingError
 from repro.storage.database import index_document

@@ -492,7 +492,7 @@ def select_top_k(outcome: ScoringOutcome, k: Optional[int]) -> list[ScoredResult
 
     This full-sort form is the *reference* implementation the streaming
     selector (:mod:`repro.core.topk`) and the engine's column ranking
-    (:func:`repro.core.engine.rank_statistics`) are property-tested
+    (:func:`repro.core.outcome.rank_statistics`) are property-tested
     against.
     """
     ranked = sorted(outcome.results, key=lambda r: (-r.score, r.index))

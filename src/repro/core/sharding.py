@@ -30,26 +30,21 @@ statistic (Section 2.2: ``idf(k) = |V(D)| / containing(k)`` over the
    abandoning a shard as soon as its score upper bound falls strictly
    below the current k-th score.
 
-A view is fragmented at its top-level sequence boundaries (``(f1, f2,
-…)``): each fragment is the placement unit and must live wholly on one
-shard — the plan colocates a fragment's documents, and ``define_view``
-rejects a plan that would split one.  A shard's fragments, in position
-order, are one engine view (:meth:`Fragment.merge`): its slice of the
-view, cached and answered as a unit.  Ranking is **bit-identical** to
+Each shard answers for its fragments of a view as one engine view
+(:mod:`repro.core.placement`).  Ranking is **bit-identical** to
 evaluating the concatenated view on one engine: sequence evaluation is
 fragment-by-fragment, the statistics are integer-summed, the scores are
 the same floats, and the merge provably returns the same top-k (the
 difftest suite asserts this bit-for-bit across randomized plans).
 
-Both phases exist once, in :mod:`repro.core.engine`
-(``collect_view_statistics``, ``rank_statistics``): the lone engine is
+Both phases exist once — ``KeywordSearchEngine.collect_view_statistics``
+and :func:`repro.core.outcome.rank_statistics` — the lone engine is
 their one-engine caller, the coordinator their N-shard caller through
 ``_scatter``, and both return the same ``SearchOutcome``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,10 +54,10 @@ from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.cache import LRUCache, QueryCache, hit_rate
+from repro.core.engine import KeywordSearchEngine
 from repro.core.faults import FaultInjector
 from repro.core.health import FleetHealth
-from repro.core.engine import (
-    KeywordSearchEngine,
+from repro.core.outcome import (
     PhaseTimings,
     SearchOutcome,
     SearchResult,
@@ -70,6 +65,7 @@ from repro.core.engine import (
     rank_statistics,
     wrap_results,
 )
+from repro.core.placement import Fragment, ShardPlan, view_fragments
 from repro.core.scoring import ScoredResult, idf_from_counts
 from repro.core.snapshot import SkeletonStore
 from repro.core.topk import ShardStream, merge_shard_streams
@@ -85,170 +81,9 @@ from repro.storage.database import IndexedDocument, XMLDatabase
 from repro.storage.update import DocumentDelta
 from repro.xmlmodel.node import Document, XMLNode
 from repro.xmlmodel.tokenizer import normalize_keyword
-from repro.xquery.ast import (
-    Expr,
-    SequenceExpr,
-    referenced_documents,
-    sequence_items,
-)
+from repro.xquery.ast import Expr
 from repro.xquery.functions import inline_functions
 from repro.xquery.parser import parse_query
-
-
-# -- view fragmentation ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """One top-level piece of a view's sequence expression — or a
-    shard's pieces of one view, merged into one sequence.
-
-    ``positions`` holds each piece's index in the view's sequence, in
-    order — the keys for rebasing local result indexes to global view
-    positions; ``position`` is the first.  A view fragment is the unit
-    of placement: its documents must share a shard.
-    """
-
-    positions: tuple[int, ...]
-    expr: Expr
-    documents: tuple[str, ...]
-
-    @property
-    def position(self) -> int:
-        return self.positions[0]
-
-    @classmethod
-    def merge(cls, fragments: Sequence["Fragment"]) -> "Fragment":
-        """View fragments, in position order, as one sequence (always a
-        :class:`SequenceExpr`, so each is one top-level item)."""
-        ordered = sorted(fragments, key=lambda fragment: fragment.position)
-        return cls(
-            positions=tuple(fragment.position for fragment in ordered),
-            expr=SequenceExpr(tuple(fragment.expr for fragment in ordered)),
-            documents=tuple(sorted({d for f in ordered for d in f.documents})),
-        )
-
-
-def view_fragments(expr: Expr) -> tuple[Fragment, ...]:
-    """Split a view expression at its top-level sequence boundaries.
-
-    A non-sequence view is a single fragment.  Sequence evaluation is
-    fragment-by-fragment concatenation, so per-fragment results at
-    rebased indexes reproduce the whole view's result order exactly.
-    """
-    fragments = []
-    for position, item in enumerate(sequence_items(expr)):
-        documents = tuple(sorted(referenced_documents(item)))
-        if not documents:
-            raise ShardingError(
-                f"view fragment {position} references no documents; it "
-                "cannot be placed on any shard"
-            )
-        fragments.append(
-            Fragment(positions=(position,), expr=item, documents=documents)
-        )
-    return tuple(fragments)
-
-
-# -- the shard plan -------------------------------------------------------------
-
-
-def _home_shard(doc_name: str, shard_count: int) -> int:
-    """A document's hash shard: BLAKE2b (8-byte digest) of
-    ``repr((doc_name,))``, mod ``shard_count`` — no ``PYTHONHASHSEED``
-    dependence, so every process partitions a corpus the same way (an
-    ingest manifest or a snapshot directory outlives the process that
-    built it)."""
-    key = repr((doc_name,)).encode("utf-8", "backslashreplace")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % shard_count
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """An immutable document-to-shard assignment.
-
-    Built either by hashing (``build`` — the production path, stable
-    across processes) or verbatim (``from_assignments`` — the difftest
-    path, which sweeps randomized placements).
-    """
-
-    shard_count: int
-    assignments: Mapping[str, int]
-
-    @classmethod
-    def build(
-        cls,
-        doc_names: Sequence[str],
-        shard_count: int,
-        colocate: Sequence[Sequence[str]] = (),
-    ) -> "ShardPlan":
-        """Hash-partition documents, honoring colocation constraints.
-
-        ``colocate`` groups (typically one group per multi-document view
-        fragment) are placed as units: union-find merges overlapping
-        groups, each component's *leader* is its lexicographically
-        smallest document, and the whole component lands on the leader's
-        hash shard — deterministic, and independent of group order.
-        """
-        if shard_count < 1:
-            raise ShardingError(f"shard_count must be >= 1, got {shard_count}")
-        parent = {name: name for name in doc_names}
-
-        def find(name: str) -> str:
-            while parent[name] != name:
-                parent[name] = parent[parent[name]]
-                name = parent[name]
-            return name
-
-        for group in colocate:
-            group = list(group)
-            for doc in group:
-                if doc not in parent:
-                    raise ShardingError(
-                        f"colocation constraint references unknown "
-                        f"document {doc!r}"
-                    )
-            for doc in group[1:]:
-                parent[find(doc)] = find(group[0])
-
-        leaders: dict[str, str] = {}
-        for name in parent:
-            root = find(name)
-            if root not in leaders or name < leaders[root]:
-                leaders[root] = name
-        assignments = {
-            name: _home_shard(leaders[find(name)], shard_count)
-            for name in parent
-        }
-        return cls(shard_count=shard_count, assignments=assignments)
-
-    @classmethod
-    def from_assignments(
-        cls, assignments: Mapping[str, int], shard_count: int
-    ) -> "ShardPlan":
-        for name, shard in assignments.items():
-            if not 0 <= shard < shard_count:
-                raise ShardingError(
-                    f"document {name!r} assigned to shard {shard}, outside "
-                    f"[0, {shard_count})"
-                )
-        return cls(shard_count=shard_count, assignments=dict(assignments))
-
-    def shard_of(self, doc_name: str) -> int:
-        try:
-            return self.assignments[doc_name]
-        except KeyError:
-            raise ShardingError(
-                f"document {doc_name!r} is not in the shard plan"
-            ) from None
-
-    def documents_for(self, shard_id: int) -> list[str]:
-        return sorted(
-            name
-            for name, shard in self.assignments.items()
-            if shard == shard_id
-        )
 
 
 # -- per-shard execution --------------------------------------------------------
@@ -271,7 +106,6 @@ class ShardExecutor:
         self,
         shard_id: int,
         cache: Optional[QueryCache] = None,
-        enable_cache: bool = True,
         snapshot_store: Optional[SkeletonStore] = None,
         database: Optional[XMLDatabase] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -282,7 +116,6 @@ class ShardExecutor:
         self.engine = KeywordSearchEngine(
             self.database,
             cache=cache,
-            enable_cache=enable_cache,
             snapshot_store=snapshot_store,
         )
         self._fragments: dict[str, Fragment] = {}
@@ -318,12 +151,21 @@ class ShardExecutor:
         :meth:`Fragment.merge` of them, named ``view#position`` after
         its first fragment — stable across processes (the position comes
         from the view text), so cache keys and snapshot files line up
-        between runs."""
+        between runs.  A redefinition that moves the first position
+        drops the engine view of the old one."""
         merged = Fragment.merge(fragments)
         self.engine.register_view(
             _fragment_view_name(view_name, merged.position), merged.expr
         )
+        previous = self._fragments.get(view_name, merged)
         self._fragments[view_name] = merged
+        if previous.position != merged.position:
+            self.engine.drop_view(_fragment_view_name(view_name, previous.position))
+
+    def drop_view(self, view_name: str) -> None:
+        """Forget the shard's slice of a view, its engine view too."""
+        self.engine.drop_view(self._engine_view(view_name))
+        del self._fragments[view_name]
 
     def fragments_for(self, view_name: str) -> tuple[Fragment, ...]:
         """The shard's one merged fragment of the view, as a 1-tuple."""
@@ -368,7 +210,7 @@ class ShardExecutor:
         conjunctive: bool,
         k: Optional[int],
     ) -> tuple[list[ScoredResult], int]:
-        """Ranking scatter: phase 2 (:func:`~repro.core.engine.
+        """Ranking scatter: phase 2 (:func:`~repro.core.outcome.
         rank_statistics`, whose pair this returns) over this shard's
         statistics under the global idf, with each fragment's offset
         already set by the gather."""
@@ -458,7 +300,7 @@ class CorpusCoordinator:
     """Scatter-gather keyword search over a fleet of shard executors.
 
     Answers every method :class:`KeywordSearchEngine` does and returns
-    the same :class:`~repro.core.engine.SearchOutcome`, so the serving
+    the same :class:`~repro.core.outcome.SearchOutcome`, so the serving
     layer sits on either without asking which.  A shard holds
     precomputed view state (its cache tiers, its snapshot slice) and is
     a failure domain; it is not a unit of CPU — under one GIL shard
@@ -744,7 +586,9 @@ class CorpusCoordinator:
         A fragment whose documents span shards is rejected: fragments
         are the evaluation unit (a join cannot execute across two
         databases), so the plan must have colocated them — ``build``'s
-        ``colocate`` groups exist exactly for this.
+        ``colocate`` groups exist exactly for this.  A redefinition
+        drops the view from every shard that holds none of its new
+        fragments.
         """
         fragments = view_fragments(expr)
         per_shard: dict[int, list[Fragment]] = {}
@@ -760,6 +604,10 @@ class CorpusCoordinator:
             per_shard.setdefault(homes.pop(), []).append(fragment)
         for shard, shard_fragments in per_shard.items():
             self.executors[shard].register_view(name, shard_fragments)
+        previous = self._views.get(name)
+        for shard in () if previous is None else previous.shards:
+            if shard not in per_shard:
+                self.executors[shard].drop_view(name)
         view = CoordinatorView(
             name=name,
             text=text,
@@ -778,10 +626,6 @@ class CorpusCoordinator:
             return self._views[name]
         except KeyError:
             raise ViewDefinitionError(f"no view named {name!r}") from None
-
-    def shards_for_view(self, name: str) -> tuple[int, ...]:
-        """The shards a query against this view scatters to."""
-        return self.get_view(name).shards
 
     # -- sub-document updates ----------------------------------------------------
     #

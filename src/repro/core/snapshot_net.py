@@ -20,9 +20,8 @@ The pieces:
   ``failure_threshold`` consecutive fetch failures the network path
   opens (every load falls back to the local cold build immediately, no
   timeout waits); after ``reset_after`` seconds one half-open trial
-  fetch decides whether to close it again.  It lives in
-  ``repro.core.health`` now (the coordinator quarantines shards with
-  the same state machine) and is re-exported here for compatibility.
+  fetch decides whether to close it again.  The coordinator
+  quarantines shards with the same state machine.
 * :class:`NetworkedSkeletonStore` — wraps a local store; ``load``
   consults the local tier first, then the peer (validated +
   written through to local disk, so one fetch warms the file tier
@@ -63,7 +62,6 @@ from repro.core.snapshot import SkeletonStore
 from repro.errors import InjectedFaultError, SnapshotFetchError
 
 __all__ = [
-    "CircuitBreaker",
     "HTTPSnapshotPeer",
     "NetworkedSkeletonStore",
     "SnapshotPeer",

@@ -15,7 +15,7 @@ and selection costs O(n log k).  The ranking contract is *identical* to
 property-style against the reference sort.
 
 The engine itself selects by column
-(:func:`repro.core.engine.rank_statistics`: one stable sort of the
+(:func:`repro.core.outcome.rank_statistics`: one stable sort of the
 matching rows by score, under the same contract, so objects exist
 only for the winners).  The selector's
 generalization to a sharded corpus lives here: each shard executor

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.core.engine import KeywordSearchEngine, SearchOutcome, SearchResult, View
+from repro.core.engine import KeywordSearchEngine
+from repro.core.outcome import SearchOutcome, SearchResult, View
 from repro.core.sharding import CorpusCoordinator
 from repro.serving.admission import (
     AdmissionController,

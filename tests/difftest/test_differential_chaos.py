@@ -39,12 +39,12 @@ from repro.core.faults import (
     FaultRule,
 )
 from repro.core.health import FleetHealth
+from repro.core.placement import ShardPlan
 from repro.core.sharding import (
     FAILURE_QUARANTINED,
     FAILURE_TIMEOUT,
     CorpusCoordinator,
     ShardExecutor,
-    ShardPlan,
 )
 from repro.core.snapshot import SkeletonStore
 from repro.errors import ShardUnavailableError

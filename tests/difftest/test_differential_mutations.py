@@ -32,7 +32,8 @@ import pytest
 from repro.baselines.naive import BaselineEngine
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
-from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
+from repro.core.placement import ShardPlan
+from repro.core.sharding import CorpusCoordinator, ShardExecutor
 from repro.core.snapshot import SkeletonStore
 from repro.storage.database import XMLDatabase
 

@@ -34,7 +34,8 @@ from repro.baselines.naive import BaselineEngine
 from repro.core.cache import QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.skeleton import PDTSkeleton
-from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
+from repro.core.placement import ShardPlan
+from repro.core.sharding import CorpusCoordinator, ShardExecutor
 from repro.storage.database import XMLDatabase
 
 from difftest.generators import (

@@ -35,7 +35,8 @@ import pytest
 
 from repro.baselines.naive import BaselineEngine
 from repro.core.engine import KeywordSearchEngine
-from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
+from repro.core.placement import ShardPlan
+from repro.core.sharding import CorpusCoordinator, ShardExecutor
 from repro.storage.database import XMLDatabase
 
 from difftest.generators import generate_case
@@ -196,7 +197,7 @@ def test_sharded_multi_fragment_matches_baseline_and_engine(
     with coordinator:
         # With more shards than colocation groups the fragments usually
         # scatter; with one shard they must not (degenerate case).
-        touched = coordinator.shards_for_view("v")
+        touched = coordinator.get_view("v").shards
         assert len(touched) <= min(shard_count, len(groups))
         for keywords in keyword_sets:
             for conjunctive in (True, False):

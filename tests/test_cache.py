@@ -995,7 +995,8 @@ class TestSweepLargerThanTier:
         # so one sweep with one start: stamped per fragment, each put
         # would evict the previous fragment's skeleton and the tier would
         # serve nothing.
-        from repro.core.sharding import ShardExecutor, view_fragments
+        from repro.core.placement import view_fragments
+        from repro.core.sharding import ShardExecutor
         from repro.xquery.functions import inline_functions
         from repro.xquery.parser import parse_query
 

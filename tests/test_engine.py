@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.engine import KeywordSearchEngine, SearchResult, extract_keyword_query
+from repro.core.engine import KeywordSearchEngine, extract_keyword_query
+from repro.core.outcome import SearchResult
 from repro.core.scoring import ResultStatistics, ScoredResult
 from repro.errors import (
     StaleViewError,

@@ -496,7 +496,7 @@ class TestFleetHealthRoute:
 
 class TestDegradedPage:
     def _served(self, **outcome_kwargs):
-        from repro.core.engine import PhaseTimings, SearchOutcome
+        from repro.core.outcome import PhaseTimings, SearchOutcome
         from repro.serving.server import ServeResult
 
         outcome = SearchOutcome(

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import ViewStatistics, rank_statistics
+from repro.core.outcome import ViewStatistics, rank_statistics
 from repro.core import scoring
 from repro.baselines.records import PDTRecord, from_records
 from repro.core.pdt import PDTResult

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core.engine import KeywordSearchEngine, PhaseTimings, SearchOutcome
+from repro.core.engine import KeywordSearchEngine
 from repro.core.faults import (
     FAULT_DELAY,
     FAULT_ERROR,
@@ -16,15 +16,14 @@ from repro.core.faults import (
 )
 from repro.core.health import FleetHealth
 from repro.core.ingest import ingest_corpus
+from repro.core.outcome import PhaseTimings, SearchOutcome
+from repro.core.placement import ShardPlan, _home_shard, view_fragments
 from repro.core.sharding import (
     FAILURE_ERROR,
     FAILURE_QUARANTINED,
     FAILURE_TIMEOUT,
     CorpusCoordinator,
     ShardExecutor,
-    ShardPlan,
-    _home_shard,
-    view_fragments,
 )
 from repro.errors import (
     CoordinatorClosedError,
@@ -337,7 +336,7 @@ class TestCoordinator:
         view_text = _view_text(sorted(DOCS))
         with _coordinator(4, view_text) as coord:
             out = coord.search_detailed("v", ("alpha",), top_k=3)
-        assert out.shards == coord.shards_for_view("v")
+        assert out.shards == coord.get_view("v").shards
         assert len(out.shards) > 1  # 8 docs over 4 shards scatter
         assert out.merge_stats is not None
         assert out.merge_stats.shard_count == len(out.shards)
@@ -485,6 +484,60 @@ class TestOneEngineViewPerShard:
         assert [r.statistics for r in scored] == [
             r.statistics for r in expected
         ]
+
+
+class TestRedefinition:
+    """A redefinition leaves each shard exactly the engine view the new
+    definition places there: an engine view the old definition named is
+    gone, its entries too, and an edit re-warms nothing but the new
+    one."""
+
+    EDIT = "<book><title>alpha zeta</title><body>alpha</body></book>"
+
+    def _redefine(self, old_names, new_names, gone):
+        """``v`` over ``old_names`` then ``new_names`` (``d0`` on shard
+        0, ``d1`` on shard 1); ``gone`` maps a shard to the engine view
+        the redefinition must have dropped there."""
+        docs = {name: DOCS[name] for name in ("d0", "d1")}
+        new_text = _view_text(new_names)
+        with _placed_coordinator(
+            {"d0": 0, "d1": 1}, _view_text(old_names), docs
+        ) as coord:
+            coord.warm_view("v")
+            coord.define_view("v", new_text)
+            for name in ("d0", "d1"):
+                coord.insert_subtree(name, "1", self.EDIT)
+            single = _single_engine(new_text, docs)
+            for name in ("d0", "d1"):
+                single.database.insert_subtree(name, "1", self.EDIT)
+            for shard, old_view in gone.items():
+                with pytest.raises(ViewDefinitionError):
+                    coord.executors[shard].engine.get_view(old_view)
+            for executor in coord.executors:
+                placed = executor._fragments.get("v")
+                live = set() if placed is None else {f"v#{placed.position}"}
+                engine = executor.engine
+                assert set(engine._views) == live
+                assert {key[0] for key, _ in engine.cache.skeletons.items()} <= live
+            _assert_ranks_like(coord, single)
+            return coord
+
+    def test_shrunk_view_leaves_the_shard_it_no_longer_reaches(self):
+        coord = self._redefine(["d0", "d1"], ["d0"], gone={1: "v#1"})
+        dropped = coord.executors[1]
+        with pytest.raises(ViewDefinitionError):
+            dropped.fragments_for("v")
+        assert len(dropped.engine.cache.skeletons) == 0
+        assert coord.get_view("v").shards == (0,)
+
+    def test_swapped_fragments_rename_each_shard_view(self):
+        coord = self._redefine(
+            ["d0", "d1"], ["d1", "d0"], gone={0: "v#0", 1: "v#1"}
+        )
+        for executor in coord.executors:
+            (fragment,) = executor.fragments_for("v")
+            assert fragment.positions == ((1,), (0,))[executor.shard_id]
+            assert list(executor.engine._views) == [f"v#{fragment.position}"]
 
 
 def _faulty_coordinator(

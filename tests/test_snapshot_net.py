@@ -16,12 +16,9 @@ import urllib.error
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.health import CircuitBreaker
 from repro.core.snapshot import SkeletonStore
-from repro.core.snapshot_net import (
-    CircuitBreaker,
-    HTTPSnapshotPeer,
-    NetworkedSkeletonStore,
-)
+from repro.core.snapshot_net import HTTPSnapshotPeer, NetworkedSkeletonStore
 from repro.errors import SnapshotFetchError
 from repro.workloads.bookrev import BOOKREV_VIEW
 

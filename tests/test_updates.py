@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.naive import BaselineEngine
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
+from repro.core.maintenance import delta_patchable
 from repro.core.skeleton import patch_skeleton_byte_lengths
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import DeweyID
@@ -265,7 +266,7 @@ class TestPatchability:
         db, engine, view = self._engine()
         delta = db.insert_subtree("items.xml", "1", "<zaux>free</zaux>")
         qpt = view.qpts["items.xml"]
-        assert engine._delta_patchable(qpt, delta)
+        assert delta_patchable(qpt, delta)
 
     def test_matched_tag_edit_is_structural(self):
         db, engine, view = self._engine()
@@ -274,7 +275,7 @@ class TestPatchability:
         )
         delta = db.delete_subtree("items.xml", first_item.dewey)
         qpt = view.qpts["items.xml"]
-        assert not engine._delta_patchable(qpt, delta)
+        assert not delta_patchable(qpt, delta)
 
 
 class TestCacheMigration:
@@ -365,7 +366,7 @@ class TestSkeletonPatch:
         delta = db.insert_subtree(
             "items.xml", first_item.dewey, "<zaux>an aside</zaux>"
         )
-        assert engine._delta_patchable(qpt, delta)
+        assert delta_patchable(qpt, delta)
         assert patch_skeleton_byte_lengths(
             skeleton, delta.ancestor_keys, delta.length_delta
         ) > 0
