@@ -588,7 +588,8 @@ class CorpusCoordinator:
         databases), so the plan must have colocated them — ``build``'s
         ``colocate`` groups exist exactly for this.  A redefinition
         drops the view from every shard that holds none of its new
-        fragments.
+        fragments.  Every document is checked on its home shard before
+        any shard registers, so a failed definition changes no shard.
         """
         fragments = view_fragments(expr)
         per_shard: dict[int, list[Fragment]] = {}
@@ -601,7 +602,10 @@ class CorpusCoordinator:
                     f"shards {sorted(homes)}; a fragment must live on one "
                     "shard (colocate its documents in the plan)"
                 )
-            per_shard.setdefault(homes.pop(), []).append(fragment)
+            home = homes.pop()
+            for doc in fragment.documents:
+                self.executors[home].database.get(doc)
+            per_shard.setdefault(home, []).append(fragment)
         for shard, shard_fragments in per_shard.items():
             self.executors[shard].register_view(name, shard_fragments)
         previous = self._views.get(name)

@@ -7,86 +7,71 @@ and the five predefined entities plus numeric character references.
 
 Not supported (and not needed for INEX-style data): DTD internal subsets
 beyond being skipped, namespaces (colons are kept verbatim in names), and
-exact mixed-content interleaving — an element's text chunks are concatenated
-into its single ``text`` field, which is the granularity the search system
-works at (direct text of an element).
+exact mixed-content interleaving — an element's text chunks are joined by
+``" "`` into its single ``text`` field, which is the granularity the search
+system works at (direct text of an element).
+
+One scanner: ``parse_xml`` matches one compiled pattern at the cursor
+(``_TOKEN.match(text, pos)``), and each match is a whole token — a text run,
+a leaf element, a start tag, an end tag, a comment, a CDATA section or a PI —
+so no Python code runs per character.  Input no token matches is diagnosed
+(:func:`_diagnose`): the error names the first position where the markup
+leaves the grammar (for a tag, the end of its longest well-formed prefix; for
+a bad reference, the end of the text run or attribute holding it).
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XMLParseError
 from repro.xmlmodel.node import Document, XMLNode
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
+_PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+# Character classes (ASCII only) and whitespace as the XML subset spells them.
+_NAME_START = "A-Za-z_:"
+_NAME_CHARS = _NAME_START + "0-9.\\-"
+_NAME = f"[{_NAME_START}][{_NAME_CHARS}]*+"
+_WS = "[ \t\r\n]*+"
+_QUOTED = "\"[^\"]*+\"|'[^']*+'"
+_ATTRIBUTE = f"{_WS}({_NAME}){_WS}={_WS}({_QUOTED})"
+_ATTRIBUTES = f"((?:{_WS}{_NAME}{_WS}={_WS}(?:{_QUOTED}))*+){_WS}"
 _DIGITS = frozenset("0123456789")
 _HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
 
-
-class _Cursor:
-    """Tracks a position in the input text and reports line numbers."""
-
-    __slots__ = ("text", "pos", "length")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def error(self, message: str) -> XMLParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        return XMLParseError(message, position=self.pos, line=line)
-
-    def at_end(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.length else ""
-
-    def startswith(self, literal: str) -> bool:
-        return self.text.startswith(literal, self.pos)
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def skip_whitespace(self) -> None:
-        text, pos, length = self.text, self.pos, self.length
-        while pos < length and text[pos] in " \t\r\n":
-            pos += 1
-        self.pos = pos
-
-    def read_name(self) -> str:
-        start = self.pos
-        text, length = self.text, self.length
-        if start >= length or text[start] not in _NAME_START:
-            raise self.error("expected a name")
-        pos = start + 1
-        while pos < length and text[pos] in _NAME_CHARS:
-            pos += 1
-        self.pos = pos
-        return text[start:pos]
-
-    def read_until(self, literal: str, what: str) -> str:
-        index = self.text.find(literal, self.pos)
-        if index < 0:
-            raise self.error(f"unterminated {what}: missing {literal!r}")
-        chunk = self.text[self.pos : index]
-        self.pos = index + len(literal)
-        return chunk
+# Token kinds are the index of the last group each alternative closes.
+_TEXT, _LEAF, _START, _END, _CDATA = 1, 5, 8, 9, 10
+_TOKEN = re.compile(
+    "([^<]++)(?=<)"  # 1: a text run
+    f"|<({_NAME}){_ATTRIBUTES}>([^<]*+)</({_NAME}){_WS}>"  # 2-5: a leaf
+    f"|<({_NAME}){_ATTRIBUTES}(/?)>"  # 6-8: a start tag
+    f"|</({_NAME}){_WS}>"  # 9: an end tag
+    "|<!--.*?-->"
+    r"|<!\[CDATA\[(.*?)\]\]>"  # 10
+    r"|<\?.*?\?>",
+    re.DOTALL,
+)
+_ATTRIBUTE_ITEM = re.compile(_ATTRIBUTE)
+# The longest well-formed prefix of a start tag / an end tag (diagnosis).
+_PARTIAL_ATTRIBUTE = f"(?:{_NAME}{_WS}(?:={_WS}['\"]?)?)?"
+_START_PREFIX = re.compile(f"<(?:{_NAME}{_ATTRIBUTES}{_PARTIAL_ATTRIBUTE})?")
+_END_PREFIX = re.compile(f"</({_NAME})?{_WS}")
+_MISC = re.compile(r"(?:[ \t\r\n]++|<!--.*?-->|<\?.*?\?>)*+", re.DOTALL)
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+_CLOSERS = {"<!--": "-->", "<![CDATA[": "]]>", "<?": "?>"}
 
 
-def _character_reference(entity: str, cursor: _Cursor) -> str:
-    """The character ``#…`` / ``#x…`` names, or a typed error.
+def _error(text: str, pos: int, message: str) -> XMLParseError:
+    return XMLParseError(message, position=pos, line=text.count("\n", 0, pos) + 1)
+
+
+def _mismatch(text: str, pos: int, closing: str, tag: str) -> XMLParseError:
+    return _error(text, pos, f"mismatched closing tag </{closing}> for <{tag}>")
+
+
+def _character_reference(entity: str, text: str, pos: int) -> str:
+    """The character ``#…`` / ``#x…`` names, or a typed error at ``pos``.
 
     The digits must be ASCII digits of the base — ``int`` alone also
     takes signs, underscores, blanks and other scripts' digits — and
@@ -98,20 +83,19 @@ def _character_reference(entity: str, cursor: _Cursor) -> str:
     else:
         base, digits, allowed = 10, entity[1:], _DIGITS
     if not digits or not allowed.issuperset(digits):
-        raise cursor.error(f"malformed character reference: &{entity};")
+        raise _error(text, pos, f"malformed character reference: &{entity};")
     significant = digits.lstrip("0")
     # Seven digits cover 0x10FFFF in either base; longer is out of range
     # without asking int() (which refuses very long literals untyped).
     code = int(significant, base) if 0 < len(significant) <= 7 else 0
     if not 0 < code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-        raise cursor.error(f"character reference to a non-character: &{entity};")
+        raise _error(text, pos, f"character reference to a non-character: &{entity};")
     return chr(code)
 
 
-def _decode_entities(raw: str, cursor: _Cursor) -> str:
-    """Replace entity and character references in ``raw``."""
-    if "&" not in raw:
-        return raw
+def _decode_entities(raw: str, text: str, pos: int) -> str:
+    """Replace entity and character references in ``raw`` (which holds
+    an ``&``); a bad one is an error at ``pos`` of ``text``."""
     parts: list[str] = []
     i = 0
     length = len(raw)
@@ -123,64 +107,83 @@ def _decode_entities(raw: str, cursor: _Cursor) -> str:
         parts.append(raw[i:amp])
         end = raw.find(";", amp + 1)
         if end < 0:
-            raise cursor.error("unterminated entity reference")
+            raise _error(text, pos, "unterminated entity reference")
         entity = raw[amp + 1 : end]
         if entity.startswith("#"):
-            parts.append(_character_reference(entity, cursor))
+            parts.append(_character_reference(entity, text, pos))
         elif entity in _PREDEFINED_ENTITIES:
             parts.append(_PREDEFINED_ENTITIES[entity])
         else:
-            raise cursor.error(f"unknown entity: &{entity};")
+            raise _error(text, pos, f"unknown entity: &{entity};")
         i = end + 1
     return "".join(parts)
 
 
-def _skip_misc(cursor: _Cursor) -> None:
-    """Skip whitespace, comments, PIs, XML declarations and DOCTYPE."""
+def _attach_attributes(element: XMLNode, text: str, start: int, end: int) -> None:
+    """Attach the attribute run ``text[start:end]`` as leading subelements;
+    a value's bad reference is an error just past its closing quote."""
+    for item in _ATTRIBUTE_ITEM.finditer(text, start, end):
+        value = item.group(2)[1:-1]
+        if "&" in value:
+            value = _decode_entities(value, text, item.end())
+        element.make_child(item.group(1), value)
+
+
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments, PIs, XML declarations and DOCTYPEs."""
     while True:
-        cursor.skip_whitespace()
-        if cursor.startswith("<!--"):
-            cursor.pos += 4
-            cursor.read_until("-->", "comment")
-        elif cursor.startswith("<?"):
-            cursor.pos += 2
-            cursor.read_until("?>", "processing instruction")
-        elif cursor.startswith("<!DOCTYPE"):
-            # Skip to the matching '>' allowing a bracketed internal subset.
-            cursor.pos += len("<!DOCTYPE")
-            depth = 0
-            while not cursor.at_end():
-                ch = cursor.text[cursor.pos]
-                cursor.pos += 1
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                elif ch == ">" and depth <= 0:
-                    break
-            else:
-                raise cursor.error("unterminated DOCTYPE")
+        pos = _MISC.match(text, pos).end()
+        if not text.startswith("<!DOCTYPE", pos):
+            break
+        # To the first '>' outside a bracketed internal subset.
+        depth = 0
+        for mark in _DOCTYPE_MARK.finditer(text, pos + len("<!DOCTYPE")):
+            char = mark.group()
+            if char == ">" and depth <= 0:
+                pos = mark.end()
+                break
+            depth += (char == "[") - (char == "]")
         else:
-            return
+            raise _error(text, len(text), "unterminated DOCTYPE")
+    error = _unterminated(text, pos, ("<!--", "<?"))
+    if error is not None:
+        raise error
+    return pos
 
 
-def _parse_attributes(cursor: _Cursor, element: XMLNode) -> None:
-    """Parse attributes and attach them as leading subelements."""
-    while True:
-        cursor.skip_whitespace()
-        ch = cursor.peek()
-        if ch in (">", "/") or not ch:
-            return
-        name = cursor.read_name()
-        cursor.skip_whitespace()
-        cursor.expect("=")
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise cursor.error("attribute value must be quoted")
-        cursor.pos += 1
-        raw = cursor.read_until(quote, "attribute value")
-        element.make_child(name, _decode_entities(raw, cursor))
+def _unterminated(text: str, pos: int, openers=_CLOSERS) -> XMLParseError | None:
+    """The error for a comment, CDATA section or PI opened at ``pos``."""
+    for opener in openers:
+        if text.startswith(opener, pos):
+            message = f"unterminated {opener}: missing {_CLOSERS[opener]}"
+            return _error(text, pos + len(opener), message)
+    return None
+
+
+def _diagnose(text: str, pos: int, tag: str) -> XMLParseError:
+    """The error for input at ``pos``, inside ``<tag>``, that no token matches."""
+    if not text.startswith("<", pos):  # the end, or text no markup follows
+        return _error(text, pos, f"unexpected end of input inside <{tag}>")
+    if text.startswith("</", pos):
+        prefix = _END_PREFIX.match(text, pos)
+        closing = prefix.group(1)
+        if closing is None:
+            return _error(text, pos + 2, "expected a name")
+        if closing != tag:
+            return _mismatch(text, prefix.end(1), closing, tag)
+        return _error(text, prefix.end(), "expected '>'")
+    error = _unterminated(text, pos)
+    return error if error is not None else _diagnose_start_tag(text, pos)
+
+
+def _diagnose_start_tag(text: str, pos: int) -> XMLParseError:
+    """The error for a start tag at ``pos`` that does not scan: a bad
+    reference in a well-formed attribute first, else the end of the
+    tag's longest well-formed prefix."""
+    prefix = _START_PREFIX.match(text, pos)
+    if prefix.lastindex:
+        _attach_attributes(XMLNode(""), text, prefix.start(1), prefix.end(1))
+    return _error(text, prefix.end(), "malformed start tag")
 
 
 def parse_xml(text: str) -> XMLNode:
@@ -189,72 +192,68 @@ def parse_xml(text: str) -> XMLNode:
     One loop over an explicit stack of open elements, so nesting depth is
     bounded by memory, never by the interpreter's recursion limit.
     """
-    cursor = _Cursor(text)
-    _skip_misc(cursor)
-    if cursor.peek() != "<":
-        raise cursor.error("expected root element")
-    root, closed = _parse_start_tag(cursor)
-    # (open element, its text chunks so far), innermost last.
-    open_elements: list[tuple[XMLNode, list[str]]] = []
-    if not closed:
-        open_elements.append((root, []))
-    while open_elements:
-        element, text_chunks = open_elements[-1]
-        if cursor.at_end():
-            raise cursor.error(f"unexpected end of input inside <{element.tag}>")
-        if cursor.startswith("</"):
-            cursor.pos += 2
-            closing = cursor.read_name()
-            if closing != element.tag:
-                raise cursor.error(
-                    f"mismatched closing tag </{closing}> for <{element.tag}>"
-                )
-            cursor.skip_whitespace()
-            cursor.expect(">")
-            if text_chunks:
-                element.text = " ".join(text_chunks)
-            open_elements.pop()
-        elif cursor.startswith("<!--"):
-            cursor.pos += 4
-            cursor.read_until("-->", "comment")
-        elif cursor.startswith("<![CDATA["):
-            cursor.pos += len("<![CDATA[")
-            text_chunks.append(cursor.read_until("]]>", "CDATA section"))
-        elif cursor.startswith("<?"):
-            cursor.pos += 2
-            cursor.read_until("?>", "processing instruction")
-        elif cursor.peek() == "<":
-            child, closed = _parse_start_tag(cursor)
-            element.append(child)
-            if not closed:
-                open_elements.append((child, []))
-        else:
-            start = cursor.pos
-            next_tag = cursor.text.find("<", start)
-            if next_tag < 0:
-                raise cursor.error(f"unexpected end of input inside <{element.tag}>")
-            raw = cursor.text[start:next_tag]
-            cursor.pos = next_tag
-            decoded = _decode_entities(raw, cursor)
-            if decoded.strip():
-                text_chunks.append(decoded.strip())
-    _skip_misc(cursor)
-    if not cursor.at_end():
-        raise cursor.error("content after the root element")
+    pos = _skip_misc(text, 0)
+    if not text.startswith("<", pos):
+        raise _error(text, pos, "expected root element")
+    token = _TOKEN.match(text, pos)
+    if token is None or token.lastindex not in (_LEAF, _START):
+        raise _diagnose_start_tag(text, pos)
+    # The root is the one child of a placeholder: the loop's first token,
+    # and the loop ends when the placeholder is the only open element.
+    document = XMLNode("")
+    stack = [document]  # open elements, innermost last
+    chunks: dict[int, list[str]] = {}  # depth → text chunks of a non-leaf
+    match = _TOKEN.match
+    while True:
+        kind = token.lastindex
+        if kind == _TEXT:
+            raw = token.group(1)
+            if "&" in raw:
+                raw = _decode_entities(raw, text, token.end())
+            raw = raw.strip()
+            if raw:
+                chunks.setdefault(len(stack), []).append(raw)
+        elif kind == _LEAF:
+            tag, attributes, raw, closing = token.group(2, 3, 4, 5)
+            element = XMLNode(tag)
+            if attributes:
+                _attach_attributes(element, text, token.start(3), token.end(3))
+            if "&" in raw:
+                raw = _decode_entities(raw, text, token.start(5) - 2)
+            element.text = raw.strip() or None
+            if closing != tag:
+                raise _mismatch(text, token.end(5), closing, tag)
+            element.parent = parent = stack[-1]
+            parent.children.append(element)
+        elif kind == _START:
+            element = XMLNode(token.group(6))
+            if token.group(7):
+                _attach_attributes(element, text, token.start(7), token.end(7))
+            element.parent = parent = stack[-1]
+            parent.children.append(element)
+            if not token.group(8):
+                stack.append(element)
+        elif kind == _END:
+            element = stack[-1]
+            if token.group(9) != element.tag:
+                raise _mismatch(text, token.end(9), token.group(9), element.tag)
+            if chunks and len(stack) in chunks:
+                element.text = " ".join(chunks.pop(len(stack)))
+            stack.pop()
+        elif kind == _CDATA:
+            chunks.setdefault(len(stack), []).append(token.group(10))
+        pos = token.end()
+        if len(stack) == 1:
+            break
+        token = match(text, pos)
+        if token is None:
+            raise _diagnose(text, pos, stack[-1].tag)
+    pos = _skip_misc(text, pos)
+    if pos < len(text):
+        raise _error(text, pos, "content after the root element")
+    root = document.children[0]
+    root.parent = None
     return root
-
-
-def _parse_start_tag(cursor: _Cursor) -> tuple[XMLNode, bool]:
-    """Parse ``<tag attr="…"…>`` or ``<tag…/>``: the element with its
-    attribute children, and whether the tag closed itself."""
-    cursor.expect("<")
-    element = XMLNode(cursor.read_name())
-    _parse_attributes(cursor, element)
-    if cursor.startswith("/>"):
-        cursor.pos += 2
-        return element, True
-    cursor.expect(">")
-    return element, False
 
 
 def parse_document(name: str, text: str) -> Document:

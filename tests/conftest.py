@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.storage.database import XMLDatabase
 from repro.workloads.bookrev import generate_bookrev_database
 from repro.workloads.inex import INEXConfig, generate_inex_database
+
+# More examples and no deadline, for CI's fuzz step
+# (``pytest --hypothesis-profile=ci``); the default profile is unchanged.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 BOOKS_XML = """<books>
 <book isbn="111-11-1111"><title>XML Web Services</title>

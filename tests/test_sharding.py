@@ -27,6 +27,7 @@ from repro.core.sharding import (
 )
 from repro.errors import (
     CoordinatorClosedError,
+    DocumentNotFoundError,
     ShardUnavailableError,
     ShardingError,
     StorageError,
@@ -538,6 +539,23 @@ class TestRedefinition:
             (fragment,) = executor.fragments_for("v")
             assert fragment.positions == ((1,), (0,))[executor.shard_id]
             assert list(executor.engine._views) == [f"v#{fragment.position}"]
+
+    def test_failed_redefinition_changes_no_shard(self):
+        # d2 is placed on shard 1 but never loaded there: the new
+        # definition fails on it, before shard 0 takes its (d0, d0).
+        docs = {name: DOCS[name] for name in ("d0", "d1")}
+        plan = ShardPlan.from_assignments({"d0": 0, "d1": 1, "d2": 1}, 2)
+        executors = [ShardExecutor(i) for i in range(2)]
+        for name in sorted(docs):
+            executors[plan.shard_of(name)].load_document(name, docs[name])
+        old_text = _view_text(["d0", "d1"])
+        with CorpusCoordinator(executors, plan) as coord:
+            coord.define_view("v", old_text)
+            with pytest.raises(DocumentNotFoundError):
+                coord.define_view("v", _view_text(["d0", "d0", "d2"]))
+            assert coord.get_view("v").text == old_text
+            assert len(coord.search("v", ("alpha",))) == 2
+            _assert_ranks_like(coord, _single_engine(old_text, docs))
 
 
 def _faulty_coordinator(

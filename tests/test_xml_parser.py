@@ -214,5 +214,40 @@ class TestRoundTrip:
         assert len(set(deweys)) == len(nodes)
 
 
+# -- fuzz: hostile text ------------------------------------------------------
+
+_MARKUP = st.sampled_from(
+    ["<", ">", "/", "=", '"', "'", "&", ";", "#x", "!", "-", "[", "]", "?", " ",
+     "\n", "<a>", "</a>", "<b/>", "<!--", "-->", "<![CDATA[", "]]>", "<?", "?>",
+     "<!DOCTYPE", "&amp;", "&#65;", "&#x1F600;", "&#0;", "&no;", " x='1'", "é"]
+)
+_XMLISH = st.lists(_MARKUP | st.text(max_size=3), max_size=24).map("".join)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A well-formed document with a few markup pieces spliced in."""
+    text = serialize(draw(xml_trees()))
+    for piece in draw(st.lists(_MARKUP | st.text(max_size=2), max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+class TestFuzz:
+    """Any text is a tree or a typed ``XMLParseError`` — never another
+    exception, and the error's position and line lie inside the input."""
+
+    @given(st.text() | _XMLISH | damaged_documents())
+    def test_any_text_is_a_tree_or_a_parse_error(self, text):
+        try:
+            root = parse_xml(text)
+        except XMLParseError as exc:
+            assert 0 <= exc.position <= len(text)
+            assert exc.line == text.count("\n", 0, exc.position) + 1
+        else:
+            assert isinstance(root, XMLNode) and root.parent is None
+
+
 def _shape(node: XMLNode):
     return (node.tag, node.value, tuple(_shape(child) for child in node.children))
