@@ -1,30 +1,28 @@
-"""A four-tier LRU cache for the query-serving pipeline.
+"""A three-tier LRU cache for the query-serving pipeline.
 
 Repeated keyword queries are the common case a serving system sees, yet
 every search used to re-issue the full PrepareLists probe set and rebuild
 every PDT from scratch.  The intermediates are pure functions of stable
 inputs, so they cache cleanly — and they split along the keyword axis:
 
-* **Tier 1 — prepared lists**: keyed by ``(document, QPT content hash,
-  keywords)``.  A hit skips every path-index and inverted-index probe
-  for that document (``probe_count`` stays untouched).  QPTs
-  participate by *content hash* (:attr:`repro.core.qpt.QPT.content_hash`
-  — structure + axes + annotations), never by object identity: the keys
-  are stable across processes and across redefinitions that leave the
-  structure unchanged.
-* **Tier 2 — PDT skeletons**: keyed by ``(view, document)`` — no
+* **Tier 1 — PDT skeletons**: keyed by ``(view, document)`` — no
   keywords.  The skeleton is the keyword-*independent* structural part
   of the PDT (view-relevant paths, Dewey ids, the resolved structural
   joins); see :class:`repro.core.skeleton.PDTSkeleton`.  A hit means a query
   with a *never-seen* keyword set skips all path-index probes and the
   whole merge pass; only per-keyword inverted-list probes and the cheap
-  annotation pass remain.
-* **Tier 3 — PDT tf columns**: keyed by ``(view, document, keyword)``.
+  annotation pass remain.  QPTs participate by *content hash*
+  (:attr:`repro.core.qpt.QPT.content_hash` — structure + axes +
+  annotations), never by object identity: the keys are stable across
+  processes and across redefinitions that leave the structure unchanged.
+* **Tier 2 — PDT tf columns**: keyed by ``(view, document, keyword)``.
   A keyword enters a PDT only as its own tf column, swept from its own
   inverted list, so the column is the same whichever keywords share
-  the query.  A hit skips that keyword's probe and posting sweep.
+  the query.  A hit skips that keyword's probe and posting sweep, so a
+  skeleton rebuilt under held columns probes no inverted list at all
+  (PrepareLists' keyword half runs only for the columns the tier lacks).
   Columns are shared read-only across queries: scoring only reads them.
-* **Tier 4 — evaluated views**: keyed by ``(view, view definition
+* **Tier 3 — evaluated views**: keyed by ``(view, view definition
   token, per-document generations)`` — no keywords.  PDT trees are
   keyword-independent
   (per-query tfs live in flat arrays *outside* the tree, resolved by
@@ -34,7 +32,7 @@ inputs, so they cache cleanly — and they split along the keyword axis:
   (:class:`repro.core.scoring.StatisticsPlan`, the entry's value).  A
   hit means a query with a never-seen keyword set skips the whole
   XQuery evaluation and never visits a result node: all that runs is
-  the posting sweep of each keyword tier 3 lacks, column sums over the
+  the posting sweep of each keyword tier 2 lacks, column sums over the
   plan, and top-k.  Safe because evaluation attaches result nodes by
   reference and nothing downstream writes into them.
 
@@ -307,12 +305,11 @@ class LRUCache:
 
 @dataclass
 class QueryCache:
-    """The engine's four tiers: prepared lists, PDT skeletons, PDT tf
-    columns and evaluated views — one :class:`LRUCache` each.
+    """The engine's three tiers: PDT skeletons, PDT tf columns and
+    evaluated views — one :class:`LRUCache` each.
 
     Key layouts (positions relied on by the invalidation helpers):
 
-    * prepared:  ``(doc_name, generation, qpt_hash, keywords)``
     * skeleton:  ``(view_name, doc_name, generation, qpt_hash)``
     * pdt:       ``(view_name, doc_name, generation, qpt_hash,
       keyword)`` → that keyword's :class:`TfColumn`
@@ -341,7 +338,6 @@ class QueryCache:
     correctness).
     """
 
-    prepared_capacity: int = 256
     #: tf columns are bounded by bytes (``pdt_byte_budget``), not count:
     #: one costs 56 B to a few KB, and a 600-set sweep over two documents
     #: keeps its 150 columns (~300 KB) resident.
@@ -353,19 +349,14 @@ class QueryCache:
     #: footprint through ``memory_bytes`` (see :class:`LRUCache`) —
     #: skeletons report their columns, not the object graph of the tree
     #: built from them.
-    prepared_byte_budget: Optional[int] = None
     pdt_byte_budget: Optional[int] = 1 << 20
     skeleton_byte_budget: Optional[int] = None
     evaluated_byte_budget: Optional[int] = None
-    prepared: LRUCache = field(init=False)
     pdts: LRUCache = field(init=False)
     skeletons: LRUCache = field(init=False)
     evaluated: LRUCache = field(init=False)
 
     def __post_init__(self) -> None:
-        self.prepared = LRUCache(
-            self.prepared_capacity, self.prepared_byte_budget
-        )
         self.pdts = LRUCache(self.pdt_capacity, self.pdt_byte_budget)
         self.skeletons = LRUCache(
             self.skeleton_capacity, self.skeleton_byte_budget
@@ -375,15 +366,6 @@ class QueryCache:
         )
 
     # -- keys ---------------------------------------------------------------
-
-    @staticmethod
-    def prepared_key(
-        doc_name: str,
-        generation: int,
-        qpt_hash: object,
-        keywords: tuple[str, ...],
-    ) -> tuple:
-        return (doc_name, generation, qpt_hash, keywords)
 
     @staticmethod
     def skeleton_key(
@@ -430,8 +412,7 @@ class QueryCache:
 
     def invalidate_document(self, doc_name: str) -> int:
         """Drop all entries derived from ``doc_name`` (every tier)."""
-        dropped = self.prepared.invalidate_where(lambda k: k[0] == doc_name)
-        dropped += self.skeletons.invalidate_where(lambda k: k[1] == doc_name)
+        dropped = self.skeletons.invalidate_where(lambda k: k[1] == doc_name)
         dropped += self.pdts.invalidate_where(lambda k: k[1] == doc_name)
         dropped += self.evaluated.invalidate_where(
             lambda k: any(coord[0] == doc_name for coord in k[2])
@@ -458,11 +439,10 @@ class QueryCache:
         and whichever skeleton serves the document next — this patched
         one, one restored from the forwarded snapshot, or one rebuilt
         from the edited document — holds the post-edit lengths.
-        Everything else derived from the document dies: prepared lists
-        (they hold pre-edit index arrays), skeletons of non-patchable
-        views or older generations, every tf column (a sweep of pre-edit
-        postings), and the remaining evaluated results spanning the
-        document.  Returns the moved ``(new_key, skeleton)`` pairs and
+        Everything else derived from the document dies: skeletons of
+        non-patchable views or older generations, every tf column (a
+        sweep of pre-edit postings), and the remaining evaluated results
+        spanning the document.  Returns the moved ``(new_key, skeleton)`` pairs and
         the number of entries dropped.
         """
         moved = self.skeletons.rekey_where(
@@ -488,8 +468,7 @@ class QueryCache:
                 ),
             ),
         )
-        dropped = self.prepared.invalidate_where(lambda k: k[0] == doc_name)
-        dropped += self.skeletons.invalidate_where(
+        dropped = self.skeletons.invalidate_where(
             lambda k: k[1] == doc_name and k[2] != new_generation
         )
         dropped += self.pdts.invalidate_where(lambda k: k[1] == doc_name)
@@ -503,13 +482,7 @@ class QueryCache:
 
     def invalidate_view(self, view_name: str) -> int:
         """Drop the skeletons, tf columns and evaluated results of a
-        (re)defined view.
-
-        Prepared lists survive: they are keyed by QPT content hash, so a
-        structural redefinition keys new entries under a new hash (stale
-        ones age out of the LRU) and an identical redefinition keeps
-        hitting the still-valid old entries.
-        """
+        (re)defined view."""
         dropped = self.skeletons.invalidate_where(lambda k: k[0] == view_name)
         dropped += self.pdts.invalidate_where(lambda k: k[0] == view_name)
         dropped += self.evaluated.invalidate_where(lambda k: k[0] == view_name)
@@ -517,18 +490,20 @@ class QueryCache:
 
     def clear(self) -> int:
         return (
-            self.prepared.clear()
-            + self.skeletons.clear()
-            + self.pdts.clear()
-            + self.evaluated.clear()
+            self.skeletons.clear() + self.pdts.clear() + self.evaluated.clear()
         )
 
     # -- diagnostics ---------------------------------------------------------
 
     def stats(self) -> dict[str, dict[str, Any]]:
-        """Every tier's counters and byte gauge."""
+        """Every tier's counters and byte gauge.
+
+        ``"prepared"`` names the retired prepared-lists tier and reads
+        all zero: the layered benchmark still reads its hit rate, and
+        the entry retires with that metric (ROADMAP 0 PR A(g)).
+        """
         return {
-            "prepared": self.prepared.stats(),
+            "prepared": {**dict.fromkeys(LRUCache.COUNTS, 0), "hit_rate": 0.0},
             "skeleton": self.skeletons.stats(),
             "pdt": self.pdts.stats(),
             "evaluated": self.evaluated.stats(),

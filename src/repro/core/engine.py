@@ -6,9 +6,9 @@ builds PDTs from indices alone (phase 2), evaluates the unmodified view
 query over the PDTs, scores the matching pruned results by column and
 selects the top k, and defers materialization so document storage is
 touched only when a winner's content is actually read (phase 3).
-Prepared index lists, keyword-independent PDT skeletons,
-finished PDTs and evaluated view results are served from a
-four-tier LRU query cache keyed per document/view/keywords, invalidated
+Keyword-independent PDT skeletons, per-keyword tf columns and
+evaluated view results are served from a three-tier LRU query cache
+keyed per view/document/keyword, invalidated
 via database hooks on load/drop and self-invalidating across
 reloads/redefinitions through generation- and QPT-stamped keys.
 
@@ -45,7 +45,7 @@ from repro.core.outcome import (
     wrap_results,
 )
 from repro.core.pdt import build_skeleton, generate_pdt, sweep_tf_arrays
-from repro.core.prepare import PreparedLists, prepare_inv_lists, prepare_path_lists
+from repro.core.prepare import prepare_inv_lists
 from repro.core.qpt import generate_qpts
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.skeleton import PDTSkeleton
@@ -79,7 +79,6 @@ from repro.xquery.parser import parse_query
 class _TierReads:
     """One query's tier keys and ``get_many`` reads, in view order."""
 
-    normalized: tuple[str, ...]
     distinct: tuple[str, ...]  # the keywords once each: a document's cells
     cacheable: bool
     scan_started: float
@@ -93,16 +92,13 @@ class _TierReads:
         width = len(self.distinct)
         return self.columns[at * width:(at + 1) * width]
 
-    def prepared_key(self, at: int) -> tuple:
-        return QueryCache.prepared_key(*self.doc_coordinates[at], self.normalized)
-
 
 class KeywordSearchEngine:
     """Keyword search over virtual XML views (the paper's Efficient system).
 
     By default the engine serves repeated queries through the
-    four-tier :class:`QueryCache` (prepared index lists, PDT skeletons,
-    PDTs, evaluated view results); the cache is invalidated
+    three-tier :class:`QueryCache` (PDT skeletons, PDT tf columns,
+    evaluated view results); the cache is invalidated
     automatically when documents are loaded/dropped or a view name is
     redefined.  A warm skeleton means a query with a never-seen keyword
     set skips every path-index probe and the structural merge pass.
@@ -472,8 +468,8 @@ class KeywordSearchEngine:
         for at in () if served else range(len(skeletons)):
             if skeletons[at] is not None and None not in reads.cells(at):
                 continue
-            hit, lists = self._structural_half(view, reads, at, timings)
-            self._keyword_half(reads, at, hit, lists, timings)
+            hit = self._structural_half(view, reads, at, timings)
+            self._keyword_half(reads, at, timings)
             cache_hits[view.documents[at][0]] = hit
         return (
             QueryColumns(skeletons, columns, reads.distinct, view.positions),
@@ -522,13 +518,13 @@ class KeywordSearchEngine:
             ])
             timings.pdt_postings += time.perf_counter() - start
         return _TierReads(
-            normalized, distinct, cacheable, scan_started, docs,
-            doc_coordinates, skeleton_keys, skeletons, columns,
+            distinct, cacheable, scan_started, docs, doc_coordinates,
+            skeleton_keys, skeletons, columns,
         )
 
     def _structural_half(
         self, view: View, reads: _TierReads, at: int, timings: PhaseTimings
-    ) -> tuple[str, Optional[PreparedLists]]:
+    ) -> str:
         """Document ``at``'s skeleton into ``reads.skeletons``
         (``pdt_skeleton``), deepest reuse first:
 
@@ -540,102 +536,64 @@ class KeywordSearchEngine:
            skeleton some process built earlier — zero path probes, like
            a skeleton hit — refills the skeleton tier, and is reported
            as ``"snapshot"``.
-        3. **Prepared tier** ``(doc, qpt hash, keywords)``: the raw
-           probe results.  A hit skips all index probes but redoes the
-           merge pass (and refills the skeleton tier from it for free).
 
-        Else a ``"miss"``: probe, build, save.  A skeleton the tier turns
-        away serves this query only.  Returns the source and the lists
-        the keyword half reuses (on a miss, the path half of new ones).
+        Else a ``"miss"``: probe the path index, build, save.  A skeleton
+        the tier turns away serves this query only.  Returns where the
+        skeleton came from.
         """
+        if reads.skeletons[at] is not None:
+            return "skeleton"
         doc_name, qpt, qpt_hash = view.documents[at]
         cache, store = self.cache, self.snapshot_store
         cacheable, scan_started = reads.cacheable, reads.scan_started
-        indexed, skeleton = reads.docs[at], reads.skeletons[at]
-        lists: Optional[PreparedLists] = None
-        if cacheable and skeleton is None:
-            lists = cache.prepared.get(reads.prepared_key(at))
+        indexed, skeleton, hit = reads.docs[at], None, "miss"
         start = time.perf_counter()
-        if skeleton is not None:
-            hit = "skeleton"
-        else:
-            if cacheable and store is not None and lists is None:
-                # Only genuine first contact goes to disk: with the
-                # prepared tier warm, rebuilding from the cached
-                # lists (no probes) is strictly cheaper than a file
-                # read + deserialize + finalization round trip.
-                skeleton = restore_skeleton(
-                    store, indexed.fingerprint, qpt_hash, doc_name
-                )
-                if skeleton is not None:
-                    hit = "snapshot"
-            if skeleton is None:
-                if lists is None:
-                    hit = "miss"
-                    path_lists = prepare_path_lists(qpt, indexed.path_index)
-                    lists = PreparedLists(path_lists=path_lists, inv_lists={})
-                else:
-                    hit = "prepared"
-                skeleton = build_skeleton(
-                    qpt, indexed.path_index, path_lists=lists.path_lists
-                )
-                if cacheable and store is not None:
-                    # A failed snapshot write costs the *next* process
-                    # a rebuild; it must never fail the query that
-                    # already has its skeleton.
-                    try:
-                        store.save(indexed.fingerprint, qpt_hash, skeleton)
-                    except (OSError, InjectedFaultError):
-                        pass
-            key = reads.skeleton_keys[at]
-            if cacheable and cache.skeletons.admits(key, scan_started):
-                cache.skeletons.put(key, skeleton, scan_started)
-            reads.skeletons[at] = skeleton
+        if cacheable and store is not None:
+            skeleton = restore_skeleton(
+                store, indexed.fingerprint, qpt_hash, doc_name
+            )
+            if skeleton is not None:
+                hit = "snapshot"
+        if skeleton is None:
+            skeleton = build_skeleton(qpt, indexed.path_index)
+            if cacheable and store is not None:
+                # A failed snapshot write costs the *next* process a
+                # rebuild; it must never fail the query that already
+                # has its skeleton.
+                try:
+                    store.save(indexed.fingerprint, qpt_hash, skeleton)
+                except (OSError, InjectedFaultError):
+                    pass
+        key = reads.skeleton_keys[at]
+        if cacheable and cache.skeletons.admits(key, scan_started):
+            cache.skeletons.put(key, skeleton, scan_started)
+        reads.skeletons[at] = skeleton
         timings.pdt_skeleton += time.perf_counter() - start
-        return hit, lists
+        return hit
 
     def _keyword_half(
-        self,
-        reads: _TierReads,
-        at: int,
-        hit: str,
-        lists: Optional[PreparedLists],
-        timings: PhaseTimings,
+        self, reads: _TierReads, at: int, timings: PhaseTimings
     ) -> None:
         """Document ``at``'s tf columns into ``reads.columns``
         (``pdt_postings``): only the keywords whose column the **PDT
-        tier** ``(view, doc, keyword)`` lacks are swept — from the
-        prepared tier's posting lists when the exact keyword set was
-        probed before, else probed now — and their columns put.  A miss
-        still probes every keyword, to fill the prepared tier.
+        tier** ``(view, doc, keyword)`` lacks are probed and swept, and
+        their columns put.  With none missing the inverted index is not
+        touched.
         """
-        start = time.perf_counter()
-        cache, distinct = self.cache, reads.distinct
-        indexed, cacheable = reads.docs[at], reads.cacheable
+        distinct = reads.distinct
         missing = tuple(k for k, c in zip(distinct, reads.cells(at)) if c is None)
-        if hit == "miss":
-            lists.inv_lists = prepare_inv_lists(
-                indexed.inverted_index, reads.normalized
-            )
-            if cacheable:
-                # The skeleton-hit path never probes path lists, so
-                # only the miss path can fill the prepared tier.
-                cache.prepared.put(reads.prepared_key(at), lists, reads.scan_started)
-        if missing:
-            if hit == "skeleton":
-                lists = cache.prepared.get(reads.prepared_key(at))
-            if lists is not None:
-                inv_lists = lists.inv_lists
-            else:
-                inv_lists = prepare_inv_lists(indexed.inverted_index, missing)
-            swept = sweep_tf_arrays(reads.skeletons[at], inv_lists, missing)
-            for offset, keyword in enumerate(distinct):
-                if keyword in swept:
-                    cell = TfColumn.of(swept[keyword])
-                    reads.columns[at * len(distinct) + offset] = cell
-                    if cacheable:
-                        key = reads.skeleton_keys[at] + (keyword,)
-                        cache.pdts.put(key, cell, reads.scan_started)
+        if not missing:
+            return
+        start = time.perf_counter()
+        inv_lists = prepare_inv_lists(reads.docs[at].inverted_index, missing)
+        swept = sweep_tf_arrays(reads.skeletons[at], inv_lists, missing)
+        for offset, keyword in enumerate(distinct):
+            if keyword in swept:
+                cell = TfColumn.of(swept[keyword])
+                reads.columns[at * len(distinct) + offset] = cell
+                if reads.cacheable:
+                    key = reads.skeleton_keys[at] + (keyword,)
+                    self.cache.pdts.put(key, cell, reads.scan_started)
         timings.pdt_postings += time.perf_counter() - start
 
     def _evaluate_view_results(

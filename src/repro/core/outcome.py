@@ -182,8 +182,8 @@ class SearchOutcome:
     """Per-document cache outcome: ``"pdt"`` (the skeleton tier and the
     PDT tier, for every keyword's tf column), else where the skeleton
     came from: ``"skeleton"``, ``"snapshot"`` (restored from the
-    persistent store — same zero-probe depth as a skeleton hit),
-    ``"prepared"`` or ``"miss"``."""
+    persistent store — same zero-probe depth as a skeleton hit) or
+    ``"miss"`` (built from path-index probes)."""
 
     evaluated_hit: bool = False
     """Whether the view's result nodes came from the evaluated tier

@@ -493,11 +493,7 @@ def _emit_columns(
     )
 
 
-def build_skeleton(
-    qpt: QPT,
-    path_index: PathIndex,
-    path_lists: Optional[dict[int, PathList]] = None,
-) -> PDTSkeleton:
+def build_skeleton(qpt: QPT, path_index: PathIndex) -> PDTSkeleton:
     """Run the structural pass for a ``(view, document)`` pair: the four
     phases in order, whose columns the skeleton publishes as they come.
 
@@ -507,13 +503,11 @@ def build_skeleton(
     that keeps every element of its path hands the index's own lists
     through every phase as the same objects.
 
-    ``path_lists`` can be supplied to reuse already-issued path-index
-    probes (the engine's prepared tier); otherwise the keyword-free half
-    of PrepareLists is issued here.  No inverted-index probe is ever
-    made — the skeleton carries no keyword data.
+    The keyword-free half of PrepareLists is issued here, as one batch;
+    no inverted-index probe is ever made — the skeleton carries no
+    keyword data.
     """
-    if path_lists is None:
-        path_lists = prepare_path_lists(qpt, path_index)
+    path_lists = prepare_path_lists(qpt, path_index)
     element_keys, element_depths, whole = _collect_elements(
         qpt, path_lists, path_index
     )

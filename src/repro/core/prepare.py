@@ -10,25 +10,9 @@ predicates are pushed into the probe so the returned lists are pre-filtered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.qpt import QPT
 from repro.storage.inverted_index import InvertedIndex, PostingList
 from repro.storage.path_index import PathIndex, PathList, PathProbe
-
-
-@dataclass
-class PreparedLists:
-    """Output of PrepareLists: per-node path lists and per-keyword postings.
-
-    ``path_lists`` is keyed by QPT-node index: a node with its own list is
-    *probed* (elements matching it must be confirmed by a direct list
-    entry — predicate filtering happens in the index probe, so pattern
-    matching alone is not enough).
-    """
-
-    path_lists: dict[int, PathList]
-    inv_lists: dict[str, PostingList]
 
 
 def build_probe_plan(qpt: QPT) -> list[PathProbe]:

@@ -97,7 +97,7 @@ class ShardExecutor:
     coordinator.  The view fragments placed here are one engine view:
     the sequence of them in position order (sequence evaluation is
     concatenation, so its parts are the fragments' results).  Every
-    cache tier — prepared lists, skeletons, PDTs, evaluated results —
+    cache tier — skeletons, tf columns, evaluated results —
     operates on the shard's slice of the view, and each phase is one
     engine call.
     """

@@ -17,7 +17,7 @@ a leaf element, a start tag, an end tag, a comment, a CDATA section or a PI —
 so no Python code runs per character.  Input no token matches is diagnosed
 (:func:`_diagnose`): the error names the first position where the markup
 leaves the grammar (for a tag, the end of its longest well-formed prefix; for
-a bad reference, the end of the text run or attribute holding it).
+a bad reference, its ``&``).
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ def _character_reference(entity: str, text: str, pos: int) -> str:
     return chr(code)
 
 
-def _decode_entities(raw: str, text: str, pos: int) -> str:
+def _decode_entities(raw: str, text: str, start: int) -> str:
     """Replace entity and character references in ``raw`` (which holds
-    an ``&``); a bad one is an error at ``pos`` of ``text``."""
+    an ``&``), found at ``start`` of ``text``; a bad one is an error at
+    its ``&``."""
     parts: list[str] = []
     i = 0
     length = len(raw)
@@ -107,25 +108,25 @@ def _decode_entities(raw: str, text: str, pos: int) -> str:
         parts.append(raw[i:amp])
         end = raw.find(";", amp + 1)
         if end < 0:
-            raise _error(text, pos, "unterminated entity reference")
+            raise _error(text, start + amp, "unterminated entity reference")
         entity = raw[amp + 1 : end]
         if entity.startswith("#"):
-            parts.append(_character_reference(entity, text, pos))
+            parts.append(_character_reference(entity, text, start + amp))
         elif entity in _PREDEFINED_ENTITIES:
             parts.append(_PREDEFINED_ENTITIES[entity])
         else:
-            raise _error(text, pos, f"unknown entity: &{entity};")
+            raise _error(text, start + amp, f"unknown entity: &{entity};")
         i = end + 1
     return "".join(parts)
 
 
 def _attach_attributes(element: XMLNode, text: str, start: int, end: int) -> None:
     """Attach the attribute run ``text[start:end]`` as leading subelements;
-    a value's bad reference is an error just past its closing quote."""
+    a value's bad reference is an error at its ``&``."""
     for item in _ATTRIBUTE_ITEM.finditer(text, start, end):
         value = item.group(2)[1:-1]
         if "&" in value:
-            value = _decode_entities(value, text, item.end())
+            value = _decode_entities(value, text, item.start(2) + 1)
         element.make_child(item.group(1), value)
 
 
@@ -209,7 +210,7 @@ def parse_xml(text: str) -> XMLNode:
         if kind == _TEXT:
             raw = token.group(1)
             if "&" in raw:
-                raw = _decode_entities(raw, text, token.end())
+                raw = _decode_entities(raw, text, token.start(1))
             raw = raw.strip()
             if raw:
                 chunks.setdefault(len(stack), []).append(raw)
@@ -219,7 +220,7 @@ def parse_xml(text: str) -> XMLNode:
             if attributes:
                 _attach_attributes(element, text, token.start(3), token.end(3))
             if "&" in raw:
-                raw = _decode_entities(raw, text, token.start(5) - 2)
+                raw = _decode_entities(raw, text, token.start(4))
             element.text = raw.strip() or None
             if closing != tag:
                 raise _mismatch(text, token.end(5), closing, tag)

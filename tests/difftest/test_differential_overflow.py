@@ -62,7 +62,6 @@ def _starved_cache() -> QueryCache:
     """Two slots per per-document tier: any view of three or more
     documents overflows all of them."""
     return QueryCache(
-        prepared_capacity=2,
         skeleton_capacity=2,
         pdt_capacity=2,
         evaluated_capacity=1,

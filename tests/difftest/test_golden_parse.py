@@ -18,7 +18,11 @@ The inputs:
 
 Recorded with the character-level parser, before the tokenizing one
 replaced it (``cd tests && PYTHONPATH=../src:.. python -m
-difftest.test_golden_parse`` rewrites the file).
+difftest.test_golden_parse`` rewrites the file).  Three entries were
+re-recorded when a bad reference came to be reported at its ``&``
+rather than at the end of its text run: ``edge/error-unknown-entity``
+(line 3 → 2), ``edge/error-unterminated-entity`` (2 → 1) and
+``mutation/1233`` (4 → 3).
 """
 
 from __future__ import annotations

@@ -251,7 +251,7 @@ class TestByteBudgets:
         )
         assert qc.skeletons.byte_budget == 80
         assert qc.pdts.byte_budget == 160
-        assert qc.prepared.byte_budget is None
+        assert qc.evaluated.byte_budget is None
         for i in range(20):
             qc.skeletons.put(("v", f"d{i}", 1, "h"), _Sized(10))
         # The whole budget, whichever documents the entries belong to.
@@ -406,23 +406,21 @@ class TestQueryCache:
     def test_invalidate_document_hits_all_tiers(self):
         qc = QueryCache()
         qpt = object()
-        qc.prepared.put(qc.prepared_key("d.xml", 1, qpt, ("k",)), "lists")
         qc.skeletons.put(qc.skeleton_key("v", "d.xml", 1, qpt), "skel")
         qc.pdts.put(qc.pdt_key("v", "d.xml", 1, qpt, "k"), "pdt")
         qc.pdts.put(qc.pdt_key("v", "other.xml", 2, qpt, "k"), "pdt2")
-        assert qc.invalidate_document("d.xml") == 3
-        assert len(qc.prepared) == 0
+        assert qc.invalidate_document("d.xml") == 2
         assert len(qc.skeletons) == 0
         assert len(qc.pdts) == 1
 
     def test_invalidate_view_drops_skeletons_and_pdts(self):
         qc = QueryCache()
         qpt = object()
-        qc.prepared.put(qc.prepared_key("d.xml", 1, qpt, ("k",)), "lists")
         qc.skeletons.put(qc.skeleton_key("v", "d.xml", 1, qpt), "skel")
         qc.pdts.put(qc.pdt_key("v", "d.xml", 1, qpt, "k"), "pdt")
+        qc.pdts.put(qc.pdt_key("w", "d.xml", 1, qpt, "k"), "pdt-w")
         assert qc.invalidate_view("v") == 2
-        assert len(qc.prepared) == 1
+        assert len(qc.pdts) == 1
         assert len(qc.skeletons) == 0
 
     def test_reload_generation_makes_stale_writes_unreadable(self):
@@ -446,16 +444,25 @@ class TestQueryCache:
             "hit_rate": 0.0,
         }
 
+    def test_retired_prepared_entry_reads_all_zero(self, bookrev_db, bookrev_view_text):
+        # No tier stands behind "prepared" any more; the entry stays for
+        # the readers of its hit rate and never counts anything.
+        engine = KeywordSearchEngine(bookrev_db)
+        view = engine.define_view("bookrevs", bookrev_view_text)
+        for keywords in (["xml"], ["xml"], ["search", "xml"]):
+            engine.search(view, keywords)
+        stats = engine.cache.stats()
+        assert stats["pdt"]["hits"] > 0
+        assert stats["prepared"] == QueryCache().stats()["pdt"]
+
     def test_tier_totals(self):
         qc = QueryCache()
         assert [
-            tier.capacity
-            for tier in (qc.prepared, qc.skeletons, qc.pdts, qc.evaluated)
-        ] == [256, 64, 4096, 64]
+            tier.capacity for tier in (qc.skeletons, qc.pdts, qc.evaluated)
+        ] == [64, 4096, 64]
         assert [
-            tier.byte_budget
-            for tier in (qc.prepared, qc.skeletons, qc.pdts, qc.evaluated)
-        ] == [None, None, 1 << 20, None]
+            tier.byte_budget for tier in (qc.skeletons, qc.pdts, qc.evaluated)
+        ] == [None, 1 << 20, None]
 
 
 @pytest.fixture()
@@ -567,34 +574,67 @@ class TestEngineCaching:
         # No skeleton tier: a disjoint keyword set is a full miss again.
         assert set(outcome.cache_hits.values()) == {"miss"}
 
-    def test_prepared_tier_alone_avoids_probes(self, bookrev_db, bookrev_view_text):
-        # PDT and skeleton tiers off: repeats hit the prepared-lists tier,
-        # which already carries every probe result — probe counters stay
-        # at zero, but the merge pass reruns.
-        engine = KeywordSearchEngine(
-            bookrev_db, cache=QueryCache(pdt_capacity=0, skeleton_capacity=0)
-        )
-        view = engine.define_view("bookrevs", bookrev_view_text)
-        engine.search(view, ["xml", "search"])
-        bookrev_db.reset_access_counters()
-        outcome = engine.search_detailed(view, ["xml", "search"])
-        assert set(outcome.cache_hits.values()) == {"prepared"}
-        assert_zero_probes(bookrev_db)
-
-    def test_skeleton_and_prepared_together_avoid_all_probes(
+    def test_skeleton_and_pdt_tiers_together_avoid_all_probes(
         self, bookrev_db, bookrev_view_text
     ):
-        # PDT tier off: a repeat query finds both the skeleton and the
-        # exact posting lists in cache — no probe of any kind.
+        # Evaluated tier off: a repeat query finds the skeleton and every
+        # keyword's tf column in cache — no probe of any kind.
         engine = KeywordSearchEngine(
-            bookrev_db, cache=QueryCache(pdt_capacity=0)
+            bookrev_db, cache=QueryCache(evaluated_capacity=0)
         )
         view = engine.define_view("bookrevs", bookrev_view_text)
         engine.search(view, ["xml", "search"])
         bookrev_db.reset_access_counters()
         outcome = engine.search_detailed(view, ["xml", "search"])
-        assert set(outcome.cache_hits.values()) == {"skeleton"}
+        assert set(outcome.cache_hits.values()) == {"pdt"}
         assert_zero_probes(bookrev_db)
+
+    def test_skeleton_miss_under_held_columns_probes_no_inverted_list(
+        self, bookrev_db, bookrev_view_text
+    ):
+        # Skeleton tier off: every query rebuilds every skeleton from its
+        # path probes, but the PDT tier already holds each keyword's tf
+        # column, so the keyword half has nothing to probe.
+        engine = KeywordSearchEngine(
+            bookrev_db, cache=QueryCache(skeleton_capacity=0)
+        )
+        view = engine.define_view("bookrevs", bookrev_view_text)
+        first = engine.search(view, ["xml", "search"], top_k=10)
+        bookrev_db.reset_access_counters()
+        outcome = engine.search_detailed(view, ["xml", "search"], top_k=10)
+        assert set(outcome.cache_hits.values()) == {"miss"}
+        assert inv_probes(bookrev_db) == 0
+        assert all(
+            bookrev_db.get(doc).path_index.probe_count > 0
+            for doc in view.document_names
+        )
+        assert [(r.rank, r.score) for r in outcome.results] == [
+            (r.rank, r.score) for r in first
+        ]
+
+    def test_skeleton_miss_probes_exactly_the_missing_keyword(
+        self, bookrev_db, bookrev_view_text, monkeypatch
+    ):
+        engine = KeywordSearchEngine(
+            bookrev_db, cache=QueryCache(skeleton_capacity=0)
+        )
+        view = engine.define_view("bookrevs", bookrev_view_text)
+        engine.search(view, ["xml"])
+        probed = []
+        for doc in view.document_names:
+            index = bookrev_db.get(doc).inverted_index
+            lookup = index.lookup
+            monkeypatch.setattr(
+                index, "lookup",
+                lambda keyword, doc=doc, lookup=lookup: (
+                    probed.append((doc, keyword)) or lookup(keyword)
+                ),
+            )
+        outcome = engine.search_detailed(view, ["xml", "search"])
+        assert set(outcome.cache_hits.values()) == {"miss"}
+        assert sorted(probed) == sorted(
+            (doc, "search") for doc in view.document_names
+        )
 
     def test_disabled_cache_probes_every_time(self, bookrev_db, bookrev_view_text):
         engine = KeywordSearchEngine(bookrev_db, enable_cache=False)
@@ -653,7 +693,6 @@ class TestEngineCaching:
             "for $b in fn:doc(books.xml)/books//book "
             "where $b ftcontains('xml') return $b"
         )
-        assert len(engine.cache.prepared) == 0
         assert len(engine.cache.skeletons) == 0
         assert len(engine.cache.pdts) == 0
 
@@ -684,7 +723,8 @@ class TestInvalidationProperties:
     *changed* predicates), and searches with varying keyword sets —
     against a cached engine.  After every step the cached engine's
     results must match a fresh cache-less engine on the same database:
-    any stale skeleton, prepared list, or PDT surfaces as a mismatch.
+    any stale skeleton, tf column or evaluated result surfaces as a
+    mismatch.
     """
 
     KEYWORD_SETS = [

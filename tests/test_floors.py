@@ -101,6 +101,10 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 96.0 while each rebuild re-derived its prefix plans from
     # QPT.match_table: three paths per skeleton, 32 rebuilds per query.
     ("one-prefix-plan-per-path", "cold_sweep", "match_tables_per_query", "==", 0),
+    # 57.6 while each of the 32 skeletons rebuilt per query re-probed
+    # every keyword to fill a prepared-lists tier that never hit, though
+    # the PDT tier held every column.
+    ("no-inverted-probe-on-held-columns", "cold_sweep", "inverted_probes_per_query", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -224,12 +228,12 @@ def repetitive_tier():
 
 def eight_clients():
     """8 concurrent closed-loop clients x 25 requests, 70% on the hot of
-    two pre-warmed views, exact-repeat tiers off, limits far above the
+    two pre-warmed views, the PDT tier off, limits far above the
     offered load: the server's request ledger after drain, and the most
     engine calls that were ever executing at once."""
     engine = KeywordSearchEngine(
         generate_inex_database(INEXConfig()),
-        cache=QueryCache(pdt_capacity=0, prepared_capacity=0),
+        cache=QueryCache(pdt_capacity=0),
     )
     engine.define_view("hot", authors_articles_view())
     engine.define_view("side", authors_articles_view())
@@ -356,8 +360,8 @@ def cold_sweep():
     a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls, the
     calls of the plan's per-document pickers (``scoring._picker``'s),
     the ``PDTResult`` constructions, the
-    ``repro.baselines.records.from_records`` calls and the
-    ``QPT.match_table`` calls."""
+    ``repro.baselines.records.from_records`` calls, the
+    ``QPT.match_table`` calls and the inverted-index probes."""
     counters = Counter()
     picker = scoring._picker
 
@@ -391,6 +395,8 @@ def cold_sweep():
     with counting(PDTSkeleton, "_build_tree", "trees"):
         sweep()
     first_pass_picks = counters["picks"]
+    database = engine.database
+    database.reset_access_counters()
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
             counting(LRUCache, "get_many"), \
             counting(PDTResult, "__init__", "pdt_results"), \
@@ -398,10 +404,14 @@ def cold_sweep():
             counting(QPT, "match_table", "match_tables"):
         sweep()
     counters["picks"] -= first_pass_picks
+    counters["inverted_probes"] = sum(
+        database.get(name).inverted_index.probe_count
+        for name in database.document_names()
+    )
     assert counters["evaluated_hits"] == 100
     for name in (
         "trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks",
-        "pdt_results", "records_finalized", "match_tables",
+        "pdt_results", "records_finalized", "match_tables", "inverted_probes",
     ):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters

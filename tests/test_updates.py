@@ -299,14 +299,13 @@ class TestCacheMigration:
         cache.skeletons.put(skeleton_key, "patchable-skel")
         cache.skeletons.put(other_key, "structural-skel")
         cache.pdts.put(cache.pdt_key("v", "d.xml", 1, "qh", "kw"), "pdt")
-        cache.prepared.put(cache.prepared_key("d.xml", 1, "qh", ("kw",)), "pl")
         moved, dropped = cache.apply_document_delta("d.xml", 1, 2, {"v"})
         assert [key for key, _ in moved] == [
             cache.skeleton_key("v", "d.xml", 2, "qh")
         ]
         assert cache.skeletons.get(cache.skeleton_key("v", "d.xml", 2, "qh"))
         assert other_key not in cache.skeletons
-        assert dropped >= 3
+        assert dropped == 2  # the structural view's skeleton and the tf column
 
     def test_apply_document_delta_leaves_other_documents_alone(self):
         cache = QueryCache()

@@ -117,6 +117,24 @@ class TestEntities:
                 parse_xml(document)
             assert caught.value.line == 1
 
+    @pytest.mark.parametrize(
+        "document, position, line",
+        [
+            ("<a>\n&nope;\n</a>", 4, 2),  # a text run
+            ("<a><b>x\n&#xZZ;</b></a>", 8, 2),  # a leaf's text
+            ("<a>&amp\n</a>", 3, 1),  # unterminated
+            ('<a b="&nope;"/>', 6, 1),  # an attribute value
+            ('<a\nb="ok &lt; &bad;"\n/>', 14, 2),
+        ],
+    )
+    def test_bad_reference_is_reported_at_its_ampersand(
+        self, document, position, line
+    ):
+        with pytest.raises(XMLParseError) as caught:
+            parse_xml(document)
+        assert (caught.value.position, caught.value.line) == (position, line)
+        assert document[position] == "&"
+
     def test_character_reference_range_ends_decode(self):
         root = parse_xml("<a>&#x41;&#65;&#0065;&#x10FFFF;&#xD7FF;&#xE000;</a>")
         assert root.value == "AAA\U0010ffff\ud7ff\ue000"
