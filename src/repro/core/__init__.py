@@ -18,7 +18,7 @@ from repro.core.scoring import (
     score_results,
     select_top_k,
 )
-from repro.core.topk import TopKSelector, select_top_k_streaming
+from repro.core.topk import TopKSelector
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.materialize import materialize_result
 from repro.core.engine import KeywordSearchEngine
@@ -39,7 +39,6 @@ __all__ = [
     "score_results",
     "select_top_k",
     "TopKSelector",
-    "select_top_k_streaming",
     "LRUCache",
     "QueryCache",
     "materialize_result",

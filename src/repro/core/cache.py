@@ -91,23 +91,23 @@ class LRUCache:
     """A size-bounded mapping with least-recently-used eviction — one
     query-cache tier.
 
-    ``capacity <= 0`` disables the cache (every ``get`` misses, ``put`` is
-    a no-op), which lets callers turn a tier off without branching.
+    Two optional bounds, ``None`` meaning unbounded: ``capacity``
+    bounds the entries, ``byte_budget`` the *bytes* resident.  Each
+    value is measured once at insertion by its ``memory_bytes``
+    attribute (skeletons and tf columns have one; anything without one
+    is free, so a budget constrains exactly the values that opted into
+    accounting) and LRU entries are evicted while the running total
+    exceeds the budget.  A single value larger than the whole budget is
+    evicted immediately — a hard budget, not advisory.  The running
+    total is exposed as :attr:`memory_bytes`.  Either bound ``<= 0``
+    turns the tier off (every ``get`` misses, ``put`` is a no-op), which
+    lets callers disable a tier without branching.
+
     Thread-safe: every public operation holds the cache's one lock, so
     counters, snapshots and the LRU chain always describe one instant.
-
     Each entry is one slot, ``[value, accounted bytes, last use]``, in
     the one ordered map: a hit hashes its key twice (the lookup and the
     move to the MRU end) and stores its stamp into the slot it found.
-
-    Besides the entry-count bound, an optional ``byte_budget`` bounds
-    the *bytes* resident in the cache: each value is measured once at
-    insertion by its ``memory_bytes`` attribute (skeletons have one;
-    anything without one is free, so a budget constrains exactly the
-    values that opted into accounting) and LRU entries are evicted
-    while the running total exceeds the budget.  A single value larger
-    than the whole budget is evicted immediately — a hard budget, not
-    advisory.  The running total is exposed as :attr:`memory_bytes`.
 
     Eviction is **scan-resistant**: every entry records when it was last
     used (hit or insert), and a ``put`` that names the moment its query
@@ -133,9 +133,14 @@ class LRUCache:
         "memory_bytes",
     )
 
-    def __init__(self, capacity: int, byte_budget: Optional[int] = None):
+    def __init__(
+        self, capacity: Optional[int] = None, byte_budget: Optional[int] = None
+    ):
         self.capacity = capacity
         self.byte_budget = byte_budget
+        self._enabled = all(
+            bound is None or bound > 0 for bound in (capacity, byte_budget)
+        )
         self._lock = threading.Lock()
         #: key -> ``[value, accounted bytes, perf_counter reading of its
         #: last use]``, LRU first.
@@ -204,8 +209,10 @@ class LRUCache:
         caller then omits.  The byte budget cannot be judged before the
         value is measured — ``put`` applies the same rule to it.
         """
-        if self.capacity <= 0:
+        if not self._enabled:
             return False
+        if self.capacity is None:
+            return True
         with self._lock:
             if key in self._data or len(self._data) < self.capacity:
                 return True
@@ -220,7 +227,7 @@ class LRUCache:
         value: Any,
         scan_started: Optional[float] = None,
     ) -> None:
-        if self.capacity <= 0:
+        if not self._enabled:
             return
         with self._lock:
             data = self._data
@@ -230,8 +237,8 @@ class LRUCache:
             size = getattr(value, "memory_bytes", 0)
             data[key] = [value, size, time.perf_counter()]
             self.memory_bytes += size
-            budget = self.byte_budget
-            while len(data) > self.capacity or (
+            capacity, budget = self.capacity, self.byte_budget
+            while (capacity is not None and len(data) > capacity) or (
                 budget is not None and self.memory_bytes > budget and data
             ):
                 if len(data) > 1 and self._victim_in_use(scan_started):
@@ -336,34 +343,35 @@ class QueryCache:
     entries valid by construction — same hash, same skeletons).  The
     ``invalidate_*`` helpers still drop entries eagerly (memory, not
     correctness).
+
+    Each tier has one configurable bound; a bound ``<= 0`` turns its tier
+    off (see :class:`LRUCache`).  Skeletons and evaluated views are
+    bounded by entries, so residency does not depend on document size
+    (at seed 7 ``cold_corpus``'s 64 skeletons are ~240 KB,
+    ``keyword_sweep``'s two ~195 KB); tf columns, 56 B to a few KB each,
+    by bytes.  A skeleton's
+    ``memory_bytes`` counts its columns, not the tree built from them.
+    A keyword with no postings in a document is a 0-byte column, which
+    no byte budget sees, so the PDT tier also keeps the fixed entry cap
+    :attr:`PDT_ENTRY_CAP`: a stream of unknown keywords cannot grow it
+    without limit.  At seed 7 the benchmark workloads peak at 1 152
+    columns, so the cap does not bind on them.
     """
 
-    #: tf columns are bounded by bytes (``pdt_byte_budget``), not count:
-    #: one costs 56 B to a few KB, and a 600-set sweep over two documents
-    #: keeps its 150 columns (~300 KB) resident.
-    pdt_capacity: int = 4096
+    #: Not an annotated field, so not a constructor knob.
+    PDT_ENTRY_CAP = 4096
+
     skeleton_capacity: int = 64
+    pdt_byte_budget: int = 1 << 20
     evaluated_capacity: int = 64
-    #: Optional per-tier byte budgets (``None`` = unbounded bytes, the
-    #: entry-count capacity still applies).  Values report their own
-    #: footprint through ``memory_bytes`` (see :class:`LRUCache`) —
-    #: skeletons report their columns, not the object graph of the tree
-    #: built from them.
-    pdt_byte_budget: Optional[int] = 1 << 20
-    skeleton_byte_budget: Optional[int] = None
-    evaluated_byte_budget: Optional[int] = None
-    pdts: LRUCache = field(init=False)
     skeletons: LRUCache = field(init=False)
+    pdts: LRUCache = field(init=False)
     evaluated: LRUCache = field(init=False)
 
     def __post_init__(self) -> None:
-        self.pdts = LRUCache(self.pdt_capacity, self.pdt_byte_budget)
-        self.skeletons = LRUCache(
-            self.skeleton_capacity, self.skeleton_byte_budget
-        )
-        self.evaluated = LRUCache(
-            self.evaluated_capacity, self.evaluated_byte_budget
-        )
+        self.skeletons = LRUCache(self.skeleton_capacity)
+        self.pdts = LRUCache(self.PDT_ENTRY_CAP, self.pdt_byte_budget)
+        self.evaluated = LRUCache(self.evaluated_capacity)
 
     # -- keys ---------------------------------------------------------------
 

@@ -62,28 +62,32 @@ class CircuitBreaker:
         self._half_open_inflight = False
         self._opened_count = 0
 
+    def _state(self) -> str:
+        """:attr:`state`, read under the caller's hold of the lock."""
+        if self._opened_at is None:
+            return "closed"
+        if self._half_open_inflight:
+            return "half_open"
+        if self._clock() - self._opened_at >= self.reset_after:
+            return "half_open"
+        return "open"
+
     @property
     def state(self) -> str:
         """``"closed"``, ``"open"`` or ``"half_open"`` (informational)."""
         with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if self._half_open_inflight:
-                return "half_open"
-            if self._clock() - self._opened_at >= self.reset_after:
-                return "half_open"
-            return "open"
+            return self._state()
 
-    @property
-    def consecutive_failures(self) -> int:
+    def snapshot(self) -> dict:
+        """:attr:`state`, the current failure streak and the lifetime
+        count of trips open (``"quarantines"``) as of one instant — the
+        clock is read once."""
         with self._lock:
-            return self._consecutive_failures
-
-    @property
-    def opened_count(self) -> int:
-        """How many times this breaker has tripped open (lifetime)."""
-        with self._lock:
-            return self._opened_count
+            return {
+                "state": self._state(),
+                "consecutive_failures": self._consecutive_failures,
+                "quarantines": self._opened_count,
+            }
 
     def allow(self) -> bool:
         """May the caller try the guarded path now?
@@ -169,32 +173,21 @@ class FleetHealth:
     def state(self, shard_id: int) -> str:
         return self._breakers[shard_id].state
 
-    def quarantined(self) -> tuple[int, ...]:
-        """Shards currently refusing work (state ``"open"``).
-
-        A half-open shard is *not* quarantined: it is serving its
-        recovery probe.
-        """
-        return tuple(
-            shard
-            for shard, breaker in enumerate(self._breakers)
-            if breaker.state == "open"
-        )
-
-    def serving_count(self) -> int:
-        return self.shard_count - len(self.quarantined())
-
     def snapshot(self) -> dict:
-        """Deterministic structure for stats endpoints (sorted keys)."""
+        """Deterministic structure for stats endpoints (sorted keys).
+
+        A shard is quarantined while its state is ``"open"``; a
+        half-open shard is *not*: it is serving its recovery probe.
+        Each breaker is read once, and ``quarantined`` and ``serving``
+        are derived from those reads: a cooldown that ends mid-snapshot
+        cannot make the shard rows and the totals disagree.
+        """
+        shards = [breaker.snapshot() for breaker in self._breakers]
+        quarantined = [
+            shard for shard, row in enumerate(shards) if row["state"] == "open"
+        ]
         return {
-            "shards": {
-                str(shard): {
-                    "state": breaker.state,
-                    "consecutive_failures": breaker.consecutive_failures,
-                    "quarantines": breaker.opened_count,
-                }
-                for shard, breaker in enumerate(self._breakers)
-            },
-            "quarantined": list(self.quarantined()),
-            "serving": self.serving_count(),
+            "shards": {str(shard): row for shard, row in enumerate(shards)},
+            "quarantined": quarantined,
+            "serving": self.shard_count - len(quarantined),
         }

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -48,6 +49,9 @@ from repro.core.skeleton import PDTSkeleton
 from repro.errors import InjectedFaultError
 
 _SUFFIX = ".pdts"
+#: What :meth:`SkeletonStore.entry_name` writes: two lower-case hex
+#: digests of at most 32 characters, QPT hash first.
+_ENTRY_NAME = re.compile(r"([0-9a-f]{1,32})-([0-9a-f]{1,32})\.pdts")
 
 
 class SkeletonStore:
@@ -58,7 +62,7 @@ class SkeletonStore:
     renames, and loads validate the payload before trusting it.  A
     single store instance is also safe to use from multiple threads —
     the only mutable in-memory state is the counters, which are guarded
-    by a lock.
+    by the store's one lock.
 
     ``mmap_mode=True`` makes :meth:`load` read a payload through a
     read-only memory mapping instead of ``read_bytes``, closed before
@@ -93,11 +97,12 @@ class SkeletonStore:
         self.hits = 0
         self.misses = 0
         self.pruned = 0
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
 
-    def _count(self, counter: str) -> None:
-        with self._stats_lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+    def _count(self, *counters: str) -> None:
+        with self._lock:
+            for counter in counters:
+                setattr(self, counter, getattr(self, counter) + 1)
 
     # -- keys ----------------------------------------------------------------
 
@@ -110,6 +115,18 @@ class SkeletonStore:
         meaningfully weakening collision resistance.
         """
         return f"{qpt_hash[:32]}-{doc_fingerprint[:32]}{_SUFFIX}"
+
+    @staticmethod
+    def entry_key(name: str) -> Optional[tuple[str, str]]:
+        """``(doc_fingerprint, qpt_hash)`` of an :meth:`entry_name`, or
+        ``None`` for any name not shaped like one — so a name from
+        outside the process can never address a path but a snapshot's.
+        """
+        match = _ENTRY_NAME.fullmatch(name)
+        if match is None:
+            return None
+        qpt_hash, doc_fingerprint = match.groups()
+        return doc_fingerprint, qpt_hash
 
     def path_for(self, doc_fingerprint: str, qpt_hash: str) -> Path:
         return self.root / self.entry_name(doc_fingerprint, qpt_hash)
@@ -307,11 +324,11 @@ class SkeletonStore:
             except OSError:
                 pass
         if removed:
-            with self._stats_lock:
+            with self._lock:
                 self.pruned += removed
         return removed
 
     def stats(self) -> dict[str, int]:
         """:attr:`COUNTS` as of one instant."""
-        with self._stats_lock:
+        with self._lock:
             return {name: getattr(self, name) for name in self.COUNTS}

@@ -22,15 +22,15 @@ The pieces:
   timeout waits); after ``reset_after`` seconds one half-open trial
   fetch decides whether to close it again.  The coordinator
   quarantines shards with the same state machine.
-* :class:`NetworkedSkeletonStore` — wraps a local store; ``load``
-  consults the local tier first, then the peer (validated +
-  written through to local disk, so one fetch warms the file tier
+* :class:`NetworkedSkeletonStore` — a :class:`SkeletonStore` whose
+  ``load`` consults its own directory first, then the peer (validated +
+  written through to that directory, so one fetch warms the file tier
   for every later process too), and falls back to ``None`` — the
   engine's existing cold build — when the network cannot help.
   Concurrent misses on the *same* key are coalesced into one fetch
   (single-flight: the first caller fetches, the rest wait and re-read
-  the local tier).  Counts ``fetched`` / ``fetch_failed`` /
-  ``fell_back`` / ``coalesced``.
+  the directory).  Counts ``fetched`` / ``fetch_failed`` /
+  ``fell_back`` / ``coalesced`` beside the store's own counters.
 
 Failure semantics, in one table::
 
@@ -53,7 +53,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Protocol
+from typing import Callable, Optional, Protocol, Union
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
 from repro.core.health import CircuitBreaker
@@ -147,27 +147,29 @@ class HTTPSnapshotPeer:
         raise SnapshotFetchError(entry, last_error)
 
 
-class NetworkedSkeletonStore:
+class NetworkedSkeletonStore(SkeletonStore):
     """A :class:`SkeletonStore` with a peer behind its misses.
 
-    Drop-in for the local store everywhere the engine, warm-up and
-    delta-maintenance paths use one — same ``load`` / ``save`` /
-    ``discard`` / ``prune`` / ``stats`` surface, same
-    content-digest keys.  Only ``load`` changes: a local miss consults
-    the peer (gated by the circuit breaker), checks the fetched bytes'
-    shape (the O(1) :class:`SkeletonLayout` header check), writes them
-    through to the local store and re-loads from disk — so a fetched
-    snapshot is decoded and validated exactly like a locally-saved one,
-    and every later load, in this process or a sibling sharing the
-    directory, is local.
+    Everything but ``load`` and ``stats`` is the directory store's own:
+    same ``save`` / ``discard`` / ``prune`` surface, same content-digest
+    keys, and ``read_payload`` — what this process serves to *its*
+    peers — stays local on purpose, so a peer asking us never triggers
+    a recursive fetch storm through a third host.  ``load`` changes: a
+    miss in the directory consults the peer (gated by a
+    :class:`CircuitBreaker`), checks the fetched bytes' shape (the O(1)
+    :class:`SkeletonLayout` header check), writes them through to the
+    directory and re-loads from disk — so a fetched snapshot is decoded
+    and validated exactly like a locally-saved one, and every later
+    load, in this process or a sibling sharing the directory, is local.
 
-    Network activity is counted beside the local store's counters:
-    ``fetched`` (peer supplied the bytes), ``fetch_failed`` (the peer
-    path errored after retries, or returned bytes that failed
+    Network activity is counted beside the store's counters, under its
+    one lock: ``fetched`` (peer supplied the bytes), ``fetch_failed``
+    (the peer path errored after retries, or returned bytes that failed
     validation), ``fell_back`` (the load returned ``None`` and the
     caller will cold-build) and ``coalesced`` (a miss that rode another
-    caller's fetch).  ``stats`` reports the local store's counts, these,
-    and the breaker's state.
+    caller's fetch).  ``stats`` reports them all as of one instant, and
+    the breaker's state.  ``store_kwargs`` (``mmap_mode``,
+    ``fault_injector``) go to :class:`SkeletonStore`.
     """
 
     #: The network counters ``_count`` bumps.
@@ -177,41 +179,33 @@ class NetworkedSkeletonStore:
 
     def __init__(
         self,
-        local: SkeletonStore,
+        root: Union[str, Path],
         peer: SnapshotPeer,
-        breaker: Optional[CircuitBreaker] = None,
         single_flight_timeout: float = 30.0,
+        **store_kwargs,
     ):
-        self.local = local
+        super().__init__(root, **store_kwargs)
         self.peer = peer
-        self.breaker = breaker or CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.single_flight_timeout = single_flight_timeout
         self.fetched = 0
         self.fetch_failed = 0
         self.fell_back = 0
         self.coalesced = 0
-        self._net_lock = threading.Lock()
         self._inflight: dict[tuple[str, str], threading.Event] = {}
-
-    def _count(self, *counters: str) -> None:
-        with self._net_lock:
-            for counter in counters:
-                setattr(self, counter, getattr(self, counter) + 1)
-
-    # -- the networked load path ---------------------------------------------
 
     def load(
         self, doc_fingerprint: str, qpt_hash: str
     ) -> Optional[PDTSkeleton]:
-        found = self.local.load(doc_fingerprint, qpt_hash)
+        found = super().load(doc_fingerprint, qpt_hash)
         if found is not None:
             return found
         # Single-flight: concurrent misses on the same key ride one
         # fetch.  The first caller through becomes the leader and runs
         # the networked path; followers wait for it to finish, then
-        # re-read the (now write-through-warmed) local tier.
+        # re-read the (now write-through-warmed) directory.
         key = (doc_fingerprint, qpt_hash)
-        with self._net_lock:
+        with self._lock:
             done = self._inflight.get(key)
             if done is None:
                 done = threading.Event()
@@ -227,7 +221,7 @@ class NetworkedSkeletonStore:
                 # local cold build.
                 self._count("fell_back")
                 return None
-            restored = self.local.load(doc_fingerprint, qpt_hash)
+            restored = super().load(doc_fingerprint, qpt_hash)
             if restored is None:
                 # The leader's fetch failed/missed; we fall back too.
                 self._count("fell_back")
@@ -235,7 +229,7 @@ class NetworkedSkeletonStore:
         try:
             return self._fetch_through(doc_fingerprint, qpt_hash)
         finally:
-            with self._net_lock:
+            with self._lock:
                 self._inflight.pop(key, None)
             done.set()
 
@@ -265,67 +259,20 @@ class NetworkedSkeletonStore:
         except ValueError:
             self._count("fetch_failed", "fell_back")
             return None
-        self.local.save_payload(doc_fingerprint, qpt_hash, payload)
-        # Serve it through the local store, so the one decode-and-
-        # validate point and the local hit counters see a fetched
+        self.save_payload(doc_fingerprint, qpt_hash, payload)
+        # Serve it through the directory store's load, so the one
+        # decode-and-validate point and the hit counters see a fetched
         # snapshot exactly like a saved one.
-        restored = self.local.load(doc_fingerprint, qpt_hash)
+        restored = super().load(doc_fingerprint, qpt_hash)
         if restored is None:
-            # Corruption below the offset table: the local load
-            # rejected the payload and reclaimed the file.
+            # Corruption below the offset table: the load rejected the
+            # payload and reclaimed the file.
             self._count("fetch_failed", "fell_back")
             return None
         self._count("fetched")
         return restored
 
-    # -- stats ---------------------------------------------------------------
-
     def stats(self) -> dict:
-        merged: dict = self.local.stats()
-        with self._net_lock:
-            merged.update(
-                (name, getattr(self, name)) for name in self.NET_COUNTS
-            )
+        merged: dict = super().stats()
         merged["breaker_state"] = self.breaker.state
         return merged
-
-    # -- local-store delegation ----------------------------------------------
-
-    entry_name = staticmethod(SkeletonStore.entry_name)
-
-    @property
-    def root(self) -> Path:
-        return self.local.root
-
-    def path_for(self, doc_fingerprint: str, qpt_hash: str) -> Path:
-        return self.local.path_for(doc_fingerprint, qpt_hash)
-
-    def save(self, doc_fingerprint: str, qpt_hash: str, skeleton) -> Path:
-        return self.local.save(doc_fingerprint, qpt_hash, skeleton)
-
-    def save_payload(
-        self, doc_fingerprint: str, qpt_hash: str, payload: bytes
-    ) -> Path:
-        return self.local.save_payload(doc_fingerprint, qpt_hash, payload)
-
-    def read_payload(
-        self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[bytes]:
-        # Serving stays local on purpose: a peer asking *us* must never
-        # trigger a recursive fetch storm through a third host.
-        return self.local.read_payload(doc_fingerprint, qpt_hash)
-
-    def discard(self, doc_fingerprint: str, qpt_hash: str) -> bool:
-        return self.local.discard(doc_fingerprint, qpt_hash)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.local
-
-    def paths(self) -> Iterator[Path]:
-        return self.local.paths()
-
-    def __len__(self) -> int:
-        return len(self.local)
-
-    def prune(self, keep: Optional[set[str]] = None) -> int:
-        return self.local.prune(keep=keep)

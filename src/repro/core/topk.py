@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.core.scoring import ScoredResult, ScoringOutcome
+from repro.core.scoring import ScoredResult
 
 
 class TopKSelector:
@@ -114,19 +114,6 @@ class TopKSelector:
             entry[2]
             for entry in sorted(self._heap, key=lambda e: (-e[0], -e[1]))
         ]
-
-
-def select_top_k_streaming(
-    outcome: ScoringOutcome, k: Optional[int]
-) -> list[ScoredResult]:
-    """Drop-in replacement for :func:`repro.core.scoring.select_top_k`.
-
-    Same ranks and tie-breaks, O(n log k) instead of O(n log n), and only
-    k results ever held outside the input list.
-    """
-    selector = TopKSelector(k)
-    selector.extend(outcome.results)
-    return selector.results()
 
 
 # -- scatter-gather merge -------------------------------------------------------

@@ -49,13 +49,13 @@ import base64
 import binascii
 import hashlib
 import json
-import re
 import socket
 import threading
 from http.client import responses as _REASON_PHRASES
 from typing import Any, Awaitable, Callable, Optional
 
 from repro.core.faults import FaultInjector
+from repro.core.snapshot import SkeletonStore
 from repro.errors import (
     CoordinatorClosedError,
     DocumentNotFoundError,
@@ -105,8 +105,6 @@ ENGINE_ERROR_STATUS: tuple[tuple[type, int, str], ...] = (
     (InjectedFaultError, 500, "injected_fault"),
     (ReproError, 500, "engine_error"),
 )
-
-_SNAPSHOT_NAME = re.compile(r"^([0-9a-f]{1,32})-([0-9a-f]{1,32})\.pdts$")
 
 _MAX_BODY_BYTES = 1 << 20  # requests are small JSON; 1 MiB is generous
 _RECV_BYTES = 1 << 16  # one recv holds any request the fleet sends
@@ -312,18 +310,15 @@ class SearchAPI:
     def _snapshot_bytes(self, name: str) -> _HTTPReply:
         """The peer protocol: stored wire bytes, verbatim, or 404.
 
-        The entry name *is* the content key (``<qpt_hash[:32]>-
-        <doc_fingerprint[:32]>.pdts``); anything not shaped like one is
-        a 404 without touching the filesystem — this route can never be
-        steered at arbitrary paths.
+        The entry name *is* the content key
+        (:meth:`SkeletonStore.entry_key` parses it); anything not shaped
+        like one is a 404 without touching the filesystem — this route
+        can never be steered at arbitrary paths.
         """
-        match = _SNAPSHOT_NAME.match(name)
+        key = SkeletonStore.entry_key(name)
         payload = None
-        if match is not None:
-            qpt_hash, doc_fingerprint = match.group(1), match.group(2)
-            payload = self.server.engine.snapshot_payload(
-                doc_fingerprint, qpt_hash
-            )
+        if key is not None:
+            payload = self.server.engine.snapshot_payload(*key)
         if payload is None:
             raise _error_reply(404, "snapshot_not_found", f"no snapshot {name!r}")
         return _HTTPReply(200, payload)

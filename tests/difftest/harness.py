@@ -154,7 +154,7 @@ def run_differential_case(
     # not polluted by the cold configurations above.
     skeleton_db = generate_case(seed, shape=shape).database
     skeleton = KeywordSearchEngine(
-        skeleton_db, cache=QueryCache(pdt_capacity=0)
+        skeleton_db, cache=QueryCache(pdt_byte_budget=0)
     )
     skeleton_view = skeleton.define_view("skeleton", case.view_text)
     skeleton.search(skeleton_view, case.priming_keywords, top_k=top_k)

@@ -36,7 +36,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.core.snapshot import SkeletonStore
 from repro.core.snapshot_net import HTTPSnapshotPeer, NetworkedSkeletonStore
 from repro.serving import BackgroundHTTPServing, ServerConfig
 
@@ -182,9 +181,10 @@ def test_cold_process_warms_entirely_from_peer(seed, tmp_path):
         # an *empty* local snapshot directory — warmth can only come
         # over the wire.
         case = generate_case(seed)
-        local = SkeletonStore(tmp_path / "cold-store", mmap_mode=True)
         store = NetworkedSkeletonStore(
-            local, HTTPSnapshotPeer(peer.url, timeout=30.0)
+            tmp_path / "cold-store",
+            HTTPSnapshotPeer(peer.url, timeout=30.0),
+            mmap_mode=True,
         )
         engine = KeywordSearchEngine(case.database, snapshot_store=store)
         engine.define_view("fleet", case.view_text)
@@ -238,10 +238,10 @@ def test_peer_killed_mid_warmup_falls_back_and_still_serves(seed, tmp_path):
         seed, tmp_path / "peer-store", shape=shape, max_snapshot_requests=1
     ) as peer:
         case = generate_case(seed, shape)
-        local = SkeletonStore(tmp_path / "cold-store", mmap_mode=True)
         store = NetworkedSkeletonStore(
-            local,
+            tmp_path / "cold-store",
             HTTPSnapshotPeer(peer.url, timeout=5.0, retries=1, backoff=0.01),
+            mmap_mode=True,
         )
         engine = KeywordSearchEngine(case.database, snapshot_store=store)
         engine.define_view("fleet", case.view_text)

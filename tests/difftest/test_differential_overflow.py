@@ -52,18 +52,20 @@ from difftest.test_differential_sharded import (
 )
 
 TOP_K = 10
-#: At least three documents behind every two-slot tier.
+#: At least three documents behind the two-slot skeleton tier.
 CASES_PER_SHARD = 3
 #: Each case's forced patchable insert and deepest-leaf replace.
 OPS_PER_CASE = 2
 
 
 def _starved_cache() -> QueryCache:
-    """Two slots per per-document tier: any view of three or more
-    documents overflows all of them."""
+    """Two slots in the skeleton tier, one in the evaluated tier and
+    1 KiB of tf columns: any view of three or more documents overflows
+    all of them.  Over the default seed matrix a column is 88–792
+    bytes, so each fits alone and two to six stay resident."""
     return QueryCache(
         skeleton_capacity=2,
-        pdt_capacity=2,
+        pdt_byte_budget=1024,
         evaluated_capacity=1,
     )
 
@@ -200,6 +202,9 @@ def _single_engine_run(seed: int) -> Counter:
     assert stats["skeleton"]["bypassed"] > 0
     assert stats["skeleton"]["hits"] > 0
     assert len(starved.cache.skeletons) <= 2
+    # The PDT tier overflows under LRU pressure and still serves.
+    assert stats["pdt"]["evictions"] > 0
+    assert stats["pdt"]["hits"] > 0
     return counts
 
 
@@ -233,7 +238,7 @@ def test_overflow_sharded_matches_baseline_and_ample(seed, shard_count):
     seeds = _seeds(seed, shard_count)
     view_text, documents, groups, keyword_sets = _combined_corpus(seeds)
     # Groups alternate shards, so every shard sweeps at least three
-    # documents through its own two-slot tiers.
+    # documents through its own starved tiers.
     plan = ShardPlan.from_assignments(
         {
             name: position % shard_count

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core.cache import LRUCache, QueryCache
+from repro.core.cache import LRUCache, QueryCache, TfColumn
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import build_skeleton
 from tests.conftest import REVIEWS_XML
@@ -245,18 +245,51 @@ class TestByteBudgets:
         assert gauge == sum(slices) > 0
 
     def test_query_cache_threads_budgets_through(self):
+        # One bound per tier: entries for skeletons and evaluated views,
+        # bytes for tf columns.
         qc = QueryCache(
-            skeleton_byte_budget=80,
-            pdt_byte_budget=160,
+            skeleton_capacity=8, pdt_byte_budget=160, evaluated_capacity=2
         )
-        assert qc.skeletons.byte_budget == 80
-        assert qc.pdts.byte_budget == 160
-        assert qc.evaluated.byte_budget is None
+        assert (qc.skeletons.capacity, qc.skeletons.byte_budget) == (8, None)
+        assert (qc.pdts.capacity, qc.pdts.byte_budget) == (
+            QueryCache.PDT_ENTRY_CAP,
+            160,
+        )
+        assert (qc.evaluated.capacity, qc.evaluated.byte_budget) == (2, None)
         for i in range(20):
             qc.skeletons.put(("v", f"d{i}", 1, "h"), _Sized(10))
-        # The whole budget, whichever documents the entries belong to.
-        assert qc.skeletons.memory_bytes == 80
+            qc.pdts.put(("v", f"d{i}", 1, "h", "kw"), _Sized(10))
+        # The whole bound, whichever documents the entries belong to.
+        assert len(qc.skeletons) == 8
         assert qc.stats()["skeleton"]["memory_bytes"] == 80
+        assert len(qc.pdts) == 16
+        assert qc.stats()["pdt"]["memory_bytes"] == 160
+
+    def test_zero_pdt_byte_budget_turns_the_tier_off(self):
+        # Free values included: a keyword with no postings in the
+        # document has a 0-byte column, which must not stay resident.
+        qc = QueryCache(pdt_byte_budget=0)
+        key = ("v", "d.xml", 1, "h", "kw")
+        for column in (TfColumn.of(None), TfColumn.of([1, 2])):
+            qc.pdts.put(key, column)
+            assert qc.pdts.get(key) is None
+            assert not qc.pdts.admits(key)
+        assert len(qc.pdts) == 0
+        assert qc.stats()["pdt"]["memory_bytes"] == 0
+        assert qc.stats()["pdt"]["hits"] == 0
+
+    def test_absent_keyword_columns_stay_bounded(self):
+        # A keyword with no postings is a 0-byte column: the byte budget
+        # never sees it, so the entry cap is what bounds a stream of
+        # unknown keywords.
+        qc = QueryCache()
+        cap = QueryCache.PDT_ENTRY_CAP
+        for i in range(cap + 500):
+            key = ("v", "d.xml", 1, "h", f"nosuch{i}")
+            qc.pdts.put(key, TfColumn.of(None))
+        assert len(qc.pdts) == cap
+        assert qc.stats()["pdt"]["memory_bytes"] == 0
+        assert qc.stats()["pdt"]["evictions"] == 500
 
 
 def _stepped_scanner(

@@ -233,7 +233,7 @@ def eight_clients():
     engine calls that were ever executing at once."""
     engine = KeywordSearchEngine(
         generate_inex_database(INEXConfig()),
-        cache=QueryCache(pdt_capacity=0),
+        cache=QueryCache(pdt_byte_budget=0),
     )
     engine.define_view("hot", authors_articles_view())
     engine.define_view("side", authors_articles_view())
@@ -424,7 +424,7 @@ def rebuilt_skeleton_edit():
     tree a patchable edit reaches v0's document — the
     ``PDTSkeleton._build_tree`` calls ``QueryCache.apply_document_delta``
     made (the re-warm after it is not counted)."""
-    database, engine = three_library_views(QueryCache(skeleton_capacity=2, pdt_capacity=0))
+    database, engine = three_library_views(QueryCache(skeleton_capacity=2, pdt_byte_budget=0))
     counters, inside = Counter(), []
     for view, keywords in (("v0", "xml"), ("v1", "xml"), ("v2", "xml"), ("v0", "query")):
         engine.search(view, (keywords,))

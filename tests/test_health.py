@@ -34,8 +34,8 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"
         assert breaker.allow()
-        assert breaker.consecutive_failures == 2
-        assert breaker.opened_count == 0
+        assert breaker.snapshot()["consecutive_failures"] == 2
+        assert breaker.snapshot()["quarantines"] == 0
 
     def test_success_resets_the_streak(self):
         breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
@@ -43,7 +43,7 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == "closed"
-        assert breaker.consecutive_failures == 1
+        assert breaker.snapshot()["consecutive_failures"] == 1
 
     def test_opens_at_threshold_and_refuses(self):
         clock = FakeClock()
@@ -53,7 +53,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == "open"
-        assert breaker.opened_count == 1
+        assert breaker.snapshot()["quarantines"] == 1
         assert not breaker.allow()
         clock.advance(9.9)
         assert not breaker.allow()
@@ -82,8 +82,8 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.state == "closed"
         assert breaker.allow()
-        assert breaker.consecutive_failures == 0
-        assert breaker.opened_count == 1  # lifetime counter survives healing
+        assert breaker.snapshot()["consecutive_failures"] == 0
+        assert breaker.snapshot()["quarantines"] == 1  # lifetime counter survives healing
 
     def test_probe_failure_reopens_for_a_full_cooldown(self):
         clock = FakeClock()
@@ -95,7 +95,7 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == "open"
-        assert breaker.opened_count == 2
+        assert breaker.snapshot()["quarantines"] == 2
         assert not breaker.allow()
         clock.advance(4.9)
         assert not breaker.allow()
@@ -110,10 +110,10 @@ class TestCircuitBreaker:
             failure_threshold=1, reset_after=5.0, clock=clock
         )
         breaker.record_failure()
-        opened = breaker.opened_count
+        opened = breaker.snapshot()["quarantines"]
         clock.advance(3.0)
         breaker.record_failure()  # reported by an in-flight straggler
-        assert breaker.opened_count == opened
+        assert breaker.snapshot()["quarantines"] == opened
         clock.advance(2.0)
         assert breaker.allow()  # original cooldown still elapsed on time
 
@@ -128,20 +128,20 @@ class TestFleetHealth:
         fleet = FleetHealth(
             3, failure_threshold=2, reset_after=5.0, clock=clock
         )
-        assert fleet.quarantined() == ()
-        assert fleet.serving_count() == 3
+        assert fleet.snapshot()["quarantined"] == []
+        assert fleet.snapshot()["serving"] == 3
         fleet.record_failure(1)
         fleet.record_failure(1)
-        assert fleet.quarantined() == (1,)
-        assert fleet.serving_count() == 2
+        assert fleet.snapshot()["quarantined"] == [1]
+        assert fleet.snapshot()["serving"] == 2
         assert not fleet.allow(1)
         assert fleet.allow(0) and fleet.allow(2)
 
         clock.advance(5.0)
         # Half-open is *serving* (its probe), so not quarantined.
         assert fleet.state(1) == "half_open"
-        assert fleet.quarantined() == ()
-        assert fleet.serving_count() == 3
+        assert fleet.snapshot()["quarantined"] == []
+        assert fleet.snapshot()["serving"] == 3
         assert fleet.allow(1)  # the probe
         fleet.record_success(1)
         assert fleet.state(1) == "closed"
@@ -172,6 +172,23 @@ class TestFleetHealth:
         # Same state twice -> identical structure (stats endpoints
         # serialize this with sort_keys; equality here implies bytes).
         assert fleet.snapshot() == snapshot
+
+    def test_snapshot_reads_each_breaker_once(self):
+        # A clock that advances a second per read: the cooldown ends
+        # between any two reads of the breaker, so rows and totals
+        # derived from separate reads would contradict each other.
+        ticks = iter(range(1000))
+        fleet = FleetHealth(
+            1, failure_threshold=1, reset_after=3.0, clock=lambda: next(ticks)
+        )
+        fleet.record_failure(0)
+        snapshot = fleet.snapshot()
+        quarantined = snapshot["quarantined"]
+        assert snapshot["serving"] + len(quarantined) == fleet.shard_count
+        assert all(
+            snapshot["shards"][str(shard)]["state"] == "open"
+            for shard in quarantined
+        )
 
     def test_breaker_accessor_exposes_the_real_state_machine(self):
         fleet = FleetHealth(2, failure_threshold=1, clock=FakeClock())

@@ -741,7 +741,7 @@ class TestFailureDomains:
             for _ in range(2):
                 out = coord.search_detailed("v", ("alpha",), top_k=5)
                 assert out.failures[0].reason == FAILURE_ERROR
-            assert health.quarantined() == (0,)
+            assert health.snapshot()["quarantined"] == [0]
             # ...the third is skipped without ever submitting work.
             calls_before = injector.call_count("shard0.collect")
             out = coord.search_detailed("v", ("alpha",), top_k=5)
@@ -759,7 +759,7 @@ class TestFailureDomains:
             out = coord.search_detailed("v", ("alpha",), top_k=5)
             ref = reference.search_detailed("v", ("alpha",), top_k=5)
             assert not out.degraded
-            assert health.quarantined() == ()
+            assert health.snapshot()["quarantined"] == []
             assert [
                 (r.rank, r.score, r.scored.index) for r in out.results
             ] == [(r.rank, r.score, r.scored.index) for r in ref.results]

@@ -396,6 +396,34 @@ def test_store_keys_differ_by_fingerprint_and_hash(tmp_path):
     assert store.load("f" * 64, "a" * 64) is not None
 
 
+@pytest.mark.parametrize(
+    "fingerprint, qpt_hash",
+    [("f" * 64, "a" * 64), ("0123abcd" * 4, "9" * 32), ("e", "b7")],
+)
+def test_entry_key_parses_what_entry_name_writes(fingerprint, qpt_hash):
+    name = SkeletonStore.entry_name(fingerprint, qpt_hash)
+    assert SkeletonStore.entry_key(name) == (fingerprint[:32], qpt_hash[:32])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "../x.pdts",
+        "../" + "a" * 32 + "-" + "f" * 32 + ".pdts",
+        "A" * 32 + "-" + "f" * 32 + ".pdts",
+        "a" * 32 + "-" + "F" * 32 + ".pdts",
+        "a" * 32 + "-" + "f" * 32,
+        "a" * 32 + "-" + "f" * 32 + ".pdts\n",
+        "a" * 33 + "-" + "f" * 32 + ".pdts",
+        "a" * 32 + "-" + "f" * 33 + ".pdts",
+        "-" + "f" * 32 + ".pdts",
+        "",
+    ],
+)
+def test_entry_key_rejects_names_not_shaped_like_a_key(name):
+    assert SkeletonStore.entry_key(name) is None
+
+
 def test_store_prune(tmp_path):
     store = SkeletonStore(tmp_path)
     store.save("f" * 64, "a" * 64, _store_skeleton(1))

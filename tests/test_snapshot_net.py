@@ -199,10 +199,9 @@ def snapshot_payload(bookrev_db, tmp_path):
 class TestNetworkedSkeletonStore:
     def test_local_hit_never_touches_the_peer(self, tmp_path, snapshot_payload):
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s")
-        local.save_payload(fingerprint, qpt_hash, payload)
         peer = StaticPeer()
-        net = NetworkedSkeletonStore(local, peer)
+        net = NetworkedSkeletonStore(tmp_path / "s", peer)
+        net.save_payload(fingerprint, qpt_hash, payload)
         assert net.load(fingerprint, qpt_hash) is not None
         assert peer.fetches == 0
         assert net.stats() == {
@@ -215,14 +214,13 @@ class TestNetworkedSkeletonStore:
         self, tmp_path, snapshot_payload
     ):
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s")
         peer = StaticPeer({(fingerprint, qpt_hash): payload})
-        net = NetworkedSkeletonStore(local, peer)
+        net = NetworkedSkeletonStore(tmp_path / "s", peer)
         restored = net.load(fingerprint, qpt_hash)
         assert restored is not None and restored.doc_name == "books.xml"
         assert net.stats()["fetched"] == 1
         # written through: the local file tier now serves it alone
-        assert local.read_payload(fingerprint, qpt_hash) == payload
+        assert net.read_payload(fingerprint, qpt_hash) == payload
         assert net.load(fingerprint, qpt_hash) is not None
         assert peer.fetches == 1  # no second fetch
 
@@ -230,14 +228,15 @@ class TestNetworkedSkeletonStore:
         self, tmp_path, snapshot_payload
     ):
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s", mmap_mode=True)
         net = NetworkedSkeletonStore(
-            local, StaticPeer({(fingerprint, qpt_hash): payload})
+            tmp_path / "s",
+            StaticPeer({(fingerprint, qpt_hash): payload}),
+            mmap_mode=True,
         )
         restored = net.load(fingerprint, qpt_hash)
         assert restored.to_bytes() == payload
         assert net.stats()["fetched"] == 1
-        assert local.stats()["hits"] == 1
+        assert net.stats()["hits"] == 1
 
     def test_peer_payload_with_corrupt_columns_is_rebuilt_not_raised(
         self, tmp_path, bookrev_db, snapshot_payload
@@ -248,10 +247,10 @@ class TestNetworkedSkeletonStore:
         from tests.test_snapshot import corrupt_a_key
 
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s", mmap_mode=True)
         net = NetworkedSkeletonStore(
-            local,
+            tmp_path / "s",
             StaticPeer({(fingerprint, qpt_hash): corrupt_a_key(payload)}),
+            mmap_mode=True,
         )
         engine = KeywordSearchEngine(bookrev_db, snapshot_store=net)
         engine.define_view("v", BOOKREV_VIEW)
@@ -272,13 +271,13 @@ class TestNetworkedSkeletonStore:
         assert stats["fetched"] == 0 and stats["hits"] == 0, stats
         assert stats["fetch_failed"] == 1 and stats["fell_back"] == 2, stats
         # Reclaimed, rebuilt, re-saved: the local tier holds good bytes.
-        assert local.read_payload(fingerprint, qpt_hash) == payload
+        assert net.read_payload(fingerprint, qpt_hash) == payload
 
     def test_peer_miss_falls_back_without_tripping_breaker(
         self, tmp_path, snapshot_payload
     ):
         (fingerprint, qpt_hash), _ = snapshot_payload
-        net = NetworkedSkeletonStore(SkeletonStore(tmp_path / "s"), StaticPeer())
+        net = NetworkedSkeletonStore(tmp_path / "s", StaticPeer())
         for _ in range(5):
             assert net.load(fingerprint, qpt_hash) is None
         stats = net.stats()
@@ -290,10 +289,9 @@ class TestNetworkedSkeletonStore:
     ):
         (fingerprint, qpt_hash), _ = snapshot_payload
         peer = StaticPeer(error=True)
-        breaker = CircuitBreaker(failure_threshold=3, reset_after=60.0)
-        net = NetworkedSkeletonStore(
-            SkeletonStore(tmp_path / "s"), peer, breaker
-        )
+        net = NetworkedSkeletonStore(tmp_path / "s", peer)
+        # A cooldown no slow run outlasts, so the breaker stays open.
+        net.breaker = CircuitBreaker(failure_threshold=3, reset_after=60.0)
         for _ in range(10):
             assert net.load(fingerprint, qpt_hash) is None
         assert peer.fetches == 3  # breaker opened after the third failure
@@ -308,19 +306,18 @@ class TestNetworkedSkeletonStore:
     ):
         (fingerprint, qpt_hash), payload = snapshot_payload
         corrupt = payload[:10] + b"\xff" * 8
-        local = SkeletonStore(tmp_path / "s")
         net = NetworkedSkeletonStore(
-            local, StaticPeer({(fingerprint, qpt_hash): corrupt})
+            tmp_path / "s", StaticPeer({(fingerprint, qpt_hash): corrupt})
         )
         assert net.load(fingerprint, qpt_hash) is None
         stats = net.stats()
         assert stats["fetch_failed"] == 1 and stats["fell_back"] == 1
-        assert local.read_payload(fingerprint, qpt_hash) is None
+        assert net.read_payload(fingerprint, qpt_hash) is None
 
     def test_store_delegation_surface(self, tmp_path, snapshot_payload):
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s")
-        net = NetworkedSkeletonStore(local, StaticPeer())
+        assert issubclass(NetworkedSkeletonStore, SkeletonStore)
+        net = NetworkedSkeletonStore(tmp_path / "s", StaticPeer())
         assert net.entry_name(fingerprint, qpt_hash) == SkeletonStore.entry_name(
             fingerprint, qpt_hash
         )
@@ -381,7 +378,7 @@ class TestSingleFlight:
 
         key = (fingerprint, qpt_hash)
         waiting = threading.Semaphore(0)
-        with net._net_lock:
+        with net._lock:
             original = net._inflight[key]
 
         class CountingEvent:
@@ -389,7 +386,7 @@ class TestSingleFlight:
                 waiting.release()
                 return original.wait(timeout)
 
-        with net._net_lock:
+        with net._lock:
             net._inflight[key] = CountingEvent()
 
         threads = [threading.Thread(target=load) for _ in range(followers)]
@@ -407,9 +404,8 @@ class TestSingleFlight:
         self, tmp_path, snapshot_payload
     ):
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s")
         peer = BlockingPeer({(fingerprint, qpt_hash): payload})
-        net = NetworkedSkeletonStore(local, peer)
+        net = NetworkedSkeletonStore(tmp_path / "s", peer)
         results = self._herd(net, fingerprint, qpt_hash, peer, followers=4)
         assert peer.fetches == 1  # the herd rode one fetch
         assert len(results) == 5
@@ -423,9 +419,8 @@ class TestSingleFlight:
         self, tmp_path, snapshot_payload
     ):
         (fingerprint, qpt_hash), _payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s")
         peer = BlockingPeer(error=True)
-        net = NetworkedSkeletonStore(local, peer)
+        net = NetworkedSkeletonStore(tmp_path / "s", peer)
         results = self._herd(net, fingerprint, qpt_hash, peer, followers=3)
         assert peer.fetches == 1
         assert results == [None, None, None, None]
@@ -440,10 +435,9 @@ class TestSingleFlight:
         self, tmp_path, snapshot_payload
     ):
         (fingerprint, qpt_hash), payload = snapshot_payload
-        local = SkeletonStore(tmp_path / "s")
         peer = BlockingPeer({(fingerprint, qpt_hash): payload})
         net = NetworkedSkeletonStore(
-            local, peer, single_flight_timeout=0.05
+            tmp_path / "s", peer, single_flight_timeout=0.05
         )
         leader = threading.Thread(
             target=net.load, args=(fingerprint, qpt_hash)

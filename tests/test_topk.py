@@ -15,7 +15,6 @@ from repro.core.topk import (
     ShardStream,
     TopKSelector,
     merge_shard_streams,
-    select_top_k_streaming,
 )
 from repro.xmlmodel.node import XMLNode
 
@@ -44,6 +43,13 @@ def ranking(results):
     return [(r.index, r.score) for r in results]
 
 
+def streamed_top_k(outcome, k):
+    """The outcome's results pushed through one :class:`TopKSelector`."""
+    selector = TopKSelector(k)
+    selector.extend(outcome.results)
+    return selector.results()
+
+
 class TestSelector:
     def test_empty(self):
         assert TopKSelector(5).results() == []
@@ -55,23 +61,23 @@ class TestSelector:
 
     def test_k_none_keeps_all_ranked(self):
         outcome = make_outcome([1.0, 3.0, 2.0])
-        assert ranking(select_top_k_streaming(outcome, None)) == ranking(
+        assert ranking(streamed_top_k(outcome, None)) == ranking(
             select_top_k(outcome, None)
         )
 
     def test_k_zero_and_negative_keep_nothing(self):
         outcome = make_outcome([1.0, 2.0])
-        assert select_top_k_streaming(outcome, 0) == []
-        assert select_top_k_streaming(outcome, -3) == []
+        assert streamed_top_k(outcome, 0) == []
+        assert streamed_top_k(outcome, -3) == []
 
     def test_k_larger_than_n(self):
         outcome = make_outcome([2.0, 1.0])
-        assert [r.score for r in select_top_k_streaming(outcome, 10)] == [2.0, 1.0]
+        assert [r.score for r in streamed_top_k(outcome, 10)] == [2.0, 1.0]
 
     def test_ties_broken_by_document_order(self):
         # Equal scores: earlier document order wins, exactly like the sort.
         outcome = make_outcome([7.0, 7.0, 7.0, 9.0])
-        streamed = select_top_k_streaming(outcome, 2)
+        streamed = streamed_top_k(outcome, 2)
         assert ranking(streamed) == [(3, 9.0), (0, 7.0)]
         assert ranking(streamed) == ranking(select_top_k(outcome, 2))
 
@@ -89,7 +95,7 @@ class TestSelector:
         rng = random.Random(seed)
         scores = [rng.choice([0.0, 1.0, 2.0, 3.0]) for _ in range(rng.randint(0, 40))]
         outcome = make_outcome(scores)
-        assert ranking(select_top_k_streaming(outcome, k)) == ranking(
+        assert ranking(streamed_top_k(outcome, k)) == ranking(
             select_top_k(outcome, k)
         )
 
