@@ -50,7 +50,12 @@ from repro.core.qpt import generate_qpts
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.skeleton import PDTSkeleton
 from repro.core.snapshot import SkeletonStore
-from repro.core.scoring import QueryColumns, StatisticsPlan, idf_from_counts
+from repro.core.scoring import (
+    QueryColumns,
+    SkeletonNeeded,
+    StatisticsPlan,
+    idf_from_counts,
+)
 from repro.errors import (
     DocumentNotFoundError,
     InjectedFaultError,
@@ -77,20 +82,21 @@ from repro.xquery.parser import parse_query
 
 @dataclass(slots=True)
 class _TierReads:
-    """One query's tier keys and ``get_many`` reads, in view order."""
+    """One query's tier keys and ``get_many`` reads, in view order, as
+    the sum takes them (``query``: skeletons, and tf cells
+    document-major, one per distinct keyword), and where each
+    document's cells came from (``hits``, the outcome's ``cache_hits``)."""
 
-    distinct: tuple[str, ...]  # the keywords once each: a document's cells
     cacheable: bool
     scan_started: float
     docs: list[IndexedDocument]
-    doc_coordinates: list[tuple[str, int, str]]
     skeleton_keys: list[tuple]
-    skeletons: list[Optional[PDTSkeleton]]
-    columns: list[Optional[TfColumn]]  # document-major, ``distinct`` wide
+    query: QueryColumns
+    hits: dict[str, str]
 
     def cells(self, at: int) -> list[Optional[TfColumn]]:
-        width = len(self.distinct)
-        return self.columns[at * width:(at + 1) * width]
+        width = len(self.query.keywords)
+        return self.query.tf_columns[at * width:(at + 1) * width]
 
 
 class KeywordSearchEngine:
@@ -277,8 +283,10 @@ class KeywordSearchEngine:
 
         Returns the per-document cache outcome the warming pass itself
         saw (``"miss"`` = skeleton built now, ``"snapshot"`` = restored
-        from the persistent store, ``"skeleton"``/``"pdt"`` = already
-        warm), keyed by document name.  A view with more documents
+        from the persistent store, ``"pdt"`` = already resident),
+        keyed by document name.  Pre-building is the contract, so
+        unlike a query this builds every skeleton the tier lacks even
+        when the evaluated entry is held.  A view with more documents
         than the skeleton tier holds warms the first ones in document
         order and builds the rest for nothing (see
         :meth:`resident_documents`).
@@ -299,14 +307,16 @@ class KeywordSearchEngine:
                 "get_view, or warm by name)"
             )
         timings = PhaseTimings()
-        columns, cache_hits, doc_coordinates = self._build_pdts(view, (), timings)
-        self._evaluate_view_results(view, columns, doc_coordinates, timings)
-        return cache_hits
+        reads = self._build_pdts(view, (), timings)
+        self._complete_skeletons(view, reads, timings)
+        self._evaluate_view_results(view, reads, timings)
+        return reads.hits
 
     def resident_documents(self, view: Union[View, str]) -> list[str]:
         """The view's documents whose skeleton is in the skeleton tier
-        right now — what the next query will not rebuild.  Counts no
-        hit or miss and refreshes nothing."""
+        right now — what no later reader (a keyword column the PDT tier
+        lacks, an evaluated-tier miss, byte lengths an edit moved) will
+        have to rebuild.  Counts no hit or miss and refreshes nothing."""
         if isinstance(view, str):
             view = self.get_view(view)
         cache = self.cache
@@ -416,21 +426,25 @@ class KeywordSearchEngine:
             timings = PhaseTimings()
 
         start = time.perf_counter()
-        columns, cache_hits, doc_coordinates = self._build_pdts(
-            view, normalized, timings
-        )
+        reads = self._build_pdts(view, normalized, timings)
         timings.pdt += time.perf_counter() - start
 
-        plan, evaluated_hit = self._evaluate_view_results(
-            view, columns, doc_coordinates, timings
-        )
+        plan, evaluated_hit = self._evaluate_view_results(view, reads, timings)
 
         start = time.perf_counter()
-        sums = plan.sum(columns)
+        try:
+            sums = plan.sum(reads.query)
+        except SkeletonNeeded:
+            # A document's coordinate moved (an edit), so the plan
+            # re-picks its byte lengths — from skeletons no earlier
+            # reader needed.
+            self._complete_skeletons(view, reads, timings)
+            start = time.perf_counter()
+            sums = plan.sum(reads.query)
         timings.post_processing += time.perf_counter() - start
         return ViewStatistics(
             sums=sums,
-            cache_hits=cache_hits,
+            cache_hits=reads.hits,
             evaluated_hit=evaluated_hit,
             timings=timings,
         )
@@ -440,13 +454,19 @@ class KeywordSearchEngine:
         view: View,
         normalized: tuple[str, ...],
         timings: PhaseTimings,
-    ) -> tuple[QueryColumns, dict[str, str], tuple[tuple[str, int, str], ...]]:
+    ) -> _TierReads:
         """A query's skeletons and tf columns, through the cache tiers:
         :meth:`_read_tiers`'s two ``get_many`` lists as they came back
-        (:class:`~repro.core.scoring.QueryColumns`; no PDT object is
-        built).  A document the reads left incomplete is finished into
-        its cells by :meth:`_structural_half`, then :meth:`_keyword_half`;
-        it is ``"pdt"`` when the skeleton and PDT tiers served it all.
+        (``reads.query``, a :class:`~repro.core.scoring.QueryColumns`;
+        no PDT object is built).  Only a document whose tf columns the
+        PDT tier lacks is finished here — its skeleton by
+        :meth:`_structural_half`, then its columns by
+        :meth:`_keyword_half`.  A document the PDT tier served whole
+        reads ``"pdt"`` and keeps whatever the skeleton tier returned,
+        ``None`` included: the other readers of a skeleton — an
+        evaluated-tier miss, byte lengths stale for this query's
+        coordinates, :meth:`warm_view` — ask :meth:`_complete_skeletons`
+        for it.
 
         Every key embeds the QPT's *content hash*, never its object
         identity, so a structurally identical QPT built in a fresh
@@ -462,20 +482,26 @@ class KeywordSearchEngine:
         instead of flooding the tier.
         """
         reads = self._read_tiers(view, normalized, timings)
-        skeletons, columns = reads.skeletons, reads.columns
-        cache_hits = dict.fromkeys(view.positions, "pdt")
-        served = None not in skeletons and None not in columns
-        for at in () if served else range(len(skeletons)):
-            if skeletons[at] is not None and None not in reads.cells(at):
-                continue
-            hit = self._structural_half(view, reads, at, timings)
-            self._keyword_half(reads, at, timings)
-            cache_hits[view.documents[at][0]] = hit
-        return (
-            QueryColumns(skeletons, columns, reads.distinct, view.positions),
-            cache_hits,
-            tuple(reads.doc_coordinates),
-        )
+        if None in reads.query.tf_columns:
+            for at in range(len(reads.docs)):
+                if None in reads.cells(at):
+                    self._structural_half(view, reads, at, timings)
+                    self._keyword_half(reads, at, timings)
+        return reads
+
+    def _complete_skeletons(
+        self, view: View, reads: _TierReads, timings: PhaseTimings
+    ) -> None:
+        """Every skeleton the tier reads left out, by
+        :meth:`_structural_half` (``pdt``), for a reader that needs
+        them all."""
+        if None not in reads.query.skeletons:
+            return
+        start = time.perf_counter()
+        for at, skeleton in enumerate(reads.query.skeletons):
+            if skeleton is None:
+                self._structural_half(view, reads, at, timings)
+        timings.pdt += time.perf_counter() - start
 
     def _read_tiers(
         self, view: View, normalized: tuple[str, ...], timings: PhaseTimings
@@ -517,16 +543,20 @@ class KeywordSearchEngine:
                 key + (keyword,) for key in skeleton_keys for keyword in distinct
             ])
             timings.pdt_postings += time.perf_counter() - start
+        query = QueryColumns(
+            skeletons, columns, distinct, view.positions, tuple(doc_coordinates)
+        )
         return _TierReads(
-            distinct, cacheable, scan_started, docs, doc_coordinates,
-            skeleton_keys, skeletons, columns,
+            cacheable, scan_started, docs, skeleton_keys, query,
+            dict.fromkeys(view.positions, "pdt"),
         )
 
     def _structural_half(
         self, view: View, reads: _TierReads, at: int, timings: PhaseTimings
-    ) -> str:
-        """Document ``at``'s skeleton into ``reads.skeletons``
-        (``pdt_skeleton``), deepest reuse first:
+    ) -> None:
+        """Document ``at``'s skeleton into ``reads.query.skeletons``
+        (``pdt_skeleton``), and where it came from into ``reads.hits``,
+        deepest reuse first:
 
         1. **Skeleton tier** ``(view, doc)``, already read.  A hit means
            zero path-index probes, so a warm view answers *never-seen*
@@ -538,12 +568,13 @@ class KeywordSearchEngine:
            as ``"snapshot"``.
 
         Else a ``"miss"``: probe the path index, build, save.  A skeleton
-        the tier turns away serves this query only.  Returns where the
-        skeleton came from.
+        the tier turns away serves this query only.
         """
-        if reads.skeletons[at] is not None:
-            return "skeleton"
         doc_name, qpt, qpt_hash = view.documents[at]
+        skeletons = reads.query.skeletons
+        if skeletons[at] is not None:
+            reads.hits[doc_name] = "skeleton"
+            return
         cache, store = self.cache, self.snapshot_store
         cacheable, scan_started = reads.cacheable, reads.scan_started
         indexed, skeleton, hit = reads.docs[at], None, "miss"
@@ -567,41 +598,37 @@ class KeywordSearchEngine:
         key = reads.skeleton_keys[at]
         if cacheable and cache.skeletons.admits(key, scan_started):
             cache.skeletons.put(key, skeleton, scan_started)
-        reads.skeletons[at] = skeleton
+        skeletons[at] = skeleton
+        reads.hits[doc_name] = hit
         timings.pdt_skeleton += time.perf_counter() - start
-        return hit
 
     def _keyword_half(
         self, reads: _TierReads, at: int, timings: PhaseTimings
     ) -> None:
-        """Document ``at``'s tf columns into ``reads.columns``
+        """Document ``at``'s tf columns into ``reads.query.tf_columns``
         (``pdt_postings``): only the keywords whose column the **PDT
         tier** ``(view, doc, keyword)`` lacks are probed and swept, and
         their columns put.  With none missing the inverted index is not
         touched.
         """
-        distinct = reads.distinct
+        distinct = reads.query.keywords
         missing = tuple(k for k, c in zip(distinct, reads.cells(at)) if c is None)
         if not missing:
             return
         start = time.perf_counter()
         inv_lists = prepare_inv_lists(reads.docs[at].inverted_index, missing)
-        swept = sweep_tf_arrays(reads.skeletons[at], inv_lists, missing)
+        swept = sweep_tf_arrays(reads.query.skeletons[at], inv_lists, missing)
         for offset, keyword in enumerate(distinct):
             if keyword in swept:
                 cell = TfColumn.of(swept[keyword])
-                reads.columns[at * len(distinct) + offset] = cell
+                reads.query.tf_columns[at * len(distinct) + offset] = cell
                 if reads.cacheable:
                     key = reads.skeleton_keys[at] + (keyword,)
                     self.cache.pdts.put(key, cell, reads.scan_started)
         timings.pdt_postings += time.perf_counter() - start
 
     def _evaluate_view_results(
-        self,
-        view: View,
-        columns: QueryColumns,
-        doc_coordinates: tuple[tuple[str, int, str], ...],
-        timings: PhaseTimings,
+        self, view: View, reads: _TierReads, timings: PhaseTimings
     ) -> tuple[StatisticsPlan, bool]:
         """The view's result nodes (``plan.nodes``) under their statistics
         plan, through the evaluated cache tier.  A ``timings`` ledger is
@@ -619,23 +646,24 @@ class KeywordSearchEngine:
         produced (shared read-only, like every other cached tree) and
         the plan over it; scoring stays correct because per-query tfs
         and byte lengths are resolved through content-node slots and
-        record positions against *this* query's ``columns``, not through
-        anything stored in the nodes or the plan.
+        record positions against *this* query's columns, not through
+        anything stored in the nodes or the plan.  A miss completes the
+        skeletons first: the evaluator opens every document.
         Two threads missing at once each evaluate and put; either entry
         serves, the later put stays.
         """
-        start = time.perf_counter()
-        cache = self.cache
-        cacheable = cache is not None and self._views.get(view.name) is view
-        key = None
-        if cacheable:
-            key = cache.evaluated_key(view.name, view.token, doc_coordinates)
+        cache, key = self.cache, None
+        if reads.cacheable:
+            start = time.perf_counter()
+            key = cache.evaluated_key(view.name, view.token, reads.query.coordinates)
             cached = cache.evaluated.get(key)
+            timings.evaluator += time.perf_counter() - start
             if cached is not None:
-                timings.evaluator += time.perf_counter() - start
                 return cached, True
+        self._complete_skeletons(view, reads, timings)
+        start = time.perf_counter()
         # The resolver builds each document's PDT as the evaluator opens it.
-        evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(columns)))
+        evaluator = Evaluator(EvalContext(resolver=make_pdt_resolver(reads.query)))
         # Sequence evaluation is concatenation: each top-level item
         # evaluated alone is its part of the view, and gives its size.
         parts = [
@@ -646,7 +674,7 @@ class KeywordSearchEngine:
         plan = StatisticsPlan(chain.from_iterable(parts), [len(p) for p in parts])
         timings.evaluator += evaluated - start
         timings.post_processing += time.perf_counter() - evaluated
-        if cacheable:
+        if reads.cacheable:
             cache.evaluated.put(key, plan)
         return plan, False
 
@@ -705,10 +733,8 @@ class KeywordSearchEngine:
         if isinstance(view, str):
             view = self.get_view(view)
         timings = PhaseTimings()
-        columns, _, doc_coordinates = self._build_pdts(view, (), timings)
-        plan, _ = self._evaluate_view_results(
-            view, columns, doc_coordinates, timings
-        )
+        reads = self._build_pdts(view, (), timings)
+        plan, _ = self._evaluate_view_results(view, reads, timings)
         results = plan.nodes
         if not materialize:
             # A fresh list of shared, read-only pruned nodes (possibly

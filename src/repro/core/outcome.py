@@ -179,11 +179,15 @@ class SearchOutcome:
     idf: dict[str, float]
     timings: PhaseTimings
     cache_hits: dict[str, str] = field(default_factory=dict)
-    """Per-document cache outcome: ``"pdt"`` (the skeleton tier and the
-    PDT tier, for every keyword's tf column), else where the skeleton
-    came from: ``"skeleton"``, ``"snapshot"`` (restored from the
-    persistent store — same zero-probe depth as a skeleton hit) or
-    ``"miss"`` (built from path-index probes)."""
+    """Per-document cache outcome: ``"pdt"`` (the PDT tier held every
+    keyword's tf column, and the skeleton tier either held the skeleton
+    or no reader needed it), else where the skeleton came from:
+    ``"skeleton"``, ``"snapshot"`` (restored from the persistent store
+    — same zero-probe depth as a skeleton hit) or ``"miss"`` (built
+    from path-index probes).  A document whose columns were held but
+    whose skeleton a later reader needed — the evaluator on an
+    evaluated-tier miss, or byte lengths an edit moved — also reads
+    where that skeleton came from."""
 
     evaluated_hit: bool = False
     """Whether the view's result nodes came from the evaluated tier

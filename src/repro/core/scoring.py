@@ -81,11 +81,14 @@ class ScoredResult:
         return self.statistics.term_frequencies.get(keyword, 0)
 
 
-#: Entries a plan's :meth:`StatisticsPlan.sum` memo holds — the
-#: byte-length column's plus one per keyword — before it starts over.
+#: Keyword columns a plan's :meth:`StatisticsPlan.sum` memo holds
+#: before it starts over (the byte-length column has its own slot).
 MEMO_ENTRIES = 256
-#: The byte-length column's memo key (a keyword's is the keyword).
-_LENGTHS = None
+
+
+class SkeletonNeeded(LookupError):
+    """:meth:`StatisticsPlan.sum` must pick a document's byte lengths
+    (its coordinate moved) and its caller supplied no skeleton for it."""
 
 
 def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -98,15 +101,20 @@ def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 class QueryColumns(NamedTuple):
     """One query's inputs to :meth:`StatisticsPlan.sum`, as the engine's
-    two tier reads return them: one skeleton per document, and the
+    two tier reads return them: one skeleton per document (``None``
+    where no reader has needed it yet), and the
     :class:`~repro.core.cache.TfColumn` cells document-major, one per
     keyword of ``keywords`` (distinct, in query order).  ``positions``
-    maps a document name to its position in both."""
+    maps a document name to its position in all three sequences, and
+    ``coordinates`` holds each document's version: two equal
+    coordinates stand for equal ``byte_lengths`` columns (the engine's
+    ``(doc, generation, qpt_hash)``; :meth:`of` uses the column itself)."""
 
-    skeletons: Sequence[PDTSkeleton]
+    skeletons: Sequence[Optional[PDTSkeleton]]
     tf_columns: Sequence[TfColumn]
     keywords: tuple[str, ...]
     positions: Mapping[str, int]
+    coordinates: Sequence[object]
 
     @classmethod
     def of(cls, pdts: Optional[Mapping], keywords: Sequence[str] = ()) -> "QueryColumns":
@@ -115,7 +123,9 @@ class QueryColumns(NamedTuple):
         pdts, keywords = pdts or {}, tuple(dict.fromkeys(keywords))
         cells = [TfColumn.of(p.tf_arrays.get(k)) for p in pdts.values() for k in keywords]
         positions = {name: at for at, name in enumerate(pdts)}
-        return cls([p.skeleton for p in pdts.values()], cells, keywords, positions)
+        skeletons = [p.skeleton for p in pdts.values()]
+        lengths = [skeleton.byte_lengths for skeleton in skeletons]
+        return cls(skeletons, cells, keywords, positions, lengths)
 
     def get(self, doc_name: str) -> Optional[PDTResult]:
         """The document's PDT, built as the evaluator's resolver opens it
@@ -153,11 +163,13 @@ class StatisticsPlan:
     * a sparse ``(row, mappings)`` list of the token counts of
       constructed text.
 
-    Nothing in a plan depends on a query.  Its one mutable part is the
-    memo of :meth:`sum` (at most :data:`MEMO_ENTRIES` columns, so an
-    evaluated-tier entry's plan keeps its view's columns while it
-    lives), each step one dict operation, atomic under the GIL: a plan
-    is shared across threads like the result nodes themselves.
+    Nothing in a plan depends on a query.  Its mutable parts are the
+    memo of :meth:`sum` (at most :data:`MEMO_ENTRIES` keyword columns,
+    so an evaluated-tier entry's plan keeps its view's columns while it
+    lives) and the byte-length column with the coordinates it was
+    picked at, each step one dict operation or one attribute write,
+    atomic under the GIL: a plan is shared across threads like the
+    result nodes themselves.
 
     ``part_sizes`` splits the rows into consecutive parts — the engine
     passes the result count of each top-level item of a sequence view —
@@ -167,7 +179,7 @@ class StatisticsPlan:
 
     __slots__ = (
         "nodes", "starts", "_lengths", "_names", "_docs", "_counts", "_memo",
-        "_at",
+        "_known_lengths", "_at",
     )
 
     def __init__(
@@ -214,7 +226,10 @@ class StatisticsPlan:
             for slots, positions, rows in leaves.values()
         )
         self._counts = tuple(counts)
-        self._memo: dict[Optional[str], tuple] = {}
+        self._memo: dict[str, tuple] = {}
+        #: ``(coordinates, byte-length column)`` of the last sum that
+        #: picked the lengths, the plan documents' coordinates in plan order.
+        self._known_lengths: Optional[tuple[tuple, list[int]]] = None
         #: ``(positions map, each of _names' position in it)`` for the
         #: last map :meth:`sum` read — a view's is one object.
         self._at: Optional[tuple[Mapping[str, int], tuple[int, ...]]] = None
@@ -231,36 +246,39 @@ class StatisticsPlan:
         each, and only the nonzero tfs are added, each to its own row.
         The counts are integers, so shard-summable.
 
-        Memoized per column: each is kept with its per-document inputs
-        (``byte_lengths`` columns, or one keyword's tf arrays) and reused
-        while this call's ``==`` them, identity first, so a repeated
-        keyword costs one comparison per document.  Sound because a
-        published column is never written: a patch publishes a copy.
+        Memoized per column, each kept with what it was computed from
+        and reused while this call's ``==`` it, identity first.  A
+        keyword's column is kept with its per-document tf arrays, so a
+        repeated keyword costs one comparison per document (sound
+        because a published array is never written).  The byte-length
+        column has its own slot, which keyword churn never clears, kept
+        with the plan documents' ``coordinates``: while they are equal
+        the skeletons are not read at all — ``None`` is fine there — and
+        when one moved, every plan document's skeleton must be supplied,
+        else :class:`SkeletonNeeded` is raised before anything is kept.
         """
         at = self._positions(columns.positions)
-        skeletons = columns.skeletons
-        inputs = tuple([skeletons[position].byte_lengths for position in at])
-        entry = self._memo.get(_LENGTHS)
-        if entry is None or entry[0] != inputs:
-            lengths = list(self._lengths)
-            for (_, pick_positions, rows), column in zip(self._docs, inputs):
-                for row, length in zip(rows, pick_positions(column)):
-                    lengths[row] += length
-            entry = self._remember(_LENGTHS, (inputs, lengths))
-        lengths = entry[1]
+        coordinates = tuple([columns.coordinates[position] for position in at])
+        known = self._known_lengths
+        if known is None or known[0] != coordinates:
+            known = (coordinates, self._length_column(columns.skeletons, at))
+            self._known_lengths = known
+        lengths = known[1]
         cells, width = columns.tf_columns, len(columns.keywords)
         rows = [position * width for position in at]
-        size = len(self.nodes)
+        size, memo = len(self.nodes), self._memo
         tfs: dict[str, list[int]] = {}
         containing: dict[str, int] = {}
         for offset, keyword in enumerate(columns.keywords):
             inputs = tuple([cells[row + offset].values for row in rows])
-            entry = self._memo.get(keyword)
+            entry = memo.get(keyword)
             if entry is None or entry[0] != inputs:
                 column = self._tf_column(keyword, inputs)
-                entry = self._remember(
-                    keyword, (inputs, column, size - column.count(0))
-                )
+                entry = memo[keyword] = (inputs, column, size - column.count(0))
+                if len(memo) > MEMO_ENTRIES:
+                    # Past the bound the memo starts over (each insert
+                    # checks it, so it holds whenever no sum is in flight).
+                    memo.clear()
             _, tfs[keyword], containing[keyword] = entry
         return ColumnSums(self.nodes, self.starts, tfs, lengths, containing)
 
@@ -284,6 +302,25 @@ class StatisticsPlan:
         self._at = (positions, at)
         return at
 
+    def _length_column(
+        self, skeletons: Sequence[Optional[PDTSkeleton]], at: tuple[int, ...]
+    ) -> list[int]:
+        """The byte-length column, picked from each plan document's
+        skeleton at its leaves' record positions."""
+        lengths = list(self._lengths)
+        for name, (_, pick_positions, rows), position in zip(
+            self._names, self._docs, at
+        ):
+            skeleton = skeletons[position]
+            if skeleton is None:
+                raise SkeletonNeeded(
+                    f"the byte lengths of {name!r} are not current and its "
+                    "skeleton was not supplied"
+                )
+            for row, length in zip(rows, pick_positions(skeleton.byte_lengths)):
+                lengths[row] += length
+        return lengths
+
     def _tf_column(self, keyword: str, inputs: tuple) -> list[int]:
         """``keyword``'s column from each document's tf array (or None)."""
         column = [0] * len(self.nodes)
@@ -297,14 +334,6 @@ class StatisticsPlan:
             for frequencies in mappings:
                 column[row] += frequencies.get(keyword, 0)
         return column
-
-    def _remember(self, key: Optional[str], entry: tuple) -> tuple:
-        """Keep ``entry``; past the bound the memo starts over (each
-        insert checks it, so it holds whenever no sum is in flight)."""
-        self._memo[key] = entry
-        if len(self._memo) > MEMO_ENTRIES:
-            self._memo.clear()
-        return entry
 
     def collect(
         self,

@@ -20,6 +20,12 @@ on a single engine and through the coordinator at shard counts 1 and 2.
 Evaluated-tier hits on the single engine build no PDT tree: the
 evaluator alone reads one, so a skeleton rebuilt under a hit stays
 columns (lazy tree == eager tree, by the same two references).
+
+A second configuration turns the skeleton tier off and leaves the PDT
+and evaluated tiers ample, under the same mutation stream: a query
+builds a skeleton only for a reader that needs one — a keyword whose
+column is not held, an evaluated-tier miss, or byte lengths whose
+document coordinates an edit moved — and ranks the same.
 """
 
 from __future__ import annotations
@@ -68,6 +74,32 @@ def _starved_cache() -> QueryCache:
         pdt_byte_budget=1024,
         evaluated_capacity=1,
     )
+
+
+def _skeleton_off_cache() -> QueryCache:
+    """No skeleton tier; the PDT and evaluated tiers at their defaults,
+    which hold every column and entry of these views."""
+    return QueryCache(skeleton_capacity=0)
+
+
+CACHES = {"starved": _starved_cache, "skeleton-off": _skeleton_off_cache}
+
+
+def _assert_tiers_exercised(config: str, cache: QueryCache) -> None:
+    stats = cache.stats()
+    if config == "starved":
+        # The rule was exercised, and the tier it protects kept serving.
+        assert stats["skeleton"]["bypassed"] > 0
+        assert stats["skeleton"]["hits"] > 0
+        assert len(cache.skeletons) <= 2
+        # The PDT tier overflows under LRU pressure and still serves.
+        assert stats["pdt"]["evictions"] > 0
+        assert stats["pdt"]["hits"] > 0
+    else:
+        # Nothing is resident, and the other two tiers kept serving.
+        assert len(cache.skeletons) == 0
+        assert stats["evaluated"]["hits"] > 0
+        assert stats["pdt"]["hits"] > 0
 
 
 def _seeds(seed: int, shard_count: int = 1) -> tuple[int, ...]:
@@ -148,9 +180,10 @@ def _check_step(
 
 
 @functools.cache
-def _single_engine_run(seed: int) -> Counter:
-    """One seed's starved single engine through its edit stream, every
-    step checked.  Counts ``survived_rebuilds``, the post-edit queries
+def _single_engine_run(seed: int, config: str = "starved") -> Counter:
+    """One seed's single engine under ``config``'s cache through its
+    edit stream, every step checked.  Counts ``survived_rebuilds``, the
+    post-edit queries
     that hit the very evaluated entry the edit found although the edited
     document's skeleton was not resident then — so the skeleton that
     served the query was rebuilt after the edit, and the entry's byte
@@ -161,7 +194,7 @@ def _single_engine_run(seed: int) -> Counter:
     starved_db = XMLDatabase()
     for name in sorted(documents):
         starved_db.load_document(name, documents[name])
-    starved = KeywordSearchEngine(starved_db, cache=_starved_cache())
+    starved = KeywordSearchEngine(starved_db, cache=CACHES[config]())
     starved.define_view("v", view_text)
     reference_db, ample, baseline, bview = _reference(seeds, view_text)
     assert len(starved.get_view("v").qpts) > 2  # the sweep overflows
@@ -197,20 +230,18 @@ def _single_engine_run(seed: int) -> Counter:
             for old in entries
         )
 
-    stats = starved.cache.stats()
-    # The rule was exercised, and the tier it protects kept serving.
-    assert stats["skeleton"]["bypassed"] > 0
-    assert stats["skeleton"]["hits"] > 0
-    assert len(starved.cache.skeletons) <= 2
-    # The PDT tier overflows under LRU pressure and still serves.
-    assert stats["pdt"]["evictions"] > 0
-    assert stats["pdt"]["hits"] > 0
+    _assert_tiers_exercised(config, starved.cache)
     return counts
 
 
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_overflow_single_engine_matches_baseline_and_ample(seed):
     _single_engine_run(seed)
+
+
+@pytest.mark.parametrize("seed", _seed_matrix())
+def test_skeleton_off_single_engine_matches_baseline_and_ample(seed):
+    _single_engine_run(seed, "skeleton-off")
 
 
 def test_overflow_entries_survive_edits_over_rebuilt_skeletons():
@@ -222,23 +253,51 @@ def test_overflow_entries_survive_edits_over_rebuilt_skeletons():
     ) > 0
 
 
+def test_skeleton_off_entries_survive_edits_with_stale_lengths():
+    """With no skeleton tier, an entry that outlives a patchable edit
+    serves a query whose byte lengths went stale: they are re-picked
+    from skeletons built for them, somewhere in the matrix."""
+    assert sum(
+        _single_engine_run(seed, "skeleton-off")["survived_rebuilds"]
+        for seed in _seed_matrix()
+    ) > 0
+
+
 def test_overflow_evaluated_hits_build_no_tree():
     """Only the evaluator reads a PDT's tree: across the matrix, the
     evaluated-tier hits of the starved engine — skeletons evicted,
-    rebuilt and patched under them — built none, and ranked like the
-    naive oracle and the ample engine (checked per step above)."""
-    totals = sum(map(_single_engine_run, _seed_matrix()), Counter())
-    assert totals["hits"] > 0
-    assert totals["built_on_hits"] == 0
+    rebuilt and patched under them — and of the engine without a
+    skeleton tier built none, and ranked like the naive oracle and the
+    ample engine (checked per step above)."""
+    for config in CACHES:
+        totals = sum(
+            (_single_engine_run(seed, config) for seed in _seed_matrix()),
+            Counter(),
+        )
+        assert totals["hits"] > 0
+        assert totals["built_on_hits"] == 0
 
 
 @pytest.mark.parametrize("shard_count", (1, 2))
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_overflow_sharded_matches_baseline_and_ample(seed, shard_count):
+    _sharded_run(seed, shard_count, "starved")
+
+
+@pytest.mark.parametrize("shard_count", (1, 2))
+@pytest.mark.parametrize("seed", _seed_matrix())
+def test_skeleton_off_sharded_matches_baseline_and_ample(seed, shard_count):
+    _sharded_run(seed, shard_count, "skeleton-off")
+
+
+def _sharded_run(seed: int, shard_count: int, config: str) -> None:
+    """One seed's coordinator over ``shard_count`` executors under
+    ``config``'s cache through the first three cases' edit stream,
+    every step checked."""
     seeds = _seeds(seed, shard_count)
     view_text, documents, groups, keyword_sets = _combined_corpus(seeds)
     # Groups alternate shards, so every shard sweeps at least three
-    # documents through its own starved tiers.
+    # documents through its own tiers.
     plan = ShardPlan.from_assignments(
         {
             name: position % shard_count
@@ -248,7 +307,7 @@ def test_overflow_sharded_matches_baseline_and_ample(seed, shard_count):
         shard_count,
     )
     executors = [
-        ShardExecutor(shard, cache=_starved_cache())
+        ShardExecutor(shard, cache=CACHES[config]())
         for shard in range(shard_count)
     ]
     for name in sorted(documents):
@@ -275,5 +334,4 @@ def test_overflow_sharded_matches_baseline_and_ample(seed, shard_count):
                 Counter(),
             )
         for executor in executors:
-            stats = executor.engine.cache.stats()["skeleton"]
-            assert stats["bypassed"] > 0 and stats["hits"] > 0
+            _assert_tiers_exercised(config, executor.engine.cache)

@@ -625,11 +625,13 @@ class TestEngineCaching:
     def test_skeleton_miss_under_held_columns_probes_no_inverted_list(
         self, bookrev_db, bookrev_view_text
     ):
-        # Skeleton tier off: every query rebuilds every skeleton from its
-        # path probes, but the PDT tier already holds each keyword's tf
-        # column, so the keyword half has nothing to probe.
+        # Skeleton and evaluated tiers off: every query's evaluation
+        # rebuilds every skeleton from its path probes, but the PDT tier
+        # already holds each keyword's tf column, so the keyword half has
+        # nothing to probe.
         engine = KeywordSearchEngine(
-            bookrev_db, cache=QueryCache(skeleton_capacity=0)
+            bookrev_db,
+            cache=QueryCache(skeleton_capacity=0, evaluated_capacity=0),
         )
         view = engine.define_view("bookrevs", bookrev_view_text)
         first = engine.search(view, ["xml", "search"], top_k=10)
@@ -643,6 +645,27 @@ class TestEngineCaching:
         )
         assert [(r.rank, r.score) for r in outcome.results] == [
             (r.rank, r.score) for r in first
+        ]
+
+    def test_held_columns_and_evaluated_entry_build_no_skeleton(
+        self, bookrev_db, bookrev_view_text
+    ):
+        # Skeleton tier off, evaluated tier on: the repeat query has its
+        # result nodes, every tf column and byte lengths picked at the
+        # same document coordinates, so no reader needs a skeleton.
+        engine = KeywordSearchEngine(
+            bookrev_db, cache=QueryCache(skeleton_capacity=0)
+        )
+        view = engine.define_view("bookrevs", bookrev_view_text)
+        first = engine.search(view, ["xml", "search"], top_k=10)
+        bookrev_db.reset_access_counters()
+        outcome = engine.search_detailed(view, ["xml", "search"], top_k=10)
+        assert outcome.evaluated_hit
+        assert set(outcome.cache_hits.values()) == {"pdt"}
+        assert_zero_probes(bookrev_db)
+        assert outcome.timings.pdt_skeleton == 0
+        assert [(r.rank, r.score, r.to_xml()) for r in outcome.results] == [
+            (r.rank, r.score, r.to_xml()) for r in first
         ]
 
     def test_skeleton_miss_probes_exactly_the_missing_keyword(
@@ -1027,15 +1050,17 @@ class TestSweepLargerThanTier:
         engine = _library_engine(6, skeleton_capacity=4)
         engine.warm_view("lib")
         for keywords in self.KEYWORD_SETS:
-            outcome = engine.search_detailed("lib", keywords)
-            hits = list(outcome.cache_hits.values())
-            # "pdt": the skeleton hit and so did every keyword's column.
-            assert sum(hit in {"skeleton", "pdt"} for hit in hits) == 4
-            assert hits.count("miss") == 2
+            engine.search_detailed("lib", keywords)
         stats = engine.cache.stats()["skeleton"]
+        # The first four documents stay resident and hit every query;
+        # the last two miss every query, as all six missed the warm-up.
         assert stats["evictions"] == 0
         assert stats["hits"] == 4 * len(self.KEYWORD_SETS)
-        assert stats["bypassed"] == 2 * (1 + len(self.KEYWORD_SETS))
+        assert stats["misses"] == 6 + 2 * len(self.KEYWORD_SETS)
+        # The warm-up and the three sets that name a new keyword build
+        # the two and are turned away; the last set's columns are all
+        # held, so it builds nothing.
+        assert stats["bypassed"] == 2 * len(self.KEYWORD_SETS)
         assert engine.resident_documents("lib") == [
             "doc0", "doc1", "doc2", "doc3"
         ]
@@ -1084,10 +1109,11 @@ class TestSweepLargerThanTier:
         executor.warm_view("lib")
         assert len(executor.resident_documents("lib")) == 4
         for keywords in self.KEYWORD_SETS:
-            harvest = executor.collect("lib", keywords)
-            hits = harvest.cache_hits.values()
-            assert sum(hit in {"skeleton", "pdt"} for hit in hits) == 4
-        assert executor.engine.cache.stats()["skeleton"]["evictions"] == 0
+            executor.collect("lib", keywords)
+        stats = executor.engine.cache.stats()["skeleton"]
+        assert stats["evictions"] == 0
+        assert stats["hits"] == 4 * len(self.KEYWORD_SETS)
+        assert stats["bypassed"] == 2 * len(self.KEYWORD_SETS)
 
     def test_a_tier_as_large_as_the_view_keeps_every_skeleton(self):
         # Split into eight hash slices (four of one slot, four of none),
@@ -1119,6 +1145,91 @@ class TestSweepLargerThanTier:
         assert report.built_count == 6
         assert report.views == {"lib": {"warmed": 6, "resident": 4}}
         assert report.as_dict()["views"]["lib"]["resident"] == 4
+
+
+class TestSkeletonReaders:
+    """A query builds, restores or probes a skeleton only for a reader
+    that needs one: the keyword half (a column the PDT tier lacks), the
+    evaluator (an evaluated-tier miss), ``warm_view``, and the plan's
+    byte lengths once an edit moved a document's coordinate."""
+
+    def test_patchable_edit_repicks_lengths_without_a_skeleton_tier(self):
+        from repro.core.maintenance import delta_patchable
+
+        engine = _library_engine(6, skeleton_capacity=0)
+        database = engine.database
+        cold = KeywordSearchEngine(database, enable_cache=False)
+        cold.define_view("lib", engine.get_view("lib").text)
+        engine.search("lib", ["xml"])
+        assert set(engine.search_detailed("lib", ["xml"]).cache_hits.values()) == {
+            "pdt"
+        }
+        # No keyword in the aside: only doc2's byte lengths move.
+        delta = database.insert_subtree("doc2", "1.1.2", "<zaux>an aside</zaux>")
+        assert delta_patchable(engine.get_view("lib").qpts["doc2"], delta)
+        outcome = engine.search_detailed("lib", ["xml"])
+        # The entry survived the edit; doc2's column was dropped with it,
+        # and the stale lengths needed every other skeleton.
+        assert outcome.evaluated_hit
+        assert set(outcome.cache_hits.values()) == {"miss"}
+        assert _ranking(engine, "lib", ["xml"]) == _ranking(cold, "lib", ["xml"])
+        database.reset_access_counters()
+        again = _ranking(engine, "lib", ["xml"])
+        assert_zero_probes(database)
+        assert again == _ranking(cold, "lib", ["xml"])
+
+    def test_warm_view_builds_skeletons_under_a_held_entry(self):
+        engine = _library_engine(6)
+        engine.warm_view("lib")
+        engine.search("lib", ["xml"])
+        engine.cache.skeletons.clear()
+        assert engine.resident_documents("lib") == []
+        hits = engine.warm_view("lib")
+        assert engine.cache.stats()["evaluated"]["hits"] == 2
+        assert set(hits.values()) == {"miss"}
+        assert engine.resident_documents("lib") == [f"doc{n}" for n in range(6)]
+
+    def test_keyword_churn_past_the_memo_builds_nothing(self, monkeypatch):
+        from repro.core import engine as engine_module, scoring
+
+        engine = _library_engine(6, skeleton_capacity=4)
+        engine.warm_view("lib")
+        keywords = ["xml"] + [f"absent{n}" for n in range(scoring.MEMO_ENTRIES)]
+        for keyword in keywords:
+            engine.search("lib", [keyword])
+        builds = []
+        build = engine_module.build_skeleton
+        monkeypatch.setattr(
+            engine_module, "build_skeleton",
+            lambda *args: builds.append(args) or build(*args),
+        )
+        engine.database.reset_access_counters()
+        outcome = engine.search_detailed("lib", ["xml"])
+        assert set(outcome.cache_hits.values()) == {"pdt"}
+        assert builds == []
+        assert_zero_probes(engine.database)
+
+    def test_labels_say_where_a_needed_skeleton_came_from(self, tmp_path):
+        from repro.core.snapshot import SkeletonStore
+
+        built = _library_engine(6, skeleton_capacity=4)
+        restored = KeywordSearchEngine(
+            built.database,
+            cache=QueryCache(skeleton_capacity=4),
+            snapshot_store=SkeletonStore(tmp_path),
+        )
+        restored.define_view("lib", built.get_view("lib").text)
+        for engine, source in ((built, "miss"), (restored, "snapshot")):
+            engine.warm_view("lib")
+            first = engine.search_detailed("lib", ["xml"]).cache_hits
+            assert list(first.values()) == ["skeleton"] * 4 + [source] * 2
+            # Served from the PDT tier: doc4 and doc5 have no skeleton.
+            again = engine.search_detailed("lib", ["xml"]).cache_hits
+            assert set(again.values()) == {"pdt"}
+            # An evaluated-tier miss: the evaluator needs those two.
+            engine.cache.evaluated.clear()
+            missed = engine.search_detailed("lib", ["xml"]).cache_hits
+            assert list(missed.values()) == ["pdt"] * 4 + [source] * 2
 
 
 def three_library_views(cache):

@@ -113,6 +113,55 @@ KEYWORD_SETS = [
 ]
 
 
+class TestLengthSlotStress:
+    def test_racing_coordinates_never_read_each_others_lengths(self):
+        """Threads sum one plan at two document coordinates, with and
+        without the skeleton: each sum returns its own coordinate's
+        byte lengths or, skeleton absent and the slot holding the other
+        coordinate, raises ``SkeletonNeeded`` — never the other's."""
+        from repro.core.cache import TfColumn
+        from repro.core.scoring import QueryColumns, SkeletonNeeded, StatisticsPlan
+        from repro.xmlmodel.node import XMLNode
+        from tests.test_scoring import _pdt, _pruned
+
+        leaf = _pruned("c", doc="d.xml", slot=0, position=1)
+        plan = StatisticsPlan([XMLNode("hit", None, [leaf])])
+        skeletons = {1: _pdt({}, [4, 9]).skeleton, 2: _pdt({}, [4, 16]).skeleton}
+        expected = {1: [len("<hit></hit>") + 9], 2: [len("<hit></hit>") + 16]}
+        positions = {"d.xml": 0}
+        needed = [0] * 8
+        errors: list[BaseException] = []
+
+        def worker(worker_id: int):
+            rng = random.Random(worker_id)
+            try:
+                for _ in range(2000):
+                    generation = rng.choice((1, 2))
+                    given = skeletons[generation] if rng.random() < 0.5 else None
+                    columns = QueryColumns(
+                        [given], [TfColumn.of(None)], ("xml",), positions,
+                        [("d.xml", generation)],
+                    )
+                    try:
+                        lengths = plan.sum(columns).lengths
+                    except SkeletonNeeded:
+                        assert given is None
+                        needed[worker_id] += 1
+                        continue
+                    assert lengths == expected[generation]
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([lambda w=w: worker(w) for w in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert sum(needed) > 0
+
+
 class TestEngineConcurrency:
     @pytest.fixture()
     def engine(self, bookrev_db):

@@ -28,7 +28,7 @@ from repro.baselines import records
 from repro.core.cache import LRUCache, QueryCache
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ingest import ingest_corpus
-from repro.core import scoring
+from repro.core import engine as engine_module, scoring
 from repro.core.pdt import PDTResult
 from repro.core.qpt import QPT
 from repro.core.skeleton import PDTSkeleton
@@ -96,7 +96,8 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # PDTResult that the sum unpacked straight away.
     ("no-pdt-object-per-warm-document", "cold_sweep", "pdt_results_per_query", "==", 0),
     # 32.0 while the structural sweep emitted PDTRecords for
-    # from_records to sort into columns: one per rebuild.
+    # from_records to sort into columns: one per rebuild.  This row and
+    # the next read the first pass, the one that still rebuilds.
     ("sweep-builds-no-records", "cold_sweep", "records_finalized_per_query", "==", 0),
     # 96.0 while each rebuild re-derived its prefix plans from
     # QPT.match_table: three paths per skeleton, 32 rebuilds per query.
@@ -105,6 +106,11 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # every keyword to fill a prepared-lists tier that never hit, though
     # the PDT tier held every column.
     ("no-inverted-probe-on-held-columns", "cold_sweep", "inverted_probes_per_query", "==", 0),
+    # 32.0 and 96.0 while the sweep rebuilt the 32 skeletons its tier
+    # cannot keep, path probes and all, for byte lengths the plan had
+    # already summed at the same document coordinates.
+    ("no-build-on-held-columns", "cold_sweep", "builds_per_query", "==", 0),
+    ("no-path-probe-on-held-columns", "cold_sweep", "path_probes_per_query", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -353,15 +359,18 @@ def hundred_warm_searches():
 def cold_sweep():
     """50 searches over the warmed ``cold_corpus`` view, every one an
     evaluated-tier hit while the 64-slot skeleton tier overflows, then
-    the same 50 again.  Per first-pass search (the PDT tier is empty, so
-    every rebuilt skeleton is annotated): the ``PDTSkeleton._build_tree``
-    calls.  Per repeated search (the PDT tier holds every column): the
-    reads of the skeleton tier and of the PDT tier (``get_many`` calls;
-    a ``get`` is one), the ``PDTSkeleton._derive_bounds`` calls, the
-    calls of the plan's per-document pickers (``scoring._picker``'s),
-    the ``PDTResult`` constructions, the
-    ``repro.baselines.records.from_records`` calls, the
-    ``QPT.match_table`` calls and the inverted-index probes."""
+    the same 50 again.  Per first-pass search (the PDT tier fills as
+    keywords arrive, so each search naming a new one rebuilds the 32
+    skeletons the tier cannot keep and annotates them): the
+    ``PDTSkeleton._build_tree`` calls, the
+    ``repro.baselines.records.from_records`` calls and the
+    ``QPT.match_table`` calls.  Per repeated search (the PDT tier holds
+    every column): the reads of the skeleton tier and of the PDT tier
+    (``get_many`` calls; a ``get`` is one), the
+    ``PDTSkeleton._derive_bounds`` calls, the calls of the plan's
+    per-document pickers (``scoring._picker``'s), the ``PDTResult``
+    constructions, the ``build_skeleton`` calls and the inverted- and
+    path-index probes."""
     counters = Counter()
     picker = scoring._picker
 
@@ -392,26 +401,31 @@ def cold_sweep():
             outcome = engine.search_detailed("v", request.keywords)
             counters["evaluated_hits"] += outcome.evaluated_hit
 
-    with counting(PDTSkeleton, "_build_tree", "trees"):
+    with counting(PDTSkeleton, "_build_tree", "trees"), \
+            counting(records, "from_records", "records_finalized"), \
+            counting(QPT, "match_table", "match_tables"), \
+            counting(engine_module, "build_skeleton", "first_pass_builds"):
         sweep()
+    assert counters["first_pass_builds"] > 0
     first_pass_picks = counters["picks"]
     database = engine.database
     database.reset_access_counters()
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
             counting(LRUCache, "get_many"), \
             counting(PDTResult, "__init__", "pdt_results"), \
-            counting(records, "from_records", "records_finalized"), \
-            counting(QPT, "match_table", "match_tables"):
+            counting(engine_module, "build_skeleton", "builds"):
         sweep()
     counters["picks"] -= first_pass_picks
-    counters["inverted_probes"] = sum(
-        database.get(name).inverted_index.probe_count
-        for name in database.document_names()
-    )
+    for index in ("inverted", "path"):
+        counters[f"{index}_probes"] = sum(
+            getattr(database.get(name), f"{index}_index").probe_count
+            for name in database.document_names()
+        )
     assert counters["evaluated_hits"] == 100
     for name in (
         "trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks",
         "pdt_results", "records_finalized", "match_tables", "inverted_probes",
+        "builds", "path_probes",
     ):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters

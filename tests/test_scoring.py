@@ -354,6 +354,9 @@ class TestPlanEqualsWalk:
         map for every call (a view's) and one tier cell per document and
         keyword."""
         positions = {doc: at for at, doc in enumerate(sorted(tf_source, reverse=True))}
+        # A document's generation: bumped whenever its PDT is replaced or
+        # its byte lengths patched, as the database bumps it per edit.
+        generations = dict.fromkeys(positions, 0)
 
         def engine_columns(pdts, keywords):
             distinct = tuple(dict.fromkeys(keywords))
@@ -366,6 +369,7 @@ class TestPlanEqualsWalk:
                 ],
                 distinct,
                 positions,
+                [(doc, generations[doc]) for doc in positions],
             )
 
         columns_of = {"of": QueryColumns.of, "engine": engine_columns}[form]
@@ -375,10 +379,12 @@ class TestPlanEqualsWalk:
                 keywords = data.draw(KEYWORDS, label="keywords")
                 for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
                     tf_source = {**tf_source, doc: data.draw(PDTS, label=doc)}
+                    generations[doc] += 1
                 for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
                     skeleton = tf_source[doc].skeleton
                     delta = data.draw(st.integers(-9, 9).filter(bool))
                     patch_skeleton_byte_lengths(skeleton, skeleton.keys, delta)
+                    generations[doc] += 1
                 fresh = StatisticsPlan(forest).sum(QueryColumns.of(tf_source, keywords))
                 summed = plan.sum(columns_of(tf_source, keywords))
                 assert (summed.tfs, summed.lengths, summed.containing) == (
@@ -387,6 +393,36 @@ class TestPlanEqualsWalk:
                     fresh.containing,
                 )
                 assert len(plan._memo) <= bound
+
+    def test_lengths_are_read_from_skeletons_only_when_coordinates_move(self):
+        leaf = _pruned("c", doc="d.xml", slot=0, position=1)
+        plan = StatisticsPlan([XMLNode("hit", None, [leaf])])
+        pdt = _pdt({"xml": [3]}, [4, 9])
+        positions = {"d.xml": 0}
+
+        def columns(skeleton, coordinate):
+            cells = [TfColumn.of(pdt.tf_arrays["xml"])]
+            return QueryColumns([skeleton], cells, ("xml",), positions, [coordinate])
+
+        first = plan.sum(columns(pdt.skeleton, ("d.xml", 1)))
+        assert first.lengths == [len("<hit></hit>") + 9]
+        # Same coordinate: no skeleton needed, and the same column back.
+        assert plan.sum(columns(None, ("d.xml", 1))).lengths is first.lengths
+        # A moved coordinate needs the skeleton, and keeps nothing without it.
+        with pytest.raises(scoring.SkeletonNeeded, match="d.xml"):
+            plan.sum(columns(None, ("d.xml", 2)))
+        assert plan.sum(columns(None, ("d.xml", 1))).lengths is first.lengths
+        patch_skeleton_byte_lengths(pdt.skeleton, pdt.skeleton.keys, 5)
+        moved = plan.sum(columns(pdt.skeleton, ("d.xml", 2)))
+        assert moved.lengths == [len("<hit></hit>") + 14]
+        # Keyword churn past the memo bound leaves the lengths in place.
+        with mock.patch.object(scoring, "MEMO_ENTRIES", 1):
+            for keyword in ("a", "b", "c"):
+                plan.sum(QueryColumns(
+                    [None], [TfColumn.of(None)], (keyword,), positions,
+                    [("d.xml", 2)],
+                ))
+        assert plan.sum(columns(None, ("d.xml", 2))).lengths is moved.lengths
 
     def test_missing_document_raises_without_keywords_too(self):
         leaf = _pruned("c", doc="gone.xml", slot=0, position=1)
