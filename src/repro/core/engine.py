@@ -434,11 +434,11 @@ class KeywordSearchEngine:
         start = time.perf_counter()
         try:
             sums = plan.sum(reads.query)
-        except SkeletonNeeded:
+        except SkeletonNeeded as needed:
             # A document's coordinate moved (an edit), so the plan
-            # re-picks its byte lengths — from skeletons no earlier
+            # re-picks its byte lengths — from a skeleton no earlier
             # reader needed.
-            self._complete_skeletons(view, reads, timings)
+            self._complete_skeletons(view, reads, timings, needed.positions)
             start = time.perf_counter()
             sums = plan.sum(reads.query)
         timings.post_processing += time.perf_counter() - start
@@ -490,17 +490,23 @@ class KeywordSearchEngine:
         return reads
 
     def _complete_skeletons(
-        self, view: View, reads: _TierReads, timings: PhaseTimings
+        self,
+        view: View,
+        reads: _TierReads,
+        timings: PhaseTimings,
+        positions: Optional[Sequence[int]] = None,
     ) -> None:
-        """Every skeleton the tier reads left out, by
-        :meth:`_structural_half` (``pdt``), for a reader that needs
-        them all."""
-        if None not in reads.query.skeletons:
+        """Every skeleton the tier reads left out — or the ones at
+        ``positions``, for a reader that needs only those — by
+        :meth:`_structural_half` (``pdt``)."""
+        skeletons = reads.query.skeletons
+        if positions is None:
+            positions = [at for at, skeleton in enumerate(skeletons) if skeleton is None]
+        if not positions:
             return
         start = time.perf_counter()
-        for at, skeleton in enumerate(reads.query.skeletons):
-            if skeleton is None:
-                self._structural_half(view, reads, at, timings)
+        for at in positions:
+            self._structural_half(view, reads, at, timings)
         timings.pdt += time.perf_counter() - start
 
     def _read_tiers(

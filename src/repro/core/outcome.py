@@ -277,31 +277,25 @@ def rank_statistics(
     whole view, or the fragments one shard holds, in view order).
     Returns the ranked survivors and how many results matched.
 
-    Every step is column arithmetic (:class:`~repro.core.scoring.
-    ColumnSums`): the mask picks the matching rows, only those are
-    scored, and the selection is one stable reverse sort of their
-    positions by score, cut at k, so equal scores keep ascending view
-    index (a shard's offsets rise with its rows) — the tie-break
-    ``TopKSelector`` and the coordinator's merge share.  A
-    :class:`~repro.core.scoring.ScoredResult` is built for the winners
-    only, at view index ``offsets[part] + (row - starts[part])``.
-    ``top_k <= 0`` scores nothing and returns no result, but still
-    counts the matches.
+    Every step is column arithmetic (:meth:`~repro.core.scoring.
+    ColumnSums.rank`): the mask picks the matching rows, only those are
+    scored, and the selection is one stable reverse sort of them by
+    score, cut at k, so equal scores keep ascending view index (a
+    shard's offsets rise with its rows) — the tie-break
+    ``TopKSelector`` and the coordinator's merge share.  The plan keeps
+    that selection, so a repeated keyword set over unchanged columns
+    and idf scores nothing.  A :class:`~repro.core.scoring.ScoredResult`
+    is built fresh for each winner, at this query's view index
+    ``offsets[part] + (row - starts[part])``.  ``top_k <= 0`` scores
+    nothing and returns no result, but still counts the matches.
     """
     sums = stats.sums
-    rows = sums.matching(conjunctive)
     if top_k is not None and top_k <= 0:
-        return [], len(rows)
-    scores = sums.scores(rows, idf, normalized)
-    # One C-level sort: below ≈ 600 candidates (every benchmark view)
-    # faster than heapq.nlargest's per-candidate Python loop.
-    positions = range(len(scores))
-    winners = sorted(positions, key=scores.__getitem__, reverse=True)[:top_k]
-    ranked = []
-    for position in winners:
-        row = rows[position]
-        ranked.append(sums.result(row, scores[position], stats.offset(row)))
-    return ranked, len(rows)
+        return [], len(sums.matching(conjunctive))
+    rows, scores, matching = sums.rank(idf, normalized, conjunctive, top_k)
+    offset = stats.offset
+    ranked = [sums.result(row, score, offset(row)) for row, score in zip(rows, scores)]
+    return ranked, matching
 
 
 def wrap_results(

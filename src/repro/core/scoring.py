@@ -47,7 +47,7 @@ normalized by the element's byte length (Section 4.2.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -87,8 +87,16 @@ MEMO_ENTRIES = 256
 
 
 class SkeletonNeeded(LookupError):
-    """:meth:`StatisticsPlan.sum` must pick a document's byte lengths
-    (its coordinate moved) and its caller supplied no skeleton for it."""
+    """:meth:`StatisticsPlan.sum` must pick some documents' byte lengths
+    (their coordinates moved) and its caller supplied no skeleton for
+    them: ``positions`` holds where each is in the query's columns."""
+
+    def __init__(self, names: Sequence[str], positions: Sequence[int]):
+        super().__init__(
+            f"the byte lengths of {', '.join(map(repr, names))} are not "
+            "current and no skeleton was supplied"
+        )
+        self.positions = tuple(positions)
 
 
 def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -163,13 +171,15 @@ class StatisticsPlan:
     * a sparse ``(row, mappings)`` list of the token counts of
       constructed text.
 
-    Nothing in a plan depends on a query.  Its mutable parts are the
-    memo of :meth:`sum` (at most :data:`MEMO_ENTRIES` keyword columns,
-    so an evaluated-tier entry's plan keeps its view's columns while it
-    lives) and the byte-length column with the coordinates it was
-    picked at, each step one dict operation or one attribute write,
-    atomic under the GIL: a plan is shared across threads like the
-    result nodes themselves.
+    Nothing in a plan depends on a query.  Its mutable parts are two
+    memos of at most :data:`MEMO_ENTRIES` entries each — :meth:`sum`'s
+    keyword columns, and the rankings :meth:`ColumnSums.rank` selected
+    over them — so an evaluated-tier entry's plan keeps its view's
+    columns and rankings while it lives, and the byte-length column with
+    each document's coordinate and the lengths picked at it.  Each step
+    is one dict operation or one attribute write of a tuple, atomic
+    under the GIL, and a published column is never written: a plan is
+    shared across threads like the result nodes themselves.
 
     ``part_sizes`` splits the rows into consecutive parts — the engine
     passes the result count of each top-level item of a sequence view —
@@ -178,7 +188,7 @@ class StatisticsPlan:
     """
 
     __slots__ = (
-        "nodes", "starts", "_lengths", "_names", "_docs", "_counts", "_memo",
+        "nodes", "starts", "_names", "_docs", "_counts", "_memo", "_ranks",
         "_known_lengths", "_at",
     )
 
@@ -219,7 +229,6 @@ class StatisticsPlan:
             lengths.append(length)
             if found:
                 counts.append((row, tuple(found)))
-        self._lengths = tuple(lengths)
         self._names = tuple(leaves)
         self._docs = tuple(
             (_picker(slots), _picker(positions), tuple(rows))
@@ -227,9 +236,17 @@ class StatisticsPlan:
         )
         self._counts = tuple(counts)
         self._memo: dict[str, tuple] = {}
-        #: ``(coordinates, byte-length column)`` of the last sum that
-        #: picked the lengths, the plan documents' coordinates in plan order.
-        self._known_lengths: Optional[tuple[tuple, list[int]]] = None
+        #: :meth:`ColumnSums.rank`'s memo, shared by every sum of the plan.
+        self._ranks: dict[tuple, tuple] = {}
+        #: ``(coordinates, picks, byte-length column)``: per plan
+        #: document, in plan order, the coordinate its leaves' lengths
+        #: were last picked at (``None``: never) and those lengths, and
+        #: the column they sum to with the constructed parts' lengths.
+        self._known_lengths: tuple[tuple, tuple, list[int]] = (
+            (None,) * len(self._names),
+            tuple((0,) * len(rows) for _, _, rows in self._docs),
+            lengths,
+        )
         #: ``(positions map, each of _names' position in it)`` for the
         #: last map :meth:`sum` read — a view's is one object.
         self._at: Optional[tuple[Mapping[str, int], tuple[int, ...]]] = None
@@ -254,16 +271,16 @@ class StatisticsPlan:
         column has its own slot, which keyword churn never clears, kept
         with the plan documents' ``coordinates``: while they are equal
         the skeletons are not read at all — ``None`` is fine there — and
-        when one moved, every plan document's skeleton must be supplied,
-        else :class:`SkeletonNeeded` is raised before anything is kept.
+        when some moved, only those documents re-pick
+        (:meth:`_pick_lengths`).
         """
         at = self._positions(columns.positions)
         coordinates = tuple([columns.coordinates[position] for position in at])
         known = self._known_lengths
-        if known is None or known[0] != coordinates:
-            known = (coordinates, self._length_column(columns.skeletons, at))
+        if known[0] != coordinates:
+            known = self._pick_lengths(known, coordinates, columns.skeletons, at)
             self._known_lengths = known
-        lengths = known[1]
+        lengths = known[2]
         cells, width = columns.tf_columns, len(columns.keywords)
         rows = [position * width for position in at]
         size, memo = len(self.nodes), self._memo
@@ -280,7 +297,7 @@ class StatisticsPlan:
                     # checks it, so it holds whenever no sum is in flight).
                     memo.clear()
             _, tfs[keyword], containing[keyword] = entry
-        return ColumnSums(self.nodes, self.starts, tfs, lengths, containing)
+        return ColumnSums(self.nodes, self.starts, tfs, lengths, containing, self._ranks)
 
     def _positions(self, positions: Mapping[str, int]) -> tuple[int, ...]:
         """Where each document the plan's leaves read is, in plan order."""
@@ -302,24 +319,33 @@ class StatisticsPlan:
         self._at = (positions, at)
         return at
 
-    def _length_column(
-        self, skeletons: Sequence[Optional[PDTSkeleton]], at: tuple[int, ...]
-    ) -> list[int]:
-        """The byte-length column, picked from each plan document's
-        skeleton at its leaves' record positions."""
-        lengths = list(self._lengths)
-        for name, (_, pick_positions, rows), position in zip(
-            self._names, self._docs, at
-        ):
-            skeleton = skeletons[position]
-            if skeleton is None:
-                raise SkeletonNeeded(
-                    f"the byte lengths of {name!r} are not current and its "
-                    "skeleton was not supplied"
-                )
-            for row, length in zip(rows, pick_positions(skeleton.byte_lengths)):
-                lengths[row] += length
-        return lengths
+    def _pick_lengths(
+        self,
+        known: tuple[tuple, tuple, list[int]],
+        coordinates: tuple,
+        skeletons: Sequence[Optional[PDTSkeleton]],
+        at: tuple[int, ...],
+    ) -> tuple[tuple, tuple, list[int]]:
+        """``known`` brought to ``coordinates``: each plan document whose
+        coordinate moved picks its lengths from its skeleton at its
+        leaves' record positions, and a new column takes the difference
+        on those documents' rows.  A moved document without a skeleton
+        raises :class:`SkeletonNeeded` naming every such one, before
+        anything is kept."""
+        moved = [d for d, now in enumerate(coordinates) if known[0][d] != now]
+        missing = [d for d in moved if skeletons[at[d]] is None]
+        if missing:
+            raise SkeletonNeeded(
+                [self._names[d] for d in missing], [at[d] for d in missing]
+            )
+        picks, lengths = list(known[1]), list(known[2])
+        for d in moved:
+            _, pick_positions, rows = self._docs[d]
+            picked = pick_positions(skeletons[at[d]].byte_lengths)
+            for row, old, new in zip(rows, picks[d], picked):
+                lengths[row] += new - old
+            picks[d] = picked
+        return coordinates, tuple(picks), lengths
 
     def _tf_column(self, keyword: str, inputs: tuple) -> list[int]:
         """``keyword``'s column from each document's tf array (or None)."""
@@ -357,11 +383,13 @@ class ColumnSums:
     byte-length column and ``containing`` the per-keyword count of rows
     with a nonzero tf.  The columns are shared read-only, like the
     nodes: the plan's memo hands the same lists to every sum over the
-    same inputs, so nothing may write to them.  :meth:`matching` and
-    :meth:`scores` are ``filter_matching`` and ``apply_scores`` by
-    column — the same float operations in the same order, so the scores
-    are bit-identical — and :meth:`result` is the one place a row
-    becomes a :class:`ScoredResult`.
+    same inputs, and its ranking memo (``ranks``, the plan's, shared by
+    all its sums) keeps them as what each ranking was selected from, so
+    nothing may write to them.  :meth:`matching` and :meth:`scores` are
+    ``filter_matching`` and ``apply_scores`` by column — the same float
+    operations in the same order, so the scores are bit-identical —
+    :meth:`rank` selects over them, and :meth:`result` is the one place
+    a row becomes a :class:`ScoredResult`.
     """
 
     nodes: Sequence[XMLNode]
@@ -369,6 +397,7 @@ class ColumnSums:
     tfs: dict[str, list[int]]
     lengths: list[int]
     containing: dict[str, int]
+    ranks: dict[tuple, tuple] = field(repr=False, compare=False)
 
     def matching(self, conjunctive: bool = True) -> list[int]:
         """The rows satisfying the keyword semantics, ascending: every
@@ -399,6 +428,54 @@ class ColumnSums:
             length = lengths[row]
             scores.append(raw / length if length > 0 else raw)
         return scores
+
+    def rank(
+        self,
+        idf: Mapping[str, float],
+        keywords: Sequence[str],
+        conjunctive: bool,
+        top_k: Optional[int],
+    ) -> tuple[tuple[int, ...], tuple, int]:
+        """The top ``top_k`` matching rows and their scores, best first,
+        and how many rows matched: :meth:`matching`, :meth:`scores` over
+        those rows, then one stable reverse sort of them by score, cut at
+        ``top_k`` — equal scores keep ascending row order.
+
+        Memoized in ``ranks`` under ``(keywords, conjunctive, top_k)``,
+        the keywords as asked: their order and duplicates fix the float
+        sums.  An entry is kept with the byte-length column, the tf
+        columns and the idf of ``keywords`` it was ranked from, and
+        reused while this call's ``==`` them, identity first — the sum
+        memo's rule: an edit publishes new columns, and a coordinator
+        can move the global idf under a shard's unchanged ones; either
+        re-ranks.  Past :data:`MEMO_ENTRIES` entries the memo starts over.
+        """
+        keywords = tuple(keywords)
+        inputs = (
+            self.lengths,
+            tuple(self.tfs.items()),
+            tuple([idf[keyword] for keyword in keywords]),
+        )
+        key, ranks = (keywords, conjunctive, top_k), self.ranks
+        entry = ranks.get(key)
+        if entry is not None and entry[0] == inputs:
+            return entry[1]
+        rows = self.matching(conjunctive)
+        scores = self.scores(rows, idf, keywords)
+        # One C-level sort: below ≈ 600 candidates (every benchmark view)
+        # faster than heapq.nlargest's per-candidate Python loop, and a
+        # repeated keyword set does not run it at all.
+        positions = range(len(scores))
+        winners = sorted(positions, key=scores.__getitem__, reverse=True)[:top_k]
+        ranking = (
+            tuple([rows[position] for position in winners]),
+            tuple([scores[position] for position in winners]),
+            len(rows),
+        )
+        ranks[key] = (inputs, ranking)
+        if len(ranks) > MEMO_ENTRIES:
+            ranks.clear()
+        return ranking
 
     def result(self, row: int, score: float = 0.0, offset: int = 0) -> ScoredResult:
         """Row ``row`` as a :class:`ScoredResult` at view index

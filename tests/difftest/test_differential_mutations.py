@@ -25,6 +25,8 @@ sharded configuration replays the same streams through the
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -226,28 +228,54 @@ def test_mutations_snapshot_store_forwards_patched_snapshots(tmp_path):
     )
 
 
+def _two_copies(seed):
+    """The case's documents twice, renamed ``x0…`` and ``x1…``, and its
+    view over each copy as one fragment of a two-fragment view:
+    ``(view text, documents)``."""
+    fragments, documents = [], {}
+    for copy in range(2):
+        case = generate_case(seed)
+        text = case.view_text
+        for name in sorted(case.database.document_names()):
+            text = text.replace(f"fn:doc({name})", f"fn:doc(x{copy}{name})")
+            documents[f"x{copy}{name}"] = case.database.get(name).document
+        fragments.append("(" + text + ")")
+    return "(" + ",\n".join(fragments) + ")", documents
+
+
 @pytest.mark.parametrize("shard_count", (1, 2))
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_mutations_sharded_matches_single_engine(seed, shard_count):
     """The coordinator routes each edit to the owning shard; ranked
     output stays bit-identical to a single delta-maintained engine
-    replaying the same stream."""
+    replaying the same stream.  The view is the case's twice over two
+    copies of its documents, one fragment per copy and, at two shards,
+    one copy per shard; the stream edits copy 0 only, so each edit moves
+    the global idf under the other shard's unchanged columns, and every
+    keyword set is asked again after every edit."""
     case = generate_case(seed)
-    docs = case.database.document_names()
+    view_text, documents = _two_copies(seed)
     rng = random.Random(seed * 31 + shard_count)
     home = rng.randrange(shard_count)
     plan = ShardPlan.from_assignments(
-        {name: home for name in docs}, shard_count
+        {
+            name: home if name.startswith("x0") else shard_count - 1 - home
+            for name in documents
+        },
+        shard_count,
     )
     executors = [ShardExecutor(i) for i in range(shard_count)]
-    replica = generate_case(seed).database
-    for name in docs:
-        executors[home].load_document(name, replica.get(name).document)
+    for name in sorted(documents):
+        executors[plan.shard_of(name)].load_document(name, documents[name])
     coordinator = CorpusCoordinator(executors, plan)
-    coordinator.define_view("v", case.view_text)
+    coordinator.define_view("v", view_text)
 
-    single = KeywordSearchEngine(case.database)
-    sview = single.define_view("v", case.view_text)
+    # Documents of its own: an edit rewrites the trees it reaches.
+    reference = XMLDatabase()
+    for name, document in _two_copies(seed)[1].items():
+        reference.load_document(name, document)
+    single = KeywordSearchEngine(reference)
+    sview = single.define_view("v", view_text)
 
     ops = generate_mutation_stream(
         seed, generate_case(seed).database, count=6
@@ -256,13 +284,16 @@ def test_mutations_sharded_matches_single_engine(seed, shard_count):
         for step, op in enumerate(ops):
             # apply_mutation works on anything exposing the update API —
             # here the coordinator, which must route to the owning shard.
+            op = dataclasses.replace(op, doc=f"x0{op.doc}")
             apply_mutation(coordinator, op)
-            apply_mutation(case.database, op)
-            keywords = case.keyword_sets[step % len(case.keyword_sets)]
-            for conjunctive in (True, False):
+            apply_mutation(reference, op)
+            for keywords, conjunctive in itertools.product(
+                case.keyword_sets, (True, False)
+            ):
                 context = (
                     f"seed={seed} shards={shard_count} step={step} "
-                    f"op={op.describe()} conj={conjunctive} [sharded]"
+                    f"op={op.describe()} kw={keywords} conj={conjunctive} "
+                    "[sharded]"
                 )
                 cout = coordinator.search_detailed(
                     "v", keywords, TOP_K, conjunctive
@@ -271,9 +302,11 @@ def test_mutations_sharded_matches_single_engine(seed, shard_count):
                     sview, keywords, TOP_K, conjunctive
                 )
                 assert_outcomes_equivalent(cout, sout, keywords, context)
+                assert cout.idf == sout.idf, f"{context}: idf not bit-identical"
                 for cres, sres in zip(cout.results, sout.results):
                     assert cres.score == sres.score, (
                         f"{context}: merged score not bit-identical"
                     )
+                    assert cres.scored.index == sres.scored.index, context
     finally:
         coordinator.close()

@@ -1169,9 +1169,11 @@ class TestSkeletonReaders:
         assert delta_patchable(engine.get_view("lib").qpts["doc2"], delta)
         outcome = engine.search_detailed("lib", ["xml"])
         # The entry survived the edit; doc2's column was dropped with it,
-        # and the stale lengths needed every other skeleton.
+        # and only doc2's lengths were re-picked: no other skeleton built.
         assert outcome.evaluated_hit
-        assert set(outcome.cache_hits.values()) == {"miss"}
+        assert outcome.cache_hits == {
+            f"doc{n}": "miss" if n == 2 else "pdt" for n in range(6)
+        }
         assert _ranking(engine, "lib", ["xml"]) == _ranking(cold, "lib", ["xml"])
         database.reset_access_counters()
         again = _ranking(engine, "lib", ["xml"])

@@ -162,6 +162,55 @@ class TestLengthSlotStress:
         assert sum(needed) > 0
 
 
+class TestRankingMemoStress:
+    def test_racing_rankings_equal_the_single_threaded_ones(
+        self, bookrev_db, bookrev_view_text, monkeypatch
+    ):
+        """Threads rank one evaluated entry's plan over more keyword
+        sets, semantics and page sizes than its ranking memo holds (4),
+        so racing rankings read, fill and clear it whole: every ranking
+        equals the one a single thread got first."""
+        engine = KeywordSearchEngine(bookrev_db)
+        view = engine.define_view("bookrevs", bookrev_view_text)
+        asks = [
+            (keywords, conjunctive, top_k)
+            for keywords in KEYWORD_SETS
+            for conjunctive in (True, False)
+            for top_k in (None, 1, 10)
+        ]
+
+        def ranking(ask):
+            keywords, conjunctive, top_k = ask
+            outcome = engine.search_detailed(view, keywords, top_k, conjunctive)
+            return outcome.matching_count, [
+                (r.rank, r.score, r.scored.index, r.scored.statistics.byte_length)
+                for r in outcome.results
+            ]
+
+        monkeypatch.setattr(scoring, "MEMO_ENTRIES", 4)
+        expected = {ask: ranking(ask) for ask in asks}
+        errors: list[BaseException] = []
+
+        def worker(worker_id: int):
+            rng = random.Random(worker_id)
+            try:
+                for _ in range(150):
+                    ask = rng.choice(asks)
+                    assert ranking(ask) == expected[ask], f"divergence on {ask}"
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([lambda w=w: worker(w) for w in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        [(_, plan)] = engine.cache.evaluated.items()
+        assert len(plan._ranks) <= 4
+
+
 class TestEngineConcurrency:
     @pytest.fixture()
     def engine(self, bookrev_db):

@@ -40,7 +40,7 @@ from repro.storage.inverted_index import PostingList
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
 from repro.xmlmodel.node import XMLNode
-from tests.test_cache import three_library_views
+from tests.test_cache import _library_engine, three_library_views
 
 FLOORS = [  # id, scenario, counter, relation, bound
     ("edit-never-serialises", "patchable_edits", "serialized_rounds", "==", 0),
@@ -111,6 +111,12 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # already summed at the same document coordinates.
     ("no-build-on-held-columns", "cold_sweep", "builds_per_query", "==", 0),
     ("no-path-probe-on-held-columns", "cold_sweep", "path_probes_per_query", "==", 0),
+    # 1.0 while every repeated keyword set re-scored its ~400 matching
+    # rows, though the plan handed rank_statistics the same columns.
+    ("no-rank-on-repeated-keyword-set", "cold_sweep", "scores_per_query", "==", 0),
+    # 6 while a moved coordinate re-picked the whole byte-length column,
+    # so the query after the edit built every skeleton the tier lacked.
+    ("edit-re-picks-only-the-moved-document", "one_document_edit", "builds_after_edit", "==", 1),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -369,8 +375,8 @@ def cold_sweep():
     (``get_many`` calls; a ``get`` is one), the
     ``PDTSkeleton._derive_bounds`` calls, the calls of the plan's
     per-document pickers (``scoring._picker``'s), the ``PDTResult``
-    constructions, the ``build_skeleton`` calls and the inverted- and
-    path-index probes."""
+    constructions, the ``build_skeleton`` calls, the inverted- and
+    path-index probes and the ``ColumnSums.scores`` calls."""
     counters = Counter()
     picker = scoring._picker
 
@@ -413,7 +419,8 @@ def cold_sweep():
     with counting(PDTSkeleton, "_derive_bounds", "bound_derivations"), \
             counting(LRUCache, "get_many"), \
             counting(PDTResult, "__init__", "pdt_results"), \
-            counting(engine_module, "build_skeleton", "builds"):
+            counting(engine_module, "build_skeleton", "builds"), \
+            counting(scoring.ColumnSums, "scores", "scores"):
         sweep()
     counters["picks"] -= first_pass_picks
     for index in ("inverted", "path"):
@@ -425,10 +432,25 @@ def cold_sweep():
     for name in (
         "trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks",
         "pdt_results", "records_finalized", "match_tables", "inverted_probes",
-        "builds", "path_probes",
+        "builds", "path_probes", "scores",
     ):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters
+
+
+def one_document_edit():
+    """The six-document library view with the skeleton tier off: one
+    patchable insert into ``doc2`` after a query, then the
+    ``build_skeleton`` calls of the next query."""
+    engine = _library_engine(6, skeleton_capacity=0)
+    engine.search("lib", ["xml"])
+    engine.database.insert_subtree("doc2", "1.1.2", "<zaux>an aside</zaux>")
+    builds, build = [], engine_module.build_skeleton
+    with mock.patch.object(
+        engine_module, "build_skeleton", lambda *args: builds.append(args) or build(*args)
+    ):
+        engine.search("lib", ["xml"])
+    return {"builds_after_edit": len(builds)}
 
 
 def rebuilt_skeleton_edit():

@@ -316,6 +316,44 @@ TF_SOURCES = st.one_of(
 KEYWORDS = st.lists(st.sampled_from(VOCABULARY), max_size=4).map(tuple)
 
 
+def _engine_columns(pdts, keywords, positions, generations) -> QueryColumns:
+    """``pdts`` as the engine hands them to a sum: in ``positions``'
+    order (one map for every call, a view's), one tier cell per
+    document and distinct keyword, and ``(doc, generation)``
+    coordinates."""
+    distinct = tuple(dict.fromkeys(keywords))
+    return QueryColumns(
+        [pdts[doc].skeleton for doc in positions],
+        [
+            TfColumn.of(pdts[doc].tf_arrays.get(keyword))
+            for doc in positions
+            for keyword in distinct
+        ],
+        distinct,
+        positions,
+        [(doc, generations[doc]) for doc in positions],
+    )
+
+
+def _edit_sources(data, tf_source, generations):
+    """Replace some drawn PDTs, the tf arrays of some (their byte
+    lengths kept) and patch some byte-length columns, each bumping its
+    document's generation as the database does per edit."""
+    for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
+        tf_source = {**tf_source, doc: data.draw(PDTS, label=doc)}
+        generations[doc] += 1
+    for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
+        tf_arrays = data.draw(TF_ARRAYS, label=doc)
+        tf_source = {**tf_source, doc: PDTResult(tf_source[doc].skeleton, (), tf_arrays)}
+        generations[doc] += 1
+    for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
+        skeleton = tf_source[doc].skeleton
+        delta = data.draw(st.integers(-9, 9).filter(bool))
+        patch_skeleton_byte_lengths(skeleton, skeleton.keys, delta)
+        generations[doc] += 1
+    return tf_source
+
+
 class TestPlanEqualsWalk:
     @settings(max_examples=200, deadline=None)
     @given(FORESTS, KEYWORDS, TF_SOURCES)
@@ -354,37 +392,18 @@ class TestPlanEqualsWalk:
         map for every call (a view's) and one tier cell per document and
         keyword."""
         positions = {doc: at for at, doc in enumerate(sorted(tf_source, reverse=True))}
-        # A document's generation: bumped whenever its PDT is replaced or
-        # its byte lengths patched, as the database bumps it per edit.
         generations = dict.fromkeys(positions, 0)
 
-        def engine_columns(pdts, keywords):
-            distinct = tuple(dict.fromkeys(keywords))
-            return QueryColumns(
-                [pdts[doc].skeleton for doc in positions],
-                [
-                    TfColumn.of(pdts[doc].tf_arrays.get(keyword))
-                    for doc in positions
-                    for keyword in distinct
-                ],
-                distinct,
-                positions,
-                [(doc, generations[doc]) for doc in positions],
-            )
+        def columns_of(pdts, keywords):
+            if form == "of":
+                return QueryColumns.of(pdts, keywords)
+            return _engine_columns(pdts, keywords, positions, generations)
 
-        columns_of = {"of": QueryColumns.of, "engine": engine_columns}[form]
         plan = StatisticsPlan(forest)
         with mock.patch.object(scoring, "MEMO_ENTRIES", bound):
             for _ in range(data.draw(st.integers(1, 6), label="calls")):
                 keywords = data.draw(KEYWORDS, label="keywords")
-                for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
-                    tf_source = {**tf_source, doc: data.draw(PDTS, label=doc)}
-                    generations[doc] += 1
-                for doc in data.draw(st.sets(st.sampled_from(sorted(tf_source)))):
-                    skeleton = tf_source[doc].skeleton
-                    delta = data.draw(st.integers(-9, 9).filter(bool))
-                    patch_skeleton_byte_lengths(skeleton, skeleton.keys, delta)
-                    generations[doc] += 1
+                tf_source = _edit_sources(data, tf_source, generations)
                 fresh = StatisticsPlan(forest).sum(QueryColumns.of(tf_source, keywords))
                 summed = plan.sum(columns_of(tf_source, keywords))
                 assert (summed.tfs, summed.lengths, summed.containing) == (
@@ -526,3 +545,105 @@ class TestColumnRankingEqualsReference:
             (5, 1, 0.0), (9, 0, 0.0)
         ]
         assert stats.scored is stats.scored  # built once, on first read
+
+
+#: idf maps beside the view's own: a coordinator's global idf can move
+#: under a shard's unchanged columns.
+IDFS = st.fixed_dictionaries(
+    {keyword: st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.25]) for keyword in VOCABULARY}
+)
+
+
+def _rank(plan, columns, idf, keywords, conjunctive, top_k):
+    stats = ViewStatistics(sums=plan.sum(columns), cache_hits={}, evaluated_hit=True)
+    if idf is None:
+        idf = idf_from_counts(stats.view_size, stats.containing)
+    ranked, matching = rank_statistics(stats, idf, keywords, conjunctive, top_k)
+    return _ranked(ranked), [r.node for r in ranked], matching
+
+
+class TestRankingMemo:
+    """A plan keeps each keyword set's ranking, reused only while the
+    columns and idf it was ranked from are current."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.data(),
+        RANK_FORESTS,
+        ALL_SOURCES,
+        st.sampled_from([1, 2, scoring.MEMO_ENTRIES]),
+    )
+    def test_memoized_ranking_equals_a_fresh_plans(self, data, forest, tf_source, bound):
+        """One plan ranked over a sequence of keyword sets, semantics,
+        ``top_k`` and idf maps, some PDTs replaced and some byte-length
+        columns patched between the calls, ranks exactly like a fresh
+        plan every time, and its ranking memo never outgrows the bound."""
+        positions = {doc: at for at, doc in enumerate(sorted(tf_source))}
+        generations = dict.fromkeys(positions, 0)
+        plan = StatisticsPlan(forest)
+        # A few keyword sets, asked again and again.
+        asked_sets = data.draw(st.lists(KEYWORDS, min_size=1, max_size=3), label="sets")
+        with mock.patch.object(scoring, "MEMO_ENTRIES", bound):
+            for _ in range(data.draw(st.integers(1, 8), label="calls")):
+                keywords = data.draw(st.sampled_from(asked_sets), label="keywords")
+                conjunctive = data.draw(st.booleans(), label="conjunctive")
+                top_k = data.draw(st.sampled_from([None, 1, 10]), label="top_k")
+                idf = data.draw(st.none() | IDFS, label="idf")
+                if data.draw(st.booleans(), label="edit"):
+                    tf_source = _edit_sources(data, tf_source, generations)
+                columns = _engine_columns(tf_source, keywords, positions, generations)
+                asked = (idf, keywords, conjunctive, top_k)
+                assert _rank(plan, columns, *asked) == _rank(
+                    StatisticsPlan(forest), QueryColumns.of(tf_source, keywords), *asked
+                )
+                assert len(plan._ranks) <= bound
+
+    FOREST = [result_with_text(text) for text in (
+        "xml search", "xml xml", "search", "xml search search", "none",
+    )]
+
+    def _plan(self):
+        return StatisticsPlan(self.FOREST)
+
+    @staticmethod
+    def _ask(plan, keywords, conjunctive=True, top_k=10, idf=None):
+        columns = QueryColumns.of({}, keywords)
+        return _rank(plan, columns, idf, keywords, conjunctive, top_k)
+
+    def test_a_repeated_keyword_set_scores_nothing(self, monkeypatch):
+        plan = self._plan()
+        first = self._ask(plan, ("xml", "search"), False)
+        monkeypatch.setattr(
+            scoring.ColumnSums, "scores", lambda *args: pytest.fail("re-scored")
+        )
+        assert self._ask(plan, ("xml", "search"), False) == first
+
+    def test_duplicate_keywords_are_their_own_ranking(self):
+        plan = self._plan()
+        for keywords in (("xml",), ("xml", "xml"), ("xml",), ("xml", "xml")):
+            assert self._ask(plan, keywords) == self._ask(self._plan(), keywords)
+        once = self._ask(plan, ("xml",), idf={"xml": 1.5})
+        twice = self._ask(plan, ("xml", "xml"), idf={"xml": 1.5})
+        assert [r[1] for r in once[0]] != [r[1] for r in twice[0]]
+
+    def test_page_two_ranks_past_page_one(self):
+        plan = self._plan()
+        first = self._ask(plan, ("search",), top_k=1)
+        page_two = self._ask(plan, ("search",), top_k=2)
+        assert len(first[0]) == 1 and len(page_two[0]) == 2
+        assert page_two[0][:1] == first[0] and page_two[2] == first[2] == 3
+        assert page_two == self._ask(self._plan(), ("search",), top_k=2)
+
+    def test_a_moved_idf_re_ranks(self):
+        plan, keywords = self._plan(), ("xml", "search")
+        xml_first = self._ask(plan, keywords, False, 1, {"xml": 9.0, "search": 1.0})
+        search_idf = {"xml": 1.0, "search": 9.0}
+        search_first = self._ask(plan, keywords, False, 1, search_idf)
+        assert xml_first[1] != search_first[1]
+        assert search_first == self._ask(self._plan(), keywords, False, 1, search_idf)
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_no_results_asked_counts_matches_and_keeps_nothing(self, top_k):
+        plan = self._plan()
+        assert self._ask(plan, ("xml",), top_k=top_k) == ([], [], 3)
+        assert plan._ranks == {}
