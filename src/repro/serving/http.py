@@ -36,10 +36,12 @@ Three layers, all dependency-free:
 Pagination is cursor-based: the response's ``page.next_cursor`` is an
 opaque token encoding the next offset *and* a digest of the query it
 belongs to — replaying it with different keywords/view is a 400, not a
-silently wrong page.  Results are rendered deterministically
-(``sort_keys`` + compact separators), so two fleet members serving the
-same corpus produce byte-identical ``results``/``page`` sections — the
-property the fleet difftest asserts.
+silently wrong page.  Every body is deterministic JSON — sorted keys,
+compact separators, ASCII escapes — so two fleet members serving the
+same corpus produce byte-identical ``results``/``page`` sections (the
+property the fleet difftest asserts).  A search page is written as that
+text in one pass (:meth:`SearchAPI._page`), each result node's XML
+serialized once per node; every other reply goes through ``_dump``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ import hashlib
 import json
 import socket
 import threading
+import weakref
 from http.client import responses as _REASON_PHRASES
+from json.encoder import encode_basestring_ascii
 from typing import Any, Awaitable, Callable, Optional
 
 from repro.core.faults import FaultInjector
@@ -77,6 +81,7 @@ from repro.serving.admission import (
     REASON_VIEW_SATURATED,
 )
 from repro.serving.server import SearchServer, ServeResult
+from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.serializer import serialize
 
 #: Admission rejections: queue-wide conditions are 503 (the replica is
@@ -109,6 +114,17 @@ ENGINE_ERROR_STATUS: tuple[tuple[type, int, str], ...] = (
 _MAX_BODY_BYTES = 1 << 20  # requests are small JSON; 1 MiB is generous
 _RECV_BYTES = 1 << 16  # one recv holds any request the fleet sends
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_STR = encode_basestring_ascii
+_INT = int.__repr__
+_REPR = float.__repr__
+#: ``json``'s spellings of what ``float.__repr__`` writes as these.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: Each served result node's canonical XML, serialized and JSON-escaped
+#: once.  The node is shared and never written (the evaluated entry
+#: owns it), and the key is weak, so an entry lives exactly as long as
+#: its node.
+_XML_JSON: "weakref.WeakKeyDictionary[XMLNode, str]" = weakref.WeakKeyDictionary()
 
 
 def _dump(payload: Any) -> bytes:
@@ -116,36 +132,64 @@ def _dump(payload: Any) -> bytes:
     return _ENCODE(payload).encode("utf-8")
 
 
+def _float(value: float) -> str:
+    """``value`` as ``json`` writes a float (``allow_nan``)."""
+    text = _REPR(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _xml_json(node: XMLNode) -> str:
+    """``node``'s canonical XML as a JSON string, from the memo."""
+    text = _XML_JSON.get(node)
+    if text is None:
+        text = _XML_JSON[node] = _STR(serialize(node))
+    return text
+
+
 class _RequestTooLarge(ValueError):
     """A request (headers or framed body) exceeded the endpoint's limit."""
 
 
 class _HTTPReply(Exception):
-    """Internal control flow: unwind to one typed JSON response."""
+    """Internal control flow: unwind to one response — its encoded body
+    and the content type that body is."""
 
-    def __init__(self, status: int, payload: dict):
+    def __init__(
+        self, status: int, body: bytes, content_type: bytes = b"application/json"
+    ):
         super().__init__(status)
         self.status = status
-        self.payload = payload
+        self.body = body
+        self.content_type = content_type
+
+
+def _json_reply(status: int, payload: dict) -> _HTTPReply:
+    return _HTTPReply(status, _dump(payload))
 
 
 def _error_reply(status: int, code: str, message: str, **extra) -> _HTTPReply:
     error = {"code": code, "message": message}
     error.update(extra)
-    return _HTTPReply(status, {"error": error})
+    return _json_reply(status, {"error": error})
 
 
 def _query_tag(view: str, keywords, conjunctive: bool, size: int) -> str:
-    """Digest binding a cursor to the query that minted it."""
-    identity = _dump(
-        {"c": conjunctive, "k": list(keywords), "s": size, "v": view}
+    """Digest binding a cursor to the query that minted it: the sha256
+    of ``{"c","k","s","v"}`` as sorted compact JSON."""
+    identity = '{"c":%s,"k":[%s],"s":%s,"v":%s}' % (
+        "true" if conjunctive else "false",
+        ",".join(map(_STR, keywords)),
+        _INT(size),
+        _STR(view),
     )
-    return hashlib.sha256(identity).hexdigest()[:16]
+    return hashlib.sha256(identity.encode("ascii")).hexdigest()[:16]
 
 
 def encode_cursor(offset: int, tag: str) -> str:
-    token = _dump({"o": offset, "q": tag})
-    return base64.urlsafe_b64encode(token).decode("ascii")
+    """The opaque token for ``offset``: ``{"o","q"}`` as sorted compact
+    JSON, URL-safe base64."""
+    token = '{"o":%s,"q":%s}' % (_INT(offset), _STR(tag))
+    return base64.urlsafe_b64encode(token.encode("ascii")).decode("ascii")
 
 
 def decode_cursor(cursor: str, tag: str) -> int:
@@ -155,19 +199,33 @@ def decode_cursor(cursor: str, tag: str) -> int:
     minted for a *different* query (tag mismatch) are all rejected the
     same way — an opaque token the client altered or misapplied.
     """
-    bad = _error_reply(400, "bad_cursor", "cursor is not valid for this query")
     try:
         token = json.loads(base64.urlsafe_b64decode(cursor.encode("ascii")))
     except (ValueError, binascii.Error, RecursionError):
-        raise bad from None
-    if not isinstance(token, dict):
-        raise bad
-    offset = token.get("o")
-    if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-        raise bad
-    if token.get("q") != tag:
-        raise bad
+        token = None
+    offset = token.get("o") if isinstance(token, dict) else None
+    if (
+        not isinstance(offset, int)
+        or isinstance(offset, bool)
+        or offset < 0
+        or token.get("q") != tag
+    ):
+        raise _error_reply(400, "bad_cursor", "cursor is not valid for this query")
     return offset
+
+
+def _degraded_json(outcome) -> str:
+    """The ``degraded`` section (keys sorted): phase and reason only —
+    no timing-dependent diagnostic strings — so two replicas dropping
+    the same shards write byte-identical sections."""
+    failures = {str(f.shard_id): (f.phase, f.reason) for f in outcome.failures}
+    return '{"failures":{%s},"missing_shards":[%s],"top_k_guarantee":false}' % (
+        ",".join(
+            '%s:{"phase":%s,"reason":%s}' % (_STR(shard), _STR(phase), _STR(reason))
+            for shard, (phase, reason) in sorted(failures.items())
+        ),
+        ",".join(map(_INT, sorted(int(s) for s in outcome.missing_shards))),
+    )
 
 
 class SearchAPI:
@@ -197,15 +255,9 @@ class SearchAPI:
                 {"message": "SearchAPI: unhandled exception", "exception": exc}
             )
             reply = _error_reply(500, "internal_error", type(exc).__name__)
-        headers = [(b"content-type", b"application/json")]
+        headers = [(b"content-type", reply.content_type)]
         if reply.status in (429, 503):
             headers.append((b"retry-after", b"1"))
-        body = reply.payload
-        if isinstance(body, (bytes, bytearray)):
-            headers[0] = (b"content-type", b"application/octet-stream")
-            raw = bytes(body)
-        else:
-            raw = _dump(body)
         await send(
             {
                 "type": "http.response.start",
@@ -213,7 +265,7 @@ class SearchAPI:
                 "headers": headers,
             }
         )
-        await send({"type": "http.response.body", "body": raw})
+        await send({"type": "http.response.body", "body": reply.body})
 
     # -- routing -------------------------------------------------------------
 
@@ -232,7 +284,7 @@ class SearchAPI:
         if path == "/warmth":
             return self._warmth()
         if path == "/stats":
-            return _HTTPReply(200, self.server.snapshot())
+            return _json_reply(200, self.server.snapshot())
         if path.startswith("/snapshots/"):
             return self._snapshot_bytes(path[len("/snapshots/"):])
         raise _error_reply(404, "not_found", f"no route for {path!r}")
@@ -275,10 +327,10 @@ class SearchAPI:
         """
         running = self.server.running
         if not running:
-            return _HTTPReply(503, {"status": "stopped", "running": False})
+            return _json_reply(503, {"status": "stopped", "running": False})
         snapshot = self.server.engine.health_snapshot()
         if not snapshot:
-            return _HTTPReply(200, {"status": "ok", "running": True})
+            return _json_reply(200, {"status": "ok", "running": True})
         quarantined = sorted(int(s) for s in snapshot["quarantined"])
         serving = snapshot["serving"]
         total = len(snapshot["shards"])
@@ -288,7 +340,7 @@ class SearchAPI:
             status, code = "degraded", 200
         else:
             status, code = "ok", 200
-        return _HTTPReply(
+        return _json_reply(
             code,
             {
                 "status": status,
@@ -304,8 +356,8 @@ class SearchAPI:
     def _warmth(self) -> _HTTPReply:
         report = self.server.startup_warmup
         if report is None:
-            return _HTTPReply(200, {"warmed": False})
-        return _HTTPReply(200, {"warmed": True, "report": report.as_dict()})
+            return _json_reply(200, {"warmed": False})
+        return _json_reply(200, {"warmed": True, "report": report.as_dict()})
 
     def _snapshot_bytes(self, name: str) -> _HTTPReply:
         """The peer protocol: stored wire bytes, verbatim, or 404.
@@ -321,7 +373,7 @@ class SearchAPI:
             payload = self.server.engine.snapshot_payload(*key)
         if payload is None:
             raise _error_reply(404, "snapshot_not_found", f"no snapshot {name!r}")
-        return _HTTPReply(200, payload)
+        return _HTTPReply(200, bytes(payload), b"application/octet-stream")
 
     async def _search(self, request: dict) -> _HTTPReply:
         view = request.get("view")
@@ -386,58 +438,51 @@ class SearchAPI:
 
     def _page(
         self, served: ServeResult, tag: Optional[str], offset: int, page_size: int
-    ) -> dict:
-        """One deterministic page of an outcome ranked to offset+size."""
+    ) -> bytes:
+        """One page of an outcome ranked to offset+size, written as the
+        JSON text of its sorted-key dict (``_dump``'s bytes, in one pass).
+
+        Keys in sorted order: ``degraded`` (only when the outcome is),
+        ``keywords``, ``page``, ``results``, ``serving``, ``view``.  A
+        result's ``xml`` comes from :data:`_XML_JSON`.  Timings are
+        real-clock and deliberately confined to ``serving``.
+        """
         outcome = served.outcome
         page = outcome.results[offset : offset + page_size]
         next_offset = offset + page_size
-        has_more = next_offset < outcome.matching_count
-        reply = {
-            "view": served.view,
-            "keywords": list(served.keywords),
-            "results": [
-                {
-                    "rank": result.rank,
-                    "score": result.score,
-                    "index": result.scored.index,
-                    "xml": serialize(result.pruned),
-                }
-                for result in page
-            ],
-            "page": {
-                "offset": offset,
-                "page_size": page_size,
-                "returned": len(page),
-                "matching_count": outcome.matching_count,
-                "view_size": outcome.view_size,
-                "next_cursor": (
-                    encode_cursor(next_offset, tag) if has_more else None
-                ),
-            },
-            # Timings are real-clock and deliberately outside the
-            # deterministic sections above.
-            "serving": {
-                "queue_wait": served.queue_wait,
-                "service_time": served.service_time,
-                "latency": served.latency,
-                "cache_hits": dict(sorted(outcome.cache_hits.items())),
-            },
-        }
+        cursor = "null"
+        if next_offset < outcome.matching_count:
+            cursor = _STR(encode_cursor(next_offset, tag))
+        parts = ["{"]
         if outcome.degraded:
-            # Deterministic (phase and reason only — no timing-dependent
-            # diagnostic strings), so two replicas dropping the same
-            # shards produce byte-identical degraded sections.
-            reply["degraded"] = {
-                "missing_shards": sorted(
-                    int(s) for s in outcome.missing_shards
-                ),
-                "failures": {
-                    str(f.shard_id): {"phase": f.phase, "reason": f.reason}
-                    for f in outcome.failures
-                },
-                "top_k_guarantee": False,
-            }
-        return reply
+            parts += ['"degraded":', _degraded_json(outcome), ","]
+        parts += [
+            '"keywords":[',
+            ",".join(map(_STR, served.keywords)),
+            '],"page":{"matching_count":%s,"next_cursor":%s,"offset":%s,'
+            '"page_size":%s,"returned":%s,"view_size":%s},"results":['
+            % (
+                _INT(outcome.matching_count), cursor, _INT(offset),
+                _INT(page_size), _INT(len(page)), _INT(outcome.view_size),
+            ),
+            ",".join(
+                '{"index":%s,"rank":%s,"score":%s,"xml":%s}' % (
+                    _INT(result.scored.index), _INT(result.rank),
+                    _float(result.score), _xml_json(result.pruned),
+                )
+                for result in page
+            ),
+            '],"serving":{"cache_hits":{',
+            ",".join(
+                _STR(doc) + ":" + _STR(hit)
+                for doc, hit in sorted(outcome.cache_hits.items())
+            ),
+            '},"latency":%s,"queue_wait":%s,"service_time":%s},"view":%s}' % (
+                _float(served.latency), _float(served.queue_wait),
+                _float(served.service_time), _STR(served.view),
+            ),
+        ]
+        return "".join(parts).encode("ascii")
 
 
 ASGIApp = Callable[[dict, Callable, Callable], Awaitable[None]]

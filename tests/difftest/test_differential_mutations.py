@@ -16,6 +16,11 @@ checks the delta-maintained engine three ways after every edit:
   leave the warm tiers alive: the next query is served at skeleton
   depth or better with **zero path-index probes**.
 
+A served-page configuration checks the HTTP page writer's per-node XML
+memo: after every edit, patchable or structural, the ``results`` bytes
+a warm engine serves through :class:`SearchAPI` equal the ones encoded
+from a cache-free engine's outcome with ``serialize`` and ``json``.
+
 A snapshot-store configuration checks fingerprint forwarding (the
 patched snapshot is addressable under the *new* fingerprint, the old
 one is reclaimed, and a restarted engine restores from it), and a
@@ -25,9 +30,12 @@ sharded configuration replays the same streams through the
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,9 +45,12 @@ from repro.core.engine import KeywordSearchEngine
 from repro.core.placement import ShardPlan
 from repro.core.sharding import CorpusCoordinator, ShardExecutor
 from repro.core.snapshot import SkeletonStore
+from repro.serving import SearchAPI, SearchServer
 from repro.storage.database import XMLDatabase
+from repro.xmlmodel.serializer import serialize
 
 from difftest.generators import (
+    MutationOp,
     apply_mutation,
     generate_case,
     generate_mutation_stream,
@@ -49,6 +60,7 @@ from difftest.test_differential import _seed_matrix
 
 TOP_K = 10
 STREAM_LENGTH = 8
+PAGE_SIZE = 10  # SearchAPI's default page size
 
 
 # -- state digests --------------------------------------------------------------
@@ -181,6 +193,113 @@ def test_mutations_delta_matches_rebuild_and_baseline(seed):
         assert_outcomes_equivalent(
             eout, rout, keywords, f"{context} [delta-vs-rebuild]"
         )
+
+
+async def _served_page(api: SearchAPI, keywords) -> bytes:
+    """One ``POST /search`` through the ASGI app: the raw body bytes."""
+    body = json.dumps({"view": "v", "keywords": list(keywords)}).encode()
+    sent = []
+
+    async def receive():
+        return {"type": "http.request", "body": body}
+
+    async def send(message):
+        sent.append(message)
+
+    scope = {"type": "http", "method": "POST", "path": "/search"}
+    await api(scope, receive, send)
+    assert sent[0]["status"] == 200, sent[1]["body"]
+    return sent[1]["body"]
+
+
+def _results_section(raw: bytes) -> bytes:
+    """A page's ``results`` member as served, byte for byte (inside a
+    JSON string every quote is escaped, so the first unescaped
+    ``"results":[`` and the ``],"serving":`` after it are the keys)."""
+    start = raw.index(b'"results":[')
+    return raw[start : raw.index(b'],"serving":{', start) + 1]
+
+
+def _rendered_results(engine: KeywordSearchEngine, keywords) -> bytes:
+    """The ``results`` member a first page of ``engine``'s outcome
+    should carry, serialized and encoded here, apart from the page
+    writer and its memo."""
+    outcome = engine.search_detailed("v", keywords, PAGE_SIZE)
+    results = [
+        {
+            "index": result.scored.index,
+            "rank": result.rank,
+            "score": result.score,
+            "xml": serialize(result.pruned),
+        }
+        for result in outcome.results
+    ]
+    encoded = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    return b'"results":' + encoded.encode()
+
+
+def _evaluated_plan(engine: KeywordSearchEngine):
+    ((_key, plan),) = engine.cache.evaluated.items()
+    return plan
+
+
+def _structural_delete(plan) -> MutationOp:
+    """A delete no byte-length patch absorbs: the base element behind
+    the first non-root PDT node of a view result (every PDT node
+    matches its QPT, so removing one changes the view)."""
+    for result in plan.nodes:
+        for node in result.iter():
+            dewey = node.anno.dewey if node.anno is not None else None
+            if dewey is not None and len(dewey.components) > 1:
+                return MutationOp("delete", node.anno.doc, dewey.components)
+    raise AssertionError("no view result stands for a non-root element")
+
+
+@pytest.mark.parametrize("seed", _seed_matrix())
+def test_mutations_served_pages_match_a_cache_free_engine(seed):
+    """Each served result's XML is memoized per result node, so a stale
+    memo would show as a page that differs from one rendered afresh.
+    The warm engine's first page fills the memo; after every edit the
+    priming keywords and the step's keyword set are served through
+    :class:`SearchAPI`, and its ``results`` bytes must equal the ones
+    serialized and encoded here from a cache-free engine's outcome.  A patchable
+    edit keeps the evaluated entry (and so the memoized nodes); a
+    structural one replaces it.  The stream's op 0 is patchable, and
+    a last delete of an element some result stands for is structural."""
+    case = generate_case(seed)
+    db = case.database
+    warm = KeywordSearchEngine(db)
+    warm.define_view("v", case.view_text)
+    fresh = KeywordSearchEngine(db, enable_cache=False)
+    fresh.define_view("v", case.view_text)
+    ops = generate_mutation_stream(
+        seed, generate_case(seed).database, count=STREAM_LENGTH
+    )
+    kinds = Counter()
+
+    async def run():
+        async with SearchServer(warm) as server:
+            api = SearchAPI(server)
+            await _served_page(api, case.priming_keywords)
+            for step, op in enumerate(ops + [None]):
+                plan = _evaluated_plan(warm)
+                op = op or _structural_delete(plan)
+                apply_mutation(db, op)
+                keyword_sets = (
+                    case.priming_keywords,
+                    case.keyword_sets[step % len(case.keyword_sets)],
+                )
+                for keywords in keyword_sets:
+                    served = _results_section(await _served_page(api, keywords))
+                    expected = _rendered_results(fresh, keywords)
+                    assert served == expected, (
+                        f"seed={seed} step={step} op={op.describe()} "
+                        f"keywords={keywords}: served results diverged"
+                    )
+                kinds["patchable" if _evaluated_plan(warm) is plan else "structural"] += 1
+
+    asyncio.run(asyncio.wait_for(run(), 120))
+    assert kinds["patchable"] >= 1 and kinds["structural"] >= 1, kinds
 
 
 def test_mutation_streams_are_deterministic():

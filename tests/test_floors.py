@@ -14,6 +14,7 @@ import asyncio
 import functools
 import gc
 import itertools
+import json
 import operator
 import tempfile
 import threading
@@ -35,10 +36,12 @@ from repro.core.skeleton import PDTSkeleton
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
 from repro.serving import SearchServer, ServerConfig
+from repro.serving.http import SearchAPI
 from repro.storage.database import XMLDatabase
 from repro.storage.inverted_index import PostingList
 from repro.workloads.inex import INEXConfig, generate_inex_database
 from repro.workloads.views import authors_articles_view
+from repro.xmlmodel import serializer
 from repro.xmlmodel.node import XMLNode
 from tests.test_cache import _library_engine, three_library_views
 
@@ -117,6 +120,9 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 6 while a moved coordinate re-picked the whole byte-length column,
     # so the query after the edit built every skeleton the tier lacked.
     ("edit-re-picks-only-the-moved-document", "one_document_edit", "builds_after_edit", "==", 1),
+    # 10 (the page size) while every page re-serialized each winner's
+    # shared, never-written result node before encoding the page.
+    ("no-serialize-on-repeated-page", "repeated_page", "serializations", "==", 0),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -451,6 +457,47 @@ def one_document_edit():
     ):
         engine.search("lib", ["xml"])
     return {"builds_after_edit": len(builds)}
+
+
+def repeated_page():
+    """One ``POST /search`` through ``SearchAPI`` over the warmed
+    ``cold_corpus`` view, then the same request again: the canonical
+    serializations (``serializer._write_compact`` calls) the repeat
+    made, and the results its page returned."""
+    corpus, engine, _view = _warmed_cold_corpus()
+    request = corpus.requests[0]
+    body = json.dumps({"view": "v", "keywords": list(request.keywords)})
+    scope = {"type": "http", "method": "POST", "path": "/search"}
+    counters, write = Counter(), serializer._write_compact
+
+    def counted_write(*args):
+        counters["serializations"] += 1
+        return write(*args)
+
+    async def post(api):
+        sent = []
+
+        async def receive():
+            return {"type": "http.request", "body": body.encode()}
+
+        async def send(message):
+            sent.append(message)
+
+        await api(scope, receive, send)
+        assert sent[0]["status"] == 200
+        return json.loads(sent[1]["body"])
+
+    async def scenario():
+        async with SearchServer(engine, ServerConfig()) as server:
+            api = SearchAPI(server)
+            await post(api)
+            with mock.patch.object(serializer, "_write_compact", counted_write):
+                return await post(api)
+
+    page = asyncio.run(asyncio.wait_for(scenario(), 120))
+    counters["returned"] = page["page"]["returned"]
+    assert counters["returned"] > 0
+    return counters
 
 
 def rebuilt_skeleton_edit():
