@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence, Union
 
+from repro.core import scoring
 from repro.core.cache import QueryCache, TfColumn
 from repro.core.maintenance import apply_delta, live_snapshots, restore_skeleton
 from repro.core.materialize import materialize_result
@@ -80,17 +81,84 @@ from repro.xquery.functions import inline_functions
 from repro.xquery.parser import parse_query
 
 
+class _ViewLayout:
+    """A view's documents as the tiers key them, at one database
+    ``version``: the ``IndexedDocument``\\ s, their coordinates
+    ``(doc, generation, qpt_hash)``, the skeleton keys, the hit map a
+    query starts from (every document ``"pdt"``) and, per keyword, its
+    PDT-tier keys (at most :data:`~repro.core.scoring.MEMO_ENTRIES`
+    keywords, cleared whole past that).  A pure function of the view
+    and its documents' generations, so a registered view keeps one
+    while the database stays at that version (see
+    :meth:`KeywordSearchEngine._read_tiers`), and the tiers hold these
+    very key objects: a repeated query's lookups compare keys by
+    identity.  Building one raises :class:`StaleViewError` naming every
+    dropped document."""
+
+    __slots__ = (
+        "view", "version", "docs", "coordinates", "skeleton_keys", "hits",
+        "_columns",
+    )
+
+    def __init__(self, view: View, database: XMLDatabase):
+        # Read before looking the documents up: a write landing while
+        # they are read leaves this layout tagged with a version that is
+        # already gone, so it serves the query that built it and no other.
+        self.view, self.version = view, database.version
+        # The generation captured here keys every tier a query served by
+        # this layout touches — including the evaluated tier — so its
+        # cache traffic is generation-coherent per document even if a
+        # reload lands mid-flight.
+        get, skeleton_key = database.get, QueryCache.skeleton_key
+        docs, coordinates, skeleton_keys, dropped = [], [], [], []
+        for doc_name, _, qpt_hash in view.documents:
+            try:
+                indexed = get(doc_name)
+            except DocumentNotFoundError:
+                dropped.append(doc_name)
+                continue
+            docs.append(indexed)
+            coordinates.append((doc_name, indexed.generation, qpt_hash))
+            skeleton_keys.append(
+                skeleton_key(view.name, doc_name, indexed.generation, qpt_hash)
+            )
+        if dropped:
+            raise StaleViewError(view.name, dropped)
+        self.docs: list[IndexedDocument] = docs
+        self.coordinates = tuple(coordinates)
+        self.skeleton_keys: list[tuple] = skeleton_keys
+        self.hits = dict.fromkeys(view.positions, "pdt")  # copied per query
+        self._columns: dict[str, list[tuple]] = {}
+
+    def column_keys(self, keywords: tuple[str, ...]) -> Sequence[tuple]:
+        """The PDT-tier keys of ``keywords`` over every document,
+        document-major (``QueryCache.pdt_key``'s layout).  Shared with
+        the memo: never write it."""
+        memo, lists = self._columns, []
+        for keyword in keywords:
+            keys = memo.get(keyword)
+            if keys is None:
+                keys = memo[keyword] = [key + (keyword,) for key in self.skeleton_keys]
+                if len(memo) > scoring.MEMO_ENTRIES:
+                    memo.clear()
+            lists.append(keys)
+        if len(lists) == 1:
+            return lists[0]
+        return list(chain.from_iterable(zip(*lists)))
+
+
 @dataclass(slots=True)
 class _TierReads:
-    """One query's tier keys and ``get_many`` reads, in view order, as
-    the sum takes them (``query``: skeletons, and tf cells
+    """One query's tier keys (``layout``'s, and ``column_keys`` — empty
+    unless the view is cacheable) and ``get_many`` reads, in view order,
+    as the sum takes them (``query``: skeletons, and tf cells
     document-major, one per distinct keyword), and where each
     document's cells came from (``hits``, the outcome's ``cache_hits``)."""
 
     cacheable: bool
     scan_started: float
-    docs: list[IndexedDocument]
-    skeleton_keys: list[tuple]
+    layout: _ViewLayout
+    column_keys: Sequence[tuple]
     query: QueryColumns
     hits: dict[str, str]
 
@@ -127,6 +195,8 @@ class KeywordSearchEngine:
     ):
         self.database = database
         self._views: dict[str, View] = {}
+        #: View name -> its kept layout (registered views only).
+        self._layouts: dict[str, _ViewLayout] = {}
         self._closed = False
         if cache is None and enable_cache:
             cache = QueryCache()
@@ -173,8 +243,13 @@ class KeywordSearchEngine:
         return store.read_payload(doc_fingerprint, qpt_hash)
 
     def _on_document_change(self, doc_name: str) -> None:
-        """Database hook: a document was loaded or dropped."""
+        """Database hook: a document was loaded or dropped.  Its entries
+        and the layouts of the views reading it (which hold the old
+        ``IndexedDocument``) are garbage."""
         self.cache.invalidate_document(doc_name)
+        for name, layout in list(self._layouts.items()):
+            if doc_name in layout.view.qpts:
+                self._layouts.pop(name, None)
 
     def _on_document_update(self, delta: DocumentDelta) -> None:
         """Database hook: a sub-document update was applied.  Keep what
@@ -251,6 +326,7 @@ class KeywordSearchEngine:
         if self.cache is not None and name in self._views:
             self.cache.invalidate_view(name)
         self._views[name] = view
+        self._layouts.pop(name, None)
         return view
 
     def get_view(self, name: str) -> View:
@@ -263,6 +339,7 @@ class KeywordSearchEngine:
         """Forget a view and its cache entries (snapshots: prunable)."""
         if self._views.pop(name, None) is None:
             raise ViewDefinitionError(f"no view named {name!r}")
+        self._layouts.pop(name, None)
         if self.cache is not None:
             self.cache.invalidate_view(name)
 
@@ -483,7 +560,7 @@ class KeywordSearchEngine:
         """
         reads = self._read_tiers(view, normalized, timings)
         if None in reads.query.tf_columns:
-            for at in range(len(reads.docs)):
+            for at in range(len(view.documents)):
                 if None in reads.cells(at):
                     self._structural_half(view, reads, at, timings)
                     self._keyword_half(reads, at, timings)
@@ -512,49 +589,51 @@ class KeywordSearchEngine:
     def _read_tiers(
         self, view: View, normalized: tuple[str, ...], timings: PhaseTimings
     ) -> _TierReads:
-        """Key every document, after one pass that raises
-        :class:`StaleViewError` naming every dropped one, and read the
-        skeleton and PDT tiers with one ``get_many`` each (tf columns
-        are keyword work: ``pdt_postings``)."""
+        """Read the skeleton and PDT tiers with one ``get_many`` each
+        (tf columns are keyword work: ``pdt_postings``) over the keys of
+        the view's :class:`_ViewLayout`.
+
+        A registered view keeps its layout while the layout's version
+        tag ``==`` the database's :attr:`~XMLDatabase.version` and it
+        was built for this very ``View``; otherwise a new one is built
+        (raising :class:`StaleViewError` naming every dropped document)
+        and kept.  So every write to the database, a redefinition and
+        :meth:`drop_view` retire it.  Inline views from :meth:`execute`
+        share the ``<inline>`` name: theirs is built per call and never
+        kept.  Two queries that both find no valid layout each build
+        one; the later keep stays, and either serves."""
         scan_started = time.perf_counter()
         cache = self.cache
         cacheable = cache is not None and self._views.get(view.name) is view
-        documents = view.documents
-        # The generation captured here keys every tier this query
-        # touches — including the evaluated tier — so one query's cache
-        # traffic is generation-coherent per document even if a reload
-        # lands mid-flight.
-        get, skeleton_key = self.database.get, QueryCache.skeleton_key
-        docs, doc_coordinates, skeleton_keys, dropped = [], [], [], []
-        for doc_name, _, qpt_hash in documents:
-            try:
-                indexed = get(doc_name)
-            except DocumentNotFoundError:
-                dropped.append(doc_name)
-                continue
-            docs.append(indexed)
-            doc_coordinates.append((doc_name, indexed.generation, qpt_hash))
-            skeleton_keys.append(
-                skeleton_key(view.name, doc_name, indexed.generation, qpt_hash)
-            )
-        if dropped:
-            raise StaleViewError(view.name, dropped)
+        layout = self._layouts.get(view.name) if cacheable else None
+        if (
+            layout is None
+            or layout.version != self.database.version
+            or layout.view is not view
+        ):
+            # A stale layout holds its documents: let them go even if
+            # the build below raises StaleViewError.
+            if layout is not None:
+                self._layouts.pop(view.name, None)
+            layout = _ViewLayout(view, self.database)
+            if cacheable:
+                self._layouts[view.name] = layout
         distinct = tuple(dict.fromkeys(normalized))
-        skeletons: list[Optional[PDTSkeleton]] = [None] * len(documents)
-        columns: list[Optional[TfColumn]] = [None] * (len(documents) * len(distinct))
+        width = len(view.documents)
+        skeletons: list[Optional[PDTSkeleton]] = [None] * width
+        columns: list[Optional[TfColumn]] = [None] * (width * len(distinct))
+        column_keys: Sequence[tuple] = ()
         if cacheable:
-            skeletons = cache.skeletons.get_many(skeleton_keys)
+            skeletons = cache.skeletons.get_many(layout.skeleton_keys)
             start = time.perf_counter()
-            columns = cache.pdts.get_many([  # QueryCache.pdt_key's layout
-                key + (keyword,) for key in skeleton_keys for keyword in distinct
-            ])
+            column_keys = layout.column_keys(distinct)
+            columns = cache.pdts.get_many(column_keys)
             timings.pdt_postings += time.perf_counter() - start
         query = QueryColumns(
-            skeletons, columns, distinct, view.positions, tuple(doc_coordinates)
+            skeletons, columns, distinct, view.positions, layout.coordinates
         )
         return _TierReads(
-            cacheable, scan_started, docs, skeleton_keys, query,
-            dict.fromkeys(view.positions, "pdt"),
+            cacheable, scan_started, layout, column_keys, query, layout.hits.copy()
         )
 
     def _structural_half(
@@ -583,7 +662,7 @@ class KeywordSearchEngine:
             return
         cache, store = self.cache, self.snapshot_store
         cacheable, scan_started = reads.cacheable, reads.scan_started
-        indexed, skeleton, hit = reads.docs[at], None, "miss"
+        indexed, skeleton, hit = reads.layout.docs[at], None, "miss"
         start = time.perf_counter()
         if cacheable and store is not None:
             skeleton = restore_skeleton(
@@ -601,7 +680,7 @@ class KeywordSearchEngine:
                     store.save(indexed.fingerprint, qpt_hash, skeleton)
                 except (OSError, InjectedFaultError):
                     pass
-        key = reads.skeleton_keys[at]
+        key = reads.layout.skeleton_keys[at]
         if cacheable and cache.skeletons.admits(key, scan_started):
             cache.skeletons.put(key, skeleton, scan_started)
         skeletons[at] = skeleton
@@ -622,14 +701,14 @@ class KeywordSearchEngine:
         if not missing:
             return
         start = time.perf_counter()
-        inv_lists = prepare_inv_lists(reads.docs[at].inverted_index, missing)
+        inv_lists = prepare_inv_lists(reads.layout.docs[at].inverted_index, missing)
         swept = sweep_tf_arrays(reads.query.skeletons[at], inv_lists, missing)
-        for offset, keyword in enumerate(distinct):
+        for offset, keyword in enumerate(distinct, at * len(distinct)):
             if keyword in swept:
                 cell = TfColumn.of(swept[keyword])
-                reads.query.tf_columns[at * len(distinct) + offset] = cell
+                reads.query.tf_columns[offset] = cell
                 if reads.cacheable:
-                    key = reads.skeleton_keys[at] + (keyword,)
+                    key = reads.column_keys[offset]
                     self.cache.pdts.put(key, cell, reads.scan_started)
         timings.pdt_postings += time.perf_counter() - start
 

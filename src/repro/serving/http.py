@@ -126,6 +126,12 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: its node.
 _XML_JSON: "weakref.WeakKeyDictionary[XMLNode, str]" = weakref.WeakKeyDictionary()
 
+#: The last page's ``serving.cache_hits`` map — a copy nothing writes,
+#: and its JSON text — since a repeated query reports the map it
+#: reported last time.  One pair, rebound whole and read once, so no
+#: thread pairs one map with another's text.
+_HIT_MAP_JSON: tuple[dict, str] = ({}, "")
+
 
 def _dump(payload: Any) -> bytes:
     """Deterministic JSON bytes — the fleet difftest compares these."""
@@ -136,6 +142,19 @@ def _float(value: float) -> str:
     """``value`` as ``json`` writes a float (``allow_nan``)."""
     text = _REPR(value)
     return _NON_FINITE.get(text, text)
+
+
+def _hit_map_json(hits: dict[str, str]) -> str:
+    """The members of the ``cache_hits`` object, sorted by document,
+    from the memo when ``hits`` is the map it holds."""
+    global _HIT_MAP_JSON
+    memo = _HIT_MAP_JSON
+    if memo[0] == hits:
+        return memo[1]
+    copy = dict(hits)
+    text = ",".join(_STR(doc) + ":" + _STR(hit) for doc, hit in sorted(copy.items()))
+    _HIT_MAP_JSON = (copy, text)
+    return text
 
 
 def _xml_json(node: XMLNode) -> str:
@@ -444,7 +463,8 @@ class SearchAPI:
 
         Keys in sorted order: ``degraded`` (only when the outcome is),
         ``keywords``, ``page``, ``results``, ``serving``, ``view``.  A
-        result's ``xml`` comes from :data:`_XML_JSON`.  Timings are
+        result's ``xml`` comes from :data:`_XML_JSON`, the hit map from
+        :data:`_HIT_MAP_JSON` when it repeats.  Timings are
         real-clock and deliberately confined to ``serving``.
         """
         outcome = served.outcome
@@ -473,10 +493,7 @@ class SearchAPI:
                 for result in page
             ),
             '],"serving":{"cache_hits":{',
-            ",".join(
-                _STR(doc) + ":" + _STR(hit)
-                for doc, hit in sorted(outcome.cache_hits.items())
-            ),
+            _hit_map_json(outcome.cache_hits),
             '},"latency":%s,"queue_wait":%s,"service_time":%s},"view":%s}' % (
                 _float(served.latency), _float(served.queue_wait),
                 _float(served.service_time), _STR(served.view),

@@ -126,13 +126,26 @@ def index_document(
 
 
 class XMLDatabase:
-    """A set of indexed XML documents addressable by name (``fn:doc``)."""
+    """A set of indexed XML documents addressable by name (``fn:doc``).
+
+    Every write — load, attach, drop and the three sub-document edits —
+    moves :attr:`version` to a value it never held before, after the
+    write and before any hook runs.  A reader that keeps something
+    derived from the documents it looked up (the engine's per-view tier
+    keys) tags it with the version it read *before* looking, and uses
+    it only while that version is still current.
+    """
 
     def __init__(self):
         self._documents: dict[str, IndexedDocument] = {}
         # itertools.count: atomic under the GIL, so concurrent loads can
-        # never stamp two documents with the same generation.
+        # never stamp two documents with the same generation, and two
+        # writers racing to publish a version can never bring back one a
+        # reader already tagged something with (``version += 1`` could).
         self._generations = itertools.count(1)
+        #: Which state of the documents is current.  Values are never
+        #: reused, so a tag equal to it was read after the last write.
+        self.version = next(self._generations)
         # Each entry is a zero-arg resolver returning the live callable or
         # ``None`` once its owner is gone.  Invalidation hooks fire on
         # load/drop (document identity changed: derived state is garbage);
@@ -211,10 +224,12 @@ class XMLDatabase:
         return self._resolve_hooks_attr("_invalidation_hooks", prune)
 
     def _notify_invalidation(self, name: str) -> None:
+        self.version = next(self._generations)
         for hook in self._resolve_hooks():
             hook(name)
 
     def _notify_update(self, delta: DocumentDelta) -> None:
+        self.version = next(self._generations)
         for hook in self._resolve_hooks_attr("_update_hooks"):
             hook(delta)
 

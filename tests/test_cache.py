@@ -1,10 +1,12 @@
 """The four-tier query cache: LRU mechanics, engine integration, the
 skeleton tier, and randomized invalidation properties."""
 
+import gc
 import random
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -836,9 +838,10 @@ return <bookrevs>
         view = engine.define_view("bookrevs", self._view_text(year))
         book3_year = 1990
         for _ in range(25):
-            op = rng.choice(
-                ["search", "search", "reload_books", "redefine", "reload_reviews"]
-            )
+            op = rng.choice([
+                "search", "search", "reload_books", "redefine",
+                "reload_reviews", "redefine_same", "drop_redefine",
+            ])
             if op == "reload_books":
                 # Changed content: book 3's year flips across the view's
                 # predicate threshold, so a stale skeleton would change
@@ -851,6 +854,13 @@ return <bookrevs>
                 db.drop_document("reviews.xml")
                 db.load_document("reviews.xml", text)
             elif op == "redefine":
+                year = rng.choice([1989, 1995, 2003])
+                view = engine.define_view("bookrevs", self._view_text(year))
+            elif op == "redefine_same":
+                # Same text: same QPT hashes and tier keys, a new View.
+                view = engine.define_view("bookrevs", self._view_text(year))
+            elif op == "drop_redefine":
+                engine.drop_view("bookrevs")
                 year = rng.choice([1989, 1995, 2003])
                 view = engine.define_view("bookrevs", self._view_text(year))
             keywords = rng.choice(self.KEYWORD_SETS)
@@ -1232,6 +1242,212 @@ class TestSkeletonReaders:
             engine.cache.evaluated.clear()
             missed = engine.search_detailed("lib", ["xml"]).cache_hits
             assert list(missed.values()) == ["pdt"] * 4 + [source] * 2
+
+
+class TestViewLayouts:
+    """A registered view keeps its tier keys (the engine's
+    ``_ViewLayout``) while the database stays at one version: a write,
+    a redefinition or a drop retires them, and the query after one ranks
+    as a cache-free engine does."""
+
+    KEYWORDS = ("xml", "query")
+    NEW_BOOK = "<book><title>xml fresh</title><body>query xml</body></book>"
+
+    @classmethod
+    def _ranked(cls, engine, name="lib"):
+        return [
+            (r.rank, r.score, r.to_xml())
+            for r in engine.search(name, cls.KEYWORDS, top_k=10)
+        ]
+
+    def _assert_cold_equivalent(self, engine, name="lib"):
+        cold = KeywordSearchEngine(engine.database, enable_cache=False)
+        cold.define_view(name, engine.get_view(name).text)
+        assert self._ranked(engine, name) == self._ranked(cold, name)
+
+    @staticmethod
+    def _assert_current(engine, name="lib"):
+        database, view = engine.database, engine.get_view(name)
+        layout = engine._layouts[name]
+        assert layout.view is view and layout.version == database.version
+        assert layout.coordinates == tuple(
+            (doc, database.get(doc).generation, qpt_hash)
+            for doc, _, qpt_hash in view.documents
+        )
+
+    def test_repeated_query_keeps_its_layout_and_the_tiers_its_keys(
+        self, monkeypatch
+    ):
+        engine = _library_engine(4)
+        first = _ranking(engine, "lib", self.KEYWORDS)
+        layout = engine._layouts["lib"]
+        # Only materializing a result looks a document up.
+        monkeypatch.setattr(
+            engine.database, "get", lambda name: pytest.fail(f"looked up {name}")
+        )
+        assert _ranking(engine, "lib", self.KEYWORDS) == first
+        assert engine._layouts["lib"] is layout
+        # The tiers hold the layout's own key objects.
+        resident = {id(key) for key, _ in engine.cache.skeletons.items()}
+        assert {id(key) for key in layout.skeleton_keys} <= resident
+        resident = {id(key) for key, _ in engine.cache.pdts.items()}
+        assert {id(key) for key in layout.column_keys(self.KEYWORDS)} <= resident
+
+    @pytest.mark.parametrize(
+        "write", ["reload", "attach", "patchable edit", "structural edit"]
+    )
+    def test_a_write_between_identical_queries_rebuilds_the_layout(self, write):
+        from repro.core.maintenance import delta_patchable
+        from repro.storage.database import index_document
+
+        engine = _library_engine(4)
+        database = engine.database
+        self._ranked(engine)
+        before = engine._layouts["lib"]
+        if write == "reload":
+            text = database.get("doc1").serialized
+            database.drop_document("doc1")
+            database.load_document("doc1", text.replace("</lib>", self.NEW_BOOK + "</lib>"))
+        elif write == "attach":
+            database.drop_document("doc1")
+            database.attach_document(index_document("doc1", f"<lib>{self.NEW_BOOK}</lib>"))
+        else:
+            target, payload = ("1.1.2", "<zaux>an aside</zaux>")
+            if write == "structural edit":
+                target, payload = ("1", self.NEW_BOOK)
+            delta = database.insert_subtree("doc1", target, payload)
+            qpt = engine.get_view("lib").qpts["doc1"]
+            assert delta_patchable(qpt, delta) == (write == "patchable edit")
+        self._assert_cold_equivalent(engine)
+        assert engine._layouts["lib"] is not before
+        self._assert_current(engine)
+
+    def test_a_dropped_document_still_raises_stale_view(self):
+        from repro.errors import StaleViewError
+
+        engine = _library_engine(4)
+        self._ranked(engine)
+        engine.database.drop_document("doc3")
+        engine.database.drop_document("doc1")
+        with pytest.raises(StaleViewError) as raised:
+            self._ranked(engine)
+        assert raised.value.missing == ["doc1", "doc3"]
+
+    def test_same_name_redefinition_retires_the_layout(self):
+        engine = _library_engine(4)
+        self._ranked(engine)
+        old = engine.get_view("lib")
+        engine.define_view("lib", old.text.replace("{$b/body}", ""))
+        assert "lib" not in engine._layouts
+        self._assert_cold_equivalent(engine)
+        self._assert_current(engine)
+        # The superseded View is not cacheable: its layout is not kept.
+        engine.search(old, self.KEYWORDS)
+        assert engine._layouts["lib"].view is engine.get_view("lib")
+
+    def test_a_closed_engine_still_sees_writes(self):
+        engine = _library_engine(4)
+        self._ranked(engine)
+        engine.close()
+        engine.database.insert_subtree("doc1", "1", self.NEW_BOOK)
+        self._assert_cold_equivalent(engine)
+        self._assert_current(engine)
+
+    def test_a_write_racing_the_key_build_is_never_reused(self, monkeypatch):
+        engine = _library_engine(4)
+        database, get, edits = engine.database, engine.database.get, []
+
+        def get_after_an_edit(name):
+            if not edits:
+                edits.append(name)  # the edit's own lookup passes through
+                database.insert_subtree("doc1", "1", self.NEW_BOOK)
+            return get(name)
+
+        monkeypatch.setattr(database, "get", get_after_an_edit)
+        self._ranked(engine)
+        assert len(edits) == 1
+        # Tagged with the version read before the edit: never used again.
+        stale = engine._layouts["lib"]
+        assert stale.version != database.version
+        self._assert_cold_equivalent(engine)
+        assert engine._layouts["lib"] is not stale
+        self._assert_current(engine)
+
+    def test_a_redefinition_racing_the_key_build_is_never_reused(
+        self, monkeypatch
+    ):
+        engine = _library_engine(4)
+        database, get, redefined = engine.database, engine.database.get, []
+        old = engine.get_view("lib")
+        text = old.text.replace("{$b/body}", "")
+
+        def get_after_a_redefinition(name):
+            if not redefined:
+                redefined.append(name)  # the definition's own lookups pass through
+                engine.define_view("lib", text)
+            return get(name)
+
+        monkeypatch.setattr(database, "get", get_after_a_redefinition)
+        self._ranked(engine)
+        # Kept for the superseded View, at the current version: only
+        # the view check stops the new definition from using it.
+        stale = engine._layouts["lib"]
+        assert stale.view is old and stale.version == database.version
+        self._assert_cold_equivalent(engine)
+        self._assert_current(engine)
+
+    def test_drop_view_leaves_no_layout(self):
+        engine = _library_engine(4)
+        self._ranked(engine)
+        engine.drop_view("lib")
+        assert engine._layouts == {}
+
+    def test_inline_queries_keep_no_layout(self, engine):
+        query = (
+            "for $b in fn:doc(books.xml)/books//book "
+            "where $b ftcontains('xml') return $b"
+        )
+        assert len(engine.execute(query)) == len(engine.execute(query)) > 0
+        assert engine._layouts == {}
+
+    def test_column_key_memo_is_bounded(self, monkeypatch):
+        from repro.core import scoring
+
+        engine = _library_engine(4)
+        cold = KeywordSearchEngine(engine.database, enable_cache=False)
+        cold.define_view("lib", engine.get_view("lib").text)
+        monkeypatch.setattr(scoring, "MEMO_ENTRIES", 2)
+        for keywords in [("xml",), ("query",), ("index",), ("xml", "index")] * 2:
+            assert [
+                (r.rank, r.score) for r in engine.search("lib", keywords)
+            ] == [(r.rank, r.score) for r in cold.search("lib", keywords)]
+            assert len(engine._layouts["lib"]._columns) <= 2
+
+    def test_a_reload_frees_the_old_document_without_a_query(self):
+        engine = _library_engine(4)
+        database = engine.database
+        self._ranked(engine)
+        old = weakref.ref(database.get("doc1"))
+        text = database.get("doc1").serialized
+        database.drop_document("doc1")
+        database.load_document("doc1", text)
+        gc.collect()
+        assert old() is None
+        self._assert_cold_equivalent(engine)
+
+    def test_a_failing_query_frees_a_dropped_document(self):
+        from repro.errors import StaleViewError
+
+        engine = _library_engine(4)
+        self._ranked(engine)
+        engine.close()  # no hook: only the query can let the layout go
+        dropped = weakref.ref(engine.database.get("doc1"))
+        engine.database.drop_document("doc1")
+        with pytest.raises(StaleViewError):
+            self._ranked(engine)
+        gc.collect()
+        assert dropped() is None
+        assert "lib" not in engine._layouts
 
 
 def three_library_views(cache):

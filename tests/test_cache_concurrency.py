@@ -4,7 +4,8 @@ A tier's claims — no deadlocks, no corruption of its LRU chain,
 counters that add up — are exercised directly on one ``LRUCache`` tier
 and end-to-end through a shared ``KeywordSearchEngine`` hammered by
 threads issuing mixed hot/cold queries (their statistics sums sharing
-one plan's memo).  Every join uses a timeout so a
+one plan's memo), and against writers swapping documents under a view's
+kept tier keys.  Every join uses a timeout so a
 deadlock fails the test instead of hanging the suite.
 """
 
@@ -19,7 +20,7 @@ import pytest
 from repro.core import scoring
 from repro.core.cache import LRUCache
 from repro.core.engine import KeywordSearchEngine
-from tests.test_cache import accounted_keys
+from tests.test_cache import _library_engine, accounted_keys
 
 JOIN_TIMEOUT = 60.0
 
@@ -321,3 +322,101 @@ class TestEngineConcurrency:
             [lambda w=w: searcher(w) for w in range(4)] + [redefiner]
         )
         assert not errors, errors
+
+
+class TestLayoutVersionStress:
+    LAYOUT_KEYWORDS = [("xml",), ("query",), ("xml", "query"), ("index",)]
+
+    def test_searches_racing_two_writers_answer_at_some_version(self):
+        """4 searchers against 2 writers, each writer swapping its own
+        document between two contents (a drop, then an attach): two
+        writers publish versions concurrently, the case a lost
+        increment would need.  Every search answers as a cache-free
+        engine does in one of the four document states — or, between a
+        drop and its attach, raises ``StaleViewError`` as that engine
+        would — the last search answers for the final state, and each
+        tier counted one hit or miss per key it was asked."""
+        from repro.errors import StaleViewError
+        from repro.storage.database import index_document
+
+        engine = _library_engine(4)
+        database = engine.database
+        book = "<book><title>xml fresh</title><body>query xml index</body></book>"
+        variants = {
+            name: [
+                index_document(name, text),
+                index_document(name, text.replace("</lib>", book + "</lib>")),
+            ]
+            for name in ("doc0", "doc1")
+            for text in [database.get(name).serialized]
+        }
+        cold = KeywordSearchEngine(database, enable_cache=False)
+        cold.define_view("lib", engine.get_view("lib").text)
+
+        def answer(each, keywords):
+            outcome = each.search_detailed("lib", keywords, top_k=10)
+            return outcome.view_size, outcome.matching_count, [
+                (r.rank, r.score, r.scored.index) for r in outcome.results
+            ]
+
+        def swap(name, variant):
+            database.drop_document(name)
+            database.attach_document(variants[name][variant])
+
+        expected = {}
+        for state in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            for name, variant in zip(("doc0", "doc1"), state):
+                swap(name, variant)
+            for keywords in self.LAYOUT_KEYWORDS:
+                expected.setdefault(keywords, []).append(answer(cold, keywords))
+        errors: list[BaseException] = []
+        searches, columns = [0] * 4, [0] * 4
+
+        def searcher(worker_id: int):
+            rng = random.Random(worker_id)
+            try:
+                for _ in range(150):
+                    keywords = rng.choice(self.LAYOUT_KEYWORDS)
+                    try:
+                        got = answer(engine, keywords)
+                    except StaleViewError:
+                        continue  # raised before any tier was read
+                    assert got in expected[keywords], f"no state answers {keywords}"
+                    searches[worker_id] += 1
+                    columns[worker_id] += len(keywords)
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+
+        def writer(name: str):
+            try:
+                for turn in range(100):
+                    swap(name, turn % 2)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(
+                [lambda w=w: searcher(w) for w in range(4)]
+                + [lambda: writer("doc0"), lambda: writer("doc1")]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert sum(searches) > 0
+        # Both writers ended on their second content: a layout kept from
+        # before a write would answer for another state.
+        for keywords in self.LAYOUT_KEYWORDS:
+            assert answer(engine, keywords) == expected[keywords][-1]
+        assert engine._layouts["lib"].version == database.version
+        # 4 documents: each search asked 4 skeleton keys, 4 column keys
+        # per keyword, and one evaluated key.
+        asked = {
+            "skeleton": 4 * (sum(searches) + len(self.LAYOUT_KEYWORDS)),
+            "pdt": 4 * (sum(columns) + sum(map(len, self.LAYOUT_KEYWORDS))),
+            "evaluated": sum(searches) + len(self.LAYOUT_KEYWORDS),
+        }
+        stats = engine.cache.stats()
+        for tier, keys in asked.items():
+            assert stats[tier]["hits"] + stats[tier]["misses"] == keys, tier

@@ -35,7 +35,7 @@ from repro.core.qpt import QPT
 from repro.core.skeleton import PDTSkeleton
 from repro.core.scoring import ScoredResult, StatisticsPlan
 from repro.core.snapshot import SkeletonStore
-from repro.serving import SearchServer, ServerConfig
+from repro.serving import SearchServer, ServerConfig, http
 from repro.serving.http import SearchAPI
 from repro.storage.database import XMLDatabase
 from repro.storage.inverted_index import PostingList
@@ -117,12 +117,21 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 1.0 while every repeated keyword set re-scored its ~400 matching
     # rows, though the plan handed rank_statistics the same columns.
     ("no-rank-on-repeated-keyword-set", "cold_sweep", "scores_per_query", "==", 0),
+    # 96.0 while every query looked each of the view's documents up by
+    # name to rebuild tier keys its layout already held.
+    ("no-document-lookup-on-repeated-query", "cold_sweep", "document_lookups_per_query", "==", 0),
     # 6 while a moved coordinate re-picked the whole byte-length column,
     # so the query after the edit built every skeleton the tier lacked.
     ("edit-re-picks-only-the-moved-document", "one_document_edit", "builds_after_edit", "==", 1),
-    # 10 (the page size) while every page re-serialized each winner's
-    # shared, never-written result node before encoding the page.
+    # 20 (the page size, on each of the two repeats) while every page
+    # re-serialized each winner's shared, never-written result node
+    # before encoding the page.
     ("no-serialize-on-repeated-page", "repeated_page", "serializations", "==", 0),
+    # 200 while every page escaped the 96-entry cache_hits map, name and
+    # label, though a repeated query's map is the one it just encoded:
+    # what is left is the keywords and the view, in the page and in the
+    # cursor's query tag, and the cursor.
+    ("no-hit-map-encode-on-repeated-page", "repeated_page", "string_escapes", "<=", 8),
     # 0.0 while every fragment was its own engine view: 96 evaluated
     # entries per query against 64 slots, each evicting the next.
     ("one-shard-is-the-lone-engine", "one_shard_sweep", "evaluated_hit_rate", "==", 1.0),
@@ -382,7 +391,8 @@ def cold_sweep():
     ``PDTSkeleton._derive_bounds`` calls, the calls of the plan's
     per-document pickers (``scoring._picker``'s), the ``PDTResult``
     constructions, the ``build_skeleton`` calls, the inverted- and
-    path-index probes and the ``ColumnSums.scores`` calls."""
+    path-index probes, the ``ColumnSums.scores`` calls and the
+    ``XMLDatabase.get`` calls."""
     counters = Counter()
     picker = scoring._picker
 
@@ -426,7 +436,8 @@ def cold_sweep():
             counting(LRUCache, "get_many"), \
             counting(PDTResult, "__init__", "pdt_results"), \
             counting(engine_module, "build_skeleton", "builds"), \
-            counting(scoring.ColumnSums, "scores", "scores"):
+            counting(scoring.ColumnSums, "scores", "scores"), \
+            counting(XMLDatabase, "get", "document_lookups"):
         sweep()
     counters["picks"] -= first_pass_picks
     for index in ("inverted", "path"):
@@ -438,7 +449,7 @@ def cold_sweep():
     for name in (
         "trees", "skeleton_reads", "pdt_reads", "bound_derivations", "picks",
         "pdt_results", "records_finalized", "match_tables", "inverted_probes",
-        "builds", "path_probes", "scores",
+        "builds", "path_probes", "scores", "document_lookups",
     ):
         counters[f"{name}_per_query"] = counters[name] / 50
     return counters
@@ -461,18 +472,25 @@ def one_document_edit():
 
 def repeated_page():
     """One ``POST /search`` through ``SearchAPI`` over the warmed
-    ``cold_corpus`` view, then the same request again: the canonical
-    serializations (``serializer._write_compact`` calls) the repeat
-    made, and the results its page returned."""
+    ``cold_corpus`` view, then the same request twice more: the
+    canonical serializations (``serializer._write_compact`` calls) of
+    both repeats, the JSON string escapes (``http._STR`` calls) of the
+    second (the first request fills the PDT tier, so the first repeat's
+    hit map is new; the second's is the one every later repeat reports)
+    and the results its page returned."""
     corpus, engine, _view = _warmed_cold_corpus()
     request = corpus.requests[0]
     body = json.dumps({"view": "v", "keywords": list(request.keywords)})
     scope = {"type": "http", "method": "POST", "path": "/search"}
-    counters, write = Counter(), serializer._write_compact
+    counters, write, escape = Counter(), serializer._write_compact, http._STR
 
     def counted_write(*args):
         counters["serializations"] += 1
         return write(*args)
+
+    def counted_escape(text):
+        counters["string_escapes"] += 1
+        return escape(text)
 
     async def post(api):
         sent = []
@@ -492,7 +510,9 @@ def repeated_page():
             api = SearchAPI(server)
             await post(api)
             with mock.patch.object(serializer, "_write_compact", counted_write):
-                return await post(api)
+                await post(api)
+                with mock.patch.object(http, "_STR", counted_escape):
+                    return await post(api)
 
     page = asyncio.run(asyncio.wait_for(scenario(), 120))
     counters["returned"] = page["page"]["returned"]
