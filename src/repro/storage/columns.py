@@ -11,18 +11,21 @@ and postings.  ``index_document`` runs it over the document root,
 consume the same columns, so a built index and a patched one share one
 definition of a record, a row and a posting.
 
-Who owns which key objects: ``keys`` holds each element's
-``DeweyID.packed`` object, and the document store, which only bisects,
-keeps those.  Every *swept* column — a path's key column, a posting
-list — takes :func:`own_keys` copies allocated in one run, so a sweep
-reads neighbouring heap objects instead of striding the document-order
-heap (sharing measured ``keyword_sweep`` ``pdt_postings_ms`` 0.28 -> 0.49).
+Who owns which key objects: every index shares one.  When the walk
+ends it allocates each element's packed key once, path by path, so a
+path's key column is a run of neighbouring heap objects; the document
+store keeps the ``keys`` column, and every path column and posting list
+references the same objects rather than copying them.  The walked
+nodes keep their own ``DeweyID.packed`` objects: handing those to the
+indexes would save one more object per element, but first-contact
+annotation would then stride the document-order heap (``keyword_sweep``
+``annotate_skeleton`` ~160 -> ~195 us).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.dewey import DeweyID
 from repro.errors import StorageError
@@ -40,10 +43,11 @@ class DocumentColumns(NamedTuple):
     values: list[Optional[str]]
     #: Canonical serialized length of each element's whole subtree.
     lengths: list[int]
-    #: Index into ``paths``, which lists every distinct root-to-element
-    #: tag path once, in order of first appearance.
-    path_ids: list[int]
+    #: Every distinct root-to-element tag path once, in order of first
+    #: appearance, and per path the column indices of its elements in
+    #: document order.
     paths: list[tuple[str, ...]]
+    path_rows: list[list[int]]
     #: keyword -> (column indices, tfs) of the elements directly
     #: containing it, in document order.
     postings: dict[str, tuple[list[int], list[int]]]
@@ -52,12 +56,6 @@ class DocumentColumns(NamedTuple):
     def byte_length(self) -> int:
         """Serialized length of the whole walked subtree (0 for none)."""
         return self.lengths[0] if self.lengths else 0
-
-
-def own_keys(keys: list[bytes], rows: Iterable[int]) -> list[bytes]:
-    """Fresh copies of ``keys[row]`` for each row, allocated in one run
-    (see the module docstring for why a swept column owns its keys)."""
-    return list(map(bytes, map(memoryview, map(keys.__getitem__, rows))))
 
 
 def document_columns(
@@ -88,6 +86,7 @@ def document_columns(
     parents: list[int] = []
     path_ids: list[int] = []
     paths: list[tuple[str, ...]] = []
+    path_rows: list[list[int]] = []
     # Interned per (parent path, tag): one dict of child tags per path.
     child_paths: list[dict[str, int]] = []
     postings: dict[str, tuple] = {}
@@ -101,6 +100,7 @@ def document_columns(
         if parent < 0:
             path_id = 0
             paths.append(base_path + (tag,))
+            path_rows.append([])
             child_paths.append({})
         else:
             parent_path = path_ids[parent]
@@ -108,6 +108,7 @@ def document_columns(
             if path_id is None:
                 path_id = child_paths[parent_path][tag] = len(paths)
                 paths.append(paths[parent_path] + (tag,))
+                path_rows.append([])
                 child_paths.append({})
         tags.append(tag)
         keys.append(node.dewey.packed)
@@ -116,6 +117,7 @@ def document_columns(
         lengths.append(own_length(tag, value, bool(children)))
         parents.append(parent)
         path_ids.append(path_id)
+        path_rows[path_id].append(index)
 
         if node.text:
             counts: dict[str, int] = {}
@@ -133,4 +135,9 @@ def document_columns(
             stack.extend(zip(reversed(children), repeat(index)))
     for index in range(len(tags) - 1, 0, -1):
         lengths[parents[index]] += lengths[index]
-    return DocumentColumns(tags, keys, values, lengths, path_ids, paths, postings)
+    # The one key object per element every index shares, path by path
+    # (``bytes(key)`` would hand back the node's own object).
+    for rows in path_rows:
+        for row in rows:
+            keys[row] = bytes(memoryview(keys[row]))
+    return DocumentColumns(tags, keys, values, lengths, paths, path_rows, postings)

@@ -109,7 +109,8 @@ class DocumentStore:
         """Build the store from a walked document: pre-order columns are
         already in Dewey order (tuple and packed order coincide), and
         the length column is the canonical serialized subtree length
-        used for score normalization.  Takes ownership of ``keys``."""
+        used for score normalization.  Keeps the ``keys`` list, whose
+        objects the path columns and posting lists share."""
         return cls(columns.keys, _pack_columns(columns))
 
     @classmethod

@@ -10,11 +10,13 @@ top of each inverted list").
 
 Storage layout: each posting list keeps exactly three parallel arrays —
 packed Dewey byte keys (see :mod:`repro.dewey`), per-element tfs and the
-tf prefix sums.  :class:`Posting` objects are synthesized views, decoded
-on demand; nothing stores the int-tuple form.  The arrays are filled
-straight from the ingest walk's columns (:mod:`repro.storage.columns`), at
-load and on every edit, each list owning a run of fresh key objects: no
-``Posting`` is allocated and no key re-packed.  Besides the memory win, the
+tf prefix sums (an ``array('q')``, not boxed ints).  :class:`Posting`
+objects are synthesized views, decoded on demand; nothing stores the
+int-tuple form.  The arrays are filled straight from the ingest walk's
+columns (:mod:`repro.storage.columns`), at load and on every edit, each
+key being the walk's one object for its element, shared with the document
+store and the path columns: no ``Posting`` is allocated, no key re-packed
+or copied.  Besides the memory win, the
 packed keys make ``cumulative_below`` a single co-sorted sweep: given the
 sorted subtree boundary keys of a PDT skeleton, every content node's
 subtree tf falls out of one merge-join pass over the list (the array-sweep
@@ -23,13 +25,14 @@ annotation path of :func:`repro.core.pdt.annotate_skeleton`).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from repro.dewey import DeweyID, pack, unpack
-from repro.storage.columns import DocumentColumns, document_columns, own_keys
+from repro.storage.columns import DocumentColumns, document_columns
 from repro.xmlmodel.node import XMLNode
 
 
@@ -66,8 +69,9 @@ class PostingList:
     def from_columns(
         cls, keyword: str, keys: list[bytes], tfs: list[int]
     ) -> "PostingList":
-        """A list over ready-made storage arrays (document order), which
-        it takes ownership of — no :class:`Posting`, no key re-packed."""
+        """A list over ready-made storage arrays (document order): it
+        keeps both lists and shares the key objects — no :class:`Posting`,
+        no key re-packed."""
         plist = cls.__new__(cls)
         plist._fill(keyword, keys, tfs)
         return plist
@@ -76,7 +80,7 @@ class PostingList:
         self.keyword = keyword
         self._keys = keys
         self._tfs = tfs
-        self._cumulative = list(accumulate(tfs, initial=0))
+        self._cumulative = array("q", accumulate(tfs, initial=0))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -159,10 +163,11 @@ class PostingList:
         self._fill(self.keyword, self._keys, self._tfs)
 
     def storage_nbytes(self) -> int:
-        """Approximate payload bytes held by the packed key array.
+        """Payload bytes of the packed keys the list names.
 
-        Diagnostic used by memory-accounting tests; counts the key bytes
-        only (tf/prefix arrays are identical across layouts).
+        Diagnostic used by memory-accounting tests.  The key objects are
+        shared with the document store and the path columns, so this is
+        what the list reads, not memory it owns.
         """
         return sum(len(key) for key in self._keys)
 
@@ -178,11 +183,11 @@ class InvertedIndex:
     def from_columns(cls, columns: DocumentColumns) -> "InvertedIndex":
         """Build the lists from a walked document.  The walk is pre-order,
         i.e. document order, so each keyword's postings arrive sorted;
-        every list owns a run of fresh key objects."""
+        every list references the walk's key objects."""
         return cls(
             {
                 keyword: PostingList.from_columns(
-                    keyword, own_keys(columns.keys, rows), tfs
+                    keyword, list(map(columns.keys.__getitem__, rows)), tfs
                 )
                 for keyword, (rows, tfs) in columns.postings.items()
             }
@@ -212,7 +217,7 @@ class InvertedIndex:
         """
         for keyword in removed.postings.keys() | added.postings.keys():
             rows, tfs = added.postings.get(keyword, ((), ()))
-            keys = own_keys(added.keys, rows)
+            keys = list(map(added.keys.__getitem__, rows))
             existing = self._lists.get(keyword)
             if existing is None:
                 if keys:

@@ -29,7 +29,7 @@ from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from repro.dewey import DeweyID, unpack
-from repro.storage.columns import DocumentColumns, document_columns, own_keys
+from repro.storage.columns import DocumentColumns, document_columns
 from repro.values import Predicate
 from repro.xmlmodel.node import XMLNode
 
@@ -183,18 +183,15 @@ class PathIndex:
     ]:
         """A walked subtree laid out by interned path id: the (keys,
         values, lengths) of the path's elements in document order, the
-        keys a run of fresh objects."""
+        keys the walk's own objects (shared with the store)."""
         ids = [self._intern_path(path) for path in columns.paths]
-        members: dict[int, list[int]] = {path_id: [] for path_id in ids}
-        for row, local in enumerate(columns.path_ids):
-            members[ids[local]].append(row)
         return {
             path_id: (
-                own_keys(columns.keys, rows),
+                list(map(columns.keys.__getitem__, rows)),
                 list(map(columns.values.__getitem__, rows)),
                 list(map(columns.lengths.__getitem__, rows)),
             )
-            for path_id, rows in members.items()
+            for path_id, rows in zip(ids, columns.path_rows)
         }
 
     def _set_path_columns(self, path_id, keys, values, lengths) -> None:

@@ -19,6 +19,7 @@ import operator
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -138,6 +139,12 @@ FLOORS = [  # id, scenario, counter, relation, bound
     # 96 per query (one per fragment view) before a shard's fragments
     # became one sequence view.
     ("one-engine-call-per-shard", "sharded_sweep", "engine_calls_per_query", "==", "shard_count"),
+    # 5.74 and 5.73 while every path column and posting list held its own
+    # copy of each key it names, for a per-query posting sweep that no
+    # longer runs; 1 314 traced bytes per element with those copies.
+    ("one-key-object-per-element", "loaded_corpus", "key_objects_per_element", "==", 1),
+    ("one-key-object-per-element-after-edits", "loaded_corpus", "key_objects_per_element_after_edits", "==", 1),
+    ("index-bytes-per-element", "loaded_corpus", "traced_bytes_per_element", "<=", 1_250),
 ]
 RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">=": operator.ge}
 KEYWORD_SETS = [("thomas",), ("control",), ("search",), ("thomas", "control")]
@@ -548,6 +555,52 @@ def rebuilt_skeleton_edit():
     with mock.patch.object(QueryCache, "apply_document_delta", counted_apply), \
             mock.patch.object(PDTSkeleton, "_build_tree", counted_build):
         database.insert_subtree("doc0", "1.1.2", "<zaux>xml xml aside</zaux>")
+    return counters
+
+
+def _key_objects_per_element(database):
+    """Distinct key objects held by every document store, path column and
+    posting list, per stored element."""
+    held, elements = set(), 0
+    for indexed in database.documents():
+        elements += len(indexed.store)
+        held.update(map(id, indexed.store._keys))
+        for arrays in indexed.path_index._path_arrays.values():
+            held.update(map(id, arrays[0]))
+        for plist in indexed.inverted_index._lists.values():
+            held.update(map(id, plist._keys))
+    return len(held) / elements
+
+
+def loaded_corpus():
+    """``cold_corpus``'s 96 documents loaded into an ``XMLDatabase``:
+    the key objects per element, after the load and after an insert, a
+    replace and a delete on three documents, and tracemalloc's traced
+    bytes after the load per element."""
+    documents = workloads.generate("cold_corpus").documents
+    gc.collect()
+    tracemalloc.start()
+    try:
+        database = XMLDatabase()
+        for name, text in documents.items():
+            database.load_document(name, text)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    elements = sum(len(indexed.store) for indexed in database.documents())
+    counters = {
+        "traced_bytes_per_element": traced / elements,
+        "key_objects_per_element": _key_objects_per_element(database),
+    }
+    database.insert_subtree(
+        "doc000", "1", "<book><title>xml shard</title><body>query index xml</body></book>"
+    )
+    database.replace_subtree(
+        "doc001", "1.2", "<book><title>views</title><body>dewey stream</body></book>"
+    )
+    database.delete_subtree("doc002", "1.3")
+    counters["key_objects_per_element_after_edits"] = _key_objects_per_element(database)
     return counters
 
 

@@ -1,9 +1,10 @@
 """Inverted index tests: postings, subtree aggregation, storage layout."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dewey import DeweyID
-from repro.storage.inverted_index import InvertedIndex
+from repro.dewey import DeweyID, pack, packed_child_bound
+from repro.storage.inverted_index import InvertedIndex, Posting, PostingList
 from repro.xmlmodel.node import Document
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.tokenizer import token_frequencies
@@ -149,3 +150,58 @@ def PostingListSlots():
     from repro.storage.inverted_index import PostingList
 
     return PostingList.__slots__
+
+
+_DEWEYS = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4).map(
+    lambda tail: (1, *tail)
+)
+_POSTINGS = st.dictionaries(_DEWEYS, st.integers(min_value=1, max_value=2**40), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.none(), _POSTINGS),
+    st.lists(st.tuples(_DEWEYS, _POSTINGS), max_size=6),
+    st.lists(_DEWEYS, max_size=8),
+)
+def test_splice_sequences_keep_the_prefix_sums(initial, splices, probes):
+    """After every ``splice_range`` of a random sequence, ``subtree_tf``
+    and ``cumulative_below`` equal brute-force sums over the list's
+    ``(key, tf)`` pairs.  ``None`` starts from ``PostingList(keyword,
+    [])``, an empty dict from an empty column."""
+    if initial is None:
+        plist, pairs = PostingList("kw", []), {}
+    else:
+        pairs = dict(initial)
+        plist = PostingList.from_columns(
+            "kw", [pack(key) for key in sorted(pairs)], [pairs[k] for k in sorted(pairs)]
+        )
+    for point, payload in [(None, {})] + splices:
+        if point is not None:
+            added = sorted(
+                {point + key[1:]: tf for key, tf in payload.items()}.items()
+            )
+            low = pack(point)
+            plist.splice_range(
+                low,
+                packed_child_bound(low),
+                [pack(key) for key, _ in added],
+                [tf for _, tf in added],
+            )
+            pairs = {
+                key: tf for key, tf in pairs.items() if key[: len(point)] != point
+            }
+            pairs.update(added)
+        ordered = sorted(pairs.items())
+        assert plist.postings == [Posting(key, tf) for key, tf in ordered]
+        for dewey in [(1,), *probes, *pairs]:
+            assert plist.subtree_tf(DeweyID(dewey)) == sum(
+                tf for key, tf in ordered if key[: len(dewey)] == dewey
+            )
+        bounds = sorted(
+            {pack(d) for d in [*probes, *pairs]}
+            | {packed_child_bound(pack(d)) for d in probes}
+        )
+        assert plist.cumulative_below(bounds) == [
+            sum(tf for key, tf in ordered if pack(key) < bound) for bound in bounds
+        ]

@@ -9,6 +9,7 @@ migration, and skeleton byte-length patching.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from hashlib import blake2b
 
 import pytest
@@ -584,3 +585,47 @@ def test_delete_hole_does_not_alias_a_restarted_documents_snapshot(tmp_path):
     for result in outcome.results:
         assert "<item>" in result.to_xml()
     assert outcome.cache_hits["items.xml"] != "snapshot"
+
+
+def _keys_in_range_are_the_stores(indexed, low: bytes, high: bytes) -> int:
+    """Assert every posting-list and path-column key in ``[low, high)``
+    is the store's object for that row; return how many were checked."""
+    store_keys = indexed.store._keys
+    columns = [plist._keys for plist in indexed.inverted_index._lists.values()]
+    columns += [arrays[0] for arrays in indexed.path_index._path_arrays.values()]
+    checked = 0
+    for keys in columns:
+        for key in keys[bisect_left(keys, low) : bisect_left(keys, high)]:
+            assert store_keys[bisect_left(store_keys, key)] is key
+            checked += 1
+    return checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_edited_keys_are_the_stores_objects(data):
+    """After each edit of a generated insert/delete/replace stream, every
+    posting-list and path-column key inside the edited range is the very
+    object the document store holds for that row: an edit shares the
+    payload walk's one key per element, as a load does."""
+    db = _database()
+    indexed = db.get("items.xml")
+    tags = st.sampled_from(["zaux", "para", "item", "name"])
+    words = st.sampled_from(["widget", "gadget text", "xml xml", ""])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        nodes = list(indexed.root.iter())
+        removable = [node for node in nodes if node.parent is not None]
+        kind = data.draw(st.sampled_from(UPDATE_KINDS if removable else ("insert",)))
+        outer, inner = data.draw(tags), data.draw(tags)
+        payload = (
+            f"<{outer}>{data.draw(words)}<{inner}>{data.draw(words)} xml</{inner}></{outer}>"
+        )
+        if kind == "delete":
+            delta = db.delete_subtree("items.xml", data.draw(st.sampled_from(removable)).dewey)
+        elif kind == "insert":
+            delta = db.insert_subtree("items.xml", data.draw(st.sampled_from(nodes)).dewey, payload)
+        else:
+            delta = db.replace_subtree("items.xml", data.draw(st.sampled_from(removable)).dewey, payload)
+        checked = _keys_in_range_are_the_stores(indexed, delta.key, delta.bound)
+        # Two path-column keys and at least one posting per payload.
+        assert checked >= (0 if kind == "delete" else 3)
